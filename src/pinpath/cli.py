@@ -34,8 +34,8 @@ EXIT_NUMERICAL = 3
 @dataclass
 class RunConfig:
     command: str
-    model: str = "flat"
-    d: int = 2
+    model: str = "flat"         # props: the list of kinds it audits
+    d: int = 2                  # props: the list of dimensions it audits
     kappa: float = 0.0
     n_values: list = field(default_factory=lambda: [8])
     x: list = None              # tangent/ambient coordinates, or None
@@ -206,8 +206,9 @@ def cmd_pinned(model, dim, kappa, n_text, x_text, rho, observable, n_samples,
             except ValueError:
                 oracle = None
         for n in cfg.n_values:
-            res = measures.pinned_estimate(mdl, Partition(int(n)), x_amb, obs,
-                                           cfg.n_samples, cfg.seed, cfg.workers)
+            res = measures.pinned_estimate(
+                mdl, Partition(int(n)), x_amb, obs, cfg.n_samples, cfg.seed, cfg.workers,
+                nan_dump_path=os.path.join(cfg.out_dir, "pinned_nan_dump.json"))
             err = abs(res.mean - oracle) if oracle is not None else float("nan")
             rows.append({"model": cfg.model, "d": cfg.d, "kappa": cfg.kappa,
                          "n": int(n), "x_norm": x_norm, "observable": cfg.observable,
@@ -326,12 +327,11 @@ def cmd_props(n_paths, n_text, kappa, d_text, seed, out_dir, config_path):
     out_dir = _merge(out_dir, data, "out", ".")
     if n_paths < 1 or n < 1 or kappa <= 0 or any(d < 1 or d > 3 for d in dims):
         _bail_config(["props needs paths >= 1, n >= 1, kappa > 0, d in 1..3"])
-    cfg = RunConfig(command="props", model="hyperbolic", d=dims[0], kappa=kappa,
+    cfg = RunConfig(command="props", model=["hyperbolic", "flat"], d=dims, kappa=kappa,
                     n_values=[n], n_samples=n_paths, seed=seed, out_dir=out_dir)
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    models = [CurvatureModel("hyperbolic", d, kappa) for d in dims]
-    models += [CurvatureModel("flat", d, 0.0) for d in dims]
+    models = [CurvatureModel(kind, d, kappa) for kind in cfg.model for d in dims]
     try:
         report = diagnostics.property_sweep(models, n_paths, n, seed)
     except NumericalError as exc:

@@ -124,9 +124,7 @@ class DampedTransport:
         return cls(model, grid, damped_T(model, grid), damped_T_inv(model, grid),
                    damped_K(model, grid), ctilde(model))
 
-    def at_time(self, s: float) -> int:
-        """Index of the grid point equal to s (raises if s is off-grid)."""
-        j = int(round(s * (len(self.grid) - 1)))
-        if not np.isclose(self.grid[j], s, atol=1e-12):
-            raise ValueError(f"time {s} is not on the damped grid")
-        return j
+    @property
+    def partition(self) -> Partition:
+        """The grid as a partition; its knot_index looks up a grid time."""
+        return Partition(len(self.grid) - 1)

@@ -7,6 +7,7 @@ and carry explicit pass/fail gates so the CLI can turn them into exit codes.
 """
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 from scipy.linalg import null_space
@@ -18,6 +19,7 @@ from .jacobi import COND_LIMIT, Partition
 FD_STEP = 1e-5    # central-difference step for chart perturbations
 DIV_STEP = 1e-3   # larger outer step for divergence-of-velocity differences
 FLAT_FLOOR = 1e-13  # below this a statistic counts as identically zero
+TABLE_FLOATS = 2 ** 18  # dense Jacobi tables are built for this many numbers at a time
 
 
 # ---------------------------------------------------------------------------
@@ -75,18 +77,36 @@ def lift_build(path, family, x_vector):
     x_vector: ambient vector at path.endpoint (or a callable point -> vector);
     it is tangent-projected before use.  Returns a Lift.
     """
-    model = family.model
     n = family.partition.n
-    tip = path.points[-1]
-    vec = x_vector(tip) if callable(x_vector) else np.asarray(x_vector, dtype=float)
-    vec = geom.project_tangent(model, tip, vec)
-    coords = geom.frame_coords(model, path.frames[-1], vec)
-
-    coeff = jacobi._guarded_solve(family.K[n], coords, COND_LIMIT, False, "mass matrix")
-    slopes = np.einsum("iab,a->ib", family.f[1:, n], coeff)
+    coords = _endpoint_coords(family.model, path.points[-1], path.frames[-1], x_vector)
+    cond = np.linalg.cond(family.K[n])
+    if cond > COND_LIMIT:
+        raise NumericalError(f"mass matrix condition number {cond:.3e} exceeds "
+                             f"{COND_LIMIT:.1e}")
+    coeff, slopes = _lift_slopes(family.f[1:, n], family.partition.mesh, coords)
     knot_values = jacobi.jacobi_from_slopes(family, slopes)
     residual = float(np.max(np.abs(knot_values[n] - coords)))
     return Lift(coords, coeff, slopes, knot_values, residual)
+
+
+def _endpoint_coords(model, point, frame, x_vector):
+    """Frame coordinates of the tangent projection of X at the endpoint(s).
+
+    x_vector is an ambient vector or a callable point -> vector; point (..., D),
+    frame (..., D, d).
+    """
+    vec = x_vector(point) if callable(x_vector) else np.asarray(x_vector, dtype=float)
+    return geom.frame_coords(model, frame, geom.project_tangent(model, point, vec))
+
+
+def _lift_slopes(f_end, delta, coords):
+    """Lift core: coefficients K(1)^{-1} coords and slopes k_i = f_{i+1}(1)^T coeff.
+
+    f_end (..., n, d, d) holds f_i(1); coords (..., d).  Returns (coeff, slopes).
+    """
+    mass = jacobi.batch_mass_matrix(f_end, delta)
+    coeff = np.linalg.solve(mass, coords[..., None])[..., 0]
+    return coeff, np.einsum("...iab,...a->...ib", f_end, coeff)
 
 
 def endpoint_map_matrix(family):
@@ -283,55 +303,38 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
         else:
             inc = paths.sample_increments(model, part, samples, seed + 7 * n)
         pts, frs = paths.roll_batch(model, inc)
-        vec = x_field(pts[:, -1])
-        vec = geom.project_tangent(model, pts[:, -1], vec)
-        coords = geom.frame_coords(model, frs[:, -1], vec)  # (samples, d)
+        coords = _endpoint_coords(model, pts[:, -1], frs[:, -1], x_field)  # (samples, d)
 
-        per_stat = {name: np.empty(samples) for name in statistics}
-        iu = np.triu_indices(n, k=0)  # pairs (i-1, j-1) with 1 <= i <= j <= n
-        for s in range(samples):
-            fam = jacobi.build_family(model, part, inc[s])
-            if "f" in per_stat:
-                diff = fam.f[1:, 1:] - ratio[1:, 1:, None, None] * eye
-                norms = np.linalg.norm(diff, axis=(2, 3))
-                per_stat["f"][s] = norms[iu].max()
-            need_lift = {"J", "adjoint"} & set(per_stat)
-            if "K" in per_stat:
-                kdiff = fam.K[1:] - k_cmp[1:, None, None] * eye
-                per_stat["K"][s] = np.linalg.norm(kdiff, axis=(1, 2)).max()
-            if need_lift:
-                coeff = np.linalg.solve(fam.K[n], coords[s])
-                if "J" in per_stat:
-                    lift_J = np.einsum("jab,a->jb", fam.K, coeff)
-                    damped_J = (k_prof / k_prof[-1])[:, None] * coords[s]
-                    per_stat["J"][s] = np.linalg.norm(lift_J - damped_J, axis=1).max()
-                if "adjoint" in per_stat:
-                    slopes = np.einsum("iab,a->ib", fam.f[1:, n], coeff)
-                    discrete = float(np.sum(slopes * inc[s]))
-                    weights = inc[s] * t_prof[:-1, None]
-                    limit = ctil * float(coords[s] @ weights.sum(axis=0))
-                    per_stat["adjoint"][s] = abs(discrete - limit)
+        iu = np.triu_indices(n)       # pairs (i-1, j-1) with 1 <= i <= j <= n
+        # the dense family holds (n+1)^2 d^2 numbers per path: build it in blocks
+        block = max(1, TABLE_FLOATS // ((n + 1) ** 2 * model.dim ** 2))
+        per_stat = {name: [] for name in statistics}
+        for lo in range(0, samples, block):
+            b_inc, b_coords = inc[lo:lo + block], coords[lo:lo + block]
+            fam = jacobi.build_family(model, part, b_inc)
+            coeff, slopes = _lift_slopes(fam.f[:, 1:, n], part.mesh, b_coords)
+            if "f" in statistics:
+                diff = fam.f[:, 1:, 1:] - ratio[1:, 1:, None, None] * eye
+                per_stat["f"].append(
+                    np.linalg.norm(diff, axis=(-2, -1))[:, iu[0], iu[1]].max(axis=1))
+            if "K" in statistics:
+                kdiff = fam.K[:, 1:] - k_cmp[1:, None, None] * eye
+                per_stat["K"].append(np.linalg.norm(kdiff, axis=(-2, -1)).max(axis=1))
+            if "J" in statistics:
+                lift_J = np.einsum("njab,na->njb", fam.K, coeff)
+                damped_J = (k_prof / k_prof[-1])[None, :, None] * b_coords[:, None, :]
+                per_stat["J"].append(np.linalg.norm(lift_J - damped_J, axis=-1).max(axis=1))
+            if "adjoint" in statistics:
+                discrete = np.einsum("nid,nid->n", slopes, b_inc)
+                weights = (b_inc * t_prof[:-1, None]).sum(axis=1)
+                limit = ctil * np.einsum("nd,nd->n", b_coords, weights)
+                per_stat["adjoint"].append(np.abs(discrete - limit))
         for name in statistics:
-            collected[name].append(per_stat[name])
+            collected[name].append(np.concatenate(per_stat[name]))
 
     gates = {"f": "slope", "K": "quarter", "J": "quarter", "adjoint": "decreasing"}
     return {name: _report(name, n_values, collected[name], gates[name])
             for name in statistics}
-
-
-def converge_f_vs_damped(model, n_values, samples, seed=0):
-    """Sup-over-pairs deviation of interval response from the damped ratio."""
-    return convergence_suite(model, n_values, samples, seed, ("f",))["f"]
-
-
-def converge_K_and_J(model, n_values, samples, seed=0, x_field=None):
-    """Mass-matrix and lift deviations from their damped profiles."""
-    return convergence_suite(model, n_values, samples, seed, ("K", "J"), x_field)
-
-
-def converge_adjoint_martingale(model, n_values, samples, seed=0, x_field=None):
-    """Gap between discrete and damped adjoint pairings on shared increments."""
-    return convergence_suite(model, n_values, samples, seed, ("adjoint",), x_field)
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +344,12 @@ def converge_adjoint_martingale(model, n_values, samples, seed=0, x_field=None):
 def _batched_lift_slopes(model, part, inc, x_field):
     """Slopes of the lift for a batch of increment charts.
 
-    Returns (slopes (N,n,d), endpoint coords (N,d), points, frames, cond (N,)).
+    Returns (slopes (N,n,d), endpoint coords (N,d), points, frames).
     """
-    n = part.n
     pts, frs = paths.roll_batch(model, inc)
-    vec = x_field(pts[:, -1])
-    vec = geom.project_tangent(model, pts[:, -1], vec)
-    coords = geom.frame_coords(model, frs[:, -1], vec)
+    coords = _endpoint_coords(model, pts[:, -1], frs[:, -1], x_field)
     f_end = jacobi.batch_endpoint_f(model, inc, part.mesh)
-    mass = jacobi.batch_mass_matrix(f_end, part.mesh)
-    coeff = np.linalg.solve(mass, coords[..., None])[..., 0]
-    slopes = np.einsum("niab,na->nib", f_end, coeff)
-    return slopes, coords, pts, frs
+    return _lift_slopes(f_end, part.mesh, coords)[1], coords, pts, frs
 
 
 def _knot_coords_relative(model, base_pts, base_frs, other_pts):
@@ -367,21 +364,6 @@ def _knot_coords_relative(model, base_pts, base_frs, other_pts):
     for j in range(1, m):
         v = geom.log_point(model, base_pts[:, j], other_pts[:, j])
         out[:, j] = geom.frame_coords(model, base_frs[:, j], v)
-    return out
-
-
-def _slopes_from_knots_batch(C, S, knot_vals):
-    """Triangular inversion of knot values to slopes, batched over paths.
-
-    C, S: (N, n, d, d) interval solutions at the full step (interval j lives
-    at index j - 1); knot_vals: (N, n+1, d).
-    """
-    N, m, d = knot_vals.shape
-    n = m - 1
-    out = np.empty((N, n, d))
-    for j in range(1, n + 1):
-        rhs = knot_vals[:, j] - np.einsum("nab,nb->na", C[:, j - 1], knot_vals[:, j - 1])
-        out[:, j - 1] = np.linalg.solve(S[:, j - 1], rhs[..., None])[..., 0]
     return out
 
 
@@ -411,7 +393,7 @@ def _chart_velocity(model, part, inc, x_field, want_cond=True):
         v_plus = _knot_coords_relative(model, base_pts, base_frs, pts_plus)
         v_minus = _knot_coords_relative(model, base_pts, base_frs, pts_minus)
         deriv = (v_plus - v_minus) / (2 * FD_STEP)
-        M[:, :, col] = _slopes_from_knots_batch(C, S, deriv).reshape(N, nd)
+        M[:, :, col] = jacobi.slopes_from_knots(C, S, deriv).reshape(N, nd)
 
     cond = np.linalg.cond(M) if want_cond else np.full(N, np.nan)
     velocity = np.linalg.solve(M, slopes.reshape(N, nd)[..., None])[..., 0]
@@ -597,14 +579,12 @@ def gradient_compare(model, partition, observable, n_samples=64, seed=0,
     points = fine_pts[:, idx]
 
     # endpoint coords in the refined frame, damped profile along knots
-    vec = x_field(points[:, -1])
-    vec = geom.project_tangent(model, points[:, -1], vec)
-    coords = geom.frame_coords(model, frames[:, -1], vec)
+    coords = _endpoint_coords(model, points[:, -1], frames[:, -1], x_field)
     k_prof = damped._k_profile(ric, part.knots)
     damped_field = (k_prof / k_prof[-1])[None, :, None] * coords[:, None, :]
 
     times = observable.times
-    knot_idx = [_knot_time_index(part, t) for t in times]
+    knot_idx = [part.knot_index(t) for t in times]
     pair_side = np.zeros(N)
     for j in knot_idx:
         if j == 0:
@@ -627,14 +607,6 @@ def gradient_compare(model, partition, observable, n_samples=64, seed=0,
         "refine": int(refine),
         "note": "refined-roll frames stand in for the continuum development",
     }
-
-
-def _knot_time_index(part, t):
-    j = t * part.n
-    k = int(round(j))
-    if abs(j - k) > 1e-9:
-        raise ValueError("observable time %r is not a knot" % (t,))
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -669,84 +641,69 @@ def property_sweep(model_list, n_paths, n=64, seed=0):
     its combinatorial envelope.  Returns a PropertyReport counting violations
     (tolerances: 1e-10 on eigenvalues, 1e-12 on determinants).
     """
-    checks = ["mass_eig", "normal_jacobian", "slope_det", "response_bound",
-              "volume_bound"]
-    violations = {c: 0 for c in checks}
-    worst = {c: np.inf for c in checks}
+    tolerance = {"mass_eig": 1e-10, "normal_jacobian": 1e-12, "slope_det": 1e-12,
+                 "response_bound": 1e-10, "volume_bound": 1e-8}
+    violations = {c: 0 for c in tolerance}
+    worst = {c: np.inf for c in tolerance}
     per_model = max(1, n_paths // max(1, len(model_list)))
+    part = Partition(n)
+    h = part.mesh
 
     for m_idx, model in enumerate(model_list):
-        part = Partition(n)
-        count = per_model
-        inc = paths.sample_increments(model, part, count, seed + 101 * m_idx)
+        inc = paths.sample_increments(model, part, per_model, seed + 101 * m_idx)
         big_n = model.curvature_bound
-        for s in range(count):
-            fam = jacobi.build_family(model, part, inc[s])
-            eig = np.linalg.eigvalsh(0.5 * (fam.K[n] + fam.K[n].T))
-            margin = float(eig.min() - 1.0)
-            worst["mass_eig"] = min(worst["mass_eig"], margin)
-            if margin < -1e-10:
-                violations["mass_eig"] += 1
-
-            jp = jacobi.normal_jacobian(fam)
-            margin = float(jp - 1.0)
-            worst["normal_jacobian"] = min(worst["normal_jacobian"], margin)
-            if margin < -1e-12:
-                violations["normal_jacobian"] += 1
-
-            rho = jacobi.rho_P(fam)
-            margin = float(rho - 1.0)
-            worst["slope_det"] = min(worst["slope_det"], margin)
-            if margin < -1e-12:
-                violations["slope_det"] += 1
-
-            margin = _response_bound_margin(model, fam, big_n)
-            worst["response_bound"] = min(worst["response_bound"], margin)
-            if margin < -1e-10:
-                violations["response_bound"] += 1
-
-            margin = _volume_bound_margin(model, part, fam, inc[s], big_n)
-            worst["volume_bound"] = min(worst["volume_bound"], margin)
-            if margin < -1e-8:
-                violations["volume_bound"] += 1
+        C, S = jacobi.batch_cs(model, inc, h)
+        f_body = jacobi.batch_endpoint_f(model, inc[:, :-1], h)        # f_i(tau)
+        f_end = jacobi.extend_endpoint_f(model, f_body, inc[:, -1], h)  # f_i(1)
+        K = jacobi.batch_mass_matrix(f_end, h)
+        eig = np.linalg.eigvalsh(0.5 * (K + np.swapaxes(K, -1, -2)))
+        margins = {
+            "mass_eig": eig.min(axis=-1) - 1.0,
+            "normal_jacobian": np.exp(jacobi.log_normal_jacobian(f_end, h)) - 1.0,
+            "slope_det": np.exp(jacobi.log_rho_P(S, h)) - 1.0,
+            "response_bound": _response_bound_margin(model, inc, C, S, h, big_n),
+            "volume_bound": _volume_bound_margin(model, f_body, inc, h, big_n),
+        }
+        for c, margin in margins.items():
+            worst[c] = min(worst[c], float(margin.min()))
+            violations[c] += int(np.sum(margin < -tolerance[c]))
     return PropertyReport(per_model * len(model_list), violations, worst)
 
 
-def _response_bound_margin(model, fam, big_n):
-    """Smallest slack in the interval response envelopes over intervals."""
-    n = fam.partition.n
-    h = fam.partition.mesh
-    margin = np.inf
-    for i in range(1, n + 1):
-        speed = np.linalg.norm(fam.velocities[i - 1])
-        env = np.cosh(np.sqrt(big_n) * speed * h)
-        margin = min(margin, env - np.linalg.norm(fam.C[i], 2))
-        grow = np.exp(big_n * speed ** 2 * h ** 2 / 2.0)
-        s_env = big_n * speed ** 2 * h ** 3 / 6.0 * grow
-        margin = min(margin, s_env - np.linalg.norm(fam.S[i] - h * np.eye(model.dim), 2))
-        c_env = big_n * speed ** 2 * h ** 2 / 2.0 * grow
-        margin = min(margin, c_env - np.linalg.norm(fam.C[i] - np.eye(model.dim), 2))
-    return float(margin)
+def _response_bound_margin(model, inc, C, S, h, big_n):
+    """Per path, the smallest slack in the interval response envelopes.
+
+    inc (N, n, d); C, S (N, n, d, d) from batch_cs at step h.
+    """
+    speed = np.linalg.norm(inc / h, axis=-1)                  # (N, n)
+    eye = np.eye(model.dim)
+
+    def spectral(X):
+        return np.linalg.norm(X, 2, axis=(-2, -1))
+
+    grow = np.exp(big_n * speed ** 2 * h ** 2 / 2.0)
+    margin = np.minimum.reduce([
+        np.cosh(np.sqrt(big_n) * speed * h) - spectral(C),
+        big_n * speed ** 2 * h ** 3 / 6.0 * grow - spectral(S - h * eye),
+        big_n * speed ** 2 * h ** 2 / 2.0 * grow - spectral(C - eye),
+    ])
+    return margin.min(axis=-1)
 
 
-def _volume_bound_margin(model, part, fam, inc, big_n):
-    """Slack of V_x under its combinatorial envelope, x = the rolled endpoint
-    pushed one mesh step along the last increment direction."""
-    n, d = part.n, model.dim
+def _volume_bound_margin(model, f_body, inc, h, big_n):
+    """Per path, the slack of V_x under its combinatorial envelope.
+
+    x is the path's own endpoint, so the tip vector is the last increment;
+    f_body (N, n-1, d, d) holds the body's f_i(tau).
+    """
+    N, n, d = inc.shape
     if n < 2:
-        return 0.0
-    pts, frs = paths.roll_batch(model, inc[None])
-    sigma_tau = pts[0, -2]
-    frame_tau = frs[0, -2]
-    x = pts[0, -1]
-    xi = geom.frame_coords(model, frame_tau, geom.log_point(model, sigma_tau, x))
-    vx = jacobi.volume_change_Vx(model, fam, xi)
-    dist_tip = np.linalg.norm(xi)
-    leg = np.linalg.norm(inc, axis=1)
-    log_leg_sum = big_n * float(np.sum(leg ** 2))
-    from math import comb
-    bound = 0.0
-    for k in range(d + 1):
-        bound += comb(d, k) * n ** (k / 2.0) * np.exp(
-            k * big_n * dist_tip ** 2 / 2.0 + k * log_leg_sum)
-    return float(bound - vx)
+        return np.zeros(N)
+    tip = inc[:, -1]
+    log_vx, _ = jacobi.log_volume_change(model, f_body, tip, h)
+    dist_tip = np.linalg.norm(tip, axis=-1)
+    log_leg_sum = big_n * np.sum(np.linalg.norm(inc, axis=-1) ** 2, axis=-1)
+    bound = sum(comb(d, k) * n ** (k / 2.0)
+                * np.exp(k * big_n * dist_tip ** 2 / 2.0 + k * log_leg_sum)
+                for k in range(d + 1))
+    return bound - np.exp(log_vx)

@@ -5,13 +5,15 @@ xi_i; the second-order matrix system Y'' = A_i Y (A_i the curvature quadratic
 of xi_i) has cosine/sine-type solutions C_i, S_i.  Products of these assemble
 the interval response matrices f_i(s_j), the positive mass matrix K(s), the
 endpoint normal Jacobian, and the two volume factors used by the pinned
-estimator.  Closed forms are the production route; a fixed-step RK4 integrator
-provides the independent oracle behind the same interface.
+estimator.  Every function takes leading sample axes (one path is a batch of
+one): the scalar factors come from a single suffix pass over the path's body,
+and the dense table of all f_i(s_j) is built only where every pair is needed.
+Closed forms are the production route; a fixed-step RK4 integrator provides
+the independent oracle behind the same interface.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,7 @@ import numpy as np
 from . import geom
 from .geom import CurvatureModel, NumericalError
 
-COND_LIMIT = 1e12   # refuse/warn beyond this condition number
+COND_LIMIT = 1e12   # refuse or count beyond this condition number
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,13 @@ class Partition:
     def mesh(self) -> float:
         """|P| = max interval length = 1/n."""
         return 1.0 / self.n
+
+    def knot_index(self, t: float) -> int:
+        """Index j of the knot s_j = t; raises ValueError when t is not a knot."""
+        j = int(round(t * self.n))
+        if abs(t * self.n - j) > 1e-9 or not 0 <= j <= self.n:
+            raise ValueError(f"time {t} is not a knot of the partition")
+        return j
 
     @classmethod
     def from_knots(cls, knots) -> "Partition":
@@ -78,26 +87,6 @@ def _cs_closed(model: CurvatureModel, xi, s):
     C = eye + (np.cosh(a) - 1.0) * (eye - proj)
     S = s * proj + s * geom.sinhc(a) * (eye - proj)
     return C, S
-
-
-def _cs_closed_derivative(model: CurvatureModel, xi, s):
-    """(C'(s), S'(s)) of the closed forms above."""
-    xi = np.asarray(xi, dtype=float)
-    d = model.dim
-    s = np.asarray(s, dtype=float)[..., None, None]
-    eye = np.eye(d)
-    nrm2 = np.sum(xi * xi, axis=-1)[..., None, None]
-    if model.kind == "flat":
-        shape = np.broadcast_shapes(xi.shape[:-1] + (d, d), s.shape[:-2] + (d, d))
-        return np.zeros(shape), np.broadcast_to(eye, shape).copy()
-    safe = np.maximum(nrm2, 1e-300)
-    proj = xi[..., :, None] * xi[..., None, :] / safe
-    proj = np.where(nrm2 > 0, proj, 0.0)
-    omega = np.sqrt(model.kappa * nrm2)
-    a = omega * s
-    Cp = omega * np.sinh(a) * (eye - proj)
-    Sp = proj + np.cosh(a) * (eye - proj)
-    return Cp, Sp
 
 
 def _cs_rk4(model: CurvatureModel, xi, h, substeps):
@@ -148,202 +137,11 @@ def solve_cs_interval(model: CurvatureModel, xi, h, method="closed", substeps=10
 
 
 # ---------------------------------------------------------------------------
-# The interval family f_i(s_j) and the mass matrix K
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class JacobiFamily:
-    """All interval response matrices of one broken geodesic.
-
-    velocities : (n, d) constant frame velocity per interval (n * increment)
-    C, S       : (n+1, d, d) interval solutions at full step 1/n; index i >= 1
-                 is interval [s_{i-1}, s_i], index 0 is unused padding
-    f          : (n+1, n+1, d, d); f[i, j] = f_i(s_j).  Row 0 is the identity
-                 convention; f[i, j] = 0 for j < i.
-    K          : (n+1, d, d); K[j] = K(s_j), the running mass matrix
-    """
-
-    model: CurvatureModel
-    partition: Partition
-    velocities: np.ndarray
-    C: np.ndarray
-    S: np.ndarray
-    f: np.ndarray
-    K: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.partition.n
-
-    def f_matrix(self, i: int, j: int) -> np.ndarray:
-        return self.f[i, j]
-
-    def K_at(self, j: int) -> np.ndarray:
-        return self.K[j]
-
-    def f_eval(self, i: int, s: float) -> np.ndarray:
-        """f_i(s) at arbitrary s (piecewise between stored knot values)."""
-        n, d, delta = self.n, self.model.dim, self.partition.mesh
-        if i == 0:
-            return np.eye(d)
-        if s <= (i - 1) * delta:
-            return np.zeros((d, d))
-        j = min(int(np.ceil(s / delta - 1e-12)), n)   # interval index holding s
-        local = s - (j - 1) * delta
-        if j == i:
-            _, S = _cs_closed(self.model, self.velocities[i - 1], local)
-            return S / delta
-        C, _ = _cs_closed(self.model, self.velocities[j - 1], local)
-        return C @ self.f[i, j - 1]
-
-    def jacobi_eval(self, slopes, s: float) -> np.ndarray:
-        """Piecewise field with value 0 at s=0 and right-slope k_i at s_i."""
-        slopes = np.asarray(slopes, dtype=float)
-        n, delta = self.n, self.partition.mesh
-        j = min(max(int(np.ceil(s / delta - 1e-12)), 1), n)
-        J = np.zeros(self.model.dim)
-        for l in range(1, j):
-            C, S = self.C[l], self.S[l]
-            J = C @ J + S @ slopes[l - 1]
-        local = s - (j - 1) * delta
-        C, S = _cs_closed(self.model, self.velocities[j - 1], local)
-        return C @ J + S @ slopes[j - 1]
-
-
-def build_family(model: CurvatureModel, partition: Partition, increments) -> JacobiFamily:
-    """Assemble the interval family from anti-developed increments (n, d)."""
-    increments = np.asarray(increments, dtype=float)
-    n, d = partition.n, model.dim
-    if increments.shape != (n, d):
-        raise ValueError(f"increments must have shape ({n}, {d})")
-    if not np.all(np.isfinite(increments)):
-        raise ValueError("increments must be finite")
-    delta = partition.mesh
-    velocities = increments / delta
-
-    C = np.zeros((n + 1, d, d))
-    S = np.zeros((n + 1, d, d))
-    C[0] = np.eye(d)
-    C[1:], S[1:] = _cs_closed(model, velocities, delta)
-
-    f = np.zeros((n + 1, n + 1, d, d))
-    f[0, :] = np.eye(d)
-    for j in range(1, n + 1):
-        f[j, j] = S[j] / delta
-        if j > 1:
-            f[1:j, j] = np.einsum("ab,ibc->iac", C[j], f[1:j, j - 1])
-
-    K = np.zeros((n + 1, d, d))
-    for j in range(1, n + 1):
-        K[j] = np.einsum("iab,icb->ac", f[1:j + 1, j], f[1:j + 1, n]) / n
-    return JacobiFamily(model, partition, velocities, C, S, f, K)
-
-
-def jacobi_from_slopes(family: JacobiFamily, slopes) -> np.ndarray:
-    """Knot values (n+1, d) of the field with right-slopes k_i at the knots.
-
-    Identical to (1/n) sum_i f_{i+1}(s_j) k_i; evaluated by the two-term
-    interval recursion J(s_j) = C_j J(s_{j-1}) + S_j k_{j-1}.
-    """
-    slopes = np.asarray(slopes, dtype=float)
-    n, d = family.n, family.model.dim
-    if slopes.shape != (n, d):
-        raise ValueError(f"slopes must have shape ({n}, {d})")
-    J = np.zeros((n + 1, d))
-    for j in range(1, n + 1):
-        J[j] = family.C[j] @ J[j - 1] + family.S[j] @ slopes[j - 1]
-    return J
-
-
-def slopes_from_knots(family: JacobiFamily, knot_values) -> np.ndarray:
-    """Invert jacobi_from_slopes: recover k from J(s_1..s_n) (triangular)."""
-    knot_values = np.asarray(knot_values, dtype=float)
-    n, d = family.n, family.model.dim
-    slopes = np.zeros((n, d))
-    for j in range(1, n + 1):
-        slopes[j - 1] = _guarded_solve(family.S[j],
-                                       knot_values[j] - family.C[j] @ knot_values[j - 1])
-    return slopes
-
-
-def _guarded_solve(mat, rhs, limit=COND_LIMIT, warn_only=False, label="matrix"):
-    """LU solve with a condition-number guard."""
-    cond = np.linalg.cond(mat)
-    if cond > limit:
-        if warn_only:
-            warnings.warn(f"{label} condition number {cond:.3e} exceeds {limit:.1e}")
-        else:
-            raise NumericalError(f"{label} condition number {cond:.3e} exceeds {limit:.1e}")
-    return np.linalg.solve(mat, rhs)
-
-
-# ---------------------------------------------------------------------------
-# Scalar functionals of a family
-# ---------------------------------------------------------------------------
-
-def normal_jacobian(family: JacobiFamily) -> float:
-    """sqrt(det K(1)); the endpoint volume factor, always >= 1."""
-    sign, logdet = np.linalg.slogdet(family.K[family.n])
-    if sign <= 0:
-        raise NumericalError("mass matrix K(1) lost positivity")
-    return float(np.exp(0.5 * logdet))
-
-
-def log_normal_jacobian(family: JacobiFamily) -> float:
-    sign, logdet = np.linalg.slogdet(family.K[family.n])
-    if sign <= 0:
-        raise NumericalError("mass matrix K(1) lost positivity")
-    return float(0.5 * logdet)
-
-
-def rho_P(family: JacobiFamily) -> float:
-    """Product over the first n-1 intervals of det(S_i(1/n) * n); >= 1."""
-    return float(np.exp(log_rho_P(family)))
-
-
-def log_rho_P(family: JacobiFamily) -> float:
-    n = family.n
-    total = 0.0
-    for i in range(1, n):
-        sign, logdet = np.linalg.slogdet(family.S[i] * n)
-        if sign <= 0:
-            raise NumericalError("sine-type solution lost orientation")
-        total += logdet
-    return float(total)
-
-
-def volume_change_Vx(model: CurvatureModel, family: JacobiFamily, xi_x) -> float:
-    """Volume factor of pinning the free endpoint to x.
-
-    family : built on a path whose first n-1 intervals are the body (the last
-             interval is ignored, so a full pinned-path family works)
-    xi_x   : frame coordinates at time 1 - 1/n of the log towards x
-    returns sqrt(det(I + L F L^T)) with L = C_x(1/n) S_x(1/n)^{-1} and
-    F = (1/n^2) sum_{i=0}^{n-2} f_i(1 - 1/n) f_i(1 - 1/n)^T.
-    """
-    n, d = family.n, model.dim
-    xi_x = np.asarray(xi_x, dtype=float)
-    # the tip geodesic covers the log vector in time 1/n, so its velocity
-    # is n * xi_x
-    Cx, Sx = _cs_closed(model, xi_x / family.partition.mesh, family.partition.mesh)
-    L = _guarded_solve(Sx.T, Cx.T, warn_only=True, label="tip sine factor").T
-    F = np.eye(d)
-    for i in range(1, n - 1):
-        F = F + family.f[i, n - 1] @ family.f[i, n - 1].T
-    F = F / n ** 2 if n >= 2 else np.zeros((d, d))
-    M = np.eye(d) + L @ F @ L.T
-    sign, logdet = np.linalg.slogdet(M)
-    if sign <= 0:
-        raise NumericalError("pinning volume factor lost positivity")
-    return float(np.exp(0.5 * logdet))
-
-
-# ---------------------------------------------------------------------------
-# Batched variants (leading sample axes) used by the estimator fast path
+# The suffix pass and the scalar factors of the family (leading sample axes)
 # ---------------------------------------------------------------------------
 
 def batch_cs(model: CurvatureModel, increments, delta: float):
-    """(C_i(delta), S_i(delta)) for batched increments (..., m, d)."""
+    """(C_i(delta), S_i(delta)) for increments (..., d), e.g. (..., n, d)."""
     velocities = np.asarray(increments, dtype=float) / delta
     return _cs_closed(model, velocities, delta)
 
@@ -364,18 +162,193 @@ def batch_endpoint_f(model: CurvatureModel, increments, delta: float) -> np.ndar
     return out
 
 
+def extend_endpoint_f(model: CurvatureModel, f_body, tip, delta: float) -> np.ndarray:
+    """f_i(1), i = 1..n, of a path whose body has f_i(tau) = f_body.
+
+    f_body (..., n-1, d, d) is batch_endpoint_f of the first n-1 increments
+    (tau = 1 - delta) and tip (..., d) the last increment, so
+    f_i(1) = C_n f_i(tau) for i < n and f_n(1) = S_n / delta.
+    """
+    C, S = batch_cs(model, tip, delta)
+    return np.concatenate([C[..., None, :, :] @ f_body, S[..., None, :, :] / delta],
+                          axis=-3)
+
+
 def batch_mass_matrix(f_end, delta: float) -> np.ndarray:
     """K(end) = delta * sum_i f_i f_i^T from stacked f_i (..., m, d, d)."""
     return delta * np.einsum("...iab,...icb->...ac", f_end, f_end)
 
 
-def batch_log_normal_jacobian(f_end, delta: float) -> np.ndarray:
-    """log sqrt(det K(1)) batched; raises if positivity is lost."""
-    K = batch_mass_matrix(f_end, delta)
-    sign, logdet = np.linalg.slogdet(K)
+def log_normal_jacobian(f_end, delta: float) -> np.ndarray:
+    """log sqrt(det K(1)) from f_i(1) (..., n, d, d); J_P >= 1.
+
+    Raises NumericalError if K(1) loses positivity on any sample.
+    """
+    sign, logdet = np.linalg.slogdet(batch_mass_matrix(f_end, delta))
     if np.any(sign <= 0):
-        raise NumericalError("mass matrix K(1) lost positivity in a batch")
+        raise NumericalError("mass matrix K(1) lost positivity")
     return 0.5 * logdet
+
+
+def log_rho_P(S, delta: float) -> np.ndarray:
+    """log rho_P: sum over the first n-1 of the intervals in S of log det(S_i / delta).
+
+    S (..., n, d, d) as from batch_cs; the last interval is not counted.
+    rho_P >= 1.
+    """
+    sign, logdet = np.linalg.slogdet(S[..., :-1, :, :] / delta)
+    if np.any(sign <= 0):
+        raise NumericalError("sine-type solution lost orientation")
+    return np.sum(logdet, axis=-1)
+
+
+def log_volume_change(model: CurvatureModel, f_body, xi_x, delta: float):
+    """log V_x, the volume factor of pinning the free endpoint to x.
+
+    f_body : (..., n-1, d, d) f_i(tau) of the body, tau = 1 - delta, from
+             batch_endpoint_f of the first n-1 increments
+    xi_x   : (..., d) frame coordinates at tau of the log towards x; the tip
+             geodesic covers it in time delta, so its velocity is xi_x / delta
+    returns (log V_x (...,), tip_cond_hits) with
+    V_x = sqrt(det(I + L F L^T)), L = C_x S_x^{-1},
+    F = (I + sum_{i=1}^{n-2} f_i(tau) f_i(tau)^T) / n^2  (F = 0 when n = 1),
+    and tip_cond_hits the number of tips whose sine factor S_x has condition
+    number sinhc(sqrt(kappa) |xi_x|) above COND_LIMIT.
+    """
+    xi_x = np.asarray(xi_x, dtype=float)
+    nb, d = f_body.shape[-3], model.dim
+    if nb == 0:
+        # no body to perturb: the pinning map is trivial and V_x = 1
+        F = np.zeros(f_body.shape[:-3] + (d, d))
+    else:
+        head = f_body[..., :nb - 1, :, :]
+        F = (np.eye(d) + np.einsum("...iab,...icb->...ac", head, head)) / (nb + 1) ** 2
+    Cx, Sx = batch_cs(model, xi_x, delta)
+    # cond(S_x) = sinhc(sqrt(kappa) |xi_x|) exactly in constant curvature
+    a = np.sqrt(model.kappa * np.sum(xi_x * xi_x, axis=-1))
+    tip_cond_hits = int(np.sum(geom.sinhc(a) > COND_LIMIT))
+    L = np.swapaxes(np.linalg.solve(np.swapaxes(Sx, -1, -2), np.swapaxes(Cx, -1, -2)),
+                    -1, -2)
+    sign, logdet = np.linalg.slogdet(np.eye(d) + L @ F @ np.swapaxes(L, -1, -2))
+    if np.any(sign <= 0):
+        raise NumericalError("pinning volume factor lost positivity")
+    return 0.5 * logdet, tip_cond_hits
+
+
+# ---------------------------------------------------------------------------
+# The dense family f_i(s_j) and the running mass matrix K(s_j)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class JacobiFamily:
+    """All interval response matrices of broken geodesics.
+
+    Arrays carry the leading sample axes (...) of the increments they were
+    built from; a single path has none.
+    velocities : (..., n, d) constant frame velocity per interval (n * increment)
+    C, S       : (..., n, d, d) interval solutions at full step 1/n; index
+                 i - 1 is interval [s_{i-1}, s_i] (the batch_cs layout)
+    f          : (..., n+1, n+1, d, d); f[..., i, j, :, :] = f_i(s_j).  Row 0
+                 is the identity convention; f_i(s_j) = 0 for j < i.
+    K          : (..., n+1, d, d); K[..., j, :, :] = K(s_j), the running mass
+                 matrix
+    """
+
+    model: CurvatureModel
+    partition: Partition
+    velocities: np.ndarray
+    C: np.ndarray
+    S: np.ndarray
+    f: np.ndarray
+    K: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.partition.n
+
+    def f_eval(self, i: int, s: float) -> np.ndarray:
+        """f_i(s) at arbitrary s (piecewise between stored knot values)."""
+        n, delta = self.n, self.partition.mesh
+        if i == 0:
+            return self.f[..., 0, 0, :, :].copy()
+        if s <= (i - 1) * delta:
+            return np.zeros_like(self.f[..., 0, 0, :, :])
+        j = min(int(np.ceil(s / delta - 1e-12)), n)   # interval index holding s
+        local = s - (j - 1) * delta
+        if j == i:
+            _, S = _cs_closed(self.model, self.velocities[..., i - 1, :], local)
+            return S / delta
+        C, _ = _cs_closed(self.model, self.velocities[..., j - 1, :], local)
+        return C @ self.f[..., i, j - 1, :, :]
+
+    def jacobi_eval(self, slopes, s: float) -> np.ndarray:
+        """Piecewise field with value 0 at s=0 and right-slope k_i at s_i."""
+        slopes = np.asarray(slopes, dtype=float)
+        n, delta = self.n, self.partition.mesh
+        j = min(max(int(np.ceil(s / delta - 1e-12)), 1), n)
+        J = jacobi_from_slopes(self, slopes)[..., j - 1, :]
+        C, S = _cs_closed(self.model, self.velocities[..., j - 1, :], s - (j - 1) * delta)
+        return (np.einsum("...ab,...b->...a", C, J)
+                + np.einsum("...ab,...b->...a", S, slopes[..., j - 1, :]))
+
+
+def build_family(model: CurvatureModel, partition: Partition, increments) -> JacobiFamily:
+    """Assemble the dense family from anti-developed increments (..., n, d).
+
+    Holds (n+1)^2 d^2 numbers per path: the reference the suffix pass is
+    tested against, and the input of the convergence statistics, which need
+    f_i(s_j) and K(s_j) at every knot.
+    """
+    increments = np.asarray(increments, dtype=float)
+    n, d = partition.n, model.dim
+    if increments.shape[-2:] != (n, d):
+        raise ValueError(f"increments must have shape (..., {n}, {d})")
+    if not np.all(np.isfinite(increments)):
+        raise ValueError("increments must be finite")
+    delta = partition.mesh
+    velocities = increments / delta
+    C, S = _cs_closed(model, velocities, delta)
+
+    f = np.zeros(increments.shape[:-2] + (n + 1, n + 1, d, d))
+    f[..., 0, :, :, :] = np.eye(d)
+    for j in range(1, n + 1):
+        f[..., j, j, :, :] = S[..., j - 1, :, :] / delta
+        f[..., 1:j, j, :, :] = C[..., j - 1, None, :, :] @ f[..., 1:j, j - 1, :, :]
+
+    # K(s_j) = (1/n) sum_{i <= j} f_i(s_j) f_i(1)^T; rows i > j of f vanish
+    K = np.einsum("...ijab,...icb->...jac", f[..., 1:, :, :, :], f[..., 1:, n, :, :]) / n
+    return JacobiFamily(model, partition, velocities, C, S, f, K)
+
+
+def jacobi_from_slopes(family: JacobiFamily, slopes) -> np.ndarray:
+    """Knot values (..., n+1, d) of the field with right-slopes k_i at the knots.
+
+    Identical to (1/n) sum_i f_{i+1}(s_j) k_i; evaluated by the two-term
+    interval recursion J(s_j) = C_j J(s_{j-1}) + S_j k_{j-1}.
+    """
+    slopes = np.asarray(slopes, dtype=float)
+    n, d = family.n, family.model.dim
+    if slopes.shape[-2:] != (n, d):
+        raise ValueError(f"slopes must have shape (..., {n}, {d})")
+    C, S = family.C, family.S
+    J = np.zeros(np.broadcast_shapes(slopes.shape[:-2], C.shape[:-3]) + (n + 1, d))
+    for j in range(1, n + 1):
+        J[..., j, :] = (np.einsum("...ab,...b->...a", C[..., j - 1, :, :], J[..., j - 1, :])
+                        + np.einsum("...ab,...b->...a", S[..., j - 1, :, :],
+                                    slopes[..., j - 1, :]))
+    return J
+
+
+def slopes_from_knots(C, S, knot_values) -> np.ndarray:
+    """Invert jacobi_from_slopes: right-slopes (..., n, d) from knot values.
+
+    C, S (..., n, d, d) in the batch_cs layout, knot_values (..., n+1, d);
+    k_{j-1} = S_j^{-1} (J(s_j) - C_j J(s_{j-1})) for every j at once.
+    """
+    knot_values = np.asarray(knot_values, dtype=float)
+    rhs = knot_values[..., 1:, :] - np.einsum("...jab,...jb->...ja", C,
+                                              knot_values[..., :-1, :])
+    return np.linalg.solve(S, rhs[..., None])[..., 0]
 
 
 def det_identity_check(A, rtol=1e-10):

@@ -61,13 +61,13 @@ class CylinderObservable:
         if self.kind == "const_one":
             vals = np.ones(points.shape[:-2])
         elif self.kind == "radial":
-            j = _knot_index(partition, self.params["time"])
+            j = partition.knot_index(self.params["time"])
             r = geom.distance(model, o, points[..., j, :])
             vals = _radial_g(self.params["g"])(r)
         elif self.kind == "exp_radial2":
             expo = 0.0
             for t, a in zip(self.params["times"], self.params["scales"]):
-                j = _knot_index(partition, t)
+                j = partition.knot_index(t)
                 r = geom.distance(model, o, points[..., j, :])
                 expo = expo - r * r / a
             vals = np.exp(expo)
@@ -76,13 +76,6 @@ class CylinderObservable:
         if np.isfinite(self.bound) and np.any(np.abs(vals) > self.bound * (1 + 1e-12)):
             raise ValueError(f"observable {self.name} exceeded its declared bound")
         return vals
-
-
-def _knot_index(partition: Partition, t: float) -> int:
-    j = int(round(t * partition.n))
-    if not np.isclose(j / partition.n, t, atol=1e-12):
-        raise ValueError(f"observable time {t} is not a knot of the partition")
-    return j
 
 
 MASS_OBSERVABLE = CylinderObservable("mass", (1.0,), 1.0, "const_one")
@@ -182,11 +175,11 @@ def _pinned_chunk(model: CurvatureModel, partition: Partition, x_amb,
     xi_x = geom.frame_coords(model, u_end, v_amb)          # (N, d)
     dist2 = np.sum(xi_x * xi_x, axis=-1)
 
-    full_inc = np.concatenate([body, xi_x[:, None, :]], axis=1)
-    f_end = jacobi.batch_endpoint_f(model, full_inc, delta)      # f_i(1)
-    log_jp = jacobi.batch_log_normal_jacobian(f_end, delta)
-
-    log_vx, tip_cond_hits = _batch_log_volume_change(model, body, xi_x, delta)
+    # one suffix pass over the body serves J_P (f_i(1) = C_n f_i(tau)) and V_x
+    f_body = jacobi.batch_endpoint_f(model, body, delta)           # f_i(tau)
+    f_end = jacobi.extend_endpoint_f(model, f_body, xi_x, delta)   # f_i(1)
+    log_jp = jacobi.log_normal_jacobian(f_end, delta)
+    log_vx, tip_cond_hits = jacobi.log_volume_change(model, f_body, xi_x, delta)
 
     log_w = -0.5 * d * LOG_2PI - 0.5 * n * dist2 + log_vx - log_jp
 
@@ -194,37 +187,6 @@ def _pinned_chunk(model: CurvatureModel, partition: Partition, x_amb,
         [pts, np.broadcast_to(x_amb, body_end.shape)[:, None, :]], axis=1)
     f_vals = observable.evaluate(model, partition, full_pts)
     return log_w, np.asarray(f_vals, dtype=float), tip_cond_hits
-
-
-def _batch_log_volume_change(model: CurvatureModel, body, xi_x, delta):
-    """log V_x for batched bodies (N, n-1, d) and tip logs (N, d)."""
-    nb = body.shape[1]                   # n - 1 body intervals
-    n = nb + 1
-    d = model.dim
-    N = body.shape[0]
-    if nb == 0:
-        # no body to perturb: the pinning map is trivial and V_x = 1
-        F = np.zeros((N, d, d))
-    else:
-        F = np.broadcast_to(np.eye(d), (N, d, d)).copy()
-        if nb >= 2:
-            f_body = jacobi.batch_endpoint_f(model, body, delta)     # f_i(tau)
-            ff = np.einsum("...iab,...icb->...ac", f_body[:, :nb - 1],
-                           f_body[:, :nb - 1])
-            F = F + ff
-        F = F / n ** 2
-    Cx, Sx = jacobi.batch_cs(model, xi_x[:, None, :], delta)
-    Cx, Sx = Cx[:, 0], Sx[:, 0]
-    # cond(S) = sinh(a)/a exactly in constant curvature; count blowups
-    a = np.sqrt(model.kappa) * np.sqrt(np.sum(xi_x * xi_x, axis=-1)) * delta
-    tip_cond_hits = int(np.sum(geom.sinhc(a) > jacobi.COND_LIMIT))
-    L = np.linalg.solve(np.swapaxes(Sx, -1, -2), np.swapaxes(Cx, -1, -2))
-    L = np.swapaxes(L, -1, -2)
-    M = np.eye(d) + L @ F @ np.swapaxes(L, -1, -2)
-    sign, logdet = np.linalg.slogdet(M)
-    if np.any(sign <= 0):
-        raise NumericalError("pinning volume factor lost positivity")
-    return 0.5 * logdet, tip_cond_hits
 
 
 @dataclass

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pinpath import cli
+from pinpath import cli, measures, paths
+from pinpath.geom import CurvatureModel, NumericalError
+from pinpath.jacobi import Partition
 
 
 def run_cli(args):
@@ -73,6 +75,38 @@ def test_pinned_hyperbolic_d3_kernel_oracle(tmp_path):
     assert np.isfinite(float(cells[-1])) and np.isfinite(float(cells[-2]))
     manifest = json.loads(read_text(os.path.join(out, "pinned_manifest.json")))
     assert manifest["gates_passed"]
+
+
+def test_pinned_nan_dump_goes_under_out(tmp_path, monkeypatch):
+    """A non-finite log-weight raises NumericalError after dumping the bad
+    samples; the CLI writes that dump under --out and exits with code 3."""
+    chunk = measures._pinned_chunk
+
+    def poisoned(*args):
+        log_w, f_vals, hits = chunk(*args)
+        log_w[3] = np.nan
+        return log_w, f_vals, hits
+
+    monkeypatch.setattr(measures, "_pinned_chunk", poisoned)
+    model, part = CurvatureModel("flat", 2), Partition(4)
+    dump = tmp_path / "dump.json"
+    with pytest.raises(NumericalError):
+        measures.pinned_estimate(model, part, np.array([1.0, 0.0]), n_samples=64,
+                                 seed=5, nan_dump_path=str(dump))
+    payload = json.loads(read_text(dump))
+    assert payload["bad_indices"] == [3]
+    assert payload["seed"] == 5
+    assert payload["x"] == [1.0, 0.0]
+    want = paths.sample_increments(model, part, 1, 5, start=3)[0]
+    assert payload["first_bad_increments"] == want.tolist()
+
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "run"
+    res = run_cli(["pinned", "--model", "flat", "--d", "2", "--n", "4", "--x", "1,0",
+                   "--N", "64", "--seed", "5", "--out", str(out)])
+    assert res.exit_code == 3
+    assert json.loads(read_text(out / "pinned_nan_dump.json"))["bad_indices"] == [3]
+    assert not (tmp_path / "pinned_nan_dump.json").exists()
 
 
 def test_converge_f_slope_band(tmp_path):
@@ -147,6 +181,17 @@ def test_props_small_run(tmp_path):
     manifest = json.loads(read_text(os.path.join(out, "props_manifest.json")))
     assert all(v == 0 for v in manifest["violations"].values())
     assert "violations=0" in res.output
+
+
+def test_props_manifest_records_every_audited_model(tmp_path):
+    """The props manifest lists every dimension and both model kinds swept."""
+    out = str(tmp_path)
+    res = run_cli(["props", "--paths", "8", "--n", "4", "--d", "1,2", "--kappa", "1.0",
+                   "--out", out])
+    assert res.exit_code == 0, res.output
+    config = json.loads(read_text(os.path.join(out, "props_manifest.json")))["config"]
+    assert config["d"] == [1, 2]
+    assert config["model"] == ["hyperbolic", "flat"]
 
 
 def test_sample_dump(tmp_path):

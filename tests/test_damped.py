@@ -116,12 +116,12 @@ def test_grid_container():
     dt = DampedTransport.build(HYP3, part, refine=4)
     assert len(dt.grid) == 17
     assert np.allclose(dt.grid[::4], part.knots)
-    j = dt.at_time(0.5)
+    j = dt.partition.knot_index(0.5)
     assert np.allclose(dt.T[j], damped.damped_T(HYP3, 0.5))
     assert np.allclose(dt.K[j], damped.damped_K(HYP3, 0.5))
     assert np.allclose(dt.Tinv[j] @ dt.T[j], np.eye(3), atol=1e-12)
     assert np.allclose(dt.Ctilde, damped.ctilde(HYP3))
     with pytest.raises(ValueError):
-        dt.at_time(0.13)
+        dt.partition.knot_index(0.13)
     with pytest.raises(ValueError):
         DampedTransport.build(HYP3, part, refine=0)

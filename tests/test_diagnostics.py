@@ -7,8 +7,7 @@ import pytest
 
 from pinpath import diagnostics, geom, jacobi, paths
 from pinpath.diagnostics import (ConvergenceReport, convergence_suite,
-                                 converge_adjoint_martingale,
-                                 converge_f_vs_damped, gradient_compare,
+                                 gradient_compare,
                                  ibp_check, lift_build, lift_competitor_deficit,
                                  lift_orthogonality, projected_constant_field,
                                  property_sweep, zero_field)
@@ -46,6 +45,19 @@ def test_lift_flat_grows_linearly():
     assert np.allclose(lift.slopes, np.tile(vec, (4, 1)), atol=1e-12)
     assert np.allclose(lift.knot_values, np.outer(part.knots, vec), atol=1e-12)
     assert lift.endpoint_residual < 1e-14
+
+
+def test_batched_lift_matches_lift_build():
+    """The batched lift used by IBP equals lift_build path by path."""
+    part = Partition(5)
+    inc = paths.sample_increments(HYP2, part, 6, seed=3)
+    field = projected_constant_field(HYP2)
+    slopes, coords, _, _ = diagnostics._batched_lift_slopes(HYP2, part, inc, field)
+    for i in range(6):
+        lift = lift_build(paths.roll(HYP2, part, inc[i]),
+                          jacobi.build_family(HYP2, part, inc[i]), field)
+        assert np.allclose(lift.slopes, slopes[i], rtol=1e-12, atol=1e-12)
+        assert np.allclose(lift.endpoint_coords, coords[i], rtol=1e-12, atol=1e-14)
 
 
 def test_lift_zero_field():
@@ -151,14 +163,15 @@ def test_convergence_hyperbolic_medians_fall():
         assert rep.q50[-1] < 0.75 * rep.q50[0], name
         assert rep.passed or name in ("K", "J"), name   # quarter rule is tighter
     assert 0.4 <= reps["f"].slope <= 1.1
-    single = converge_f_vs_damped(HYP2, [8, 16, 32, 64], samples=50, seed=2)
+    single = convergence_suite(HYP2, [8, 16, 32, 64], samples=50, seed=2,
+                               statistics=("f",))["f"]
     assert np.all(np.diff(single.q50) < 0)
 
 
 def test_adjoint_gap_vanishes_for_zero_field():
     """X = 0: both martingale pairings are exactly zero on every sample."""
-    rep = converge_adjoint_martingale(HYP2, [4, 8], samples=10, seed=0,
-                                      x_field=zero_field(HYP2))["adjoint"]
+    rep = convergence_suite(HYP2, [4, 8], samples=10, seed=0, statistics=("adjoint",),
+                            x_field=zero_field(HYP2))["adjoint"]
     assert np.all(rep.q50 == 0.0)
     assert np.all(rep.q95 == 0.0)
 

@@ -18,6 +18,21 @@ HYP3 = CurvatureModel("hyperbolic", 3, 1.0)
 SINH1 = np.sinh(1.0)
 
 
+def normal_jacobian(fam):
+    """J_P = sqrt(det K(1)) of a one-path family, through the suffix-pass API."""
+    return float(np.exp(jacobi.log_normal_jacobian(fam.f[1:, fam.n], fam.partition.mesh)))
+
+
+def rho_P(fam):
+    return float(np.exp(jacobi.log_rho_P(fam.S, fam.partition.mesh)))
+
+
+def volume_change_Vx(model, part, inc, xi_x):
+    """V_x as the estimator computes it: body suffix pass, then log_volume_change."""
+    f_body = jacobi.batch_endpoint_f(model, inc[:-1], part.mesh)
+    return float(np.exp(jacobi.log_volume_change(model, f_body, xi_x, part.mesh)[0]))
+
+
 def test_partition_basics():
     """Equally spaced knots, mesh 1/n, and validation."""
     p = Partition(4)
@@ -28,6 +43,16 @@ def test_partition_basics():
         Partition(0)
     with pytest.raises(ValueError):
         Partition.from_knots([0.0, 0.3, 1.0])
+
+
+def test_partition_knot_index():
+    """One knot lookup with one tolerance; off-knot and out-of-range times raise."""
+    p = Partition(4)
+    assert [p.knot_index(t) for t in p.knots] == [0, 1, 2, 3, 4]
+    assert p.knot_index(0.5 + 1e-12) == 2
+    for t in (0.3, 0.5 + 1e-6, -0.25, 1.25):
+        with pytest.raises(ValueError):
+            p.knot_index(t)
 
 
 def test_cs_flat_closed_form():
@@ -134,8 +159,8 @@ def test_family_flat_is_trivial():
         for i in range(1, j + 1):
             assert np.allclose(fam.f[i, j], np.eye(2), atol=1e-12)
     assert np.allclose(fam.K[6], np.eye(2), atol=1e-12)
-    assert jacobi.normal_jacobian(fam) == pytest.approx(1.0, abs=1e-12)
-    assert jacobi.rho_P(fam) == pytest.approx(1.0, abs=1e-12)
+    assert normal_jacobian(fam) == pytest.approx(1.0, abs=1e-12)
+    assert rho_P(fam) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_family_index_conventions():
@@ -163,7 +188,7 @@ def test_family_single_interval_response():
     # independent check on the same matrix
     _, S0, _, _ = cs_rk4(1.0, np.array([1.0, 0.0]), 1.0)
     assert np.allclose(fam.f[1, 1], S0, atol=1e-9)
-    assert jacobi.normal_jacobian(fam) == pytest.approx(SINH1, rel=1e-12)
+    assert normal_jacobian(fam) == pytest.approx(SINH1, rel=1e-12)
 
 
 def test_mass_matrix_running_definition():
@@ -232,7 +257,7 @@ def test_slopes_from_knots_inverts():
     fam = jacobi.build_family(HYP3, part, inc)
     slopes = rng.normal(size=(8, 3))
     J = jacobi.jacobi_from_slopes(fam, slopes)
-    back = jacobi.slopes_from_knots(fam, J)
+    back = jacobi.slopes_from_knots(fam.C, fam.S, J)
     assert np.allclose(back, slopes, atol=1e-10)
 
 
@@ -257,8 +282,8 @@ def test_normal_jacobian_floor_random():
         part = Partition(n)
         inc = rng.normal(size=(n, 2)) * np.sqrt(part.mesh)
         fam = jacobi.build_family(HYP2, part, inc)
-        assert jacobi.normal_jacobian(fam) >= 1.0 - 1e-12
-        assert jacobi.rho_P(fam) >= 1.0 - 1e-12
+        assert normal_jacobian(fam) >= 1.0 - 1e-12
+        assert rho_P(fam) >= 1.0 - 1e-12
 
 
 def test_rho_p_closed_value():
@@ -266,8 +291,8 @@ def test_rho_p_closed_value():
     part = Partition(2)
     inc = np.array([[1.0, 0.0], [0.1, 0.1]])   # second interval is not counted
     fam = jacobi.build_family(HYP2, part, inc)
-    assert jacobi.rho_P(fam) == pytest.approx(SINH1, rel=1e-12)
-    assert jacobi.log_rho_P(fam) == pytest.approx(np.log(SINH1), rel=1e-12)
+    assert rho_P(fam) == pytest.approx(SINH1, rel=1e-12)
+    assert jacobi.log_rho_P(fam.S, part.mesh) == pytest.approx(np.log(SINH1), rel=1e-12)
 
 
 def test_volume_change_flat_any_target():
@@ -277,10 +302,9 @@ def test_volume_change_flat_any_target():
         model = CurvatureModel("flat", d)
         part = Partition(n)
         inc = rng.normal(size=(n, d)) * np.sqrt(part.mesh)
-        fam = jacobi.build_family(model, part, inc)
         for _ in range(3):
             xi = rng.normal(size=d)
-            vx = jacobi.volume_change_Vx(model, fam, xi)
+            vx = volume_change_Vx(model, part, inc, xi)
             assert vx == pytest.approx(n ** (d / 2.0), rel=1e-10)
 
 
@@ -290,8 +314,7 @@ def test_volume_change_curved_two_intervals():
     for model in (HYP2, HYP3):
         part = Partition(2)
         inc = rng.normal(size=(2, model.dim)) * np.sqrt(part.mesh)
-        fam = jacobi.build_family(model, part, inc)
-        vx = jacobi.volume_change_Vx(model, fam, np.zeros(model.dim))
+        vx = volume_change_Vx(model, part, inc, np.zeros(model.dim))
         assert vx == pytest.approx(2 ** (model.dim / 2.0), rel=1e-10)
 
 
@@ -307,11 +330,10 @@ def test_volume_change_upper_bound():
         for n in (2, 4, 8):
             part = Partition(n)
             inc = rng.normal(size=(n, d)) * np.sqrt(part.mesh)
-            fam = jacobi.build_family(model, part, inc)
             seg_sq = float(np.sum(inc ** 2))
             for _ in range(3):
                 xi = rng.normal(size=d)
-                vx = jacobi.volume_change_Vx(model, fam, xi)
+                vx = volume_change_Vx(model, part, inc, xi)
                 bound = sum(comb(d, k) * n ** (k / 2.0)
                             * np.exp(kap * k * (xi @ xi) / 2.0)
                             * np.exp(kap * k * seg_sq)
@@ -326,10 +348,9 @@ def test_volume_change_against_fd_oracle():
         model = CurvatureModel("flat", d)
         part = Partition(2)
         inc = rng.normal(size=(2, d)) * np.sqrt(part.mesh)
-        fam = jacobi.build_family(model, part, inc)
         x = rng.normal(size=d)
         want = vx_fd_oracle_flat(d, x)
-        got = jacobi.volume_change_Vx(model, fam, x)
+        got = volume_change_Vx(model, part, inc, x)
         assert got == pytest.approx(want, rel=1e-6)
 
 
@@ -338,8 +359,7 @@ def test_volume_change_curved_exceeds_flat():
     rng = np.random.default_rng(83)
     part = Partition(4)
     inc = rng.normal(size=(4, 2)) * np.sqrt(part.mesh)
-    fam = jacobi.build_family(HYP2, part, inc)
-    vx = jacobi.volume_change_Vx(HYP2, fam, np.zeros(2))
+    vx = volume_change_Vx(HYP2, part, inc, np.zeros(2))
     assert vx >= 4.0 ** (2 / 2.0) - 1e-12
 
 
@@ -350,13 +370,72 @@ def test_batched_endpoint_products():
     inc = rng.normal(size=(7, 5, 2)) * np.sqrt(part.mesh)
     f_end = jacobi.batch_endpoint_f(HYP2, inc, part.mesh)
     K = jacobi.batch_mass_matrix(f_end, part.mesh)
-    logj = jacobi.batch_log_normal_jacobian(f_end, part.mesh)
+    logj = jacobi.log_normal_jacobian(f_end, part.mesh)
     for s in range(7):
         fam = jacobi.build_family(HYP2, part, inc[s])
         for i in range(1, 6):
             assert np.allclose(f_end[s, i - 1], fam.f[i, 5], atol=1e-12)
         assert np.allclose(K[s], fam.K[5], atol=1e-12)
-        assert np.isclose(logj[s], jacobi.log_normal_jacobian(fam), atol=1e-12)
+        assert np.isclose(logj[s], 0.5 * np.linalg.slogdet(fam.K[5])[1], atol=1e-12)
+
+
+def test_body_pass_extends_to_full_pass():
+    """f_i(1) = C_n f_i(tau), f_n(1) = S_n / delta from the body's suffix pass
+    reproduce the suffix pass over the whole path."""
+    rng = np.random.default_rng(103)
+    for model in (FLAT2, HYP2, CurvatureModel("hyperbolic", 3, 2.0)):
+        for n in (1, 2, 3, 8, 32):
+            part = Partition(n)
+            inc = rng.normal(size=(6, n, model.dim)) * np.sqrt(part.mesh)
+            f_body = jacobi.batch_endpoint_f(model, inc[:, :-1], part.mesh)
+            got = jacobi.extend_endpoint_f(model, f_body, inc[:, -1], part.mesh)
+            want = jacobi.batch_endpoint_f(model, inc, part.mesh)
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_batched_factors_match_batch_of_one():
+    """Every batched function gives on a batch what it gives path by path."""
+    rng = np.random.default_rng(107)
+    model, part = CurvatureModel("hyperbolic", 3, 2.0), Partition(6)
+    delta = part.mesh
+    inc = rng.normal(size=(5, 6, 3)) * np.sqrt(delta)
+    slopes = rng.normal(size=(5, 6, 3))
+    tips = rng.normal(size=(5, 3))
+
+    def factors(inc, slopes, tip):
+        C, S = jacobi.batch_cs(model, inc, delta)
+        fam = jacobi.build_family(model, part, inc)
+        f_body = jacobi.batch_endpoint_f(model, inc[..., :-1, :], delta)
+        f_end = jacobi.extend_endpoint_f(model, f_body, inc[..., -1, :], delta)
+        J = jacobi.jacobi_from_slopes(fam, slopes)
+        return [fam.f, fam.K, f_end,
+                jacobi.log_normal_jacobian(f_end, delta), jacobi.log_rho_P(S, delta),
+                jacobi.log_volume_change(model, f_body, tip, delta)[0], J,
+                jacobi.slopes_from_knots(C, S, J)]
+
+    batch = factors(inc, slopes, tips)
+    for s in range(5):
+        for got, want in zip(factors(inc[s], slopes[s], tips[s]), batch):
+            assert np.allclose(got, want[s], rtol=1e-12, atol=1e-12)
+
+
+def test_log_volume_change_counts_ill_conditioned_tips():
+    """A tip whose sine factor has condition number above COND_LIMIT is
+    counted in tip_cond_hits; ordinary tips are not."""
+    model = CurvatureModel("hyperbolic", 2, 4.0)
+    part = Partition(4)
+    body = np.full((3, 3, 2), 0.1)
+    # cond(S_x) = sinhc(sqrt(kappa) |xi|), checked on the computed matrix
+    _, Sx = jacobi.batch_cs(model, np.array([1.5, 0.0]), part.mesh)
+    assert np.linalg.cond(Sx) == pytest.approx(float(geom.sinhc(3.0)), rel=1e-10)
+    tips = np.array([[0.5, 0.0], [20.0, 0.0], [0.0, -1.0]])   # sinhc(40) ~ 3e15
+    f_body = jacobi.batch_endpoint_f(model, body, part.mesh)
+    log_vx, hits = jacobi.log_volume_change(model, f_body, tips, part.mesh)
+    assert hits == 1
+    assert np.all(np.isfinite(log_vx))
+    assert jacobi.log_volume_change(model, f_body[[0, 2]], tips[[0, 2]], part.mesh)[1] == 0
+    f_flat = jacobi.batch_endpoint_f(FLAT2, body, part.mesh)
+    assert jacobi.log_volume_change(FLAT2, f_flat, tips, part.mesh)[1] == 0
 
 
 def test_det_identity_edge_cases():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pinpath import geom, measures, paths
+from pinpath import geom, jacobi, measures, paths
 from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 from pinpath.measures import (MASS_OBSERVABLE, CylinderObservable,
@@ -199,6 +199,20 @@ def test_pinned_estimate_hyperbolic_bounded_and_converges():
                           n_samples=60000, seed=2)
     p0 = heat_kernel_exact(HYP3, 1.0, rho=0.0)
     assert abs(res.mean - p0) < 3 * res.stderr
+
+
+def test_pinned_estimate_sums_tip_cond_hits(monkeypatch):
+    """meta["tip_cond_hits"] adds up the ill-conditioned tips of every chunk."""
+    # a low limit makes ordinary tips count: cond(S_x) = sinhc(|xi|) at kappa=1
+    limit = float(geom.sinhc(1.5))
+    monkeypatch.setattr(jacobi, "COND_LIMIT", limit)
+    count, part = paths.CHUNK + 100, Partition(2)
+    x = (np.array([1.0, 0.0]), 1.5)
+    res = pinned_estimate(HYP2, part, x, n_samples=count, seed=4)
+    tips = np.array([s.tip_increment for s in pinned_samples(HYP2, part, x, count, seed=4)])
+    hit = geom.sinhc(np.linalg.norm(tips, axis=1)) > limit
+    assert hit[:paths.CHUNK].any() and hit[paths.CHUNK:].any()
+    assert res.meta["tip_cond_hits"] == int(hit.sum())
 
 
 def test_pinned_estimate_validation():
