@@ -26,6 +26,9 @@ EXIT_GATE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+# numpy's LinAlgError subclasses ValueError: catch these before ValueError
+NUMERICAL_FAILURES = (NumericalError, np.linalg.LinAlgError)
+
 
 # ---------------------------------------------------------------------------
 # Config plumbing
@@ -214,13 +217,14 @@ def cmd_pinned(model, dim, kappa, n_text, x_text, rho, observable, n_samples,
                          "n": int(n), "x_norm": x_norm, "observable": cfg.observable,
                          "N": cfg.n_samples, "mean": res.mean, "stderr": res.stderr,
                          "oracle": oracle if oracle is not None else float("nan"),
-                         "abs_err": err})
+                         "abs_err": err, "tip_cond_hits": res.meta["tip_cond_hits"],
+                         **res.weight_summary()})
             if oracle is not None:
                 if cfg.model == "flat":
                     gates.append(err <= 3 * res.stderr)
                 else:
                     gates.append(err <= max(0.02 * abs(oracle), 3 * res.stderr))
-    except NumericalError as exc:
+    except NUMERICAL_FAILURES as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
     except ValueError as exc:
@@ -288,7 +292,7 @@ def cmd_converge(stat, model, dim, kappa, n_text, samples, seed, out_dir, config
     try:
         reports = diagnostics.convergence_suite(mdl, cfg.n_values, cfg.n_samples,
                                                 cfg.seed, stats)
-    except NumericalError as exc:
+    except NUMERICAL_FAILURES as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
 
@@ -334,7 +338,7 @@ def cmd_props(n_paths, n_text, kappa, d_text, seed, out_dir, config_path):
     models = [CurvatureModel(kind, d, kappa) for kind in cfg.model for d in dims]
     try:
         report = diagnostics.property_sweep(models, n_paths, n, seed)
-    except NumericalError as exc:
+    except NUMERICAL_FAILURES as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
     click.echo(report.summary())
@@ -425,7 +429,7 @@ def cmd_ibp(model, dim, kappa, n_text, n_samples, seed, out_dir, config_path):
         res = diagnostics.ibp_check(mdl, part, f_obs, g_obs, cfg.n_samples, cfg.seed)
         grad = diagnostics.gradient_compare(mdl, part, g_obs, n_samples=32,
                                             seed=cfg.seed)
-    except NumericalError as exc:
+    except NUMERICAL_FAILURES as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
     click.echo(res.summary())

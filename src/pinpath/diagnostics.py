@@ -653,16 +653,16 @@ def property_sweep(model_list, n_paths, n=64, seed=0):
         inc = paths.sample_increments(model, part, per_model, seed + 101 * m_idx)
         big_n = model.curvature_bound
         C, S = jacobi.batch_cs(model, inc, h)
-        f_body = jacobi.batch_endpoint_f(model, inc[:, :-1], h)        # f_i(tau)
-        f_end = jacobi.extend_endpoint_f(model, f_body, inc[:, -1], h)  # f_i(1)
-        K = jacobi.batch_mass_matrix(f_end, h)
+        # the estimator's route: Gram pass over the body, the last interval as tip
+        G, head = jacobi.gram_pass(model, inc[:, :-1])
+        K = jacobi.end_mass_matrix(G, C[:, -1], S[:, -1], h)
         eig = np.linalg.eigvalsh(0.5 * (K + np.swapaxes(K, -1, -2)))
         margins = {
             "mass_eig": eig.min(axis=-1) - 1.0,
-            "normal_jacobian": np.exp(jacobi.log_normal_jacobian(f_end, h)) - 1.0,
+            "normal_jacobian": np.exp(jacobi.log_normal_jacobian(K)) - 1.0,
             "slope_det": np.exp(jacobi.log_rho_P(S, h)) - 1.0,
             "response_bound": _response_bound_margin(model, inc, C, S, h, big_n),
-            "volume_bound": _volume_bound_margin(model, f_body, inc, h, big_n),
+            "volume_bound": _volume_bound_margin(head, inc, C, S, big_n),
         }
         for c, margin in margins.items():
             worst[c] = min(worst[c], float(margin.min()))
@@ -690,17 +690,18 @@ def _response_bound_margin(model, inc, C, S, h, big_n):
     return margin.min(axis=-1)
 
 
-def _volume_bound_margin(model, f_body, inc, h, big_n):
+def _volume_bound_margin(head, inc, C, S, big_n):
     """Per path, the slack of V_x under its combinatorial envelope.
 
-    x is the path's own endpoint, so the tip vector is the last increment;
-    f_body (N, n-1, d, d) holds the body's f_i(tau).
+    x is the path's own endpoint, so the tip is the last interval: its
+    solutions are C, S (N, n, d, d) at index n-1; head is the body's
+    gram_pass head.
     """
     N, n, d = inc.shape
     if n < 2:
         return np.zeros(N)
     tip = inc[:, -1]
-    log_vx, _ = jacobi.log_volume_change(model, f_body, tip, h)
+    log_vx = jacobi.log_volume_change(jacobi.pinning_gram(head, n), C[:, -1], S[:, -1])
     dist_tip = np.linalg.norm(tip, axis=-1)
     log_leg_sum = big_n * np.sum(np.linalg.norm(inc, axis=-1) ** 2, axis=-1)
     bound = sum(comb(d, k) * n ** (k / 2.0)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# re-impose the sheet constraint after every step; drift beyond this is a bug
+# points return to the sheet every step, frames on a schedule
+# (paths.roll_batch); drift beyond this is a bug
 CONSTRAINT_DRIFT_TOL = 1e-10
 
 
@@ -222,20 +223,44 @@ def exp_frame(model: CurvatureModel, x, frame, v_frame):
     """One rolled step: move along exp and carry the frame by parallel transport.
 
     x        : (..., D) points
-    frame    : (..., D, d)
+    frame    : (..., D, d), orthonormal and tangent at x
     v_frame  : (..., d) step in frame coordinates
     returns  : (y, new_frame)
+
+    The frame moves by the closed-form update of transport_frame, exact for
+    an orthonormal frame; it is not re-orthonormalised here, so roundoff
+    drift accumulates over many steps until the caller applies
+    renormalize_frame (paths.roll_batch does so on a fixed schedule).
     """
     v_amb = frame_vector(frame, v_frame)
-    y = exp_point(model, x, v_amb)
     if model.kind == "flat":
-        return y, frame
-    # transport each frame column; broadcast x,y against the column axis
-    cols = transport(model, x[..., None, :], y[..., None, :],
-                     np.moveaxis(frame, -1, -2))
-    new_frame = np.moveaxis(cols, -2, -1)
-    new_frame = renormalize_frame(model, y, new_frame)
-    return y, new_frame
+        return x + v_amb, frame
+    # |v_amb|_M = |v_frame| for an orthonormal frame
+    a = np.sqrt(model.kappa * np.sum(v_frame * v_frame, axis=-1))
+    ch, sc = np.cosh(a), sinhc(a)
+    y = _renormalize_point(model, ch[..., None] * x + sc[..., None] * v_amb)
+    return y, _boost_frame(model, x, y, frame, v_frame, ch, sc)
+
+
+def transport_frame(model: CurvatureModel, x, y, frame, v_frame):
+    """Parallel transport of an orthonormal frame at x along the geodesic to
+    y = exp_x(frame v_frame); v_frame (..., d) in frame coordinates.
+
+    Equal to transport applied column by column: for an orthonormal frame
+    <y, u_alpha>_M = sinhc(a) v_alpha with a = sqrt(kappa)|v_frame|, so the
+    frame moves by the rank-one boost
+    u' = u + kappa sinhc(a)/(1 + cosh a) (x + y) v_frame^T.
+    """
+    if model.kind == "flat":
+        return frame
+    a = np.sqrt(model.kappa * np.sum(v_frame * v_frame, axis=-1))
+    return _boost_frame(model, x, y, frame, v_frame, np.cosh(a), sinhc(a))
+
+
+def _boost_frame(model, x, y, frame, v_frame, ch, sc):
+    """The rank-one frame update of transport_frame, given cosh a and sinhc a."""
+    coef = model.kappa * sc / (1.0 + ch)
+    return frame + (coef[..., None] * (x + y))[..., :, None] * v_frame[..., None, :]
 
 
 def exp_map(model: CurvatureModel, fp: FramePoint, v) -> FramePoint:

@@ -6,8 +6,9 @@ of xi_i) has cosine/sine-type solutions C_i, S_i.  Products of these assemble
 the interval response matrices f_i(s_j), the positive mass matrix K(s), the
 endpoint normal Jacobian, and the two volume factors used by the pinned
 estimator.  Every function takes leading sample axes (one path is a batch of
-one): the scalar factors come from a single suffix pass over the path's body,
-and the dense table of all f_i(s_j) is built only where every pair is needed.
+one): the scalar factors come from one forward Gram pass over the path's body
+(gram_pass), the suffix products f_i(1) serve the lift, and the dense table
+of all f_i(s_j) is built only where every pair is needed.
 Closed forms are the production route; a fixed-step RK4 integrator provides
 the independent oracle behind the same interface.
 """
@@ -63,6 +64,19 @@ class Partition:
 # One-interval cosine/sine solutions of Y'' = A_xi Y
 # ---------------------------------------------------------------------------
 
+def _interval_scalars(model: CurvatureModel, xi):
+    """(cosh a, sinhc a, xi / |xi|) with a = sqrt(kappa) |xi|; xi (..., d).
+
+    The closed-form interval solutions are C = cosh a I + (1 - cosh a) P and
+    S / s = sinhc a I + (1 - sinhc a) P with P the projector onto xi; flat
+    space (a = 0) gives C = I, S = s I exactly, and xi = 0 a zero direction.
+    """
+    nrm = np.sqrt(np.sum(xi * xi, axis=-1))
+    unit = xi / np.where(nrm > 0, nrm, 1.0)[..., None]
+    a = np.sqrt(model.kappa) * nrm
+    return np.cosh(a), geom.sinhc(a), unit
+
+
 def _cs_closed(model: CurvatureModel, xi, s):
     """Closed-form (C_xi(s), S_xi(s)); xi (..., d), s scalar or (...,).
 
@@ -71,21 +85,12 @@ def _cs_closed(model: CurvatureModel, xi, s):
     flat (or xi = 0) degenerates to C = I, S = s I.
     """
     xi = np.asarray(xi, dtype=float)
-    d = model.dim
-    s = np.asarray(s, dtype=float)[..., None, None]
-    eye = np.eye(d)
-    nrm2 = np.sum(xi * xi, axis=-1)[..., None, None]
-    if model.kind == "flat":
-        shape = np.broadcast_shapes(xi.shape[:-1] + (d, d), s.shape[:-2] + (d, d))
-        C = np.broadcast_to(eye, shape).copy()
-        S = np.broadcast_to(s * eye, shape).copy()
-        return C, S
-    safe = np.maximum(nrm2, 1e-300)
-    proj = xi[..., :, None] * xi[..., None, :] / safe
-    proj = np.where(nrm2 > 0, proj, 0.0)
-    a = np.sqrt(model.kappa * nrm2) * s
-    C = eye + (np.cosh(a) - 1.0) * (eye - proj)
-    S = s * proj + s * geom.sinhc(a) * (eye - proj)
+    s = np.asarray(s, dtype=float)
+    ch, sc, unit = _interval_scalars(model, s[..., None] * xi)
+    eye = np.eye(model.dim)
+    proj = unit[..., :, None] * unit[..., None, :]
+    C = ch[..., None, None] * eye + (1.0 - ch)[..., None, None] * proj
+    S = s[..., None, None] * (sc[..., None, None] * eye + (1.0 - sc)[..., None, None] * proj)
     return C, S
 
 
@@ -137,7 +142,7 @@ def solve_cs_interval(model: CurvatureModel, xi, h, method="closed", substeps=10
 
 
 # ---------------------------------------------------------------------------
-# The suffix pass and the scalar factors of the family (leading sample axes)
+# The forward Gram pass and the scalar factors of the family (leading sample axes)
 # ---------------------------------------------------------------------------
 
 def batch_cs(model: CurvatureModel, increments, delta: float):
@@ -150,7 +155,8 @@ def batch_endpoint_f(model: CurvatureModel, increments, delta: float) -> np.ndar
     """f_i evaluated at the right end of the covered span, i = 1..m.
 
     increments (..., m, d); returns (..., m, d, d) where entry i-1 is
-    C_m ... C_{i+1} S_i / delta (suffix products).
+    C_m ... C_{i+1} S_i / delta (suffix products).  The pinned estimator
+    needs only Gram sums of these (gram_pass); the lift needs each f_i.
     """
     C, S = batch_cs(model, increments, delta)
     m, d = C.shape[-3], C.shape[-1]
@@ -162,16 +168,64 @@ def batch_endpoint_f(model: CurvatureModel, increments, delta: float) -> np.ndar
     return out
 
 
-def extend_endpoint_f(model: CurvatureModel, f_body, tip, delta: float) -> np.ndarray:
-    """f_i(1), i = 1..n, of a path whose body has f_i(tau) = f_body.
+def gram_pass(model: CurvatureModel, increments):
+    """Gram sums G = sum_{i<=m} f_i f_i^T at the end of increments (..., m, d).
 
-    f_body (..., n-1, d, d) is batch_endpoint_f of the first n-1 increments
-    (tau = 1 - delta) and tip (..., d) the last increment, so
-    f_i(1) = C_n f_i(tau) for i < n and f_n(1) = S_n / delta.
+    One forward pass of G_j = C_j G_{j-1} C_j^T + (S_j/delta)(S_j/delta)^T
+    from G_0 = 0, without dense products: with c = cosh a, s = sinhc a and e
+    the unit increment, C = c I + (1 - c) e e^T and (S/delta)(S/delta)^T =
+    s^2 I + (1 - s^2) e e^T, so G_j = c^2 G + s^2 I + e k^T + k e^T with
+    k = c (1 - c) G e + ((1 - c)^2 e^T G e + 1 - s^2) e / 2.  Neither term
+    depends on delta.  Returns (G, head), both (..., d, d) and zero when
+    m = 0: G = G_m, and head = G_m without its last term, C_m G_{m-1} C_m^T =
+    sum_{i<=m-1} f_i f_i^T.  K at the end of the span is delta * G.
     """
-    C, S = batch_cs(model, tip, delta)
-    return np.concatenate([C[..., None, :, :] @ f_body, S[..., None, :, :] / delta],
-                          axis=-3)
+    # samples last: each entry of the (d, d) recursion is a contiguous vector
+    inc = np.ascontiguousarray(np.moveaxis(np.asarray(increments, dtype=float),
+                                           (-2, -1), (0, 1)))          # (m, d, ...)
+    (m, d), batch = inc.shape[:2], inc.shape[2:]
+    ch, sc, unit = _interval_scalars(model, np.moveaxis(inc, 1, -1))
+    unit = np.moveaxis(unit, -1, 1)
+    s2 = sc * sc
+    cc, alpha, beta, gam = ch * ch, ch * (1.0 - ch), 0.5 * (1.0 - ch) ** 2, 0.5 * (1.0 - s2)
+    G = np.zeros((d, d) + batch)
+    diag = _diagonal(G)
+    for j in range(m):
+        e = unit[j]
+        g = (G * e).sum(axis=1)
+        k = alpha[j] * g + (beta[j] * (g * e).sum(axis=0) + gam[j]) * e
+        ek = e[:, None] * k
+        G *= cc[j]
+        G += ek
+        G += ek.swapaxes(0, 1)
+        diag += s2[j]
+    head = G.copy()
+    if m:
+        head -= (1.0 - s2[-1]) * unit[-1][:, None] * unit[-1]
+        _diagonal(head)[...] -= s2[-1]
+    return np.moveaxis(G, (0, 1), (-2, -1)), np.moveaxis(head, (0, 1), (-2, -1))
+
+
+def _diagonal(A):
+    """Writable view (d, ...) of the diagonal of a contiguous (d, d, ...) array."""
+    d = A.shape[0]
+    return A.reshape((d * d,) + A.shape[2:])[::d + 1]
+
+
+def end_mass_matrix(G, Cx, Sx, delta: float) -> np.ndarray:
+    """K(1) = delta C_x G C_x^T + S_x S_x^T / delta of a path whose body
+    (ending at tau = 1 - delta) has Gram sum G and whose tip has solutions
+    C_x, S_x (..., d, d): the last step of gram_pass, with dense matrices."""
+    return (delta * Cx @ G @ np.swapaxes(Cx, -1, -2)
+            + Sx @ np.swapaxes(Sx, -1, -2) / delta)
+
+
+def pinning_gram(head, n: int) -> np.ndarray:
+    """F = (I + sum_{i=1}^{n-2} f_i(tau) f_i(tau)^T) / n^2 from the body's
+    gram_pass head; F = 0 when n = 1 (no body to perturb, V_x = 1)."""
+    if n == 1:
+        return np.zeros_like(head)
+    return (np.eye(head.shape[-1]) + head) / n ** 2
 
 
 def batch_mass_matrix(f_end, delta: float) -> np.ndarray:
@@ -179,12 +233,12 @@ def batch_mass_matrix(f_end, delta: float) -> np.ndarray:
     return delta * np.einsum("...iab,...icb->...ac", f_end, f_end)
 
 
-def log_normal_jacobian(f_end, delta: float) -> np.ndarray:
-    """log sqrt(det K(1)) from f_i(1) (..., n, d, d); J_P >= 1.
+def log_normal_jacobian(K) -> np.ndarray:
+    """log sqrt(det K(1)) from the mass matrix K(1) (..., d, d); J_P >= 1.
 
     Raises NumericalError if K(1) loses positivity on any sample.
     """
-    sign, logdet = np.linalg.slogdet(batch_mass_matrix(f_end, delta))
+    sign, logdet = np.linalg.slogdet(K)
     if np.any(sign <= 0):
         raise NumericalError("mass matrix K(1) lost positivity")
     return 0.5 * logdet
@@ -202,37 +256,28 @@ def log_rho_P(S, delta: float) -> np.ndarray:
     return np.sum(logdet, axis=-1)
 
 
-def log_volume_change(model: CurvatureModel, f_body, xi_x, delta: float):
+def log_volume_change(F, Cx, Sx) -> np.ndarray:
     """log V_x, the volume factor of pinning the free endpoint to x.
 
-    f_body : (..., n-1, d, d) f_i(tau) of the body, tau = 1 - delta, from
-             batch_endpoint_f of the first n-1 increments
-    xi_x   : (..., d) frame coordinates at tau of the log towards x; the tip
-             geodesic covers it in time delta, so its velocity is xi_x / delta
-    returns (log V_x (...,), tip_cond_hits) with
-    V_x = sqrt(det(I + L F L^T)), L = C_x S_x^{-1},
-    F = (I + sum_{i=1}^{n-2} f_i(tau) f_i(tau)^T) / n^2  (F = 0 when n = 1),
-    and tip_cond_hits the number of tips whose sine factor S_x has condition
-    number sinhc(sqrt(kappa) |xi_x|) above COND_LIMIT.
+    F      : (..., d, d) pinning_gram of the body
+    Cx, Sx : (..., d, d) batch_cs of the tip vector xi_x (frame coordinates
+             at tau of the log towards x, covered in time delta)
+    V_x = sqrt(det(I + L F L^T)), L = C_x S_x^{-1}.  Raises NumericalError
+    if the determinant loses positivity on any sample.
     """
-    xi_x = np.asarray(xi_x, dtype=float)
-    nb, d = f_body.shape[-3], model.dim
-    if nb == 0:
-        # no body to perturb: the pinning map is trivial and V_x = 1
-        F = np.zeros(f_body.shape[:-3] + (d, d))
-    else:
-        head = f_body[..., :nb - 1, :, :]
-        F = (np.eye(d) + np.einsum("...iab,...icb->...ac", head, head)) / (nb + 1) ** 2
-    Cx, Sx = batch_cs(model, xi_x, delta)
-    # cond(S_x) = sinhc(sqrt(kappa) |xi_x|) exactly in constant curvature
-    a = np.sqrt(model.kappa * np.sum(xi_x * xi_x, axis=-1))
-    tip_cond_hits = int(np.sum(geom.sinhc(a) > COND_LIMIT))
     L = np.swapaxes(np.linalg.solve(np.swapaxes(Sx, -1, -2), np.swapaxes(Cx, -1, -2)),
                     -1, -2)
-    sign, logdet = np.linalg.slogdet(np.eye(d) + L @ F @ np.swapaxes(L, -1, -2))
+    sign, logdet = np.linalg.slogdet(np.eye(F.shape[-1]) + L @ F @ np.swapaxes(L, -1, -2))
     if np.any(sign <= 0):
         raise NumericalError("pinning volume factor lost positivity")
-    return 0.5 * logdet, tip_cond_hits
+    return 0.5 * logdet
+
+
+def tip_cond_hits(model: CurvatureModel, xi_x) -> int:
+    """Number of tips whose sine factor S_x has condition number
+    sinhc(sqrt(kappa) |xi_x|) (exact in constant curvature) above COND_LIMIT."""
+    a = np.sqrt(model.kappa * np.sum(np.square(xi_x), axis=-1))
+    return int(np.sum(geom.sinhc(a) > COND_LIMIT))
 
 
 # ---------------------------------------------------------------------------

@@ -160,31 +160,40 @@ def _target_point(model: CurvatureModel, x) -> np.ndarray:
     return x
 
 
-def _pinned_chunk(model: CurvatureModel, partition: Partition, x_amb,
-                  observable: CylinderObservable, seed: int, start: int,
-                  count: int):
-    """Log-weights and observable values for samples [start, start+count)."""
+def _pinned_paths(model: CurvatureModel, partition: Partition, x_amb, seed: int,
+                  start: int, count: int):
+    """Pinned samples [start, start+count) before any observable.
+
+    Returns (body increments (N, n-1, d), knots (N, n+1, D) ending at x,
+    tip vectors xi_x (N, d), log-weights (N,), tip_cond_hits).
+    """
     n, d, delta = partition.n, model.dim, partition.mesh
     inc = paths.sample_increments(model, partition, count, seed, start)
     body = inc[:, :n - 1, :]
     pts, frs = paths.roll_batch(model, body)
     body_end = pts[:, -1, :]
-    u_end = frs[:, -1, :, :]
-
-    v_amb = geom.log_point(model, body_end, np.broadcast_to(x_amb, body_end.shape))
-    xi_x = geom.frame_coords(model, u_end, v_amb)          # (N, d)
+    x_knot = np.broadcast_to(x_amb, body_end.shape)
+    xi_x = geom.frame_coords(model, frs[:, -1, :, :], geom.log_point(model, body_end, x_knot))
     dist2 = np.sum(xi_x * xi_x, axis=-1)
 
-    # one suffix pass over the body serves J_P (f_i(1) = C_n f_i(tau)) and V_x
-    f_body = jacobi.batch_endpoint_f(model, body, delta)           # f_i(tau)
-    f_end = jacobi.extend_endpoint_f(model, f_body, xi_x, delta)   # f_i(1)
-    log_jp = jacobi.log_normal_jacobian(f_end, delta)
-    log_vx, tip_cond_hits = jacobi.log_volume_change(model, f_body, xi_x, delta)
+    # one forward pass over the body gives K(1) and the V_x Gram matrix F;
+    # the tip's closed-form solutions serve both
+    G, head = jacobi.gram_pass(model, body)
+    Cx, Sx = jacobi.batch_cs(model, xi_x, delta)
+    log_jp = jacobi.log_normal_jacobian(jacobi.end_mass_matrix(G, Cx, Sx, delta))
+    log_vx = jacobi.log_volume_change(jacobi.pinning_gram(head, n), Cx, Sx)
 
     log_w = -0.5 * d * LOG_2PI - 0.5 * n * dist2 + log_vx - log_jp
+    full_pts = np.concatenate([pts, x_knot[:, None, :]], axis=1)
+    return body, full_pts, xi_x, log_w, jacobi.tip_cond_hits(model, xi_x)
 
-    full_pts = np.concatenate(
-        [pts, np.broadcast_to(x_amb, body_end.shape)[:, None, :]], axis=1)
+
+def _pinned_chunk(model: CurvatureModel, partition: Partition, x_amb,
+                  observable: CylinderObservable, seed: int, start: int,
+                  count: int):
+    """Log-weights and observable values for samples [start, start+count)."""
+    _, full_pts, _, log_w, tip_cond_hits = _pinned_paths(model, partition, x_amb,
+                                                         seed, start, count)
     f_vals = observable.evaluate(model, partition, full_pts)
     return log_w, np.asarray(f_vals, dtype=float), tip_cond_hits
 
@@ -199,14 +208,18 @@ class EstimateResult:
     meta: dict
 
     def weight_summary(self) -> dict:
+        """Spread of the log-weights, the effective sample size over N,
+        ESS/N = (sum w)^2 / (N sum w^2), and the largest weight's share."""
         lw = self.log_weights
+        w = np.exp(lw - lw.max())
         return {"log_w_min": float(lw.min()), "log_w_max": float(lw.max()),
-                "log_w_mean": float(lw.mean()), "log_w_var": float(lw.var())}
+                "log_w_mean": float(lw.mean()), "log_w_var": float(lw.var()),
+                "ess_frac": float(w.sum() ** 2 / (w.size * np.sum(w * w))),
+                "max_weight_share": float(w.max() / w.sum())}
 
 
 def _estimate_task(args):
-    (model, partition, x_amb, observable, seed, start, count) = args
-    return start, _pinned_chunk(model, partition, x_amb, observable, seed, start, count)
+    return _pinned_chunk(*args)
 
 
 def pinned_estimate(model: CurvatureModel, partition: Partition, x,
@@ -229,15 +242,15 @@ def pinned_estimate(model: CurvatureModel, partition: Partition, x,
     tasks = [(model, partition, x_amb, observable, seed, s, c) for s, c in spans]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = dict((s, out) for s, out in pool.map(_estimate_task, tasks,
-                                                         chunksize=1))
-        results = [parts[s] for s, _ in spans]
+            # map yields in task order, whichever chunk finishes first
+            results = list(pool.map(_estimate_task, tasks, chunksize=1))
     else:
         results = [_pinned_chunk(*t) for t in tasks]
 
     log_w = np.concatenate([r[0] for r in results])
     f_vals = np.concatenate([r[1] for r in results])
     cond_hits = int(sum(r[2] for r in results))
+    del results   # free the per-chunk arrays before the reductions below
 
     if not np.all(np.isfinite(log_w)):
         bad = np.flatnonzero(~np.isfinite(log_w))[:16]
@@ -264,20 +277,10 @@ def pinned_samples(model: CurvatureModel, partition: Partition, x, count: int,
                    start: int = 0) -> list:
     """Materialized PinnedSample objects (diagnostic-scale counts)."""
     x_amb = _target_point(model, x)
-    n = partition.n
-    inc = paths.sample_increments(model, partition, count, seed, start)
-    body = inc[:, :n - 1, :]
-    pts, frs = paths.roll_batch(model, body)
-    log_w, f_vals, _ = _pinned_chunk(model, partition, x_amb, observable, seed,
-                                     start, count)
-    v_amb = geom.log_point(model, pts[:, -1, :], np.broadcast_to(x_amb, pts[:, -1, :].shape))
-    xi_x = geom.frame_coords(model, frs[:, -1, :, :], v_amb)
-    out = []
-    for i in range(count):
-        full_pts = np.vstack([pts[i], x_amb[None, :]])
-        out.append(PinnedSample(body[i], xi_x[i], full_pts,
-                                float(log_w[i]), float(f_vals[i])))
-    return out
+    body, pts, xi_x, log_w, _ = _pinned_paths(model, partition, x_amb, seed, start, count)
+    f_vals = observable.evaluate(model, partition, pts)
+    return [PinnedSample(body[i], xi_x[i], pts[i], float(log_w[i]), float(f_vals[i]))
+            for i in range(count)]
 
 
 # ---------------------------------------------------------------------------

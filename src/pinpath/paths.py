@@ -19,6 +19,7 @@ from .geom import CurvatureModel, FramePoint
 from .jacobi import Partition
 
 CHUNK = 4096   # fixed RNG block size; do not change (breaks reproducibility)
+RENORM_EVERY = 32   # rolled steps between Gram-Schmidt passes on the frame
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +85,10 @@ class BrokenGeodesic:
 def roll_batch(model: CurvatureModel, increments, start_point=None, start_frame=None):
     """Roll batched increments (..., n, d) into knots.
 
-    Returns (points (..., n+1, D), frames (..., n+1, D, d)).
+    Returns (points (..., n+1, D), frames (..., n+1, D, d)).  Each step moves
+    the frame by the exact closed-form transport; Gram-Schmidt runs every
+    RENORM_EVERY steps and at the last knot, which keeps every stored frame
+    within CONSTRAINT_DRIFT_TOL of orthonormal.
     """
     increments = np.asarray(increments, dtype=float)
     n = increments.shape[-2]
@@ -100,9 +104,16 @@ def roll_batch(model: CurvatureModel, increments, start_point=None, start_frame=
     frames[..., 0, :, :] = u
     for i in range(n):
         x, u = geom.exp_frame(model, x, u, increments[..., i, :])
+        if _renormalize_due(i, n):
+            u = geom.renormalize_frame(model, x, u)
         points[..., i + 1, :] = x
         frames[..., i + 1, :, :] = u
     return points, frames
+
+
+def _renormalize_due(i: int, n: int) -> bool:
+    """Whether the frame at knot i+1 of an n-step roll is re-orthonormalised."""
+    return (i + 1) % RENORM_EVERY == 0 or i + 1 == n
 
 
 def roll(model: CurvatureModel, partition: Partition, increments,
@@ -133,12 +144,10 @@ def anti_roll(model: CurvatureModel, partition: Partition, points,
     out = np.empty(batch + (n, d))
     for i in range(n):
         x, y = points[..., i, :], points[..., i + 1, :]
-        v = geom.log_point(model, x, y)
-        out[..., i, :] = geom.frame_coords(model, u, v)
-        cols = geom.transport(model, x[..., None, :], y[..., None, :],
-                              np.moveaxis(u, -1, -2))
-        u = np.moveaxis(cols, -2, -1)
-        if model.kind != "flat":
+        v = geom.frame_coords(model, u, geom.log_point(model, x, y))
+        out[..., i, :] = v
+        u = geom.transport_frame(model, x, y, u, v)
+        if _renormalize_due(i, n):
             u = geom.renormalize_frame(model, y, u)
     return out
 

@@ -218,3 +218,58 @@ def test_ibp_limits_and_run(tmp_path):
     manifest = json.loads(read_text(os.path.join(out, "ibp_manifest.json")))
     assert manifest["result"]["passed"] is True
     assert manifest["result"]["n_used"] + manifest["result"]["n_aborted"] == 400
+
+
+@pytest.mark.parametrize("args", [
+    ["pinned", "--model", "hyperbolic", "--d", "2", "--kappa", "1", "--n", "4",
+     "--rho", "1.0", "--N", "64"],
+    ["converge", "--stat", "J", "--model", "hyperbolic", "--d", "2", "--n", "4,8",
+     "--samples", "4"],
+    ["props", "--paths", "8", "--n", "4", "--d", "2", "--kappa", "1.0"],
+    ["ibp", "--model", "hyperbolic", "--d", "2", "--kappa", "1", "--n", "2",
+     "--N", "16"],
+], ids=["pinned", "converge", "props", "ibp"])
+def test_linalg_error_is_a_numerical_failure(tmp_path, monkeypatch, args):
+    """numpy's LinAlgError (a ValueError subclass) from a solve is reported as
+    a numerical failure with exit code 3, not as a config error."""
+    def singular(*a, **k):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    res = run_cli(args + ["--out", str(tmp_path)])
+    assert res.exit_code == 3, res.output
+    assert "numerical failure: Singular matrix" in res.output
+    assert "config error" not in res.output
+
+
+def test_pinned_far_target_is_a_numerical_failure(tmp_path):
+    """A target at distance 40 overflows the geometry; the run exits 3."""
+    with np.errstate(all="ignore"):
+        res = run_cli(["pinned", "--model", "hyperbolic", "--d", "2", "--kappa", "1",
+                       "--rho", "40", "--n", "2", "--N", "4096", "--out", str(tmp_path)])
+    assert res.exit_code == 3, res.output
+    assert "numerical failure" in res.output
+
+
+def test_pinned_manifest_records_weight_health(tmp_path):
+    """Each manifest row carries tip_cond_hits, the log-weight summary, ESS/N
+    and the largest weight's share, equal to the estimator's own; the CSV
+    columns are unchanged."""
+    out = str(tmp_path)
+    res = run_cli(["pinned", "--model", "hyperbolic", "--d", "3", "--kappa", "1",
+                   "--n", "4,8", "--rho", "1.0", "--N", "2048", "--seed", "3",
+                   "--out", out])
+    assert res.exit_code in (0, 1), res.output
+    lines = read_text(os.path.join(out, "pinned_results.csv")).strip().split("\n")
+    assert lines[1] == "model,d,kappa,n,x_norm,observable,N,mean,stderr,oracle,abs_err"
+    rows = json.loads(read_text(os.path.join(out, "pinned_manifest.json")))["rows"]
+    model = CurvatureModel("hyperbolic", 3, 1.0)
+    for row, n in zip(rows, (4, 8)):
+        est = measures.pinned_estimate(model, Partition(n), (np.array([1.0, 0, 0]), 1.0),
+                                       n_samples=2048, seed=3)
+        assert row["n"] == n
+        assert row["tip_cond_hits"] == est.meta["tip_cond_hits"] == 0
+        for key, value in est.weight_summary().items():
+            assert row[key] == pytest.approx(value, rel=1e-12), key
+        assert 0.0 < row["ess_frac"] <= 1.0
+        assert 1.0 / 2048 <= row["max_weight_share"] <= 1.0

@@ -20,7 +20,8 @@ SINH1 = np.sinh(1.0)
 
 def normal_jacobian(fam):
     """J_P = sqrt(det K(1)) of a one-path family, through the suffix-pass API."""
-    return float(np.exp(jacobi.log_normal_jacobian(fam.f[1:, fam.n], fam.partition.mesh)))
+    K = jacobi.batch_mass_matrix(fam.f[1:, fam.n], fam.partition.mesh)
+    return float(np.exp(jacobi.log_normal_jacobian(K)))
 
 
 def rho_P(fam):
@@ -28,9 +29,10 @@ def rho_P(fam):
 
 
 def volume_change_Vx(model, part, inc, xi_x):
-    """V_x as the estimator computes it: body suffix pass, then log_volume_change."""
-    f_body = jacobi.batch_endpoint_f(model, inc[:-1], part.mesh)
-    return float(np.exp(jacobi.log_volume_change(model, f_body, xi_x, part.mesh)[0]))
+    """V_x as the estimator computes it: body Gram pass, then log_volume_change."""
+    _, head = jacobi.gram_pass(model, inc[:-1])
+    Cx, Sx = jacobi.batch_cs(model, xi_x, part.mesh)
+    return float(np.exp(jacobi.log_volume_change(jacobi.pinning_gram(head, part.n), Cx, Sx)))
 
 
 def test_partition_basics():
@@ -370,7 +372,7 @@ def test_batched_endpoint_products():
     inc = rng.normal(size=(7, 5, 2)) * np.sqrt(part.mesh)
     f_end = jacobi.batch_endpoint_f(HYP2, inc, part.mesh)
     K = jacobi.batch_mass_matrix(f_end, part.mesh)
-    logj = jacobi.log_normal_jacobian(f_end, part.mesh)
+    logj = jacobi.log_normal_jacobian(K)
     for s in range(7):
         fam = jacobi.build_family(HYP2, part, inc[s])
         for i in range(1, 6):
@@ -380,16 +382,18 @@ def test_batched_endpoint_products():
 
 
 def test_body_pass_extends_to_full_pass():
-    """f_i(1) = C_n f_i(tau), f_n(1) = S_n / delta from the body's suffix pass
-    reproduce the suffix pass over the whole path."""
+    """K(1) = delta C_n G(tau) C_n^T + S_n S_n^T / delta from the body's Gram
+    pass reproduces the suffix pass over the whole path."""
     rng = np.random.default_rng(103)
     for model in (FLAT2, HYP2, CurvatureModel("hyperbolic", 3, 2.0)):
         for n in (1, 2, 3, 8, 32):
             part = Partition(n)
             inc = rng.normal(size=(6, n, model.dim)) * np.sqrt(part.mesh)
-            f_body = jacobi.batch_endpoint_f(model, inc[:, :-1], part.mesh)
-            got = jacobi.extend_endpoint_f(model, f_body, inc[:, -1], part.mesh)
-            want = jacobi.batch_endpoint_f(model, inc, part.mesh)
+            G, _ = jacobi.gram_pass(model, inc[:, :-1])
+            C, S = jacobi.batch_cs(model, inc[:, -1], part.mesh)
+            got = jacobi.end_mass_matrix(G, C, S, part.mesh)
+            want = jacobi.batch_mass_matrix(jacobi.batch_endpoint_f(model, inc, part.mesh),
+                                            part.mesh)
             assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
@@ -405,12 +409,14 @@ def test_batched_factors_match_batch_of_one():
     def factors(inc, slopes, tip):
         C, S = jacobi.batch_cs(model, inc, delta)
         fam = jacobi.build_family(model, part, inc)
-        f_body = jacobi.batch_endpoint_f(model, inc[..., :-1, :], delta)
-        f_end = jacobi.extend_endpoint_f(model, f_body, inc[..., -1, :], delta)
+        f_end = jacobi.batch_endpoint_f(model, inc, delta)
+        G, head = jacobi.gram_pass(model, inc[..., :-1, :])
+        K = jacobi.end_mass_matrix(G, C[..., -1, :, :], S[..., -1, :, :], delta)
+        Cx, Sx = jacobi.batch_cs(model, tip, delta)
         J = jacobi.jacobi_from_slopes(fam, slopes)
-        return [fam.f, fam.K, f_end,
-                jacobi.log_normal_jacobian(f_end, delta), jacobi.log_rho_P(S, delta),
-                jacobi.log_volume_change(model, f_body, tip, delta)[0], J,
+        return [fam.f, fam.K, f_end, G, head, K,
+                jacobi.log_normal_jacobian(K), jacobi.log_rho_P(S, delta),
+                jacobi.log_volume_change(jacobi.pinning_gram(head, part.n), Cx, Sx), J,
                 jacobi.slopes_from_knots(C, S, J)]
 
     batch = factors(inc, slopes, tips)
@@ -429,13 +435,13 @@ def test_log_volume_change_counts_ill_conditioned_tips():
     _, Sx = jacobi.batch_cs(model, np.array([1.5, 0.0]), part.mesh)
     assert np.linalg.cond(Sx) == pytest.approx(float(geom.sinhc(3.0)), rel=1e-10)
     tips = np.array([[0.5, 0.0], [20.0, 0.0], [0.0, -1.0]])   # sinhc(40) ~ 3e15
-    f_body = jacobi.batch_endpoint_f(model, body, part.mesh)
-    log_vx, hits = jacobi.log_volume_change(model, f_body, tips, part.mesh)
-    assert hits == 1
+    _, head = jacobi.gram_pass(model, body)
+    Cx, Sx = jacobi.batch_cs(model, tips, part.mesh)
+    log_vx = jacobi.log_volume_change(jacobi.pinning_gram(head, part.n), Cx, Sx)
+    assert jacobi.tip_cond_hits(model, tips) == 1
     assert np.all(np.isfinite(log_vx))
-    assert jacobi.log_volume_change(model, f_body[[0, 2]], tips[[0, 2]], part.mesh)[1] == 0
-    f_flat = jacobi.batch_endpoint_f(FLAT2, body, part.mesh)
-    assert jacobi.log_volume_change(FLAT2, f_flat, tips, part.mesh)[1] == 0
+    assert jacobi.tip_cond_hits(model, tips[[0, 2]]) == 0
+    assert jacobi.tip_cond_hits(FLAT2, tips) == 0
 
 
 def test_det_identity_edge_cases():

@@ -245,3 +245,20 @@ def test_pinned_samples_container():
         assert s.increments.shape == (4, 2)
         assert np.isclose(s.weight, np.exp(s.log_weight))
         assert np.isfinite(s.f_value)
+
+
+def test_pinned_samples_match_the_estimator(monkeypatch):
+    """pinned_samples rolls each batch once and returns the estimator's own
+    log-weights and observable values at the same seed and start."""
+    x = (np.array([1.0, 0.0]), 1.0)
+    obs = radial_observable(0.5, "r")
+    res = pinned_estimate(HYP2, Partition(6), x, obs, n_samples=300, seed=12)
+    calls = []
+    roll = paths.roll_batch
+    monkeypatch.setattr(paths, "roll_batch", lambda *a, **k: calls.append(1) or roll(*a, **k))
+    for start, count in ((0, 300), (170, 40)):
+        samples = pinned_samples(HYP2, Partition(6), x, count, seed=12,
+                                 observable=obs, start=start)
+        assert [s.log_weight for s in samples] == res.log_weights[start:start + count].tolist()
+        assert [s.f_value for s in samples] == res.f_values[start:start + count].tolist()
+    assert len(calls) == 2

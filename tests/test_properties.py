@@ -1,0 +1,100 @@
+"""Property-based checks of the closed-form frame transport and the Gram pass.
+
+Hypothesis runs derandomised (a fixed example sequence, no example database),
+so the suite is reproducible run to run.
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from pinpath import geom, jacobi, paths  # noqa: E402
+from pinpath.geom import CurvatureModel  # noqa: E402
+from pinpath.jacobi import Partition  # noqa: E402
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+dims = st.integers(min_value=1, max_value=3)
+kappas = st.floats(min_value=0.1, max_value=4.0)
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+def step_of_length(rng, d, kappa, a):
+    """A frame-coordinate step of random direction with sqrt(kappa)|v| = a."""
+    v = rng.normal(size=d)
+    return a * v / (np.linalg.norm(v) * np.sqrt(kappa))
+
+
+@PROPERTY
+@given(d=dims, kappa=kappas, seed=seeds, spread=st.floats(0.0, 3.0),
+       step=st.floats(0.0, 3.0))
+def test_frame_update_matches_columnwise_transport(d, kappa, seed, spread, step):
+    """exp_frame's rank-one boost equals geom.transport of every frame column,
+    from a point sqrt(kappa)-distance `spread` from o, for a step of
+    sqrt(kappa)-length `step`."""
+    model = CurvatureModel("hyperbolic", d, kappa)
+    rng = np.random.default_rng(seed)
+    fp = geom.exp_map(model, geom.base_frame_point(model),
+                      step_of_length(rng, d, kappa, spread))
+    v = step_of_length(rng, d, kappa, step)
+    y, got = geom.exp_frame(model, fp.point, fp.frame, v)
+    want = np.stack([geom.transport(model, fp.point, y, fp.frame[:, a]) for a in range(d)],
+                    axis=-1)
+    # roundoff of a boost grows like the square of its entries
+    tol = 1e-13 * max(1.0, float(np.max(np.abs(want)))) ** 2
+    assert np.allclose(got, want, rtol=0.0, atol=tol)
+    assert np.allclose(geom.transport_frame(model, fp.point, y, fp.frame, v), got,
+                       rtol=0.0, atol=tol)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["flat", "hyperbolic"]), d=dims, kappa=kappas,
+       n=st.integers(min_value=1, max_value=70), seed=seeds,
+       scale=st.floats(0.05, 1.5))
+def test_roll_anti_roll_round_trip(kind, d, kappa, n, seed, scale):
+    """anti_roll recovers the increments of a roll, across the Gram-Schmidt
+    schedule (n beyond paths.RENORM_EVERY); paths reach sqrt(kappa)-distance
+    of order scale * sqrt(d)."""
+    model = CurvatureModel(kind, d, kappa)
+    rng = np.random.default_rng(seed)
+    inc = scale * rng.normal(size=(3, n, d)) / np.sqrt(n * kappa)
+    pts, frames = paths.roll_batch(model, inc)
+    back = paths.anti_roll(model, Partition(n), pts)
+    assert np.allclose(back, inc, rtol=0.0, atol=1e-8)
+    assert geom.frame_defect(model, pts[:, -1], frames[:, -1]) < geom.CONSTRAINT_DRIFT_TOL
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["flat", "hyperbolic"]), d=dims, kappa=kappas,
+       n=st.integers(min_value=1, max_value=12), seed=seeds,
+       scale=st.floats(0.1, 2.0))
+@example(kind="hyperbolic", d=3, kappa=4.0, n=1, seed=0, scale=1.0)
+@example(kind="hyperbolic", d=2, kappa=0.1, n=2, seed=1, scale=1.0)
+@example(kind="flat", d=1, kappa=1.0, n=2, seed=2, scale=1.0)
+def test_gram_pass_matches_suffix_products(kind, d, kappa, n, seed, scale):
+    """G = sum_i f_i f_i^T and head = sum_{i<=n-1} f_i f_i^T at the end of the
+    span agree with the stored suffix products f_i = batch_endpoint_f."""
+    model = CurvatureModel(kind, d, kappa)
+    delta = Partition(n).mesh
+    inc = scale * np.sqrt(delta) * np.random.default_rng(seed).normal(size=(4, n, d))
+    G, head = jacobi.gram_pass(model, inc)
+    f_end = jacobi.batch_endpoint_f(model, inc, delta)
+    want_G = jacobi.batch_mass_matrix(f_end, delta) / delta
+    want_head = np.einsum("...iab,...icb->...ac", f_end[:, :-1], f_end[:, :-1])
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(want_G))))
+    assert np.allclose(G, want_G, rtol=0.0, atol=tol)
+    assert np.allclose(head, want_head, rtol=0.0, atol=tol)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=4)
+@given(d=st.integers(min_value=2, max_value=3), seed=seeds)
+def test_long_roll_frames_stay_orthonormal(d, seed):
+    """Every stored frame of a 1024-step roll at kappa = 1 stays within
+    CONSTRAINT_DRIFT_TOL of orthonormal and tangent."""
+    model, part = CurvatureModel("hyperbolic", d, 1.0), Partition(1024)
+    inc = paths.sample_increments(model, part, 32, seed % 2 ** 31)
+    pts, frames = paths.roll_batch(model, inc)
+    assert geom.frame_defect(model, pts, frames) < geom.CONSTRAINT_DRIFT_TOL
