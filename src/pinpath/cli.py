@@ -5,6 +5,11 @@ error, 3 numerical failure.  Every command writes a results CSV (schema=1
 first line, repr() floats so reruns are byte-identical at a fixed worker
 count) plus a JSON manifest carrying the verbatim config, seed, git revision,
 and wall time.
+
+Each command is a body registered with ``_command``: the body takes the
+validated RunConfig and returns (passed, manifest extra).  The options, the
+flag > config file > default merge, validation, the manifest and the exit
+code are handled once, by the skeleton.
 """
 
 import json
@@ -12,10 +17,11 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import diagnostics, measures, paths
 from .geom import CurvatureModel, NumericalError
@@ -29,55 +35,83 @@ EXIT_NUMERICAL = 3
 # numpy's LinAlgError subclasses ValueError: catch these before ValueError
 NUMERICAL_FAILURES = (NumericalError, np.linalg.LinAlgError)
 
+MODELS = ("flat", "hyperbolic")
+STATISTICS = ("f", "K", "J", "adjoint", "all")     # "all": every one before it
+
+OBSERVABLES = {
+    "mass": measures.MASS_OBSERVABLE,
+    "radial_r": measures.radial_observable(1.0, "r"),
+    "radial_r2": measures.radial_observable(1.0, "r2"),
+    "midpoint_r": measures.radial_observable(0.5, "r"),
+}
+
 
 # ---------------------------------------------------------------------------
 # Config plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
     command: str
-    model: str = "flat"         # props: the list of kinds it audits
-    d: int = 2                  # props: the list of dimensions it audits
-    kappa: float = 0.0
-    n_values: list = field(default_factory=lambda: [8])
+    model: str                  # props: the list of kinds it audits
+    d: int                      # props: the list of dimensions it audits
+    kappa: float
+    n_values: list
     x: list = None              # tangent/ambient coordinates, or None
     rho: float = None           # radial target distance, exclusive with x
     observable: str = "mass"
-    n_samples: int = 10000
-    seed: int = 0
+    n_samples: int
+    seed: int
     workers: int = 1
-    out_dir: str = "."
+    out_dir: str
     statistic: str = "all"
+
+    def __post_init__(self):
+        # one dimension is recorded as a number; props records its list
+        if self.command != "props" and isinstance(self.d, list) and len(self.d) == 1:
+            self.d = self.d[0]
 
     def validate(self):
         errors = []
-        if self.model not in ("flat", "hyperbolic"):
+        kinds = self.model if isinstance(self.model, list) else [self.model]
+        dims = self.d if isinstance(self.d, list) else [self.d]
+        if any(kind not in MODELS for kind in kinds):
             errors.append(f"unknown model {self.model!r}")
-        if not (1 <= self.d <= 3):
+        if self.command != "props" and isinstance(self.d, list):
+            errors.append("--d takes one dimension")
+        if not dims or any(not 1 <= d <= 3 for d in dims):
             errors.append("d must be 1, 2 or 3")
-        if self.model == "hyperbolic" and self.kappa <= 0:
+        if "hyperbolic" in kinds and self.kappa <= 0:
             errors.append("hyperbolic model needs kappa > 0")
-        if self.model == "flat" and self.kappa not in (0, 0.0, None):
+        if self.model == "flat" and self.kappa != 0:
             errors.append("flat model has kappa = 0")
-        if not self.n_values or any(int(n) < 1 for n in self.n_values):
+        if not self.n_values or any(n < 1 for n in self.n_values):
             errors.append("n values must be positive integers")
-        if self.command in ("pinned", "ibp") and self.n_samples < 2:
-            errors.append("need at least 2 samples (--N >= 2)")
+        if self.command in ("sample", "ibp", "props") and len(self.n_values) > 1:
+            errors.append("--n takes one partition size")
+        least = 2 if self.command in ("pinned", "ibp") else 1
+        if self.n_samples < least:
+            flag = {"converge": "--samples", "props": "--paths"}.get(self.command, "--N")
+            errors.append(f"need {flag} >= {least}")
+        if self.seed < 0:
+            errors.append("seed must be >= 0")
         if self.workers < 1:
             errors.append("workers must be >= 1")
         if self.command == "pinned" and self.x is None and self.rho is None:
             errors.append("pinned needs a target: --x or --rho")
         if self.x is not None and self.rho is not None:
             errors.append("give only one of --x and --rho")
-        if self.x is not None and len(self.x) not in (self.d, self.d + 1):
-            errors.append(f"--x needs {self.d} (tangent) or {self.d + 1} (ambient) entries")
+        if (self.x is not None and len(dims) == 1
+                and len(self.x) not in (dims[0], dims[0] + 1)):
+            errors.append(f"--x needs {dims[0]} (tangent) or {dims[0] + 1} (ambient) entries")
         if self.command == "ibp":
-            if self.n_values[0] > 8:
+            if any(n > 8 for n in self.n_values):
                 errors.append("ibp supports n <= 8")
-            if self.d > 2:
+            if max(dims, default=0) > 2:
                 errors.append("ibp supports d <= 2")
-        if self.statistic not in ("f", "K", "J", "adjoint", "all"):
+        if self.observable not in OBSERVABLES:
+            errors.append(f"unknown observable {self.observable!r}")
+        if self.statistic not in STATISTICS:
             errors.append(f"unknown statistic {self.statistic!r}")
         return errors
 
@@ -93,12 +127,41 @@ class RunConfig:
         return np.asarray(self.x, dtype=float)
 
 
-def _merge(flag_value, config_data, key, default):
-    if flag_value is not None:
-        return flag_value
-    if config_data and key in config_data:
-        return config_data[key]
-    return default
+def _parse_list(kind):
+    """Parser of a list key: a comma-separated flag, or a config-file number
+    or list."""
+    def parse(value):
+        if isinstance(value, str):
+            value = [tok for tok in value.split(",") if tok.strip() != ""]
+        elif not isinstance(value, list):
+            value = [value]
+        return [kind(v) for v in value]
+    return parse
+
+
+# Every option, keyed by its config-file key and named after it:
+# key -> (click type, parser of the merged value, help).
+OPTIONS = {
+    "model": (click.Choice(MODELS), str, "flat or hyperbolic"),
+    "d": (str, _parse_list(int), "dimension; props takes a comma list"),
+    "kappa": (float, float, "curvature magnitude (sectional curvature -kappa); "
+              "unset: 1.0 on hyperbolic, 0.0 on flat"),
+    "n": (str, _parse_list(int), "partition size; pinned and converge take a comma list"),
+    "x": (str, _parse_list(float), "target coordinates, comma separated"),
+    "rho": (float, float, "target distance along the first axis"),
+    "observable": (click.Choice(sorted(OBSERVABLES)), str, "pinned observable"),
+    "stat": (click.Choice(STATISTICS), str, "convergence statistic"),
+    "N": (int, int, "sample count"),
+    "samples": (int, int, "sample paths per partition"),
+    "paths": (int, int, "random paths per model"),
+    "seed": (int, int, "sampler seed"),
+    "workers": (int, int, "worker processes"),
+    "out": (str, str, "output directory"),
+}
+
+# RunConfig field of each key whose field is named differently
+FIELDS = {"n": "n_values", "stat": "statistic", "N": "n_samples",
+          "samples": "n_samples", "paths": "n_samples", "out": "out_dir"}
 
 
 def _load_config(path):
@@ -106,14 +169,6 @@ def _load_config(path):
         return {}
     with open(path) as fh:
         return json.load(fh)
-
-
-def _parse_int_list(text):
-    return [int(tok) for tok in str(text).split(",") if tok.strip() != ""]
-
-
-def _parse_float_list(text):
-    return [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
 
 
 def _git_revision():
@@ -140,14 +195,6 @@ def _bail_config(errors):
     sys.exit(EXIT_CONFIG)
 
 
-OBSERVABLES = {
-    "mass": measures.MASS_OBSERVABLE,
-    "radial_r": measures.radial_observable(1.0, "r"),
-    "radial_r2": measures.radial_observable(1.0, "r2"),
-    "midpoint_r": measures.radial_observable(0.5, "r"),
-}
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -157,79 +204,90 @@ def main():
     """Pinned-path estimators on flat and hyperbolic spaces."""
 
 
-@main.command("pinned")
-@click.option("--model", type=click.Choice(["flat", "hyperbolic"]), default=None)
-@click.option("--d", "dim", type=int, default=None)
-@click.option("--kappa", type=float, default=None)
-@click.option("--n", "n_text", type=str, default=None, help="partition size or comma list")
-@click.option("--x", "x_text", type=str, default=None, help="target coordinates, comma separated")
-@click.option("--rho", type=float, default=None, help="target distance along the first axis")
-@click.option("--observable", type=click.Choice(sorted(OBSERVABLES)), default=None)
-@click.option("--N", "n_samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--workers", type=int, default=None)
-@click.option("--out", "out_dir", type=str, default=None)
-@click.option("--config", "config_path", type=str, default=None)
-def cmd_pinned(model, dim, kappa, n_text, x_text, rho, observable, n_samples,
-               seed, workers, out_dir, config_path):
+def _command(name, defaults, **fixed):
+    """Register `body` as the command `name`.
+
+    defaults : the config keys the command takes, in help order, each with
+               its default; a kappa of None is 1.0 on hyperbolic, 0.0 on flat
+    fixed    : RunConfig fields the command sets itself
+    A flag beats the --config file, which beats the default (a null in the
+    file is the default).  The body takes
+    the validated RunConfig and returns (passed, manifest extra); the
+    manifest goes to <out>/<name>_manifest.json.
+    """
+    def register(body):
+        def run(config, **flags):
+            ctx = click.get_current_context()
+            try:
+                data = _load_config(config)
+                values = {}
+                for key, flag in flags.items():
+                    from_default = ctx.get_parameter_source(key) is ParameterSource.DEFAULT
+                    if from_default and data.get(key) is not None:
+                        flag = data[key]
+                    parse = OPTIONS[key][1]
+                    values[FIELDS.get(key, key)] = None if flag is None else parse(flag)
+                if values["kappa"] is None:
+                    values["kappa"] = 1.0 if values["model"] == "hyperbolic" else 0.0
+                cfg = RunConfig(command=name, **fixed, **values)
+                errors = cfg.validate()
+                if errors:
+                    _bail_config(errors)
+                os.makedirs(cfg.out_dir, exist_ok=True)
+                t0 = time.perf_counter()
+                passed, extra = body(cfg)
+            except NUMERICAL_FAILURES as exc:
+                click.echo(f"numerical failure: {exc}", err=True)
+                sys.exit(EXIT_NUMERICAL)
+            except ValueError as exc:
+                _bail_config([exc])
+            _write_manifest(os.path.join(cfg.out_dir, f"{name}_manifest.json"), cfg,
+                            {**extra, "wall_time_s": time.perf_counter() - t0})
+            sys.exit(EXIT_OK if passed else EXIT_GATE)
+
+        params = [click.Option([f"--{key}", key], type=OPTIONS[key][0], default=default,
+                               show_default=True, help=OPTIONS[key][2])
+                  for key, default in defaults.items()]
+        params.append(click.Option(["--config", "config"], type=str, default=None,
+                                   help="JSON file of config keys; flags override it"))
+        main.add_command(click.Command(name, callback=run, params=params, help=body.__doc__))
+        return body
+    return register
+
+
+@_command("pinned", {"model": "flat", "d": 2, "kappa": None, "n": 8, "x": None,
+                     "rho": None, "observable": "mass", "N": 10000, "seed": 0,
+                     "workers": 1, "out": "."})
+def cmd_pinned(cfg):
     """Importance-weighted pinned estimate vs the exact kernel when known."""
-    data = _load_config(config_path)
-    model = _merge(model, data, "model", "flat")
-    cfg = RunConfig(
-        command="pinned",
-        model=model,
-        d=int(_merge(dim, data, "d", 2)),
-        kappa=float(_merge(kappa, data, "kappa", 1.0 if model == "hyperbolic" else 0.0)),
-        n_values=_parse_int_list(_merge(n_text, data, "n", "8")),
-        x=_parse_float_list(x_text) if x_text is not None else data.get("x"),
-        rho=_merge(rho, data, "rho", None),
-        observable=_merge(observable, data, "observable", "mass"),
-        n_samples=int(_merge(n_samples, data, "N", 10000)),
-        seed=int(_merge(seed, data, "seed", 0)),
-        workers=int(_merge(workers, data, "workers", 1)),
-        out_dir=_merge(out_dir, data, "out", "."),
-    )
-    errors = cfg.validate()
-    if errors:
-        _bail_config(errors)
     mdl = cfg.build_model()
     obs = OBSERVABLES[cfg.observable]
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    t0 = time.perf_counter()
-
     rows = []
     gates = []
-    try:
-        x_amb = measures._target_point(mdl, cfg.target())
-        x_norm = float(measures.geom.distance(mdl, measures.geom.base_point(mdl), x_amb))
-        oracle = None
-        if cfg.observable == "mass":
-            try:
-                oracle = float(measures.heat_kernel_exact(mdl, 1.0, rho=x_norm))
-            except ValueError:
-                oracle = None
-        for n in cfg.n_values:
-            res = measures.pinned_estimate(
-                mdl, Partition(int(n)), x_amb, obs, cfg.n_samples, cfg.seed, cfg.workers,
-                nan_dump_path=os.path.join(cfg.out_dir, "pinned_nan_dump.json"))
-            err = abs(res.mean - oracle) if oracle is not None else float("nan")
-            rows.append({"model": cfg.model, "d": cfg.d, "kappa": cfg.kappa,
-                         "n": int(n), "x_norm": x_norm, "observable": cfg.observable,
-                         "N": cfg.n_samples, "mean": res.mean, "stderr": res.stderr,
-                         "oracle": oracle if oracle is not None else float("nan"),
-                         "abs_err": err, "tip_cond_hits": res.meta["tip_cond_hits"],
-                         **res.weight_summary()})
-            if oracle is not None:
-                if cfg.model == "flat":
-                    gates.append(err <= 3 * res.stderr)
-                else:
-                    gates.append(err <= max(0.02 * abs(oracle), 3 * res.stderr))
-    except NUMERICAL_FAILURES as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
-    except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    x_amb = measures._target_point(mdl, cfg.target())
+    x_norm = float(measures.geom.distance(mdl, measures.geom.base_point(mdl), x_amb))
+    oracle = None
+    if cfg.observable == "mass":
+        try:
+            oracle = float(measures.heat_kernel_exact(mdl, 1.0, rho=x_norm))
+        except ValueError:
+            oracle = None
+    for n in cfg.n_values:
+        res = measures.pinned_estimate(
+            mdl, Partition(n), x_amb, obs, cfg.n_samples, cfg.seed, cfg.workers,
+            nan_dump_path=os.path.join(cfg.out_dir, "pinned_nan_dump.json"))
+        err = abs(res.mean - oracle) if oracle is not None else float("nan")
+        rows.append({"model": cfg.model, "d": cfg.d, "kappa": cfg.kappa,
+                     "n": n, "x_norm": x_norm, "observable": cfg.observable,
+                     "N": cfg.n_samples, "mean": res.mean, "stderr": res.stderr,
+                     "oracle": oracle if oracle is not None else float("nan"),
+                     "abs_err": err, "tip_cond_hits": res.meta["tip_cond_hits"],
+                     **res.weight_summary()})
+        if oracle is not None:
+            if cfg.model == "flat":
+                gates.append(err <= 3 * res.stderr)
+            else:
+                gates.append(err <= max(0.02 * abs(oracle), 3 * res.stderr))
 
     if oracle is not None and len(rows) > 1:
         # refinement should not make the bias worse (up to noise)
@@ -246,176 +304,62 @@ def cmd_pinned(model, dim, kappa, n_text, x_text, rho, observable, n_samples,
                                repr(r["n"]), repr(r["x_norm"]), r["observable"],
                                repr(r["N"]), repr(r["mean"]), repr(r["stderr"]),
                                repr(r["oracle"]), repr(r["abs_err"])]) + "\n")
-    passed = all(gates) if gates else True
-    _write_manifest(os.path.join(cfg.out_dir, "pinned_manifest.json"), cfg,
-                    {"rows": rows, "gates_passed": bool(passed),
-                     "wall_time_s": time.perf_counter() - t0})
+    passed = all(gates)
     for r in rows:
         click.echo("n=%-4d mean=%.6g stderr=%.3g oracle=%s abs_err=%.3g"
                    % (r["n"], r["mean"], r["stderr"], r["oracle"], r["abs_err"]))
     click.echo(f"gates {'passed' if passed else 'FAILED'}; results in {csv_path}")
-    sys.exit(EXIT_OK if passed else EXIT_GATE)
+    return passed, {"rows": rows, "gates_passed": passed}
 
 
-@main.command("converge")
-@click.option("--stat", type=click.Choice(["f", "K", "J", "adjoint", "all"]), default=None)
-@click.option("--model", type=click.Choice(["flat", "hyperbolic"]), default=None)
-@click.option("--d", "dim", type=int, default=None)
-@click.option("--kappa", type=float, default=None)
-@click.option("--n", "n_text", type=str, default=None)
-@click.option("--samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", "out_dir", type=str, default=None)
-@click.option("--config", "config_path", type=str, default=None)
-def cmd_converge(stat, model, dim, kappa, n_text, samples, seed, out_dir, config_path):
+@_command("converge", {"stat": "all", "model": "hyperbolic", "d": 2, "kappa": None,
+                       "n": "8,16,32,64,128", "samples": 200, "seed": 0, "out": "."})
+def cmd_converge(cfg):
     """Convergence-rate reports against the damped closed forms."""
-    data = _load_config(config_path)
-    model = _merge(model, data, "model", "hyperbolic")
-    cfg = RunConfig(
-        command="converge",
-        model=model,
-        d=int(_merge(dim, data, "d", 2)),
-        kappa=float(_merge(kappa, data, "kappa", 1.0 if model == "hyperbolic" else 0.0)),
-        n_values=_parse_int_list(_merge(n_text, data, "n", "8,16,32,64,128")),
-        n_samples=int(_merge(samples, data, "samples", 200)),
-        seed=int(_merge(seed, data, "seed", 0)),
-        out_dir=_merge(out_dir, data, "out", "."),
-        statistic=_merge(stat, data, "stat", "all"),
-    )
-    errors = cfg.validate()
-    if errors:
-        _bail_config(errors)
-    mdl = cfg.build_model()
-    stats = ("f", "K", "J", "adjoint") if cfg.statistic == "all" else (cfg.statistic,)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    t0 = time.perf_counter()
-    try:
-        reports = diagnostics.convergence_suite(mdl, cfg.n_values, cfg.n_samples,
-                                                cfg.seed, stats)
-    except NUMERICAL_FAILURES as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
-
-    all_pass = True
+    stats = STATISTICS[:-1] if cfg.statistic == "all" else (cfg.statistic,)
+    reports = diagnostics.convergence_suite(cfg.build_model(), cfg.n_values,
+                                            cfg.n_samples, cfg.seed, stats)
     summary = {}
     for name, rep in reports.items():
-        path = os.path.join(cfg.out_dir, f"converge_{name}.csv")
-        with open(path, "w") as fh:
+        with open(os.path.join(cfg.out_dir, f"converge_{name}.csv"), "w") as fh:
             rep.to_csv(fh)
         click.echo(rep.table())
         click.echo("")
-        all_pass = all_pass and rep.passed
         summary[name] = {"slope": rep.slope, "passed": rep.passed,
                          "medians": [float(v) for v in rep.q50]}
-    _write_manifest(os.path.join(cfg.out_dir, "converge_manifest.json"), cfg,
-                    {"reports": summary, "wall_time_s": time.perf_counter() - t0})
-    sys.exit(EXIT_OK if all_pass else EXIT_GATE)
+    return all(rep.passed for rep in reports.values()), {"reports": summary}
 
 
-@main.command("props")
-@click.option("--paths", "n_paths", type=int, default=None)
-@click.option("--n", "n_text", type=str, default=None)
-@click.option("--kappa", type=float, default=None)
-@click.option("--d", "d_text", type=str, default=None, help="dimension or comma list")
-@click.option("--seed", type=int, default=None)
-@click.option("--out", "out_dir", type=str, default=None)
-@click.option("--config", "config_path", type=str, default=None)
-def cmd_props(n_paths, n_text, kappa, d_text, seed, out_dir, config_path):
+@_command("props", {"paths": 1000, "n": 64, "kappa": 1.0, "d": "1,2,3", "seed": 0,
+                    "out": "."}, model=["hyperbolic", "flat"])
+def cmd_props(cfg):
     """Audit pathwise positivity and norm bounds over random paths."""
-    data = _load_config(config_path)
-    n_paths = int(_merge(n_paths, data, "paths", 1000))
-    n = _parse_int_list(_merge(n_text, data, "n", "64"))[0]
-    kappa = float(_merge(kappa, data, "kappa", 1.0))
-    dims = _parse_int_list(_merge(d_text, data, "d", "1,2,3"))
-    seed = int(_merge(seed, data, "seed", 0))
-    out_dir = _merge(out_dir, data, "out", ".")
-    if n_paths < 1 or n < 1 or kappa <= 0 or any(d < 1 or d > 3 for d in dims):
-        _bail_config(["props needs paths >= 1, n >= 1, kappa > 0, d in 1..3"])
-    cfg = RunConfig(command="props", model=["hyperbolic", "flat"], d=dims, kappa=kappa,
-                    n_values=[n], n_samples=n_paths, seed=seed, out_dir=out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    t0 = time.perf_counter()
-    models = [CurvatureModel(kind, d, kappa) for kind in cfg.model for d in dims]
-    try:
-        report = diagnostics.property_sweep(models, n_paths, n, seed)
-    except NUMERICAL_FAILURES as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+    models = [CurvatureModel(kind, d, cfg.kappa) for kind in cfg.model for d in cfg.d]
+    report = diagnostics.property_sweep(models, cfg.n_samples, cfg.n_values[0], cfg.seed)
     click.echo(report.summary())
-    _write_manifest(os.path.join(out_dir, "props_manifest.json"), cfg,
-                    {"violations": report.violations,
-                     "worst_margins": {k: float(v) for k, v in report.worst.items()},
-                     "n_paths": report.n_paths,
-                     "wall_time_s": time.perf_counter() - t0})
-    sys.exit(EXIT_OK if report.total_violations == 0 else EXIT_GATE)
+    return report.total_violations == 0, {
+        "violations": report.violations,
+        "worst_margins": {k: float(v) for k, v in report.worst.items()},
+        "n_paths": report.n_paths}
 
 
-@main.command("sample")
-@click.option("--model", type=click.Choice(["flat", "hyperbolic"]), default=None)
-@click.option("--d", "dim", type=int, default=None)
-@click.option("--kappa", type=float, default=None)
-@click.option("--n", "n_text", type=str, default=None)
-@click.option("--N", "n_samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", "out_dir", type=str, default=None)
-@click.option("--config", "config_path", type=str, default=None)
-def cmd_sample(model, dim, kappa, n_text, n_samples, seed, out_dir, config_path):
+@_command("sample", {"model": "flat", "d": 2, "kappa": None, "n": 8, "N": 16,
+                     "seed": 0, "out": "."})
+def cmd_sample(cfg):
     """Dump free broken-geodesic paths to CSV."""
-    data = _load_config(config_path)
-    model = _merge(model, data, "model", "flat")
-    cfg = RunConfig(
-        command="sample",
-        model=model,
-        d=int(_merge(dim, data, "d", 2)),
-        kappa=float(_merge(kappa, data, "kappa", 1.0 if model == "hyperbolic" else 0.0)),
-        n_values=_parse_int_list(_merge(n_text, data, "n", "8")),
-        n_samples=int(_merge(n_samples, data, "N", 16)),
-        seed=int(_merge(seed, data, "seed", 0)),
-        out_dir=_merge(out_dir, data, "out", "."),
-    )
-    errors = cfg.validate()
-    if errors:
-        _bail_config(errors)
-    mdl = cfg.build_model()
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    t0 = time.perf_counter()
     part = Partition(cfg.n_values[0])
-    batch = measures.sample_nu1P(mdl, part, cfg.n_samples, cfg.seed)
+    batch = measures.sample_nu1P(cfg.build_model(), part, cfg.n_samples, cfg.seed)
     csv_path = os.path.join(cfg.out_dir, "paths.csv")
     with open(csv_path, "w") as fh:
         paths.dump_paths_csv([batch.path(i) for i in range(cfg.n_samples)], fh)
-    _write_manifest(os.path.join(cfg.out_dir, "sample_manifest.json"), cfg,
-                    {"wall_time_s": time.perf_counter() - t0, "csv": csv_path})
     click.echo(f"wrote {cfg.n_samples} paths to {csv_path}")
-    sys.exit(EXIT_OK)
+    return True, {"csv": csv_path}
 
 
-@main.command("ibp")
-@click.option("--model", type=click.Choice(["flat", "hyperbolic"]), default=None)
-@click.option("--d", "dim", type=int, default=None)
-@click.option("--kappa", type=float, default=None)
-@click.option("--n", "n_text", type=str, default=None)
-@click.option("--N", "n_samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", "out_dir", type=str, default=None)
-@click.option("--config", "config_path", type=str, default=None)
-def cmd_ibp(model, dim, kappa, n_text, n_samples, seed, out_dir, config_path):
+@_command("ibp", {"model": "hyperbolic", "d": 2, "kappa": None, "n": 4, "N": 20000,
+                  "seed": 0, "out": "."})
+def cmd_ibp(cfg):
     """Integration-by-parts check in the increment chart."""
-    data = _load_config(config_path)
-    model = _merge(model, data, "model", "hyperbolic")
-    cfg = RunConfig(
-        command="ibp",
-        model=model,
-        d=int(_merge(dim, data, "d", 2)),
-        kappa=float(_merge(kappa, data, "kappa", 1.0 if model == "hyperbolic" else 0.0)),
-        n_values=_parse_int_list(_merge(n_text, data, "n", "4")),
-        n_samples=int(_merge(n_samples, data, "N", 20000)),
-        seed=int(_merge(seed, data, "seed", 0)),
-        out_dir=_merge(out_dir, data, "out", "."),
-    )
-    errors = cfg.validate()
-    if errors:
-        _bail_config(errors)
     mdl = cfg.build_model()
     part = Partition(cfg.n_values[0])
     f_obs = measures.CylinderObservable(
@@ -423,29 +367,20 @@ def cmd_ibp(model, dim, kappa, n_text, n_samples, seed, out_dir, config_path):
     g_obs = measures.CylinderObservable(
         "exp_r2_mid_end", (0.5, 1.0), 1.0, "exp_radial2",
         {"times": [0.5, 1.0], "scales": [4.0, 4.0]})
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    t0 = time.perf_counter()
-    try:
-        res = diagnostics.ibp_check(mdl, part, f_obs, g_obs, cfg.n_samples, cfg.seed)
-        grad = diagnostics.gradient_compare(mdl, part, g_obs, n_samples=32,
-                                            seed=cfg.seed)
-    except NUMERICAL_FAILURES as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+    res = diagnostics.ibp_check(mdl, part, f_obs, g_obs, cfg.n_samples, cfg.seed)
+    grad = diagnostics.gradient_compare(mdl, part, g_obs, n_samples=32, seed=cfg.seed)
     click.echo(res.summary())
     click.echo("scalar gap (ungated): %s" % json.dumps(res.scalar_gap))
     click.echo("gradient compare (ungated): %s" % json.dumps(grad))
-    _write_manifest(os.path.join(cfg.out_dir, "ibp_manifest.json"), cfg,
-                    {"result": {
-                        "lhs_mean": res.lhs_mean, "lhs_stderr": res.lhs_stderr,
-                        "rhs_mean": res.rhs_mean, "rhs_stderr": res.rhs_stderr,
-                        "diff_mean": res.diff_mean, "diff_stderr": res.diff_stderr,
-                        "n_used": res.n_used, "n_aborted": res.n_aborted,
-                        "passed": res.passed},
-                     "scalar_gap": res.scalar_gap,
-                     "gradient_compare": grad,
-                     "wall_time_s": time.perf_counter() - t0})
-    sys.exit(EXIT_OK if res.passed else EXIT_GATE)
+    return res.passed, {
+        "result": {
+            "lhs_mean": res.lhs_mean, "lhs_stderr": res.lhs_stderr,
+            "rhs_mean": res.rhs_mean, "rhs_stderr": res.rhs_stderr,
+            "diff_mean": res.diff_mean, "diff_stderr": res.diff_stderr,
+            "n_used": res.n_used, "n_aborted": res.n_aborted,
+            "passed": res.passed},
+        "scalar_gap": res.scalar_gap,
+        "gradient_compare": grad}
 
 
 if __name__ == "__main__":

@@ -278,7 +278,7 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
     if x_field is None:
         x_field = projected_constant_field(model)
     n_values = [int(n) for n in n_values]
-    ric = model.kappa * (model.dim - 1)
+    ric = damped.ric_scalar(model)
     collected = {name: [] for name in statistics}
 
     n_fine = max(n_values)
@@ -287,10 +287,10 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
     for n in n_values:
         part = Partition(n)
         knots = part.knots
-        t_prof = np.exp(-0.5 * ric * knots)               # (n+1,) decaying
-        k_prof = damped._k_profile(ric, knots)            # (n+1,)
+        t_prof = damped.t_profile(ric, knots)             # (n+1,) decaying
+        k_prof = damped.k_profile(ric, knots)             # (n+1,)
         k_cmp = np.exp(ric) * k_prof                      # undressed profile
-        ctil = damped._ctilde_scalar(ric)
+        ctil = damped.ctilde_scalar(ric)
         # family row i carries one S-factor (-> identity in the limit) and
         # C-products over (s_i, s_j], so its transport ratio is
         # t(s_i) / t(s_j) = e^{+c (s_j - s_i)/2}
@@ -562,7 +562,7 @@ def gradient_compare(model, partition, observable, n_samples=64, seed=0,
         x_field = projected_constant_field(model)
     part = partition
     n, d = part.n, model.dim
-    ric = model.kappa * (model.dim - 1)
+    ric = damped.ric_scalar(model)
     inc = paths.sample_increments(model, part, n_samples, seed)
     velocity, slopes, cond, M, base_pts = _chart_velocity(model, part, inc, x_field)
     keep = cond <= 1e10
@@ -580,7 +580,7 @@ def gradient_compare(model, partition, observable, n_samples=64, seed=0,
 
     # endpoint coords in the refined frame, damped profile along knots
     coords = _endpoint_coords(model, points[:, -1], frames[:, -1], x_field)
-    k_prof = damped._k_profile(ric, part.knots)
+    k_prof = damped.k_profile(ric, part.knots)
     damped_field = (k_prof / k_prof[-1])[None, :, None] * coords[:, None, :]
 
     times = observable.times

@@ -233,15 +233,24 @@ def batch_mass_matrix(f_end, delta: float) -> np.ndarray:
     return delta * np.einsum("...iab,...icb->...ac", f_end, f_end)
 
 
+def _positive_logdet(A, what: str) -> np.ndarray:
+    """log det A over the leading axes of A (..., d, d).
+
+    Raises NumericalError unless every determinant is positive and finite
+    (slogdet passes a NaN or infinite logdet with sign +1).
+    """
+    sign, logdet = np.linalg.slogdet(A)
+    if not np.all((sign > 0) & np.isfinite(logdet)):
+        raise NumericalError(f"{what} lost positivity or finiteness")
+    return logdet
+
+
 def log_normal_jacobian(K) -> np.ndarray:
     """log sqrt(det K(1)) from the mass matrix K(1) (..., d, d); J_P >= 1.
 
-    Raises NumericalError if K(1) loses positivity on any sample.
+    Raises NumericalError if det K(1) is not positive and finite on any sample.
     """
-    sign, logdet = np.linalg.slogdet(K)
-    if np.any(sign <= 0):
-        raise NumericalError("mass matrix K(1) lost positivity")
-    return 0.5 * logdet
+    return 0.5 * _positive_logdet(K, "mass matrix K(1)")
 
 
 def log_rho_P(S, delta: float) -> np.ndarray:
@@ -250,9 +259,7 @@ def log_rho_P(S, delta: float) -> np.ndarray:
     S (..., n, d, d) as from batch_cs; the last interval is not counted.
     rho_P >= 1.
     """
-    sign, logdet = np.linalg.slogdet(S[..., :-1, :, :] / delta)
-    if np.any(sign <= 0):
-        raise NumericalError("sine-type solution lost orientation")
+    logdet = _positive_logdet(S[..., :-1, :, :] / delta, "sine-type solution")
     return np.sum(logdet, axis=-1)
 
 
@@ -263,14 +270,12 @@ def log_volume_change(F, Cx, Sx) -> np.ndarray:
     Cx, Sx : (..., d, d) batch_cs of the tip vector xi_x (frame coordinates
              at tau of the log towards x, covered in time delta)
     V_x = sqrt(det(I + L F L^T)), L = C_x S_x^{-1}.  Raises NumericalError
-    if the determinant loses positivity on any sample.
+    if the determinant is not positive and finite on any sample.
     """
     L = np.swapaxes(np.linalg.solve(np.swapaxes(Sx, -1, -2), np.swapaxes(Cx, -1, -2)),
                     -1, -2)
-    sign, logdet = np.linalg.slogdet(np.eye(F.shape[-1]) + L @ F @ np.swapaxes(L, -1, -2))
-    if np.any(sign <= 0):
-        raise NumericalError("pinning volume factor lost positivity")
-    return 0.5 * logdet
+    gram = np.eye(F.shape[-1]) + L @ F @ np.swapaxes(L, -1, -2)
+    return 0.5 * _positive_logdet(gram, "pinning volume factor")
 
 
 def tip_cond_hits(model: CurvatureModel, xi_x) -> int:

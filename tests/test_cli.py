@@ -273,3 +273,142 @@ def test_pinned_manifest_records_weight_health(tmp_path):
             assert row[key] == pytest.approx(value, rel=1e-12), key
         assert 0.0 < row["ess_frac"] <= 1.0
         assert 1.0 / 2048 <= row["max_weight_share"] <= 1.0
+
+
+@pytest.mark.parametrize("args", [
+    ["converge", "--samples", "-1"],
+    ["converge", "--samples", "0"],
+    ["sample", "--N", "0"],
+    ["sample", "--N", "-2"],
+    ["props", "--seed", "-1"],
+    ["pinned", "--x", "1,0", "--seed", "-1"],
+    ["sample", "--n", "2,3"],
+    ["pinned", "--d", "2,3", "--x", "1,0"],
+], ids=" ".join)
+def test_config_errors_exit_2(tmp_path, args):
+    """Every command rejects a bad count, seed, --n list or --d list before
+    running: exit 2, a config error, and nothing written."""
+    res = run_cli(args + ["--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output
+    assert os.listdir(tmp_path) == []
+
+
+# Each command's options in help order, named after their config-file keys,
+# with the defaults they had before the commands shared one option table.
+SURFACE = {
+    "pinned": {"model": "flat", "d": 2, "kappa": None, "n": 8, "x": None, "rho": None,
+               "observable": "mass", "N": 10000, "seed": 0, "workers": 1, "out": ".",
+               "config": None},
+    "converge": {"stat": "all", "model": "hyperbolic", "d": 2, "kappa": None,
+                 "n": "8,16,32,64,128", "samples": 200, "seed": 0, "out": ".",
+                 "config": None},
+    "props": {"paths": 1000, "n": 64, "kappa": 1.0, "d": "1,2,3", "seed": 0, "out": ".",
+              "config": None},
+    "sample": {"model": "flat", "d": 2, "kappa": None, "n": 8, "N": 16, "seed": 0,
+               "out": ".", "config": None},
+    "ibp": {"model": "hyperbolic", "d": 2, "kappa": None, "n": 4, "N": 20000, "seed": 0,
+            "out": ".", "config": None},
+}
+
+
+def test_cli_surface_is_pinned(tmp_path):
+    """Command names, option flags, config keys and defaults are unchanged;
+    a run with no flags, and config-file keys set to null, records the
+    defaults in its manifest."""
+    assert sorted(cli.main.commands) == sorted(SURFACE)
+    for name, options in SURFACE.items():
+        params = cli.main.commands[name].params
+        assert [p.opts for p in params] == [[f"--{key}"] for key in options], name
+        assert {p.name: p.default for p in params} == options, name
+    cfg_path = tmp_path / "nulls.json"
+    cfg_path.write_text(json.dumps({"kappa": None, "N": None, "seed": None}))
+    res = run_cli(["sample", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    config = json.loads(read_text(tmp_path / "sample_manifest.json"))["config"]
+    assert config == {"command": "sample", "model": "flat", "d": 2, "kappa": 0.0,
+                      "n_values": [8], "x": None, "rho": None, "observable": "mass",
+                      "n_samples": 16, "seed": 0, "workers": 1, "out_dir": str(tmp_path),
+                      "statistic": "all"}
+
+
+# Manifest config field of each key whose field is named differently
+FIELD = {"n": "n_values", "stat": "statistic", "N": "n_samples", "samples": "n_samples",
+         "paths": "n_samples", "out": "out_dir"}
+
+
+@pytest.mark.parametrize("command, values", [
+    ("pinned", {"model": "hyperbolic", "d": 2, "kappa": 1.5, "n": [2, 4], "x": [0.5, 0.25],
+                "observable": "radial_r", "N": 64, "seed": 3, "workers": 1}),
+    ("pinned", {"model": "flat", "d": 1, "kappa": 0.0, "n": 2, "rho": 0.5,
+                "observable": "mass", "N": 32, "seed": 2, "workers": 2}),
+    ("converge", {"stat": "K", "model": "hyperbolic", "d": 2, "kappa": 2.0, "n": [4, 8],
+                  "samples": 4, "seed": 1}),
+    ("props", {"paths": 4, "n": 4, "kappa": 0.5, "d": [1, 2], "seed": 1}),
+    ("sample", {"model": "hyperbolic", "d": 1, "kappa": 2.0, "n": 3, "N": 2, "seed": 4}),
+    ("ibp", {"model": "flat", "d": 1, "kappa": 0.0, "n": 2, "N": 16, "seed": 1}),
+], ids=["pinned-x", "pinned-rho", "converge", "props", "sample", "ibp"])
+def test_config_file_matches_flags(tmp_path, command, values):
+    """A --config file carrying every key the command takes records the same
+    manifest config as the same values passed as flags."""
+    values = {**values, "out": str(tmp_path)}
+    flags = [command]
+    for key, value in values.items():
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        flags += [f"--{key}", text]
+    manifest = tmp_path / f"{command}_manifest.json"
+    res = run_cli(flags)
+    assert res.exit_code in (0, 1), res.output
+    from_flags = json.loads(read_text(manifest))["config"]
+
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(values))
+    res_file = run_cli([command, "--config", str(cfg_path)])
+    assert res_file.exit_code == res.exit_code, res_file.output
+    from_file = json.loads(read_text(manifest))["config"]
+    assert from_file == from_flags
+    for key, value in values.items():
+        want = [value] if key == "n" and not isinstance(value, list) else value
+        assert from_file[FIELD.get(key, key)] == want, key
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_cli_section():
+    return read_text(README).split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_examples_parse():
+    """Every `pinpath ...` example in the README's CLI block parses with its
+    command's options (no run), and every command has one."""
+    block = readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("pinpath ")]
+    assert sorted(argv[1] for argv in lines) == sorted(cli.main.commands)
+    for argv in lines:
+        name, args = argv[1], argv[2:]
+        ctx = cli.main.commands[name].make_context(name, args)
+        given = {arg[2:] for arg in args if arg.startswith("--")}
+        assert given <= set(ctx.params), argv
+
+
+def test_readme_option_table_matches_the_cli():
+    """The README's option table lists each command's options and defaults."""
+    def cells(line):
+        return [cell.strip() for cell in line.strip("|").split("|")]
+
+    lines = readme_cli_section().splitlines()
+    header = cells(next(line for line in lines if line.startswith("| option |")))[2:]
+    assert sorted(header) == sorted(cli.main.commands)
+    keys = []
+    for row in (cells(line) for line in lines if line.startswith("| `--")):
+        key = row[0].strip("`")[2:]
+        keys.append(key)
+        for name, cell in zip(header, row[2:]):
+            params = {p.name: p.default for p in cli.main.commands[name].params}
+            want = "" if key not in params else (
+                "unset" if params[key] is None else str(params[key]))
+            assert cell == want, (key, name)
+    assert sorted(keys) == sorted({p.name for cmd in cli.main.commands.values()
+                                   for p in cmd.params})

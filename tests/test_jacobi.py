@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pinpath import geom, jacobi
-from pinpath.geom import CurvatureModel
+from pinpath.geom import CurvatureModel, NumericalError
 from pinpath.jacobi import Partition
 
 from tests.oracles import broken_jacobi_rk4, cs_rk4, vx_fd_oracle_flat
@@ -442,6 +442,29 @@ def test_log_volume_change_counts_ill_conditioned_tips():
     assert np.all(np.isfinite(log_vx))
     assert jacobi.tip_cond_hits(model, tips[[0, 2]]) == 0
     assert jacobi.tip_cond_hits(FLAT2, tips) == 0
+
+
+def test_volume_factors_reject_non_finite_determinants():
+    """slogdet of a K(1) holding inf gives sign +1 and logdet inf (NaN off the
+    diagonal); every volume factor raises NumericalError on a non-finite
+    determinant as it does on a non-positive one."""
+    K = np.stack([np.eye(2)] * 3)
+    assert np.array_equal(jacobi.log_normal_jacobian(K), np.zeros(3))
+    for entry in [(1, 0, 0), (1, 0, 1)]:
+        bad = K.copy()
+        bad[entry] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            jacobi.log_normal_jacobian(bad)
+    with pytest.raises(NumericalError):
+        jacobi.log_normal_jacobian(K * np.array([1.0, -1.0]))
+    S = np.stack([np.eye(2)] * 3)[None]
+    S[0, 0, 0, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        jacobi.log_rho_P(S, 0.5)
+    F = K.copy()
+    F[2, 1, 1] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        jacobi.log_volume_change(F, K, K)
 
 
 def test_det_identity_edge_cases():
