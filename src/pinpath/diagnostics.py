@@ -20,6 +20,9 @@ FD_STEP = 1e-5    # central-difference step for chart perturbations
 DIV_STEP = 1e-3   # larger outer step for divergence-of-velocity differences
 FLAT_FLOOR = 1e-13  # below this a statistic counts as identically zero
 TABLE_FLOATS = 2 ** 18  # dense Jacobi tables are built for this many numbers at a time
+VARIATION_FLOATS = 2 ** 16  # and the chart matrix's knot variations for this many
+# ibp_check and gradient_compare drop samples whose chart matrix M is worse conditioned
+CHART_COND_LIMIT = COND_LIMIT / 100
 
 
 # ---------------------------------------------------------------------------
@@ -352,27 +355,12 @@ def _batched_lift_slopes(model, part, inc, x_field):
     return _lift_slopes(f_end, part.mesh, coords)[1], coords, pts, frs
 
 
-def _knot_coords_relative(model, base_pts, base_frs, other_pts):
-    """Frame coordinates of log(base knot -> other knot), batched.
-
-    base_pts/other_pts: (N, n+1, D); base_frs: (N, n+1, D, d).
-    Returns (N, n+1, d) with zeros at knot 0.
-    """
-    N, m, D = base_pts.shape
-    d = base_frs.shape[-1]
-    out = np.zeros((N, m, d))
-    for j in range(1, m):
-        v = geom.log_point(model, base_pts[:, j], other_pts[:, j])
-        out[:, j] = geom.frame_coords(model, base_frs[:, j], v)
-    return out
-
-
 def _chart_velocity(model, part, inc, x_field, want_cond=True):
     """Solve M v = k for the increment-chart velocity of the lift.
 
-    M's columns are the slope representations of unit chart perturbations,
-    built by central differences (paths rolled at inc +/- FD_STEP e_col and
-    anti-developed against the base path), then inverted triangularly.
+    M's columns are the slope representations of unit chart perturbations, the
+    exact knot variations (paths.knot_jacobian) through slopes_from_knots; M is
+    block lower triangular with diagonal blocks n I, and n I in flat space.
     Returns (velocity (N, n*d), slopes k (N, n, d), cond (N,), M (N, nd, nd),
     base_pts (N, n+1, D)).  want_cond=False skips the SVD (used inside
     divergence differences).
@@ -380,20 +368,16 @@ def _chart_velocity(model, part, inc, x_field, want_cond=True):
     N = inc.shape[0]
     n, d = part.n, model.dim
     nd = n * d
-    slopes, coords, base_pts, base_frs = _batched_lift_slopes(model, part, inc, x_field)
+    slopes, _, base_pts = _batched_lift_slopes(model, part, inc, x_field)[:3]
     C, S = jacobi.batch_cs(model, inc, part.mesh)
-
     M = np.empty((N, nd, nd))
-    for col in range(nd):
-        i, a = divmod(col, d)
-        shift = np.zeros((n, d))
-        shift[i, a] = FD_STEP
-        pts_plus, _ = paths.roll_batch(model, inc + shift)
-        pts_minus, _ = paths.roll_batch(model, inc - shift)
-        v_plus = _knot_coords_relative(model, base_pts, base_frs, pts_plus)
-        v_minus = _knot_coords_relative(model, base_pts, base_frs, pts_minus)
-        deriv = (v_plus - v_minus) / (2 * FD_STEP)
-        M[:, :, col] = jacobi.slopes_from_knots(C, S, deriv).reshape(N, nd)
+    # knot values (block, nd, n+1, d), one list per column (i, a), in bounded blocks
+    block = max(1, VARIATION_FLOATS // ((n + 1) * d * nd))
+    for lo in range(0, N, block):
+        sl = slice(lo, lo + block)
+        dknots = paths.knot_jacobian(model, inc[sl]).reshape(-1, n + 1, d, nd)
+        cols = jacobi.slopes_from_knots(C[sl, None], S[sl, None], np.moveaxis(dknots, -1, 1))
+        np.swapaxes(M, 1, 2)[sl] = cols.reshape(-1, nd, nd)
 
     cond = np.linalg.cond(M) if want_cond else np.full(N, np.nan)
     velocity = np.linalg.solve(M, slopes.reshape(N, nd)[..., None])[..., 0]
@@ -444,7 +428,7 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0, x_field=None,
     Compares E[(Xf) g] with E[f (-Xg + m g)] where X differentiates along the
     chart velocity of the lift and m = n * <z, V> - div_z V with the divergence
     taken by outer central differences of the velocity field.  Samples whose
-    perturbation matrix has condition number above COND_LIMIT/100 are dropped
+    chart matrix M has condition number above CHART_COND_LIMIT are dropped
     (counted in n_aborted).  Pass gate: paired difference within 3 stderr.
 
     scalar_gap reports the ungated per-sample comparison of the chart
@@ -461,7 +445,7 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0, x_field=None,
     inc = paths.sample_increments(model, part, n_samples, seed)
 
     velocity, slopes, cond, M, base_pts = _chart_velocity(model, part, inc, x_field)
-    keep = cond <= 1e10
+    keep = cond <= CHART_COND_LIMIT
     n_aborted = int((~keep).sum())
     inc = inc[keep]
     velocity = velocity[keep]
@@ -565,7 +549,7 @@ def gradient_compare(model, partition, observable, n_samples=64, seed=0,
     ric = damped.ric_scalar(model)
     inc = paths.sample_increments(model, part, n_samples, seed)
     velocity, slopes, cond, M, base_pts = _chart_velocity(model, part, inc, x_field)
-    keep = cond <= 1e10
+    keep = cond <= CHART_COND_LIMIT
     inc, velocity, base_pts = inc[keep], velocity[keep], base_pts[keep]
     N = inc.shape[0]
     vel_paths = velocity.reshape(N, n, d)

@@ -167,10 +167,11 @@ def project_tangent(model: CurvatureModel, x, w):
 
 
 def _renormalize_point(model: CurvatureModel, x):
-    """Rescale onto the sheet <x,x>_M = -1/kappa, keeping the upper sheet."""
-    q = -model.kappa * minkowski_inner(x, x)
-    scale = 1.0 / np.sqrt(np.maximum(q, 1e-300))
-    return x * scale[..., None]
+    """Put x on the upper sheet <x,x>_M = -1/kappa: keep its spatial part, set its
+    timelike one to sqrt(1/kappa + |x_spatial|^2); nothing cancels far from o."""
+    y = x.copy()
+    y[..., -1] = np.sqrt(1.0 / model.kappa + np.sum(x[..., :-1] ** 2, axis=-1))
+    return y
 
 
 def renormalize_frame(model: CurvatureModel, x, frame):

@@ -393,12 +393,20 @@ def slopes_from_knots(C, S, knot_values) -> np.ndarray:
     """Invert jacobi_from_slopes: right-slopes (..., n, d) from knot values.
 
     C, S (..., n, d, d) in the batch_cs layout, knot_values (..., n+1, d);
-    k_{j-1} = S_j^{-1} (J(s_j) - C_j J(s_{j-1})) for every j at once.
+    k_{j-1} = S_j^{-1} (J(s_j) - C_j J(s_{j-1})) for every j at once.  C, S
+    may broadcast against more leading axes (many fields along one path).
     """
     knot_values = np.asarray(knot_values, dtype=float)
-    rhs = knot_values[..., 1:, :] - np.einsum("...jab,...jb->...ja", C,
-                                              knot_values[..., :-1, :])
-    return np.linalg.solve(S, rhs[..., None])[..., 0]
+    rhs = knot_values[..., 1:, :] - _matvec(C, knot_values[..., :-1, :])
+    return _matvec(np.linalg.inv(S), rhs)
+
+
+def _matvec(A, v):
+    """A v over the last axes; A (..., d, d) broadcasts against v (..., d)."""
+    out = np.zeros(np.broadcast_shapes(A.shape[:-1], v.shape))
+    for a, b in np.ndindex(A.shape[-2:]):
+        out[..., a] += A[..., a, b] * v[..., b]
+    return out
 
 
 def det_identity_check(A, rtol=1e-10):

@@ -154,7 +154,8 @@ def _target_point(model: CurvatureModel, x) -> np.ndarray:
         return geom.exp_map(model, o, x).point
     if x.shape != (model.ambient_dim,):
         raise ValueError("x must be ambient (d+1) or tangent (d) coordinates")
-    defect = abs(model.kappa * geom.minkowski_inner(x, x) + 1.0)
+    # relative: a far point carries roundoff of order kappa |x|^2
+    defect = abs(model.kappa * geom.minkowski_inner(x, x) + 1.0) / (1 + model.kappa * x @ x)
     if defect > 1e-8 or x[-1] <= 0:
         raise ValueError("x is not on the hyperboloid sheet")
     return x

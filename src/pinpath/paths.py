@@ -111,6 +111,52 @@ def roll_batch(model: CurvatureModel, increments, start_point=None, start_frame=
     return points, frames
 
 
+def knot_jacobian(model: CurvatureModel, increments):
+    """Exact derivative of the knots of a roll from o by its increments (..., n, d).
+
+    Returns (..., n+1, d, n, d): entry [j, :, i, a] is u_j^T eta dx_j/d xi_{i,a},
+    knot j's variation in its rolled frame; zero unless j > i, e_a in flat
+    space.  The roll is g_j = B(xi_1) ... B(xi_j) in SO+(d,1), B the boost
+    exp_frame applies at o, so the entry is [I 0] Q^{-1} Omega_a(xi_i) Q e_d /
+    sqrt(kappa) with Q = B(xi_{i+1}) ... B(xi_j) and Omega_a = B^{-1} dB/dxi_a.
+    For each i, Q's frame columns U and last column w advance knot by knot by
+    the rank-two boost update.  With p the unit increment, a = sqrt(kappa)|xi|,
+    K(v) = [[0, v], [v^T, 0]], R(q, r) = q r^T - r q^T, P = I - p p^T and
+    cm = (cosh a - 1)/a, Omega_a / sqrt(kappa) = p_a K(p) + sinhc a K(P e_a)
+    - cm R(p, P e_a) sends w = (w_s, w_t) to the spatial part p beta_a + alpha e_a
+    and the timelike part p_a <p, w_s> + sinhc a (P w_s)_a, with
+    alpha = sinhc a w_t + cm <p, w_s> and beta_a = p_a (w_t - alpha) - cm (P w_s)_a.
+    """
+    inc = np.asarray(increments, dtype=float)
+    batch, (n, d) = inc.shape[:-2], inc.shape[-2:]
+    xi = np.moveaxis(inc.reshape((-1, n, d)), 0, -1)      # (n, d, B): samples last
+    nrm = np.sqrt(np.sum(xi * xi, axis=1))
+    p = xi / np.where(nrm > 0, nrm, 1.0)[:, None]         # unit increments
+    a = np.sqrt(model.kappa) * nrm                        # 0 in flat space: Q = I
+    ch, sh, sc = np.cosh(a), np.sinh(a), geom.sinhc(a)
+    cm = 0.5 * a * geom.sinhc(0.5 * a) ** 2               # (cosh a - 1) / a, stable at 0
+    B = xi.shape[-1]
+    out = np.zeros((n + 1, d, n, d, B))
+    for i in range(n):
+        U, w = np.zeros((n - i, d + 1, d, B)), np.zeros((n - i, d + 1, B))
+        U[0, :d], w[0, d] = np.eye(d)[..., None], 1.0
+        for m, j in enumerate(range(i + 1, n)):
+            Up = np.sum(U[m] * p[j], axis=1)
+            U[m + 1] = U[m] + (sh[j] * w[m] + (ch[j] - 1.0) * Up)[:, None] * p[j]
+            w[m + 1] = ch[j] * w[m] + sh[j] * Up
+        ps = np.sum(p[i] * w[:, :d], axis=1)              # (n-i, B)
+        perp_w = w[:, :d] - p[i] * ps[:, None]
+        alpha = sc[i] * w[:, d] + cm[i] * ps
+        beta = p[i] * (w[:, d] - alpha)[:, None] - cm[i] * perp_w
+        z_t = p[i] * ps[:, None] + sc[i] * perp_w
+        # entry [b, a] = (U_s^T p)_b beta_a + U_s[a, b] alpha - U_t[b] z_t[a]
+        Utp = np.sum(U[:, :d] * p[i][:, None], axis=1)
+        out[i + 1:, :, i, :] = (Utp[:, :, None] * beta[:, None]
+                                + np.swapaxes(U[:, :d], 1, 2) * alpha[:, None, None]
+                                - U[:, d, :, None] * z_t[:, None])
+    return np.moveaxis(out, -1, 0).reshape(batch + out.shape[:-1])
+
+
 def _renormalize_due(i: int, n: int) -> bool:
     """Whether the frame at knot i+1 of an n-step roll is re-orthonormalised."""
     return (i + 1) % RENORM_EVERY == 0 or i + 1 == n

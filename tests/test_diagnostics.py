@@ -212,6 +212,19 @@ def test_ibp_curved_small():
     assert "pass=True" in res.summary()
 
 
+def test_ibp_rolls_without_finite_difference_columns(monkeypatch):
+    """ibp_check at n=4, d=2 rolls at most 40 batches: the chart matrix comes
+    from paths.knot_jacobian, not from 2nd rolls per chart velocity (a
+    finite-difference M made 309)."""
+    calls = []
+    roll = paths.roll_batch
+    monkeypatch.setattr(paths, "roll_batch", lambda *a, **k: calls.append(1) or roll(*a, **k))
+    f = CylinderObservable("exp_r2_end", (1.0,), 1.0, "exp_radial2",
+                           {"times": [1.0], "scales": [2.0]})
+    ibp_check(HYP2, Partition(4), f, MASS_OBSERVABLE, n_samples=64, seed=0)
+    assert 0 < len(calls) <= 40
+
+
 def test_gradient_compare_reports():
     """Chart-vs-damped gradient diagnostic returns finite, small medians."""
     obs = CylinderObservable("exp_end", (1.0,), 1.0, "exp_radial2",

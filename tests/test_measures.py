@@ -172,6 +172,21 @@ def test_target_point_forms():
         measures._target_point(FLAT2, np.zeros(3))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kappa", [1.0, 2.0])
+def test_far_target_point_keeps_its_distance(d, kappa):
+    """A target along an axis lands at its distance to 1e-12 relative, also
+    where the sheet constraint cancels catastrophically in the ambient
+    coordinates (sqrt(kappa) rho >= 19), and passes the ambient re-check."""
+    model = CurvatureModel("hyperbolic", d, kappa)
+    e1 = np.eye(d)[0]
+    for rho in (1.0, 10.0, 19.0, 20.0, 40.0):
+        x = measures._target_point(model, (e1, rho))
+        dist = geom.distance(model, geom.base_point(model), x)
+        assert abs(dist - rho) <= 1e-12 * rho
+        assert np.array_equal(measures._target_point(model, x), x)
+
+
 def test_pinned_estimate_flat_unbiased():
     """Flat mass estimate hits the Gaussian kernel within 3 stderr."""
     x = np.array([1.0, 0.0])

@@ -1,4 +1,5 @@
-"""Property-based checks of the closed-form frame transport and the Gram pass.
+"""Property-based checks of the closed-form frame transport, the Gram pass and
+the exact knot Jacobian behind the IBP chart matrix.
 
 Hypothesis runs derandomised (a fixed example sequence, no example database),
 so the suite is reproducible run to run.
@@ -11,7 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from pinpath import geom, jacobi, paths  # noqa: E402
+from pinpath import diagnostics, geom, jacobi, paths  # noqa: E402
 from pinpath.geom import CurvatureModel  # noqa: E402
 from pinpath.jacobi import Partition  # noqa: E402
 
@@ -98,3 +99,72 @@ def test_long_roll_frames_stay_orthonormal(d, seed):
     inc = paths.sample_increments(model, part, 32, seed % 2 ** 31)
     pts, frames = paths.roll_batch(model, inc)
     assert geom.frame_defect(model, pts, frames) < geom.CONSTRAINT_DRIFT_TOL
+
+
+def knot_coords_relative(model, base_pts, base_frs, other_pts):
+    """Frame coordinates of log(base knot -> other knot) at every knot:
+    knots (..., n+1, D), frames (..., n+1, D, d); zero at knot 0."""
+    return geom.frame_coords(model, base_frs, geom.log_point(model, base_pts, other_pts))
+
+
+def central_difference_knots(model, inc, h):
+    """Reference for paths.knot_jacobian: central differences of rolls at
+    inc +/- h e_(i, a), compared with the base roll knot by knot."""
+    n, d = inc.shape[-2:]
+    pts, frs = paths.roll_batch(model, inc)
+    out = np.zeros(inc.shape[:-2] + (n + 1, d, n, d))
+    for i in range(n):
+        for a in range(d):
+            shift = np.zeros((n, d))
+            shift[i, a] = h
+            plus = paths.roll_batch(model, inc + shift)[0]
+            minus = paths.roll_batch(model, inc - shift)[0]
+            out[..., i, a] = (knot_coords_relative(model, pts, frs, plus)
+                              - knot_coords_relative(model, pts, frs, minus)) / (2 * h)
+    return out
+
+
+def path_of_length(kind, d, kappa, n, seed, length):
+    """Increments (3, n, d) whose steps add up to sqrt(kappa)-length `length`."""
+    model = CurvatureModel(kind, d, kappa)
+    inc = np.random.default_rng(seed).normal(size=(3, n, d))
+    steps = np.sqrt(model.kappa or 1.0) * np.linalg.norm(inc, axis=-1).sum(axis=-1)
+    return model, inc * (length / steps)[:, None, None]
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["flat", "hyperbolic"]), d=dims, kappa=kappas,
+       n=st.integers(min_value=1, max_value=6), seed=seeds,
+       length=st.floats(0.0, 5.99))
+@example(kind="hyperbolic", d=3, kappa=2.0, n=6, seed=0, length=5.99)
+@example(kind="hyperbolic", d=2, kappa=1.0, n=4, seed=1, length=0.0)
+def test_knot_jacobian_matches_central_differences(kind, d, kappa, n, seed, length):
+    """The exact knot variations agree with central differences of the roll
+    and vanish at knots j <= i; every knot stays within sqrt(kappa)-distance
+    `length` < 6 of o."""
+    model, inc = path_of_length(kind, d, kappa, n, seed, length)
+    got = paths.knot_jacobian(model, inc)
+    want = central_difference_knots(model, inc, 1e-5 / np.sqrt(model.kappa or 1.0))
+    # truncation error of the differences is below 2e-7 of the entries here
+    assert np.allclose(got, want, rtol=0.0, atol=1e-6 * max(1.0, float(np.max(np.abs(got)))))
+    for i in range(n):
+        assert np.all(got[:, :i + 1, :, i, :] == 0.0)      # knots up to i do not move
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["flat", "hyperbolic"]), d=dims, kappa=kappas,
+       n=st.integers(min_value=1, max_value=6), seed=seeds,
+       length=st.floats(0.0, 5.99))
+def test_chart_matrix_closed_form_blocks(kind, d, kappa, n, seed, length):
+    """The chart matrix M is block lower triangular: its diagonal blocks are
+    n I, its blocks above the diagonal exactly 0, and flat M is n I."""
+    model, inc = path_of_length(kind, d, kappa, n, seed, length)
+    part = Partition(n)
+    M = diagnostics._chart_velocity(model, part, inc,
+                                    diagnostics.projected_constant_field(model))[3]
+    blocks = M.reshape(3, n, d, n, d)
+    for i in range(n):
+        assert np.allclose(blocks[:, i, :, i, :], n * np.eye(d), rtol=0.0, atol=1e-12)
+        assert np.all(blocks[:, i, :, i + 1:, :] == 0.0)
+    if kind == "flat":
+        assert np.allclose(M, n * np.eye(n * d), rtol=0.0, atol=1e-12)
