@@ -19,7 +19,7 @@ from .jacobi import COND_LIMIT, Partition
 FD_STEP = 1e-5    # central-difference step for chart perturbations
 DIV_STEP = 1e-3   # larger outer step for divergence-of-velocity differences
 FLAT_FLOOR = 1e-13  # below this a statistic counts as identically zero
-TABLE_FLOATS = 2 ** 18  # dense Jacobi tables are built for this many numbers at a time
+TABLE_FLOATS = 2 ** 16  # convergence_suite carries n d^2 numbers per path in blocks of this many
 VARIATION_FLOATS = 2 ** 16  # and the chart matrix's knot variations for this many
 # ibp_check and gradient_compare drop samples whose chart matrix M is worse conditioned
 CHART_COND_LIMIT = COND_LIMIT / 100
@@ -74,20 +74,22 @@ class Lift:
     endpoint_residual: float
 
 
-def lift_build(path, family, x_vector):
+def lift_build(path, x_vector):
     """Build the lift of an endpoint tangent vector along a broken geodesic.
 
-    x_vector: ambient vector at path.endpoint (or a callable point -> vector);
-    it is tangent-projected before use.  Returns a Lift.
+    path: a paths.BrokenGeodesic; x_vector: ambient vector at its endpoint (or
+    a callable point -> vector), tangent-projected before use.  Returns a Lift.
     """
-    n = family.partition.n
-    coords = _endpoint_coords(family.model, path.points[-1], path.frames[-1], x_vector)
-    cond = np.linalg.cond(family.K[n])
+    n, delta = path.partition.n, path.partition.mesh
+    coords = _endpoint_coords(path.model, path.points[-1], path.frames[-1], x_vector)
+    C, S = jacobi.batch_cs(path.model, path.increments, delta)
+    f_end = jacobi.batch_endpoint_f(C, S, delta)
+    cond = np.linalg.cond(jacobi.batch_mass_matrix(f_end, delta))
     if cond > COND_LIMIT:
         raise NumericalError(f"mass matrix condition number {cond:.3e} exceeds "
                              f"{COND_LIMIT:.1e}")
-    coeff, slopes = _lift_slopes(family.f[1:, n], family.partition.mesh, coords)
-    knot_values = jacobi.jacobi_from_slopes(family, slopes)
+    coeff, slopes = _lift_slopes(f_end, delta, coords)
+    knot_values = jacobi.jacobi_from_slopes(C, S, slopes)
     residual = float(np.max(np.abs(knot_values[n] - coords)))
     return Lift(coords, coeff, slopes, knot_values, residual)
 
@@ -112,23 +114,21 @@ def _lift_slopes(f_end, delta, coords):
     return coeff, np.einsum("...iab,...a->...ib", f_end, coeff)
 
 
-def endpoint_map_matrix(family):
-    """(d, n*d) matrix sending stacked slopes to the endpoint value / n."""
-    n = family.partition.n
-    d = family.model.dim
-    cols = np.transpose(family.f[1:, n], (1, 0, 2)).reshape(family.model.dim, n * d)
-    return cols / n
+def endpoint_map_matrix(f_end):
+    """(d, n*d) matrix sending stacked slopes to the endpoint value / n;
+    f_end (n, d, d) holds f_i(1) (jacobi.batch_endpoint_f)."""
+    n, d = f_end.shape[0], f_end.shape[-1]
+    return np.transpose(f_end, (1, 0, 2)).reshape(d, n * d) / n
 
 
-def lift_orthogonality(family, lift_slopes):
+def lift_orthogonality(f_end, lift_slopes):
     """Residual of the lift against the null space of the endpoint map.
 
     Returns dict with the worst normalized inner product ("residual"),
     the null-space dimension, and the basis used (stacked slope vectors).
     """
-    n = family.partition.n
-    d = family.model.dim
-    basis = null_space(endpoint_map_matrix(family))  # (n*d, q), euclidean-ON
+    n, d = f_end.shape[0], f_end.shape[-1]
+    basis = null_space(endpoint_map_matrix(f_end))  # (n*d, q), euclidean-ON
     if basis.size == 0:
         return {"residual": 0.0, "null_dim": 0, "basis": basis}
     worst = 0.0
@@ -142,16 +142,15 @@ def lift_orthogonality(family, lift_slopes):
     return {"residual": worst, "null_dim": basis.shape[1], "basis": basis}
 
 
-def lift_competitor_deficit(family, lift_slopes, count=100, seed=0):
+def lift_competitor_deficit(f_end, lift_slopes, count=100, seed=0):
     """Max norm deficit of random same-endpoint competitors vs the lift.
 
     Competitors are lift + null-space elements; returns min over draws of
     (competitor norm - lift norm), which must be >= -1e-10 when the lift is
     minimal.
     """
-    n = family.partition.n
-    d = family.model.dim
-    basis = null_space(endpoint_map_matrix(family))
+    n, d = f_end.shape[0], f_end.shape[-1]
+    basis = null_space(endpoint_map_matrix(f_end))
     flat_lift = np.asarray(lift_slopes, dtype=float).reshape(n * d)
     lift_norm = np.linalg.norm(flat_lift) / np.sqrt(n)
     if basis.size == 0:
@@ -298,7 +297,6 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
         # C-products over (s_i, s_j], so its transport ratio is
         # t(s_i) / t(s_j) = e^{+c (s_j - s_i)/2}
         ratio = t_prof[:, None] / t_prof[None, :]
-        eye = np.eye(model.dim)
 
         if n_fine % n == 0:
             group = n_fine // n
@@ -308,30 +306,23 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
         pts, frs = paths.roll_batch(model, inc)
         coords = _endpoint_coords(model, pts[:, -1], frs[:, -1], x_field)  # (samples, d)
 
-        iu = np.triu_indices(n)       # pairs (i-1, j-1) with 1 <= i <= j <= n
-        # the dense family holds (n+1)^2 d^2 numbers per path: build it in blocks
-        block = max(1, TABLE_FLOATS // ((n + 1) ** 2 * model.dim ** 2))
+        # blocks of samples bound the n d^2 numbers per path of each stack
+        block = max(1, TABLE_FLOATS // (n * model.dim ** 2))
         per_stat = {name: [] for name in statistics}
         for lo in range(0, samples, block):
             b_inc, b_coords = inc[lo:lo + block], coords[lo:lo + block]
-            fam = jacobi.build_family(model, part, b_inc)
-            coeff, slopes = _lift_slopes(fam.f[:, 1:, n], part.mesh, b_coords)
-            if "f" in statistics:
-                diff = fam.f[:, 1:, 1:] - ratio[1:, 1:, None, None] * eye
-                per_stat["f"].append(
-                    np.linalg.norm(diff, axis=(-2, -1))[:, iu[0], iu[1]].max(axis=1))
-            if "K" in statistics:
-                kdiff = fam.K[:, 1:] - k_cmp[1:, None, None] * eye
-                per_stat["K"].append(np.linalg.norm(kdiff, axis=(-2, -1)).max(axis=1))
-            if "J" in statistics:
-                lift_J = np.einsum("njab,na->njb", fam.K, coeff)
-                damped_J = (k_prof / k_prof[-1])[None, :, None] * b_coords[:, None, :]
-                per_stat["J"].append(np.linalg.norm(lift_J - damped_J, axis=-1).max(axis=1))
-            if "adjoint" in statistics:
-                discrete = np.einsum("nid,nid->n", slopes, b_inc)
-                weights = (b_inc * t_prof[:-1, None]).sum(axis=1)
-                limit = ctil * np.einsum("nd,nd->n", b_coords, weights)
-                per_stat["adjoint"].append(np.abs(discrete - limit))
+            C, S = jacobi.batch_cs(model, b_inc, part.mesh)
+            f_end = jacobi.batch_endpoint_f(C, S, part.mesh)
+            coeff, slopes = _lift_slopes(f_end, part.mesh, b_coords)
+            found = (_knot_sups(C, S, f_end, coeff, b_coords, ratio, k_cmp,
+                                k_prof / k_prof[-1])
+                     if set(statistics) - {"adjoint"} else {})
+            discrete = np.einsum("nid,nid->n", slopes, b_inc)
+            weights = (b_inc * t_prof[:-1, None]).sum(axis=1)
+            limit = ctil * np.einsum("nd,nd->n", b_coords, weights)
+            found["adjoint"] = np.abs(discrete - limit)
+            for name in statistics:
+                per_stat[name].append(found[name])
         for name in statistics:
             collected[name].append(np.concatenate(per_stat[name]))
 
@@ -340,18 +331,49 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
             for name in statistics}
 
 
+def _knot_sups(C, S, f_end, coeff, coords, ratio, k_cmp, j_prof):
+    """Per-path sups over the knots s_j of the f, K and J discrepancies.
+
+    One forward pass carries the stack [f_1(s_j) ... f_j(s_j)] as a (d, j d)
+    block, so f <- C_j f is one product per knot and f_j(s_j) = S_j / delta
+    is the new column block; K(s_j) = delta sum_{i<=j} f_i(s_j) f_i(1)^T is
+    that block times the one of f_end (f_i(1), from the suffix pass).
+    """
+    B, n, d = f_end.shape[:3]
+    delta = 1.0 / n
+    stack = np.zeros((B, d, n * d))
+    ends = np.swapaxes(f_end, 1, 2).reshape(B, d, n * d)
+    eye = np.eye(d)
+    sups = {name: np.zeros(B) for name in ("f", "K", "J")}
+    for j in range(1, n + 1):
+        old, new = slice(0, (j - 1) * d), slice((j - 1) * d, j * d)
+        stack[:, :, old] = C[:, j - 1] @ stack[:, :, old]
+        stack[:, :, new] = S[:, j - 1] / delta
+        f_j = stack[:, :, :j * d].reshape(B, d, j, d)
+        f_gap = f_j - ratio[1:j + 1, j, None] * eye[:, None, :]
+        K = delta * (stack[:, :, :j * d] @ np.swapaxes(ends[:, :, :j * d], 1, 2))
+        lift_J = np.einsum("nab,na->nb", K, coeff)
+        gaps = {"f": np.linalg.norm(f_gap, axis=(1, 3)).max(axis=1),
+                "K": np.linalg.norm(K - k_cmp[j] * eye, axis=(-2, -1)),
+                "J": np.linalg.norm(lift_J - j_prof[j] * coords, axis=-1)}
+        for name, gap in gaps.items():
+            np.maximum(sups[name], gap, out=sups[name])
+    return sups
+
+
 # ---------------------------------------------------------------------------
 # chart-level integration by parts
 # ---------------------------------------------------------------------------
 
-def _batched_lift_slopes(model, part, inc, x_field):
-    """Slopes of the lift for a batch of increment charts.
+def _batched_lift_slopes(model, part, inc, x_field, C, S):
+    """Slopes of the lift for a batch of increment charts with interval
+    solutions C, S (jacobi.batch_cs of inc).
 
     Returns (slopes (N,n,d), endpoint coords (N,d), points, frames).
     """
     pts, frs = paths.roll_batch(model, inc)
     coords = _endpoint_coords(model, pts[:, -1], frs[:, -1], x_field)
-    f_end = jacobi.batch_endpoint_f(model, inc, part.mesh)
+    f_end = jacobi.batch_endpoint_f(C, S, part.mesh)
     return _lift_slopes(f_end, part.mesh, coords)[1], coords, pts, frs
 
 
@@ -368,8 +390,8 @@ def _chart_velocity(model, part, inc, x_field, want_cond=True):
     N = inc.shape[0]
     n, d = part.n, model.dim
     nd = n * d
-    slopes, _, base_pts = _batched_lift_slopes(model, part, inc, x_field)[:3]
     C, S = jacobi.batch_cs(model, inc, part.mesh)
+    slopes, _, base_pts = _batched_lift_slopes(model, part, inc, x_field, C, S)[:3]
     M = np.empty((N, nd, nd))
     # knot values (block, nd, n+1, d), one list per column (i, a), in bounded blocks
     block = max(1, VARIATION_FLOATS // ((n + 1) * d * nd))
@@ -517,8 +539,9 @@ def _scalar_gap(model, part, inc, velocity, slopes, M, mult, x_field):
         norms = np.linalg.norm(direction.reshape(N, -1), axis=1)
         safe = np.where(norms > 0, norms, 1.0)
         unit = direction / safe[:, None, None]
-        s_plus = _batched_lift_slopes(model, part, inc + FD_STEP * unit, x_field)[0]
-        s_minus = _batched_lift_slopes(model, part, inc - FD_STEP * unit, x_field)[0]
+        s_plus, s_minus = (
+            _batched_lift_slopes(model, part, z, x_field, *jacobi.batch_cs(model, z, part.mesh))[0]
+            for z in (inc + FD_STEP * unit, inc - FD_STEP * unit))
         dslope = norms * (s_plus[:, i, a] - s_minus[:, i, a]) / (2 * FD_STEP)
         div_path += dslope / np.sqrt(n)
     pairing = np.einsum("nid,nid->n", slopes, inc)

@@ -2,15 +2,15 @@
 
 Each interval of an equally spaced partition carries a constant frame velocity
 xi_i; the second-order matrix system Y'' = A_i Y (A_i the curvature quadratic
-of xi_i) has cosine/sine-type solutions C_i, S_i.  Products of these assemble
-the interval response matrices f_i(s_j), the positive mass matrix K(s), the
-endpoint normal Jacobian, and the two volume factors used by the pinned
-estimator.  Every function takes leading sample axes (one path is a batch of
-one): the scalar factors come from one forward Gram pass over the path's body
-(gram_pass), the suffix products f_i(1) serve the lift, and the dense table
-of all f_i(s_j) is built only where every pair is needed.
-Closed forms are the production route; a fixed-step RK4 integrator provides
-the independent oracle behind the same interface.
+of xi_i) has cosine/sine-type solutions C_i, S_i, in closed form (batch_cs).
+The family is stored as these (C_i, S_i) alone, and every field comes from one
+of two recursions over them: the suffix products f_i(1) = C_n ... C_{i+1}
+S_i / delta (batch_endpoint_f, the lift's input) and the forward recursion
+J(s_j) = C_j J(s_{j-1}) + S_j k_{j-1} of a field with right-slopes k
+(jacobi_from_slopes, inverted by slopes_from_knots).  The scalar factors (the
+mass matrix K(1), the normal Jacobian and the two volume factors of the pinned
+estimator) come from one forward Gram pass over the path's body (gram_pass).
+Every function takes leading sample axes (one path is a batch of one).
 """
 
 from __future__ import annotations
@@ -94,53 +94,6 @@ def _cs_closed(model: CurvatureModel, xi, s):
     return C, S
 
 
-def _cs_rk4(model: CurvatureModel, xi, h, substeps):
-    """Fixed-step RK4 for Y'' = A_xi Y on [0, h]; returns (C, S, C', S')."""
-    d = model.dim
-    A = geom.curvature_matrix(model, xi)
-    Y = np.hstack([np.eye(d), np.zeros((d, d))])     # values   of (C, S)
-    V = np.hstack([np.zeros((d, d)), np.eye(d)])     # slopes   of (C, S)
-    dt = h / substeps
-
-    def rhs(y, v):
-        return v, A @ y
-
-    for _ in range(substeps):
-        k1y, k1v = rhs(Y, V)
-        k2y, k2v = rhs(Y + 0.5 * dt * k1y, V + 0.5 * dt * k1v)
-        k3y, k3v = rhs(Y + 0.5 * dt * k2y, V + 0.5 * dt * k2v)
-        k4y, k4v = rhs(Y + dt * k3y, V + dt * k3v)
-        Y = Y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        V = V + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return Y[:, :d], Y[:, d:], V[:, :d], V[:, d:]
-
-
-def solve_cs_interval(model: CurvatureModel, xi, h, method="closed", substeps=100):
-    """Cosine/sine matrix pair (C_xi(h), S_xi(h)) for one interval.
-
-    method "closed" is the production route; "rk4" integrates the same system
-    with `substeps` fixed RK4 steps and exists as an independent check.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("xi must be finite")
-    try:
-        h = float(h)
-    except (TypeError, ValueError):
-        raise ValueError("interval length h must be a scalar") from None
-    if not np.isfinite(h) or h <= 0:
-        raise ValueError("interval length h must be a positive finite scalar")
-    if xi.shape != (model.dim,):
-        raise ValueError(f"xi must have shape ({model.dim},)")
-    if method == "closed":
-        C, S = _cs_closed(model, xi, float(h))
-        return C, S
-    if method == "rk4":
-        C, S, _, _ = _cs_rk4(model, xi, float(h), int(substeps))
-        return C, S
-    raise ValueError(f"unknown method {method!r}")
-
-
 # ---------------------------------------------------------------------------
 # The forward Gram pass and the scalar factors of the family (leading sample axes)
 # ---------------------------------------------------------------------------
@@ -151,14 +104,13 @@ def batch_cs(model: CurvatureModel, increments, delta: float):
     return _cs_closed(model, velocities, delta)
 
 
-def batch_endpoint_f(model: CurvatureModel, increments, delta: float) -> np.ndarray:
+def batch_endpoint_f(C, S, delta: float) -> np.ndarray:
     """f_i evaluated at the right end of the covered span, i = 1..m.
 
-    increments (..., m, d); returns (..., m, d, d) where entry i-1 is
-    C_m ... C_{i+1} S_i / delta (suffix products).  The pinned estimator
+    C, S (..., m, d, d) from batch_cs; returns (..., m, d, d) where entry i-1
+    is C_m ... C_{i+1} S_i / delta (suffix products).  The pinned estimator
     needs only Gram sums of these (gram_pass); the lift needs each f_i.
     """
-    C, S = batch_cs(model, increments, delta)
     m, d = C.shape[-3], C.shape[-1]
     out = np.empty_like(C)
     suffix = np.broadcast_to(np.eye(d), C.shape[:-3] + (d, d)).copy()
@@ -229,8 +181,11 @@ def pinning_gram(head, n: int) -> np.ndarray:
 
 
 def batch_mass_matrix(f_end, delta: float) -> np.ndarray:
-    """K(end) = delta * sum_i f_i f_i^T from stacked f_i (..., m, d, d)."""
-    return delta * np.einsum("...iab,...icb->...ac", f_end, f_end)
+    """K(end) = delta * sum_i f_i f_i^T from stacked f_i (..., m, d, d), as one
+    product of the (d, m d) block [f_1 ... f_m] with its transpose."""
+    m, d = f_end.shape[-3], f_end.shape[-1]
+    block = np.swapaxes(f_end, -3, -2).reshape(f_end.shape[:-3] + (d, m * d))
+    return delta * (block @ np.swapaxes(block, -1, -2))
 
 
 def _positive_logdet(A, what: str) -> np.ndarray:
@@ -286,106 +241,23 @@ def tip_cond_hits(model: CurvatureModel, xi_x) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The dense family f_i(s_j) and the running mass matrix K(s_j)
+# Broken Jacobi fields at the knots
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JacobiFamily:
-    """All interval response matrices of broken geodesics.
-
-    Arrays carry the leading sample axes (...) of the increments they were
-    built from; a single path has none.
-    velocities : (..., n, d) constant frame velocity per interval (n * increment)
-    C, S       : (..., n, d, d) interval solutions at full step 1/n; index
-                 i - 1 is interval [s_{i-1}, s_i] (the batch_cs layout)
-    f          : (..., n+1, n+1, d, d); f[..., i, j, :, :] = f_i(s_j).  Row 0
-                 is the identity convention; f_i(s_j) = 0 for j < i.
-    K          : (..., n+1, d, d); K[..., j, :, :] = K(s_j), the running mass
-                 matrix
-    """
-
-    model: CurvatureModel
-    partition: Partition
-    velocities: np.ndarray
-    C: np.ndarray
-    S: np.ndarray
-    f: np.ndarray
-    K: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.partition.n
-
-    def f_eval(self, i: int, s: float) -> np.ndarray:
-        """f_i(s) at arbitrary s (piecewise between stored knot values)."""
-        n, delta = self.n, self.partition.mesh
-        if i == 0:
-            return self.f[..., 0, 0, :, :].copy()
-        if s <= (i - 1) * delta:
-            return np.zeros_like(self.f[..., 0, 0, :, :])
-        j = min(int(np.ceil(s / delta - 1e-12)), n)   # interval index holding s
-        local = s - (j - 1) * delta
-        if j == i:
-            _, S = _cs_closed(self.model, self.velocities[..., i - 1, :], local)
-            return S / delta
-        C, _ = _cs_closed(self.model, self.velocities[..., j - 1, :], local)
-        return C @ self.f[..., i, j - 1, :, :]
-
-    def jacobi_eval(self, slopes, s: float) -> np.ndarray:
-        """Piecewise field with value 0 at s=0 and right-slope k_i at s_i."""
-        slopes = np.asarray(slopes, dtype=float)
-        n, delta = self.n, self.partition.mesh
-        j = min(max(int(np.ceil(s / delta - 1e-12)), 1), n)
-        J = jacobi_from_slopes(self, slopes)[..., j - 1, :]
-        C, S = _cs_closed(self.model, self.velocities[..., j - 1, :], s - (j - 1) * delta)
-        return (np.einsum("...ab,...b->...a", C, J)
-                + np.einsum("...ab,...b->...a", S, slopes[..., j - 1, :]))
-
-
-def build_family(model: CurvatureModel, partition: Partition, increments) -> JacobiFamily:
-    """Assemble the dense family from anti-developed increments (..., n, d).
-
-    Holds (n+1)^2 d^2 numbers per path: the reference the suffix pass is
-    tested against, and the input of the convergence statistics, which need
-    f_i(s_j) and K(s_j) at every knot.
-    """
-    increments = np.asarray(increments, dtype=float)
-    n, d = partition.n, model.dim
-    if increments.shape[-2:] != (n, d):
-        raise ValueError(f"increments must have shape (..., {n}, {d})")
-    if not np.all(np.isfinite(increments)):
-        raise ValueError("increments must be finite")
-    delta = partition.mesh
-    velocities = increments / delta
-    C, S = _cs_closed(model, velocities, delta)
-
-    f = np.zeros(increments.shape[:-2] + (n + 1, n + 1, d, d))
-    f[..., 0, :, :, :] = np.eye(d)
-    for j in range(1, n + 1):
-        f[..., j, j, :, :] = S[..., j - 1, :, :] / delta
-        f[..., 1:j, j, :, :] = C[..., j - 1, None, :, :] @ f[..., 1:j, j - 1, :, :]
-
-    # K(s_j) = (1/n) sum_{i <= j} f_i(s_j) f_i(1)^T; rows i > j of f vanish
-    K = np.einsum("...ijab,...icb->...jac", f[..., 1:, :, :, :], f[..., 1:, n, :, :]) / n
-    return JacobiFamily(model, partition, velocities, C, S, f, K)
-
-
-def jacobi_from_slopes(family: JacobiFamily, slopes) -> np.ndarray:
+def jacobi_from_slopes(C, S, slopes) -> np.ndarray:
     """Knot values (..., n+1, d) of the field with right-slopes k_i at the knots.
 
-    Identical to (1/n) sum_i f_{i+1}(s_j) k_i; evaluated by the two-term
-    interval recursion J(s_j) = C_j J(s_{j-1}) + S_j k_{j-1}.
+    C, S (..., n, d, d) in the batch_cs layout, slopes (..., n, d); identical
+    to (1/n) sum_i f_{i+1}(s_j) k_i, by the interval recursion
+    J(s_j) = C_j J(s_{j-1}) + S_j k_{j-1} from J(0) = 0.  C, S may broadcast
+    against more leading axes (many fields along one path).
     """
     slopes = np.asarray(slopes, dtype=float)
-    n, d = family.n, family.model.dim
-    if slopes.shape[-2:] != (n, d):
-        raise ValueError(f"slopes must have shape (..., {n}, {d})")
-    C, S = family.C, family.S
-    J = np.zeros(np.broadcast_shapes(slopes.shape[:-2], C.shape[:-3]) + (n + 1, d))
-    for j in range(1, n + 1):
-        J[..., j, :] = (np.einsum("...ab,...b->...a", C[..., j - 1, :, :], J[..., j - 1, :])
-                        + np.einsum("...ab,...b->...a", S[..., j - 1, :, :],
-                                    slopes[..., j - 1, :]))
+    n = slopes.shape[-2]
+    J = np.zeros(np.broadcast_shapes(slopes.shape[:-2], C.shape[:-3]) + (n + 1, slopes.shape[-1]))
+    for j in range(n):
+        J[..., j + 1, :] = (_matvec(C[..., j, :, :], J[..., j, :])
+                            + _matvec(S[..., j, :, :], slopes[..., j, :]))
     return J
 
 

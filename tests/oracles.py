@@ -52,19 +52,14 @@ def transport_rk4(kappa, x0, v0, w0, t1, steps=2000):
 
 
 def cs_rk4(kappa, xi, h, steps=2000):
-    """(C, S, C', S') for Y'' = A_xi Y with A_xi = kappa(|xi|^2 I - xi xi^T)."""
+    """(C, S, C', S') for Y'' = A_xi Y with A_xi = kappa(|xi|^2 I - xi xi^T),
+    from the first-order system Z' = [[0, I], [A_xi, 0]] Z, Z(0) = I, whose
+    solution is Z = [[C, S], [C', S']]."""
     d = len(xi)
     A = kappa * (np.dot(xi, xi) * np.eye(d) - np.outer(xi, xi))
-
-    def rhs(_, y):
-        Y, V = y[:2 * d * d].reshape(2, d, d), y[2 * d * d:].reshape(2, d, d)
-        return np.concatenate([V.ravel(), np.einsum("ab,ibc->iac", A, Y).ravel()])
-
-    Y0 = np.stack([np.eye(d), np.zeros((d, d))])     # C(0)=I, S(0)=0
-    V0 = np.stack([np.zeros((d, d)), np.eye(d)])     # C'(0)=0, S'(0)=I
-    y = rk4(rhs, np.concatenate([Y0.ravel(), V0.ravel()]), h, steps)
-    Y, V = y[:2 * d * d].reshape(2, d, d), y[2 * d * d:].reshape(2, d, d)
-    return Y[0], Y[1], V[0], V[1]
+    M = np.block([[np.zeros((d, d)), np.eye(d)], [A, np.zeros((d, d))]])
+    Z = rk4(lambda _, z: M @ z, np.eye(2 * d), h, steps)
+    return Z[:d, :d], Z[:d, d:], Z[d:, :d], Z[d:, d:]
 
 
 def broken_jacobi_rk4(kappa, velocities, slopes, steps_per_interval=400):

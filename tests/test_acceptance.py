@@ -15,6 +15,8 @@ from pinpath import cli, diagnostics, geom, jacobi, measures, paths
 from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 
+from tests.oracles import cs_rk4
+
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
 HYP3 = CurvatureModel("hyperbolic", 3, 1.0)
 
@@ -93,9 +95,8 @@ def test_criterion_04_interval_solver_cross_check():
         model = CurvatureModel("hyperbolic", d, kappa)
         xi = rng.normal(size=d)
         h = float(rng.uniform(0.05, 1.0))
-        Cc, Sc = jacobi.solve_cs_interval(model, xi, h, method="closed")
-        Cr, Sr = jacobi.solve_cs_interval(model, xi, h, method="rk4",
-                                          substeps=1000)
+        Cc, Sc = jacobi.batch_cs(model, h * xi, h)
+        Cr, Sr, _, _ = cs_rk4(kappa, xi, h, steps=1000)
         worst = max(worst, float(np.max(np.abs(Cc - Cr))),
                     float(np.max(np.abs(Sc - Sr))))
     ok = worst <= 1e-8
@@ -144,16 +145,15 @@ def test_criterion_08_lift_identities():
     part = Partition(8)
     inc = paths.sample_increments(HYP2, part, 1000, seed=0)
     field = diagnostics.projected_constant_field(HYP2)
+    f_end = jacobi.batch_endpoint_f(*jacobi.batch_cs(HYP2, inc, part.mesh), part.mesh)
     worst_res, worst_orth, worst_def = 0.0, 0.0, np.inf
     for i in range(1000):
-        path = paths.roll(HYP2, part, inc[i])
-        fam = jacobi.build_family(HYP2, part, inc[i])
-        lift = diagnostics.lift_build(path, fam, field)
+        lift = diagnostics.lift_build(paths.roll(HYP2, part, inc[i]), field)
         worst_res = max(worst_res, lift.endpoint_residual)
         worst_orth = max(worst_orth,
-                         diagnostics.lift_orthogonality(fam, lift.slopes)["residual"])
+                         diagnostics.lift_orthogonality(f_end[i], lift.slopes)["residual"])
         worst_def = min(worst_def,
-                        diagnostics.lift_competitor_deficit(fam, lift.slopes,
+                        diagnostics.lift_competitor_deficit(f_end[i], lift.slopes,
                                                             count=100, seed=i))
     ok = worst_res <= 1e-10 and worst_orth <= 1e-8 and worst_def >= -1e-10
     assert report("8 (lift identities)", ok,

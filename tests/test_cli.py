@@ -412,3 +412,13 @@ def test_readme_option_table_matches_the_cli():
             assert cell == want, (key, name)
     assert sorted(keys) == sorted({p.name for cmd in cli.main.commands.values()
                                    for p in cmd.params})
+
+
+def test_readme_python_snippets_run():
+    """The README's ```python blocks run, in order, in one namespace."""
+    blocks = [block.split("```", 1)[0]
+              for block in read_text(README).split("```python\n")[1:]]
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, README, "exec"), namespace)

@@ -32,15 +32,19 @@ class LinearEnd:
         return self.a0 + self.a1 * points[..., -1, 0]
 
 
+def endpoint_f(model, part, inc):
+    """f_i(1) of one path, the input of the lift audits."""
+    return jacobi.batch_endpoint_f(*jacobi.batch_cs(model, inc, part.mesh), part.mesh)
+
+
 def test_lift_flat_grows_linearly():
     """Flat lift of an endpoint vector: equal slopes, linear knot values."""
     rng = np.random.default_rng(15)
     part = Partition(4)
     inc = rng.normal(size=(4, 2)) * 0.5
     path = paths.roll(FLAT2, part, inc)
-    fam = jacobi.build_family(FLAT2, part, inc)
     vec = np.array([0.7, -0.3])
-    lift = lift_build(path, fam, vec)
+    lift = lift_build(path, vec)
     assert np.allclose(lift.endpoint_coords, vec)
     assert np.allclose(lift.slopes, np.tile(vec, (4, 1)), atol=1e-12)
     assert np.allclose(lift.knot_values, np.outer(part.knots, vec), atol=1e-12)
@@ -52,10 +56,10 @@ def test_batched_lift_matches_lift_build():
     part = Partition(5)
     inc = paths.sample_increments(HYP2, part, 6, seed=3)
     field = projected_constant_field(HYP2)
-    slopes, coords, _, _ = diagnostics._batched_lift_slopes(HYP2, part, inc, field)
+    C, S = jacobi.batch_cs(HYP2, inc, part.mesh)
+    slopes, coords, _, _ = diagnostics._batched_lift_slopes(HYP2, part, inc, field, C, S)
     for i in range(6):
-        lift = lift_build(paths.roll(HYP2, part, inc[i]),
-                          jacobi.build_family(HYP2, part, inc[i]), field)
+        lift = lift_build(paths.roll(HYP2, part, inc[i]), field)
         assert np.allclose(lift.slopes, slopes[i], rtol=1e-12, atol=1e-12)
         assert np.allclose(lift.endpoint_coords, coords[i], rtol=1e-12, atol=1e-14)
 
@@ -65,8 +69,7 @@ def test_lift_zero_field():
     part = Partition(3)
     inc = paths.sample_increments(HYP2, part, 1, seed=6)[0]
     path = paths.roll(HYP2, part, inc)
-    fam = jacobi.build_family(HYP2, part, inc)
-    lift = lift_build(path, fam, zero_field(HYP2))
+    lift = lift_build(path, zero_field(HYP2))
     assert np.allclose(lift.slopes, 0.0)
     assert np.allclose(lift.knot_values, 0.0)
     assert lift.endpoint_residual == 0.0
@@ -79,9 +82,7 @@ def test_lift_endpoint_residual_random():
     field = projected_constant_field(HYP2)
     worst = 0.0
     for i in range(200):
-        path = paths.roll(HYP2, part, inc[i])
-        fam = jacobi.build_family(HYP2, part, inc[i])
-        lift = lift_build(path, fam, field)
+        lift = lift_build(paths.roll(HYP2, part, inc[i]), field)
         worst = max(worst, lift.endpoint_residual)
     assert worst < 1e-10
 
@@ -91,10 +92,9 @@ def test_lift_orthogonality_flat_two_intervals():
     part = Partition(2)
     inc = np.array([[0.4], [-0.1]])
     path = paths.roll(FLAT1, part, inc)
-    fam = jacobi.build_family(FLAT1, part, inc)
-    lift = lift_build(path, fam, np.array([1.0]))
+    lift = lift_build(path, np.array([1.0]))
     assert np.allclose(lift.slopes, 1.0)
-    out = lift_orthogonality(fam, lift.slopes)
+    out = lift_orthogonality(endpoint_f(FLAT1, part, inc), lift.slopes)
     assert out["null_dim"] == 1
     basis = out["basis"][:, 0]
     assert np.allclose(np.abs(basis), np.array([1.0, 1.0]) / np.sqrt(2))
@@ -108,14 +108,42 @@ def test_lift_orthogonality_and_minimality_random():
     inc = paths.sample_increments(HYP2, part, 30, seed=1)
     field = projected_constant_field(HYP2)
     for i in range(30):
-        path = paths.roll(HYP2, part, inc[i])
-        fam = jacobi.build_family(HYP2, part, inc[i])
-        lift = lift_build(path, fam, field)
-        out = lift_orthogonality(fam, lift.slopes)
+        lift = lift_build(paths.roll(HYP2, part, inc[i]), field)
+        f_end = endpoint_f(HYP2, part, inc[i])
+        out = lift_orthogonality(f_end, lift.slopes)
         assert out["null_dim"] == (part.n - 1) * 2
         assert out["residual"] < 1e-8
-        deficit = lift_competitor_deficit(fam, lift.slopes, count=50, seed=i)
+        deficit = lift_competitor_deficit(f_end, lift.slopes, count=50, seed=i)
         assert deficit >= -1e-10
+
+
+def test_knot_sups_match_prefix_suffix_passes():
+    """The forward stack of convergence_suite gives the sups over knots j of
+    |f_i(s_j) - ratio[i, j] I| (i <= j), |K(s_j) - k[j] I| and
+    |K(s_j)^T c - p[j] x|, with f_i(s_j) taken from the suffix pass over
+    [0, s_j] and K(s_j) = delta sum_{i<=j} f_i(s_j) f_i(1)^T."""
+    rng = np.random.default_rng(19)
+    model, n, B = CurvatureModel("hyperbolic", 3, 2.0), 6, 5
+    delta = 1.0 / n
+    inc = rng.normal(size=(B, n, 3)) * np.sqrt(delta)
+    coeff, coords = rng.normal(size=(B, 3)), rng.normal(size=(B, 3))
+    ratio, k, p = rng.uniform(0.5, 2.0, size=(n + 1, n + 1)), rng.uniform(size=n + 1), \
+        rng.uniform(size=n + 1)
+    C, S = jacobi.batch_cs(model, inc, delta)
+    f_end = jacobi.batch_endpoint_f(C, S, delta)
+    got = diagnostics._knot_sups(C, S, f_end, coeff, coords, ratio, k, p)
+    want = {name: np.zeros(B) for name in ("f", "K", "J")}
+    for j in range(1, n + 1):
+        f_j = jacobi.batch_endpoint_f(C[:, :j], S[:, :j], delta)     # f_i(s_j), i <= j
+        K = delta * np.einsum("niab,nicb->nac", f_j, f_end[:, :j])
+        gap_f = np.max([np.linalg.norm(f_j[:, i] - ratio[i + 1, j] * np.eye(3), axis=(1, 2))
+                        for i in range(j)], axis=0)
+        gaps = {"f": gap_f, "K": np.linalg.norm(K - k[j] * np.eye(3), axis=(1, 2)),
+                "J": np.linalg.norm(np.einsum("nab,na->nb", K, coeff) - p[j] * coords, axis=1)}
+        for name in want:
+            want[name] = np.maximum(want[name], gaps[name])
+    for name in want:
+        assert np.allclose(got[name], want[name], rtol=1e-12, atol=0.0), name
 
 
 def test_fit_slope_recovers_exact_rate():

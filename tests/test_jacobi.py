@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from pinpath import geom, jacobi
+from pinpath import geom, jacobi, paths
 from pinpath.geom import CurvatureModel, NumericalError
 from pinpath.jacobi import Partition
 
@@ -18,14 +18,33 @@ HYP3 = CurvatureModel("hyperbolic", 3, 1.0)
 SINH1 = np.sinh(1.0)
 
 
-def normal_jacobian(fam):
-    """J_P = sqrt(det K(1)) of a one-path family, through the suffix-pass API."""
-    K = jacobi.batch_mass_matrix(fam.f[1:, fam.n], fam.partition.mesh)
+def cs(model, xi, h):
+    """(C, S) of one interval covered at constant frame velocity xi in time h."""
+    return jacobi.batch_cs(model, h * np.asarray(xi, dtype=float), h)
+
+
+def response_table(model, part, inc):
+    """f_i(s_j) of one path as f[i - 1, j], shape (n, n+1, d, d): the basis
+    field h_{alpha,i} (paths.frame_field_slopes) has knot values
+    f_i(s_j) e_alpha / sqrt(n) (jacobi_from_slopes)."""
+    n, d = part.n, model.dim
+    C, S = jacobi.batch_cs(model, inc, part.mesh)
+    slopes = np.array([[paths.frame_field_slopes(part, d, a, i) for a in range(d)]
+                       for i in range(1, n + 1)])                  # (n, d, n, d)
+    J = jacobi.jacobi_from_slopes(C, S, slopes)                     # (n, d, n+1, d)
+    return np.sqrt(n) * np.moveaxis(J, 1, -1)
+
+
+def normal_jacobian(model, part, inc):
+    """J_P = sqrt(det K(1)) of one path, through the suffix-pass API."""
+    C, S = jacobi.batch_cs(model, inc, part.mesh)
+    K = jacobi.batch_mass_matrix(jacobi.batch_endpoint_f(C, S, part.mesh), part.mesh)
     return float(np.exp(jacobi.log_normal_jacobian(K)))
 
 
-def rho_P(fam):
-    return float(np.exp(jacobi.log_rho_P(fam.S, fam.partition.mesh)))
+def rho_P(model, part, inc):
+    _, S = jacobi.batch_cs(model, inc, part.mesh)
+    return float(np.exp(jacobi.log_rho_P(S, part.mesh)))
 
 
 def volume_change_Vx(model, part, inc, xi_x):
@@ -60,7 +79,7 @@ def test_partition_knot_index():
 def test_cs_flat_closed_form():
     """Flat intervals: C = I and S = h I for any xi."""
     xi = np.array([2.0, -1.0])
-    C, S = jacobi.solve_cs_interval(FLAT2, xi, 0.37)
+    C, S = cs(FLAT2, xi, 0.37)
     assert np.allclose(C, np.eye(2))
     assert np.allclose(S, 0.37 * np.eye(2))
 
@@ -68,7 +87,7 @@ def test_cs_flat_closed_form():
 def test_cs_hyperbolic_axis_vector():
     """kappa=1, xi=e1: block diagonal cosh/sinh in the orthogonal direction."""
     xi = np.array([1.0, 0.0])
-    C, S = jacobi.solve_cs_interval(HYP2, xi, 0.5)
+    C, S = cs(HYP2, xi, 0.5)
     assert np.allclose(C @ xi, xi)                      # kernel direction
     assert np.allclose(S @ xi, 0.5 * xi)
     e2 = np.array([0.0, 1.0])
@@ -78,7 +97,7 @@ def test_cs_hyperbolic_axis_vector():
 
 def test_cs_zero_velocity():
     """xi = 0 collapses to the flat solution on any model."""
-    C, S = jacobi.solve_cs_interval(HYP3, np.zeros(3), 0.25)
+    C, S = cs(HYP3, np.zeros(3), 0.25)
     assert np.allclose(C, np.eye(3))
     assert np.allclose(S, 0.25 * np.eye(3))
 
@@ -90,36 +109,16 @@ def test_cs_closed_vs_independent_rk4():
         for _ in range(5):
             xi = rng.normal(size=model.dim)
             h = float(rng.uniform(0.1, 1.0))
-            C, S = jacobi.solve_cs_interval(model, xi, h)
+            C, S = cs(model, xi, h)
             C0, S0, _, _ = cs_rk4(model.kappa, xi, h)
             assert np.allclose(C, C0, atol=1e-9)
             assert np.allclose(S, S0, atol=1e-9)
-
-
-def test_cs_builtin_rk4_matches_closed():
-    """The module's own rk4 branch agrees with the closed form."""
+    # a long interval at 1000 steps agrees to 1e-10
     xi = np.array([0.7, -0.4, 1.2])
-    Cc, Sc = jacobi.solve_cs_interval(HYP3, xi, 0.8, method="closed")
-    Cr, Sr = jacobi.solve_cs_interval(HYP3, xi, 0.8, method="rk4", substeps=1000)
-    assert np.allclose(Cc, Cr, atol=1e-10)
-    assert np.allclose(Sc, Sr, atol=1e-10)
-
-
-def test_cs_interval_validation():
-    """Bad h, non-finite xi, wrong shape, unknown method all raise."""
-    xi = np.array([1.0, 0.0])
-    with pytest.raises(ValueError):
-        jacobi.solve_cs_interval(HYP2, xi, 0.0)
-    with pytest.raises(ValueError):
-        jacobi.solve_cs_interval(HYP2, xi, -0.5)
-    with pytest.raises(ValueError):
-        jacobi.solve_cs_interval(HYP2, xi, np.nan)
-    with pytest.raises(ValueError):
-        jacobi.solve_cs_interval(HYP2, np.array([np.inf, 0.0]), 0.5)
-    with pytest.raises(ValueError):
-        jacobi.solve_cs_interval(HYP2, np.zeros(3), 0.5)
-    with pytest.raises(ValueError):
-        jacobi.solve_cs_interval(HYP2, xi, 0.5, method="euler")
+    C, S = cs(HYP3, xi, 0.8)
+    C0, S0, _, _ = cs_rk4(1.0, xi, 0.8, steps=1000)
+    assert np.allclose(C, C0, atol=1e-10)
+    assert np.allclose(S, S0, atol=1e-10)
 
 
 def test_cs_semigroup_composition():
@@ -131,8 +130,8 @@ def test_cs_semigroup_composition():
         xi = rng.normal(size=d)
         h = float(rng.uniform(0.05, 0.5))
         A = geom.curvature_matrix(model, xi)
-        C1, S1 = jacobi.solve_cs_interval(model, xi, h)
-        C2, S2 = jacobi.solve_cs_interval(model, xi, 2 * h)
+        C1, S1 = cs(model, xi, h)
+        C2, S2 = cs(model, xi, 2 * h)
         assert np.allclose(C2, C1 @ C1 + A @ S1 @ S1, atol=1e-10)
         assert np.allclose(S2, C1 @ S1 + S1 @ C1, atol=1e-10)
 
@@ -146,7 +145,7 @@ def test_cs_eigenvalue_floors():
         model = CurvatureModel("hyperbolic", d, kappa)
         xi = rng.normal(size=d) * rng.uniform(0.0, 3.0)
         h = float(rng.uniform(0.01, 1.0))
-        C, S = jacobi.solve_cs_interval(model, xi, h)
+        C, S = cs(model, xi, h)
         assert np.linalg.eigvalsh(C).min() >= 1.0 - 1e-12
         assert np.linalg.eigvalsh(S).min() >= h - 1e-12
 
@@ -156,54 +155,61 @@ def test_family_flat_is_trivial():
     rng = np.random.default_rng(31)
     part = Partition(6)
     inc = rng.normal(size=(6, 2)) * np.sqrt(part.mesh)
-    fam = jacobi.build_family(FLAT2, part, inc)
+    f = response_table(FLAT2, part, inc)
     for j in range(1, 7):
         for i in range(1, j + 1):
-            assert np.allclose(fam.f[i, j], np.eye(2), atol=1e-12)
-    assert np.allclose(fam.K[6], np.eye(2), atol=1e-12)
-    assert normal_jacobian(fam) == pytest.approx(1.0, abs=1e-12)
-    assert rho_P(fam) == pytest.approx(1.0, abs=1e-12)
+            assert np.allclose(f[i - 1, j], np.eye(2), atol=1e-12)
+    assert np.allclose(sum(f[i, 6] @ f[i, 6].T for i in range(6)) / 6, np.eye(2), atol=1e-12)
+    assert normal_jacobian(FLAT2, part, inc) == pytest.approx(1.0, abs=1e-12)
+    assert rho_P(FLAT2, part, inc) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_family_index_conventions():
-    """Row 0 is the identity; f[i, j] = 0 below the diagonal."""
+    """f_i(s_j) = 0 for j < i, and f_i(s_i) = S_i / delta."""
     rng = np.random.default_rng(37)
     part = Partition(4)
     inc = rng.normal(size=(4, 2)) * 0.5
-    fam = jacobi.build_family(HYP2, part, inc)
-    for j in range(5):
-        assert np.allclose(fam.f[0, j], np.eye(2))
+    f = response_table(HYP2, part, inc)
+    _, S = jacobi.batch_cs(HYP2, inc, part.mesh)
     for i in range(1, 5):
         for j in range(i):
-            assert np.allclose(fam.f[i, j], 0.0)
-    assert fam.f.shape == (5, 5, 2, 2)
-    assert fam.K.shape == (5, 2, 2)
+            assert np.all(f[i - 1, j] == 0.0)
+        assert np.allclose(f[i - 1, i], S[i - 1] / part.mesh, atol=1e-12)
+    assert f.shape == (4, 5, 2, 2)
 
 
 def test_family_single_interval_response():
     """n=1: f_1(1) = S(1) has the sinh profile orthogonal to the velocity."""
     part = Partition(1)
     inc = np.array([[1.0, 0.0]])
-    fam = jacobi.build_family(HYP2, part, inc)
+    f = response_table(HYP2, part, inc)
     want = np.diag([1.0, SINH1])
-    assert np.allclose(fam.f[1, 1], want, atol=1e-12)
+    assert np.allclose(f[0, 1], want, atol=1e-12)
     # independent check on the same matrix
     _, S0, _, _ = cs_rk4(1.0, np.array([1.0, 0.0]), 1.0)
-    assert np.allclose(fam.f[1, 1], S0, atol=1e-9)
-    assert normal_jacobian(fam) == pytest.approx(SINH1, rel=1e-12)
+    assert np.allclose(f[0, 1], S0, atol=1e-9)
+    assert normal_jacobian(HYP2, part, inc) == pytest.approx(SINH1, rel=1e-12)
 
 
 def test_mass_matrix_running_definition():
-    """K(s_j) = (1/n) sum_{i<=j} f_i(s_j) f_i(1)^T, cross-checked directly."""
+    """K(s_j) = (1/n) sum_{i<=j} f_i(s_j) f_i(1)^T applied to c is the knot
+    value at s_j of the field with slopes k_{i-1} = f_i(1)^T c (the lift's
+    form); K(1) is batch_mass_matrix of the suffix products."""
     rng = np.random.default_rng(41)
     part = Partition(5)
     inc = rng.normal(size=(5, 3)) * np.sqrt(part.mesh)
-    fam = jacobi.build_family(HYP3, part, inc)
+    f = response_table(HYP3, part, inc)
+    C, S = jacobi.batch_cs(HYP3, inc, part.mesh)
+    f_end = jacobi.batch_endpoint_f(C, S, part.mesh)
+    c = rng.normal(size=3)
+    J = jacobi.jacobi_from_slopes(C, S, np.einsum("iab,a->ib", f_end, c))
     for j in range(1, 6):
-        K = sum(fam.f[i, j] @ fam.f[i, 5].T for i in range(1, j + 1)) / 5
-        assert np.allclose(fam.K[j], K, atol=1e-12)
+        K = sum(f[i - 1, j] @ f[i - 1, 5].T for i in range(1, j + 1)) / 5
+        assert np.allclose(K @ c, J[j], atol=1e-12)
+    K1 = jacobi.batch_mass_matrix(f_end, part.mesh)
+    assert np.allclose(K1, sum(f[i, 5] @ f[i, 5].T for i in range(5)) / 5, atol=1e-12)
     # endpoint mass-matrix eigenvalues sit at or above one
-    assert np.linalg.eigvalsh(fam.K[5]).min() >= 1.0 - 1e-10
+    assert np.linalg.eigvalsh(K1).min() >= 1.0 - 1e-10
 
 
 def test_jacobi_from_slopes_zero_and_flat():
@@ -211,12 +217,12 @@ def test_jacobi_from_slopes_zero_and_flat():
     rng = np.random.default_rng(43)
     part = Partition(4)
     inc = rng.normal(size=(4, 2)) * 0.5
-    fam = jacobi.build_family(HYP2, part, inc)
-    assert np.allclose(jacobi.jacobi_from_slopes(fam, np.zeros((4, 2))), 0.0)
+    C, S = jacobi.batch_cs(HYP2, inc, part.mesh)
+    assert np.allclose(jacobi.jacobi_from_slopes(C, S, np.zeros((4, 2))), 0.0)
 
-    fam_flat = jacobi.build_family(FLAT2, part, inc)
+    C, S = jacobi.batch_cs(FLAT2, inc, part.mesh)
     slopes = np.tile([1.0, 0.0], (4, 1))
-    J = jacobi.jacobi_from_slopes(fam_flat, slopes)
+    J = jacobi.jacobi_from_slopes(C, S, slopes)
     assert np.allclose(J[:, 0], part.knots, atol=1e-12)
     assert np.allclose(J[:, 1], 0.0)
 
@@ -227,28 +233,9 @@ def test_jacobi_from_slopes_vs_ode():
     part = Partition(2)
     inc = rng.normal(size=(2, 2)) * np.sqrt(part.mesh)
     slopes = rng.normal(size=(2, 2))
-    fam = jacobi.build_family(HYP2, part, inc)
-    got = jacobi.jacobi_from_slopes(fam, slopes)
-    want = broken_jacobi_rk4(1.0, fam.velocities, slopes)
+    got = jacobi.jacobi_from_slopes(*jacobi.batch_cs(HYP2, inc, part.mesh), slopes)
+    want = broken_jacobi_rk4(1.0, inc / part.mesh, slopes)
     assert np.allclose(got, want, atol=1e-9)
-
-
-def test_jacobi_eval_right_slope():
-    """jacobi_eval has right-derivative slopes[i] just after each knot."""
-    rng = np.random.default_rng(53)
-    part = Partition(4)
-    inc = rng.normal(size=(4, 2)) * np.sqrt(part.mesh)
-    slopes = rng.normal(size=(4, 2))
-    fam = jacobi.build_family(HYP2, part, inc)
-    J = jacobi.jacobi_from_slopes(fam, slopes)
-    eps = 1e-7
-    for i in range(4):
-        s = part.knots[i]
-        right = (fam.jacobi_eval(slopes, s + eps) - J[i]) / eps
-        assert np.allclose(right, slopes[i], atol=1e-5)
-    # and the values at the knots match the recursion output
-    for i in range(1, 5):
-        assert np.allclose(fam.jacobi_eval(slopes, part.knots[i]), J[i], atol=1e-12)
 
 
 def test_slopes_from_knots_inverts():
@@ -256,24 +243,11 @@ def test_slopes_from_knots_inverts():
     rng = np.random.default_rng(59)
     part = Partition(8)
     inc = rng.normal(size=(8, 3)) * np.sqrt(part.mesh)
-    fam = jacobi.build_family(HYP3, part, inc)
+    C, S = jacobi.batch_cs(HYP3, inc, part.mesh)
     slopes = rng.normal(size=(8, 3))
-    J = jacobi.jacobi_from_slopes(fam, slopes)
-    back = jacobi.slopes_from_knots(fam.C, fam.S, J)
+    J = jacobi.jacobi_from_slopes(C, S, slopes)
+    back = jacobi.slopes_from_knots(C, S, J)
     assert np.allclose(back, slopes, atol=1e-10)
-
-
-def test_f_eval_matches_knot_table():
-    """f_eval at the knots reproduces the stored f[i, j] entries."""
-    rng = np.random.default_rng(61)
-    part = Partition(4)
-    inc = rng.normal(size=(4, 2)) * np.sqrt(part.mesh)
-    fam = jacobi.build_family(HYP2, part, inc)
-    for i in range(5):
-        for j in range(1, 5):
-            assert np.allclose(fam.f_eval(i, part.knots[j]), fam.f[i, j], atol=1e-12)
-    # before its own interval the response vanishes
-    assert np.allclose(fam.f_eval(3, 0.3), 0.0)
 
 
 def test_normal_jacobian_floor_random():
@@ -283,18 +257,17 @@ def test_normal_jacobian_floor_random():
         n = int(rng.integers(2, 17))
         part = Partition(n)
         inc = rng.normal(size=(n, 2)) * np.sqrt(part.mesh)
-        fam = jacobi.build_family(HYP2, part, inc)
-        assert normal_jacobian(fam) >= 1.0 - 1e-12
-        assert rho_P(fam) >= 1.0 - 1e-12
+        assert normal_jacobian(HYP2, part, inc) >= 1.0 - 1e-12
+        assert rho_P(HYP2, part, inc) >= 1.0 - 1e-12
 
 
 def test_rho_p_closed_value():
     """n=2 with unit first increment: rho_P = det(2 S_1(1/2)) = sinh(1)."""
     part = Partition(2)
     inc = np.array([[1.0, 0.0], [0.1, 0.1]])   # second interval is not counted
-    fam = jacobi.build_family(HYP2, part, inc)
-    assert rho_P(fam) == pytest.approx(SINH1, rel=1e-12)
-    assert jacobi.log_rho_P(fam.S, part.mesh) == pytest.approx(np.log(SINH1), rel=1e-12)
+    assert rho_P(HYP2, part, inc) == pytest.approx(SINH1, rel=1e-12)
+    _, S = jacobi.batch_cs(HYP2, inc, part.mesh)
+    assert jacobi.log_rho_P(S, part.mesh) == pytest.approx(np.log(SINH1), rel=1e-12)
 
 
 def test_volume_change_flat_any_target():
@@ -366,19 +339,20 @@ def test_volume_change_curved_exceeds_flat():
 
 
 def test_batched_endpoint_products():
-    """Batched suffix products match the per-path family table."""
+    """Batched suffix products match the per-path response table at s = 1."""
     rng = np.random.default_rng(89)
     part = Partition(5)
     inc = rng.normal(size=(7, 5, 2)) * np.sqrt(part.mesh)
-    f_end = jacobi.batch_endpoint_f(HYP2, inc, part.mesh)
+    f_end = jacobi.batch_endpoint_f(*jacobi.batch_cs(HYP2, inc, part.mesh), part.mesh)
     K = jacobi.batch_mass_matrix(f_end, part.mesh)
     logj = jacobi.log_normal_jacobian(K)
     for s in range(7):
-        fam = jacobi.build_family(HYP2, part, inc[s])
+        f = response_table(HYP2, part, inc[s])
+        K1 = sum(f[i, 5] @ f[i, 5].T for i in range(5)) / 5
         for i in range(1, 6):
-            assert np.allclose(f_end[s, i - 1], fam.f[i, 5], atol=1e-12)
-        assert np.allclose(K[s], fam.K[5], atol=1e-12)
-        assert np.isclose(logj[s], 0.5 * np.linalg.slogdet(fam.K[5])[1], atol=1e-12)
+            assert np.allclose(f_end[s, i - 1], f[i - 1, 5], atol=1e-12)
+        assert np.allclose(K[s], K1, atol=1e-12)
+        assert np.isclose(logj[s], 0.5 * np.linalg.slogdet(K1)[1], atol=1e-12)
 
 
 def test_body_pass_extends_to_full_pass():
@@ -390,9 +364,9 @@ def test_body_pass_extends_to_full_pass():
             part = Partition(n)
             inc = rng.normal(size=(6, n, model.dim)) * np.sqrt(part.mesh)
             G, _ = jacobi.gram_pass(model, inc[:, :-1])
-            C, S = jacobi.batch_cs(model, inc[:, -1], part.mesh)
-            got = jacobi.end_mass_matrix(G, C, S, part.mesh)
-            want = jacobi.batch_mass_matrix(jacobi.batch_endpoint_f(model, inc, part.mesh),
+            C, S = jacobi.batch_cs(model, inc, part.mesh)
+            got = jacobi.end_mass_matrix(G, C[:, -1], S[:, -1], part.mesh)
+            want = jacobi.batch_mass_matrix(jacobi.batch_endpoint_f(C, S, part.mesh),
                                             part.mesh)
             assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
@@ -408,13 +382,12 @@ def test_batched_factors_match_batch_of_one():
 
     def factors(inc, slopes, tip):
         C, S = jacobi.batch_cs(model, inc, delta)
-        fam = jacobi.build_family(model, part, inc)
-        f_end = jacobi.batch_endpoint_f(model, inc, delta)
+        f_end = jacobi.batch_endpoint_f(C, S, delta)
         G, head = jacobi.gram_pass(model, inc[..., :-1, :])
         K = jacobi.end_mass_matrix(G, C[..., -1, :, :], S[..., -1, :, :], delta)
         Cx, Sx = jacobi.batch_cs(model, tip, delta)
-        J = jacobi.jacobi_from_slopes(fam, slopes)
-        return [fam.f, fam.K, f_end, G, head, K,
+        J = jacobi.jacobi_from_slopes(C, S, slopes)
+        return [f_end, jacobi.batch_mass_matrix(f_end, delta), G, head, K,
                 jacobi.log_normal_jacobian(K), jacobi.log_rho_P(S, delta),
                 jacobi.log_volume_change(jacobi.pinning_gram(head, part.n), Cx, Sx), J,
                 jacobi.slopes_from_knots(C, S, J)]

@@ -151,18 +151,21 @@ def test_g1p_inner_products():
 
 
 def test_frame_field_matches_response_matrix():
-    """The basis field's knot values are f[i, j] e_alpha / sqrt(n)."""
+    """The basis field's knot values are f_i(s_j) e_alpha / sqrt(n): the
+    forward recursion of its slopes matches the suffix products
+    f_i(s_j) = C_j ... C_{i+1} S_i / delta over the span [0, s_j]."""
     rng = np.random.default_rng(39)
     part = Partition(6)
     inc = rng.normal(size=(6, 2)) * np.sqrt(part.mesh)
-    fam = jacobi.build_family(HYP2, part, inc)
+    C, S = jacobi.batch_cs(HYP2, inc, part.mesh)
     for alpha in range(2):
         for i in range(1, 7):
             slopes = paths.frame_field_slopes(part, 2, alpha, i)
-            J = jacobi.jacobi_from_slopes(fam, slopes)
+            J = jacobi.jacobi_from_slopes(C, S, slopes)
             for j in range(7):
-                want = fam.f[i, j][:, alpha] / np.sqrt(6) if j >= i else np.zeros(2)
-                assert np.allclose(J[j], want, atol=1e-10)
+                f_ij = (jacobi.batch_endpoint_f(C[:j], S[:j], part.mesh)[i - 1]
+                        if j >= i else np.zeros((2, 2)))
+                assert np.allclose(J[j], f_ij[:, alpha] / np.sqrt(6), atol=1e-10)
 
 
 def test_csv_dump_layout():

@@ -77,17 +77,91 @@ def test_roll_anti_roll_round_trip(kind, d, kappa, n, seed, scale):
 @example(kind="flat", d=1, kappa=1.0, n=2, seed=2, scale=1.0)
 def test_gram_pass_matches_suffix_products(kind, d, kappa, n, seed, scale):
     """G = sum_i f_i f_i^T and head = sum_{i<=n-1} f_i f_i^T at the end of the
-    span agree with the stored suffix products f_i = batch_endpoint_f."""
-    model = CurvatureModel(kind, d, kappa)
-    delta = Partition(n).mesh
+    span agree with the suffix products f_i = batch_endpoint_f, and so does
+    the forward recursion: the basis field h_{alpha,i} ends at f_i e_alpha / sqrt(n)."""
+    model, part = CurvatureModel(kind, d, kappa), Partition(n)
+    delta = part.mesh
     inc = scale * np.sqrt(delta) * np.random.default_rng(seed).normal(size=(4, n, d))
     G, head = jacobi.gram_pass(model, inc)
-    f_end = jacobi.batch_endpoint_f(model, inc, delta)
+    C, S = jacobi.batch_cs(model, inc, delta)
+    f_end = jacobi.batch_endpoint_f(C, S, delta)
     want_G = jacobi.batch_mass_matrix(f_end, delta) / delta
     want_head = np.einsum("...iab,...icb->...ac", f_end[:, :-1], f_end[:, :-1])
     tol = 1e-12 * max(1.0, float(np.max(np.abs(want_G))))
     assert np.allclose(G, want_G, rtol=0.0, atol=tol)
     assert np.allclose(head, want_head, rtol=0.0, atol=tol)
+    slopes = np.array([[paths.frame_field_slopes(part, d, a, i) for a in range(d)]
+                       for i in range(1, n + 1)])                  # (n, d, n, d)
+    J = jacobi.jacobi_from_slopes(C[:, None, None], S[:, None, None], slopes)
+    got = np.sqrt(n) * np.swapaxes(J[..., -1, :], -1, -2)           # (4, n, d, d)
+    assert np.allclose(got, f_end, rtol=0.0,
+                       atol=1e-12 * max(1.0, float(np.max(np.abs(f_end)))))
+
+
+wide_kappas = st.floats(min_value=0.1, max_value=10.0)
+
+
+def boosted_frame_point(model, seed, spread):
+    """A frame point at sqrt(kappa)-distance `spread` from o, reached by exp_map."""
+    rng = np.random.default_rng(seed)
+    return rng, geom.exp_map(model, geom.base_frame_point(model),
+                             step_of_length(rng, model.dim, model.kappa, spread))
+
+
+@PROPERTY
+@given(d=dims, kappa=wide_kappas, seed=seeds, spread=st.floats(0.0, 2.0),
+       step=st.floats(0.0, 6.0))
+@example(d=3, kappa=10.0, seed=0, spread=2.0, step=6.0)
+@example(d=1, kappa=0.1, seed=1, spread=2.0, step=6.0)
+@example(d=2, kappa=1.0, seed=2, spread=2.0, step=1e-9)
+@example(d=2, kappa=1.0, seed=3, spread=0.0, step=0.0)
+def test_exp_log_round_trip(d, kappa, seed, spread, step):
+    """log_point inverts exp_point to 1e-12 / sqrt(kappa) in frame coordinates,
+    for steps of sqrt(kappa)-length up to 6 from points within
+    sqrt(kappa)-distance 2 of o.
+
+    That is the reachable range at this tolerance.  exp_point takes the step
+    length from the Minkowski norm of the ambient step, whose entries grow
+    like cosh(spread); the norm cancels, and the worst error over steps up to
+    6 grows to about 9e-12 at spread 3, 4e-10 at 4 and 6e-7 at 6 (a step of 6
+    back to o from distance 6 lands 2.6e-7 off).
+    """
+    model = CurvatureModel("hyperbolic", d, kappa)
+    rng, fp = boosted_frame_point(model, seed, spread)
+    v = step_of_length(rng, d, kappa, step)
+    y = geom.exp_point(model, fp.point, geom.frame_vector(fp.frame, v))
+    back = geom.frame_coords(model, fp.frame, geom.log_point(model, fp.point, y))
+    assert np.allclose(back, v, rtol=0.0, atol=1e-12 / np.sqrt(kappa))
+
+
+@PROPERTY
+@given(d=dims, kappa=wide_kappas, seed=seeds, spread=st.floats(0.0, 6.0),
+       step=st.floats(0.0, 6.0))
+@example(d=3, kappa=10.0, seed=0, spread=6.0, step=6.0)
+@example(d=1, kappa=0.1, seed=1, spread=0.0, step=6.0)
+def test_transport_is_an_isometry(d, kappa, seed, spread, step):
+    """transport along a step of sqrt(kappa)-length up to 6, from points
+    within sqrt(kappa)-distance 6 of o, keeps Minkowski inner products and
+    lands tangent at the new point.
+
+    Ambient entries of the points and vectors grow like E = cosh of the larger
+    sqrt(kappa)-distance of x and y from o (up to cosh 12, about 8e4), and
+    Minkowski products of such vectors cancel, so the roundoff is about
+    eps E^2 relative: the tolerance 1e-14 E^2 holds over the whole range.
+    """
+    model = CurvatureModel("hyperbolic", d, kappa)
+    rng, fp = boosted_frame_point(model, seed, spread)
+    x = fp.point
+    y = geom.exp_point(model, x, geom.frame_vector(fp.frame, step_of_length(rng, d, kappa, step)))
+    w = geom.frame_vector(fp.frame, rng.normal(size=(3, d)))
+    t = geom.transport(model, x, y, w)
+    gram = geom.minkowski_inner(w[:, None], w[None])
+    scale = np.sqrt(np.max(np.abs(gram)))
+    tol = 1e-14 * max(1.0, float(np.max(np.abs([x, y]))) * np.sqrt(kappa)) ** 2
+    assert np.allclose(geom.minkowski_inner(t[:, None], t[None]), gram, rtol=0.0,
+                       atol=tol * scale ** 2)
+    assert np.allclose(np.sqrt(kappa) * geom.minkowski_inner(y, t), 0.0, rtol=0.0,
+                       atol=tol * scale)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=4)
