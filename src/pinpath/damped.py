@@ -11,7 +11,6 @@ module works with the scalars only; a matrix is its scalar times I_d:
     K(s) = k_profile(c, s)         mass, T_s [int_0^s T_r^{-1} (T_r^{-1})^* dr] T_1^*
     C    = ctilde_scalar(c)        [int_0^1 (T_r^* T_r)^{-1} dr]^{-1} T_1^{-1}
     J(s) = K(s) / K(1) * H         damped field, exactly H at s = 1
-    Z(s) = z_profile(c, s)         damped coordinate field along e_alpha
 """
 
 from __future__ import annotations
@@ -44,11 +43,3 @@ def ctilde_scalar(c: float) -> float:
     if c == 0.0:
         return 1.0
     return c * np.exp(0.5 * c) / np.expm1(c)
-
-
-def z_profile(c: float, s):
-    """Z(s) scalar: (2/c) sinh(cs/2), flat limit s."""
-    s = np.asarray(s, dtype=float)
-    if c == 0.0:
-        return s.copy() if s.ndim else float(s)
-    return 2.0 / c * np.sinh(0.5 * c * s)

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import damped, geom, jacobi, paths
 from .geom import CurvatureModel, NumericalError
@@ -43,13 +42,6 @@ def projected_constant_field(model, direction=None):
     def field(p):
         p = np.asarray(p, dtype=float)
         return geom.project_tangent(model, p, np.broadcast_to(direction, p.shape))
-
-    return field
-
-
-def zero_field(model):
-    def field(p):
-        return np.zeros_like(np.asarray(p, dtype=float))
 
     return field
 
@@ -112,56 +104,6 @@ def _lift_slopes(f_end, delta, coords):
     mass = jacobi.batch_mass_matrix(f_end, delta)
     coeff = np.linalg.solve(mass, coords[..., None])[..., 0]
     return coeff, np.einsum("...iab,...a->...ib", f_end, coeff)
-
-
-def endpoint_map_matrix(f_end):
-    """(d, n*d) matrix sending stacked slopes to the endpoint value / n;
-    f_end (n, d, d) holds f_i(1) (jacobi.batch_endpoint_f)."""
-    n, d = f_end.shape[0], f_end.shape[-1]
-    return np.transpose(f_end, (1, 0, 2)).reshape(d, n * d) / n
-
-
-def lift_orthogonality(f_end, lift_slopes):
-    """Residual of the lift against the null space of the endpoint map.
-
-    Returns dict with the worst normalized inner product ("residual"),
-    the null-space dimension, and the basis used (stacked slope vectors).
-    """
-    n, d = f_end.shape[0], f_end.shape[-1]
-    basis = null_space(endpoint_map_matrix(f_end))  # (n*d, q), euclidean-ON
-    if basis.size == 0:
-        return {"residual": 0.0, "null_dim": 0, "basis": basis}
-    worst = 0.0
-    flat_lift = np.asarray(lift_slopes, dtype=float).reshape(n * d)
-    for q in range(basis.shape[1]):
-        z = basis[:, q]
-        # G1 inner product of slope lists = (euclidean dot) / n
-        val = abs(float(flat_lift @ z)) / n
-        znorm = float(np.linalg.norm(z)) / np.sqrt(n)
-        worst = max(worst, val / znorm)
-    return {"residual": worst, "null_dim": basis.shape[1], "basis": basis}
-
-
-def lift_competitor_deficit(f_end, lift_slopes, count=100, seed=0):
-    """Max norm deficit of random same-endpoint competitors vs the lift.
-
-    Competitors are lift + null-space elements; returns min over draws of
-    (competitor norm - lift norm), which must be >= -1e-10 when the lift is
-    minimal.
-    """
-    n, d = f_end.shape[0], f_end.shape[-1]
-    basis = null_space(endpoint_map_matrix(f_end))
-    flat_lift = np.asarray(lift_slopes, dtype=float).reshape(n * d)
-    lift_norm = np.linalg.norm(flat_lift) / np.sqrt(n)
-    if basis.size == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(count):
-        coeffs = rng.standard_normal(basis.shape[1])
-        comp = flat_lift + basis @ coeffs
-        worst = min(worst, np.linalg.norm(comp) / np.sqrt(n) - lift_norm)
-    return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +279,8 @@ def _knot_sups(C, S, f_end, coeff, coords, ratio, k_cmp, j_prof):
     One forward pass carries the stack [f_1(s_j) ... f_j(s_j)] as a (d, j d)
     block, so f <- C_j f is one product per knot and f_j(s_j) = S_j / delta
     is the new column block; K(s_j) = delta sum_{i<=j} f_i(s_j) f_i(1)^T is
-    that block times the one of f_end (f_i(1), from the suffix pass).
+    that block times the one of f_end (f_i(1), from the suffix pass), and
+    the lift's knot value is J(s_j) = K(s_j) c for its coefficients c.
     """
     B, n, d = f_end.shape[:3]
     delta = 1.0 / n
@@ -352,7 +295,7 @@ def _knot_sups(C, S, f_end, coeff, coords, ratio, k_cmp, j_prof):
         f_j = stack[:, :, :j * d].reshape(B, d, j, d)
         f_gap = f_j - ratio[1:j + 1, j, None] * eye[:, None, :]
         K = delta * (stack[:, :, :j * d] @ np.swapaxes(ends[:, :, :j * d], 1, 2))
-        lift_J = np.einsum("nab,na->nb", K, coeff)
+        lift_J = np.einsum("nab,nb->na", K, coeff)
         gaps = {"f": np.linalg.norm(f_gap, axis=(1, 3)).max(axis=1),
                 "K": np.linalg.norm(K - k_cmp[j] * eye, axis=(-2, -1)),
                 "J": np.linalg.norm(lift_J - j_prof[j] * coords, axis=-1)}
@@ -599,9 +542,9 @@ def gradient_compare(model, partition, observable, n_samples=64, seed=0,
         for a in range(d):
             moved_plus = points.copy()
             moved_minus = points.copy()
-            step_vec = FD_STEP * frames[:, j, :, a]
-            moved_plus[:, j] = geom.exp_point(model, points[:, j], step_vec)
-            moved_minus[:, j] = geom.exp_point(model, points[:, j], -step_vec)
+            step = FD_STEP * np.eye(d)[a]
+            moved_plus[:, j] = geom.exp_frame(model, points[:, j], frames[:, j], step)[0]
+            moved_minus[:, j] = geom.exp_frame(model, points[:, j], frames[:, j], -step)[0]
             f_plus = observable.evaluate(model, part, moved_plus)
             f_minus = observable.evaluate(model, part, moved_minus)
             grad_a = (f_plus - f_minus) / (2 * FD_STEP)

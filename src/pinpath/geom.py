@@ -127,19 +127,8 @@ def distance(model: CurvatureModel, x, y):
     return np.arccosh(np.maximum(c, 1.0)) / np.sqrt(model.kappa)
 
 
-def exp_point(model: CurvatureModel, x, v):
-    """Geodesic step: exp_x(v) for an ambient tangent vector v at x."""
-    if model.kind == "flat":
-        return x + v
-    sk = np.sqrt(model.kappa)
-    nrm = np.sqrt(np.maximum(minkowski_inner(v, v), 0.0))
-    a = sk * nrm
-    y = np.cosh(a)[..., None] * x + sinhc(a)[..., None] * v
-    return _renormalize_point(model, y)
-
-
 def log_point(model: CurvatureModel, x, y):
-    """Inverse of exp_point: ambient tangent v at x with exp_x(v) = y."""
+    """Inverse of the exponential map: ambient tangent v at x with exp_x(v) = y."""
     if model.kind == "flat":
         return y - x
     kappa = model.kappa
@@ -147,16 +136,6 @@ def log_point(model: CurvatureModel, x, y):
     a = np.arccosh(c)                       # = sqrt(kappa) * distance
     u = y - c[..., None] * x                # <u,u>_M = sinh(a)^2 / kappa
     return u / sinhc(a)[..., None]
-
-
-def transport(model: CurvatureModel, x, y, w):
-    """Parallel transport of ambient tangent w along the geodesic x -> y."""
-    if model.kind == "flat":
-        return w
-    kappa = model.kappa
-    c = np.maximum(-kappa * minkowski_inner(x, y), 1.0)
-    coef = kappa * minkowski_inner(y, w) / (1.0 + c)
-    return w + coef[..., None] * (x + y)
 
 
 def project_tangent(model: CurvatureModel, x, w):
@@ -247,7 +226,8 @@ def transport_frame(model: CurvatureModel, x, y, frame, v_frame):
     """Parallel transport of an orthonormal frame at x along the geodesic to
     y = exp_x(frame v_frame); v_frame (..., d) in frame coordinates.
 
-    Equal to transport applied column by column: for an orthonormal frame
+    Equal to the per-vector transport w + kappa <y, w>_M / (1 + cosh a) (x + y)
+    applied column by column: for an orthonormal frame
     <y, u_alpha>_M = sinhc(a) v_alpha with a = sqrt(kappa)|v_frame|, so the
     frame moves by the rank-one boost
     u' = u + kappa sinhc(a)/(1 + cosh a) (x + y) v_frame^T.
@@ -269,55 +249,3 @@ def exp_map(model: CurvatureModel, fp: FramePoint, v) -> FramePoint:
     v = np.asarray(v, dtype=float)
     y, f = exp_frame(model, fp.point, fp.frame, v)
     return FramePoint(y, f)
-
-
-def log_map(model: CurvatureModel, fp: FramePoint, y) -> np.ndarray:
-    """Frame coordinates of log_{fp.point}(y); inverse of exp_map on points."""
-    y = y.point if isinstance(y, FramePoint) else np.asarray(y, dtype=float)
-    v_amb = log_point(model, fp.point, y)
-    return frame_coords(model, fp.frame, v_amb)
-
-
-# ---------------------------------------------------------------------------
-# Curvature in frame coordinates (frame-independent for these models)
-# ---------------------------------------------------------------------------
-
-def curvature_apply(model: CurvatureModel, a, b, c):
-    """R(a,b)c in orthonormal-frame coordinates: -kappa(<b,c>a - <a,c>b)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if model.kind == "flat":
-        return np.zeros(np.broadcast(a, b, c).shape)
-    bc = np.sum(b * c, axis=-1)[..., None]
-    ac = np.sum(a * c, axis=-1)[..., None]
-    return -model.kappa * (bc * a - ac * b)
-
-
-def curvature_quadratic(model: CurvatureModel, xi, v):
-    """A_xi(v) = R(xi, v)xi = kappa(|xi|^2 v - <v,xi> xi); PSD with kernel xi."""
-    xi = np.asarray(xi, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if model.kind == "flat":
-        return np.zeros(np.broadcast(xi, v).shape)
-    n2 = np.sum(xi * xi, axis=-1)[..., None]
-    vx = np.sum(v * xi, axis=-1)[..., None]
-    return model.kappa * (n2 * v - vx * xi)
-
-
-def curvature_matrix(model: CurvatureModel, xi):
-    """Matrix of A_xi acting on frame coordinates; shape (..., d, d)."""
-    xi = np.asarray(xi, dtype=float)
-    d = model.dim
-    eye = np.eye(d)
-    if model.kind == "flat":
-        return np.zeros(xi.shape[:-1] + (d, d))
-    n2 = np.sum(xi * xi, axis=-1)[..., None, None]
-    outer = xi[..., :, None] * xi[..., None, :]
-    return model.kappa * (n2 * eye - outer)
-
-
-def ricci_apply(model: CurvatureModel, v):
-    """Ricci operator: kappa (d-1) Identity applied to v."""
-    v = np.asarray(v, dtype=float)
-    return model.kappa * (model.dim - 1) * v

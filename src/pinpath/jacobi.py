@@ -51,14 +51,6 @@ class Partition:
             raise ValueError(f"time {t} is not a knot of the partition")
         return j
 
-    @classmethod
-    def from_knots(cls, knots) -> "Partition":
-        knots = np.asarray(knots, dtype=float)
-        n = len(knots) - 1
-        if n < 1 or not np.allclose(knots, np.arange(n + 1) / n, atol=1e-12):
-            raise ValueError("knots must be 0, 1/n, ..., 1 (equal spacing)")
-        return cls(n)
-
 
 # ---------------------------------------------------------------------------
 # One-interval cosine/sine solutions of Y'' = A_xi Y
@@ -279,18 +271,3 @@ def _matvec(A, v):
     for a, b in np.ndindex(A.shape[-2:]):
         out[..., a] += A[..., a, b] * v[..., b]
     return out
-
-
-def det_identity_check(A, rtol=1e-10):
-    """Evaluate det(S^T S) against det(I + A A^T) for the stack S = [I; A].
-
-    A : (k, m) block mapping the m-dim identity slot to k extra rows.
-    Returns (lhs, rhs, ok); the two dets agree to rtol in exact arithmetic.
-    """
-    A = np.asarray(A, dtype=float)
-    k, m = A.shape
-    S = np.vstack([np.eye(m), A])
-    lhs = float(np.linalg.det(S.T @ S))
-    rhs = float(np.linalg.det(np.eye(k) + A @ A.T))
-    ok = abs(lhs - rhs) <= rtol * max(abs(lhs), abs(rhs), 1.0)
-    return lhs, rhs, ok

@@ -10,8 +10,9 @@ where J_P is the endpoint normal Jacobian of the full pinned path and V_x the
 volume factor of the pinning map.  The weighted mean of an observable
 estimates its integral against the *unnormalized* pinned measure, whose total
 mass is the heat kernel p_1(o, x); in flat space that identity is exact for
-every n.  Closed heat kernels, the radial-PDE oracle, and the split-time
-quadrature oracle used to cross-check the estimator live here too.
+every n.  The closed heat kernels the estimator is gated against live here
+too; the numerical oracles that check them (radial PDE, split-time
+quadrature) are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import geom, jacobi, paths
 from .geom import CurvatureModel, NumericalError
@@ -293,7 +293,7 @@ def heat_kernel_exact(model: CurvatureModel, t: float, x=None, y=None,
     """Unit-time-diffusion heat kernel p_t(x, y).
 
     Flat: Gaussian in any dimension.  Hyperbolic: closed radial form, d=3 and
-    kappa=1 only (validated once against the radial-PDE oracle); other
+    kappa=1 only (checked against the radial-PDE oracle in tests/oracles.py); other
     hyperbolic dimensions are rejected.
     """
     if t <= 0:
@@ -312,123 +312,3 @@ def heat_kernel_exact(model: CurvatureModel, t: float, x=None, y=None,
     val = ((2 * np.pi * t) ** (-1.5) / geom.sinhc(rho)
            * np.exp(-rho * rho / (2 * t) - 0.5 * t))
     return float(val) if val.ndim == 0 else val
-
-
-# ---------------------------------------------------------------------------
-# Radial-PDE oracle (hyperbolic d=3, kappa=1)
-# ---------------------------------------------------------------------------
-
-def _cn_evolve(v, dr, dt, steps):
-    """Crank-Nicolson for v_t = (v_rr - v)/2, Dirichlet ends; v is interior."""
-    m = v.size
-    lam = dt / (4.0 * dr * dr)
-    # A v = (v_rr - v)/2 ; banded forms of I -/+ (dt/2) A
-    main_minus = np.full(m, 1.0 + 2.0 * lam + 0.25 * dt)
-    off_minus = np.full(m - 1, -lam)
-    main_plus = np.full(m, 1.0 - 2.0 * lam - 0.25 * dt)
-    off_plus = np.full(m - 1, lam)
-    ab = np.zeros((3, m))
-    ab[0, 1:] = off_minus
-    ab[1, :] = main_minus
-    ab[2, :-1] = off_minus
-    for _ in range(steps):
-        rhs = main_plus * v
-        rhs[1:] += off_plus * v[:-1]
-        rhs[:-1] += off_plus * v[1:]
-        v = solve_banded((1, 1), ab, rhs)
-    return v
-
-
-def radial_pde_kernel(rho_eval, t: float = 1.0, cells: int = 10000,
-                      r_max: float = 30.0, t0: float = 0.02,
-                      dt: float = 5e-4, richardson: bool = True):
-    """Numerical p_t(o, rho) on the d=3, kappa=1 hyperboloid via a radial PDE.
-
-    In v = sinh(rho) * p the radial heat flow becomes v_t = (v_rr - v)/2 on
-    (0, r_max) with Dirichlet ends.  Start from the short-time asymptotic
-    profile v(t0) ~ (2 pi t0)^{-3/2} rho exp(-rho^2/(2 t0)) and evolve by
-    Crank-Nicolson; Richardson over t0 removes the O(t0) launch error.
-    """
-    rho_eval = np.atleast_1d(np.asarray(rho_eval, dtype=float))
-    grid = np.linspace(0.0, r_max, cells + 1)
-    dr = grid[1] - grid[0]
-    interior = grid[1:-1]
-
-    def run(t_start):
-        v = (2 * np.pi * t_start) ** (-1.5) * interior * np.exp(
-            -interior * interior / (2 * t_start))
-        steps = int(np.ceil((t - t_start) / dt))
-        return _cn_evolve(v, dr, (t - t_start) / steps, steps)
-
-    v1 = run(t0)
-    v = 2.0 * run(t0 / 2.0) - v1 if richardson else v1
-    p = v / np.sinh(interior)
-    return np.interp(rho_eval, interior, p)
-
-
-# ---------------------------------------------------------------------------
-# Split-time quadrature oracle
-# ---------------------------------------------------------------------------
-
-def _pair_density(model: CurvatureModel, t1, t2, rho_target, r, costh):
-    """p_t1(o, y) p_t2(y, x) for y at radius r, polar angle acos(costh)."""
-    if model.kind == "flat":
-        d2 = r * r + rho_target * rho_target - 2.0 * r * rho_target * costh
-        rho2 = np.sqrt(np.maximum(d2, 0.0))
-    else:
-        ch = (np.cosh(r) * np.cosh(rho_target)
-              - np.sinh(r) * np.sinh(rho_target) * costh)
-        rho2 = np.arccosh(np.maximum(ch, 1.0))
-    return (heat_kernel_exact(model, t1, rho=r)
-            * heat_kernel_exact(model, t2, rho=rho2))
-
-
-def pinned_fdd_oracle(model: CurvatureModel, x, g, t_split: float = 0.5,
-                      tol: float = 1e-4, m0: int = 128, m_max: int = 4096):
-    """Quadrature value of  int g(d(o,y)) p_t(o,y) p_{1-t}(y,x) dvol(y).
-
-    Midpoint rule on a polar grid, doubled until the Richardson error estimate
-    drops below tol (absolute); returns (value, error_estimate).  Supports
-    flat d in {1,2,3} and hyperbolic d=3 (kappa=1).  g is a vectorized
-    callable of the radius.
-    """
-    x_amb = _target_point(model, x)
-    rho_t = float(geom.distance(model, geom.base_point(model), x_amb))
-    t1, t2 = t_split, 1.0 - t_split
-    r_max = max(8.0, rho_t + 8.0)
-    d = model.dim
-    if model.kind == "hyperbolic" and d != 3:
-        raise ValueError("hyperbolic quadrature oracle needs d=3")
-
-    def integral(m):
-        r = (np.arange(m) + 0.5) * (r_max / m)
-        if model.kind == "flat" and d == 1:
-            y = np.concatenate([-r[::-1], r])
-            vals = (g(np.abs(y)) * heat_kernel_exact(model, t1, rho=np.abs(y))
-                    * heat_kernel_exact(model, t2, rho=np.abs(y - rho_t)))
-            return float(np.sum(vals) * (r_max / m))
-        th = (np.arange(m) + 0.5) * (np.pi / m)
-        R, TH = np.meshgrid(r, th, indexing="ij")
-        dens = _pair_density(model, t1, t2, rho_t, R, np.cos(TH))
-        if model.kind == "flat" and d == 2:
-            elem = R                     # r dr dth, doubled for th in (pi, 2pi)
-            total = 2.0
-        elif model.kind == "flat":
-            elem = 2.0 * np.pi * R * R * np.sin(TH)
-            total = 1.0
-        else:
-            elem = 2.0 * np.pi * np.sinh(R) ** 2 * np.sin(TH)
-            total = 1.0
-        vals = g(R) * dens * elem
-        return float(total * np.sum(vals) * (r_max / m) * (np.pi / m))
-
-    prev = integral(m0)
-    m = 2 * m0
-    while m <= m_max:
-        cur = integral(m)
-        err = abs(cur - prev) / 3.0
-        if err <= tol:
-            return cur + (cur - prev) / 3.0, err
-        prev = cur
-        m *= 2
-    raise NumericalError(f"quadrature did not reach tol={tol} by m={m_max}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from . import geom
 from .geom import CurvatureModel, FramePoint
@@ -56,7 +57,7 @@ def sample_increments(model: CurvatureModel, partition: Partition, count: int,
 def _chunk_normals(seed: int, chunk_id: int, n: int, d: int) -> np.ndarray:
     """Standard-normal block (CHUNK, n, d) for one Philox key."""
     key = np.array([seed, chunk_id], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = Generator(Philox(key=key))
     return rng.standard_normal((CHUNK, n, d))
 
 

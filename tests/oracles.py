@@ -2,12 +2,28 @@
 
 Everything here is deliberately written against the raw defining ODEs /
 closed-form densities, without importing the production solvers, so that
-agreement between the two is meaningful.
+agreement between the two is meaningful:
+
+- RK4 integrators of the geodesic, transport and Jacobi equations;
+- the per-vector closed form of parallel transport (``transport``) and the
+  curvature quadratic A_xi as a matrix (``curvature_matrix``);
+- the radial-PDE heat kernel on the d=3, kappa=1 hyperboloid
+  (``radial_pde_kernel``, Crank-Nicolson in ``_cn_evolve``);
+- the split-time quadrature of the pinned marginal (``pinned_fdd_oracle``,
+  ``_pair_density``).  It multiplies closed-form heat kernels taken from
+  ``pinpath.measures.heat_kernel_exact``, which stays in the package because
+  the ``pinned`` command gates on it;
+- the null space of the lift's endpoint map (``endpoint_map_matrix``,
+  ``lift_orthogonality``, ``lift_competitor_deficit``) and the determinant
+  identity det(S^T S) = det(I + A A^T) (``det_identity_check``);
+- finite-difference and Gaussian-algebra references for flat space.
 """
 
 import numpy as np
+from scipy.linalg import null_space, solve_banded
 
-from pinpath.geom import minkowski_inner
+from pinpath.geom import NumericalError, minkowski_inner
+from pinpath.measures import heat_kernel_exact
 
 
 def rk4(f, y0, t1, steps):
@@ -51,12 +67,28 @@ def transport_rk4(kappa, x0, v0, w0, t1, steps=2000):
     return y[2 * D:]
 
 
+def transport(kappa, x, y, w):
+    """Closed-form parallel transport of ambient tangent w at x along the
+    hyperboloid geodesic to y: w + kappa <y, w>_M / (1 + c) (x + y) with
+    c = -kappa <x, y>_M = cosh of the sqrt(kappa)-distance."""
+    c = np.maximum(-kappa * minkowski_inner(x, y), 1.0)
+    coef = kappa * minkowski_inner(y, w) / (1.0 + c)
+    return w + coef[..., None] * (x + y)
+
+
+def curvature_matrix(kappa, xi):
+    """A_xi = R(xi, .)xi = kappa (|xi|^2 I - xi xi^T) on frame coordinates;
+    PSD with kernel xi, and zero for kappa = 0 (flat)."""
+    xi = np.asarray(xi, dtype=float)
+    return kappa * (np.dot(xi, xi) * np.eye(len(xi)) - np.outer(xi, xi))
+
+
 def cs_rk4(kappa, xi, h, steps=2000):
     """(C, S, C', S') for Y'' = A_xi Y with A_xi = kappa(|xi|^2 I - xi xi^T),
     from the first-order system Z' = [[0, I], [A_xi, 0]] Z, Z(0) = I, whose
     solution is Z = [[C, S], [C', S']]."""
     d = len(xi)
-    A = kappa * (np.dot(xi, xi) * np.eye(d) - np.outer(xi, xi))
+    A = curvature_matrix(kappa, xi)
     M = np.block([[np.zeros((d, d)), np.eye(d)], [A, np.zeros((d, d))]])
     Z = rk4(lambda _, z: M @ z, np.eye(2 * d), h, steps)
     return Z[:d, :d], Z[:d, d:], Z[d:, :d], Z[d:, d:]
@@ -70,8 +102,7 @@ def broken_jacobi_rk4(kappa, velocities, slopes, steps_per_interval=400):
     J = np.zeros(d)
     out = [J.copy()]
     for j in range(n):
-        xi = velocities[j]
-        A = kappa * (np.dot(xi, xi) * np.eye(d) - np.outer(xi, xi))
+        A = curvature_matrix(kappa, velocities[j])
 
         def rhs(_, y, A=A):
             return np.concatenate([y[d:], A @ y[:d]])
@@ -138,3 +169,190 @@ def flat_bridge_abs_moment_1d(x):
         + mu * (1 - 2 * norm.cdf(-mu / sigma))
     p1 = (2 * np.pi) ** (-0.5) * np.exp(-x ** 2 / 2)
     return p1 * folded
+
+
+# ---------------------------------------------------------------------------
+# Radial-PDE heat kernel (hyperbolic d=3, kappa=1)
+# ---------------------------------------------------------------------------
+
+def _cn_evolve(v, dr, dt, steps):
+    """Crank-Nicolson for v_t = (v_rr - v)/2, Dirichlet ends; v is interior."""
+    m = v.size
+    lam = dt / (4.0 * dr * dr)
+    # A v = (v_rr - v)/2 ; banded forms of I -/+ (dt/2) A
+    main_minus = np.full(m, 1.0 + 2.0 * lam + 0.25 * dt)
+    off_minus = np.full(m - 1, -lam)
+    main_plus = np.full(m, 1.0 - 2.0 * lam - 0.25 * dt)
+    off_plus = np.full(m - 1, lam)
+    ab = np.zeros((3, m))
+    ab[0, 1:] = off_minus
+    ab[1, :] = main_minus
+    ab[2, :-1] = off_minus
+    for _ in range(steps):
+        rhs = main_plus * v
+        rhs[1:] += off_plus * v[:-1]
+        rhs[:-1] += off_plus * v[1:]
+        v = solve_banded((1, 1), ab, rhs)
+    return v
+
+
+def radial_pde_kernel(rho_eval, t=1.0, cells=10000, r_max=30.0, t0=0.02, dt=5e-4,
+                      richardson=True):
+    """Numerical p_t(o, rho) on the d=3, kappa=1 hyperboloid via a radial PDE.
+
+    In v = sinh(rho) * p the radial heat flow becomes v_t = (v_rr - v)/2 on
+    (0, r_max) with Dirichlet ends.  Start from the short-time asymptotic
+    profile v(t0) ~ (2 pi t0)^{-3/2} rho exp(-rho^2/(2 t0)) and evolve by
+    Crank-Nicolson; Richardson over t0 removes the O(t0) launch error.
+    """
+    rho_eval = np.atleast_1d(np.asarray(rho_eval, dtype=float))
+    grid = np.linspace(0.0, r_max, cells + 1)
+    dr = grid[1] - grid[0]
+    interior = grid[1:-1]
+
+    def run(t_start):
+        v = (2 * np.pi * t_start) ** (-1.5) * interior * np.exp(
+            -interior * interior / (2 * t_start))
+        steps = int(np.ceil((t - t_start) / dt))
+        return _cn_evolve(v, dr, (t - t_start) / steps, steps)
+
+    v1 = run(t0)
+    v = 2.0 * run(t0 / 2.0) - v1 if richardson else v1
+    p = v / np.sinh(interior)
+    return np.interp(rho_eval, interior, p)
+
+
+# ---------------------------------------------------------------------------
+# Split-time quadrature of the pinned marginal
+# ---------------------------------------------------------------------------
+
+def _pair_density(model, t1, t2, rho_target, r, costh):
+    """p_t1(o, y) p_t2(y, x) for y at radius r, polar angle acos(costh)."""
+    if model.kind == "flat":
+        d2 = r * r + rho_target * rho_target - 2.0 * r * rho_target * costh
+        rho2 = np.sqrt(np.maximum(d2, 0.0))
+    else:
+        ch = (np.cosh(r) * np.cosh(rho_target)
+              - np.sinh(r) * np.sinh(rho_target) * costh)
+        rho2 = np.arccosh(np.maximum(ch, 1.0))
+    return (heat_kernel_exact(model, t1, rho=r)
+            * heat_kernel_exact(model, t2, rho=rho2))
+
+
+def pinned_fdd_oracle(model, rho, g, t_split=0.5, tol=1e-4, m0=128, m_max=4096):
+    """Quadrature value of  int g(d(o,y)) p_t(o,y) p_{1-t}(y,x) dvol(y)
+    for a target x at distance rho from o.
+
+    Midpoint rule on a polar grid, doubled until the Richardson error estimate
+    drops below tol (absolute); returns (value, error_estimate).  Supports
+    flat d in {1,2,3} and hyperbolic d=3 (kappa=1).  g is a vectorized
+    callable of the radius.
+    """
+    rho_t = float(rho)
+    t1, t2 = t_split, 1.0 - t_split
+    r_max = max(8.0, rho_t + 8.0)
+    d = model.dim
+    if model.kind == "hyperbolic" and d != 3:
+        raise ValueError("hyperbolic quadrature oracle needs d=3")
+
+    def integral(m):
+        r = (np.arange(m) + 0.5) * (r_max / m)
+        if model.kind == "flat" and d == 1:
+            y = np.concatenate([-r[::-1], r])
+            vals = (g(np.abs(y)) * heat_kernel_exact(model, t1, rho=np.abs(y))
+                    * heat_kernel_exact(model, t2, rho=np.abs(y - rho_t)))
+            return float(np.sum(vals) * (r_max / m))
+        th = (np.arange(m) + 0.5) * (np.pi / m)
+        R, TH = np.meshgrid(r, th, indexing="ij")
+        dens = _pair_density(model, t1, t2, rho_t, R, np.cos(TH))
+        if model.kind == "flat" and d == 2:
+            elem = R                     # r dr dth, doubled for th in (pi, 2pi)
+            total = 2.0
+        elif model.kind == "flat":
+            elem = 2.0 * np.pi * R * R * np.sin(TH)
+            total = 1.0
+        else:
+            elem = 2.0 * np.pi * np.sinh(R) ** 2 * np.sin(TH)
+            total = 1.0
+        vals = g(R) * dens * elem
+        return float(total * np.sum(vals) * (r_max / m) * (np.pi / m))
+
+    prev = integral(m0)
+    m = 2 * m0
+    while m <= m_max:
+        cur = integral(m)
+        err = abs(cur - prev) / 3.0
+        if err <= tol:
+            return cur + (cur - prev) / 3.0, err
+        prev = cur
+        m *= 2
+    raise NumericalError(f"quadrature did not reach tol={tol} by m={m_max}")
+
+
+# ---------------------------------------------------------------------------
+# The lift against the null space of the endpoint map
+# ---------------------------------------------------------------------------
+
+def endpoint_map_matrix(f_end):
+    """(d, n*d) matrix sending stacked slopes to the endpoint value / n;
+    f_end (n, d, d) holds f_i(1) (jacobi.batch_endpoint_f)."""
+    n, d = f_end.shape[0], f_end.shape[-1]
+    return np.transpose(f_end, (1, 0, 2)).reshape(d, n * d) / n
+
+
+def lift_orthogonality(f_end, lift_slopes):
+    """Residual of the lift against the null space of the endpoint map.
+
+    Returns dict with the worst normalized inner product ("residual"),
+    the null-space dimension, and the basis used (stacked slope vectors).
+    """
+    n, d = f_end.shape[0], f_end.shape[-1]
+    basis = null_space(endpoint_map_matrix(f_end))  # (n*d, q), euclidean-ON
+    if basis.size == 0:
+        return {"residual": 0.0, "null_dim": 0, "basis": basis}
+    worst = 0.0
+    flat_lift = np.asarray(lift_slopes, dtype=float).reshape(n * d)
+    for q in range(basis.shape[1]):
+        z = basis[:, q]
+        # G1 inner product of slope lists = (euclidean dot) / n
+        val = abs(float(flat_lift @ z)) / n
+        znorm = float(np.linalg.norm(z)) / np.sqrt(n)
+        worst = max(worst, val / znorm)
+    return {"residual": worst, "null_dim": basis.shape[1], "basis": basis}
+
+
+def lift_competitor_deficit(f_end, lift_slopes, count=100, seed=0):
+    """Max norm deficit of random same-endpoint competitors vs the lift.
+
+    Competitors are lift + null-space elements; returns min over draws of
+    (competitor norm - lift norm), which must be >= -1e-10 when the lift is
+    minimal.
+    """
+    n, d = f_end.shape[0], f_end.shape[-1]
+    basis = null_space(endpoint_map_matrix(f_end))
+    flat_lift = np.asarray(lift_slopes, dtype=float).reshape(n * d)
+    lift_norm = np.linalg.norm(flat_lift) / np.sqrt(n)
+    if basis.size == 0:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for _ in range(count):
+        coeffs = rng.standard_normal(basis.shape[1])
+        comp = flat_lift + basis @ coeffs
+        worst = min(worst, np.linalg.norm(comp) / np.sqrt(n) - lift_norm)
+    return float(worst)
+
+
+def det_identity_check(A, rtol=1e-10):
+    """Evaluate det(S^T S) against det(I + A A^T) for the stack S = [I; A].
+
+    A : (k, m) block mapping the m-dim identity slot to k extra rows.
+    Returns (lhs, rhs, ok); the two dets agree to rtol in exact arithmetic.
+    """
+    A = np.asarray(A, dtype=float)
+    k, m = A.shape
+    S = np.vstack([np.eye(m), A])
+    lhs = float(np.linalg.det(S.T @ S))
+    rhs = float(np.linalg.det(np.eye(k) + A @ A.T))
+    ok = abs(lhs - rhs) <= rtol * max(abs(lhs), abs(rhs), 1.0)
+    return lhs, rhs, ok

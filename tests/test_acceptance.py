@@ -15,7 +15,8 @@ from pinpath import cli, diagnostics, geom, jacobi, measures, paths
 from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 
-from tests.oracles import cs_rk4
+from tests.oracles import (cs_rk4, det_identity_check, lift_competitor_deficit,
+                           lift_orthogonality, pinned_fdd_oracle)
 
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
 HYP3 = CurvatureModel("hyperbolic", 3, 1.0)
@@ -76,7 +77,7 @@ def test_criterion_03_midpoint_observable():
     obs = measures.radial_observable(0.5, "r")
     res = measures.pinned_estimate(HYP3, Partition(32), (E1_3, 1.0), obs,
                                    200000, seed=0)
-    oracle, err_est = measures.pinned_fdd_oracle(HYP3, (E1_3, 1.0), lambda r: r)
+    oracle, err_est = pinned_fdd_oracle(HYP3, 1.0, lambda r: r)
     gate = max(0.03 * abs(oracle), 3 * res.stderr)
     gap = abs(res.mean - oracle)
     ok = gap <= gate and err_est < 1e-4
@@ -151,10 +152,9 @@ def test_criterion_08_lift_identities():
         lift = diagnostics.lift_build(paths.roll(HYP2, part, inc[i]), field)
         worst_res = max(worst_res, lift.endpoint_residual)
         worst_orth = max(worst_orth,
-                         diagnostics.lift_orthogonality(f_end[i], lift.slopes)["residual"])
+                         lift_orthogonality(f_end[i], lift.slopes)["residual"])
         worst_def = min(worst_def,
-                        diagnostics.lift_competitor_deficit(f_end[i], lift.slopes,
-                                                            count=100, seed=i))
+                        lift_competitor_deficit(f_end[i], lift.slopes, count=100, seed=i))
     ok = worst_res <= 1e-10 and worst_orth <= 1e-8 and worst_def >= -1e-10
     assert report("8 (lift identities)", ok,
                   "endpoint %.1e, orthogonality %.1e, min deficit %.1e"
@@ -212,8 +212,7 @@ def test_criterion_10_determinism(tmp_path):
     for _ in range(100):
         d = int(rng.integers(1, 5))
         n = int(rng.integers(2, 9))
-        _, _, okk = jacobi.det_identity_check(rng.normal(size=(d, (n - 1) * d)),
-                                              rtol=1e-10)
+        _, _, okk = det_identity_check(rng.normal(size=(d, (n - 1) * d)), rtol=1e-10)
         det_ok = det_ok and okk
     ok = same_csv and same_conv and roll_gap <= 1e-9 and det_ok
     assert report("10 (determinism & identities)", ok,

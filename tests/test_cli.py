@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,20 @@ def run_cli(args):
 def read_text(path):
     with open(path) as fh:
         return fh.read()
+
+
+def test_cli_import_loads_numpy_random_and_no_scipy():
+    """`import pinpath.cli` in a fresh interpreter loads no scipy module, and
+    loads numpy.random up front rather than inside the first sampling call."""
+    code = ("import json, sys, pinpath.cli; print(json.dumps("
+            "[sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'numpy.random' in sys.modules]))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    scipy_modules, numpy_random = json.loads(out)
+    assert scipy_modules == []
+    assert numpy_random
 
 
 def test_pinned_flat_gates_pass(tmp_path):

