@@ -23,7 +23,7 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from . import diagnostics, measures, paths
+from . import diagnostics, geom, measures, paths
 from .geom import CurvatureModel, NumericalError
 from .jacobi import Partition
 
@@ -120,10 +120,8 @@ class RunConfig:
         return CurvatureModel(self.model, self.d, kappa)
 
     def target(self):
-        if self.rho is not None:
-            e1 = np.zeros(self.d)
-            e1[0] = 1.0
-            return (e1, float(self.rho))
+        if self.rho is not None:            # tangent coordinates at o along e1
+            return float(self.rho) * np.eye(self.d)[0]
         return np.asarray(self.x, dtype=float)
 
 
@@ -265,7 +263,7 @@ def cmd_pinned(cfg):
     rows = []
     gates = []
     x_amb = measures._target_point(mdl, cfg.target())
-    x_norm = float(measures.geom.distance(mdl, measures.geom.base_point(mdl), x_amb))
+    x_norm = float(geom.distance(mdl, geom.base_point(mdl), x_amb))
     oracle = None
     if cfg.observable == "mass":
         try:
@@ -347,11 +345,11 @@ def cmd_props(cfg):
                      "seed": 0, "out": "."})
 def cmd_sample(cfg):
     """Dump free broken-geodesic paths to CSV."""
-    part = Partition(cfg.n_values[0])
-    batch = measures.sample_nu1P(cfg.build_model(), part, cfg.n_samples, cfg.seed)
+    mdl = cfg.build_model()
+    inc = paths.sample_increments(mdl, Partition(cfg.n_values[0]), cfg.n_samples, cfg.seed)
     csv_path = os.path.join(cfg.out_dir, "paths.csv")
     with open(csv_path, "w") as fh:
-        paths.dump_paths_csv([batch.path(i) for i in range(cfg.n_samples)], fh)
+        paths.dump_paths_csv(inc, *paths.roll_batch(mdl, inc), fh)
     click.echo(f"wrote {cfg.n_samples} paths to {csv_path}")
     return True, {"csv": csv_path}
 

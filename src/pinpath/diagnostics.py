@@ -1,9 +1,10 @@
-"""Lift construction, convergence-rate reports, and integration-by-parts checks.
+"""Lifts, convergence-rate reports, and integration-by-parts checks.
 
-Everything here consumes broken geodesics (paths.py) together with their
-interval response matrices (jacobi.py) and compares discrete objects against
-the damped closed forms (damped.py).  All report objects are CSV-serializable
-and carry explicit pass/fail gates so the CLI can turn them into exit codes.
+Everything here consumes batches of increments and their rolled knots
+(paths.py) together with their interval response matrices (jacobi.py) and
+compares discrete objects against the damped closed forms (damped.py).  All
+report objects are CSV-serializable and carry explicit pass/fail gates so the
+CLI can turn them into exit codes.
 """
 
 from dataclasses import dataclass, field
@@ -50,42 +51,6 @@ def projected_constant_field(model, direction=None):
 # lift of an endpoint vector field through the pinning map
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lift:
-    """Minimal-norm path-space representative of an endpoint vector.
-
-    slopes[i] is the right-hand slope on interval i in the rolled frame;
-    knot_values[j] collects the induced field at knot j.  endpoint_residual
-    is |knot_values[n] - endpoint_coords| (should be ~1e-15, gated 1e-10).
-    """
-
-    endpoint_coords: np.ndarray   # (d,) frame coordinates of X at the endpoint
-    coefficients: np.ndarray      # (d,) mass-matrix inverse applied to them
-    slopes: np.ndarray            # (n, d)
-    knot_values: np.ndarray       # (n+1, d)
-    endpoint_residual: float
-
-
-def lift_build(path, x_vector):
-    """Build the lift of an endpoint tangent vector along a broken geodesic.
-
-    path: a paths.BrokenGeodesic; x_vector: ambient vector at its endpoint (or
-    a callable point -> vector), tangent-projected before use.  Returns a Lift.
-    """
-    n, delta = path.partition.n, path.partition.mesh
-    coords = _endpoint_coords(path.model, path.points[-1], path.frames[-1], x_vector)
-    C, S = jacobi.batch_cs(path.model, path.increments, delta)
-    f_end = jacobi.batch_endpoint_f(C, S, delta)
-    cond = np.linalg.cond(jacobi.batch_mass_matrix(f_end, delta))
-    if cond > COND_LIMIT:
-        raise NumericalError(f"mass matrix condition number {cond:.3e} exceeds "
-                             f"{COND_LIMIT:.1e}")
-    coeff, slopes = _lift_slopes(f_end, delta, coords)
-    knot_values = jacobi.jacobi_from_slopes(C, S, slopes)
-    residual = float(np.max(np.abs(knot_values[n] - coords)))
-    return Lift(coords, coeff, slopes, knot_values, residual)
-
-
 def _endpoint_coords(model, point, frame, x_vector):
     """Frame coordinates of the tangent projection of X at the endpoint(s).
 
@@ -97,13 +62,25 @@ def _endpoint_coords(model, point, frame, x_vector):
 
 
 def _lift_slopes(f_end, delta, coords):
-    """Lift core: coefficients K(1)^{-1} coords and slopes k_i = f_{i+1}(1)^T coeff.
+    """The lift's core: coefficients K(1)^{-1} coords and slopes k_i = f_{i+1}(1)^T coeff.
 
     f_end (..., n, d, d) holds f_i(1); coords (..., d).  Returns (coeff, slopes).
     """
     mass = jacobi.batch_mass_matrix(f_end, delta)
     coeff = np.linalg.solve(mass, coords[..., None])[..., 0]
     return coeff, np.einsum("...iab,...a->...ib", f_end, coeff)
+
+
+def _batched_lift_slopes(model, part, inc, x_field, C, S):
+    """Slopes of the lift for a batch of increment charts with interval
+    solutions C, S (jacobi.batch_cs of inc).
+
+    Returns (slopes (N,n,d), endpoint coords (N,d), points, frames).
+    """
+    pts, frs = paths.roll_batch(model, inc)
+    coords = _endpoint_coords(model, pts[:, -1], frs[:, -1], x_field)
+    f_end = jacobi.batch_endpoint_f(C, S, part.mesh)
+    return _lift_slopes(f_end, part.mesh, coords)[1], coords, pts, frs
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +284,6 @@ def _knot_sups(C, S, f_end, coeff, coords, ratio, k_cmp, j_prof):
 # ---------------------------------------------------------------------------
 # chart-level integration by parts
 # ---------------------------------------------------------------------------
-
-def _batched_lift_slopes(model, part, inc, x_field, C, S):
-    """Slopes of the lift for a batch of increment charts with interval
-    solutions C, S (jacobi.batch_cs of inc).
-
-    Returns (slopes (N,n,d), endpoint coords (N,d), points, frames).
-    """
-    pts, frs = paths.roll_batch(model, inc)
-    coords = _endpoint_coords(model, pts[:, -1], frs[:, -1], x_field)
-    f_end = jacobi.batch_endpoint_f(C, S, part.mesh)
-    return _lift_slopes(f_end, part.mesh, coords)[1], coords, pts, frs
-
 
 def _chart_velocity(model, part, inc, x_field, want_cond=True):
     """Solve M v = k for the increment-chart velocity of the lift.

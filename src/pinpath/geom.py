@@ -59,22 +59,6 @@ class CurvatureModel:
         return self.kappa
 
 
-@dataclass(frozen=True)
-class FramePoint:
-    """A point with an orthonormal tangent frame (columns of ``frame``)."""
-
-    point: np.ndarray   # (D,)
-    frame: np.ndarray   # (D, d)
-
-    def __post_init__(self):
-        p = np.array(self.point, dtype=float)
-        f = np.array(self.frame, dtype=float)
-        p.setflags(write=False)
-        f.setflags(write=False)
-        object.__setattr__(self, "point", p)
-        object.__setattr__(self, "frame", f)
-
-
 # ---------------------------------------------------------------------------
 # Minkowski helpers (hyperbolic model)
 # ---------------------------------------------------------------------------
@@ -108,18 +92,13 @@ def base_frame(model: CurvatureModel) -> np.ndarray:
     return np.eye(model.ambient_dim, model.dim)
 
 
-def base_frame_point(model: CurvatureModel) -> FramePoint:
-    return FramePoint(base_point(model), base_frame(model))
-
-
 # ---------------------------------------------------------------------------
 # Core point operations (batched over leading axes)
 # ---------------------------------------------------------------------------
 
 def distance(model: CurvatureModel, x, y):
-    """Geodesic distance; accepts FramePoints or ambient arrays."""
-    x = x.point if isinstance(x, FramePoint) else np.asarray(x, dtype=float)
-    y = y.point if isinstance(y, FramePoint) else np.asarray(y, dtype=float)
+    """Geodesic distance between ambient points; broadcasts."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if model.kind == "flat":
         return np.linalg.norm(x - y, axis=-1)
     c = -model.kappa * minkowski_inner(x, y)
@@ -196,7 +175,7 @@ def frame_vector(frame, v):
 
 
 # ---------------------------------------------------------------------------
-# Frame transport / the single exp-with-frame step everything else uses
+# The single exp-with-frame step everything else uses
 # ---------------------------------------------------------------------------
 
 def exp_frame(model: CurvatureModel, x, frame, v_frame):
@@ -207,10 +186,14 @@ def exp_frame(model: CurvatureModel, x, frame, v_frame):
     v_frame  : (..., d) step in frame coordinates
     returns  : (y, new_frame)
 
-    The frame moves by the closed-form update of transport_frame, exact for
-    an orthonormal frame; it is not re-orthonormalised here, so roundoff
-    drift accumulates over many steps until the caller applies
-    renormalize_frame (paths.roll_batch does so on a fixed schedule).
+    The frame moves by parallel transport along the step.  For an
+    orthonormal frame <y, u_alpha>_M = sinhc(a) v_alpha with
+    a = sqrt(kappa)|v_frame|, so the per-vector transport
+    w + kappa <y, w>_M / (1 + cosh a) (x + y) becomes the rank-one boost
+    u' = u + kappa sinhc(a)/(1 + cosh a) (x + y) v_frame^T, exact for an
+    orthonormal frame.  It is not re-orthonormalised here, so roundoff drift
+    accumulates over many steps until the caller applies renormalize_frame
+    (paths.roll_batch does so on a fixed schedule).
     """
     v_amb = frame_vector(frame, v_frame)
     if model.kind == "flat":
@@ -219,33 +202,5 @@ def exp_frame(model: CurvatureModel, x, frame, v_frame):
     a = np.sqrt(model.kappa * np.sum(v_frame * v_frame, axis=-1))
     ch, sc = np.cosh(a), sinhc(a)
     y = _renormalize_point(model, ch[..., None] * x + sc[..., None] * v_amb)
-    return y, _boost_frame(model, x, y, frame, v_frame, ch, sc)
-
-
-def transport_frame(model: CurvatureModel, x, y, frame, v_frame):
-    """Parallel transport of an orthonormal frame at x along the geodesic to
-    y = exp_x(frame v_frame); v_frame (..., d) in frame coordinates.
-
-    Equal to the per-vector transport w + kappa <y, w>_M / (1 + cosh a) (x + y)
-    applied column by column: for an orthonormal frame
-    <y, u_alpha>_M = sinhc(a) v_alpha with a = sqrt(kappa)|v_frame|, so the
-    frame moves by the rank-one boost
-    u' = u + kappa sinhc(a)/(1 + cosh a) (x + y) v_frame^T.
-    """
-    if model.kind == "flat":
-        return frame
-    a = np.sqrt(model.kappa * np.sum(v_frame * v_frame, axis=-1))
-    return _boost_frame(model, x, y, frame, v_frame, np.cosh(a), sinhc(a))
-
-
-def _boost_frame(model, x, y, frame, v_frame, ch, sc):
-    """The rank-one frame update of transport_frame, given cosh a and sinhc a."""
     coef = model.kappa * sc / (1.0 + ch)
-    return frame + (coef[..., None] * (x + y))[..., :, None] * v_frame[..., None, :]
-
-
-def exp_map(model: CurvatureModel, fp: FramePoint, v) -> FramePoint:
-    """Geodesic exponential of frame-coordinate vector v, frame carried along."""
-    v = np.asarray(v, dtype=float)
-    y, f = exp_frame(model, fp.point, fp.frame, v)
-    return FramePoint(y, f)
+    return y, frame + (coef[..., None] * (x + y))[..., :, None] * v_frame[..., None, :]

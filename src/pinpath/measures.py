@@ -88,70 +88,18 @@ def radial_observable(time: float, g: str = "r", bound: float = np.inf,
 
 
 # ---------------------------------------------------------------------------
-# Free-path sampling (the finite-dimensional measure itself)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PathBatch:
-    """Batched rolled paths: increments (N, n, d), knots (N, n+1, D)."""
-
-    model: CurvatureModel
-    partition: Partition
-    increments: np.ndarray
-    points: np.ndarray
-    frames: np.ndarray
-
-    def path(self, i: int) -> paths.BrokenGeodesic:
-        return paths.BrokenGeodesic(self.model, self.partition, self.increments[i],
-                                    self.points[i], self.frames[i])
-
-
-def sample_nu1P(model: CurvatureModel, partition: Partition, count: int,
-                seed: int, start: int = 0) -> PathBatch:
-    """Sample free broken geodesics: N(0, 1/n) increments rolled from o."""
-    inc = paths.sample_increments(model, partition, count, seed, start)
-    pts, frs = paths.roll_batch(model, inc)
-    return PathBatch(model, partition, inc, pts, frs)
-
-
-# ---------------------------------------------------------------------------
 # Pinned samples and the estimator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PinnedSample:
-    """One pinned path: body increments, tip increment, weight, f value."""
-
-    body_increments: np.ndarray   # (n-1, d)
-    tip_increment: np.ndarray     # (d,)
-    points: np.ndarray            # (n+1, D) knots, last = x
-    log_weight: float
-    f_value: float
-
-    @property
-    def weight(self) -> float:
-        return float(np.exp(self.log_weight))
-
-    @property
-    def increments(self) -> np.ndarray:
-        return np.vstack([self.body_increments, self.tip_increment[None, :]])
-
-
 def _target_point(model: CurvatureModel, x) -> np.ndarray:
-    """Accept x as ambient coordinates or ("dir", distance) along an axis."""
-    if isinstance(x, tuple) and len(x) == 2 and np.ndim(x[0]) == 1:
-        direction, dist = np.asarray(x[0], dtype=float), float(x[1])
-        direction = direction / np.linalg.norm(direction)
-        o = geom.base_frame_point(model)
-        return geom.exp_map(model, o, direction * dist).point
+    """Accept x as ambient coordinates or as tangent coordinates at o."""
     x = np.asarray(x, dtype=float)
     if model.kind == "flat":
         if x.shape != (model.dim,):
             raise ValueError("x must be a length-d vector")
         return x
     if x.shape == (model.dim,):          # frame coordinates at o
-        o = geom.base_frame_point(model)
-        return geom.exp_map(model, o, x).point
+        return geom.exp_frame(model, geom.base_point(model), geom.base_frame(model), x)[0]
     if x.shape != (model.ambient_dim,):
         raise ValueError("x must be ambient (d+1) or tangent (d) coordinates")
     # relative: a far point carries roundoff of order kappa |x|^2
@@ -161,13 +109,11 @@ def _target_point(model: CurvatureModel, x) -> np.ndarray:
     return x
 
 
-def _pinned_paths(model: CurvatureModel, partition: Partition, x_amb, seed: int,
-                  start: int, count: int):
-    """Pinned samples [start, start+count) before any observable.
-
-    Returns (body increments (N, n-1, d), knots (N, n+1, D) ending at x,
-    tip vectors xi_x (N, d), log-weights (N,), tip_cond_hits).
-    """
+def _pinned_chunk(model: CurvatureModel, partition: Partition, x_amb,
+                  observable: CylinderObservable, seed: int, start: int,
+                  count: int):
+    """Pinned samples [start, start+count): log-weights (N,), observable
+    values (N,) and tip_cond_hits."""
     n, d, delta = partition.n, model.dim, partition.mesh
     inc = paths.sample_increments(model, partition, count, seed, start)
     body = inc[:, :n - 1, :]
@@ -186,17 +132,8 @@ def _pinned_paths(model: CurvatureModel, partition: Partition, x_amb, seed: int,
 
     log_w = -0.5 * d * LOG_2PI - 0.5 * n * dist2 + log_vx - log_jp
     full_pts = np.concatenate([pts, x_knot[:, None, :]], axis=1)
-    return body, full_pts, xi_x, log_w, jacobi.tip_cond_hits(model, xi_x)
-
-
-def _pinned_chunk(model: CurvatureModel, partition: Partition, x_amb,
-                  observable: CylinderObservable, seed: int, start: int,
-                  count: int):
-    """Log-weights and observable values for samples [start, start+count)."""
-    _, full_pts, _, log_w, tip_cond_hits = _pinned_paths(model, partition, x_amb,
-                                                         seed, start, count)
     f_vals = observable.evaluate(model, partition, full_pts)
-    return log_w, np.asarray(f_vals, dtype=float), tip_cond_hits
+    return log_w, np.asarray(f_vals, dtype=float), jacobi.tip_cond_hits(model, xi_x)
 
 
 @dataclass
@@ -217,10 +154,6 @@ class EstimateResult:
                 "log_w_mean": float(lw.mean()), "log_w_var": float(lw.var()),
                 "ess_frac": float(w.sum() ** 2 / (w.size * np.sum(w * w))),
                 "max_weight_share": float(w.max() / w.sum())}
-
-
-def _estimate_task(args):
-    return _pinned_chunk(*args)
 
 
 def pinned_estimate(model: CurvatureModel, partition: Partition, x,
@@ -244,7 +177,7 @@ def pinned_estimate(model: CurvatureModel, partition: Partition, x,
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # map yields in task order, whichever chunk finishes first
-            results = list(pool.map(_estimate_task, tasks, chunksize=1))
+            results = list(pool.map(_pinned_chunk, *zip(*tasks), chunksize=1))
     else:
         results = [_pinned_chunk(*t) for t in tasks]
 
@@ -273,24 +206,13 @@ def pinned_estimate(model: CurvatureModel, partition: Partition, x,
     return EstimateResult(mean, stderr, n_samples, log_w, f_vals, meta)
 
 
-def pinned_samples(model: CurvatureModel, partition: Partition, x, count: int,
-                   seed: int, observable: CylinderObservable = MASS_OBSERVABLE,
-                   start: int = 0) -> list:
-    """Materialized PinnedSample objects (diagnostic-scale counts)."""
-    x_amb = _target_point(model, x)
-    body, pts, xi_x, log_w, _ = _pinned_paths(model, partition, x_amb, seed, start, count)
-    f_vals = observable.evaluate(model, partition, pts)
-    return [PinnedSample(body[i], xi_x[i], pts[i], float(log_w[i]), float(f_vals[i]))
-            for i in range(count)]
-
-
 # ---------------------------------------------------------------------------
 # Exact heat kernels
 # ---------------------------------------------------------------------------
 
-def heat_kernel_exact(model: CurvatureModel, t: float, x=None, y=None,
-                      rho: float | None = None) -> float:
-    """Unit-time-diffusion heat kernel p_t(x, y).
+def heat_kernel_exact(model: CurvatureModel, t: float, *, rho) -> float:
+    """Unit-time-diffusion heat kernel p_t at geodesic distance rho (scalar
+    or array).
 
     Flat: Gaussian in any dimension.  Hyperbolic: closed radial form, d=3 and
     kappa=1 only (checked against the radial-PDE oracle in tests/oracles.py); other
@@ -298,10 +220,6 @@ def heat_kernel_exact(model: CurvatureModel, t: float, x=None, y=None,
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    if rho is None:
-        if x is None or y is None:
-            raise ValueError("give either rho or both x and y")
-        rho = float(geom.distance(model, np.asarray(x, float), np.asarray(y, float)))
     rho = np.asarray(rho, dtype=float)
     if model.kind == "flat":
         d = model.dim

@@ -10,13 +10,11 @@ and a fixed-size chunk index) so that sample i's increments are a function of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.random import Generator, Philox
 
 from . import geom
-from .geom import CurvatureModel, FramePoint
+from .geom import CurvatureModel
 from .jacobi import Partition
 
 CHUNK = 4096   # fixed RNG block size; do not change (breaks reproducibility)
@@ -64,24 +62,6 @@ def _chunk_normals(seed: int, chunk_id: int, n: int, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Rolling (development) and its inverse
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BrokenGeodesic:
-    """One rolled path: knot points and transported frames at s_i = i/n."""
-
-    model: CurvatureModel
-    partition: Partition
-    increments: np.ndarray   # (n, d)
-    points: np.ndarray       # (n+1, D)
-    frames: np.ndarray       # (n+1, D, d)
-
-    def knot(self, i: int) -> FramePoint:
-        return FramePoint(self.points[i], self.frames[i])
-
-    @property
-    def endpoint(self) -> FramePoint:
-        return self.knot(self.partition.n)
-
 
 def roll_batch(model: CurvatureModel, increments, start_point=None, start_frame=None):
     """Roll batched increments (..., n, d) into knots.
@@ -163,24 +143,11 @@ def _renormalize_due(i: int, n: int) -> bool:
     return (i + 1) % RENORM_EVERY == 0 or i + 1 == n
 
 
-def roll(model: CurvatureModel, partition: Partition, increments,
-         start: FramePoint | None = None) -> BrokenGeodesic:
-    """Develop one increment list (n, d) into a broken geodesic from o."""
-    increments = np.asarray(increments, dtype=float)
-    if increments.shape != (partition.n, model.dim):
-        raise ValueError("increments shape mismatch")
-    sp = None if start is None else start.point
-    sf = None if start is None else start.frame
-    points, frames = roll_batch(model, increments, sp, sf)
-    return BrokenGeodesic(model, partition, increments, points, frames)
-
-
 def anti_roll(model: CurvatureModel, partition: Partition, points,
               start_frame=None) -> np.ndarray:
-    """Recover increments from knot points (inverse of roll); shape (n, d).
-
-    points may be batched (..., n+1, D); the frame is rebuilt by transport
-    from the start frame, so only knot positions are needed.
+    """Recover increments (..., n, d) from knot points (..., n+1, D), the
+    inverse of roll_batch; the frame is rebuilt by transport from the start
+    frame, so only knot positions are needed.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[-2] - 1
@@ -193,62 +160,33 @@ def anti_roll(model: CurvatureModel, partition: Partition, points,
         x, y = points[..., i, :], points[..., i + 1, :]
         v = geom.frame_coords(model, u, geom.log_point(model, x, y))
         out[..., i, :] = v
-        u = geom.transport_frame(model, x, y, u, v)
+        u = geom.exp_frame(model, x, u, v)[1]
         if _renormalize_due(i, n):
             u = geom.renormalize_frame(model, y, u)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Energy and the broken-path inner product
-# ---------------------------------------------------------------------------
-
-def energy(partition: Partition, increments) -> float:
-    """Path energy: sum_i |Delta_i b|^2 / Delta_i = n * sum |Delta_i b|^2."""
-    increments = np.asarray(increments, dtype=float)
-    return float(partition.n * np.sum(increments * increments))
-
-
-def g1p_inner(partition: Partition, slopes_a, slopes_b) -> float:
-    """Inner product of two tangent fields given by right-slope lists (n, d):
-    sum_i <a_i, b_i> * Delta_i."""
-    a = np.asarray(slopes_a, dtype=float)
-    b = np.asarray(slopes_b, dtype=float)
-    return float(np.sum(a * b) * partition.mesh)
-
-
-def frame_field_slopes(partition: Partition, d: int, alpha: int, i: int) -> np.ndarray:
-    """Slope list of the orthonormal tangent basis field h_{alpha,i}.
-
-    The field supported from interval i (1-based) in direction alpha has the
-    single nonzero right-slope sqrt(n) e_alpha at s_{i-1}; its G1 norm is 1.
-    """
-    n = partition.n
-    slopes = np.zeros((n, d))
-    slopes[i - 1, alpha] = np.sqrt(n)
-    return slopes
-
-
-# ---------------------------------------------------------------------------
 # CSV dump
 # ---------------------------------------------------------------------------
 
-def dump_paths_csv(paths, fh) -> None:
-    """Write knot-level rows for a list of BrokenGeodesic to an open file."""
-    first = paths[0]
-    D, d = first.model.ambient_dim, first.model.dim
+def dump_paths_csv(increments, points, frames, fh) -> None:
+    """Write knot-level rows of rolled paths to an open file: increments
+    (N, n, d) and the knots (N, n+1, D) and frames (N, n+1, D, d) of
+    roll_batch."""
+    N, n, d = increments.shape
+    D = points.shape[-1]
     cols = (["sample_id", "i", "s_i"]
             + [f"p{a}" for a in range(D)]
             + [f"f{a}{b}" for a in range(D) for b in range(d)]
             + [f"inc{a}" for a in range(d)])
     fh.write("schema=1\n")
     fh.write(",".join(cols) + "\n")
-    for sid, path in enumerate(paths):
-        n = path.partition.n
+    for sid in range(N):
         for i in range(n + 1):
-            inc = np.zeros(d) if i == 0 else path.increments[i - 1]
+            inc = np.zeros(d) if i == 0 else increments[sid, i - 1]
             row = ([str(sid), str(i), repr(i / n)]
-                   + [repr(float(v)) for v in path.points[i]]
-                   + [repr(float(v)) for v in path.frames[i].ravel()]
+                   + [repr(float(v)) for v in points[sid, i]]
+                   + [repr(float(v)) for v in frames[sid, i].ravel()]
                    + [repr(float(v)) for v in inc])
             fh.write(",".join(row) + "\n")

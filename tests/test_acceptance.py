@@ -59,7 +59,7 @@ def test_criterion_02_hyperbolic_refinement():
     t0 = time.perf_counter()
     rows = []
     for n in (4, 8, 16, 32):
-        res = measures.pinned_estimate(HYP3, Partition(n), (E1_3, 1.0),
+        res = measures.pinned_estimate(HYP3, Partition(n), E1_3,
                                        measures.MASS_OBSERVABLE, 200000, seed=0)
         rows.append((n, res.stderr, abs(res.mean - p1)))
     wall = time.perf_counter() - t0
@@ -75,7 +75,7 @@ def test_criterion_02_hyperbolic_refinement():
 def test_criterion_03_midpoint_observable():
     """Midpoint g(r) = r at n=32 matches the split-time quadrature oracle."""
     obs = measures.radial_observable(0.5, "r")
-    res = measures.pinned_estimate(HYP3, Partition(32), (E1_3, 1.0), obs,
+    res = measures.pinned_estimate(HYP3, Partition(32), E1_3, obs,
                                    200000, seed=0)
     oracle, err_est = pinned_fdd_oracle(HYP3, 1.0, lambda r: r)
     gate = max(0.03 * abs(oracle), 3 * res.stderr)
@@ -146,15 +146,16 @@ def test_criterion_08_lift_identities():
     part = Partition(8)
     inc = paths.sample_increments(HYP2, part, 1000, seed=0)
     field = diagnostics.projected_constant_field(HYP2)
-    f_end = jacobi.batch_endpoint_f(*jacobi.batch_cs(HYP2, inc, part.mesh), part.mesh)
-    worst_res, worst_orth, worst_def = 0.0, 0.0, np.inf
+    C, S = jacobi.batch_cs(HYP2, inc, part.mesh)
+    f_end = jacobi.batch_endpoint_f(C, S, part.mesh)
+    slopes, coords = diagnostics._batched_lift_slopes(HYP2, part, inc, field, C, S)[:2]
+    knots = jacobi.jacobi_from_slopes(C, S, slopes)
+    worst_res = float(np.max(np.abs(knots[:, -1] - coords)))
+    worst_orth, worst_def = 0.0, np.inf
     for i in range(1000):
-        lift = diagnostics.lift_build(paths.roll(HYP2, part, inc[i]), field)
-        worst_res = max(worst_res, lift.endpoint_residual)
-        worst_orth = max(worst_orth,
-                         lift_orthogonality(f_end[i], lift.slopes)["residual"])
+        worst_orth = max(worst_orth, lift_orthogonality(f_end[i], slopes[i])["residual"])
         worst_def = min(worst_def,
-                        lift_competitor_deficit(f_end[i], lift.slopes, count=100, seed=i))
+                        lift_competitor_deficit(f_end[i], slopes[i], count=100, seed=i))
     ok = worst_res <= 1e-10 and worst_orth <= 1e-8 and worst_def >= -1e-10
     assert report("8 (lift identities)", ok,
                   "endpoint %.1e, orthogonality %.1e, min deficit %.1e"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pinpath import cli, measures, paths
+from pinpath import cli, diagnostics, measures, paths
 from pinpath.geom import CurvatureModel, NumericalError
 from pinpath.jacobi import Partition
 
@@ -211,7 +211,8 @@ def test_props_manifest_records_every_audited_model(tmp_path):
 
 
 def test_sample_dump(tmp_path):
-    """sample writes schema + header + N*(n+1) knot rows."""
+    """sample writes schema + header + N*(n+1) knot rows, whose points are
+    the rolled increments of the same seed, bit for bit."""
     out = str(tmp_path)
     res = run_cli(["sample", "--model", "hyperbolic", "--d", "2", "--kappa", "1",
                    "--n", "4", "--N", "6", "--seed", "2", "--out", out])
@@ -219,6 +220,12 @@ def test_sample_dump(tmp_path):
     lines = read_text(os.path.join(out, "paths.csv")).strip().split("\n")
     assert lines[0] == "schema=1"
     assert len(lines) == 2 + 6 * 5
+    header = lines[1].split(",")
+    cols = [header.index(f"p{a}") for a in range(3)]
+    got = np.array([[float(row.split(",")[c]) for c in cols] for row in lines[2:]])
+    model = CurvatureModel("hyperbolic", 2, 1.0)
+    want = paths.roll_batch(model, paths.sample_increments(model, Partition(4), 6, 2))[0]
+    assert np.array_equal(got, want.reshape(-1, 3))
 
 
 def test_ibp_limits_and_run(tmp_path):
@@ -234,6 +241,21 @@ def test_ibp_limits_and_run(tmp_path):
     manifest = json.loads(read_text(os.path.join(out, "ibp_manifest.json")))
     assert manifest["result"]["passed"] is True
     assert manifest["result"]["n_used"] + manifest["result"]["n_aborted"] == 400
+
+
+def test_ibp_conditioning_guard_is_a_numerical_failure(tmp_path, monkeypatch):
+    """With every chart matrix over CHART_COND_LIMIT, ibp_check refuses to
+    estimate from no samples and the ibp command exits with code 3."""
+    monkeypatch.setattr(diagnostics, "CHART_COND_LIMIT", 0.0)
+    f = measures.CylinderObservable("exp_r2_end", (1.0,), 1.0, "exp_radial2",
+                                    {"times": [1.0], "scales": [2.0]})
+    with pytest.raises(NumericalError, match="all but 0 samples aborted on conditioning"):
+        diagnostics.ibp_check(CurvatureModel("hyperbolic", 2, 1.0), Partition(2), f, f,
+                              n_samples=16, seed=0)
+    res = run_cli(["ibp", "--model", "hyperbolic", "--d", "2", "--kappa", "1", "--n", "2",
+                   "--N", "16", "--out", str(tmp_path)])
+    assert res.exit_code == 3, res.output
+    assert "aborted on conditioning" in res.output
 
 
 @pytest.mark.parametrize("args", [
@@ -281,7 +303,7 @@ def test_pinned_manifest_records_weight_health(tmp_path):
     rows = json.loads(read_text(os.path.join(out, "pinned_manifest.json")))["rows"]
     model = CurvatureModel("hyperbolic", 3, 1.0)
     for row, n in zip(rows, (4, 8)):
-        est = measures.pinned_estimate(model, Partition(n), (np.array([1.0, 0, 0]), 1.0),
+        est = measures.pinned_estimate(model, Partition(n), np.array([1.0, 0.0, 0.0]),
                                        n_samples=2048, seed=3)
         assert row["n"] == n
         assert row["tip_cond_hits"] == est.meta["tip_cond_hits"] == 0

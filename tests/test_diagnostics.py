@@ -7,13 +7,13 @@ import pytest
 
 from pinpath import diagnostics, geom, jacobi, paths
 from pinpath.diagnostics import (ConvergenceReport, convergence_suite,
-                                 gradient_compare, ibp_check, lift_build,
+                                 gradient_compare, ibp_check,
                                  projected_constant_field, property_sweep)
 from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 from pinpath.measures import MASS_OBSERVABLE, CylinderObservable
 
-from tests.oracles import lift_competitor_deficit, lift_orthogonality
+from tests.oracles import endpoint_map_matrix, lift_competitor_deficit, lift_orthogonality
 
 FLAT1 = CurvatureModel("flat", 1)
 FLAT2 = CurvatureModel("flat", 2)
@@ -33,68 +33,68 @@ class LinearEnd:
 
 
 def endpoint_f(model, part, inc):
-    """f_i(1) of one path, the input of the lift audits."""
+    """f_i(1) of paths (..., n, d), the input of the lift audits."""
     return jacobi.batch_endpoint_f(*jacobi.batch_cs(model, inc, part.mesh), part.mesh)
+
+
+def lift(model, part, inc, x_field):
+    """The lift along paths inc (N, n, d): slopes (N, n, d), endpoint
+    coordinates (N, d) and knot values (N, n+1, d) by jacobi_from_slopes."""
+    C, S = jacobi.batch_cs(model, inc, part.mesh)
+    slopes, coords = diagnostics._batched_lift_slopes(model, part, inc, x_field, C, S)[:2]
+    return slopes, coords, jacobi.jacobi_from_slopes(C, S, slopes)
 
 
 def test_lift_flat_grows_linearly():
     """Flat lift of an endpoint vector: equal slopes, linear knot values."""
     rng = np.random.default_rng(15)
     part = Partition(4)
-    inc = rng.normal(size=(4, 2)) * 0.5
-    path = paths.roll(FLAT2, part, inc)
+    inc = rng.normal(size=(1, 4, 2)) * 0.5
     vec = np.array([0.7, -0.3])
-    lift = lift_build(path, vec)
-    assert np.allclose(lift.endpoint_coords, vec)
-    assert np.allclose(lift.slopes, np.tile(vec, (4, 1)), atol=1e-12)
-    assert np.allclose(lift.knot_values, np.outer(part.knots, vec), atol=1e-12)
-    assert lift.endpoint_residual < 1e-14
+    slopes, coords, knots = lift(FLAT2, part, inc, vec)
+    assert np.allclose(coords[0], vec)
+    assert np.allclose(slopes[0], np.tile(vec, (4, 1)), atol=1e-12)
+    assert np.allclose(knots[0], np.outer(part.knots, vec), atol=1e-12)
+    assert np.max(np.abs(knots[0, -1] - coords[0])) < 1e-14
 
 
-def test_batched_lift_matches_lift_build():
-    """The batched lift used by IBP equals lift_build path by path."""
+def test_batched_lift_is_the_minimal_norm_solution():
+    """The lift's slopes are the least-norm solution of the endpoint map
+    applied to the slopes = the endpoint coordinates, path by path."""
     part = Partition(5)
     inc = paths.sample_increments(HYP2, part, 6, seed=3)
-    field = projected_constant_field(HYP2)
-    C, S = jacobi.batch_cs(HYP2, inc, part.mesh)
-    slopes, coords, _, _ = diagnostics._batched_lift_slopes(HYP2, part, inc, field, C, S)
+    slopes, coords, _ = lift(HYP2, part, inc, projected_constant_field(HYP2))
+    f_end = endpoint_f(HYP2, part, inc)
     for i in range(6):
-        lift = lift_build(paths.roll(HYP2, part, inc[i]), field)
-        assert np.allclose(lift.slopes, slopes[i], rtol=1e-12, atol=1e-12)
-        assert np.allclose(lift.endpoint_coords, coords[i], rtol=1e-12, atol=1e-14)
+        want = np.linalg.lstsq(endpoint_map_matrix(f_end[i]), coords[i], rcond=None)[0]
+        assert np.allclose(slopes[i].ravel(), want, rtol=1e-12, atol=1e-12)
 
 
 def test_lift_zero_field():
     """The zero field lifts to the zero path-space vector."""
     part = Partition(3)
-    inc = paths.sample_increments(HYP2, part, 1, seed=6)[0]
-    path = paths.roll(HYP2, part, inc)
-    lift = lift_build(path, np.zeros(HYP2.ambient_dim))
-    assert np.allclose(lift.slopes, 0.0)
-    assert np.allclose(lift.knot_values, 0.0)
-    assert lift.endpoint_residual == 0.0
+    inc = paths.sample_increments(HYP2, part, 1, seed=6)
+    slopes, coords, knots = lift(HYP2, part, inc, np.zeros(HYP2.ambient_dim))
+    assert np.allclose(slopes, 0.0)
+    assert np.allclose(knots, 0.0)
+    assert np.max(np.abs(knots[:, -1] - coords)) == 0.0
 
 
 def test_lift_endpoint_residual_random():
     """Lift hits the endpoint coordinates to 1e-10 on 200 curved paths."""
     part = Partition(8)
     inc = paths.sample_increments(HYP2, part, 200, seed=0)
-    field = projected_constant_field(HYP2)
-    worst = 0.0
-    for i in range(200):
-        lift = lift_build(paths.roll(HYP2, part, inc[i]), field)
-        worst = max(worst, lift.endpoint_residual)
-    assert worst < 1e-10
+    _, coords, knots = lift(HYP2, part, inc, projected_constant_field(HYP2))
+    assert np.max(np.abs(knots[:, -1] - coords)) < 1e-10
 
 
 def test_lift_orthogonality_flat_two_intervals():
     """Flat n=2, d=1: null space is span{(1,-1)}, lift has equal slopes."""
     part = Partition(2)
     inc = np.array([[0.4], [-0.1]])
-    path = paths.roll(FLAT1, part, inc)
-    lift = lift_build(path, np.array([1.0]))
-    assert np.allclose(lift.slopes, 1.0)
-    out = lift_orthogonality(endpoint_f(FLAT1, part, inc), lift.slopes)
+    slopes = lift(FLAT1, part, inc[None], np.array([1.0]))[0][0]
+    assert np.allclose(slopes, 1.0)
+    out = lift_orthogonality(endpoint_f(FLAT1, part, inc), slopes)
     assert out["null_dim"] == 1
     basis = out["basis"][:, 0]
     assert np.allclose(np.abs(basis), np.array([1.0, 1.0]) / np.sqrt(2))
@@ -106,14 +106,13 @@ def test_lift_orthogonality_and_minimality_random():
     """Orthogonal to the null space (1e-8) and beats all competitors."""
     part = Partition(6)
     inc = paths.sample_increments(HYP2, part, 30, seed=1)
-    field = projected_constant_field(HYP2)
+    slopes = lift(HYP2, part, inc, projected_constant_field(HYP2))[0]
+    f_end = endpoint_f(HYP2, part, inc)
     for i in range(30):
-        lift = lift_build(paths.roll(HYP2, part, inc[i]), field)
-        f_end = endpoint_f(HYP2, part, inc[i])
-        out = lift_orthogonality(f_end, lift.slopes)
+        out = lift_orthogonality(f_end[i], slopes[i])
         assert out["null_dim"] == (part.n - 1) * 2
         assert out["residual"] < 1e-8
-        deficit = lift_competitor_deficit(f_end, lift.slopes, count=50, seed=i)
+        deficit = lift_competitor_deficit(f_end[i], slopes[i], count=50, seed=i)
         assert deficit >= -1e-10
 
 

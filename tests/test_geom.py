@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pinpath import geom
-from pinpath.geom import CurvatureModel, FramePoint
+from pinpath.geom import CurvatureModel
 
 from tests.oracles import curvature_matrix, geodesic_rk4, transport, transport_rk4
 
@@ -63,9 +63,9 @@ def test_hyperbolic_exp_against_geodesic_ode():
 
 def test_exp_zero_vector_is_identity():
     """exp_x(0) = x on both models, and the frame stays put."""
-    fp = geom.base_frame_point(HYP2)
-    y, frame = geom.exp_frame(HYP2, fp.point, fp.frame, np.zeros(2))
-    assert np.allclose(y, fp.point) and np.allclose(frame, fp.frame)
+    o, base = geom.base_point(HYP2), geom.base_frame(HYP2)
+    y, frame = geom.exp_frame(HYP2, o, base, np.zeros(2))
+    assert np.allclose(y, o) and np.allclose(frame, base)
     x = np.array([0.3, -0.7])
     assert np.allclose(geom.exp_frame(FLAT2, x, geom.base_frame(FLAT2), np.zeros(2))[0], x)
 
@@ -74,11 +74,11 @@ def test_log_roundtrip_batched():
     """exp then log recovers the tangent vector for 1000 random pairs."""
     rng = np.random.default_rng(7)
     for model in (FLAT2, HYP3K2):
-        fp = geom.base_frame_point(model)
+        o, frame = geom.base_point(model), geom.base_frame(model)
         v = rng.normal(size=(1000, model.dim))
-        v_amb = geom.frame_vector(fp.frame, v)
-        pts = np.broadcast_to(fp.point, (1000, model.ambient_dim))
-        y = geom.exp_frame(model, fp.point, fp.frame, v)[0]
+        v_amb = geom.frame_vector(frame, v)
+        pts = np.broadcast_to(o, (1000, model.ambient_dim))
+        y = geom.exp_frame(model, o, frame, v)[0]
         back = geom.log_point(model, pts, y)
         assert np.max(np.abs(back - v_amb)) < 1e-8
         # distance equals the norm of the log vector
@@ -87,20 +87,20 @@ def test_log_roundtrip_batched():
 
 
 def test_log_map_frame_coordinates():
-    """Frame coordinates of log_point invert exp_map."""
+    """Frame coordinates of log_point invert exp_frame."""
     rng = np.random.default_rng(11)
-    fp = geom.base_frame_point(HYP2)
+    o, frame = geom.base_point(HYP2), geom.base_frame(HYP2)
     v = rng.normal(size=2)
-    fp2 = geom.exp_map(HYP2, fp, v)
+    y = geom.exp_frame(HYP2, o, frame, v)[0]
 
-    def log_coords(y):
-        return geom.frame_coords(HYP2, fp.frame, geom.log_point(HYP2, fp.point, y))
+    def log_coords(p):
+        return geom.frame_coords(HYP2, frame, geom.log_point(HYP2, o, p))
 
-    assert np.allclose(log_coords(fp2.point), v, atol=1e-10)
+    assert np.allclose(log_coords(y), v, atol=1e-10)
     # log to the base point itself vanishes, and d(x, x) = 0
-    assert np.allclose(log_coords(fp.point), 0.0, atol=1e-12)
-    assert geom.distance(HYP2, fp.point, fp.point) == pytest.approx(0.0, abs=1e-12)
-    assert geom.distance(HYP2, fp2.point, fp2.point) == pytest.approx(0.0, abs=2e-7)
+    assert np.allclose(log_coords(o), 0.0, atol=1e-12)
+    assert geom.distance(HYP2, o, o) == pytest.approx(0.0, abs=1e-12)
+    assert geom.distance(HYP2, y, y) == pytest.approx(0.0, abs=2e-7)
 
 
 def test_transport_against_ode():
@@ -137,20 +137,10 @@ def test_transport_preserves_inner_product():
 def test_frame_orthonormal_after_many_steps():
     """Frame defect stays below 1e-9 after 64 rolled steps."""
     rng = np.random.default_rng(9)
-    fp = geom.base_frame_point(HYP3K2)
+    x, frame = geom.base_point(HYP3K2), geom.base_frame(HYP3K2)
     for _ in range(64):
-        fp = geom.exp_map(HYP3K2, fp, 0.125 * rng.normal(size=3))
-    assert geom.frame_defect(HYP3K2, fp.point, fp.frame) < 1e-9
-
-
-def test_framepoint_is_read_only():
-    """FramePoint arrays are frozen against in-place mutation."""
-    fp = geom.base_frame_point(HYP2)
-    with pytest.raises(ValueError):
-        fp.point[0] = 1.0
-    with pytest.raises(ValueError):
-        fp.frame[0, 0] = 2.0
-    assert isinstance(fp, FramePoint)
+        x, frame = geom.exp_frame(HYP3K2, x, frame, 0.125 * rng.normal(size=3))
+    assert geom.frame_defect(HYP3K2, x, frame) < 1e-9
 
 
 def test_curvature_quadratic_examples():

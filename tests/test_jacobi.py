@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from pinpath import geom, jacobi, paths
+from pinpath import geom, jacobi
 from pinpath.geom import CurvatureModel, NumericalError
 from pinpath.jacobi import Partition
 
@@ -26,12 +26,11 @@ def cs(model, xi, h):
 
 def response_table(model, part, inc):
     """f_i(s_j) of one path as f[i - 1, j], shape (n, n+1, d, d): the basis
-    field h_{alpha,i} (paths.frame_field_slopes) has knot values
-    f_i(s_j) e_alpha / sqrt(n) (jacobi_from_slopes)."""
+    field h_{alpha,i}, whose one nonzero right-slope is sqrt(n) e_alpha on
+    interval i, has knot values f_i(s_j) e_alpha / sqrt(n) (jacobi_from_slopes)."""
     n, d = part.n, model.dim
     C, S = jacobi.batch_cs(model, inc, part.mesh)
-    slopes = np.array([[paths.frame_field_slopes(part, d, a, i) for a in range(d)]
-                       for i in range(1, n + 1)])                  # (n, d, n, d)
+    slopes = np.sqrt(n) * np.eye(n * d).reshape(n, d, n, d)        # h_{alpha,i} at [i-1, alpha]
     J = jacobi.jacobi_from_slopes(C, S, slopes)                     # (n, d, n+1, d)
     return np.sqrt(n) * np.moveaxis(J, 1, -1)
 

@@ -7,9 +7,8 @@ from scipy import stats
 from pinpath import geom, jacobi, measures, paths
 from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
-from pinpath.measures import (MASS_OBSERVABLE, CylinderObservable,
-                              heat_kernel_exact, pinned_estimate,
-                              pinned_samples, radial_observable, sample_nu1P)
+from pinpath.measures import (MASS_OBSERVABLE, CylinderObservable, _pinned_chunk,
+                              heat_kernel_exact, pinned_estimate, radial_observable)
 
 from tests.oracles import (flat_bridge_abs_moment_1d, flat_bridge_second_moment,
                            pinned_fdd_oracle, radial_pde_kernel)
@@ -18,6 +17,7 @@ FLAT1 = CurvatureModel("flat", 1)
 FLAT2 = CurvatureModel("flat", 2)
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
 HYP3 = CurvatureModel("hyperbolic", 3, 1.0)
+E1 = np.array([1.0, 0.0])
 
 # frozen regression values (computed once with the shipped settings)
 H3_KERNEL_AT_1 = 0.019875748452065724
@@ -31,10 +31,6 @@ def test_heat_kernel_flat_values():
     assert heat_kernel_exact(FLAT2, 1.0, rho=0.0) == pytest.approx(1 / (2 * np.pi))
     want = (2 * np.pi) ** (-0.5) * np.exp(-0.5)
     assert heat_kernel_exact(FLAT1, 1.0, rho=1.0) == pytest.approx(want, rel=1e-14)
-    # x/y form matches the radial form
-    x, y = np.array([0.3, -0.4]), np.array([0.3, 0.6])
-    assert heat_kernel_exact(FLAT2, 0.5, x, y) == pytest.approx(
-        heat_kernel_exact(FLAT2, 0.5, rho=1.0), rel=1e-14)
 
 
 def test_heat_kernel_hyperbolic_closed_form():
@@ -46,15 +42,18 @@ def test_heat_kernel_hyperbolic_closed_form():
 
 
 def test_heat_kernel_rejects_unsupported():
-    """Hyperbolic closed form outside d=3/kappa=1, and bad t, must raise."""
+    """Hyperbolic closed form outside d=3/kappa=1, bad t, and a missing or
+    positional rho must raise."""
     with pytest.raises(ValueError):
         heat_kernel_exact(HYP2, 1.0, rho=1.0)
     with pytest.raises(ValueError):
         heat_kernel_exact(CurvatureModel("hyperbolic", 3, 2.0), 1.0, rho=1.0)
     with pytest.raises(ValueError):
         heat_kernel_exact(HYP3, 0.0, rho=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         heat_kernel_exact(HYP3, 1.0)
+    with pytest.raises(TypeError):
+        heat_kernel_exact(HYP3, 1.0, 1.0)
 
 
 def test_radial_pde_kernel_regression():
@@ -97,35 +96,39 @@ def test_fdd_oracle_midpoint_r_frozen():
         pinned_fdd_oracle(HYP2, 0.0, lambda r: r)
 
 
+def free_knots(model, part, count, seed):
+    """Knots (count, n+1, D) of free paths: N(0, 1/n) increments rolled from o."""
+    return paths.roll_batch(model, paths.sample_increments(model, part, count, seed))[0]
+
+
 def test_observable_evaluation_and_bounds():
     """Cylinder observables: kinds, knot-time validation, bound check."""
     part = Partition(4)
-    batch = sample_nu1P(FLAT2, part, 50, seed=2)
-    assert np.all(MASS_OBSERVABLE.evaluate(FLAT2, part, batch.points) == 1.0)
+    points = free_knots(FLAT2, part, 50, seed=2)
+    assert np.all(MASS_OBSERVABLE.evaluate(FLAT2, part, points) == 1.0)
 
     obs = radial_observable(0.5, "r2")
-    vals = obs.evaluate(FLAT2, part, batch.points)
-    want = np.sum(batch.points[:, 2, :] ** 2, axis=-1)
+    vals = obs.evaluate(FLAT2, part, points)
+    want = np.sum(points[:, 2, :] ** 2, axis=-1)
     assert np.allclose(vals, want)
 
     with pytest.raises(ValueError):
-        radial_observable(0.3).evaluate(FLAT2, part, batch.points)
+        radial_observable(0.3).evaluate(FLAT2, part, points)
 
     tight = radial_observable(0.5, "r2", bound=1e-6)
     with pytest.raises(ValueError):
-        tight.evaluate(FLAT2, part, batch.points)
+        tight.evaluate(FLAT2, part, points)
 
     gauss = CylinderObservable("exp_end", (1.0,), 1.0, "exp_radial2",
                                {"times": [1.0], "scales": [2.0]})
-    vals = gauss.evaluate(FLAT2, part, batch.points)
+    vals = gauss.evaluate(FLAT2, part, points)
     assert np.all((vals > 0.0) & (vals <= 1.0))
 
 
 def test_nu1p_flat_marginals():
     """Flat endpoint coordinates are standard normal (KS at 1e4 samples)."""
     part = Partition(8)
-    batch = sample_nu1P(FLAT2, part, 10000, seed=1)
-    end = batch.points[:, -1, :]
+    end = free_knots(FLAT2, part, 10000, seed=1)[:, -1, :]
     for coord in range(2):
         pval = stats.kstest(end[:, coord], "norm").pvalue
         assert pval > 0.01
@@ -136,12 +139,12 @@ def test_nu1p_flat_marginals():
 def test_nu1p_single_interval():
     """n=1 free paths land at exp_o of one increment."""
     part = Partition(1)
-    batch = sample_nu1P(HYP2, part, 8, seed=4)
-    fp = geom.base_frame_point(HYP2)
+    inc = paths.sample_increments(HYP2, part, 8, seed=4)
+    points = paths.roll_batch(HYP2, inc)[0]
+    o, frame = geom.base_point(HYP2), geom.base_frame(HYP2)
     for i in range(8):
-        want = geom.exp_map(HYP2, fp, batch.increments[i, 0]).point
-        assert np.allclose(batch.points[i, 1], want, atol=1e-12)
-        assert isinstance(batch.path(i), paths.BrokenGeodesic)
+        want = geom.exp_frame(HYP2, o, frame, inc[i, 0])[0]
+        assert np.allclose(points[i, 1], want, atol=1e-12)
 
 
 def test_nu1p_seed_stability():
@@ -149,21 +152,20 @@ def test_nu1p_seed_stability():
     part = Partition(16)
     vals = []
     for seed in (11, 12):
-        batch = sample_nu1P(HYP2, part, 4000, seed=seed)
-        d2 = geom.distance(HYP2, geom.base_point(HYP2), batch.points[:, -1, :]) ** 2
+        end = free_knots(HYP2, part, 4000, seed=seed)[:, -1, :]
+        d2 = geom.distance(HYP2, geom.base_point(HYP2), end) ** 2
         vals.append((d2.mean(), d2.std(ddof=1) / np.sqrt(len(d2))))
     gap = abs(vals[0][0] - vals[1][0])
     assert gap < 3 * (vals[0][1] + vals[1][1])
 
 
 def test_target_point_forms():
-    """(direction, dist), frame coordinates, and ambient input all agree."""
-    e1 = np.array([1.0, 0.0])
-    a = measures._target_point(HYP2, (e1, 0.8))
-    b = measures._target_point(HYP2, 0.8 * e1)
-    assert np.allclose(a, b, atol=1e-12)
+    """Frame coordinates at o land on the geodesic along them; ambient input
+    passes through; off-sheet and wrong-length input is rejected."""
+    a = measures._target_point(HYP2, 0.8 * E1)
+    assert np.allclose(a, [np.sinh(0.8), 0.0, np.cosh(0.8)], atol=1e-12)
     c = measures._target_point(HYP2, a)       # ambient passthrough
-    assert np.allclose(a, c)
+    assert np.array_equal(a, c)
     with pytest.raises(ValueError):
         measures._target_point(HYP2, np.array([1.0, 0.0, 0.0]))  # off the sheet
     with pytest.raises(ValueError):
@@ -179,7 +181,7 @@ def test_far_target_point_keeps_its_distance(d, kappa):
     model = CurvatureModel("hyperbolic", d, kappa)
     e1 = np.eye(d)[0]
     for rho in (1.0, 10.0, 19.0, 20.0, 40.0):
-        x = measures._target_point(model, (e1, rho))
+        x = measures._target_point(model, rho * e1)
         dist = geom.distance(model, geom.base_point(model), x)
         assert abs(dist - rho) <= 1e-12 * rho
         assert np.array_equal(measures._target_point(model, x), x)
@@ -200,14 +202,13 @@ def test_pinned_estimate_flat_unbiased():
 
 def test_pinned_estimate_hyperbolic_bounded_and_converges():
     """f == 1: one constant bounds every (x, n); d=3, n=32 hits the kernel."""
-    e1 = np.array([1.0, 0.0])
     for rho in (0.0, 1.0, 2.0):
         for n in (4, 16):
-            xa = measures._target_point(HYP2, (e1, float(rho)))
+            xa = measures._target_point(HYP2, rho * E1)
             r = pinned_estimate(HYP2, Partition(n), xa, MASS_OBSERVABLE,
                                 n_samples=4000, seed=9)
             assert r.mean + 3 * r.stderr < 0.2
-    x0 = measures._target_point(HYP3, (np.array([1.0, 0.0, 0.0]), 0.0))
+    x0 = measures._target_point(HYP3, np.zeros(3))
     res = pinned_estimate(HYP3, Partition(32), x0, MASS_OBSERVABLE,
                           n_samples=60000, seed=2)
     p0 = heat_kernel_exact(HYP3, 1.0, rho=0.0)
@@ -220,11 +221,16 @@ def test_pinned_estimate_sums_tip_cond_hits(monkeypatch):
     limit = float(geom.sinhc(1.5))
     monkeypatch.setattr(jacobi, "COND_LIMIT", limit)
     count, part = paths.CHUNK + 100, Partition(2)
-    x = (np.array([1.0, 0.0]), 1.5)
+    x = measures._target_point(HYP2, 1.5 * E1)
     res = pinned_estimate(HYP2, part, x, n_samples=count, seed=4)
-    tips = np.array([s.tip_increment for s in pinned_samples(HYP2, part, x, count, seed=4)])
+    # the tips: log from the one-interval body's end to x, in its rolled frame
+    body = paths.sample_increments(HYP2, part, count, seed=4)[:, :1]
+    pts, frs = paths.roll_batch(HYP2, body)
+    tips = geom.frame_coords(HYP2, frs[:, -1], geom.log_point(HYP2, pts[:, -1], x))
     hit = geom.sinhc(np.linalg.norm(tips, axis=1)) > limit
-    assert hit[:paths.CHUNK].any() and hit[paths.CHUNK:].any()
+    for start, size in ((0, paths.CHUNK), (paths.CHUNK, 100)):
+        hits = _pinned_chunk(HYP2, part, x, MASS_OBSERVABLE, 4, start, size)[2]
+        assert 0 < hits == int(hit[start:start + size].sum())
     assert res.meta["tip_cond_hits"] == int(hit.sum())
 
 
@@ -246,32 +252,42 @@ def test_pinned_estimate_worker_invariance():
     assert a.stderr == b.stderr
 
 
+class EndGap:
+    """Largest ambient coordinate gap between sigma(1) and x on each path,
+    checking the knot array's shape (duck-typed observable)."""
+
+    name, times = "end_gap", (1.0,)
+
+    def __init__(self, x):
+        self.x = x
+
+    def evaluate(self, model, partition, points):
+        assert points.shape[1:] == (partition.n + 1, model.ambient_dim)
+        return np.max(np.abs(points[:, -1] - self.x), axis=-1)
+
+
 def test_pinned_samples_container():
-    """Pinned draws expose pinned endpoints, weights, and consistent shapes."""
-    x_amb = measures._target_point(HYP2, (np.array([1.0, 0.0]), 1.0))
-    samples = pinned_samples(HYP2, Partition(4), x_amb, 5, seed=8)
-    assert len(samples) == 5
-    for s in samples:
-        assert np.allclose(s.points[-1], x_amb, atol=1e-9)
-        assert s.points.shape == (5, 3)
-        assert s.body_increments.shape == (3, 2)
-        assert s.increments.shape == (4, 2)
-        assert np.isclose(s.weight, np.exp(s.log_weight))
-        assert np.isfinite(s.f_value)
+    """A pinned chunk ends every path at x, with finite weights of one per path."""
+    x_amb = measures._target_point(HYP2, E1)
+    log_w, f_vals, hits = _pinned_chunk(HYP2, Partition(4), x_amb, EndGap(x_amb),
+                                        seed=8, start=0, count=5)
+    assert log_w.shape == f_vals.shape == (5,)
+    assert np.all(np.isfinite(log_w))
+    assert np.allclose(f_vals, 0.0, atol=1e-9)
+    assert hits == 0
 
 
 def test_pinned_samples_match_the_estimator(monkeypatch):
-    """pinned_samples rolls each batch once and returns the estimator's own
-    log-weights and observable values at the same seed and start."""
-    x = (np.array([1.0, 0.0]), 1.0)
+    """A pinned chunk at any (start, count) rolls its batch once and returns the
+    estimator's own log-weights and observable values at the same seed."""
+    x = measures._target_point(HYP2, E1)
     obs = radial_observable(0.5, "r")
     res = pinned_estimate(HYP2, Partition(6), x, obs, n_samples=300, seed=12)
     calls = []
     roll = paths.roll_batch
     monkeypatch.setattr(paths, "roll_batch", lambda *a, **k: calls.append(1) or roll(*a, **k))
     for start, count in ((0, 300), (170, 40)):
-        samples = pinned_samples(HYP2, Partition(6), x, count, seed=12,
-                                 observable=obs, start=start)
-        assert [s.log_weight for s in samples] == res.log_weights[start:start + count].tolist()
-        assert [s.f_value for s in samples] == res.f_values[start:start + count].tolist()
+        log_w, f_vals, _ = _pinned_chunk(HYP2, Partition(6), x, obs, 12, start, count)
+        assert log_w.tolist() == res.log_weights[start:start + count].tolist()
+        assert f_vals.tolist() == res.f_values[start:start + count].tolist()
     assert len(calls) == 2

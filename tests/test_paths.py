@@ -1,4 +1,4 @@
-"""Path sampling, rolling/anti-rolling, energy, and the tangent basis."""
+"""Path sampling, rolling/anti-rolling, the basis fields and the CSV dump."""
 
 import io
 
@@ -62,20 +62,19 @@ def test_roll_flat_is_cumsum():
     rng = np.random.default_rng(21)
     part = Partition(6)
     inc = rng.normal(size=(6, 2)) * np.sqrt(part.mesh)
-    path = paths.roll(FLAT2, part, inc)
-    assert np.allclose(path.points[1:], np.cumsum(inc, axis=0), atol=1e-14)
-    assert np.allclose(path.points[0], 0.0)
-    assert np.allclose(path.frames, np.broadcast_to(np.eye(2), (7, 2, 2)))
+    points, frames = paths.roll_batch(FLAT2, inc)
+    assert np.allclose(points[1:], np.cumsum(inc, axis=0), atol=1e-14)
+    assert np.allclose(points[0], 0.0)
+    assert np.allclose(frames, np.broadcast_to(np.eye(2), (7, 2, 2)))
 
 
 def test_roll_zero_increments():
     """Zero increments stay at the base point with the base frame."""
-    part = Partition(3)
-    path = paths.roll(HYP3, part, np.zeros((3, 3)))
+    points, frames = paths.roll_batch(HYP3, np.zeros((3, 3)))
     o = geom.base_point(HYP3)
     for i in range(4):
-        assert np.allclose(path.knot(i).point, o, atol=1e-14)
-        assert np.allclose(path.knot(i).frame, geom.base_frame(HYP3), atol=1e-14)
+        assert np.allclose(points[i], o, atol=1e-14)
+        assert np.allclose(frames[i], geom.base_frame(HYP3), atol=1e-14)
 
 
 def test_roll_segment_lengths():
@@ -83,9 +82,9 @@ def test_roll_segment_lengths():
     rng = np.random.default_rng(25)
     part = Partition(8)
     inc = rng.normal(size=(8, 3)) * np.sqrt(part.mesh)
-    path = paths.roll(HYP3, part, inc)
+    points, _ = paths.roll_batch(HYP3, inc)
     for i in range(8):
-        dist = geom.distance(HYP3, path.points[i], path.points[i + 1])
+        dist = geom.distance(HYP3, points[i], points[i + 1])
         assert np.isclose(dist, np.linalg.norm(inc[i]), atol=1e-9)
 
 
@@ -99,55 +98,18 @@ def test_roll_anti_roll_roundtrip():
 
 
 def test_roll_from_custom_start():
-    """Rolling from a moved frame point starts there and stays on the sheet."""
+    """Rolling from a moved point and frame starts there and stays on the sheet."""
     rng = np.random.default_rng(33)
-    start = geom.exp_map(HYP2, geom.base_frame_point(HYP2), np.array([0.4, -0.2]))
+    x, frame = geom.exp_frame(HYP2, geom.base_point(HYP2), geom.base_frame(HYP2),
+                              np.array([0.4, -0.2]))
     part = Partition(4)
     inc = rng.normal(size=(4, 2)) * 0.5
-    path = paths.roll(HYP2, part, inc, start=start)
-    assert np.allclose(path.points[0], start.point)
-    defect = max(geom.frame_defect(HYP2, path.points[i], path.frames[i])
-                 for i in range(5))
+    points, frames = paths.roll_batch(HYP2, inc, x, frame)
+    assert np.allclose(points[0], x)
+    defect = max(geom.frame_defect(HYP2, points[i], frames[i]) for i in range(5))
     assert defect < 1e-10
-    back = paths.anti_roll(HYP2, part, path.points, start_frame=start.frame)
+    back = paths.anti_roll(HYP2, part, points, start_frame=frame)
     assert np.allclose(back, inc, atol=1e-10)
-
-
-def test_endpoint_accessor():
-    """knot() and endpoint expose frame points at the right indices."""
-    part = Partition(2)
-    inc = np.array([[0.3, 0.0], [0.1, 0.2]])
-    path = paths.roll(FLAT2, part, inc)
-    assert np.allclose(path.endpoint.point, inc.sum(axis=0))
-    assert np.allclose(path.knot(1).point, inc[0])
-
-
-def test_energy_values():
-    """energy = n sum |db|^2: zero, single-interval, and constant cases."""
-    assert paths.energy(Partition(3), np.zeros((3, 2))) == 0.0
-    v = np.array([[0.3, -0.4]])
-    assert paths.energy(Partition(1), v) == pytest.approx(0.25)
-    inc = np.tile([0.5, 0.0], (4, 1))
-    assert paths.energy(Partition(4), inc) == pytest.approx(4.0)
-
-
-def test_g1p_inner_products():
-    """Slope inner product: zero field, constant slopes, basis orthonormality."""
-    part = Partition(2)
-    z = np.zeros((2, 2))
-    assert paths.g1p_inner(part, z, z) == 0.0
-    ones = np.tile([1.0, 0.0], (2, 1))
-    assert paths.g1p_inner(part, ones, ones) == pytest.approx(1.0)
-
-    part = Partition(5)
-    for alpha in range(2):
-        for i in range(1, 6):
-            ha = paths.frame_field_slopes(part, 2, alpha, i)
-            for beta in range(2):
-                for j in range(1, 6):
-                    hb = paths.frame_field_slopes(part, 2, beta, j)
-                    want = 1.0 if (alpha, i) == (beta, j) else 0.0
-                    assert paths.g1p_inner(part, ha, hb) == pytest.approx(want)
 
 
 def test_frame_field_matches_response_matrix():
@@ -160,7 +122,8 @@ def test_frame_field_matches_response_matrix():
     C, S = jacobi.batch_cs(HYP2, inc, part.mesh)
     for alpha in range(2):
         for i in range(1, 7):
-            slopes = paths.frame_field_slopes(part, 2, alpha, i)
+            slopes = np.zeros((6, 2))           # h_{alpha,i}: sqrt(n) e_alpha on interval i
+            slopes[i - 1, alpha] = np.sqrt(6)
             J = jacobi.jacobi_from_slopes(C, S, slopes)
             for j in range(7):
                 f_ij = (jacobi.batch_endpoint_f(C[:j], S[:j], part.mesh)[i - 1]
@@ -172,9 +135,9 @@ def test_csv_dump_layout():
     """dump_paths_csv: schema line, header, row count, repr round-trip."""
     part = Partition(3)
     inc = paths.sample_increments(HYP2, part, 2, seed=1)
-    batch = [paths.roll(HYP2, part, inc[i]) for i in range(2)]
+    points, frames = paths.roll_batch(HYP2, inc)
     buf = io.StringIO()
-    paths.dump_paths_csv(batch, buf)
+    paths.dump_paths_csv(inc, points, frames, buf)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "schema=1"
     header = lines[1].split(",")
@@ -184,4 +147,4 @@ def test_csv_dump_layout():
     assert float(first[3 + 2]) == pytest.approx(1.0)   # apex timelike coord
     # repr round-trips the endpoint coordinate bit-exactly
     last = lines[-1].split(",")
-    assert float(last[3]) == batch[1].points[3][0]
+    assert float(last[3]) == points[1, 3, 0]
