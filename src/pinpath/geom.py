@@ -8,7 +8,10 @@ ambient coordinate as the timelike one,
 
 points satisfy <x,x>_M = -1/kappa with x_d > 0.  All point/tangent arrays are
 ambient; functions broadcast over leading batch axes (points ``(..., D)``,
-frames ``(..., D, d)`` with D = d for flat and d+1 for hyperbolic).
+frames ``(..., D, d)`` with D = d for flat and d+1 for hyperbolic).  The
+rolled step itself, _exp_frame_rows, takes coordinates first (points
+``(D, ...)``, frames ``(D, d, ...)``): paths.roll_batch calls it with samples
+last, and exp_frame is its batch-first face.
 """
 
 from __future__ import annotations
@@ -102,8 +105,11 @@ def distance(model: CurvatureModel, x, y):
     if model.kind == "flat":
         return np.linalg.norm(x - y, axis=-1)
     c = -model.kappa * minkowski_inner(x, y)
-    # roundoff can push the cosh slightly below 1
-    return np.arccosh(np.maximum(c, 1.0)) / np.sqrt(model.kappa)
+    rk = np.sqrt(model.kappa)
+    # arccosh loses half the digits as c -> 1; the chord |x - y|_M keeps them
+    # there, but cancels for pairs far apart, so it serves only where c < 2
+    chord = rk * np.sqrt(np.maximum(minkowski_inner(x - y, x - y), 0.0))
+    return np.where(c < 2.0, 2.0 * np.arcsinh(0.5 * chord), np.arccosh(np.maximum(c, 1.0))) / rk
 
 
 def log_point(model: CurvatureModel, x, y):
@@ -125,11 +131,10 @@ def project_tangent(model: CurvatureModel, x, w):
 
 
 def _renormalize_point(model: CurvatureModel, x):
-    """Put x on the upper sheet <x,x>_M = -1/kappa: keep its spatial part, set its
-    timelike one to sqrt(1/kappa + |x_spatial|^2); nothing cancels far from o."""
-    y = x.copy()
-    y[..., -1] = np.sqrt(1.0 / model.kappa + np.sum(x[..., :-1] ** 2, axis=-1))
-    return y
+    """Put x (D, ...) on the upper sheet <x,x>_M = -1/kappa in place: keep its spatial
+    part, set its timelike one to sqrt(1/kappa + |x_spatial|^2); no cancellation."""
+    x[-1] = np.sqrt(1.0 / model.kappa + np.sum(x[:-1] ** 2, axis=0))
+    return x
 
 
 def renormalize_frame(model: CurvatureModel, x, frame):
@@ -186,8 +191,23 @@ def exp_frame(model: CurvatureModel, x, frame, v_frame):
     v_frame  : (..., d) step in frame coordinates
     returns  : (y, new_frame)
 
-    The frame moves by parallel transport along the step.  For an
-    orthonormal frame <y, u_alpha>_M = sinhc(a) v_alpha with
+    The batch-first face of _exp_frame_rows, which holds the step itself.
+    """
+    x, frame, v_frame = (np.asarray(a, dtype=float) for a in (x, frame, v_frame))
+    batch = np.broadcast_shapes(x.shape[:-1], frame.shape[:-2], v_frame.shape[:-1])
+    y, u = _exp_frame_rows(
+        model, np.moveaxis(np.broadcast_to(x, batch + x.shape[-1:]), -1, 0),
+        np.moveaxis(np.broadcast_to(frame, batch + frame.shape[-2:]), (-2, -1), (0, 1)),
+        np.moveaxis(np.broadcast_to(v_frame, batch + v_frame.shape[-1:]), -1, 0))
+    return np.moveaxis(y, 0, -1), np.moveaxis(u, (0, 1), (-2, -1))
+
+
+def _exp_frame_rows(model: CurvatureModel, x, frame, v_frame):
+    """exp_frame on coordinates-first arrays: x (D, ...), frame (D, d, ...),
+    v_frame (d, ...), so that with samples last every operation is on
+    contiguous rows.
+
+    For an orthonormal frame <y, u_alpha>_M = sinhc(a) v_alpha with
     a = sqrt(kappa)|v_frame|, so the per-vector transport
     w + kappa <y, w>_M / (1 + cosh a) (x + y) becomes the rank-one boost
     u' = u + kappa sinhc(a)/(1 + cosh a) (x + y) v_frame^T, exact for an
@@ -195,12 +215,11 @@ def exp_frame(model: CurvatureModel, x, frame, v_frame):
     accumulates over many steps until the caller applies renormalize_frame
     (paths.roll_batch does so on a fixed schedule).
     """
-    v_amb = frame_vector(frame, v_frame)
+    v_amb = np.sum(frame * v_frame, axis=1)
     if model.kind == "flat":
         return x + v_amb, frame
     # |v_amb|_M = |v_frame| for an orthonormal frame
-    a = np.sqrt(model.kappa * np.sum(v_frame * v_frame, axis=-1))
+    a = np.sqrt(model.kappa * np.sum(v_frame * v_frame, axis=0))
     ch, sc = np.cosh(a), sinhc(a)
-    y = _renormalize_point(model, ch[..., None] * x + sc[..., None] * v_amb)
-    coef = model.kappa * sc / (1.0 + ch)
-    return y, frame + (coef[..., None] * (x + y))[..., :, None] * v_frame[..., None, :]
+    y = _renormalize_point(model, ch * x + sc * v_amb)
+    return y, frame + (model.kappa * sc / (1.0 + ch) * (x + y))[:, None] * v_frame

@@ -69,27 +69,27 @@ def roll_batch(model: CurvatureModel, increments, start_point=None, start_frame=
     Returns (points (..., n+1, D), frames (..., n+1, D, d)).  Each step moves
     the frame by the exact closed-form transport; Gram-Schmidt runs every
     RENORM_EVERY steps and at the last knot, which keeps every stored frame
-    within CONSTRAINT_DRIFT_TOL of orthonormal.
+    within CONSTRAINT_DRIFT_TOL of orthonormal.  The roll runs samples last,
+    on knots (n+1, D, B) and frames (n+1, D, d, B); the results are views of
+    those buffers.
     """
     increments = np.asarray(increments, dtype=float)
-    n = increments.shape[-2]
-    batch = increments.shape[:-2]
-    D, d = model.ambient_dim, model.dim
-    x = np.broadcast_to(geom.base_point(model) if start_point is None else start_point,
-                        batch + (D,)).copy()
-    u = np.broadcast_to(geom.base_frame(model) if start_frame is None else start_frame,
-                        batch + (D, d)).copy()
-    points = np.empty(batch + (n + 1, D))
-    frames = np.empty(batch + (n + 1, D, d))
-    points[..., 0, :] = x
-    frames[..., 0, :, :] = u
+    batch, (n, d) = increments.shape[:-2], increments.shape[-2:]
+    B, D = int(np.prod(batch)), model.ambient_dim
+    xi = np.ascontiguousarray(np.moveaxis(increments.reshape((B, n, d)), 0, -1))
+    x = geom.base_point(model) if start_point is None else start_point
+    u = geom.base_frame(model) if start_frame is None else start_frame
+    points = np.empty((n + 1, D, B))
+    frames = np.empty((n + 1, D, d, B))
+    points[0] = np.moveaxis(np.broadcast_to(x, batch + (D,)).reshape((B, D)), 0, -1)
+    frames[0] = np.moveaxis(np.broadcast_to(u, batch + (D, d)).reshape((B, D, d)), 0, -1)
     for i in range(n):
-        x, u = geom.exp_frame(model, x, u, increments[..., i, :])
+        x, u = geom._exp_frame_rows(model, points[i], frames[i], xi[i])
         if _renormalize_due(i, n):
-            u = geom.renormalize_frame(model, x, u)
-        points[..., i + 1, :] = x
-        frames[..., i + 1, :, :] = u
-    return points, frames
+            u = geom.renormalize_frame(model, x.T, u.transpose(2, 0, 1)).transpose(1, 2, 0)
+        points[i + 1], frames[i + 1] = x, u
+    return (np.moveaxis(points, -1, 0).reshape(batch + (n + 1, D)),
+            np.moveaxis(frames, -1, 0).reshape(batch + (n + 1, D, d)))
 
 
 def knot_jacobian(model: CurvatureModel, increments):
@@ -143,8 +143,7 @@ def _renormalize_due(i: int, n: int) -> bool:
     return (i + 1) % RENORM_EVERY == 0 or i + 1 == n
 
 
-def anti_roll(model: CurvatureModel, partition: Partition, points,
-              start_frame=None) -> np.ndarray:
+def anti_roll(model: CurvatureModel, points, start_frame=None) -> np.ndarray:
     """Recover increments (..., n, d) from knot points (..., n+1, D), the
     inverse of roll_batch; the frame is rebuilt by transport from the start
     frame, so only knot positions are needed.

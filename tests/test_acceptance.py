@@ -206,7 +206,7 @@ def test_criterion_10_determinism(tmp_path):
     part = Partition(16)
     inc = paths.sample_increments(HYP2, part, 100, seed=9)
     pts, _ = paths.roll_batch(HYP2, inc)
-    roll_gap = float(np.max(np.abs(paths.anti_roll(HYP2, part, pts) - inc)))
+    roll_gap = float(np.max(np.abs(paths.anti_roll(HYP2, pts) - inc)))
 
     rng = np.random.default_rng(113)
     det_ok = True

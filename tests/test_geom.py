@@ -1,5 +1,7 @@
 """Geometry kernel: exp/log/transport on the hyperboloid and the curvature quadratic."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -100,7 +102,47 @@ def test_log_map_frame_coordinates():
     # log to the base point itself vanishes, and d(x, x) = 0
     assert np.allclose(log_coords(o), 0.0, atol=1e-12)
     assert geom.distance(HYP2, o, o) == pytest.approx(0.0, abs=1e-12)
-    assert geom.distance(HYP2, y, y) == pytest.approx(0.0, abs=2e-7)
+    assert geom.distance(HYP2, y, y) == 0.0
+
+
+def test_distance_of_near_pairs():
+    """Pairs 1e-9 to 0.5 apart, at 0 to 6 from o, get the chord distance
+    2 asinh(|x - y|_M / 2) of their stored coordinates, evaluated exactly, to
+    1e-12 relative.  That floor is reached up to about 4.7 from o; beyond, the
+    squares in |x - y|_M, whose Euclidean size is cosh r times their Minkowski
+    size, round to eps cosh(r)^2 in double precision."""
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(17)
+    for model in (HYP2, CurvatureModel("hyperbolic", 3, 1.0)):
+        d = model.dim
+        r = rng.uniform(0.0, 6.0, 200)
+        sep = 10.0 ** rng.uniform(-9.0, np.log10(0.5), 200)
+        far = rng.normal(size=(200, d))
+        x, u = geom.exp_frame(model, geom.base_point(model), geom.base_frame(model),
+                              r[:, None] * far / np.linalg.norm(far, axis=1)[:, None])
+        step = rng.normal(size=(200, d))
+        y = geom.exp_frame(model, x, u, sep[:, None] * step
+                           / np.linalg.norm(step, axis=1)[:, None])[0]
+        got = geom.distance(model, x, y)
+        for i in range(200):
+            q = [(Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x[i], y[i])]
+            want = 2.0 * np.arcsinh(0.5 * np.sqrt(float(sum(q[:-1]) - q[-1])))
+            tol = max(1e-12, 2 * eps * np.cosh(r[i]) ** 2)
+            assert abs(got[i] - want) <= tol * want, (r[i], sep[i])
+
+
+def test_distance_of_far_pairs_is_arccosh():
+    """Beyond the chord's range (12 to 30 apart) distance is the arccosh form."""
+    rng = np.random.default_rng(19)
+    o, frame = geom.base_point(HYP3K2), geom.base_frame(HYP3K2)
+    x, u = geom.exp_frame(HYP3K2, o, frame, rng.normal(size=(50, 3)))
+    step = rng.normal(size=(50, 3))
+    step *= rng.uniform(12.0, 30.0, 50)[:, None] / np.linalg.norm(step, axis=1)[:, None]
+    y = geom.exp_frame(HYP3K2, x, u, step)[0]
+    c = -HYP3K2.kappa * geom.minkowski_inner(x, y)
+    assert np.array_equal(geom.distance(HYP3K2, x, y), np.arccosh(c) / np.sqrt(HYP3K2.kappa))
+    assert np.all(np.abs(geom.distance(HYP3K2, x, y) - np.linalg.norm(step, axis=1))
+                  <= 1e-9 * np.linalg.norm(step, axis=1))
 
 
 def test_transport_against_ode():

@@ -215,6 +215,21 @@ def test_pinned_estimate_hyperbolic_bounded_and_converges():
     assert abs(res.mean - p0) < 3 * res.stderr
 
 
+def test_pinned_estimate_single_interval():
+    """n = 1 leaves an empty body: every sample is the one geodesic o -> x, so
+    the estimate is exact with stderr 0.  Flat, it is the heat kernel; on
+    hyperbolic d=3 it is the Gaussian over the exp_o Jacobian sinhc(rho)^2."""
+    x = np.array([1.0, 0.3])
+    res = pinned_estimate(FLAT2, Partition(1), x, n_samples=100, seed=1)
+    assert abs(res.mean - heat_kernel_exact(FLAT2, 1.0, rho=np.hypot(1.0, 0.3))) <= 1e-14
+    assert res.stderr == 0.0
+    rho = 0.8
+    res = pinned_estimate(HYP3, Partition(1), rho * np.eye(3)[0], n_samples=100, seed=1)
+    assert np.all(np.isfinite(res.log_weights)) and res.stderr == 0.0
+    want = (2 * np.pi) ** -1.5 * np.exp(-0.5 * rho * rho) / geom.sinhc(rho) ** 2
+    assert res.mean == pytest.approx(want, rel=1e-12)
+
+
 def test_pinned_estimate_sums_tip_cond_hits(monkeypatch):
     """meta["tip_cond_hits"] adds up the ill-conditioned tips of every chunk."""
     # a low limit makes ordinary tips count: cond(S_x) = sinhc(|xi|) at kappa=1

@@ -93,7 +93,7 @@ def test_roll_anti_roll_roundtrip():
     part = Partition(16)
     inc = paths.sample_increments(HYP2, part, 1000, seed=5)
     pts, _ = paths.roll_batch(HYP2, inc)
-    back = paths.anti_roll(HYP2, part, pts)
+    back = paths.anti_roll(HYP2, pts)
     assert np.max(np.abs(back - inc)) < 1e-9
 
 
@@ -102,14 +102,62 @@ def test_roll_from_custom_start():
     rng = np.random.default_rng(33)
     x, frame = geom.exp_frame(HYP2, geom.base_point(HYP2), geom.base_frame(HYP2),
                               np.array([0.4, -0.2]))
-    part = Partition(4)
     inc = rng.normal(size=(4, 2)) * 0.5
     points, frames = paths.roll_batch(HYP2, inc, x, frame)
     assert np.allclose(points[0], x)
     defect = max(geom.frame_defect(HYP2, points[i], frames[i]) for i in range(5))
     assert defect < 1e-10
-    back = paths.anti_roll(HYP2, part, points, start_frame=frame)
+    back = paths.anti_roll(HYP2, points, start_frame=frame)
     assert np.allclose(back, inc, atol=1e-10)
+
+
+def test_roll_of_no_steps_is_the_start():
+    """Increments (..., 0, d), an empty body, roll to the start knot and frame alone."""
+    x, frame = geom.exp_frame(HYP3, geom.base_point(HYP3), geom.base_frame(HYP3),
+                              np.array([0.3, 0.1, -0.5]))
+    for model, start in ((HYP3, (None, None)), (HYP3, (x, frame)), (FLAT2, (None, None))):
+        D, d = model.ambient_dim, model.dim
+        want_x = geom.base_point(model) if start[0] is None else x
+        want_u = geom.base_frame(model) if start[1] is None else frame
+        for batch in ((), (5,), (2, 3)):
+            points, frames = paths.roll_batch(model, np.zeros(batch + (0, d)), *start)
+            assert points.shape == batch + (1, D) and frames.shape == batch + (1, D, d)
+            assert np.array_equal(points[..., 0, :], np.broadcast_to(want_x, batch + (D,)))
+            assert np.array_equal(frames[..., 0, :, :],
+                                  np.broadcast_to(want_u, batch + (D, d)))
+
+
+def test_roll_rows_are_independent_of_the_batch():
+    """Row i of a 4096-path roll is bit-identical to rolling that row alone or
+    inside a (64, 64) batch, so estimates cannot depend on how samples are
+    grouped."""
+    inc = paths.sample_increments(HYP3, Partition(40), 4096, seed=4)
+    points, frames = paths.roll_batch(HYP3, inc)
+    grid_points, grid_frames = paths.roll_batch(HYP3, inc.reshape((64, 64, 40, 3)))
+    assert np.array_equal(grid_points.reshape(points.shape), points)
+    assert np.array_equal(grid_frames.reshape(frames.shape), frames)
+    for i in (0, 1, 2047, 4095):
+        row_points, row_frames = paths.roll_batch(HYP3, inc[i])
+        assert np.array_equal(row_points, points[i])
+        assert np.array_equal(row_frames, frames[i])
+
+
+def test_roll_matches_a_chain_of_exp_frame_steps():
+    """From a given start, the roll is exp_frame step by step with
+    renormalize_frame on the roll's schedule: every RENORM_EVERY steps and at
+    the last knot."""
+    rng = np.random.default_rng(45)
+    n = paths.RENORM_EVERY + 8
+    x, frame = geom.exp_frame(HYP3, geom.base_point(HYP3), geom.base_frame(HYP3),
+                              rng.normal(size=(64, 3)))
+    inc = rng.normal(size=(64, n, 3)) / np.sqrt(n)
+    points, frames = paths.roll_batch(HYP3, inc, x, frame)
+    for i in range(n):
+        x, frame = geom.exp_frame(HYP3, x, frame, inc[:, i])
+        if (i + 1) % paths.RENORM_EVERY == 0 or i + 1 == n:
+            frame = geom.renormalize_frame(HYP3, x, frame)
+        assert np.max(np.abs(points[:, i + 1] - x)) <= 1e-12 * np.max(np.abs(x))
+        assert np.max(np.abs(frames[:, i + 1] - frame)) <= 1e-10 * np.max(np.abs(frame))
 
 
 def test_frame_field_matches_response_matrix():

@@ -67,7 +67,7 @@ def test_roll_anti_roll_round_trip(kind, d, kappa, n, seed, scale):
     rng = np.random.default_rng(seed)
     inc = scale * rng.normal(size=(3, n, d)) / np.sqrt(n * kappa)
     pts, frames = paths.roll_batch(model, inc)
-    back = paths.anti_roll(model, Partition(n), pts)
+    back = paths.anti_roll(model, pts)
     assert np.allclose(back, inc, rtol=0.0, atol=1e-8)
     assert geom.frame_defect(model, pts[:, -1], frames[:, -1]) < geom.CONSTRAINT_DRIFT_TOL
 
