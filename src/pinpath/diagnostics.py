@@ -23,6 +23,8 @@ TABLE_FLOATS = 2 ** 16  # convergence_suite carries n d^2 numbers per path in bl
 VARIATION_FLOATS = 2 ** 16  # and the chart matrix's knot variations for this many
 # ibp_check and gradient_compare drop samples whose chart matrix M is worse conditioned
 CHART_COND_LIMIT = COND_LIMIT / 100
+SCALAR_SUBSAMPLE = 256  # ibp_check's scalar_gap compares this many samples
+GRADIENT_REFINE = 8     # gradient_compare re-rolls each interval in this many sub-steps
 
 
 # ---------------------------------------------------------------------------
@@ -314,20 +316,20 @@ def _chart_velocity(model, part, inc, x_field, want_cond=True):
     return velocity, slopes, cond, M, base_pts
 
 
-def _directional_derivative(model, part, inc, direction, observable, step=FD_STEP):
-    """Central difference of a cylinder observable along a chart direction.
+def _directional_derivative(model, part, inc, direction, observables):
+    """Central differences of cylinder observables along a chart direction.
 
     direction: (N, n, d), not necessarily unit; the step is applied along the
     normalized direction and rescaled, so per-sample magnitudes stay safe.
+    One pair of rolls serves every observable; returns one (N,) array each.
     """
     norms = np.linalg.norm(direction.reshape(direction.shape[0], -1), axis=1)
     safe = np.where(norms > 0, norms, 1.0)
     unit = direction / safe[:, None, None]
-    pts_plus, _ = paths.roll_batch(model, inc + step * unit)
-    pts_minus, _ = paths.roll_batch(model, inc - step * unit)
-    f_plus = observable.evaluate(model, part, pts_plus)
-    f_minus = observable.evaluate(model, part, pts_minus)
-    return norms * (f_plus - f_minus) / (2 * step)
+    pts_plus, _ = paths.roll_batch(model, inc + FD_STEP * unit)
+    pts_minus, _ = paths.roll_batch(model, inc - FD_STEP * unit)
+    return [norms * (obs.evaluate(model, part, pts_plus) - obs.evaluate(model, part, pts_minus))
+            / (2 * FD_STEP) for obs in observables]
 
 
 @dataclass
@@ -351,8 +353,7 @@ class IbpResult:
                    self.passed))
 
 
-def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0, x_field=None,
-              scalar_subsample=256):
+def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0, x_field=None):
     """Gaussian integration by parts in the increment chart.
 
     Compares E[(Xf) g] with E[f (-Xg + m g)] where X differentiates along the
@@ -363,7 +364,7 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0, x_field=None,
 
     scalar_gap reports the ungated per-sample comparison of the chart
     multiplication scalar against the slope-pairing-minus-divergence form
-    computed directly on path space (on a subsample).
+    computed directly on path space (on the first SCALAR_SUBSAMPLE samples).
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
@@ -389,8 +390,7 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0, x_field=None,
     f_vals = f_obs.evaluate(model, part, base_pts)
     g_vals = g_obs.evaluate(model, part, base_pts)
     vel_paths = velocity.reshape(N, n, d)
-    xf = _directional_derivative(model, part, inc, vel_paths, f_obs)
-    xg = _directional_derivative(model, part, inc, vel_paths, g_obs)
+    xf, xg = _directional_derivative(model, part, inc, vel_paths, (f_obs, g_obs))
 
     # divergence of the chart velocity by outer central differences
     div = np.zeros(N)
@@ -415,9 +415,9 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0, x_field=None,
     diff_err = float(np.std(diff, ddof=1) / np.sqrt(N))
     passed = abs(diff_mean) <= 3 * diff_err if diff_err > 0 else abs(diff_mean) < 1e-12
 
-    scalar = _scalar_gap(model, part, inc[:scalar_subsample],
-                         velocity[:scalar_subsample], slopes[:scalar_subsample],
-                         M[:scalar_subsample], mult[:scalar_subsample], x_field)
+    sub = slice(SCALAR_SUBSAMPLE)
+    scalar = _scalar_gap(model, part, inc[sub], velocity[sub], slopes[sub], M[sub],
+                         mult[sub], x_field)
     return IbpResult(lhs_mean, lhs_err, rhs_mean, rhs_err, diff_mean, diff_err,
                      N, n_aborted, passed, scalar)
 
@@ -463,13 +463,14 @@ def _scalar_gap(model, part, inc, velocity, slopes, M, mult, x_field):
 
 
 def gradient_compare(model, partition, observable, n_samples=64, seed=0,
-                     x_field=None, refine=8):
+                     x_field=None):
     """Ungated diagnostic: chart derivative vs damped-gradient pairing.
 
     Left: Xf via the chart velocity (as in ibp_check).  Right: the damped
     closed-form field paired with frame-coordinate gradients of the
-    observable at its knot times; gradients use frames from a refinement-8
-    re-roll of the same path as a stand-in for the continuum development.
+    observable at its knot times; gradients use frames from a finer re-roll
+    of the same path (GRADIENT_REFINE sub-steps per interval) as a stand-in
+    for the continuum development.
     Returns per-sample medians; the gap mixes discretization effects and is
     reported, not gated.
     """
@@ -484,12 +485,12 @@ def gradient_compare(model, partition, observable, n_samples=64, seed=0,
     inc, velocity, base_pts = inc[keep], velocity[keep], base_pts[keep]
     N = inc.shape[0]
     vel_paths = velocity.reshape(N, n, d)
-    chart_side = _directional_derivative(model, part, inc, vel_paths, observable)
+    chart_side, = _directional_derivative(model, part, inc, vel_paths, (observable,))
 
-    # refined roll: same increments split across `refine` sub-steps
-    fine_inc = np.repeat(inc / refine, refine, axis=1)
+    # refined roll: same increments split across GRADIENT_REFINE sub-steps
+    fine_inc = np.repeat(inc / GRADIENT_REFINE, GRADIENT_REFINE, axis=1)
     fine_pts, fine_frs = paths.roll_batch(model, fine_inc)
-    idx = np.arange(0, n * refine + 1, refine)
+    idx = np.arange(0, n * GRADIENT_REFINE + 1, GRADIENT_REFINE)
     frames = fine_frs[:, idx]          # (N, n+1, D, d)
     points = fine_pts[:, idx]
 
@@ -519,7 +520,7 @@ def gradient_compare(model, partition, observable, n_samples=64, seed=0,
         "median_abs_gap": float(np.median(np.abs(gap))),
         "median_abs_chart": float(np.median(np.abs(chart_side))),
         "n_samples": int(N),
-        "refine": int(refine),
+        "refine": GRADIENT_REFINE,
         "note": "refined-roll frames stand in for the continuum development",
     }
 
@@ -568,16 +569,16 @@ def property_sweep(model_list, n_paths, n=64, seed=0):
         inc = paths.sample_increments(model, part, per_model, seed + 101 * m_idx)
         big_n = model.curvature_bound
         C, S = jacobi.batch_cs(model, inc, h)
-        # the estimator's route: Gram pass over the body, the last interval as tip
+        # the estimator's route: Gram pass over the body, the last increment as tip
         G, head = jacobi.gram_pass(model, inc[:, :-1])
-        K = jacobi.end_mass_matrix(G, C[:, -1], S[:, -1], h)
-        eig = np.linalg.eigvalsh(0.5 * (K + np.swapaxes(K, -1, -2)))
+        log_jp, log_vx = jacobi.tip_log_factors(model, G, head, inc[:, -1], n)
+        K = h * jacobi.gram_pass(model, inc)[0]
         margins = {
-            "mass_eig": eig.min(axis=-1) - 1.0,
-            "normal_jacobian": np.exp(jacobi.log_normal_jacobian(K)) - 1.0,
+            "mass_eig": np.linalg.eigvalsh(K).min(axis=-1) - 1.0,
+            "normal_jacobian": np.exp(log_jp) - 1.0,
             "slope_det": np.exp(jacobi.log_rho_P(S, h)) - 1.0,
             "response_bound": _response_bound_margin(model, inc, C, S, h, big_n),
-            "volume_bound": _volume_bound_margin(head, inc, C, S, big_n),
+            "volume_bound": _volume_bound_margin(log_vx, inc, big_n),
         }
         for c, margin in margins.items():
             worst[c] = min(worst[c], float(margin.min()))
@@ -605,19 +606,16 @@ def _response_bound_margin(model, inc, C, S, h, big_n):
     return margin.min(axis=-1)
 
 
-def _volume_bound_margin(head, inc, C, S, big_n):
+def _volume_bound_margin(log_vx, inc, big_n):
     """Per path, the slack of V_x under its combinatorial envelope.
 
-    x is the path's own endpoint, so the tip is the last interval: its
-    solutions are C, S (N, n, d, d) at index n-1; head is the body's
-    gram_pass head.
+    x is the path's own endpoint, so the tip is the last increment of inc
+    (N, n, d); log_vx (N,) from tip_log_factors.
     """
     N, n, d = inc.shape
     if n < 2:
         return np.zeros(N)
-    tip = inc[:, -1]
-    log_vx = jacobi.log_volume_change(jacobi.pinning_gram(head, n), C[:, -1], S[:, -1])
-    dist_tip = np.linalg.norm(tip, axis=-1)
+    dist_tip = np.linalg.norm(inc[:, -1], axis=-1)
     log_leg_sum = big_n * np.sum(np.linalg.norm(inc, axis=-1) ** 2, axis=-1)
     bound = sum(comb(d, k) * n ** (k / 2.0)
                 * np.exp(k * big_n * dist_tip ** 2 / 2.0 + k * log_leg_sum)

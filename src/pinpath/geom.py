@@ -174,11 +174,6 @@ def frame_coords(model: CurvatureModel, frame, w):
     return np.einsum("...ia,i,...i->...a", frame, eta, w)
 
 
-def frame_vector(frame, v):
-    """Ambient tangent vector with frame coordinates v."""
-    return np.einsum("...ia,...a->...i", frame, v)
-
-
 # ---------------------------------------------------------------------------
 # The single exp-with-frame step everything else uses
 # ---------------------------------------------------------------------------

@@ -7,10 +7,24 @@ The family is stored as these (C_i, S_i) alone, and every field comes from one
 of two recursions over them: the suffix products f_i(1) = C_n ... C_{i+1}
 S_i / delta (batch_endpoint_f, the lift's input) and the forward recursion
 J(s_j) = C_j J(s_{j-1}) + S_j k_{j-1} of a field with right-slopes k
-(jacobi_from_slopes, inverted by slopes_from_knots).  The scalar factors (the
-mass matrix K(1), the normal Jacobian and the two volume factors of the pinned
-estimator) come from one forward Gram pass over the path's body (gram_pass).
-Every function takes leading sample axes (one path is a batch of one).
+(jacobi_from_slopes, inverted by slopes_from_knots).  Every function takes
+leading sample axes (one path is a batch of one).
+
+The scalar factors of the pinned estimator come from one forward Gram pass
+over the body (gram_pass: the Gram sum G of the first n-1 intervals and head,
+the same sum without its last term) and the tip, the last interval, in closed
+form (tip_log_factors).  Write a = sqrt(kappa) |xi_x| for the tip vector xi_x,
+e = xi_x / |xi_x|, P = e e^T, Q = I - P, r = tanh(a) / a in (0, 1] and
+T = r^2 I + (1 - r^2) P.  Then C_x = cosh a Q + P and S_x = delta (sinhc a Q
++ P) commute with P, and
+  K(1) = delta C_x G C_x^T + S_x S_x^T / delta = delta C_x (G + T) C_x,
+so log J_P = (d/2) log delta + (d-1) log cosh a + (1/2) log det(G + T); and
+with F = (I + head) / n^2 and L = C_x S_x^{-1} = n (Q / r + P) = n M,
+  I + L F L^T = M (I + head + T) M,
+so log V_x = (1/2) log det(I + head + T) - (d-1) log r (V_x = 1 at n = 1).
+T has entries in [-1, 1], so G + T and I + head + T stay within 2 of G and
+head entrywise: no large tip matrix is formed and nothing cancels, however far
+the tip.
 """
 
 from __future__ import annotations
@@ -53,48 +67,38 @@ class Partition:
 
 
 # ---------------------------------------------------------------------------
-# One-interval cosine/sine solutions of Y'' = A_xi Y
+# One-interval cosine/sine solutions of Y'' = A_xi Y (leading sample axes)
 # ---------------------------------------------------------------------------
 
-def _interval_scalars(model: CurvatureModel, xi):
-    """(cosh a, sinhc a, xi / |xi|) with a = sqrt(kappa) |xi|; xi (..., d).
-
-    The closed-form interval solutions are C = cosh a I + (1 - cosh a) P and
-    S / s = sinhc a I + (1 - sinhc a) P with P the projector onto xi; flat
-    space (a = 0) gives C = I, S = s I exactly, and xi = 0 a zero direction.
-    """
+def _polar(model: CurvatureModel, xi):
+    """(a, xi / |xi|) with a = sqrt(kappa) |xi| for xi (..., d); xi = 0 has a
+    zero direction and flat space a = 0."""
+    xi = np.asarray(xi, dtype=float)
     nrm = np.sqrt(np.sum(xi * xi, axis=-1))
     unit = xi / np.where(nrm > 0, nrm, 1.0)[..., None]
-    a = np.sqrt(model.kappa) * nrm
-    return np.cosh(a), geom.sinhc(a), unit
+    return np.sqrt(model.kappa) * nrm, unit
 
 
-def _cs_closed(model: CurvatureModel, xi, s):
-    """Closed-form (C_xi(s), S_xi(s)); xi (..., d), s scalar or (...,).
+def batch_cs(model: CurvatureModel, increments, delta: float):
+    """(C_i(delta), S_i(delta)) for increments (..., d), e.g. (..., n, d).
 
-    Constant curvature: with omega = sqrt(kappa)|xi| and P the projector onto
-    xi,  C = P + cosh(omega s) (I-P)  and  S = s P + sinh(omega s)/omega (I-P);
-    flat (or xi = 0) degenerates to C = I, S = s I.
+    An interval covers its increment xi in time delta.  With a = sqrt(kappa)|xi|
+    and P the projector onto xi,  C = cosh a I + (1 - cosh a) P  and
+    S / delta = sinhc a I + (1 - sinhc a) P; flat space (or xi = 0) gives
+    C = I, S = delta I exactly.
     """
-    xi = np.asarray(xi, dtype=float)
-    s = np.asarray(s, dtype=float)
-    ch, sc, unit = _interval_scalars(model, s[..., None] * xi)
+    a, unit = _polar(model, increments)
+    ch, sc = np.cosh(a), geom.sinhc(a)
     eye = np.eye(model.dim)
     proj = unit[..., :, None] * unit[..., None, :]
     C = ch[..., None, None] * eye + (1.0 - ch)[..., None, None] * proj
-    S = s[..., None, None] * (sc[..., None, None] * eye + (1.0 - sc)[..., None, None] * proj)
+    S = delta * (sc[..., None, None] * eye + (1.0 - sc)[..., None, None] * proj)
     return C, S
 
 
 # ---------------------------------------------------------------------------
-# The forward Gram pass and the scalar factors of the family (leading sample axes)
+# The suffix pass, the forward Gram pass and the scalar factors of the family
 # ---------------------------------------------------------------------------
-
-def batch_cs(model: CurvatureModel, increments, delta: float):
-    """(C_i(delta), S_i(delta)) for increments (..., d), e.g. (..., n, d)."""
-    velocities = np.asarray(increments, dtype=float) / delta
-    return _cs_closed(model, velocities, delta)
-
 
 def batch_endpoint_f(C, S, delta: float) -> np.ndarray:
     """f_i evaluated at the right end of the covered span, i = 1..m.
@@ -128,8 +132,9 @@ def gram_pass(model: CurvatureModel, increments):
     inc = np.ascontiguousarray(np.moveaxis(np.asarray(increments, dtype=float),
                                            (-2, -1), (0, 1)))          # (m, d, ...)
     (m, d), batch = inc.shape[:2], inc.shape[2:]
-    ch, sc, unit = _interval_scalars(model, np.moveaxis(inc, 1, -1))
+    a, unit = _polar(model, np.moveaxis(inc, 1, -1))
     unit = np.moveaxis(unit, -1, 1)
+    ch, sc = np.cosh(a), geom.sinhc(a)
     s2 = sc * sc
     cc, alpha, beta, gam = ch * ch, ch * (1.0 - ch), 0.5 * (1.0 - ch) ** 2, 0.5 * (1.0 - s2)
     G = np.zeros((d, d) + batch)
@@ -156,22 +161,6 @@ def _diagonal(A):
     return A.reshape((d * d,) + A.shape[2:])[::d + 1]
 
 
-def end_mass_matrix(G, Cx, Sx, delta: float) -> np.ndarray:
-    """K(1) = delta C_x G C_x^T + S_x S_x^T / delta of a path whose body
-    (ending at tau = 1 - delta) has Gram sum G and whose tip has solutions
-    C_x, S_x (..., d, d): the last step of gram_pass, with dense matrices."""
-    return (delta * Cx @ G @ np.swapaxes(Cx, -1, -2)
-            + Sx @ np.swapaxes(Sx, -1, -2) / delta)
-
-
-def pinning_gram(head, n: int) -> np.ndarray:
-    """F = (I + sum_{i=1}^{n-2} f_i(tau) f_i(tau)^T) / n^2 from the body's
-    gram_pass head; F = 0 when n = 1 (no body to perturb, V_x = 1)."""
-    if n == 1:
-        return np.zeros_like(head)
-    return (np.eye(head.shape[-1]) + head) / n ** 2
-
-
 def batch_mass_matrix(f_end, delta: float) -> np.ndarray:
     """K(end) = delta * sum_i f_i f_i^T from stacked f_i (..., m, d, d), as one
     product of the (d, m d) block [f_1 ... f_m] with its transpose."""
@@ -192,14 +181,6 @@ def _positive_logdet(A, what: str) -> np.ndarray:
     return logdet
 
 
-def log_normal_jacobian(K) -> np.ndarray:
-    """log sqrt(det K(1)) from the mass matrix K(1) (..., d, d); J_P >= 1.
-
-    Raises NumericalError if det K(1) is not positive and finite on any sample.
-    """
-    return 0.5 * _positive_logdet(K, "mass matrix K(1)")
-
-
 def log_rho_P(S, delta: float) -> np.ndarray:
     """log rho_P: sum over the first n-1 of the intervals in S of log det(S_i / delta).
 
@@ -210,25 +191,34 @@ def log_rho_P(S, delta: float) -> np.ndarray:
     return np.sum(logdet, axis=-1)
 
 
-def log_volume_change(F, Cx, Sx) -> np.ndarray:
-    """log V_x, the volume factor of pinning the free endpoint to x.
+def tip_log_factors(model: CurvatureModel, G, head, tip, n: int):
+    """(log J_P, log V_x), each (...,), of paths on n intervals whose body (the
+    first n-1) has gram_pass (G, head) and whose tip, the last interval,
+    covers the vector tip (..., d) in time delta = 1/n; the tip is factored
+    out in closed form (module docstring).
 
-    F      : (..., d, d) pinning_gram of the body
-    Cx, Sx : (..., d, d) batch_cs of the tip vector xi_x (frame coordinates
-             at tau of the log towards x, covered in time delta)
-    V_x = sqrt(det(I + L F L^T)), L = C_x S_x^{-1}.  Raises NumericalError
-    if the determinant is not positive and finite on any sample.
+    Raises NumericalError unless every determinant is positive and finite.
     """
-    L = np.swapaxes(np.linalg.solve(np.swapaxes(Sx, -1, -2), np.swapaxes(Cx, -1, -2)),
-                    -1, -2)
-    gram = np.eye(F.shape[-1]) + L @ F @ np.swapaxes(L, -1, -2)
-    return 0.5 * _positive_logdet(gram, "pinning volume factor")
+    d = model.dim
+    a, unit = _polar(model, tip)
+    safe = np.where(a > 0, a, 1.0)
+    r = np.where(a > 0, np.tanh(safe) / safe, 1.0)
+    r2 = (r * r)[..., None, None]
+    T = r2 * np.eye(d) + (1.0 - r2) * (unit[..., :, None] * unit[..., None, :])
+    log_cosh = a + np.log1p(0.5 * np.expm1(-2.0 * a))     # no overflow at large a
+    log_jp = (-0.5 * d * np.log(n) + (d - 1) * log_cosh
+              + 0.5 * _positive_logdet(G + T, "mass matrix K(1)"))
+    if n == 1:      # no body to perturb
+        return log_jp, np.zeros_like(log_jp)
+    log_vx = (0.5 * _positive_logdet(np.eye(d) + head + T, "pinning volume factor")
+              - (d - 1) * np.log(r))
+    return log_jp, log_vx
 
 
 def tip_cond_hits(model: CurvatureModel, xi_x) -> int:
     """Number of tips whose sine factor S_x has condition number
     sinhc(sqrt(kappa) |xi_x|) (exact in constant curvature) above COND_LIMIT."""
-    a = np.sqrt(model.kappa * np.sum(np.square(xi_x), axis=-1))
+    a, _ = _polar(model, xi_x)
     return int(np.sum(geom.sinhc(a) > COND_LIMIT))
 
 

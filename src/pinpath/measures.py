@@ -7,10 +7,12 @@ from the body's endpoint to the target x, and weights the sample by
     w = (2 pi)^{-d/2} exp(-(n/2) dist(body_end, x)^2) * V_x / J_P,
 
 where J_P is the endpoint normal Jacobian of the full pinned path and V_x the
-volume factor of the pinning map.  The weighted mean of an observable
-estimates its integral against the *unnormalized* pinned measure, whose total
-mass is the heat kernel p_1(o, x); in flat space that identity is exact for
-every n.  The closed heat kernels the estimator is gated against live here
+volume factor of the pinning map.  Both come from one Gram pass over the body,
+with the tip (the last interval) factored out in closed form
+(jacobi.tip_log_factors), so far tips cost no accuracy.  The weighted mean of
+an observable estimates its integral against the *unnormalized* pinned
+measure, whose total mass is the heat kernel p_1(o, x); in flat space that
+identity is exact for every n.  The closed heat kernels the estimator is gated against live here
 too; the numerical oracles that check them (radial PDE, split-time
 quadrature) are in tests/oracles.py.
 """
@@ -114,7 +116,7 @@ def _pinned_chunk(model: CurvatureModel, partition: Partition, x_amb,
                   count: int):
     """Pinned samples [start, start+count): log-weights (N,), observable
     values (N,) and tip_cond_hits."""
-    n, d, delta = partition.n, model.dim, partition.mesh
+    n, d = partition.n, model.dim
     inc = paths.sample_increments(model, partition, count, seed, start)
     body = inc[:, :n - 1, :]
     pts, frs = paths.roll_batch(model, body)
@@ -123,12 +125,9 @@ def _pinned_chunk(model: CurvatureModel, partition: Partition, x_amb,
     xi_x = geom.frame_coords(model, frs[:, -1, :, :], geom.log_point(model, body_end, x_knot))
     dist2 = np.sum(xi_x * xi_x, axis=-1)
 
-    # one forward pass over the body gives K(1) and the V_x Gram matrix F;
-    # the tip's closed-form solutions serve both
+    # one forward pass over the body; the tip enters both factors in closed form
     G, head = jacobi.gram_pass(model, body)
-    Cx, Sx = jacobi.batch_cs(model, xi_x, delta)
-    log_jp = jacobi.log_normal_jacobian(jacobi.end_mass_matrix(G, Cx, Sx, delta))
-    log_vx = jacobi.log_volume_change(jacobi.pinning_gram(head, n), Cx, Sx)
+    log_jp, log_vx = jacobi.tip_log_factors(model, G, head, xi_x, n)
 
     log_w = -0.5 * d * LOG_2PI - 0.5 * n * dist2 + log_vx - log_jp
     full_pts = np.concatenate([pts, x_knot[:, None, :]], axis=1)

@@ -5,14 +5,17 @@ closed-form densities, without importing the production solvers, so that
 agreement between the two is meaningful:
 
 - RK4 integrators of the geodesic, transport and Jacobi equations;
-- the per-vector closed form of parallel transport (``transport``) and the
-  curvature quadratic A_xi as a matrix (``curvature_matrix``);
+- the per-vector closed form of parallel transport (``transport``), the
+  curvature quadratic A_xi as a matrix (``curvature_matrix``) and the ambient
+  vector of given frame coordinates (``frame_vector``);
 - the radial-PDE heat kernel on the d=3, kappa=1 hyperboloid
   (``radial_pde_kernel``, Crank-Nicolson in ``_cn_evolve``);
 - the split-time quadrature of the pinned marginal (``pinned_fdd_oracle``,
   ``_pair_density``).  It multiplies closed-form heat kernels taken from
   ``pinpath.measures.heat_kernel_exact``, which stays in the package because
   the ``pinned`` command gates on it;
+- the tip's dense algebra for the two volume factors of a pinned path
+  (``dense_tip_log_factors``);
 - the null space of the lift's endpoint map (``endpoint_map_matrix``,
   ``lift_orthogonality``, ``lift_competitor_deficit``) and the determinant
   identity det(S^T S) = det(I + A A^T) (``det_identity_check``);
@@ -76,6 +79,11 @@ def transport(kappa, x, y, w):
     return w + coef[..., None] * (x + y)
 
 
+def frame_vector(frame, v):
+    """Ambient tangent vector with frame coordinates v."""
+    return np.einsum("...ia,...a->...i", frame, v)
+
+
 def curvature_matrix(kappa, xi):
     """A_xi = R(xi, .)xi = kappa (|xi|^2 I - xi xi^T) on frame coordinates;
     PSD with kernel xi, and zero for kappa = 0 (flat)."""
@@ -92,6 +100,26 @@ def cs_rk4(kappa, xi, h, steps=2000):
     M = np.block([[np.zeros((d, d)), np.eye(d)], [A, np.zeros((d, d))]])
     Z = rk4(lambda _, z: M @ z, np.eye(2 * d), h, steps)
     return Z[:d, :d], Z[:d, d:], Z[d:, :d], Z[d:, d:]
+
+
+def dense_tip_log_factors(G, head, Cx, Sx, n):
+    """(log J_P, log V_x) of paths on n intervals with dense tip matrices.
+
+    The body's Gram sums G = sum_{i<=n-1} f_i f_i^T and head (the same sum
+    without its last term) at tau = 1 - delta, and the tip's solutions Cx, Sx
+    (..., d, d):  K(1) = delta Cx G Cx^T + Sx Sx^T / delta,  J_P = sqrt(det K(1));
+    F = (I + head) / n^2,  L = Cx Sx^{-1},  V_x = sqrt(det(I + L F L^T)), and
+    V_x = 1 when n = 1.  No guards: a lost determinant comes back as it is.
+    """
+    delta = 1.0 / n
+    K = delta * Cx @ G @ np.swapaxes(Cx, -1, -2) + Sx @ np.swapaxes(Sx, -1, -2) / delta
+    log_jp = 0.5 * np.linalg.slogdet(K)[1]
+    if n == 1:
+        return log_jp, np.zeros_like(log_jp)
+    eye = np.eye(G.shape[-1])
+    L = np.swapaxes(np.linalg.solve(np.swapaxes(Sx, -1, -2), np.swapaxes(Cx, -1, -2)), -1, -2)
+    gram = eye + L @ ((eye + head) / n ** 2) @ np.swapaxes(L, -1, -2)
+    return log_jp, 0.5 * np.linalg.slogdet(gram)[1]
 
 
 def broken_jacobi_rk4(kappa, velocities, slopes, steps_per_interval=400):

@@ -268,12 +268,14 @@ def test_ibp_conditioning_guard_is_a_numerical_failure(tmp_path, monkeypatch):
      "--N", "16"],
 ], ids=["pinned", "converge", "props", "ibp"])
 def test_linalg_error_is_a_numerical_failure(tmp_path, monkeypatch, args):
-    """numpy's LinAlgError (a ValueError subclass) from a solve is reported as
-    a numerical failure with exit code 3, not as a config error."""
+    """numpy's LinAlgError (a ValueError subclass) from a solve or a
+    determinant is reported as a numerical failure with exit code 3, not as a
+    config error."""
     def singular(*a, **k):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(np.linalg, "slogdet", singular)
     res = run_cli(args + ["--out", str(tmp_path)])
     assert res.exit_code == 3, res.output
     assert "numerical failure: Singular matrix" in res.output
@@ -281,12 +283,28 @@ def test_linalg_error_is_a_numerical_failure(tmp_path, monkeypatch, args):
 
 
 def test_pinned_far_target_is_a_numerical_failure(tmp_path):
-    """A target at distance 40 overflows the geometry; the run exits 3."""
+    """A target at distance 800 overflows the geometry (cosh 800 is not a
+    double); the run exits 3."""
     with np.errstate(all="ignore"):
         res = run_cli(["pinned", "--model", "hyperbolic", "--d", "2", "--kappa", "1",
-                       "--rho", "40", "--n", "2", "--N", "4096", "--out", str(tmp_path)])
+                       "--rho", "800", "--n", "2", "--N", "4096", "--out", str(tmp_path)])
     assert res.exit_code == 3, res.output
     assert "numerical failure" in res.output
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--d", "3", "--rho", "16", "--n", "8", "--seed", "0"], 1),
+    (["--d", "2", "--rho", "40", "--n", "2"], 0),
+], ids=["rho16-gate", "rho40-no-oracle"])
+def test_pinned_far_tips_keep_finite_weights(tmp_path, args, code):
+    """Far tips no longer cost K(1) its positivity: every log-weight is
+    finite, so a target at distance 16 fails the gate on the noise of free
+    proposals (exit 1) and one at distance 40, which has no oracle, passes."""
+    res = run_cli(["pinned", "--model", "hyperbolic", "--kappa", "1", "--N", "4096",
+                   *args, "--out", str(tmp_path)])
+    assert res.exit_code == code, res.output
+    row = json.loads(read_text(tmp_path / "pinned_manifest.json"))["rows"][0]
+    assert np.isfinite(row["log_w_min"]) and np.isfinite(row["log_w_max"])
 
 
 def test_pinned_manifest_records_weight_health(tmp_path):

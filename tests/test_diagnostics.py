@@ -263,8 +263,10 @@ def test_ibp_curved_small():
 
 
 def test_ibp_rolls_without_finite_difference_columns(monkeypatch):
-    """ibp_check at n=4, d=2 rolls at most 40 batches: the chart matrix comes
-    from paths.knot_jacobian, not from 2nd rolls per chart velocity (a
+    """ibp_check at n=4, d=2 rolls 35 batches: one lift roll, one pair for
+    both observables' derivatives, and one roll per side of each of the nd = 8
+    divergence and scalar_gap differences.  The chart matrix comes from
+    paths.knot_jacobian, not from 2nd rolls per chart velocity (a
     finite-difference M made 309)."""
     calls = []
     roll = paths.roll_batch
@@ -272,7 +274,7 @@ def test_ibp_rolls_without_finite_difference_columns(monkeypatch):
     f = CylinderObservable("exp_r2_end", (1.0,), 1.0, "exp_radial2",
                            {"times": [1.0], "scales": [2.0]})
     ibp_check(HYP2, Partition(4), f, MASS_OBSERVABLE, n_samples=64, seed=0)
-    assert 0 < len(calls) <= 40
+    assert len(calls) == 35
 
 
 def test_gradient_compare_reports():

@@ -9,8 +9,8 @@ from pinpath import geom, jacobi
 from pinpath.geom import CurvatureModel, NumericalError
 from pinpath.jacobi import Partition
 
-from tests.oracles import (broken_jacobi_rk4, cs_rk4, curvature_matrix, det_identity_check,
-                           vx_fd_oracle_flat)
+from tests.oracles import (broken_jacobi_rk4, cs_rk4, curvature_matrix, dense_tip_log_factors,
+                           det_identity_check, vx_fd_oracle_flat)
 
 FLAT2 = CurvatureModel("flat", 2)
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
@@ -39,7 +39,7 @@ def normal_jacobian(model, part, inc):
     """J_P = sqrt(det K(1)) of one path, through the suffix-pass API."""
     C, S = jacobi.batch_cs(model, inc, part.mesh)
     K = jacobi.batch_mass_matrix(jacobi.batch_endpoint_f(C, S, part.mesh), part.mesh)
-    return float(np.exp(jacobi.log_normal_jacobian(K)))
+    return float(np.sqrt(np.linalg.det(K)))
 
 
 def rho_P(model, part, inc):
@@ -48,10 +48,9 @@ def rho_P(model, part, inc):
 
 
 def volume_change_Vx(model, part, inc, xi_x):
-    """V_x as the estimator computes it: body Gram pass, then log_volume_change."""
-    _, head = jacobi.gram_pass(model, inc[:-1])
-    Cx, Sx = jacobi.batch_cs(model, xi_x, part.mesh)
-    return float(np.exp(jacobi.log_volume_change(jacobi.pinning_gram(head, part.n), Cx, Sx)))
+    """V_x as the estimator computes it: body Gram pass, then tip_log_factors."""
+    G, head = jacobi.gram_pass(model, inc[:-1])
+    return float(np.exp(jacobi.tip_log_factors(model, G, head, xi_x, part.n)[1]))
 
 
 def test_partition_basics():
@@ -345,7 +344,8 @@ def test_batched_endpoint_products():
     inc = rng.normal(size=(7, 5, 2)) * np.sqrt(part.mesh)
     f_end = jacobi.batch_endpoint_f(*jacobi.batch_cs(HYP2, inc, part.mesh), part.mesh)
     K = jacobi.batch_mass_matrix(f_end, part.mesh)
-    logj = jacobi.log_normal_jacobian(K)
+    G, head = jacobi.gram_pass(HYP2, inc[:, :-1])
+    logj = jacobi.tip_log_factors(HYP2, G, head, inc[:, -1], part.n)[0]
     for s in range(7):
         f = response_table(HYP2, part, inc[s])
         K1 = sum(f[i, 5] @ f[i, 5].T for i in range(5)) / 5
@@ -356,19 +356,68 @@ def test_batched_endpoint_products():
 
 
 def test_body_pass_extends_to_full_pass():
-    """K(1) = delta C_n G(tau) C_n^T + S_n S_n^T / delta from the body's Gram
-    pass reproduces the suffix pass over the whole path."""
+    """The body's Gram pass with the tip in closed form (tip_log_factors) gives
+    log J_P = log sqrt(det K(1)) of the suffix pass over the whole path, and
+    the Gram pass over the whole path gives its K(1) = delta G."""
     rng = np.random.default_rng(103)
     for model in (FLAT2, HYP2, CurvatureModel("hyperbolic", 3, 2.0)):
         for n in (1, 2, 3, 8, 32):
             part = Partition(n)
             inc = rng.normal(size=(6, n, model.dim)) * np.sqrt(part.mesh)
-            G, _ = jacobi.gram_pass(model, inc[:, :-1])
+            G, head = jacobi.gram_pass(model, inc[:, :-1])
             C, S = jacobi.batch_cs(model, inc, part.mesh)
-            got = jacobi.end_mass_matrix(G, C[:, -1], S[:, -1], part.mesh)
-            want = jacobi.batch_mass_matrix(jacobi.batch_endpoint_f(C, S, part.mesh),
-                                            part.mesh)
-            assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+            K = jacobi.batch_mass_matrix(jacobi.batch_endpoint_f(C, S, part.mesh), part.mesh)
+            log_jp, _ = jacobi.tip_log_factors(model, G, head, inc[:, -1], n)
+            assert np.allclose(log_jp, 0.5 * np.linalg.slogdet(K)[1], rtol=1e-13, atol=1e-13)
+            assert np.allclose(part.mesh * jacobi.gram_pass(model, inc)[0], K,
+                               rtol=1e-13, atol=1e-13)
+
+
+def test_tip_log_factors_match_dense_oracle():
+    """The factored tip agrees with the dense tip algebra (K(1) = delta C_x G
+    C_x^T + S_x S_x^T / delta and I + L F L^T with L = C_x S_x^{-1}) to
+    1e-12 (1 + |value|), for tips up to sqrt(kappa) |xi_x| = 6 and xi_x = 0."""
+    rng = np.random.default_rng(109)
+    models = [CurvatureModel("flat", d) for d in (1, 2, 3)]
+    models += [CurvatureModel("hyperbolic", d, kappa)
+               for d in (1, 2, 3) for kappa in (0.5, 1.0, 2.5)]
+    for model in models:
+        d, scale = model.dim, 1.0 / np.sqrt(max(model.kappa, 1.0))
+        for n in (1, 2, 3, 8, 32):
+            part = Partition(n)
+            inc = rng.normal(size=(24, n, d)) * np.sqrt(part.mesh)
+            tips = rng.normal(size=(24, d))
+            tips *= (scale * np.linspace(0.0, 6.0, 24) / np.linalg.norm(tips, axis=-1))[:, None]
+            G, head = jacobi.gram_pass(model, inc[:, :-1])
+            got = jacobi.tip_log_factors(model, G, head, tips, n)
+            want = dense_tip_log_factors(G, head, *jacobi.batch_cs(model, tips, part.mesh), n)
+            for g, w in zip(got, want):
+                assert np.all(np.abs(g - w) <= 1e-12 * (1.0 + np.abs(w))), (model, n)
+
+
+def test_tip_log_factors_far_tips_on_straight_body():
+    """Zero body increments give G = (n-1) I and head = (n-2) I, and then
+    log J_P = [d log delta + log n + (d-1) log(cosh^2 a (n-1) + sinhc^2 a)] / 2
+    and log V_x = [log n + (d-1) log(1 + (n-1) / r^2)] / 2 with
+    a = sqrt(kappa) |xi_x| and r = tanh(a) / a; tips up to a = 40, where the
+    dense tip algebra loses K(1) to cancellation, agree to 1e-13 relative
+    (absolute at a = 0, where the scalar form of log J_P rounds a zero)."""
+    a = np.array([0.0, 0.5, 2.0, 6.0, 12.0, 20.0, 30.0, 40.0])
+    r = np.concatenate([[1.0], np.tanh(a[1:]) / a[1:]])
+    rng = np.random.default_rng(113)
+    for d in (1, 2, 3):
+        for kappa in (0.5, 1.0, 2.5):
+            model = CurvatureModel("hyperbolic", d, kappa)
+            unit = rng.normal(size=(a.size, d))
+            tips = unit * (a / np.sqrt(kappa) / np.linalg.norm(unit, axis=-1))[:, None]
+            for n in (1, 2, 3, 8, 32):
+                G, head = jacobi.gram_pass(model, np.zeros((a.size, n - 1, d)))
+                log_jp, log_vx = jacobi.tip_log_factors(model, G, head, tips, n)
+                want_jp = 0.5 * (-d * np.log(n) + np.log(n) + (d - 1) * np.log(
+                    np.cosh(a) ** 2 * (n - 1) + geom.sinhc(a) ** 2))
+                want_vx = 0.5 * (np.log(n) + (d - 1) * np.log(1.0 + (n - 1) / r ** 2))
+                assert np.allclose(log_jp, want_jp, rtol=1e-13, atol=1e-13), (d, kappa, n)
+                assert np.allclose(log_vx, want_vx, rtol=1e-13, atol=1e-13), (d, kappa, n)
 
 
 def test_batched_factors_match_batch_of_one():
@@ -384,13 +433,12 @@ def test_batched_factors_match_batch_of_one():
         C, S = jacobi.batch_cs(model, inc, delta)
         f_end = jacobi.batch_endpoint_f(C, S, delta)
         G, head = jacobi.gram_pass(model, inc[..., :-1, :])
-        K = jacobi.end_mass_matrix(G, C[..., -1, :, :], S[..., -1, :, :], delta)
-        Cx, Sx = jacobi.batch_cs(model, tip, delta)
         J = jacobi.jacobi_from_slopes(C, S, slopes)
-        return [f_end, jacobi.batch_mass_matrix(f_end, delta), G, head, K,
-                jacobi.log_normal_jacobian(K), jacobi.log_rho_P(S, delta),
-                jacobi.log_volume_change(jacobi.pinning_gram(head, part.n), Cx, Sx), J,
-                jacobi.slopes_from_knots(C, S, J)]
+        return [f_end, jacobi.batch_mass_matrix(f_end, delta), G, head,
+                jacobi.gram_pass(model, inc)[0],
+                *jacobi.tip_log_factors(model, G, head, inc[..., -1, :], part.n),
+                *jacobi.tip_log_factors(model, G, head, tip, part.n),
+                jacobi.log_rho_P(S, delta), J, jacobi.slopes_from_knots(C, S, J)]
 
     batch = factors(inc, slopes, tips)
     for s in range(5):
@@ -400,7 +448,8 @@ def test_batched_factors_match_batch_of_one():
 
 def test_log_volume_change_counts_ill_conditioned_tips():
     """A tip whose sine factor has condition number above COND_LIMIT is
-    counted in tip_cond_hits; ordinary tips are not."""
+    counted in tip_cond_hits; ordinary tips are not.  Both volume factors of
+    every tip stay finite."""
     model = CurvatureModel("hyperbolic", 2, 4.0)
     part = Partition(4)
     body = np.full((3, 3, 2), 0.1)
@@ -408,36 +457,37 @@ def test_log_volume_change_counts_ill_conditioned_tips():
     _, Sx = jacobi.batch_cs(model, np.array([1.5, 0.0]), part.mesh)
     assert np.linalg.cond(Sx) == pytest.approx(float(geom.sinhc(3.0)), rel=1e-10)
     tips = np.array([[0.5, 0.0], [20.0, 0.0], [0.0, -1.0]])   # sinhc(40) ~ 3e15
-    _, head = jacobi.gram_pass(model, body)
-    Cx, Sx = jacobi.batch_cs(model, tips, part.mesh)
-    log_vx = jacobi.log_volume_change(jacobi.pinning_gram(head, part.n), Cx, Sx)
+    G, head = jacobi.gram_pass(model, body)
+    log_jp, log_vx = jacobi.tip_log_factors(model, G, head, tips, part.n)
     assert jacobi.tip_cond_hits(model, tips) == 1
     assert np.all(np.isfinite(log_vx))
+    assert np.all(np.isfinite(log_jp))
     assert jacobi.tip_cond_hits(model, tips[[0, 2]]) == 0
     assert jacobi.tip_cond_hits(FLAT2, tips) == 0
 
 
 def test_volume_factors_reject_non_finite_determinants():
-    """slogdet of a K(1) holding inf gives sign +1 and logdet inf (NaN off the
-    diagonal); every volume factor raises NumericalError on a non-finite
-    determinant as it does on a non-positive one."""
-    K = np.stack([np.eye(2)] * 3)
-    assert np.array_equal(jacobi.log_normal_jacobian(K), np.zeros(3))
-    for entry in [(1, 0, 0), (1, 0, 1)]:
-        bad = K.copy()
-        bad[entry] = np.inf
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
-            jacobi.log_normal_jacobian(bad)
-    with pytest.raises(NumericalError):
-        jacobi.log_normal_jacobian(K * np.array([1.0, -1.0]))
+    """slogdet of a matrix holding inf gives sign +1 and logdet inf (NaN off
+    the diagonal); both tip factors raise NumericalError on an inf in G or in
+    head, as on a non-positive determinant, and log rho_P on a NaN."""
+    eye = np.stack([np.eye(2)] * 3)
+    tips = np.zeros((3, 2))
+    log_jp, log_vx = jacobi.tip_log_factors(HYP2, 0.0 * eye, 0.0 * eye, tips, 1)
+    assert np.array_equal(log_jp, np.zeros(3)) and np.array_equal(log_vx, np.zeros(3))
+    for which in (0, 1):
+        for entry in [(1, 0, 0), (1, 0, 1)]:
+            gram = [eye.copy(), eye.copy()]
+            gram[which][entry] = np.inf
+            with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+                jacobi.tip_log_factors(HYP2, *gram, tips, 4)
+        gram = [eye.copy(), eye.copy()]
+        gram[which] *= np.array([-3.0, 1.0])
+        with pytest.raises(NumericalError):
+            jacobi.tip_log_factors(HYP2, *gram, tips, 4)
     S = np.stack([np.eye(2)] * 3)[None]
     S[0, 0, 0, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
         jacobi.log_rho_P(S, 0.5)
-    F = K.copy()
-    F[2, 1, 1] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
-        jacobi.log_volume_change(F, K, K)
 
 
 def test_det_identity_edge_cases():

@@ -16,7 +16,7 @@ from pinpath import diagnostics, geom, jacobi, paths  # noqa: E402
 from pinpath.geom import CurvatureModel  # noqa: E402
 from pinpath.jacobi import Partition  # noqa: E402
 
-from tests.oracles import transport  # noqa: E402
+from tests.oracles import frame_vector, transport  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -148,7 +148,7 @@ def test_transport_is_an_isometry(d, kappa, seed, spread, step):
     model = CurvatureModel("hyperbolic", d, kappa)
     rng, x, frame = boosted_frame_point(model, seed, spread)
     y = geom.exp_frame(model, x, frame, step_of_length(rng, d, kappa, step))[0]
-    w = geom.frame_vector(frame, rng.normal(size=(3, d)))
+    w = frame_vector(frame, rng.normal(size=(3, d)))
     t = transport(kappa, x, y, w)
     gram = geom.minkowski_inner(w[:, None], w[None])
     scale = np.sqrt(np.max(np.abs(gram)))
