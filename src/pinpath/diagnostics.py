@@ -21,10 +21,10 @@ DIV_STEP = 1e-3   # larger outer step for divergence-of-velocity differences
 FLAT_FLOOR = 1e-13  # below this a statistic counts as identically zero
 TABLE_FLOATS = 2 ** 16  # convergence_suite carries n d^2 numbers per path in blocks of this many
 VARIATION_FLOATS = 2 ** 16  # and the chart matrix's knot variations for this many
-# ibp_check and gradient_compare drop samples whose chart matrix M is worse conditioned
+# ibp_check drops samples whose chart matrix M is worse conditioned
 CHART_COND_LIMIT = COND_LIMIT / 100
-SCALAR_SUBSAMPLE = 256  # ibp_check's scalar_gap compares this many samples
-GRADIENT_REFINE = 8     # gradient_compare re-rolls each interval in this many sub-steps
+SCALAR_SUBSAMPLE = 256   # ibp_check's scalar_gap compares this many samples
+GRADIENT_SUBSAMPLE = 32  # and its gradient_gap this many
 
 
 # ---------------------------------------------------------------------------
@@ -287,21 +287,19 @@ def _knot_sups(C, S, f_end, coeff, coords, ratio, k_cmp, j_prof):
 # chart-level integration by parts
 # ---------------------------------------------------------------------------
 
-def _chart_velocity(model, part, inc, x_field, want_cond=True):
+def _chart_velocity(model, part, inc, x_field):
     """Solve M v = k for the increment-chart velocity of the lift.
 
     M's columns are the slope representations of unit chart perturbations, the
     exact knot variations (paths.knot_jacobian) through slopes_from_knots; M is
     block lower triangular with diagonal blocks n I, and n I in flat space.
-    Returns (velocity (N, n*d), slopes k (N, n, d), cond (N,), M (N, nd, nd),
-    base_pts (N, n+1, D)).  want_cond=False skips the SVD (used inside
-    divergence differences).
+    Returns (velocity (N, n*d), slopes k (N, n, d), M (N, nd, nd), and the
+    knots (N, n+1, D) and frames (N, n+1, D, d) of the roll of inc).
     """
     N = inc.shape[0]
     n, d = part.n, model.dim
     nd = n * d
     C, S = jacobi.batch_cs(model, inc, part.mesh)
-    slopes, _, base_pts = _batched_lift_slopes(model, part, inc, x_field, C, S)[:3]
     M = np.empty((N, nd, nd))
     # knot values (block, nd, n+1, d), one list per column (i, a), in bounded blocks
     block = max(1, VARIATION_FLOATS // ((n + 1) * d * nd))
@@ -311,25 +309,35 @@ def _chart_velocity(model, part, inc, x_field, want_cond=True):
         cols = jacobi.slopes_from_knots(C[sl, None], S[sl, None], np.moveaxis(dknots, -1, 1))
         np.swapaxes(M, 1, 2)[sl] = cols.reshape(-1, nd, nd)
 
-    cond = np.linalg.cond(M) if want_cond else np.full(N, np.nan)
+    # rolled after M, so the frames are not held through the knot variations
+    slopes, _, base_pts, base_frs = _batched_lift_slopes(model, part, inc, x_field, C, S)
     velocity = np.linalg.solve(M, slopes.reshape(N, nd)[..., None])[..., 0]
-    return velocity, slopes, cond, M, base_pts
+    return velocity, slopes, M, base_pts, base_frs
+
+
+def _central_difference(fn, inc, direction, step):
+    """Derivative along direction of fn, a map from increments (N, n, d) to
+    arrays whose last axis runs over the samples, by a central difference of
+    size step along the unit direction rescaled by its norm, so large
+    directions stay safe.  direction is (N, n, d), one per sample, or
+    (1, n, d), one for all.
+    """
+    norms = np.linalg.norm(direction.reshape(direction.shape[0], -1), axis=1)
+    shift = direction / np.where(norms > 0, norms, 1.0)[:, None, None]
+    shift *= step
+    return norms * (fn(inc + shift) - fn(inc - shift)) / (2 * step)
 
 
 def _directional_derivative(model, part, inc, direction, observables):
-    """Central differences of cylinder observables along a chart direction.
-
-    direction: (N, n, d), not necessarily unit; the step is applied along the
-    normalized direction and rescaled, so per-sample magnitudes stay safe.
-    One pair of rolls serves every observable; returns one (N,) array each.
+    """Central differences of cylinder observables along a chart direction
+    (N, n, d); one pair of rolls serves every observable.  Returns
+    (len(observables), N).
     """
-    norms = np.linalg.norm(direction.reshape(direction.shape[0], -1), axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = direction / safe[:, None, None]
-    pts_plus, _ = paths.roll_batch(model, inc + FD_STEP * unit)
-    pts_minus, _ = paths.roll_batch(model, inc - FD_STEP * unit)
-    return [norms * (obs.evaluate(model, part, pts_plus) - obs.evaluate(model, part, pts_minus))
-            / (2 * FD_STEP) for obs in observables]
+    def observe(z):
+        pts = paths.roll_batch(model, z)[0]
+        return np.stack([obs.evaluate(model, part, pts) for obs in observables])
+
+    return _central_difference(observe, inc, direction, FD_STEP)
 
 
 @dataclass
@@ -343,7 +351,8 @@ class IbpResult:
     n_used: int
     n_aborted: int
     passed: bool
-    scalar_gap: dict = field(default_factory=dict)
+    scalar_gap: dict
+    gradient_gap: dict
 
     def summary(self):
         return ("ibp lhs=%.6g+-%.2g rhs=%.6g+-%.2g diff=%.3g+-%.2g "
@@ -362,9 +371,11 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0, x_field=None):
     chart matrix M has condition number above CHART_COND_LIMIT are dropped
     (counted in n_aborted).  Pass gate: paired difference within 3 stderr.
 
-    scalar_gap reports the ungated per-sample comparison of the chart
-    multiplication scalar against the slope-pairing-minus-divergence form
-    computed directly on path space (on the first SCALAR_SUBSAMPLE samples).
+    Two ungated reports ride along.  scalar_gap compares the chart
+    multiplication scalar with the slope-pairing-minus-divergence form
+    computed directly on path space (on the first SCALAR_SUBSAMPLE samples);
+    gradient_gap compares Xg with the damped-field pairing, the lift's
+    continuum limit (on the first GRADIENT_SUBSAMPLE samples).
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
@@ -375,32 +386,27 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0, x_field=None):
     nd = n * d
     inc = paths.sample_increments(model, part, n_samples, seed)
 
-    velocity, slopes, cond, M, base_pts = _chart_velocity(model, part, inc, x_field)
-    keep = cond <= CHART_COND_LIMIT
+    velocity, slopes, M, base_pts, base_frs = _chart_velocity(model, part, inc, x_field)
+    keep = np.linalg.cond(M) <= CHART_COND_LIMIT
     n_aborted = int((~keep).sum())
-    inc = inc[keep]
-    velocity = velocity[keep]
-    slopes = slopes[keep]
-    M = M[keep]
-    base_pts = base_pts[keep]
+    # gradient_gap reads only its subsample's frames; the rest are not held on
+    base_frs = base_frs[np.flatnonzero(keep)[:GRADIENT_SUBSAMPLE]]
+    inc, velocity, slopes, M, base_pts = (a[keep] for a in (inc, velocity, slopes, M, base_pts))
     N = inc.shape[0]
     if N < 2:
         raise NumericalError("all but %d samples aborted on conditioning" % N)
 
     f_vals = f_obs.evaluate(model, part, base_pts)
     g_vals = g_obs.evaluate(model, part, base_pts)
-    vel_paths = velocity.reshape(N, n, d)
-    xf, xg = _directional_derivative(model, part, inc, vel_paths, (f_obs, g_obs))
+    xf, xg = _directional_derivative(model, part, inc, velocity.reshape(N, n, d),
+                                     (f_obs, g_obs))
 
     # divergence of the chart velocity by outer central differences
     div = np.zeros(N)
     for col in range(nd):
-        i, a = divmod(col, d)
-        shift = np.zeros((n, d))
-        shift[i, a] = DIV_STEP
-        v_plus = _chart_velocity(model, part, inc + shift, x_field, want_cond=False)[0]
-        v_minus = _chart_velocity(model, part, inc - shift, x_field, want_cond=False)[0]
-        div += (v_plus[:, col] - v_minus[:, col]) / (2 * DIV_STEP)
+        axis = np.eye(nd)[col].reshape(1, n, d)
+        div += _central_difference(
+            lambda z: _chart_velocity(model, part, z, x_field)[0][:, col], inc, axis, DIV_STEP)
 
     mult = n * np.einsum("nc,nc->n", inc.reshape(N, nd), velocity) - div
     lhs = xf * g_vals
@@ -416,13 +422,14 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0, x_field=None):
     passed = abs(diff_mean) <= 3 * diff_err if diff_err > 0 else abs(diff_mean) < 1e-12
 
     sub = slice(SCALAR_SUBSAMPLE)
-    scalar = _scalar_gap(model, part, inc[sub], velocity[sub], slopes[sub], M[sub],
-                         mult[sub], x_field)
+    scalar = _scalar_gap(model, part, inc[sub], slopes[sub], M[sub], mult[sub], x_field)
+    sub = slice(GRADIENT_SUBSAMPLE)
+    gradient = _gradient_gap(model, part, g_obs, xg[sub], base_pts[sub], base_frs, x_field)
     return IbpResult(lhs_mean, lhs_err, rhs_mean, rhs_err, diff_mean, diff_err,
-                     N, n_aborted, passed, scalar)
+                     N, n_aborted, passed, scalar, gradient)
 
 
-def _scalar_gap(model, part, inc, velocity, slopes, M, mult, x_field):
+def _scalar_gap(model, part, inc, slopes, M, mult, x_field):
     """Ungated comparison of the two multiplication scalars on a subsample.
 
     Chart form: n <z, V> - div_z V (already in `mult`).  Path-space form:
@@ -434,8 +441,6 @@ def _scalar_gap(model, part, inc, velocity, slopes, M, mult, x_field):
     n <z, V> is already the slope/increment pairing.
     """
     N = inc.shape[0]
-    if N == 0:
-        return {}
     n, d = part.n, model.dim
     nd = n * d
     # chart velocities realizing the orthonormal slope directions sqrt(n) e_col
@@ -443,14 +448,10 @@ def _scalar_gap(model, part, inc, velocity, slopes, M, mult, x_field):
     div_path = np.zeros(N)
     for col in range(nd):
         i, a = divmod(col, d)
-        direction = basis_vel[:, :, col].reshape(N, n, d)
-        norms = np.linalg.norm(direction.reshape(N, -1), axis=1)
-        safe = np.where(norms > 0, norms, 1.0)
-        unit = direction / safe[:, None, None]
-        s_plus, s_minus = (
-            _batched_lift_slopes(model, part, z, x_field, *jacobi.batch_cs(model, z, part.mesh))[0]
-            for z in (inc + FD_STEP * unit, inc - FD_STEP * unit))
-        dslope = norms * (s_plus[:, i, a] - s_minus[:, i, a]) / (2 * FD_STEP)
+        dslope = _central_difference(
+            lambda z: _batched_lift_slopes(model, part, z, x_field,
+                                           *jacobi.batch_cs(model, z, part.mesh))[0][:, i, a],
+            inc, basis_vel[:, :, col].reshape(N, n, d), FD_STEP)
         div_path += dslope / np.sqrt(n)
     pairing = np.einsum("nid,nid->n", slopes, inc)
     path_scalar = pairing - div_path
@@ -462,47 +463,27 @@ def _scalar_gap(model, part, inc, velocity, slopes, M, mult, x_field):
     }
 
 
-def gradient_compare(model, partition, observable, n_samples=64, seed=0,
-                     x_field=None):
-    """Ungated diagnostic: chart derivative vs damped-gradient pairing.
+def _gradient_gap(model, part, observable, chart_side, points, frames, x_field):
+    """Ungated comparison of a chart derivative with the damped-gradient pairing.
 
-    Left: Xf via the chart velocity (as in ibp_check).  Right: the damped
-    closed-form field paired with frame-coordinate gradients of the
-    observable at its knot times; gradients use frames from a finer re-roll
-    of the same path (GRADIENT_REFINE sub-steps per interval) as a stand-in
-    for the continuum development.
-    Returns per-sample medians; the gap mixes discretization effects and is
+    chart_side (N,) is Xf for the observable f along the chart velocity of the
+    lift (as in ibp_check); the pairing takes the damped closed-form field
+    k(s_j) / k(1) X at each knot time s_j of f with the frame-coordinate
+    gradient of f at that knot, by central differences of the knot along its
+    frame axes.  points (N, n+1, D) and frames (N, n+1, D, d) are the knots
+    and frames of the paths' roll: a geodesic step split into sub-steps is the
+    same geodesic with the same transport, so they are also those of the
+    continuum development.  The gap mixes discretization effects and is
     reported, not gated.
     """
-    if x_field is None:
-        x_field = projected_constant_field(model)
-    part = partition
-    n, d = part.n, model.dim
-    ric = damped.ric_scalar(model)
-    inc = paths.sample_increments(model, part, n_samples, seed)
-    velocity, slopes, cond, M, base_pts = _chart_velocity(model, part, inc, x_field)
-    keep = cond <= CHART_COND_LIMIT
-    inc, velocity, base_pts = inc[keep], velocity[keep], base_pts[keep]
-    N = inc.shape[0]
-    vel_paths = velocity.reshape(N, n, d)
-    chart_side, = _directional_derivative(model, part, inc, vel_paths, (observable,))
-
-    # refined roll: same increments split across GRADIENT_REFINE sub-steps
-    fine_inc = np.repeat(inc / GRADIENT_REFINE, GRADIENT_REFINE, axis=1)
-    fine_pts, fine_frs = paths.roll_batch(model, fine_inc)
-    idx = np.arange(0, n * GRADIENT_REFINE + 1, GRADIENT_REFINE)
-    frames = fine_frs[:, idx]          # (N, n+1, D, d)
-    points = fine_pts[:, idx]
-
-    # endpoint coords in the refined frame, damped profile along knots
+    N = chart_side.shape[0]
+    d = model.dim
     coords = _endpoint_coords(model, points[:, -1], frames[:, -1], x_field)
-    k_prof = damped.k_profile(ric, part.knots)
+    k_prof = damped.k_profile(damped.ric_scalar(model), part.knots)
     damped_field = (k_prof / k_prof[-1])[None, :, None] * coords[:, None, :]
 
-    times = observable.times
-    knot_idx = [part.knot_index(t) for t in times]
     pair_side = np.zeros(N)
-    for j in knot_idx:
+    for j in (part.knot_index(t) for t in observable.times):
         if j == 0:
             continue
         for a in range(d):
@@ -520,8 +501,6 @@ def gradient_compare(model, partition, observable, n_samples=64, seed=0,
         "median_abs_gap": float(np.median(np.abs(gap))),
         "median_abs_chart": float(np.median(np.abs(chart_side))),
         "n_samples": int(N),
-        "refine": GRADIENT_REFINE,
-        "note": "refined-roll frames stand in for the continuum development",
     }
 
 
@@ -572,7 +551,9 @@ def property_sweep(model_list, n_paths, n=64, seed=0):
         # the estimator's route: Gram pass over the body, the last increment as tip
         G, head = jacobi.gram_pass(model, inc[:, :-1])
         log_jp, log_vx = jacobi.tip_log_factors(model, G, head, inc[:, -1], n)
-        K = h * jacobi.gram_pass(model, inc)[0]
+        # K(1) = h (C_n G C_n^T + (S_n/h)(S_n/h)^T), one Gram step past the body
+        C_n, S_n = C[:, -1], S[:, -1] / h
+        K = h * (C_n @ G @ np.swapaxes(C_n, -1, -2) + S_n @ np.swapaxes(S_n, -1, -2))
         margins = {
             "mass_eig": np.linalg.eigvalsh(K).min(axis=-1) - 1.0,
             "normal_jacobian": np.exp(log_jp) - 1.0,

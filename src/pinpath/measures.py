@@ -94,21 +94,31 @@ def radial_observable(time: float, g: str = "r", bound: float = np.inf,
 # ---------------------------------------------------------------------------
 
 def _target_point(model: CurvatureModel, x) -> np.ndarray:
-    """Accept x as ambient coordinates or as tangent coordinates at o."""
+    """Accept x as ambient coordinates or as tangent coordinates at o.
+
+    Raises ValueError for a wrong length, a point off the sheet, or a target
+    with no finite point (tangent coordinates past the double range of cosh).
+    """
     x = np.asarray(x, dtype=float)
+    ambient = model.kind == "hyperbolic" and x.shape == (model.ambient_dim,)
     if model.kind == "flat":
         if x.shape != (model.dim,):
             raise ValueError("x must be a length-d vector")
-        return x
-    if x.shape == (model.dim,):          # frame coordinates at o
-        return geom.exp_frame(model, geom.base_point(model), geom.base_frame(model), x)[0]
-    if x.shape != (model.ambient_dim,):
+        point = x
+    elif x.shape == (model.dim,):          # frame coordinates at o
+        point = geom.exp_frame(model, geom.base_point(model), geom.base_frame(model), x)[0]
+    elif ambient:
+        point = x
+    else:
         raise ValueError("x must be ambient (d+1) or tangent (d) coordinates")
-    # relative: a far point carries roundoff of order kappa |x|^2
-    defect = abs(model.kappa * geom.minkowski_inner(x, x) + 1.0) / (1 + model.kappa * x @ x)
-    if defect > 1e-8 or x[-1] <= 0:
-        raise ValueError("x is not on the hyperboloid sheet")
-    return x
+    if not np.all(np.isfinite(point)):
+        raise ValueError(f"target {x.tolist()} has no finite point on the {model.kind} model")
+    if ambient:
+        # relative: a far point carries roundoff of order kappa |x|^2
+        defect = abs(model.kappa * geom.minkowski_inner(x, x) + 1.0) / (1 + model.kappa * x @ x)
+        if defect > 1e-8 or x[-1] <= 0:
+            raise ValueError("x is not on the hyperboloid sheet")
+    return point
 
 
 def _pinned_chunk(model: CurvatureModel, partition: Partition, x_amb,

@@ -44,19 +44,20 @@ def sample_increments(model: CurvatureModel, partition: Partition, count: int,
         chunk_id = idx // CHUNK
         offset = idx % CHUNK
         take = min(CHUNK - offset, count - pos)
-        block = _chunk_normals(seed, chunk_id, n, d)
-        out[pos:pos + take] = block[offset:offset + take]
+        out[pos:pos + take] = _chunk_normals(seed, chunk_id, offset + take, n, d)[offset:]
         pos += take
         idx += take
     out *= scale
     return out
 
 
-def _chunk_normals(seed: int, chunk_id: int, n: int, d: int) -> np.ndarray:
-    """Standard-normal block (CHUNK, n, d) for one Philox key."""
+def _chunk_normals(seed: int, chunk_id: int, rows: int, n: int, d: int) -> np.ndarray:
+    """Rows [0, rows) of the standard-normal block (CHUNK, n, d) for one
+    Philox key; standard_normal fills its output in order, so a shorter draw
+    is a prefix of the full one."""
     key = np.array([seed, chunk_id], dtype=np.uint64)
     rng = Generator(Philox(key=key))
-    return rng.standard_normal((CHUNK, n, d))
+    return rng.standard_normal((rows, n, d))
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,7 @@ def test_ibp_limits_and_run(tmp_path):
                    "--N", "400", "--seed", "0", "--out", out])
     assert res.exit_code == 0, res.output
     manifest = json.loads(read_text(os.path.join(out, "ibp_manifest.json")))
+    assert {"result", "scalar_gap", "gradient_compare"} <= set(manifest)
     assert manifest["result"]["passed"] is True
     assert manifest["result"]["n_used"] + manifest["result"]["n_aborted"] == 400
 
@@ -282,14 +283,17 @@ def test_linalg_error_is_a_numerical_failure(tmp_path, monkeypatch, args):
     assert "config error" not in res.output
 
 
-def test_pinned_far_target_is_a_numerical_failure(tmp_path):
-    """A target at distance 800 overflows the geometry (cosh 800 is not a
-    double); the run exits 3."""
-    with np.errstate(all="ignore"):
-        res = run_cli(["pinned", "--model", "hyperbolic", "--d", "2", "--kappa", "1",
-                       "--rho", "800", "--n", "2", "--N", "4096", "--out", str(tmp_path)])
-    assert res.exit_code == 3, res.output
-    assert "numerical failure" in res.output
+def test_pinned_unrepresentable_target_is_a_config_error(tmp_path):
+    """A target past the double range of the geometry (cosh 720 is not a
+    double; at 700 the point is infinite) is refused before sampling: the run
+    exits 2 naming the target, not 3 blaming the weights."""
+    for rho in ("700", "720", "800"):
+        with np.errstate(all="ignore"):
+            res = run_cli(["pinned", "--model", "hyperbolic", "--d", "2", "--kappa", "1",
+                           "--rho", rho, "--n", "2", "--N", "4096", "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert f"config error: target [{rho}.0, 0.0]" in res.output
+        assert "numerical failure" not in res.output
 
 
 @pytest.mark.parametrize("args, code", [

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from pinpath import diagnostics, geom, jacobi, paths
-from pinpath.diagnostics import (ConvergenceReport, convergence_suite,
-                                 gradient_compare, ibp_check,
+from pinpath.diagnostics import (ConvergenceReport, convergence_suite, ibp_check,
                                  projected_constant_field, property_sweep)
 from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
@@ -265,7 +264,8 @@ def test_ibp_curved_small():
 def test_ibp_rolls_without_finite_difference_columns(monkeypatch):
     """ibp_check at n=4, d=2 rolls 35 batches: one lift roll, one pair for
     both observables' derivatives, and one roll per side of each of the nd = 8
-    divergence and scalar_gap differences.  The chart matrix comes from
+    divergence and scalar_gap differences; gradient_gap reuses the lift roll's
+    knots and frames.  The chart matrix comes from
     paths.knot_jacobian, not from 2nd rolls per chart velocity (a
     finite-difference M made 309)."""
     calls = []
@@ -278,10 +278,11 @@ def test_ibp_rolls_without_finite_difference_columns(monkeypatch):
 
 
 def test_gradient_compare_reports():
-    """Chart-vs-damped gradient diagnostic returns finite, small medians."""
+    """ibp_check's chart-vs-damped gradient report, on its first 32 kept
+    samples, returns finite, small medians."""
     obs = CylinderObservable("exp_end", (1.0,), 1.0, "exp_radial2",
                              {"times": [1.0], "scales": [2.0]})
-    out = gradient_compare(HYP2, Partition(4), obs, n_samples=32, seed=0)
+    out = ibp_check(HYP2, Partition(4), MASS_OBSERVABLE, obs, n_samples=64, seed=0).gradient_gap
     assert out["n_samples"] == 32
     assert np.isfinite(out["median_abs_gap"])
     assert out["median_abs_gap"] < 0.05 * out["median_abs_chart"]

@@ -187,6 +187,19 @@ def test_far_target_point_keeps_its_distance(d, kappa):
         assert np.array_equal(measures._target_point(model, x), x)
 
 
+def test_unrepresentable_target_is_rejected():
+    """A target whose point is not finite is a ValueError that names it: the
+    tangent target at rho = 700 (d = 2) lands at infinity, from rho = 720 its
+    point is NaN, and an ambient NaN point passes the sheet test's
+    comparison."""
+    with np.errstate(all="ignore"):
+        for rho in (700.0, 720.0):
+            with pytest.raises(ValueError, match=r"target \[%r, 0.0\]" % rho):
+                measures._target_point(HYP2, rho * E1)
+    with pytest.raises(ValueError, match="nan"):
+        measures._target_point(HYP2, np.array([np.nan, 0.0, 1.0]))
+
+
 def test_pinned_estimate_flat_unbiased():
     """Flat mass estimate hits the Gaussian kernel within 3 stderr."""
     x = np.array([1.0, 0.0])

@@ -46,6 +46,16 @@ def test_increments_chunk_boundary():
         paths.sample_increments(FLAT2, part, -1, seed=0)
 
 
+@pytest.mark.parametrize("rows", [1, 5, 64, 4095])
+@pytest.mark.parametrize("n, d", [(64, 1), (4, 2), (32, 3)])
+def test_short_chunk_draw_is_a_prefix(rows, n, d):
+    """A rows-row draw of a chunk is the first rows rows of its full CHUNK
+    draw, bit for bit, so sample_increments draws only what it returns."""
+    for seed, chunk in ((0, 0), (5, 3)):
+        full = paths._chunk_normals(seed, chunk, paths.CHUNK, n, d)
+        assert np.array_equal(paths._chunk_normals(seed, chunk, rows, n, d), full[:rows])
+
+
 def test_exponential_moment_identity():
     """E[exp(lambda sum |db|^2)] = (1 - 2 lambda / n)^{-nd/2} at Monte Carlo
     accuracy (lambda = 0.2, n = 8, d = 2)."""
@@ -158,6 +168,30 @@ def test_roll_matches_a_chain_of_exp_frame_steps():
             frame = geom.renormalize_frame(HYP3, x, frame)
         assert np.max(np.abs(points[:, i + 1] - x)) <= 1e-12 * np.max(np.abs(x))
         assert np.max(np.abs(frames[:, i + 1] - frame)) <= 1e-10 * np.max(np.abs(frame))
+
+
+@pytest.mark.parametrize("model", [HYP2, CurvatureModel("hyperbolic", 3, 2.0)],
+                         ids=["hyp2", "hyp3-kappa2"])
+@pytest.mark.parametrize("n", [4, 6])
+def test_roll_of_equal_sub_steps_is_the_same_path(monkeypatch, model, n):
+    """Each increment split into k = 8 equal sub-steps rolls the same broken
+    geodesic: the sub-steps follow one geodesic and transport the frame along
+    it, so the coarse knots match within 1e-12 relative, and so do the frames
+    as transported.  Gram-Schmidt, which runs at the last knot (and mid-path
+    in the fine roll at n = 6), rounds Minkowski products of entries of size
+    R at R^2 eps, so the renormalised frames match within 1e-12 R relative."""
+    k = 8
+    inc = paths.sample_increments(model, Partition(n), 32, seed=7)
+    fine = np.repeat(inc / k, k, axis=1)
+    points, frames = paths.roll_batch(model, inc)
+    fine_points, fine_frames = paths.roll_batch(model, fine)
+    scale = np.max(np.abs(frames))
+    assert np.max(np.abs(fine_points[:, ::k] - points)) <= 1e-12 * np.max(np.abs(points))
+    assert np.max(np.abs(fine_frames[:, ::k] - frames)) <= 1e-12 * scale * scale
+    monkeypatch.setattr(paths, "_renormalize_due", lambda i, n: False)
+    transported = paths.roll_batch(model, inc)[1]
+    assert np.max(np.abs(paths.roll_batch(model, fine)[1][:, ::k] - transported)) \
+        <= 1e-12 * np.max(np.abs(transported))
 
 
 def test_frame_field_matches_response_matrix():

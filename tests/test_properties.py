@@ -230,7 +230,7 @@ def test_chart_matrix_closed_form_blocks(kind, d, kappa, n, seed, length):
     model, inc = path_of_length(kind, d, kappa, n, seed, length)
     part = Partition(n)
     M = diagnostics._chart_velocity(model, part, inc,
-                                    diagnostics.projected_constant_field(model))[3]
+                                    diagnostics.projected_constant_field(model))[2]
     blocks = M.reshape(3, n, d, n, d)
     for i in range(n):
         assert np.allclose(blocks[:, i, :, i, :], n * np.eye(d), rtol=0.0, atol=1e-12)
