@@ -14,6 +14,7 @@ code are handled once, by the skeleton.
 
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -34,6 +35,9 @@ EXIT_NUMERICAL = 3
 
 # numpy's LinAlgError subclasses ValueError: catch these before ValueError
 NUMERICAL_FAILURES = (NumericalError, np.linalg.LinAlgError)
+
+# recorded with each pinned row; read from the modules, not from package metadata
+VERSIONS = {"numpy": np.__version__, "python": platform.python_version()}
 
 MODELS = ("flat", "hyperbolic")
 STATISTICS = ("f", "K", "J", "adjoint", "all")     # "all": every one before it
@@ -280,7 +284,8 @@ def cmd_pinned(cfg):
                      "N": cfg.n_samples, "mean": res.mean, "stderr": res.stderr,
                      "oracle": oracle if oracle is not None else float("nan"),
                      "abs_err": err, "tip_cond_hits": res.meta["tip_cond_hits"],
-                     **res.weight_summary()})
+                     **res.weight_summary(), "stage_s": res.meta["stage_s"],
+                     "versions": VERSIONS})
         if oracle is not None:
             if cfg.model == "flat":
                 gates.append(err <= 3 * res.stderr)

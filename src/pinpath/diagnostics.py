@@ -335,7 +335,8 @@ def _directional_derivative(model, part, inc, direction, observables):
     """
     def observe(z):
         pts = paths.roll_batch(model, z)[0]
-        return np.stack([obs.evaluate(model, part, pts) for obs in observables])
+        return np.stack([obs.evaluate(model, paths.knots_at(part, obs.times, pts))
+                         for obs in observables])
 
     return _central_difference(observe, inc, direction, FD_STEP)
 
@@ -396,8 +397,8 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0, x_field=None):
     if N < 2:
         raise NumericalError("all but %d samples aborted on conditioning" % N)
 
-    f_vals = f_obs.evaluate(model, part, base_pts)
-    g_vals = g_obs.evaluate(model, part, base_pts)
+    f_vals = f_obs.evaluate(model, paths.knots_at(part, f_obs.times, base_pts))
+    g_vals = g_obs.evaluate(model, paths.knots_at(part, g_obs.times, base_pts))
     xf, xg = _directional_derivative(model, part, inc, velocity.reshape(N, n, d),
                                      (f_obs, g_obs))
 
@@ -483,17 +484,18 @@ def _gradient_gap(model, part, observable, chart_side, points, frames, x_field):
     damped_field = (k_prof / k_prof[-1])[None, :, None] * coords[:, None, :]
 
     pair_side = np.zeros(N)
-    for j in (part.knot_index(t) for t in observable.times):
+    knots = paths.knots_at(part, observable.times, points)
+    for k, j in enumerate(part.knot_index(t) for t in observable.times):
         if j == 0:
             continue
         for a in range(d):
-            moved_plus = points.copy()
-            moved_minus = points.copy()
+            moved_plus = knots.copy()
+            moved_minus = knots.copy()
             step = FD_STEP * np.eye(d)[a]
-            moved_plus[:, j] = geom.exp_frame(model, points[:, j], frames[:, j], step)[0]
-            moved_minus[:, j] = geom.exp_frame(model, points[:, j], frames[:, j], -step)[0]
-            f_plus = observable.evaluate(model, part, moved_plus)
-            f_minus = observable.evaluate(model, part, moved_minus)
+            moved_plus[:, k] = geom.exp_frame(model, points[:, j], frames[:, j], step)[0]
+            moved_minus[:, k] = geom.exp_frame(model, points[:, j], frames[:, j], -step)[0]
+            f_plus = observable.evaluate(model, moved_plus)
+            f_minus = observable.evaluate(model, moved_minus)
             grad_a = (f_plus - f_minus) / (2 * FD_STEP)
             pair_side += damped_field[:, j, a] * grad_a
     gap = chart_side - pair_side

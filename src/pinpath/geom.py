@@ -123,6 +123,20 @@ def log_point(model: CurvatureModel, x, y):
     return u / sinhc(a)[..., None]
 
 
+def log_o_rows(model: CurvatureModel, w):
+    """Coordinates (d, ...) in the base frame at o of log_o(w), for points
+    w (D, ...) samples last: w itself in flat space, and on the hyperboloid
+    (asinh(z) / z) w_s with w_s the spatial part of w and z = sqrt(kappa)|w_s|,
+    which reads only w_s and so keeps full relative precision near o and far
+    from it."""
+    if model.kind == "flat":
+        return w
+    ws = w[:-1]
+    z = np.sqrt(model.kappa * np.sum(ws * ws, axis=0))
+    safe = np.where(z > 0, z, 1.0)
+    return ws * np.where(z > 0, np.arcsinh(safe) / safe, 1.0)
+
+
 def project_tangent(model: CurvatureModel, x, w):
     """Project an ambient vector onto the tangent space at x."""
     if model.kind == "flat":

@@ -11,9 +11,10 @@ J(s_j) = C_j J(s_{j-1}) + S_j k_{j-1} of a field with right-slopes k
 leading sample axes (one path is a batch of one).
 
 The scalar factors of the pinned estimator come from one forward Gram pass
-over the body (gram_pass: the Gram sum G of the first n-1 intervals and head,
-the same sum without its last term) and the tip, the last interval, in closed
-form (tip_log_factors).  Write a = sqrt(kappa) |xi_x| for the tip vector xi_x,
+over the body (gram_step, run by gram_pass or by the estimator's own body
+loop: the Gram sum G of the first n-1 intervals and head, the same sum
+without its last term) and the tip, the last interval, in closed form
+(tip_log_factors).  Write a = sqrt(kappa) |xi_x| for the tip vector xi_x,
 e = xi_x / |xi_x|, P = e e^T, Q = I - P, r = tanh(a) / a in (0, 1] and
 T = r^2 I + (1 - r^2) P.  Then C_x = cosh a Q + P and S_x = delta (sinhc a Q
 + P) commute with P, and
@@ -116,43 +117,99 @@ def batch_endpoint_f(C, S, delta: float) -> np.ndarray:
     return out
 
 
+class Intervals:
+    """Scalars of the intervals of increments xi (m, d, ...), samples last,
+    computed once over the whole span and read by both recursions over it:
+    the Gram step (gram_step) and the point boost B(+-xi_j)
+    (paths.boost_rows).  With a = sqrt(kappa)|xi| (0 in flat space), each
+    (m, ...): inv = 1/|xi| (1 at xi = 0), so that the unit increment is
+    xi_j inv_j (unit); sh = sinh a; chm1 = cosh a - 1; and s2 = sinhc^2 a.
+    All three come from one expm1, E = e^a - 1: sinh a = E (E + 2) / 2(E + 1)
+    and cosh a - 1 = E^2 / 2(E + 1), neither of which cancels at small a.
+    flat records whether the model is flat, where every C_j and S_j / delta
+    is I.
+    """
+
+    def __init__(self, model: CurvatureModel, xi):
+        # in place where possible: at a 4096-path chunk each array is 1 MB,
+        # and fresh pages cost more than the arithmetic
+        self.xi, self.flat = xi, model.kind == "flat"
+        nrm = np.einsum("md...,md...->m...", xi, xi)
+        np.sqrt(nrm, out=nrm)
+        self.inv = np.ones_like(nrm)
+        np.divide(1.0, nrm, out=self.inv, where=nrm > 0)
+        a = nrm
+        a *= np.sqrt(model.kappa)
+        E = np.expm1(a)
+        half = E + 1.0
+        np.divide(0.5, half, out=half)
+        self.sh = E + 2.0
+        self.sh *= E
+        self.sh *= half
+        E *= E
+        E *= half
+        self.chm1 = E
+        self.s2 = np.ones_like(a)
+        np.divide(self.sh, a, out=self.s2, where=a > 0)
+        self.s2 *= self.s2
+
+    def unit(self, j: int):
+        """The unit increments (d, ...) of interval j (zero where xi_j = 0)."""
+        return self.xi[j] * self.inv[j]
+
+
 def gram_pass(model: CurvatureModel, increments):
     """Gram sums G = sum_{i<=m} f_i f_i^T at the end of increments (..., m, d).
 
     One forward pass of G_j = C_j G_{j-1} C_j^T + (S_j/delta)(S_j/delta)^T
-    from G_0 = 0, without dense products: with c = cosh a, s = sinhc a and e
-    the unit increment, C = c I + (1 - c) e e^T and (S/delta)(S/delta)^T =
-    s^2 I + (1 - s^2) e e^T, so G_j = c^2 G + s^2 I + e k^T + k e^T with
-    k = c (1 - c) G e + ((1 - c)^2 e^T G e + 1 - s^2) e / 2.  Neither term
-    depends on delta.  Returns (G, head), both (..., d, d) and zero when
-    m = 0: G = G_m, and head = G_m without its last term, C_m G_{m-1} C_m^T =
-    sum_{i<=m-1} f_i f_i^T.  K at the end of the span is delta * G.
+    from G_0 = 0 (gram_step).  Returns (G, head), both (..., d, d) and zero
+    when m = 0: G = G_m, and head = G_m without its last term,
+    C_m G_{m-1} C_m^T = sum_{i<=m-1} f_i f_i^T.  K at the end of the span is
+    delta * G.
     """
     # samples last: each entry of the (d, d) recursion is a contiguous vector
     inc = np.ascontiguousarray(np.moveaxis(np.asarray(increments, dtype=float),
                                            (-2, -1), (0, 1)))          # (m, d, ...)
     (m, d), batch = inc.shape[:2], inc.shape[2:]
-    a, unit = _polar(model, np.moveaxis(inc, 1, -1))
-    unit = np.moveaxis(unit, -1, 1)
-    ch, sc = np.cosh(a), geom.sinhc(a)
-    s2 = sc * sc
-    cc, alpha, beta, gam = ch * ch, ch * (1.0 - ch), 0.5 * (1.0 - ch) ** 2, 0.5 * (1.0 - s2)
+    iv = Intervals(model, inc)
     G = np.zeros((d, d) + batch)
-    diag = _diagonal(G)
     for j in range(m):
-        e = unit[j]
-        g = (G * e).sum(axis=1)
-        k = alpha[j] * g + (beta[j] * (g * e).sum(axis=0) + gam[j]) * e
-        ek = e[:, None] * k
-        G *= cc[j]
-        G += ek
-        G += ek.swapaxes(0, 1)
-        diag += s2[j]
+        gram_step(G, iv, j)
+    return np.moveaxis(G, (0, 1), (-2, -1)), np.moveaxis(gram_head(G, iv), (0, 1), (-2, -1))
+
+
+def gram_step(G, iv: Intervals, j: int) -> None:
+    """G <- C_j G C_j^T + (S_j/delta)(S_j/delta)^T in place, for a contiguous
+    G (d, d, ...) samples last, without dense products: with
+    c = cosh a, u = c - 1, s = sinhc a and e the unit increment,
+    C = c I - u e e^T and (S/delta)(S/delta)^T = s^2 I + (1 - s^2) e e^T, so
+    the update is c^2 G + s^2 I + e k^T + k e^T with
+    k = -c u G e + (u^2 e^T G e + 1 - s^2) e / 2.  Neither term depends on
+    delta.  Flat space has C = I and S/delta = I: the step adds I.
+    """
+    if iv.flat:
+        _diagonal(G)[...] += 1.0
+        return
+    e, u, s2 = iv.unit(j), iv.chm1[j], iv.s2[j]
+    c = 1.0 + u
+    g = (G * e).sum(axis=1)
+    k = (-c * u) * g + ((0.5 * u * u) * (g * e).sum(axis=0) + 0.5 * (1.0 - s2)) * e
+    ek = e[:, None] * k
+    G *= c * c
+    G += ek
+    G += ek.swapaxes(0, 1)
+    _diagonal(G)[...] += s2
+
+
+def gram_head(G, iv: Intervals):
+    """head (d, d, ...): the Gram sum G (d, d, ...) at the end of the span of
+    iv without its last term (S_m/delta)(S_m/delta)^T; G itself when m = 0."""
     head = G.copy()
-    if m:
-        head -= (1.0 - s2[-1]) * unit[-1][:, None] * unit[-1]
-        _diagonal(head)[...] -= s2[-1]
-    return np.moveaxis(G, (0, 1), (-2, -1)), np.moveaxis(head, (0, 1), (-2, -1))
+    if iv.xi.shape[0]:
+        e = iv.unit(-1)
+        head -= (1.0 - iv.s2[-1]) * e[:, None] * e
+        _diagonal(head)[...] -= iv.s2[-1]
+    return head
 
 
 def _diagonal(A):

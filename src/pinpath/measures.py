@@ -1,20 +1,35 @@
 """Pinned-path sampling and the importance-weighted endpoint estimator.
 
-A free path is n Gaussian increments rolled from o.  The pinned version keeps
-the first n-1 intervals (the body), replaces the last interval by the geodesic
-from the body's endpoint to the target x, and weights the sample by
+A free path is n Gaussian increments xi_1, ..., xi_n developed from o: its
+knots are x_j = g_j o with g_j = B(xi_1) ... B(xi_j), where B(xi) is the
+boost (a translation in flat space) that moves o along xi and carries the
+frame by parallel transport.  The pinned version keeps the first n-1
+intervals (the body), replaces the last interval by the geodesic from the
+body's end x_{n-1} to the target x, and weights the sample by
 
-    w = (2 pi)^{-d/2} exp(-(n/2) dist(body_end, x)^2) * V_x / J_P,
+    w = (2 pi)^{-d/2} exp(-(n/2) |xi_x|^2) * V_x / J_P,
 
-where J_P is the endpoint normal Jacobian of the full pinned path and V_x the
-volume factor of the pinning map.  Both come from one Gram pass over the body,
-with the tip (the last interval) factored out in closed form
-(jacobi.tip_log_factors), so far tips cost no accuracy.  The weighted mean of
-an observable estimates its integral against the *unnormalized* pinned
-measure, whose total mass is the heat kernel p_1(o, x); in flat space that
-identity is exact for every n.  The closed heat kernels the estimator is gated against live here
-too; the numerical oracles that check them (radial PDE, split-time
-quadrature) are in tests/oracles.py.
+where xi_x is log_{x_{n-1}}(x) in the body's end frame, J_P the endpoint
+normal Jacobian of the full pinned path and V_x the volume factor of the
+pinning map.  The frames themselves are never needed.  The boosts lie in
+SO+(d,1) and so preserve the Minkowski form, g^T eta g = eta; hence
+g = g_{n-1} is an isometry taking o and its frame to x_{n-1} and its frame,
+and the tip is the same vector at o,
+
+    xi_x = log_o(g^{-1} x),   g^{-1} x = B(-xi_{n-1}) ... B(-xi_1) x,
+
+the target pulled back along the body one boost at a time.  One samples-last
+loop over the body (_body_pass) advances this pull-back and the Gram
+recursion of jacobi.gram_step together, from one set of interval scalars
+(jacobi.Intervals); J_P and V_x follow from the Gram sums with the tip
+factored out in closed form (jacobi.tip_log_factors), so far tips cost no
+accuracy.  An observable reads only the knots at its own times: s = 1 is x,
+s = 0 is o, and an interior knot s_j is B(xi_1)(... B(xi_j) o), j point
+boosts.  The weighted mean of an observable estimates its integral against
+the *unnormalized* pinned measure, whose total mass is the heat kernel
+p_1(o, x); in flat space that identity is exact for every n.  The closed heat
+kernels the estimator is gated against live here too; the numerical oracles
+that check them (radial PDE, split-time quadrature) are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -22,6 +37,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,20 +73,20 @@ class CylinderObservable:
     kind: str = "const_one"
     params: dict = field(default_factory=dict)
 
-    def evaluate(self, model: CurvatureModel, partition: Partition, points) -> np.ndarray:
+    def evaluate(self, model: CurvatureModel, points) -> np.ndarray:
+        """Values (...,) from the knots points (..., len(times), D) at this
+        observable's own times (paths.knots_at picks them from whole paths)."""
         o = geom.base_point(model)
-        n = partition.n
         if self.kind == "const_one":
             vals = np.ones(points.shape[:-2])
         elif self.kind == "radial":
-            j = partition.knot_index(self.params["time"])
-            r = geom.distance(model, o, points[..., j, :])
+            k = self.times.index(self.params["time"])
+            r = geom.distance(model, o, points[..., k, :])
             vals = _radial_g(self.params["g"])(r)
         elif self.kind == "exp_radial2":
             expo = 0.0
             for t, a in zip(self.params["times"], self.params["scales"]):
-                j = partition.knot_index(t)
-                r = geom.distance(model, o, points[..., j, :])
+                r = geom.distance(model, o, points[..., self.times.index(t), :])
                 expo = expo - r * r / a
             vals = np.exp(expo)
         else:
@@ -121,28 +137,81 @@ def _target_point(model: CurvatureModel, x) -> np.ndarray:
     return point
 
 
+STAGES = ("draw", "body_pass", "tip_factors", "observable", "reduction")
+
+
+class _StageClock:
+    """Seconds per stage of the estimator, from one perf_counter stamp per lap."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(STAGES, 0.0)
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] += now - self._last
+        self._last = now
+
+
+def _body_pass(model: CurvatureModel, body, x_amb):
+    """One samples-last pass over the body increments (m, d, B).
+
+    Returns the Gram sums (G, head), each (d, d, B), the tip xi_x (d, B) in
+    the frame at the body's end, and the body's jacobi.Intervals.  Step j
+    advances the Gram recursion and pulls the target back by B(-xi_j), from
+    w_0 = x; the tip is log_o(w_m) (module docstring).
+    """
+    m, d, B = body.shape
+    iv = jacobi.Intervals(model, body)
+    G = np.zeros((d, d, B))
+    w = np.repeat(np.asarray(x_amb, dtype=float)[:, None], B, axis=1)
+    for j in range(m):
+        jacobi.gram_step(G, iv, j)
+        paths.boost_rows(model, w, iv, j, -1.0)
+    return G, jacobi.gram_head(G, iv), geom.log_o_rows(model, w), iv
+
+
+def _pinned_knots(model: CurvatureModel, partition: Partition, times, iv, x_amb):
+    """Knots (B, len(times), D) of pinned paths at the given times, for the
+    body with Intervals iv: x at s = 1, o at s = 0, and the interior knot s_j
+    as B(xi_1)(... B(xi_j) o), j point boosts and no frame."""
+    B = iv.xi.shape[-1]
+    out = np.empty((len(times), model.ambient_dim, B))
+    for k, t in enumerate(times):
+        j = partition.knot_index(t)
+        if j == partition.n:
+            out[k] = x_amb[:, None]
+            continue
+        out[k] = geom.base_point(model)[:, None]
+        for i in range(j - 1, -1, -1):
+            paths.boost_rows(model, out[k], iv, i, 1.0)
+    return out.transpose(2, 0, 1)
+
+
 def _pinned_chunk(model: CurvatureModel, partition: Partition, x_amb,
                   observable: CylinderObservable, seed: int, start: int,
                   count: int):
     """Pinned samples [start, start+count): log-weights (N,), observable
-    values (N,) and tip_cond_hits."""
+    values (N,), tip_cond_hits and the seconds of each of STAGES (the
+    reduction is pinned_estimate's)."""
+    clock = _StageClock()
     n, d = partition.n, model.dim
     inc = paths.sample_increments(model, partition, count, seed, start)
-    body = inc[:, :n - 1, :]
-    pts, frs = paths.roll_batch(model, body)
-    body_end = pts[:, -1, :]
-    x_knot = np.broadcast_to(x_amb, body_end.shape)
-    xi_x = geom.frame_coords(model, frs[:, -1, :, :], geom.log_point(model, body_end, x_knot))
-    dist2 = np.sum(xi_x * xi_x, axis=-1)
-
-    # one forward pass over the body; the tip enters both factors in closed form
-    G, head = jacobi.gram_pass(model, body)
-    log_jp, log_vx = jacobi.tip_log_factors(model, G, head, xi_x, n)
-
-    log_w = -0.5 * d * LOG_2PI - 0.5 * n * dist2 + log_vx - log_jp
-    full_pts = np.concatenate([pts, x_knot[:, None, :]], axis=1)
-    f_vals = observable.evaluate(model, partition, full_pts)
-    return log_w, np.asarray(f_vals, dtype=float), jacobi.tip_cond_hits(model, xi_x)
+    body = inc.transpose(1, 2, 0)[:n - 1]          # (n-1, d, B), contiguous, no copy
+    clock.lap("draw")
+    G, head, xi_x, iv = _body_pass(model, body, x_amb)
+    clock.lap("body_pass")
+    # the tip enters both factors in closed form
+    tip = xi_x.T
+    log_jp, log_vx = jacobi.tip_log_factors(model, G.transpose(2, 0, 1),
+                                            head.transpose(2, 0, 1), tip, n)
+    log_w = -0.5 * d * LOG_2PI - 0.5 * n * np.sum(xi_x * xi_x, axis=0) + log_vx - log_jp
+    hits = jacobi.tip_cond_hits(model, tip)
+    clock.lap("tip_factors")
+    knots = _pinned_knots(model, partition, observable.times, iv, x_amb)
+    f_vals = np.asarray(observable.evaluate(model, knots), dtype=float)
+    clock.lap("observable")
+    return log_w, f_vals, hits, clock.seconds
 
 
 @dataclass
@@ -183,18 +252,21 @@ def pinned_estimate(model: CurvatureModel, partition: Partition, x,
     spans = [(s, min(paths.CHUNK, n_samples - s))
              for s in range(0, n_samples, paths.CHUNK)]
     tasks = [(model, partition, x_amb, observable, seed, s, c) for s, c in spans]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # map yields in task order, whichever chunk finishes first
-            results = list(pool.map(_pinned_chunk, *zip(*tasks), chunksize=1))
-    else:
-        results = [_pinned_chunk(*t) for t in tasks]
+    log_w, f_vals = np.empty(n_samples), np.empty(n_samples)
+    cond_hits, stage_s = 0, dict.fromkeys(STAGES, 0.0)
+    parallel = workers > 1 and len(tasks) > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        # map yields in task order, whichever chunk finishes first; each
+        # chunk's arrays are copied out and dropped as it arrives
+        results = (pool.map(_pinned_chunk, *zip(*tasks), chunksize=1) if parallel
+                   else (_pinned_chunk(*t) for t in tasks))
+        for (s, c), (chunk_w, chunk_f, hits, seconds) in zip(spans, results):
+            log_w[s:s + c], f_vals[s:s + c] = chunk_w, chunk_f
+            cond_hits += hits
+            for k, v in seconds.items():
+                stage_s[k] += v
 
-    log_w = np.concatenate([r[0] for r in results])
-    f_vals = np.concatenate([r[1] for r in results])
-    cond_hits = int(sum(r[2] for r in results))
-    del results   # free the per-chunk arrays before the reductions below
-
+    t_reduce = time.perf_counter()
     if not np.all(np.isfinite(log_w)):
         bad = np.flatnonzero(~np.isfinite(log_w))[:16]
         inc = paths.sample_increments(model, partition, 1, seed, int(bad[0]))
@@ -206,11 +278,14 @@ def pinned_estimate(model: CurvatureModel, partition: Partition, x,
             f"{bad.size}+ non-finite log-weights; diagnostics in {nan_dump_path}")
 
     m = float(np.max(log_w))
-    scaled = np.exp(log_w - m) * f_vals
+    scaled = log_w - m          # then in place: each temporary is N floats
+    np.exp(scaled, out=scaled)
+    scaled *= f_vals
     mean = float(np.exp(m) * np.mean(scaled))
     stderr = float(np.exp(m) * np.std(scaled, ddof=1) / np.sqrt(n_samples))
+    stage_s["reduction"] = time.perf_counter() - t_reduce
     meta = {"seed": seed, "n": partition.n, "observable": observable.name,
-            "tip_cond_hits": cond_hits,
+            "tip_cond_hits": cond_hits, "stage_s": stage_s,
             "wall_time_s": time.perf_counter() - t0}
     return EstimateResult(mean, stderr, n_samples, log_w, f_vals, meta)
 

@@ -15,7 +15,7 @@ from numpy.random import Generator, Philox
 
 from . import geom
 from .geom import CurvatureModel
-from .jacobi import Partition
+from .jacobi import Intervals, Partition
 
 CHUNK = 4096   # fixed RNG block size; do not change (breaks reproducibility)
 RENORM_EVERY = 32   # rolled steps between Gram-Schmidt passes on the frame
@@ -32,11 +32,14 @@ def sample_increments(model: CurvatureModel, partition: Partition, count: int,
     Each interval increment is N(0, (1/n) I_d).  Sample index i always maps to
     Philox key (seed, i // CHUNK), row i % CHUNK, so draws are bit-reproducible
     per (seed, i) and chunks can be generated in any order or in parallel.
+    The increments are stored samples last, (n, d, count), and the result is
+    a view of that buffer: its transpose(1, 2, 0) is contiguous, so the
+    samples-last recursions over it copy nothing.
     """
     n, d = partition.n, model.dim
     if count < 0 or start < 0:
         raise ValueError("count and start must be non-negative")
-    out = np.empty((count, n, d))
+    out = np.empty((n, d, count))
     scale = np.sqrt(partition.mesh)
     pos = 0
     idx = start
@@ -44,11 +47,11 @@ def sample_increments(model: CurvatureModel, partition: Partition, count: int,
         chunk_id = idx // CHUNK
         offset = idx % CHUNK
         take = min(CHUNK - offset, count - pos)
-        out[pos:pos + take] = _chunk_normals(seed, chunk_id, offset + take, n, d)[offset:]
+        normals = _chunk_normals(seed, chunk_id, offset + take, n, d)[offset:]
+        np.multiply(normals.transpose(1, 2, 0), scale, out=out[..., pos:pos + take])
         pos += take
         idx += take
-    out *= scale
-    return out
+    return out.transpose(2, 0, 1)
 
 
 def _chunk_normals(seed: int, chunk_id: int, rows: int, n: int, d: int) -> np.ndarray:
@@ -91,6 +94,28 @@ def roll_batch(model: CurvatureModel, increments, start_point=None, start_frame=
         points[i + 1], frames[i + 1] = x, u
     return (np.moveaxis(points, -1, 0).reshape(batch + (n + 1, D)),
             np.moveaxis(frames, -1, 0).reshape(batch + (n + 1, D, d)))
+
+
+def boost_rows(model: CurvatureModel, y, iv: Intervals, j: int, sign: float):
+    """y <- B(sign xi_j) y in place for points y (D, ...) samples last, where
+    B(xi) in SO+(d,1) is the boost exp_frame applies at o and iv the
+    Intervals of the increments; a translation by sign xi_j in flat space.
+    With p the unit increment and a = sqrt(kappa)|xi_j|, the spatial part
+    moves by ((cosh a - 1) <p, y_s> + sign sinh a y_t) p and the timelike
+    part is put back on the sheet.
+    """
+    if model.kind == "flat":
+        y += sign * iv.xi[j]
+        return y
+    p = iv.unit(j)
+    y[:-1] += (iv.chm1[j] * np.sum(p * y[:-1], axis=0) + sign * iv.sh[j] * y[-1]) * p
+    return geom._renormalize_point(model, y)
+
+
+def knots_at(partition: Partition, times, points) -> np.ndarray:
+    """The knots (..., len(times), D) at the given times of paths with knots
+    (..., n+1, D); raises ValueError for a time that is not a knot."""
+    return points[..., [partition.knot_index(t) for t in times], :]
 
 
 def knot_jacobian(model: CurvatureModel, increments):

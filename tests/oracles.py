@@ -16,15 +16,21 @@ agreement between the two is meaningful:
   the ``pinned`` command gates on it;
 - the tip's dense algebra for the two volume factors of a pinned path
   (``dense_tip_log_factors``);
+- two routes to a pinned path's tip other than the estimator's pull-back:
+  rolling the body's frames (``frame_roll_tip``, the estimator's route until
+  the pull-back replaced it) and the boost composition in 60-digit mpmath
+  arithmetic (``mp_pulled_back_tip``);
 - the null space of the lift's endpoint map (``endpoint_map_matrix``,
   ``lift_orthogonality``, ``lift_competitor_deficit``) and the determinant
   identity det(S^T S) = det(I + A A^T) (``det_identity_check``);
 - finite-difference and Gaussian-algebra references for flat space.
 """
 
+import mpmath
 import numpy as np
 from scipy.linalg import null_space, solve_banded
 
+from pinpath import geom, paths
 from pinpath.geom import NumericalError, minkowski_inner
 from pinpath.measures import heat_kernel_exact
 
@@ -120,6 +126,46 @@ def dense_tip_log_factors(G, head, Cx, Sx, n):
     L = np.swapaxes(np.linalg.solve(np.swapaxes(Sx, -1, -2), np.swapaxes(Cx, -1, -2)), -1, -2)
     gram = eye + L @ ((eye + head) / n ** 2) @ np.swapaxes(L, -1, -2)
     return log_jp, 0.5 * np.linalg.slogdet(gram)[1]
+
+
+def frame_roll_tip(model, body, x):
+    """Tips (N, d) of pinned paths with body increments (N, m, d) and target
+    x (D,): roll the body's knots and frames, then take log_{x_m}(x) in the
+    frame at the body's end.  Returns (tips, the sqrt(kappa)-distance of each
+    body end from o).  Its roundoff grows like eps cosh^2 of that distance,
+    the size of the ambient coordinates it cancels."""
+    pts, frs = paths.roll_batch(model, body)
+    end = pts[:, -1]
+    tips = geom.frame_coords(model, frs[:, -1],
+                             geom.log_point(model, end, np.broadcast_to(x, end.shape)))
+    reach = np.sqrt(model.kappa) * geom.distance(model, geom.base_point(model), end)
+    return tips, reach
+
+
+def mp_pulled_back_tip(kappa, body, x, dps=60):
+    """The tip (d,) of one hyperbolic pinned path in dps-digit arithmetic:
+    w = B(-xi_m) ... B(-xi_1) x by the full Lorentz boost matrices' action,
+    then log_o(w) = asinh(sqrt(kappa)|w_s|) w_s / (sqrt(kappa)|w_s|).  body
+    (m, d) and the spatial part of x are taken as exact; x's timelike part is
+    recomputed on the sheet."""
+    with mpmath.workdps(dps):
+        k = mpmath.mpf(kappa)
+        rk = mpmath.sqrt(k)
+        ws = [mpmath.mpf(float(v)) for v in x[:-1]]
+        wt = mpmath.sqrt(1 / k + sum(v * v for v in ws))
+        for step in np.asarray(body, dtype=float):
+            xi = [mpmath.mpf(float(v)) for v in step]
+            nrm = mpmath.sqrt(sum(v * v for v in xi))
+            if nrm == 0:
+                continue
+            p = [v / nrm for v in xi]
+            ch, sh = mpmath.cosh(rk * nrm), mpmath.sinh(rk * nrm)
+            ps = sum(a * b for a, b in zip(p, ws))
+            ws, wt = ([w + ((ch - 1) * ps - sh * wt) * q for w, q in zip(ws, p)],
+                      ch * wt - sh * ps)
+        z = rk * mpmath.sqrt(sum(v * v for v in ws))
+        scale = mpmath.asinh(z) / z if z > 0 else mpmath.mpf(1)
+        return np.array([float(scale * v) for v in ws])
 
 
 def broken_jacobi_rk4(kappa, velocities, slopes, steps_per_interval=400):

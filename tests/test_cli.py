@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -58,6 +59,24 @@ def test_pinned_flat_gates_pass(tmp_path):
     assert manifest["config"]["seed"] == 7
 
 
+def test_pinned_manifest_records_stages_and_versions(tmp_path):
+    """Each pinned manifest row carries the seconds of every estimator stage,
+    summed over chunks, and the numpy and Python versions."""
+    out = str(tmp_path)
+    res = run_cli(["pinned", "--model", "hyperbolic", "--d", "2", "--n", "4,8",
+                   "--rho", "0.5", "--N", "5000", "--seed", "2", "--out", out])
+    assert res.exit_code == 0, res.output
+    rows = json.loads(read_text(os.path.join(out, "pinned_manifest.json")))["rows"]
+    assert len(rows) == 2
+    for row in rows:
+        assert set(row["stage_s"]) == {"draw", "body_pass", "tip_factors", "observable",
+                                       "reduction"}
+        assert all(v >= 0.0 for v in row["stage_s"].values())
+        assert row["stage_s"]["body_pass"] > 0.0
+        assert row["versions"] == {"numpy": np.__version__,
+                                   "python": platform.python_version()}
+
+
 def test_pinned_rerun_is_byte_identical(tmp_path):
     """Identical configs produce byte-identical result CSVs."""
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -99,9 +118,9 @@ def test_pinned_nan_dump_goes_under_out(tmp_path, monkeypatch):
     chunk = measures._pinned_chunk
 
     def poisoned(*args):
-        log_w, f_vals, hits = chunk(*args)
+        log_w, *rest = chunk(*args)
         log_w[3] = np.nan
-        return log_w, f_vals, hits
+        return (log_w, *rest)
 
     monkeypatch.setattr(measures, "_pinned_chunk", poisoned)
     model, part = CurvatureModel("flat", 2), Partition(4)

@@ -27,8 +27,8 @@ class LinearEnd:
         self.a0, self.a1 = a0, a1
         self.times = (1.0,)
 
-    def evaluate(self, model, partition, points):
-        return self.a0 + self.a1 * points[..., -1, 0]
+    def evaluate(self, model, points):
+        return self.a0 + self.a1 * points[..., 0, 0]
 
 
 def endpoint_f(model, part, inc):

@@ -1,5 +1,7 @@
 """Free/pinned path measures, heat kernels, and the quadrature oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,7 +13,8 @@ from pinpath.measures import (MASS_OBSERVABLE, CylinderObservable, _pinned_chunk
                               heat_kernel_exact, pinned_estimate, radial_observable)
 
 from tests.oracles import (flat_bridge_abs_moment_1d, flat_bridge_second_moment,
-                           pinned_fdd_oracle, radial_pde_kernel)
+                           frame_roll_tip, mp_pulled_back_tip, pinned_fdd_oracle,
+                           radial_pde_kernel)
 
 FLAT1 = CurvatureModel("flat", 1)
 FLAT2 = CurvatureModel("flat", 2)
@@ -105,24 +108,35 @@ def test_observable_evaluation_and_bounds():
     """Cylinder observables: kinds, knot-time validation, bound check."""
     part = Partition(4)
     points = free_knots(FLAT2, part, 50, seed=2)
-    assert np.all(MASS_OBSERVABLE.evaluate(FLAT2, part, points) == 1.0)
+
+    def at(obs):
+        return paths.knots_at(part, obs.times, points)
+
+    assert np.all(MASS_OBSERVABLE.evaluate(FLAT2, at(MASS_OBSERVABLE)) == 1.0)
 
     obs = radial_observable(0.5, "r2")
-    vals = obs.evaluate(FLAT2, part, points)
+    assert at(obs).shape == (50, 1, 2)
+    vals = obs.evaluate(FLAT2, at(obs))
     want = np.sum(points[:, 2, :] ** 2, axis=-1)
     assert np.allclose(vals, want)
 
     with pytest.raises(ValueError):
-        radial_observable(0.3).evaluate(FLAT2, part, points)
+        at(radial_observable(0.3))
 
     tight = radial_observable(0.5, "r2", bound=1e-6)
     with pytest.raises(ValueError):
-        tight.evaluate(FLAT2, part, points)
+        tight.evaluate(FLAT2, at(tight))
 
     gauss = CylinderObservable("exp_end", (1.0,), 1.0, "exp_radial2",
                                {"times": [1.0], "scales": [2.0]})
-    vals = gauss.evaluate(FLAT2, part, points)
+    vals = gauss.evaluate(FLAT2, at(gauss))
     assert np.all((vals > 0.0) & (vals <= 1.0))
+    # two times: each scale reads the knot at its own time
+    two = CylinderObservable("exp_mid_end", (0.5, 1.0), 1.0, "exp_radial2",
+                             {"times": [1.0, 0.5], "scales": [2.0, 4.0]})
+    want = np.exp(-np.sum(points[:, 4] ** 2, axis=-1) / 2.0
+                  - np.sum(points[:, 2] ** 2, axis=-1) / 4.0)
+    assert np.allclose(two.evaluate(FLAT2, at(two)), want, rtol=1e-14)
 
 
 def test_nu1p_flat_marginals():
@@ -289,24 +303,25 @@ class EndGap:
     def __init__(self, x):
         self.x = x
 
-    def evaluate(self, model, partition, points):
-        assert points.shape[1:] == (partition.n + 1, model.ambient_dim)
-        return np.max(np.abs(points[:, -1] - self.x), axis=-1)
+    def evaluate(self, model, points):
+        assert points.shape[1:] == (len(self.times), model.ambient_dim)
+        return np.max(np.abs(points[:, 0] - self.x), axis=-1)
 
 
 def test_pinned_samples_container():
     """A pinned chunk ends every path at x, with finite weights of one per path."""
     x_amb = measures._target_point(HYP2, E1)
-    log_w, f_vals, hits = _pinned_chunk(HYP2, Partition(4), x_amb, EndGap(x_amb),
-                                        seed=8, start=0, count=5)
+    log_w, f_vals, hits, stage_s = _pinned_chunk(HYP2, Partition(4), x_amb, EndGap(x_amb),
+                                                 seed=8, start=0, count=5)
     assert log_w.shape == f_vals.shape == (5,)
     assert np.all(np.isfinite(log_w))
     assert np.allclose(f_vals, 0.0, atol=1e-9)
     assert hits == 0
+    assert set(stage_s) == set(measures.STAGES)
 
 
 def test_pinned_samples_match_the_estimator(monkeypatch):
-    """A pinned chunk at any (start, count) rolls its batch once and returns the
+    """A pinned chunk at any (start, count) rolls nothing and returns the
     estimator's own log-weights and observable values at the same seed."""
     x = measures._target_point(HYP2, E1)
     obs = radial_observable(0.5, "r")
@@ -315,7 +330,101 @@ def test_pinned_samples_match_the_estimator(monkeypatch):
     roll = paths.roll_batch
     monkeypatch.setattr(paths, "roll_batch", lambda *a, **k: calls.append(1) or roll(*a, **k))
     for start, count in ((0, 300), (170, 40)):
-        log_w, f_vals, _ = _pinned_chunk(HYP2, Partition(6), x, obs, 12, start, count)
+        log_w, f_vals, _, _ = _pinned_chunk(HYP2, Partition(6), x, obs, 12, start, count)
         assert log_w.tolist() == res.log_weights[start:start + count].tolist()
         assert f_vals.tolist() == res.f_values[start:start + count].tolist()
-    assert len(calls) == 2
+    assert len(calls) == 0
+
+
+def _tip_tolerance(reach):
+    """1e-12, or the frame-roll reference's own roundoff 1e-14 cosh^2(reach)
+    where that is larger (reach: sqrt(kappa) times the body end's distance
+    from o; the reference cancels ambient coordinates of size cosh(reach))."""
+    return np.maximum(1e-12, 1e-14 * np.cosh(reach) ** 2)
+
+
+@pytest.mark.parametrize("kind, d, kappa", [("flat", d, 0.0) for d in (1, 2, 3)]
+                         + [("hyperbolic", d, k) for d in (1, 2, 3) for k in (0.5, 1.0, 2.5)])
+def test_pulled_back_tip_matches_the_frame_roll(kind, d, kappa):
+    """The tip log_o(g^{-1} x) of the body pass equals the frame-roll tip
+    log_{x_{n-1}}(x) in the rolled end frame, and the chunk's log-weights the
+    ones assembled from that tip, for n in {1, 2, 8, 32, 64} and targets out
+    to rho = 16 off the axes.  The tips agree within 1e-12 relative to
+    1 + |xi_x| (or the reference's own roundoff, _tip_tolerance), and the
+    log-weights within (n + 4d) (1 + |xi_x|)^2 times that, the tip's
+    leverage on -n |xi_x|^2 / 2 and the two tip factors."""
+    model = CurvatureModel(kind, d, kappa)
+    direction = np.ones(d) / np.sqrt(d)
+    for n in (1, 2, 8, 32, 64):
+        part = Partition(n)
+        inc = paths.sample_increments(model, part, 64, seed=3)
+        for rho in (0.0, 1.0, 4.0, 16.0):
+            x = measures._target_point(model, rho * direction)
+            want, reach = frame_roll_tip(model, inc[:, :n - 1], x)
+            tol = _tip_tolerance(reach) * (1.0 + np.linalg.norm(want, axis=1))
+            tip = measures._body_pass(model, inc.transpose(1, 2, 0)[:n - 1], x)[2].T
+            assert np.all(np.linalg.norm(tip - want, axis=1) <= tol)
+
+            G, head = jacobi.gram_pass(model, inc[:, :n - 1])
+            log_jp, log_vx = jacobi.tip_log_factors(model, G, head, want, n)
+            ref = (-0.5 * d * measures.LOG_2PI - 0.5 * n * np.sum(want * want, axis=1)
+                   + log_vx - log_jp)
+            log_w = _pinned_chunk(model, part, x, MASS_OBSERVABLE, 3, 0, 64)[0]
+            lever = (n + 4 * d) * (1.0 + np.linalg.norm(want, axis=1))
+            assert np.all(np.abs(log_w - ref) <= lever * tol)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_pulled_back_tip_matches_a_60_digit_boost_composition(d):
+    """On 36 paths over kappa in {0.5, 1, 2.5} and rho in {1, 16} at n = 32,
+    the tip of the body pass is the 60-digit mpmath boost composition
+    rounded, within 1e-14 relative."""
+    part = Partition(32)
+    for kappa in (0.5, 1.0, 2.5):
+        model = CurvatureModel("hyperbolic", d, kappa)
+        inc = paths.sample_increments(model, part, 6, seed=21)
+        for rho in (1.0, 16.0):
+            x = measures._target_point(model, rho * np.eye(d)[0])
+            tip = measures._body_pass(model, inc.transpose(1, 2, 0)[:-1], x)[2].T
+            for path, got in zip(inc, tip):
+                want = mp_pulled_back_tip(kappa, path[:-1], x)
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind, d, kappa", [("flat", 2, 0.0), ("hyperbolic", 2, 1.0),
+                                             ("hyperbolic", 3, 1.0), ("hyperbolic", 3, 2.5)])
+def test_pinned_knots_match_the_roll(kind, d, kappa):
+    """Every interior knot of a pinned path from its boost chain
+    B(xi_1)(... B(xi_j) o) equals roll_batch's knot within 1e-12 relative;
+    s = 0 is o and s = 1 is x, exactly."""
+    model = CurvatureModel(kind, d, kappa)
+    for n in (2, 8, 32):
+        part = Partition(n)
+        inc = paths.sample_increments(model, part, 256, seed=5)
+        x = measures._target_point(model, np.eye(d)[0])
+        iv = measures._body_pass(model, inc.transpose(1, 2, 0)[:-1], x)[3]
+        knots = measures._pinned_knots(model, part, tuple(part.knots), iv, x)
+        want = paths.roll_batch(model, inc[:, :-1])[0]
+        scale = np.max(np.abs(want), axis=-1)
+        assert np.all(np.max(np.abs(knots[:, :-1] - want), axis=-1) <= 1e-12 * scale)
+        assert np.array_equal(knots[:, 0], np.broadcast_to(want[0, 0], knots[:, 0].shape))
+        assert np.array_equal(knots[:, -1], np.broadcast_to(x, knots[:, -1].shape))
+
+
+def test_hyp3_chunk_rolls_nothing_and_stays_small(monkeypatch):
+    """One hyperbolic d=3, n=32 chunk of 4096 paths makes no roll_batch
+    call and its traced allocations peak under 30 MB (a frame roll of the
+    body peaks at about 36 MB)."""
+    calls = []
+    roll = paths.roll_batch
+    monkeypatch.setattr(paths, "roll_batch", lambda *a, **k: calls.append(1) or roll(*a, **k))
+    x = measures._target_point(HYP3, np.array([1.0, 0.0, 0.0]))
+    tracemalloc.start()
+    try:
+        log_w = _pinned_chunk(HYP3, Partition(32), x, MASS_OBSERVABLE, 0, 0, paths.CHUNK)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log_w.shape == (paths.CHUNK,) and np.all(np.isfinite(log_w))
+    assert calls == []
+    assert peak < 30e6
