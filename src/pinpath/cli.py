@@ -343,7 +343,7 @@ def cmd_props(cfg):
     return report.total_violations == 0, {
         "violations": report.violations,
         "worst_margins": {k: float(v) for k, v in report.worst.items()},
-        "n_paths": report.n_paths}
+        "n_paths": report.n_paths, "stage_s": report.stage_s}
 
 
 @_command("sample", {"model": "flat", "d": 2, "kappa": None, "n": 8, "N": 16,

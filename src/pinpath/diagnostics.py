@@ -12,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-from . import damped, geom, jacobi, paths
+from . import damped, geom, jacobi, measures, paths
 from .geom import CurvatureModel, NumericalError
 from .jacobi import COND_LIMIT, Partition
 
@@ -510,11 +510,15 @@ def _gradient_gap(model, part, observable, chart_side, points, frames, x_field):
 # pathwise property sweep (positivity / bounds audit)
 # ---------------------------------------------------------------------------
 
+PROPS_STAGES = ("draw", "intervals", "gram_and_tip", "margins")
+
+
 @dataclass
 class PropertyReport:
     n_paths: int
     violations: dict
     worst: dict
+    stage_s: dict       # seconds of each of PROPS_STAGES, summed over models
 
     @property
     def total_violations(self):
@@ -536,7 +540,9 @@ def property_sweep(model_list, n_paths, n=64, seed=0):
     interval response bounds (|C| below the curvature cosh envelope, |S - sI|
     and |C - I| below their envelopes), and the endpoint volume factor below
     its combinatorial envelope.  Returns a PropertyReport counting violations
-    (tolerances: 1e-10 on eigenvalues, 1e-12 on determinants).
+    (tolerances: 1e-10 on eigenvalues, 1e-12 on determinants), with the
+    seconds of each of PROPS_STAGES: the draw, the interval solutions
+    (batch_cs), the Gram pass with the tip factors, and the margins.
     """
     tolerance = {"mass_eig": 1e-10, "normal_jacobian": 1e-12, "slope_det": 1e-12,
                  "response_bound": 1e-10, "volume_bound": 1e-8}
@@ -545,14 +551,18 @@ def property_sweep(model_list, n_paths, n=64, seed=0):
     per_model = max(1, n_paths // max(1, len(model_list)))
     part = Partition(n)
     h = part.mesh
+    clock = measures._StageClock(PROPS_STAGES)
 
     for m_idx, model in enumerate(model_list):
         inc = paths.sample_increments(model, part, per_model, seed + 101 * m_idx)
         big_n = model.curvature_bound
+        clock.lap("draw")
         C, S = jacobi.batch_cs(model, inc, h)
+        clock.lap("intervals")
         # the estimator's route: Gram pass over the body, the last increment as tip
         G, head = jacobi.gram_pass(model, inc[:, :-1])
         log_jp, log_vx = jacobi.tip_log_factors(model, G, head, inc[:, -1], n)
+        clock.lap("gram_and_tip")
         # K(1) = h (C_n G C_n^T + (S_n/h)(S_n/h)^T), one Gram step past the body
         C_n, S_n = C[:, -1], S[:, -1] / h
         K = h * (C_n @ G @ np.swapaxes(C_n, -1, -2) + S_n @ np.swapaxes(S_n, -1, -2))
@@ -566,27 +576,30 @@ def property_sweep(model_list, n_paths, n=64, seed=0):
         for c, margin in margins.items():
             worst[c] = min(worst[c], float(margin.min()))
             violations[c] += int(np.sum(margin < -tolerance[c]))
-    return PropertyReport(per_model * len(model_list), violations, worst)
+        clock.lap("margins")
+    return PropertyReport(per_model * len(model_list), violations, worst, clock.seconds)
 
 
 def _response_bound_margin(model, inc, C, S, h, big_n):
     """Per path, the smallest slack in the interval response envelopes.
 
-    inc (N, n, d); C, S (N, n, d, d) from batch_cs at step h.
+    inc (N, n, d); C, S (N, n, d, d) from batch_cs at step h, symmetric, so
+    each spectral norm is a largest |eigenvalue|.
     """
     speed = np.linalg.norm(inc / h, axis=-1)                  # (N, n)
     eye = np.eye(model.dim)
-
-    def spectral(X):
-        return np.linalg.norm(X, 2, axis=(-2, -1))
-
     grow = np.exp(big_n * speed ** 2 * h ** 2 / 2.0)
     margin = np.minimum.reduce([
-        np.cosh(np.sqrt(big_n) * speed * h) - spectral(C),
-        big_n * speed ** 2 * h ** 3 / 6.0 * grow - spectral(S - h * eye),
-        big_n * speed ** 2 * h ** 2 / 2.0 * grow - spectral(C - eye),
+        np.cosh(np.sqrt(big_n) * speed * h) - _symmetric_norm(C),
+        big_n * speed ** 2 * h ** 3 / 6.0 * grow - _symmetric_norm(S - h * eye),
+        big_n * speed ** 2 * h ** 2 / 2.0 * grow - _symmetric_norm(C - eye),
     ])
     return margin.min(axis=-1)
+
+
+def _symmetric_norm(X):
+    """Spectral norm of symmetric X (..., d, d): its largest |eigenvalue|."""
+    return np.abs(np.linalg.eigvalsh(X)).max(axis=-1)
 
 
 def _volume_bound_margin(log_vx, inc, big_n):

@@ -26,6 +26,13 @@ so log V_x = (1/2) log det(I + head + T) - (d-1) log r (V_x = 1 at n = 1).
 T has entries in [-1, 1], so G + T and I + head + T stay within 2 of G and
 head entrywise: no large tip matrix is formed and nothing cancels, however far
 the tip.
+
+Every determinant here is of a symmetric positive definite (SPD) matrix: G
+and head are Gram sums, positive semidefinite, and T = r^2 Q + P has
+eigenvalues r^2 > 0 and 1, so G + T and I + head + T are SPD; each S_i / delta
+= sinhc a Q + P of log rho_P has eigenvalues sinhc a >= 1 and 1.  Their
+log-dets come from one kernel (_positive_logdet), the sum of the logs of the
+Cholesky pivots, run samples last on (d, d, ...) arrays.
 """
 
 from __future__ import annotations
@@ -227,14 +234,29 @@ def batch_mass_matrix(f_end, delta: float) -> np.ndarray:
 
 
 def _positive_logdet(A, what: str) -> np.ndarray:
-    """log det A over the leading axes of A (..., d, d).
+    """log det A (...,) of symmetric positive definite A (d, d, ...), samples
+    last, as the sum of the logs of its Cholesky pivots.
 
-    Raises NumericalError unless every determinant is positive and finite
-    (slogdet passes a NaN or infinite logdet with sign +1).
+    Step j works on contiguous rows of samples: its pivot s_j is the first
+    diagonal entry of the trailing block W, and W becomes the Schur
+    complement W[1:, 1:] - w w^T / s_j, w the rest of W's first column
+    (Cholesky without square roots: s_j = L_jj^2).  Only the lower triangle
+    feeds the pivots, so finiteness is checked on every entry first.  A
+    pivot never exceeds its diagonal entry, so finite entries and positive
+    pivots give a finite log-det.  Raises NumericalError unless every entry
+    is finite and every pivot positive.
     """
-    sign, logdet = np.linalg.slogdet(A)
-    if not np.all((sign > 0) & np.isfinite(logdet)):
+    if not np.all(np.isfinite(A)):
         raise NumericalError(f"{what} lost positivity or finiteness")
+    logdet = np.zeros(A.shape[2:])
+    W = A
+    for _ in range(A.shape[0]):
+        pivot = W[0, 0]
+        if not np.all(pivot > 0):
+            raise NumericalError(f"{what} lost positivity or finiteness")
+        logdet += np.log(pivot)
+        col = W[1:, 0]
+        W = W[1:, 1:] - (col / pivot)[:, None] * col
     return logdet
 
 
@@ -242,33 +264,43 @@ def log_rho_P(S, delta: float) -> np.ndarray:
     """log rho_P: sum over the first n-1 of the intervals in S of log det(S_i / delta).
 
     S (..., n, d, d) as from batch_cs; the last interval is not counted.
-    rho_P >= 1.
+    Each S_i / delta = sinhc a Q + P is SPD with eigenvalues sinhc a >= 1 and
+    1, so rho_P >= 1.
     """
-    logdet = _positive_logdet(S[..., :-1, :, :] / delta, "sine-type solution")
-    return np.sum(logdet, axis=-1)
+    body = np.moveaxis(S[..., :-1, :, :], (-2, -1), (0, 1)) / delta
+    return np.sum(_positive_logdet(body, "sine-type solution"), axis=-1)
 
 
 def tip_log_factors(model: CurvatureModel, G, head, tip, n: int):
     """(log J_P, log V_x), each (...,), of paths on n intervals whose body (the
-    first n-1) has gram_pass (G, head) and whose tip, the last interval,
-    covers the vector tip (..., d) in time delta = 1/n; the tip is factored
-    out in closed form (module docstring).
+    first n-1) has gram_pass (G, head), each (..., d, d), and whose tip, the
+    last interval, covers the vector tip (..., d) in time delta = 1/n; the tip
+    is factored out in closed form (module docstring).  The arithmetic runs
+    samples last on views of the arguments, so samples-last arrays passed as
+    transposed views are not copied.
 
     Raises NumericalError unless every determinant is positive and finite.
     """
     d = model.dim
+    G, head = (np.moveaxis(X, (-2, -1), (0, 1)) for X in (G, head))
     a, unit = _polar(model, tip)
+    unit = np.moveaxis(unit, -1, 0)                        # (d, ...)
     safe = np.where(a > 0, a, 1.0)
     r = np.where(a > 0, np.tanh(safe) / safe, 1.0)
-    r2 = (r * r)[..., None, None]
-    T = r2 * np.eye(d) + (1.0 - r2) * (unit[..., :, None] * unit[..., None, :])
+    r2 = r * r
+    # T = r^2 I + (1 - r^2) P, samples last
+    T = np.empty((d, d) + np.broadcast_shapes(G.shape[2:], head.shape[2:], a.shape))
+    np.multiply(unit[:, None], unit, out=T)
+    T *= 1.0 - r2
+    _diagonal(T)[...] += r2
     log_cosh = a + np.log1p(0.5 * np.expm1(-2.0 * a))     # no overflow at large a
     log_jp = (-0.5 * d * np.log(n) + (d - 1) * log_cosh
               + 0.5 * _positive_logdet(G + T, "mass matrix K(1)"))
     if n == 1:      # no body to perturb
         return log_jp, np.zeros_like(log_jp)
-    log_vx = (0.5 * _positive_logdet(np.eye(d) + head + T, "pinning volume factor")
-              - (d - 1) * np.log(r))
+    T += head                                             # I + head + T, in place
+    _diagonal(T)[...] += 1.0
+    log_vx = 0.5 * _positive_logdet(T, "pinning volume factor") - (d - 1) * np.log(r)
     return log_jp, log_vx
 
 

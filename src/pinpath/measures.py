@@ -141,10 +141,11 @@ STAGES = ("draw", "body_pass", "tip_factors", "observable", "reduction")
 
 
 class _StageClock:
-    """Seconds per stage of the estimator, from one perf_counter stamp per lap."""
+    """Seconds per stage (the estimator's STAGES unless given), from one
+    perf_counter stamp per lap."""
 
-    def __init__(self):
-        self.seconds = dict.fromkeys(STAGES, 0.0)
+    def __init__(self, stages=STAGES):
+        self.seconds = dict.fromkeys(stages, 0.0)
         self._last = time.perf_counter()
 
     def lap(self, stage: str) -> None:
@@ -201,7 +202,8 @@ def _pinned_chunk(model: CurvatureModel, partition: Partition, x_amb,
     clock.lap("draw")
     G, head, xi_x, iv = _body_pass(model, body, x_amb)
     clock.lap("body_pass")
-    # the tip enters both factors in closed form
+    # the tip enters both factors in closed form; the transposed views hand
+    # tip_log_factors the samples-last arrays themselves, uncopied
     tip = xi_x.T
     log_jp, log_vx = jacobi.tip_log_factors(model, G.transpose(2, 0, 1),
                                             head.transpose(2, 0, 1), tip, n)
@@ -227,11 +229,15 @@ class EstimateResult:
         """Spread of the log-weights, the effective sample size over N,
         ESS/N = (sum w)^2 / (N sum w^2), and the largest weight's share."""
         lw = self.log_weights
-        w = np.exp(lw - lw.max())
-        return {"log_w_min": float(lw.min()), "log_w_max": float(lw.max()),
-                "log_w_mean": float(lw.mean()), "log_w_var": float(lw.var()),
-                "ess_frac": float(w.sum() ** 2 / (w.size * np.sum(w * w))),
-                "max_weight_share": float(w.max() / w.sum())}
+        out = {"log_w_min": float(lw.min()), "log_w_max": float(lw.max()),
+               "log_w_mean": float(lw.mean()), "log_w_var": float(lw.var())}
+        w = lw - lw.max()           # then in place: one temporary of N floats
+        np.exp(w, out=w)            # the largest weight is exp(0) = 1
+        total = w.sum()
+        w *= w
+        out.update(ess_frac=float(total ** 2 / (w.size * np.sum(w))),
+                   max_weight_share=float(1.0 / total))
+        return out
 
 
 def pinned_estimate(model: CurvatureModel, partition: Partition, x,
@@ -281,8 +287,11 @@ def pinned_estimate(model: CurvatureModel, partition: Partition, x,
     scaled = log_w - m          # then in place: each temporary is N floats
     np.exp(scaled, out=scaled)
     scaled *= f_vals
-    mean = float(np.exp(m) * np.mean(scaled))
-    stderr = float(np.exp(m) * np.std(scaled, ddof=1) / np.sqrt(n_samples))
+    mean_scaled = np.mean(scaled)
+    mean = float(np.exp(m) * mean_scaled)
+    scaled -= mean_scaled       # np.std(ddof=1)'s arithmetic, without its temporary
+    scaled *= scaled
+    stderr = float(np.exp(m) * np.sqrt(np.sum(scaled) / (n_samples - 1)) / np.sqrt(n_samples))
     stage_s["reduction"] = time.perf_counter() - t_reduce
     meta = {"seed": seed, "n": partition.n, "observable": observable.name,
             "tip_cond_hits": cond_hits, "stage_s": stage_s,

@@ -19,6 +19,7 @@ from .jacobi import Intervals, Partition
 
 CHUNK = 4096   # fixed RNG block size; do not change (breaks reproducibility)
 RENORM_EVERY = 32   # rolled steps between Gram-Schmidt passes on the frame
+_DRAW_ROWS = 256    # rows of a Philox block per standard_normal call
 
 
 # ---------------------------------------------------------------------------
@@ -30,37 +31,36 @@ def sample_increments(model: CurvatureModel, partition: Partition, count: int,
     """Draw increments for samples [start, start+count); shape (count, n, d).
 
     Each interval increment is N(0, (1/n) I_d).  Sample index i always maps to
-    Philox key (seed, i // CHUNK), row i % CHUNK, so draws are bit-reproducible
-    per (seed, i) and chunks can be generated in any order or in parallel.
-    The increments are stored samples last, (n, d, count), and the result is
-    a view of that buffer: its transpose(1, 2, 0) is contiguous, so the
-    samples-last recursions over it copy nothing.
+    Philox key (seed, i // CHUNK), row i % CHUNK of that key's standard-normal
+    block (CHUNK, n, d), so draws are bit-reproducible per (seed, i) and
+    chunks can be generated in any order or in parallel.  A block is drawn
+    _DRAW_ROWS rows at a time into one small buffer (standard_normal fills in
+    order, so the rows are those of one call) up to its last needed row, and
+    each needed row is copied samples last.  The increments are stored as
+    (n, d, count), and the result is a view of that buffer: its
+    transpose(1, 2, 0) is contiguous, so the samples-last recursions over it
+    copy nothing.
     """
     n, d = partition.n, model.dim
     if count < 0 or start < 0:
         raise ValueError("count and start must be non-negative")
     out = np.empty((n, d, count))
+    buf = np.empty((min(_DRAW_ROWS, start % CHUNK + count), n, d))
     scale = np.sqrt(partition.mesh)
     pos = 0
-    idx = start
     while pos < count:
-        chunk_id = idx // CHUNK
-        offset = idx % CHUNK
-        take = min(CHUNK - offset, count - pos)
-        normals = _chunk_normals(seed, chunk_id, offset + take, n, d)[offset:]
-        np.multiply(normals.transpose(1, 2, 0), scale, out=out[..., pos:pos + take])
-        pos += take
-        idx += take
+        chunk_id, offset = divmod(start + pos, CHUNK)
+        end = min(CHUNK, offset + count - pos)       # rows [offset, end) needed
+        rng = Generator(Philox(key=np.array([seed, chunk_id], dtype=np.uint64)))
+        for row in range(0, end, len(buf)):
+            block = buf[:min(len(buf), end - row)]       # chunk rows [row, stop)
+            rng.standard_normal(out=block)
+            first, stop = max(row, offset), row + len(block)
+            if first < stop:
+                np.multiply(block[first - row:].transpose(1, 2, 0), scale,
+                            out=out[..., pos + first - offset:pos + stop - offset])
+        pos += end - offset
     return out.transpose(2, 0, 1)
-
-
-def _chunk_normals(seed: int, chunk_id: int, rows: int, n: int, d: int) -> np.ndarray:
-    """Rows [0, rows) of the standard-normal block (CHUNK, n, d) for one
-    Philox key; standard_normal fills its output in order, so a shorter draw
-    is a prefix of the full one."""
-    key = np.array([seed, chunk_id], dtype=np.uint64)
-    rng = Generator(Philox(key=key))
-    return rng.standard_normal((rows, n, d))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ agreement between the two is meaningful:
 - the null space of the lift's endpoint map (``endpoint_map_matrix``,
   ``lift_orthogonality``, ``lift_competitor_deficit``) and the determinant
   identity det(S^T S) = det(I + A A^T) (``det_identity_check``);
-- finite-difference and Gaussian-algebra references for flat space.
+- finite-difference and Gaussian-algebra references for flat space;
+- a chunk's standard-normal block drawn in one call (``one_call_normals``).
 """
 
 import mpmath
@@ -430,3 +431,11 @@ def det_identity_check(A, rtol=1e-10):
     rhs = float(np.linalg.det(np.eye(k) + A @ A.T))
     ok = abs(lhs - rhs) <= rtol * max(abs(lhs), abs(rhs), 1.0)
     return lhs, rhs, ok
+
+
+def one_call_normals(seed, chunk_id, rows, n, d):
+    """Rows [0, rows) of the standard-normal block (CHUNK, n, d) of Philox key
+    (seed, chunk_id), drawn in one standard_normal call: the draw that
+    paths.sample_increments makes in blocks must equal it bit for bit."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk_id], dtype=np.uint64)))
+    return rng.standard_normal((rows, n, d))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pinpath import cli, diagnostics, measures, paths
+from pinpath import cli, diagnostics, jacobi, measures, paths
 from pinpath.geom import CurvatureModel, NumericalError
 from pinpath.jacobi import Partition
 
@@ -216,6 +216,9 @@ def test_props_small_run(tmp_path):
     manifest = json.loads(read_text(os.path.join(out, "props_manifest.json")))
     assert all(v == 0 for v in manifest["violations"].values())
     assert "violations=0" in res.output
+    # the sweep's stage timings, one entry per stage
+    assert list(manifest["stage_s"]) == list(diagnostics.PROPS_STAGES)
+    assert all(v >= 0.0 for v in manifest["stage_s"].values())
 
 
 def test_props_manifest_records_every_audited_model(tmp_path):
@@ -278,24 +281,26 @@ def test_ibp_conditioning_guard_is_a_numerical_failure(tmp_path, monkeypatch):
     assert "aborted on conditioning" in res.output
 
 
-@pytest.mark.parametrize("args", [
-    ["pinned", "--model", "hyperbolic", "--d", "2", "--kappa", "1", "--n", "4",
-     "--rho", "1.0", "--N", "64"],
-    ["converge", "--stat", "J", "--model", "hyperbolic", "--d", "2", "--n", "4,8",
-     "--samples", "4"],
-    ["props", "--paths", "8", "--n", "4", "--d", "2", "--kappa", "1.0"],
-    ["ibp", "--model", "hyperbolic", "--d", "2", "--kappa", "1", "--n", "2",
-     "--N", "16"],
+@pytest.mark.parametrize("args, also", [
+    (["pinned", "--model", "hyperbolic", "--d", "2", "--kappa", "1", "--n", "4",
+      "--rho", "1.0", "--N", "64"], [(jacobi, "_positive_logdet")]),
+    (["converge", "--stat", "J", "--model", "hyperbolic", "--d", "2", "--n", "4,8",
+      "--samples", "4"], []),
+    (["props", "--paths", "8", "--n", "4", "--d", "2", "--kappa", "1.0"],
+     [(np.linalg, "eigvalsh")]),
+    (["ibp", "--model", "hyperbolic", "--d", "2", "--kappa", "1", "--n", "2",
+      "--N", "16"], []),
 ], ids=["pinned", "converge", "props", "ibp"])
-def test_linalg_error_is_a_numerical_failure(tmp_path, monkeypatch, args):
-    """numpy's LinAlgError (a ValueError subclass) from a solve or a
-    determinant is reported as a numerical failure with exit code 3, not as a
-    config error."""
+def test_linalg_error_is_a_numerical_failure(tmp_path, monkeypatch, args, also):
+    """numpy's LinAlgError (a ValueError subclass) from a solve, a
+    determinant or an eigensolve is reported as a numerical failure with exit
+    code 3, not as a config error.  The pinned route calls no numpy.linalg
+    routine, so there the log-det kernel itself raises it."""
     def singular(*a, **k):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    monkeypatch.setattr(np.linalg, "slogdet", singular)
+    for module, name in [(np.linalg, "solve"), (np.linalg, "slogdet"), *also]:
+        monkeypatch.setattr(module, name, singular)
     res = run_cli(args + ["--out", str(tmp_path)])
     assert res.exit_code == 3, res.output
     assert "numerical failure: Singular matrix" in res.output

@@ -298,3 +298,21 @@ def test_property_sweep_clean():
     # worst margins are recorded for every check
     assert set(rep.worst) == {"mass_eig", "normal_jacobian", "slope_det",
                               "response_bound", "volume_bound"}
+    assert list(rep.stage_s) == list(diagnostics.PROPS_STAGES)
+
+
+def test_symmetric_norm_is_the_svd_norm():
+    """The response audit's spectral norms of C, S - hI and C - I from
+    batch_cs (the largest |eigenvalue|) equal their SVD norms within 1e-13
+    relative, on props-sized paths of flat and hyperbolic d = 1-3."""
+    part = Partition(64)
+    h = part.mesh
+    for d in (1, 2, 3):
+        for model in (CurvatureModel("flat", d), CurvatureModel("hyperbolic", d, 1.0),
+                      CurvatureModel("hyperbolic", d, 2.5)):
+            inc = paths.sample_increments(model, part, 30, seed=d)
+            C, S = jacobi.batch_cs(model, inc, h)
+            for X in (C, S - h * np.eye(d), C - np.eye(d)):
+                want = np.linalg.norm(X, 2, axis=(-2, -1))
+                got = diagnostics._symmetric_norm(X)
+                assert np.all(np.abs(got - want) <= 1e-13 * want), (model, d)

@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from pinpath import geom, jacobi
+from pinpath import geom, jacobi, measures, paths
 from pinpath.geom import CurvatureModel, NumericalError
 from pinpath.jacobi import Partition
 
@@ -488,6 +488,82 @@ def test_volume_factors_reject_non_finite_determinants():
     S[0, 0, 0, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
         jacobi.log_rho_P(S, 0.5)
+
+
+def _spd_batch(rng, lead, d, cond):
+    """Random SPD matrices (*lead, d, d) with condition number cond (1 at
+    d = 1), eigenvalues log-uniform between, at a random overall scale."""
+    Q = np.linalg.qr(rng.normal(size=lead + (d, d)))[0]
+    ev = np.exp(rng.uniform(0.0, np.log(cond), size=lead + (d,)))
+    if d > 1:
+        ev[..., 0], ev[..., -1] = 1.0, cond
+    ev *= np.exp(rng.uniform(-3.0, 3.0, size=lead + (1,)))
+    A = (Q * ev[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
+def _samples_last(A):
+    return np.moveaxis(A, (-2, -1), (0, 1))
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (2, 3)], ids=["single", "7", "2x3"])
+def test_positive_logdet_matches_slogdet(lead):
+    """The Cholesky log-det kernel, run samples last, agrees with LU's slogdet
+    on random SPD batches, d = 1-5, condition numbers 1 to 1e12: within
+    2 d cond eps (a backward error E with ||E|| <= eps ||A|| changes log det A
+    by tr(A^-1 E) to first order, at most d cond eps) plus 4 eps |log det| for
+    rounding the sum."""
+    rng = np.random.default_rng(211)
+    eps = np.finfo(float).eps
+    for d in range(1, 6):
+        for cond in (1.0, 1e3, 1e6, 1e9, 1e12):
+            A = _spd_batch(rng, lead, d, cond)
+            want = np.linalg.slogdet(A)[1]
+            got = jacobi._positive_logdet(_samples_last(A), "test matrix")
+            assert got.shape == lead
+            c = np.linalg.cond(A)
+            assert np.all(np.abs(got - want) <= 2 * d * c * eps + 4 * eps * np.abs(want)), (d, cond)
+
+
+def test_positive_logdet_rejects_non_finite_and_non_positive():
+    """The kernel raises NumericalError on a NaN or an inf in the lower
+    triangle only or in the upper triangle only (the pivots read only the
+    lower one), on a negative or a zero pivot, and returns an empty result on
+    an empty batch."""
+    A = _samples_last(_spd_batch(np.random.default_rng(223), (5,), 3, 10.0))
+    for bad in (np.nan, np.inf, -np.inf):
+        for entry in ((2, 0), (2, 1), (1, 0), (0, 2), (1, 2), (0, 1), (1, 1)):
+            B = A.copy()
+            B[entry + (3,)] = bad
+            with pytest.raises(NumericalError, match="lost positivity or finiteness"):
+                jacobi._positive_logdet(B, "test matrix")
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])[..., None]    # pivots 1, -3
+    singular = np.array([[1.0, 1.0], [1.0, 1.0]])[..., None]      # pivots 1, 0
+    for M in (indefinite, singular, -np.eye(2)[..., None], np.zeros((1, 1, 4))):
+        with pytest.raises(NumericalError, match="lost positivity or finiteness"):
+            jacobi._positive_logdet(M, "test matrix")
+    for d in (1, 3):
+        empty = jacobi._positive_logdet(np.zeros((d, d, 0)), "test matrix")
+        assert empty.shape == (0,)
+    assert jacobi._positive_logdet(np.zeros((2, 2, 2, 0)), "test matrix").shape == (2, 0)
+
+
+def test_pinned_chunks_call_no_numpy_linalg(monkeypatch):
+    """The pinned route calls no numpy.linalg routine: one hyp3 n=32 chunk and
+    one flat2 n=8 chunk of CHUNK paths complete with every public numpy.linalg
+    function raising, with finite log-weights."""
+    def forbidden(*a, **k):
+        raise AssertionError("numpy.linalg called on the pinned route")
+
+    runs = [(HYP3, Partition(32), [1.0, 0.0, 0.0]), (FLAT2, Partition(8), [1.0, 0.0])]
+    targets = [measures._target_point(model, x) for model, _, x in runs]
+    for name in np.linalg.__all__:
+        if name != "LinAlgError":
+            monkeypatch.setattr(np.linalg, name, forbidden)
+    for (model, part, _), x_amb in zip(runs, targets):
+        log_w, f_vals, _, _ = measures._pinned_chunk(model, part, x_amb, measures.MASS_OBSERVABLE,
+                                                     0, 0, paths.CHUNK)
+        assert log_w.shape == (paths.CHUNK,) and np.all(np.isfinite(log_w))
 
 
 def test_det_identity_edge_cases():

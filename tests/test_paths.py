@@ -9,6 +9,8 @@ from pinpath import geom, jacobi, paths
 from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 
+from tests.oracles import one_call_normals
+
 FLAT2 = CurvatureModel("flat", 2)
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
 HYP3 = CurvatureModel("hyperbolic", 3, 1.0)
@@ -49,11 +51,29 @@ def test_increments_chunk_boundary():
 @pytest.mark.parametrize("rows", [1, 5, 64, 4095])
 @pytest.mark.parametrize("n, d", [(64, 1), (4, 2), (32, 3)])
 def test_short_chunk_draw_is_a_prefix(rows, n, d):
-    """A rows-row draw of a chunk is the first rows rows of its full CHUNK
-    draw, bit for bit, so sample_increments draws only what it returns."""
+    """The first rows samples of a chunk are the first rows rows of its full
+    CHUNK draw in one call, scaled by sqrt(1/n), bit for bit, so
+    sample_increments draws only what it returns."""
+    model, part = CurvatureModel("flat", d), Partition(n)
     for seed, chunk in ((0, 0), (5, 3)):
-        full = paths._chunk_normals(seed, chunk, paths.CHUNK, n, d)
-        assert np.array_equal(paths._chunk_normals(seed, chunk, rows, n, d), full[:rows])
+        full = one_call_normals(seed, chunk, paths.CHUNK, n, d)
+        got = paths.sample_increments(model, part, rows, seed, chunk * paths.CHUNK)
+        assert np.array_equal(got, full[:rows] * np.sqrt(part.mesh))
+
+
+@pytest.mark.parametrize("n, d", [(32, 3), (8, 2), (1, 1)])
+def test_blocked_draw_matches_one_call_reference(n, d):
+    """sample_increments draws a Philox block _DRAW_ROWS rows at a time; at
+    offsets 0, 5 and 4095 of a chunk, over several blocks and across a chunk
+    boundary, its samples are the one-call draw's, bit for bit."""
+    model, part = CurvatureModel("flat", d), Partition(n)
+    base = 2 * paths.CHUNK
+    ref = np.concatenate([one_call_normals(7, c, paths.CHUNK, n, d) for c in (2, 3)])
+    ref *= np.sqrt(part.mesh)
+    for offset, count in ((0, paths.CHUNK), (5, 700), (4095, 1), (4095, 600),
+                          (300, paths.CHUNK + 200)):
+        got = paths.sample_increments(model, part, count, 7, base + offset)
+        assert np.array_equal(got, ref[offset:offset + count]), (offset, count)
 
 
 def test_exponential_moment_identity():
