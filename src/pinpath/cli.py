@@ -284,7 +284,7 @@ def cmd_pinned(cfg):
                      "N": cfg.n_samples, "mean": res.mean, "stderr": res.stderr,
                      "oracle": oracle if oracle is not None else float("nan"),
                      "abs_err": err, "tip_cond_hits": res.meta["tip_cond_hits"],
-                     **res.weight_summary(), "stage_s": res.meta["stage_s"],
+                     **res.meta["weights"], "stage_s": res.meta["stage_s"],
                      "versions": VERSIONS})
         if oracle is not None:
             if cfg.model == "flat":

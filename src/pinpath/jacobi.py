@@ -141,7 +141,8 @@ class Intervals:
         # in place where possible: at a 4096-path chunk each array is 1 MB,
         # and fresh pages cost more than the arithmetic
         self.xi, self.flat = xi, model.kind == "flat"
-        nrm = np.einsum("md...,md...->m...", xi, xi)
+        # |xi|^2 as the same sum of squares at every batch size
+        nrm = sum(xi[:, k] * xi[:, k] for k in range(xi.shape[1]))
         np.sqrt(nrm, out=nrm)
         self.inv = np.ones_like(nrm)
         np.divide(1.0, nrm, out=self.inv, where=nrm > 0)
@@ -272,12 +273,15 @@ def log_rho_P(S, delta: float) -> np.ndarray:
 
 
 def tip_log_factors(model: CurvatureModel, G, head, tip, n: int):
-    """(log J_P, log V_x), each (...,), of paths on n intervals whose body (the
-    first n-1) has gram_pass (G, head), each (..., d, d), and whose tip, the
-    last interval, covers the vector tip (..., d) in time delta = 1/n; the tip
-    is factored out in closed form (module docstring).  The arithmetic runs
-    samples last on views of the arguments, so samples-last arrays passed as
-    transposed views are not copied.
+    """(log J_P, log V_x, hits) of paths on n intervals whose body (the first
+    n-1) has gram_pass (G, head), each (..., d, d), and whose tip, the last
+    interval, covers the vector tip (..., d) in time delta = 1/n; the tip is
+    factored out in closed form (module docstring).  The log-factors are
+    (...,); hits counts the tips whose sine factor S_x has condition number
+    sinhc a = r cosh a (exact in constant curvature) above COND_LIMIT, compared
+    in logs so that no tip overflows.  The arithmetic runs samples last on
+    views of the arguments, so samples-last arrays passed as transposed views
+    are not copied.
 
     Raises NumericalError unless every determinant is positive and finite.
     """
@@ -293,22 +297,17 @@ def tip_log_factors(model: CurvatureModel, G, head, tip, n: int):
     np.multiply(unit[:, None], unit, out=T)
     T *= 1.0 - r2
     _diagonal(T)[...] += r2
+    log_r = np.log(r)
     log_cosh = a + np.log1p(0.5 * np.expm1(-2.0 * a))     # no overflow at large a
+    hits = int(np.count_nonzero(log_r + log_cosh > np.log(COND_LIMIT)))
     log_jp = (-0.5 * d * np.log(n) + (d - 1) * log_cosh
               + 0.5 * _positive_logdet(G + T, "mass matrix K(1)"))
     if n == 1:      # no body to perturb
-        return log_jp, np.zeros_like(log_jp)
+        return log_jp, np.zeros_like(log_jp), hits
     T += head                                             # I + head + T, in place
     _diagonal(T)[...] += 1.0
-    log_vx = 0.5 * _positive_logdet(T, "pinning volume factor") - (d - 1) * np.log(r)
-    return log_jp, log_vx
-
-
-def tip_cond_hits(model: CurvatureModel, xi_x) -> int:
-    """Number of tips whose sine factor S_x has condition number
-    sinhc(sqrt(kappa) |xi_x|) (exact in constant curvature) above COND_LIMIT."""
-    a, _ = _polar(model, xi_x)
-    return int(np.sum(geom.sinhc(a) > COND_LIMIT))
+    log_vx = 0.5 * _positive_logdet(T, "pinning volume factor") - (d - 1) * log_r
+    return log_jp, log_vx, hits
 
 
 # ---------------------------------------------------------------------------

@@ -205,10 +205,9 @@ def _pinned_chunk(model: CurvatureModel, partition: Partition, x_amb,
     # the tip enters both factors in closed form; the transposed views hand
     # tip_log_factors the samples-last arrays themselves, uncopied
     tip = xi_x.T
-    log_jp, log_vx = jacobi.tip_log_factors(model, G.transpose(2, 0, 1),
-                                            head.transpose(2, 0, 1), tip, n)
+    log_jp, log_vx, hits = jacobi.tip_log_factors(model, G.transpose(2, 0, 1),
+                                                  head.transpose(2, 0, 1), tip, n)
     log_w = -0.5 * d * LOG_2PI - 0.5 * n * np.sum(xi_x * xi_x, axis=0) + log_vx - log_jp
-    hits = jacobi.tip_cond_hits(model, tip)
     clock.lap("tip_factors")
     knots = _pinned_knots(model, partition, observable.times, iv, x_amb)
     f_vals = np.asarray(observable.evaluate(model, knots), dtype=float)
@@ -225,20 +224,6 @@ class EstimateResult:
     f_values: np.ndarray
     meta: dict
 
-    def weight_summary(self) -> dict:
-        """Spread of the log-weights, the effective sample size over N,
-        ESS/N = (sum w)^2 / (N sum w^2), and the largest weight's share."""
-        lw = self.log_weights
-        out = {"log_w_min": float(lw.min()), "log_w_max": float(lw.max()),
-               "log_w_mean": float(lw.mean()), "log_w_var": float(lw.var())}
-        w = lw - lw.max()           # then in place: one temporary of N floats
-        np.exp(w, out=w)            # the largest weight is exp(0) = 1
-        total = w.sum()
-        w *= w
-        out.update(ess_frac=float(total ** 2 / (w.size * np.sum(w))),
-                   max_weight_share=float(1.0 / total))
-        return out
-
 
 def pinned_estimate(model: CurvatureModel, partition: Partition, x,
                     observable: CylinderObservable = MASS_OBSERVABLE,
@@ -248,7 +233,9 @@ def pinned_estimate(model: CurvatureModel, partition: Partition, x,
 
     Deterministic for fixed (seed, n_samples) at any worker count: samples are
     generated per fixed-size chunk keyed by index, and chunks are merged in
-    index order with pairwise summation.
+    index order with pairwise summation.  meta["weights"] summarises the
+    weights w: the spread of log w, the effective sample size over N,
+    ESS/N = (sum w)^2 / (N sum w^2), and the largest weight's share.
     """
     if n_samples < 2:
         raise ValueError("need n_samples >= 2 for a standard error")
@@ -283,9 +270,16 @@ def pinned_estimate(model: CurvatureModel, partition: Partition, x,
         raise NumericalError(
             f"{bad.size}+ non-finite log-weights; diagnostics in {nan_dump_path}")
 
-    m = float(np.max(log_w))
-    scaled = log_w - m          # then in place: each temporary is N floats
-    np.exp(scaled, out=scaled)
+    m, mean_lw = float(np.max(log_w)), log_w.mean()
+    scaled = log_w - mean_lw    # then in place: the one temporary of N floats
+    scaled *= scaled            # np.var's arithmetic, without its temporary
+    weights = {"log_w_min": float(log_w.min()), "log_w_max": m,
+               "log_w_mean": float(mean_lw), "log_w_var": float(scaled.mean())}
+    np.subtract(log_w, m, out=scaled)
+    np.exp(scaled, out=scaled)  # the weights over the largest, exp(0) = 1
+    total = scaled.sum()
+    weights.update(ess_frac=float(total ** 2 / (n_samples * np.dot(scaled, scaled))),
+                   max_weight_share=float(1.0 / total))
     scaled *= f_vals
     mean_scaled = np.mean(scaled)
     mean = float(np.exp(m) * mean_scaled)
@@ -294,7 +288,7 @@ def pinned_estimate(model: CurvatureModel, partition: Partition, x,
     stderr = float(np.exp(m) * np.sqrt(np.sum(scaled) / (n_samples - 1)) / np.sqrt(n_samples))
     stage_s["reduction"] = time.perf_counter() - t_reduce
     meta = {"seed": seed, "n": partition.n, "observable": observable.name,
-            "tip_cond_hits": cond_hits, "stage_s": stage_s,
+            "tip_cond_hits": cond_hits, "weights": weights, "stage_s": stage_s,
             "wall_time_s": time.perf_counter() - t0}
     return EstimateResult(mean, stderr, n_samples, log_w, f_vals, meta)
 

@@ -20,6 +20,8 @@ agreement between the two is meaningful:
   rolling the body's frames (``frame_roll_tip``, the estimator's route until
   the pull-back replaced it) and the boost composition in 60-digit mpmath
   arithmetic (``mp_pulled_back_tip``);
+- the damped-field pairing of an observable's gradient one knot and one
+  frame axis at a time (``damped_pairing_per_axis``);
 - the null space of the lift's endpoint map (``endpoint_map_matrix``,
   ``lift_orthogonality``, ``lift_competitor_deficit``) and the determinant
   identity det(S^T S) = det(I + A A^T) (``det_identity_check``);
@@ -167,6 +169,29 @@ def mp_pulled_back_tip(kappa, body, x, dps=60):
         z = rk * mpmath.sqrt(sum(v * v for v in ws))
         scale = mpmath.asinh(z) / z if z > 0 else mpmath.mpf(1)
         return np.array([float(scale * v) for v in ws])
+
+
+def damped_pairing_per_axis(model, part, observable, points, frames, field, step):
+    """Sum over the knot times s_j of the observable and the frame axes a of
+    field[:, j, a] times the central difference of size step of f, moving
+    only knot j by exp_frame along axis a of its frame.  points (N, n+1, D),
+    frames (N, n+1, D, d) and field (N, n+1, d); knot 0 is skipped (the
+    field vanishes there).  Returns (N,)."""
+    N, d = points.shape[0], model.dim
+    knots = paths.knots_at(part, observable.times, points)
+    pairing = np.zeros(N)
+    for k, j in enumerate(part.knot_index(t) for t in observable.times):
+        if j == 0:
+            continue
+        for a in range(d):
+            moved = [knots.copy(), knots.copy()]
+            for sign, copy in zip((1.0, -1.0), moved):
+                copy[:, k] = geom.exp_frame(model, points[:, j], frames[:, j],
+                                            sign * step * np.eye(d)[a])[0]
+            grad = (observable.evaluate(model, moved[0])
+                    - observable.evaluate(model, moved[1])) / (2 * step)
+            pairing += field[:, j, a] * grad
+    return pairing
 
 
 def broken_jacobi_rk4(kappa, velocities, slopes, steps_per_interval=400):

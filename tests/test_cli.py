@@ -353,7 +353,7 @@ def test_pinned_manifest_records_weight_health(tmp_path):
                                        n_samples=2048, seed=3)
         assert row["n"] == n
         assert row["tip_cond_hits"] == est.meta["tip_cond_hits"] == 0
-        for key, value in est.weight_summary().items():
+        for key, value in est.meta["weights"].items():
             assert row[key] == pytest.approx(value, rel=1e-12), key
         assert 0.0 < row["ess_frac"] <= 1.0
         assert 1.0 / 2048 <= row["max_weight_share"] <= 1.0

@@ -5,14 +5,15 @@ import io
 import numpy as np
 import pytest
 
-from pinpath import diagnostics, geom, jacobi, paths
+from pinpath import damped, diagnostics, geom, jacobi, paths
 from pinpath.diagnostics import (ConvergenceReport, convergence_suite, ibp_check,
                                  projected_constant_field, property_sweep)
 from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 from pinpath.measures import MASS_OBSERVABLE, CylinderObservable
 
-from tests.oracles import endpoint_map_matrix, lift_competitor_deficit, lift_orthogonality
+from tests.oracles import (damped_pairing_per_axis, endpoint_map_matrix, lift_competitor_deficit,
+                           lift_orthogonality)
 
 FLAT1 = CurvatureModel("flat", 1)
 FLAT2 = CurvatureModel("flat", 2)
@@ -288,6 +289,31 @@ def test_gradient_compare_reports():
     assert out["median_abs_gap"] < 0.05 * out["median_abs_chart"]
 
 
+def test_gradient_gap_pairing_matches_per_axis_differences():
+    """_gradient_gap's pairing, one central difference along the damped field
+    with every knot of f moved at once, agrees per sample within 1e-7
+    relative with the per-axis differences of one knot at a time
+    (tests/oracles.py), for an observable at s = 0, 1/2 and 1."""
+    part = Partition(4)
+    obs = CylinderObservable("exp_three", (0.0, 0.5, 1.0), 1.0, "exp_radial2",
+                             {"times": [0.0, 0.5, 1.0], "scales": [1.0, 2.0, 3.0]})
+    for model in (FLAT2, HYP2, CurvatureModel("hyperbolic", 3, 2.5)):
+        inc = paths.sample_increments(model, part, 12, seed=6)
+        points, frames = paths.roll_batch(model, inc)
+        x_field = projected_constant_field(model)
+        coords = diagnostics._endpoint_coords(model, points[:, -1], frames[:, -1], x_field)
+        k_prof = damped.k_profile(damped.ric_scalar(model), part.knots)
+        field = (k_prof / k_prof[-1])[None, :, None] * coords[:, None, :]
+        want = damped_pairing_per_axis(model, part, obs, points, frames, field,
+                                       diagnostics.FD_STEP)
+        assert np.all(np.abs(want) > 0)
+        for i in range(want.size):
+            row = slice(i, i + 1)
+            gap = diagnostics._gradient_gap(model, part, obs, want[row], points[row],
+                                            frames[row], x_field)["median_abs_gap"]
+            assert gap <= 1e-7 * abs(want[i]), (model, i)
+
+
 def test_property_sweep_clean():
     """No violations of the pathwise inequalities at module scale."""
     models = [HYP2, CurvatureModel("hyperbolic", 3, 2.0), FLAT2]
@@ -301,18 +327,30 @@ def test_property_sweep_clean():
     assert list(rep.stage_s) == list(diagnostics.PROPS_STAGES)
 
 
-def test_symmetric_norm_is_the_svd_norm():
-    """The response audit's spectral norms of C, S - hI and C - I from
-    batch_cs (the largest |eigenvalue|) equal their SVD norms within 1e-13
-    relative, on props-sized paths of flat and hyperbolic d = 1-3."""
+def test_response_bound_margin_matches_svd_norms(monkeypatch):
+    """The response audit's margin, from one eigvalsh of C and one of S,
+    equals the margin built from the SVD norms of C, S - hI and C - I within
+    1e-13 relative to |C| >= 1 (the margins themselves cancel down to
+    roundoff), on props-sized paths of flat and hyperbolic d = 1-3."""
     part = Partition(64)
     h = part.mesh
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda X: calls.append(1) or eigvalsh(X))
     for d in (1, 2, 3):
         for model in (CurvatureModel("flat", d), CurvatureModel("hyperbolic", d, 1.0),
                       CurvatureModel("hyperbolic", d, 2.5)):
             inc = paths.sample_increments(model, part, 30, seed=d)
             C, S = jacobi.batch_cs(model, inc, h)
-            for X in (C, S - h * np.eye(d), C - np.eye(d)):
-                want = np.linalg.norm(X, 2, axis=(-2, -1))
-                got = diagnostics._symmetric_norm(X)
-                assert np.all(np.abs(got - want) <= 1e-13 * want), (model, d)
+            big_n, eye = model.curvature_bound, np.eye(d)
+            speed = np.linalg.norm(inc / h, axis=-1)
+            grow = np.exp(big_n * speed ** 2 * h ** 2 / 2.0)
+            norm = lambda X: np.linalg.norm(X, 2, axis=(-2, -1))
+            want = np.minimum.reduce([
+                np.cosh(np.sqrt(big_n) * speed * h) - norm(C),
+                big_n * speed ** 2 * h ** 3 / 6.0 * grow - norm(S - h * eye),
+                big_n * speed ** 2 * h ** 2 / 2.0 * grow - norm(C - eye),
+            ]).min(axis=-1)
+            calls.clear()
+            got = diagnostics._response_bound_margin(inc, C, S, h, big_n)
+            assert len(calls) == 2
+            assert np.all(np.abs(got - want) <= 1e-13 * norm(C).max(axis=-1)), (model, d)

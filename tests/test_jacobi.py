@@ -367,7 +367,7 @@ def test_body_pass_extends_to_full_pass():
             G, head = jacobi.gram_pass(model, inc[:, :-1])
             C, S = jacobi.batch_cs(model, inc, part.mesh)
             K = jacobi.batch_mass_matrix(jacobi.batch_endpoint_f(C, S, part.mesh), part.mesh)
-            log_jp, _ = jacobi.tip_log_factors(model, G, head, inc[:, -1], n)
+            log_jp = jacobi.tip_log_factors(model, G, head, inc[:, -1], n)[0]
             assert np.allclose(log_jp, 0.5 * np.linalg.slogdet(K)[1], rtol=1e-13, atol=1e-13)
             assert np.allclose(part.mesh * jacobi.gram_pass(model, inc)[0], K,
                                rtol=1e-13, atol=1e-13)
@@ -412,7 +412,7 @@ def test_tip_log_factors_far_tips_on_straight_body():
             tips = unit * (a / np.sqrt(kappa) / np.linalg.norm(unit, axis=-1))[:, None]
             for n in (1, 2, 3, 8, 32):
                 G, head = jacobi.gram_pass(model, np.zeros((a.size, n - 1, d)))
-                log_jp, log_vx = jacobi.tip_log_factors(model, G, head, tips, n)
+                log_jp, log_vx, _ = jacobi.tip_log_factors(model, G, head, tips, n)
                 want_jp = 0.5 * (-d * np.log(n) + np.log(n) + (d - 1) * np.log(
                     np.cosh(a) ** 2 * (n - 1) + geom.sinhc(a) ** 2))
                 want_vx = 0.5 * (np.log(n) + (d - 1) * np.log(1.0 + (n - 1) / r ** 2))
@@ -436,8 +436,8 @@ def test_batched_factors_match_batch_of_one():
         J = jacobi.jacobi_from_slopes(C, S, slopes)
         return [f_end, jacobi.batch_mass_matrix(f_end, delta), G, head,
                 jacobi.gram_pass(model, inc)[0],
-                *jacobi.tip_log_factors(model, G, head, inc[..., -1, :], part.n),
-                *jacobi.tip_log_factors(model, G, head, tip, part.n),
+                *jacobi.tip_log_factors(model, G, head, inc[..., -1, :], part.n)[:2],
+                *jacobi.tip_log_factors(model, G, head, tip, part.n)[:2],
                 jacobi.log_rho_P(S, delta), J, jacobi.slopes_from_knots(C, S, J)]
 
     batch = factors(inc, slopes, tips)
@@ -448,7 +448,7 @@ def test_batched_factors_match_batch_of_one():
 
 def test_log_volume_change_counts_ill_conditioned_tips():
     """A tip whose sine factor has condition number above COND_LIMIT is
-    counted in tip_cond_hits; ordinary tips are not.  Both volume factors of
+    counted in tip_log_factors' hits; ordinary tips are not.  Both volume factors of
     every tip stay finite."""
     model = CurvatureModel("hyperbolic", 2, 4.0)
     part = Partition(4)
@@ -458,12 +458,40 @@ def test_log_volume_change_counts_ill_conditioned_tips():
     assert np.linalg.cond(Sx) == pytest.approx(float(geom.sinhc(3.0)), rel=1e-10)
     tips = np.array([[0.5, 0.0], [20.0, 0.0], [0.0, -1.0]])   # sinhc(40) ~ 3e15
     G, head = jacobi.gram_pass(model, body)
-    log_jp, log_vx = jacobi.tip_log_factors(model, G, head, tips, part.n)
-    assert jacobi.tip_cond_hits(model, tips) == 1
+    log_jp, log_vx, hits = jacobi.tip_log_factors(model, G, head, tips, part.n)
+    assert hits == 1
     assert np.all(np.isfinite(log_vx))
     assert np.all(np.isfinite(log_jp))
-    assert jacobi.tip_cond_hits(model, tips[[0, 2]]) == 0
-    assert jacobi.tip_cond_hits(FLAT2, tips) == 0
+    assert jacobi.tip_log_factors(model, G[[0, 2]], head[[0, 2]], tips[[0, 2]], part.n)[2] == 0
+    assert jacobi.tip_log_factors(FLAT2, *jacobi.gram_pass(FLAT2, body), tips, part.n)[2] == 0
+
+
+def test_tip_cond_count_is_sinhc_beyond_the_limit(monkeypatch):
+    """tip_log_factors' hits is exactly the number of tips with
+    sinhc(a) > COND_LIMIT, a = sqrt(kappa) |xi_x|, for tips within 1e-9 and
+    1e-11 relative of the limit on either side, at the shipped limit and at
+    one patched in after import (read at call time).  Tips up to a = 700 are
+    counted and raise no overflow warning."""
+    model, part = CurvatureModel("hyperbolic", 3, 2.5), Partition(4)
+    unit = np.array([0.6, 0.0, -0.8])
+    G, head = (np.repeat(X, 8, axis=0)
+               for X in jacobi.gram_pass(model, np.full((1, 3, 3), 0.1)))
+    for limit in (jacobi.COND_LIMIT, 1e3):
+        monkeypatch.setattr(jacobi, "COND_LIMIT", limit)
+        lo, hi = 0.0, 40.0                 # bisect for sinhc(a) = limit
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if geom.sinhc(mid) < limit else (lo, mid)
+        rel = np.array([-1e-9, -1e-11, 1e-11, 1e-9, -0.5, 0.5, -1.0, 2.0])
+        tips = np.outer(lo * (1.0 + rel) / np.sqrt(model.kappa), unit)
+        want = geom.sinhc(jacobi._polar(model, tips)[0]) > limit
+        assert want.sum() == 4 and not np.all(want[:4]) and np.any(want[:4])
+        assert jacobi.tip_log_factors(model, G, head, tips, part.n)[2] == want.sum()
+    far = np.outer(np.array([31.0, 100.0, 300.0, 700.0]) / np.sqrt(model.kappa), unit)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for n in (1, 4):
+            log_jp, log_vx, hits = jacobi.tip_log_factors(model, G[:4], head[:4], far, n)
+            assert hits == 4 and np.all(np.isfinite(log_jp)) and np.all(np.isfinite(log_vx))
 
 
 def test_volume_factors_reject_non_finite_determinants():
@@ -472,7 +500,7 @@ def test_volume_factors_reject_non_finite_determinants():
     head, as on a non-positive determinant, and log rho_P on a NaN."""
     eye = np.stack([np.eye(2)] * 3)
     tips = np.zeros((3, 2))
-    log_jp, log_vx = jacobi.tip_log_factors(HYP2, 0.0 * eye, 0.0 * eye, tips, 1)
+    log_jp, log_vx, _ = jacobi.tip_log_factors(HYP2, 0.0 * eye, 0.0 * eye, tips, 1)
     assert np.array_equal(log_jp, np.zeros(3)) and np.array_equal(log_vx, np.zeros(3))
     for which in (0, 1):
         for entry in [(1, 0, 0), (1, 0, 1)]:

@@ -223,7 +223,7 @@ def test_pinned_estimate_flat_unbiased():
     assert abs(res.mean - oracle) < 3 * res.stderr
     assert res.stderr < 0.02 * oracle
     assert np.all(np.isfinite(res.log_weights))
-    assert np.isfinite(res.weight_summary()["log_w_var"])
+    assert np.isfinite(res.meta["weights"]["log_w_var"])
     assert res.meta["tip_cond_hits"] == 0
 
 
@@ -274,6 +274,23 @@ def test_pinned_estimate_sums_tip_cond_hits(monkeypatch):
         hits = _pinned_chunk(HYP2, part, x, MASS_OBSERVABLE, 4, start, size)[2]
         assert 0 < hits == int(hit[start:start + size].sum())
     assert res.meta["tip_cond_hits"] == int(hit.sum())
+
+
+@pytest.mark.parametrize("model, n, x", [(HYP3, 8, [1.0, 0.0, 0.0]), (FLAT2, 4, [1.0, 0.5])],
+                         ids=["hyp3", "flat2"])
+def test_weight_summary_matches_direct_formulas(model, n, x):
+    """meta["weights"] holds the spread of log w, ESS/N and the largest
+    weight's share, each within 1e-12 relative of its direct formula on the
+    returned log-weights, over two chunks."""
+    res = pinned_estimate(model, Partition(n), np.array(x), n_samples=paths.CHUNK + 904, seed=2)
+    lw = res.log_weights
+    w = np.exp(lw - lw.max())
+    want = {"log_w_min": lw.min(), "log_w_max": lw.max(), "log_w_mean": np.mean(lw),
+            "log_w_var": np.var(lw), "ess_frac": w.sum() ** 2 / (lw.size * np.sum(w * w)),
+            "max_weight_share": w.max() / w.sum()}
+    assert list(res.meta["weights"]) == list(want)
+    for key, value in want.items():
+        assert res.meta["weights"][key] == pytest.approx(value, rel=1e-12), key
 
 
 def test_pinned_estimate_validation():
@@ -366,7 +383,7 @@ def test_pulled_back_tip_matches_the_frame_roll(kind, d, kappa):
             assert np.all(np.linalg.norm(tip - want, axis=1) <= tol)
 
             G, head = jacobi.gram_pass(model, inc[:, :n - 1])
-            log_jp, log_vx = jacobi.tip_log_factors(model, G, head, want, n)
+            log_jp, log_vx, _ = jacobi.tip_log_factors(model, G, head, want, n)
             ref = (-0.5 * d * measures.LOG_2PI - 0.5 * n * np.sum(want * want, axis=1)
                    + log_vx - log_jp)
             log_w = _pinned_chunk(model, part, x, MASS_OBSERVABLE, 3, 0, 64)[0]
@@ -428,3 +445,31 @@ def test_hyp3_chunk_rolls_nothing_and_stays_small(monkeypatch):
     assert log_w.shape == (paths.CHUNK,) and np.all(np.isfinite(log_w))
     assert calls == []
     assert peak < 30e6
+
+
+@pytest.mark.parametrize("model, n", [(HYP3, 32), (CurvatureModel("hyperbolic", 2, 2.5), 8),
+                                      (FLAT2, 8)], ids=["hyp3", "hyp2_k2.5", "flat2"])
+def test_pinned_rows_are_independent_of_the_chunk(model, n):
+    """Rows of a pinned chunk of 1, 2 or 3 samples equal the same rows of a
+    full chunk bit for bit, log-weights and observable values, so a sample's
+    weight cannot depend on how many samples share its chunk (the pinned
+    counterpart of test_roll_rows_are_independent_of_the_batch)."""
+    part = Partition(n)
+    x = measures._target_point(model, np.eye(model.dim)[0])
+    obs = radial_observable(0.5, "r2")
+    full_w, full_f = _pinned_chunk(model, part, x, obs, 0, 0, paths.CHUNK)[:2]
+    for start in (0, 1, paths.CHUNK - 3):
+        for count in (1, 2, 3):
+            log_w, f_vals = _pinned_chunk(model, part, x, obs, 0, start, count)[:2]
+            assert np.array_equal(log_w, full_w[start:start + count]), (start, count)
+            assert np.array_equal(f_vals, full_f[start:start + count]), (start, count)
+
+
+def test_pinned_chunk_takes_the_tip_norms_once(monkeypatch):
+    """One pinned chunk calls jacobi._polar once: the tip count comes from
+    tip_log_factors' own norms, not from a second pass over the tips."""
+    calls, polar = [], jacobi._polar
+    monkeypatch.setattr(jacobi, "_polar", lambda *a: calls.append(1) or polar(*a))
+    x = measures._target_point(HYP3, np.array([1.0, 0.0, 0.0]))
+    _pinned_chunk(HYP3, Partition(8), x, MASS_OBSERVABLE, 0, 0, 256)
+    assert len(calls) == 1
