@@ -1,7 +1,8 @@
 """Command-line entry points: pinned estimates, convergence reports, sweeps.
 
-Exit codes: 0 all gates passed, 1 a statistical gate failed, 2 configuration
-error, 3 numerical failure.  Every command writes a results CSV (schema=1
+Exit codes: 0 all gates passed (or none applied: a pinned run with no oracle
+is reported ungated), 1 a statistical gate failed, 2 configuration error, 3
+numerical failure.  Every command writes a results CSV (schema=1
 first line, repr() floats so reruns are byte-identical at a fixed worker
 count) plus a JSON manifest carrying the verbatim config, seed, git revision,
 and wall time.
@@ -307,12 +308,14 @@ def cmd_pinned(cfg):
                                repr(r["n"]), repr(r["x_norm"]), r["observable"],
                                repr(r["N"]), repr(r["mean"]), repr(r["stderr"]),
                                repr(r["oracle"]), repr(r["abs_err"])]) + "\n")
-    passed = all(gates)
+    passed = all(gates) if gates else None     # None: no oracle, nothing gated
     for r in rows:
         click.echo("n=%-4d mean=%.6g stderr=%.3g oracle=%s abs_err=%.3g"
                    % (r["n"], r["mean"], r["stderr"], r["oracle"], r["abs_err"]))
-    click.echo(f"gates {'passed' if passed else 'FAILED'}; results in {csv_path}")
-    return passed, {"rows": rows, "gates_passed": passed}
+    verdict = ("ungated: no oracle for this config" if passed is None
+               else f"gates {'passed' if passed else 'FAILED'}")
+    click.echo(f"{verdict}; results in {csv_path}")
+    return passed is not False, {"rows": rows, "gates_passed": passed}
 
 
 @_command("converge", {"stat": "all", "model": "hyperbolic", "d": 2, "kappa": None,

@@ -20,7 +20,6 @@ FD_STEP = 1e-5    # central-difference step for chart perturbations
 DIV_STEP = 1e-3   # larger outer step for divergence-of-velocity differences
 FLAT_FLOOR = 1e-13  # below this a statistic counts as identically zero
 TABLE_FLOATS = 2 ** 16  # convergence_suite carries n d^2 numbers per path in blocks of this many
-VARIATION_FLOATS = 2 ** 16  # and the chart matrix's knot variations for this many
 # ibp_check drops samples whose chart matrix M is worse conditioned
 CHART_COND_LIMIT = COND_LIMIT / 100
 SCALAR_SUBSAMPLE = 256   # ibp_check's scalar_gap compares this many samples
@@ -285,26 +284,15 @@ def _knot_sups(C, S, f_end, coeff, coords, ratio, k_cmp, j_prof):
 def _chart_velocity(model, part, inc, x_field):
     """Solve M v = k for the increment-chart velocity of the lift.
 
-    M's columns are the slope representations of unit chart perturbations, the
-    exact knot variations (paths.knot_jacobian) through slopes_from_knots; M is
-    block lower triangular with diagonal blocks n I, and n I in flat space.
-    Returns (velocity (N, n*d), slopes k (N, n, d), M (N, nd, nd), and the
-    knots (N, n+1, D) and frames (N, n+1, D, d) of the roll of inc).
+    M's columns are the slopes of the fields of unit chart perturbations
+    (paths.chart_slopes); M is block lower triangular with diagonal blocks
+    n I, and n I in flat space.  Returns (velocity (N, n*d), slopes k
+    (N, n, d), M (N, nd, nd), and the knots (N, n+1, D) and frames
+    (N, n+1, D, d) of the roll of inc).
     """
-    N = inc.shape[0]
-    n, d = part.n, model.dim
-    nd = n * d
+    N, nd = inc.shape[0], part.n * model.dim
+    M = paths.chart_slopes(model, inc).reshape(N, nd, nd)
     C, S = jacobi.batch_cs(model, inc, part.mesh)
-    M = np.empty((N, nd, nd))
-    # knot values (block, nd, n+1, d), one list per column (i, a), in bounded blocks
-    block = max(1, VARIATION_FLOATS // ((n + 1) * d * nd))
-    for lo in range(0, N, block):
-        sl = slice(lo, lo + block)
-        dknots = paths.knot_jacobian(model, inc[sl]).reshape(-1, n + 1, d, nd)
-        cols = jacobi.slopes_from_knots(C[sl, None], S[sl, None], np.moveaxis(dknots, -1, 1))
-        np.swapaxes(M, 1, 2)[sl] = cols.reshape(-1, nd, nd)
-
-    # rolled after M, so the frames are not held through the knot variations
     slopes, _, base_pts, base_frs = _batched_lift_slopes(model, part, inc, x_field, C, S)
     velocity = np.linalg.solve(M, slopes.reshape(N, nd)[..., None])[..., 0]
     return velocity, slopes, M, base_pts, base_frs
@@ -358,14 +346,15 @@ class IbpResult:
                    self.passed))
 
 
-def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0, x_field=None):
+def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
     """Gaussian integration by parts in the increment chart.
 
     Compares E[(Xf) g] with E[f (-Xg + m g)] where X differentiates along the
-    chart velocity of the lift and m = n * <z, V> - div_z V with the divergence
-    taken by outer central differences of the velocity field.  Samples whose
-    chart matrix M has condition number above CHART_COND_LIMIT are dropped
-    (counted in n_aborted).  Pass gate: paired difference within 3 stderr.
+    chart velocity of the lift of projected_constant_field and
+    m = n * <z, V> - div_z V with the divergence taken by outer central
+    differences of the velocity field.  Samples whose chart matrix M has
+    condition number above CHART_COND_LIMIT are dropped (counted in
+    n_aborted).  Pass gate: paired difference within 3 stderr.
 
     Two ungated reports ride along.  scalar_gap compares the chart
     multiplication scalar with the slope-pairing-minus-divergence form
@@ -375,8 +364,7 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0, x_field=None):
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    if x_field is None:
-        x_field = projected_constant_field(model)
+    x_field = projected_constant_field(model)
     part = partition
     n, d = part.n, model.dim
     nd = n * d

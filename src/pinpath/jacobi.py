@@ -7,8 +7,8 @@ The family is stored as these (C_i, S_i) alone, and every field comes from one
 of two recursions over them: the suffix products f_i(1) = C_n ... C_{i+1}
 S_i / delta (batch_endpoint_f, the lift's input) and the forward recursion
 J(s_j) = C_j J(s_{j-1}) + S_j k_{j-1} of a field with right-slopes k
-(jacobi_from_slopes, inverted by slopes_from_knots).  Every function takes
-leading sample axes (one path is a batch of one).
+(jacobi_from_slopes).  Every function takes leading sample axes (one path is
+a batch of one).
 
 The scalar factors of the pinned estimator come from one forward Gram pass
 over the body (gram_step, run by gram_pass or by the estimator's own body
@@ -329,18 +329,6 @@ def jacobi_from_slopes(C, S, slopes) -> np.ndarray:
         J[..., j + 1, :] = (_matvec(C[..., j, :, :], J[..., j, :])
                             + _matvec(S[..., j, :, :], slopes[..., j, :]))
     return J
-
-
-def slopes_from_knots(C, S, knot_values) -> np.ndarray:
-    """Invert jacobi_from_slopes: right-slopes (..., n, d) from knot values.
-
-    C, S (..., n, d, d) in the batch_cs layout, knot_values (..., n+1, d);
-    k_{j-1} = S_j^{-1} (J(s_j) - C_j J(s_{j-1})) for every j at once.  C, S
-    may broadcast against more leading axes (many fields along one path).
-    """
-    knot_values = np.asarray(knot_values, dtype=float)
-    rhs = knot_values[..., 1:, :] - _matvec(C, knot_values[..., :-1, :])
-    return _matvec(np.linalg.inv(S), rhs)
 
 
 def _matvec(A, v):

@@ -54,7 +54,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # ---------------------------------------------------------------------------
 
 def _radial_g(name):
-    return {"r": lambda r: r, "r2": lambda r: r * r, "one": lambda r: np.ones_like(r)}[name]
+    return {"r": lambda r: r, "r2": lambda r: r * r}[name]
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,8 @@ def sample_increments(model: CurvatureModel, partition: Partition, count: int,
 # Rolling (development) and its inverse
 # ---------------------------------------------------------------------------
 
-def roll_batch(model: CurvatureModel, increments, start_point=None, start_frame=None):
-    """Roll batched increments (..., n, d) into knots.
+def roll_batch(model: CurvatureModel, increments):
+    """Roll batched increments (..., n, d) into knots from o and its frame.
 
     Returns (points (..., n+1, D), frames (..., n+1, D, d)).  Each step moves
     the frame by the exact closed-form transport; Gram-Schmidt runs every
@@ -81,12 +81,10 @@ def roll_batch(model: CurvatureModel, increments, start_point=None, start_frame=
     batch, (n, d) = increments.shape[:-2], increments.shape[-2:]
     B, D = int(np.prod(batch)), model.ambient_dim
     xi = np.ascontiguousarray(np.moveaxis(increments.reshape((B, n, d)), 0, -1))
-    x = geom.base_point(model) if start_point is None else start_point
-    u = geom.base_frame(model) if start_frame is None else start_frame
     points = np.empty((n + 1, D, B))
     frames = np.empty((n + 1, D, d, B))
-    points[0] = np.moveaxis(np.broadcast_to(x, batch + (D,)).reshape((B, D)), 0, -1)
-    frames[0] = np.moveaxis(np.broadcast_to(u, batch + (D, d)).reshape((B, D, d)), 0, -1)
+    points[0] = geom.base_point(model)[:, None]
+    frames[0] = geom.base_frame(model)[..., None]
     for i in range(n):
         x, u = geom._exp_frame_rows(model, points[i], frames[i], xi[i])
         if _renormalize_due(i, n):
@@ -118,50 +116,46 @@ def knots_at(partition: Partition, times, points) -> np.ndarray:
     return points[..., [partition.knot_index(t) for t in times], :]
 
 
-def knot_jacobian(model: CurvatureModel, increments):
-    """Exact derivative of the knots of a roll from o by its increments (..., n, d).
+def chart_slopes(model: CurvatureModel, increments):
+    """Right-slopes of the fields that the chart variations of increments
+    (..., n, d) induce; returns (..., n, d, n, d), entry [j, :, i, a] the
+    slope on interval j of the variation along e_a of increment i.
 
-    Returns (..., n+1, d, n, d): entry [j, :, i, a] is u_j^T eta dx_j/d xi_{i,a},
-    knot j's variation in its rolled frame; zero unless j > i, e_a in flat
-    space.  The roll is g_j = B(xi_1) ... B(xi_j) in SO+(d,1), B the boost
-    exp_frame applies at o, so the entry is [I 0] Q^{-1} Omega_a(xi_i) Q e_d /
-    sqrt(kappa) with Q = B(xi_{i+1}) ... B(xi_j) and Omega_a = B^{-1} dB/dxi_a.
-    For each i, Q's frame columns U and last column w advance knot by knot by
-    the rank-two boost update.  With p the unit increment, a = sqrt(kappa)|xi|,
-    K(v) = [[0, v], [v^T, 0]], R(q, r) = q r^T - r q^T, P = I - p p^T and
-    cm = (cosh a - 1)/a, Omega_a / sqrt(kappa) = p_a K(p) + sinhc a K(P e_a)
-    - cm R(p, P e_a) sends w = (w_s, w_t) to the spatial part p beta_a + alpha e_a
-    and the timelike part p_a <p, w_s> + sinhc a (P w_s)_a, with
-    alpha = sinhc a w_t + cm <p, w_s> and beta_a = p_a (w_t - alpha) - cm (P w_s)_a.
+    The blocks are n I at j = i and 0 at j < i.  Past interval i the
+    variation moves the rest of the path by one isometry, so its field there
+    is a Killing field, held at each knot as tau = sqrt(kappa) J and the
+    antisymmetric omega = nabla J; its slope on interval j is n omega xi_j.
+    With p the unit increment, a = sqrt(kappa)|xi|, c = cosh a - 1,
+    s = sinh a and R(u, v) = u v^T - v u^T, the field leaves interval i with
+    tau_a = sqrt(kappa) (p_a p + sinhc a (e_a - p_a p)) and
+    omega_a = -sqrt(kappa) (cosh a - 1) / a R(p, e_a), and boost j carries it
+    on: w = omega p, u = c w + s tau, tau += c (tau - <p, tau> p) + s w,
+    omega += R(u, p).  Flat space has c = s = kappa = 0: the matrix is n I.
+    The recursion runs samples last over all earlier columns (i, a) at once,
+    on the Intervals of the increments, and writes the result samples first.
     """
     inc = np.asarray(increments, dtype=float)
     batch, (n, d) = inc.shape[:-2], inc.shape[-2:]
-    xi = np.moveaxis(inc.reshape((-1, n, d)), 0, -1)      # (n, d, B): samples last
-    nrm = np.sqrt(np.sum(xi * xi, axis=1))
-    p = xi / np.where(nrm > 0, nrm, 1.0)[:, None]         # unit increments
-    a = np.sqrt(model.kappa) * nrm                        # 0 in flat space: Q = I
-    ch, sh, sc = np.cosh(a), np.sinh(a), geom.sinhc(a)
-    cm = 0.5 * a * geom.sinhc(0.5 * a) ** 2               # (cosh a - 1) / a, stable at 0
-    B = xi.shape[-1]
-    out = np.zeros((n + 1, d, n, d, B))
-    for i in range(n):
-        U, w = np.zeros((n - i, d + 1, d, B)), np.zeros((n - i, d + 1, B))
-        U[0, :d], w[0, d] = np.eye(d)[..., None], 1.0
-        for m, j in enumerate(range(i + 1, n)):
-            Up = np.sum(U[m] * p[j], axis=1)
-            U[m + 1] = U[m] + (sh[j] * w[m] + (ch[j] - 1.0) * Up)[:, None] * p[j]
-            w[m + 1] = ch[j] * w[m] + sh[j] * Up
-        ps = np.sum(p[i] * w[:, :d], axis=1)              # (n-i, B)
-        perp_w = w[:, :d] - p[i] * ps[:, None]
-        alpha = sc[i] * w[:, d] + cm[i] * ps
-        beta = p[i] * (w[:, d] - alpha)[:, None] - cm[i] * perp_w
-        z_t = p[i] * ps[:, None] + sc[i] * perp_w
-        # entry [b, a] = (U_s^T p)_b beta_a + U_s[a, b] alpha - U_t[b] z_t[a]
-        Utp = np.sum(U[:, :d] * p[i][:, None], axis=1)
-        out[i + 1:, :, i, :] = (Utp[:, :, None] * beta[:, None]
-                                + np.swapaxes(U[:, :d], 1, 2) * alpha[:, None, None]
-                                - U[:, d, :, None] * z_t[:, None])
-    return np.moveaxis(out, -1, 0).reshape(batch + out.shape[:-1])
+    xi = np.ascontiguousarray(np.moveaxis(inc.reshape((-1, n, d)), 0, -1))   # (n, d, B)
+    iv, root, eye = Intervals(model, xi), np.sqrt(model.kappa), np.eye(d)[..., None]
+    out = np.zeros((xi.shape[-1], n, d, n, d))
+    cols = out.reshape(-1, n, d, n * d)
+    tau = np.zeros((d, n * d, xi.shape[-1]))             # column (i, a) flattened
+    om = np.zeros((d, d, n * d, xi.shape[-1]))
+    for j in range(n):
+        old, new = slice(0, j * d), slice(j * d, (j + 1) * d)
+        p, c, s = iv.unit(j), iv.chm1[j], iv.sh[j]
+        t, o = tau[:, old], om[:, :, old]                # views, advanced in place
+        w = np.einsum("bcxB,cB->bxB", o, p)
+        cols[:, j, :, old] = np.moveaxis(w * (n / iv.inv[j]), -1, 0)     # n |xi_j| omega p
+        u = c * w + s * t
+        t += c * (t - p[:, None] * np.sum(p[:, None] * t, axis=0)) + s * w
+        o += u[:, None] * p[:, None] - p[:, None, None] * u
+        out[:, j, :, j, :] = n * np.eye(d)
+        pp = p[:, None] * p
+        tau[:, new] = root * (pp + np.sqrt(iv.s2[j]) * (eye - pp))
+        om[:, :, new] = (-c * iv.inv[j]) * (p[:, None, None] * eye - eye[:, None] * p[:, None])
+    return out.reshape(batch + out.shape[1:])
 
 
 def _renormalize_due(i: int, n: int) -> bool:
@@ -169,17 +163,16 @@ def _renormalize_due(i: int, n: int) -> bool:
     return (i + 1) % RENORM_EVERY == 0 or i + 1 == n
 
 
-def anti_roll(model: CurvatureModel, points, start_frame=None) -> np.ndarray:
+def anti_roll(model: CurvatureModel, points) -> np.ndarray:
     """Recover increments (..., n, d) from knot points (..., n+1, D), the
-    inverse of roll_batch; the frame is rebuilt by transport from the start
-    frame, so only knot positions are needed.
+    inverse of roll_batch; the frame is rebuilt by transport from o's frame,
+    so only knot positions are needed.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[-2] - 1
     batch = points.shape[:-2]
     D, d = model.ambient_dim, model.dim
-    u = np.broadcast_to(geom.base_frame(model) if start_frame is None else start_frame,
-                        batch + (D, d)).copy()
+    u = np.broadcast_to(geom.base_frame(model), batch + (D, d)).copy()
     out = np.empty(batch + (n, d))
     for i in range(n):
         x, y = points[..., i, :], points[..., i + 1, :]

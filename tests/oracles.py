@@ -22,6 +22,9 @@ agreement between the two is meaningful:
   arithmetic (``mp_pulled_back_tip``);
 - the damped-field pairing of an observable's gradient one knot and one
   frame axis at a time (``damped_pairing_per_axis``);
+- the right-slopes of a broken Jacobi field from its knot values, by a dense
+  inverse of each sine-type solution (``slopes_from_knots``), the reference
+  for ``paths.chart_slopes``;
 - the null space of the lift's endpoint map (``endpoint_map_matrix``,
   ``lift_orthogonality``, ``lift_competitor_deficit``) and the determinant
   identity det(S^T S) = det(I + A A^T) (``det_identity_check``);
@@ -211,6 +214,17 @@ def broken_jacobi_rk4(kappa, velocities, slopes, steps_per_interval=400):
         J = y[:d]
         out.append(J.copy())
     return np.array(out)
+
+
+def slopes_from_knots(C, S, knot_values):
+    """Right-slopes (..., n, d) of the broken Jacobi field with knot values
+    (..., n+1, d), the inverse of jacobi.jacobi_from_slopes:
+    k_{j-1} = S_j^{-1} (J(s_j) - C_j J(s_{j-1})) with a dense inverse of each
+    S_j.  C, S (..., n, d, d) from jacobi.batch_cs may broadcast against more
+    leading axes (many fields along one path)."""
+    knot_values = np.asarray(knot_values, dtype=float)
+    rhs = knot_values[..., 1:, :] - np.einsum("...ab,...b->...a", C, knot_values[..., :-1, :])
+    return np.einsum("...ab,...b->...a", np.linalg.inv(S), rhs)
 
 
 def vx_fd_oracle_flat(d, x, eps=1e-5):

@@ -89,13 +89,29 @@ def test_pinned_rerun_is_byte_identical(tmp_path):
 
 
 def test_pinned_hyperbolic_without_oracle(tmp_path):
-    """d=2 hyperbolic has no closed kernel: runs clean, abs_err is nan."""
+    """d=2 hyperbolic has no closed kernel: runs clean, abs_err is nan, and
+    the run is reported ungated (gates_passed null), never passed."""
     out = str(tmp_path)
     res = run_cli(["pinned", "--model", "hyperbolic", "--d", "2", "--kappa", "1",
                    "--n", "4", "--rho", "1.0", "--N", "512", "--out", out])
     assert res.exit_code == 0, res.output
     row = read_text(os.path.join(out, "pinned_results.csv")).strip().split("\n")[2]
     assert row.split(",")[-1] == "nan"
+    assert "ungated: no oracle for this config" in res.output
+    assert "gates passed" not in res.output
+    assert json.loads(read_text(os.path.join(out, "pinned_manifest.json")))["gates_passed"] is None
+
+
+def test_pinned_observable_without_oracle_is_ungated(tmp_path):
+    """midpoint_r has no oracle, even on the d=3 kernel cell: the run gates
+    nothing, prints "ungated" and records gates_passed null."""
+    out = str(tmp_path)
+    res = run_cli(["pinned", "--model", "hyperbolic", "--d", "3", "--rho", "1",
+                   "--observable", "midpoint_r", "--n", "4", "--N", "200", "--out", out])
+    assert res.exit_code == 0, res.output
+    assert "ungated: no oracle for this config" in res.output
+    assert "gates passed" not in res.output
+    assert json.loads(read_text(os.path.join(out, "pinned_manifest.json")))["gates_passed"] is None
 
 
 def test_pinned_hyperbolic_d3_kernel_oracle(tmp_path):

@@ -266,8 +266,8 @@ def test_ibp_rolls_without_finite_difference_columns(monkeypatch):
     """ibp_check at n=4, d=2 rolls 35 batches: one lift roll, one pair for
     both observables' derivatives, and one roll per side of each of the nd = 8
     divergence and scalar_gap differences; gradient_gap reuses the lift roll's
-    knots and frames.  The chart matrix comes from
-    paths.knot_jacobian, not from 2nd rolls per chart velocity (a
+    knots and frames.  The chart matrix comes from paths.chart_slopes,
+    which rolls nothing, not from 2nd rolls per chart velocity (a
     finite-difference M made 309)."""
     calls = []
     roll = paths.roll_batch
@@ -276,6 +276,17 @@ def test_ibp_rolls_without_finite_difference_columns(monkeypatch):
                            {"times": [1.0], "scales": [2.0]})
     ibp_check(HYP2, Partition(4), f, MASS_OBSERVABLE, n_samples=64, seed=0)
     assert len(calls) == 35
+
+
+def test_chart_velocity_inverts_no_matrix(monkeypatch):
+    """_chart_velocity builds M by the chart_slopes recursion and solves
+    M v = k: it calls np.linalg.inv not once."""
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda *a, **k: calls.append(1) or inv(*a, **k))
+    inc = paths.sample_increments(HYP2, Partition(4), 64, seed=0)
+    diagnostics._chart_velocity(HYP2, Partition(4), inc, projected_constant_field(HYP2))
+    assert calls == []
 
 
 def test_gradient_compare_reports():

@@ -10,7 +10,7 @@ from pinpath.geom import CurvatureModel, NumericalError
 from pinpath.jacobi import Partition
 
 from tests.oracles import (broken_jacobi_rk4, cs_rk4, curvature_matrix, dense_tip_log_factors,
-                           det_identity_check, vx_fd_oracle_flat)
+                           det_identity_check, slopes_from_knots, vx_fd_oracle_flat)
 
 FLAT2 = CurvatureModel("flat", 2)
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
@@ -238,14 +238,14 @@ def test_jacobi_from_slopes_vs_ode():
 
 
 def test_slopes_from_knots_inverts():
-    """slopes_from_knots is the inverse of jacobi_from_slopes."""
+    """The oracle slopes_from_knots is the inverse of jacobi_from_slopes."""
     rng = np.random.default_rng(59)
     part = Partition(8)
     inc = rng.normal(size=(8, 3)) * np.sqrt(part.mesh)
     C, S = jacobi.batch_cs(HYP3, inc, part.mesh)
     slopes = rng.normal(size=(8, 3))
     J = jacobi.jacobi_from_slopes(C, S, slopes)
-    back = jacobi.slopes_from_knots(C, S, J)
+    back = slopes_from_knots(C, S, J)
     assert np.allclose(back, slopes, atol=1e-10)
 
 
@@ -438,7 +438,7 @@ def test_batched_factors_match_batch_of_one():
                 jacobi.gram_pass(model, inc)[0],
                 *jacobi.tip_log_factors(model, G, head, inc[..., -1, :], part.n)[:2],
                 *jacobi.tip_log_factors(model, G, head, tip, part.n)[:2],
-                jacobi.log_rho_P(S, delta), J, jacobi.slopes_from_knots(C, S, J)]
+                jacobi.log_rho_P(S, delta), J, slopes_from_knots(C, S, J)]
 
     batch = factors(inc, slopes, tips)
     for s in range(5):

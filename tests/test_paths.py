@@ -127,34 +127,17 @@ def test_roll_anti_roll_roundtrip():
     assert np.max(np.abs(back - inc)) < 1e-9
 
 
-def test_roll_from_custom_start():
-    """Rolling from a moved point and frame starts there and stays on the sheet."""
-    rng = np.random.default_rng(33)
-    x, frame = geom.exp_frame(HYP2, geom.base_point(HYP2), geom.base_frame(HYP2),
-                              np.array([0.4, -0.2]))
-    inc = rng.normal(size=(4, 2)) * 0.5
-    points, frames = paths.roll_batch(HYP2, inc, x, frame)
-    assert np.allclose(points[0], x)
-    defect = max(geom.frame_defect(HYP2, points[i], frames[i]) for i in range(5))
-    assert defect < 1e-10
-    back = paths.anti_roll(HYP2, points, start_frame=frame)
-    assert np.allclose(back, inc, atol=1e-10)
-
-
 def test_roll_of_no_steps_is_the_start():
-    """Increments (..., 0, d), an empty body, roll to the start knot and frame alone."""
-    x, frame = geom.exp_frame(HYP3, geom.base_point(HYP3), geom.base_frame(HYP3),
-                              np.array([0.3, 0.1, -0.5]))
-    for model, start in ((HYP3, (None, None)), (HYP3, (x, frame)), (FLAT2, (None, None))):
+    """Increments (..., 0, d), an empty body, roll to o and its frame alone."""
+    for model in (HYP3, FLAT2):
         D, d = model.ambient_dim, model.dim
-        want_x = geom.base_point(model) if start[0] is None else x
-        want_u = geom.base_frame(model) if start[1] is None else frame
         for batch in ((), (5,), (2, 3)):
-            points, frames = paths.roll_batch(model, np.zeros(batch + (0, d)), *start)
+            points, frames = paths.roll_batch(model, np.zeros(batch + (0, d)))
             assert points.shape == batch + (1, D) and frames.shape == batch + (1, D, d)
-            assert np.array_equal(points[..., 0, :], np.broadcast_to(want_x, batch + (D,)))
+            assert np.array_equal(points[..., 0, :],
+                                  np.broadcast_to(geom.base_point(model), batch + (D,)))
             assert np.array_equal(frames[..., 0, :, :],
-                                  np.broadcast_to(want_u, batch + (D, d)))
+                                  np.broadcast_to(geom.base_frame(model), batch + (D, d)))
 
 
 def test_roll_rows_are_independent_of_the_batch():
@@ -173,15 +156,14 @@ def test_roll_rows_are_independent_of_the_batch():
 
 
 def test_roll_matches_a_chain_of_exp_frame_steps():
-    """From a given start, the roll is exp_frame step by step with
-    renormalize_frame on the roll's schedule: every RENORM_EVERY steps and at
-    the last knot."""
+    """From o, the roll is exp_frame step by step with renormalize_frame on
+    the roll's schedule: every RENORM_EVERY steps and at the last knot."""
     rng = np.random.default_rng(45)
     n = paths.RENORM_EVERY + 8
-    x, frame = geom.exp_frame(HYP3, geom.base_point(HYP3), geom.base_frame(HYP3),
-                              rng.normal(size=(64, 3)))
     inc = rng.normal(size=(64, n, 3)) / np.sqrt(n)
-    points, frames = paths.roll_batch(HYP3, inc, x, frame)
+    points, frames = paths.roll_batch(HYP3, inc)
+    x = np.broadcast_to(geom.base_point(HYP3), (64, 4))
+    frame = np.broadcast_to(geom.base_frame(HYP3), (64, 4, 3))
     for i in range(n):
         x, frame = geom.exp_frame(HYP3, x, frame, inc[:, i])
         if (i + 1) % paths.RENORM_EVERY == 0 or i + 1 == n:

@@ -1,5 +1,5 @@
 """Property-based checks of the closed-form frame transport, the Gram pass and
-the exact knot Jacobian behind the IBP chart matrix.
+the exact chart slopes behind the IBP chart matrix.
 
 Hypothesis runs derandomised (a fixed example sequence, no example database),
 so the suite is reproducible run to run.
@@ -16,7 +16,7 @@ from pinpath import diagnostics, geom, jacobi, paths  # noqa: E402
 from pinpath.geom import CurvatureModel  # noqa: E402
 from pinpath.jacobi import Partition  # noqa: E402
 
-from tests.oracles import frame_vector, transport  # noqa: E402
+from tests.oracles import frame_vector, slopes_from_knots, transport  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -177,8 +177,9 @@ def knot_coords_relative(model, base_pts, base_frs, other_pts):
 
 
 def central_difference_knots(model, inc, h):
-    """Reference for paths.knot_jacobian: central differences of rolls at
-    inc +/- h e_(i, a), compared with the base roll knot by knot."""
+    """Knot variations (..., n+1, d, n, d) by central differences of rolls at
+    inc +/- h e_(i, a), compared with the base roll knot by knot in its
+    rolled frames; the reference for paths.chart_slopes."""
     n, d = inc.shape[-2:]
     pts, frs = paths.roll_batch(model, inc)
     out = np.zeros(inc.shape[:-2] + (n + 1, d, n, d))
@@ -207,17 +208,21 @@ def path_of_length(kind, d, kappa, n, seed, length):
        length=st.floats(0.0, 5.99))
 @example(kind="hyperbolic", d=3, kappa=2.0, n=6, seed=0, length=5.99)
 @example(kind="hyperbolic", d=2, kappa=1.0, n=4, seed=1, length=0.0)
-def test_knot_jacobian_matches_central_differences(kind, d, kappa, n, seed, length):
-    """The exact knot variations agree with central differences of the roll
-    and vanish at knots j <= i; every knot stays within sqrt(kappa)-distance
+def test_chart_slopes_match_slopes_of_central_differences(kind, d, kappa, n, seed, length):
+    """The chart slopes agree with the slopes (oracle slopes_from_knots) of
+    the central-difference knot variations of the roll, and vanish on
+    intervals j < i; every knot stays within sqrt(kappa)-distance
     `length` < 6 of o."""
     model, inc = path_of_length(kind, d, kappa, n, seed, length)
-    got = paths.knot_jacobian(model, inc)
-    want = central_difference_knots(model, inc, 1e-5 / np.sqrt(model.kappa or 1.0))
-    # truncation error of the differences is below 2e-7 of the entries here
-    assert np.allclose(got, want, rtol=0.0, atol=1e-6 * max(1.0, float(np.max(np.abs(got)))))
+    got = paths.chart_slopes(model, inc)
+    knots = central_difference_knots(model, inc, 1e-5 / np.sqrt(model.kappa or 1.0))
+    C, S = jacobi.batch_cs(model, inc, 1.0 / n)
+    columns = np.moveaxis(knots.reshape(3, n + 1, d, n * d), -1, 1)   # (3, nd, n+1, d)
+    want = np.moveaxis(slopes_from_knots(C[:, None], S[:, None], columns), 1, -1)
+    want = want.reshape(got.shape)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-6 * float(np.max(np.abs(got))))
     for i in range(n):
-        assert np.all(got[:, :i + 1, :, i, :] == 0.0)      # knots up to i do not move
+        assert np.all(got[:, :i, :, i, :] == 0.0)       # intervals before i do not move
 
 
 @PROPERTY
