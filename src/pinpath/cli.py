@@ -16,7 +16,6 @@ code are handled once, by the skeleton.
 import json
 import os
 import platform
-import subprocess
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -175,14 +174,45 @@ def _load_config(path):
 
 
 def _git_revision():
+    """The commit of HEAD in the repository around the working directory, read
+    from its files as git finds them; "unknown" outside a repository.
+
+    The search goes up from the working directory and never into a directory
+    of GIT_CEILING_DIRECTORIES.  A .git file (a worktree) names the git
+    directory (gitdir:), whose commondir file names the shared one; HEAD is
+    a commit (detached) or names a ref, read loose or from packed-refs.
+    """
+    ceilings = {os.path.realpath(p) for p in
+                os.environ.get("GIT_CEILING_DIRECTORIES", "").split(os.pathsep) if p}
+    here = os.path.realpath(os.getcwd())
+    while not os.path.exists(os.path.join(here, ".git")):
+        if os.path.dirname(here) in ceilings | {here}:
+            return "unknown"
+        here = os.path.dirname(here)
+
+    def read(*parts):
+        with open(os.path.join(*parts)) as fh:
+            return fh.read().strip()
+
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                             text=True, timeout=10)
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return "unknown"
+        git_dir = os.path.join(here, ".git")
+        if os.path.isfile(git_dir):
+            git_dir = os.path.join(here, read(git_dir).removeprefix("gitdir:").strip())
+        common = git_dir
+        if os.path.isfile(os.path.join(git_dir, "commondir")):
+            common = os.path.join(git_dir, read(git_dir, "commondir"))
+        head = read(git_dir, "HEAD")
+        if head.startswith("ref:"):
+            ref = head.removeprefix("ref:").strip()
+            if os.path.isfile(os.path.join(common, ref)):
+                head = read(common, ref)
+            else:
+                packed = (line.split() for line in read(common, "packed-refs").splitlines())
+                head = next((sha for sha, *name in packed if name == [ref]), "")
+        int(head, 16)
+        return head
+    except (OSError, ValueError):
+        return "unknown"
 
 
 def _write_manifest(path, config, extra):
@@ -378,8 +408,9 @@ def cmd_ibp(cfg):
     click.echo("scalar gap (ungated): %s" % json.dumps(res.scalar_gap))
     click.echo("gradient compare (ungated): %s" % json.dumps(res.gradient_gap))
     result = asdict(res)
-    scalar, gradient = result.pop("scalar_gap"), result.pop("gradient_gap")
-    return res.passed, {"result": result, "scalar_gap": scalar, "gradient_compare": gradient}
+    scalar, gradient, stages = (result.pop(k) for k in ("scalar_gap", "gradient_gap", "stage_s"))
+    return res.passed, {"result": result, "scalar_gap": scalar, "gradient_compare": gradient,
+                        "stage_s": stages}
 
 
 if __name__ == "__main__":

@@ -30,56 +30,54 @@ GRADIENT_SUBSAMPLE = 32  # and its gradient_gap this many
 # endpoint vector fields
 # ---------------------------------------------------------------------------
 
-def projected_constant_field(model):
-    """Return X(p) = tangent projection of a fixed ambient vector.
-
-    Smooth and bounded on the whole space; the direction is a fixed unit
-    vector so reports are reproducible.  Works on batched points.
-    """
+def field_direction(model):
+    """The endpoint field X of the lift audits as a fixed unit ambient vector,
+    so reports are reproducible; the field is its tangent projection.  Frame
+    coordinates read only a vector's tangent part, so X is never projected:
+    at a far point that would cancel digits."""
     direction = np.arange(1.0, model.ambient_dim + 1.0)
-    direction /= np.linalg.norm(direction)
-
-    def field(p):
-        p = np.asarray(p, dtype=float)
-        return geom.project_tangent(model, p, np.broadcast_to(direction, p.shape))
-
-    return field
+    return direction / np.linalg.norm(direction)
 
 
 # ---------------------------------------------------------------------------
 # lift of an endpoint vector field through the pinning map
 # ---------------------------------------------------------------------------
 
-def _endpoint_coords(model, point, frame, x_vector):
-    """Frame coordinates of the tangent projection of X at the endpoint(s).
+def _intervals(model, inc):
+    """jacobi.Intervals of increments (N, n, d), taken samples last."""
+    return jacobi.Intervals(model, np.ascontiguousarray(inc.transpose(1, 2, 0)))
 
-    x_vector is an ambient vector or a callable point -> vector; point (..., D),
-    frame (..., D, d).
+
+def _lift(model, iv, x_vector):
+    """The lift of the endpoint field with ambient vector x_vector (D,)
+    along the paths whose increments (n, d, B) have Intervals iv.  Returns,
+    samples last, the slopes k (n, d, B), the frame coordinates (d, B) of X
+    at the endpoint and the coefficients c = K(1)^{-1} coords (d, B).
+
+    K(1) = delta G, G from the Gram pass (jacobi.gram_step).  The endpoint
+    frame is the image of o's under g = B(xi_1) ... B(xi_n), which preserves
+    the Minkowski form, so X's coordinates there are the spatial part of
+    g^{-1} X: X pulled back through B(-xi_1), ..., B(-xi_n) as a vector
+    (paths.boost_rows).  C_i and S_i are symmetric, so
+    k_i = f_i(1)^T c = (S_i / delta) C_{i+1} ... C_n c comes from one
+    backward pass y <- C_i y, with C y = y + (cosh a - 1)(y - <e, y> e) and
+    (S / delta) y = sinhc a y + (1 - sinhc a) <e, y> e (e the unit increment).
     """
-    vec = x_vector(point) if callable(x_vector) else np.asarray(x_vector, dtype=float)
-    return geom.frame_coords(model, frame, geom.project_tangent(model, point, vec))
-
-
-def _lift_slopes(f_end, delta, coords):
-    """The lift's core: coefficients K(1)^{-1} coords and slopes k_i = f_{i+1}(1)^T coeff.
-
-    f_end (..., n, d, d) holds f_i(1); coords (..., d).  Returns (coeff, slopes).
-    """
-    mass = jacobi.batch_mass_matrix(f_end, delta)
-    coeff = np.linalg.solve(mass, coords[..., None])[..., 0]
-    return coeff, np.einsum("...iab,...a->...ib", f_end, coeff)
-
-
-def _batched_lift_slopes(model, part, inc, x_field, C, S):
-    """Slopes of the lift for a batch of increment charts with interval
-    solutions C, S (jacobi.batch_cs of inc).
-
-    Returns (slopes (N,n,d), endpoint coords (N,d), points, frames).
-    """
-    pts, frs = paths.roll_batch(model, inc)
-    coords = _endpoint_coords(model, pts[:, -1], frs[:, -1], x_field)
-    f_end = jacobi.batch_endpoint_f(C, S, part.mesh)
-    return _lift_slopes(f_end, part.mesh, coords)[1], coords, pts, frs
+    n, d, B = iv.xi.shape
+    G = np.zeros((d, d, B))
+    vec = np.repeat(np.asarray(x_vector, dtype=float)[:, None], B, axis=1)
+    for j in range(n):
+        jacobi.gram_step(G, iv, j)
+        paths.boost_rows(model, vec, iv, j, -1.0, vector=True)
+    coords = vec[:d]
+    coeff = n * np.linalg.solve(G.transpose(2, 0, 1), coords.T[..., None])[..., 0].T
+    slopes, y = np.empty((n, d, B)), coeff
+    for j in range(n - 1, -1, -1):
+        e, sc = iv.unit(j), np.sqrt(iv.s2[j])
+        along = np.sum(e * y, axis=0) * e
+        slopes[j] = sc * y + (1.0 - sc) * along
+        y = y + iv.chm1[j] * (y - along)
+    return slopes, coords, coeff
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +170,7 @@ def _report(statistic, n_values, stats_per_n, gate):
 
 
 def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J", "adjoint"),
-                      x_field=None):
+                      x_vector=None):
     """Compute the requested convergence statistics over shared sample paths.
 
     Sample paths use common random drivers: one batch of increments is drawn
@@ -192,8 +190,8 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
     stored damped module keeps the decaying normalization, which is what the
     scalar example values pin down.
     """
-    if x_field is None:
-        x_field = projected_constant_field(model)
+    if x_vector is None:
+        x_vector = field_direction(model)
     n_values = [int(n) for n in n_values]
     ric = damped.ric_scalar(model)
     collected = {name: [] for name in statistics}
@@ -218,21 +216,20 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
             inc = inc_fine.reshape(samples, n, group, model.dim).sum(axis=2)
         else:
             inc = paths.sample_increments(model, part, samples, seed + 7 * n)
-        pts, frs = paths.roll_batch(model, inc)
-        coords = _endpoint_coords(model, pts[:, -1], frs[:, -1], x_field)  # (samples, d)
 
         # blocks of samples bound the n d^2 numbers per path of each stack
         block = max(1, TABLE_FLOATS // (n * model.dim ** 2))
         per_stat = {name: [] for name in statistics}
         for lo in range(0, samples, block):
-            b_inc, b_coords = inc[lo:lo + block], coords[lo:lo + block]
-            C, S = jacobi.batch_cs(model, b_inc, part.mesh)
-            f_end = jacobi.batch_endpoint_f(C, S, part.mesh)
-            coeff, slopes = _lift_slopes(f_end, part.mesh, b_coords)
-            found = (_knot_sups(C, S, f_end, coeff, b_coords, ratio, k_cmp,
-                                k_prof / k_prof[-1])
-                     if set(statistics) - {"adjoint"} else {})
-            discrete = np.einsum("nid,nid->n", slopes, b_inc)
+            b_inc = inc[lo:lo + block]
+            slopes, b_coords, coeff = _lift(model, _intervals(model, b_inc), x_vector)
+            b_coords, coeff = b_coords.T, coeff.T
+            found = {}
+            if set(statistics) - {"adjoint"}:
+                C, S = jacobi.batch_cs(model, b_inc, part.mesh)
+                found = _knot_sups(C, S, jacobi.batch_endpoint_f(C, S, part.mesh), coeff,
+                                   b_coords, ratio, k_cmp, k_prof / k_prof[-1])
+            discrete = np.einsum("idn,nid->n", slopes, b_inc)
             weights = (b_inc * t_prof[:-1, None]).sum(axis=1)
             limit = ctil * np.einsum("nd,nd->n", b_coords, weights)
             found["adjoint"] = np.abs(discrete - limit)
@@ -281,21 +278,45 @@ def _knot_sups(C, S, f_end, coeff, coords, ratio, k_cmp, j_prof):
 # chart-level integration by parts
 # ---------------------------------------------------------------------------
 
-def _chart_velocity(model, part, inc, x_field):
-    """Solve M v = k for the increment-chart velocity of the lift.
+def _chart_velocity(model, inc, x_vector):
+    """Solve M V = k for the increment-chart velocity V of the lift along
+    increments inc (N, n, d).
 
     M's columns are the slopes of the fields of unit chart perturbations
-    (paths.chart_slopes); M is block lower triangular with diagonal blocks
-    n I, and n I in flat space.  Returns (velocity (N, n*d), slopes k
-    (N, n, d), M (N, nd, nd), and the knots (N, n+1, D) and frames
-    (N, n+1, D, d) of the roll of inc).
+    (paths.chart_slopes on the identity stack) and k the lift's slopes, both
+    on one jacobi.Intervals.  Returns, samples last, V (nd, N), k (n, d, N),
+    the endpoint coordinates (d, N) of X, and M and M^{-1} (nd, nd, N).
     """
-    N, nd = inc.shape[0], part.n * model.dim
-    M = paths.chart_slopes(model, inc).reshape(N, nd, nd)
-    C, S = jacobi.batch_cs(model, inc, part.mesh)
-    slopes, _, base_pts, base_frs = _batched_lift_slopes(model, part, inc, x_field, C, S)
-    velocity = np.linalg.solve(M, slopes.reshape(N, nd)[..., None])[..., 0]
-    return velocity, slopes, M, base_pts, base_frs
+    N, n, d = inc.shape
+    eye, iv = np.eye(n * d), _intervals(model, inc)
+    M = paths.chart_slopes(model, iv, eye.reshape(n, d, n * d, 1)).reshape(n * d, n * d, N)
+    slopes, coords, _ = _lift(model, iv, x_vector)
+    velocity = _block_solve(M, slopes.reshape(n * d, N), n)
+    return velocity, slopes, coords, M, _block_solve(M, eye[..., None], n)
+
+
+def _block_solve(M, rhs, n):
+    """M^{-1} rhs for chart matrices M (nd, nd, B) and rhs (nd, ..., B or 1),
+    by block forward substitution: M is block lower triangular with diagonal
+    blocks n I, so x_j = (rhs_j - sum_{i<j} M_ji x_i) / n."""
+    d = M.shape[0] // n
+    x = np.empty(rhs.shape[:-1] + M.shape[-1:])
+    for j in range(n):
+        rows = slice(j * d, (j + 1) * d)
+        x[rows] = rhs[rows] - np.einsum("rcB,c...B->r...B", M[rows, :j * d], x[:j * d])
+        x[rows] /= n
+    return x
+
+
+def _well_conditioned(M, M_inv):
+    """Mask (B,) of the chart matrices M (nd, nd, B), with inverses M_inv,
+    whose condition number cond_2 is at most CHART_COND_LIMIT.  The SVD runs
+    only where the bound |M|_F |M^{-1}|_F >= cond_2 exceeds half the limit."""
+    bound = np.sqrt(np.sum(M * M, axis=(0, 1)) * np.sum(M_inv * M_inv, axis=(0, 1)))
+    keep = bound <= CHART_COND_LIMIT / 2
+    check = np.flatnonzero(~keep)
+    keep[check] = np.linalg.cond(M[..., check].transpose(2, 0, 1)) <= CHART_COND_LIMIT
+    return keep
 
 
 def _central_difference(fn, inc, direction, step):
@@ -324,6 +345,10 @@ def _directional_derivative(model, part, inc, direction, observables):
     return _central_difference(observe, inc, direction, FD_STEP)
 
 
+IBP_STAGES = ("draw", "velocity", "condition", "derivatives", "divergence",
+              "scalar_gap", "gradient_gap")
+
+
 @dataclass
 class IbpResult:
     lhs_mean: float
@@ -337,6 +362,7 @@ class IbpResult:
     passed: bool
     scalar_gap: dict
     gradient_gap: dict
+    stage_s: dict       # seconds of each of IBP_STAGES
 
     def summary(self):
         return ("ibp lhs=%.6g+-%.2g rhs=%.6g+-%.2g diff=%.3g+-%.2g "
@@ -350,49 +376,49 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
     """Gaussian integration by parts in the increment chart.
 
     Compares E[(Xf) g] with E[f (-Xg + m g)] where X differentiates along the
-    chart velocity of the lift of projected_constant_field and
-    m = n * <z, V> - div_z V with the divergence taken by outer central
-    differences of the velocity field.  Samples whose chart matrix M has
-    condition number above CHART_COND_LIMIT are dropped (counted in
-    n_aborted).  Pass gate: paired difference within 3 stderr.
+    chart velocity V of the lift of field_direction, solved once
+    (_chart_velocity), and m = n * <z, V> - div_z V with the divergence from
+    central differences of one lifted field (_divergence).  Samples whose
+    chart matrix M has condition number above CHART_COND_LIMIT are dropped
+    (counted in n_aborted).  Pass gate: paired difference within 3 stderr.
 
     Two ungated reports ride along.  scalar_gap compares the chart
     multiplication scalar with the slope-pairing-minus-divergence form
     computed directly on path space (on the first SCALAR_SUBSAMPLE samples);
     gradient_gap compares Xg with the damped-field pairing, the lift's
-    continuum limit (on the first GRADIENT_SUBSAMPLE samples).
+    continuum limit (on the first GRADIENT_SUBSAMPLE samples).  stage_s holds
+    the seconds of each of IBP_STAGES.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    x_field = projected_constant_field(model)
+    clock = measures._StageClock(IBP_STAGES)
+    x_vector = field_direction(model)
     part = partition
     n, d = part.n, model.dim
-    nd = n * d
     inc = paths.sample_increments(model, part, n_samples, seed)
-
-    velocity, slopes, M, base_pts, base_frs = _chart_velocity(model, part, inc, x_field)
-    keep = np.linalg.cond(M) <= CHART_COND_LIMIT
+    clock.lap("draw")
+    velocity, slopes, coords, M, M_inv = _chart_velocity(model, inc, x_vector)
+    clock.lap("velocity")
+    keep = _well_conditioned(M, M_inv)
     n_aborted = int((~keep).sum())
-    # gradient_gap reads only its subsample's frames; the rest are not held on
-    base_frs = base_frs[np.flatnonzero(keep)[:GRADIENT_SUBSAMPLE]]
-    inc, velocity, slopes, M, base_pts = (a[keep] for a in (inc, velocity, slopes, M, base_pts))
+    inc = inc[keep]
+    velocity, slopes, coords, M_inv = (a[..., keep] for a in (velocity, slopes, coords, M_inv))
     N = inc.shape[0]
     if N < 2:
         raise NumericalError("all but %d samples aborted on conditioning" % N)
+    clock.lap("condition")
 
+    base_pts, base_frs = paths.roll_batch(model, inc)
+    # gradient_gap reads only its subsample's frames; the rest are not held on
+    base_frs = base_frs[:GRADIENT_SUBSAMPLE]
     f_vals = f_obs.evaluate(model, paths.knots_at(part, f_obs.times, base_pts))
     g_vals = g_obs.evaluate(model, paths.knots_at(part, g_obs.times, base_pts))
-    xf, xg = _directional_derivative(model, part, inc, velocity.reshape(N, n, d),
+    xf, xg = _directional_derivative(model, part, inc, velocity.T.reshape(N, n, d),
                                      (f_obs, g_obs))
+    clock.lap("derivatives")
 
-    # divergence of the chart velocity by outer central differences
-    div = np.zeros(N)
-    for col in range(nd):
-        axis = np.eye(nd)[col].reshape(1, n, d)
-        div += _central_difference(
-            lambda z: _chart_velocity(model, part, z, x_field)[0][:, col], inc, axis, DIV_STEP)
-
-    mult = n * np.einsum("nc,nc->n", inc.reshape(N, nd), velocity) - div
+    mult = n * np.einsum("cN,Nc->N", velocity, inc.reshape(N, n * d))
+    mult -= _divergence(model, inc, velocity, M_inv, x_vector)
     lhs = xf * g_vals
     rhs = f_vals * (-xg + mult * g_vals)
     diff = lhs - rhs
@@ -404,42 +430,66 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
     diff_mean = float(np.mean(diff))
     diff_err = float(np.std(diff, ddof=1) / np.sqrt(N))
     passed = abs(diff_mean) <= 3 * diff_err if diff_err > 0 else abs(diff_mean) < 1e-12
+    clock.lap("divergence")
 
     sub = slice(SCALAR_SUBSAMPLE)
-    scalar = _scalar_gap(model, part, inc[sub], slopes[sub], M[sub], mult[sub], x_field)
+    scalar = _scalar_gap(model, inc[sub], slopes[..., sub], M_inv[..., sub], mult[sub], x_vector)
+    clock.lap("scalar_gap")
     sub = slice(GRADIENT_SUBSAMPLE)
-    gradient = _gradient_gap(model, part, g_obs, xg[sub], base_pts[sub], base_frs, x_field)
+    gradient = _gradient_gap(model, part, g_obs, xg[sub], base_pts[sub], base_frs,
+                             coords[:, sub].T)
+    clock.lap("gradient_gap")
     return IbpResult(lhs_mean, lhs_err, rhs_mean, rhs_err, diff_mean, diff_err,
-                     N, n_aborted, passed, scalar, gradient)
+                     N, n_aborted, passed, scalar, gradient, clock.seconds)
 
 
-def _scalar_gap(model, part, inc, slopes, M, mult, x_field):
-    """Ungated comparison of the two multiplication scalars on a subsample.
+def _divergence(model, inc, velocity, M_inv, x_vector):
+    """div V (N,) of the chart velocity V = M^{-1} k at increments inc
+    (N, n, d), given V (nd, N) and M^{-1} (nd, nd, N) there.
+
+    With V frozen at its value there, F(z) = k(z) - M(z) V has dF = M dV at
+    inc, so div V = tr(M^{-1} dF).  Column c of dF is one central difference
+    (DIV_STEP) of F along the chart axis e_c, and each F is one lift and one
+    single-field chart_slopes recursion on the shifted increments: no M is
+    rebuilt and nothing is solved.
+    """
+    N, n, d = inc.shape
+    frozen = velocity.reshape(n, d, N)
+
+    def residual(z):
+        iv = _intervals(model, z)
+        return (_lift(model, iv, x_vector)[0]
+                - paths.chart_slopes(model, iv, frozen)).reshape(-1, N)
+
+    dF = np.stack([_central_difference(residual, inc, axis.reshape(1, n, d), DIV_STEP)
+                   for axis in np.eye(n * d)], axis=1)
+    return np.einsum("crN,rcN->N", M_inv, dF)
+
+
+def _scalar_gap(model, inc, slopes, M_inv, mult, x_vector):
+    """Ungated comparison of the two multiplication scalars on a subsample
+    with increments inc (N, n, d), lift slopes (n, d, N) and inverse chart
+    matrices M^{-1} (nd, nd, N).
 
     Chart form: n <z, V> - div_z V (already in `mult`).  Path-space form:
     sum_i <slope_i, increment_i> minus the divergence over the
     slope-orthonormal directions, the latter by central differences of the
-    lift slopes along chart velocities that realize those directions
-    (columns of M^{-1}).  The pairing needs no extra scale factor: the chart
-    velocity is the increment representation of the slope list, so
-    n <z, V> is already the slope/increment pairing.
+    lift slopes along the chart velocities sqrt(n) M^{-1} e_c that realize
+    those directions, all nd of them in one stacked pair of lifts.  The
+    pairing needs no extra scale factor: the chart velocity is the increment
+    representation of the slope list, so n <z, V> is already the
+    slope/increment pairing.
     """
-    N = inc.shape[0]
-    n, d = part.n, model.dim
+    N, n, d = inc.shape
     nd = n * d
-    # chart velocities realizing the orthonormal slope directions sqrt(n) e_col
-    basis_vel = np.linalg.solve(M, np.sqrt(n) * np.broadcast_to(np.eye(nd), (N, nd, nd)))
-    div_path = np.zeros(N)
-    for col in range(nd):
-        i, a = divmod(col, d)
-        dslope = _central_difference(
-            lambda z: _batched_lift_slopes(model, part, z, x_field,
-                                           *jacobi.batch_cs(model, z, part.mesh))[0][:, i, a],
-            inc, basis_vel[:, :, col].reshape(N, n, d), FD_STEP)
-        div_path += dslope / np.sqrt(n)
-    pairing = np.einsum("nid,nid->n", slopes, inc)
-    path_scalar = pairing - div_path
-    gap = mult - path_scalar
+    # row c N + s: sample s shifted along the velocity that realizes sqrt(n) e_c
+    basis_vel = np.sqrt(n) * M_inv.transpose(1, 2, 0).reshape(nd * N, n, d)
+    dslope = _central_difference(
+        lambda z: _lift(model, _intervals(model, z), x_vector)[0].reshape(nd, -1),
+        np.tile(inc, (nd, 1, 1)), basis_vel, FD_STEP)
+    div_path = np.einsum("ccN->N", dslope.reshape(nd, nd, N)) / np.sqrt(n)
+    pairing = np.einsum("idN,Nid->N", slopes, inc)
+    gap = mult - (pairing - div_path)
     return {
         "median_abs_gap": float(np.median(np.abs(gap))),
         "mean_gap": float(np.mean(gap)),
@@ -447,21 +497,21 @@ def _scalar_gap(model, part, inc, slopes, M, mult, x_field):
     }
 
 
-def _gradient_gap(model, part, observable, chart_side, points, frames, x_field):
+def _gradient_gap(model, part, observable, chart_side, points, frames, coords):
     """Ungated comparison of a chart derivative with the damped-gradient pairing.
 
     chart_side (N,) is Xf for the observable f along the chart velocity of the
     lift (as in ibp_check); the pairing takes the damped closed-form field
-    k(s_j) / k(1) X at each knot time s_j of f with the frame-coordinate
+    k(s_j) / k(1) X at each knot time s_j of f, X with frame coordinates
+    coords (N, d) at the endpoint (_lift's), with the frame-coordinate
     gradient of f at that knot.  It is linear in the field, so it is one
     central difference along it: every knot of f moves at once by exp_frame
-    (the knot at s = 0, where the field is 0, stays).  points (N, n+1, D) and frames (N, n+1, D, d) are the knots
-    and frames of the paths' roll: a geodesic step split into sub-steps is the
-    same geodesic with the same transport, so they are also those of the
-    continuum development.  The gap mixes discretization effects and is
-    reported, not gated.
+    (the knot at s = 0, where the field is 0, stays).  points (N, n+1, D) and
+    frames (N, n+1, D, d) are the knots and frames of the paths' roll: a
+    geodesic step split into sub-steps is the same geodesic with the same
+    transport, so they are also those of the continuum development.  The gap
+    mixes discretization effects and is reported, not gated.
     """
-    coords = _endpoint_coords(model, points[:, -1], frames[:, -1], x_field)
     k_prof = damped.k_profile(damped.ric_scalar(model), part.knots)
     knots = [part.knot_index(t) for t in observable.times]
     damped_field = (k_prof[knots] / k_prof[-1])[None, :, None] * coords[:, None, :]

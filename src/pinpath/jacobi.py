@@ -3,12 +3,10 @@
 Each interval of an equally spaced partition carries a constant frame velocity
 xi_i; the second-order matrix system Y'' = A_i Y (A_i the curvature quadratic
 of xi_i) has cosine/sine-type solutions C_i, S_i, in closed form (batch_cs).
-The family is stored as these (C_i, S_i) alone, and every field comes from one
-of two recursions over them: the suffix products f_i(1) = C_n ... C_{i+1}
-S_i / delta (batch_endpoint_f, the lift's input) and the forward recursion
-J(s_j) = C_j J(s_{j-1}) + S_j k_{j-1} of a field with right-slopes k
-(jacobi_from_slopes).  Every function takes leading sample axes (one path is
-a batch of one).
+The family is stored as these (C_i, S_i) alone; the convergence audit reads
+the suffix products f_i(1) = C_n ... C_{i+1} S_i / delta (batch_endpoint_f),
+the pinned weight and the lift only their Gram sums.  Every function takes
+leading sample axes (one path is a batch of one).
 
 The scalar factors of the pinned estimator come from one forward Gram pass
 over the body (gram_step, run by gram_pass or by the estimator's own body
@@ -113,7 +111,8 @@ def batch_endpoint_f(C, S, delta: float) -> np.ndarray:
 
     C, S (..., m, d, d) from batch_cs; returns (..., m, d, d) where entry i-1
     is C_m ... C_{i+1} S_i / delta (suffix products).  The pinned estimator
-    needs only Gram sums of these (gram_pass); the lift needs each f_i.
+    and the lift need only Gram sums of these (gram_step); the convergence
+    audit's knot sups need each f_i.
     """
     m, d = C.shape[-3], C.shape[-1]
     out = np.empty_like(C)
@@ -141,10 +140,12 @@ class Intervals:
         # in place where possible: at a 4096-path chunk each array is 1 MB,
         # and fresh pages cost more than the arithmetic
         self.xi, self.flat = xi, model.kind == "flat"
-        # |xi|^2 as the same sum of squares at every batch size
-        nrm = sum(xi[:, k] * xi[:, k] for k in range(xi.shape[1]))
+        # |xi|^2 summed in place, squares in inv's buffer: the plain sum's bits
+        nrm, self.inv = np.multiply(xi[:, 0], xi[:, 0]), np.empty(xi.shape[:1] + xi.shape[2:])
+        for k in range(1, xi.shape[1]):
+            np.add(nrm, np.multiply(xi[:, k], xi[:, k], out=self.inv), out=nrm)
         np.sqrt(nrm, out=nrm)
-        self.inv = np.ones_like(nrm)
+        self.inv[...] = 1.0
         np.divide(1.0, nrm, out=self.inv, where=nrm > 0)
         a = nrm
         a *= np.sqrt(model.kappa)
@@ -226,14 +227,6 @@ def _diagonal(A):
     return A.reshape((d * d,) + A.shape[2:])[::d + 1]
 
 
-def batch_mass_matrix(f_end, delta: float) -> np.ndarray:
-    """K(end) = delta * sum_i f_i f_i^T from stacked f_i (..., m, d, d), as one
-    product of the (d, m d) block [f_1 ... f_m] with its transpose."""
-    m, d = f_end.shape[-3], f_end.shape[-1]
-    block = np.swapaxes(f_end, -3, -2).reshape(f_end.shape[:-3] + (d, m * d))
-    return delta * (block @ np.swapaxes(block, -1, -2))
-
-
 def _positive_logdet(A, what: str) -> np.ndarray:
     """log det A (...,) of symmetric positive definite A (d, d, ...), samples
     last, as the sum of the logs of its Cholesky pivots.
@@ -309,31 +302,3 @@ def tip_log_factors(model: CurvatureModel, G, head, tip, n: int):
     log_vx = 0.5 * _positive_logdet(T, "pinning volume factor") - (d - 1) * log_r
     return log_jp, log_vx, hits
 
-
-# ---------------------------------------------------------------------------
-# Broken Jacobi fields at the knots
-# ---------------------------------------------------------------------------
-
-def jacobi_from_slopes(C, S, slopes) -> np.ndarray:
-    """Knot values (..., n+1, d) of the field with right-slopes k_i at the knots.
-
-    C, S (..., n, d, d) in the batch_cs layout, slopes (..., n, d); identical
-    to (1/n) sum_i f_{i+1}(s_j) k_i, by the interval recursion
-    J(s_j) = C_j J(s_{j-1}) + S_j k_{j-1} from J(0) = 0.  C, S may broadcast
-    against more leading axes (many fields along one path).
-    """
-    slopes = np.asarray(slopes, dtype=float)
-    n = slopes.shape[-2]
-    J = np.zeros(np.broadcast_shapes(slopes.shape[:-2], C.shape[:-3]) + (n + 1, slopes.shape[-1]))
-    for j in range(n):
-        J[..., j + 1, :] = (_matvec(C[..., j, :, :], J[..., j, :])
-                            + _matvec(S[..., j, :, :], slopes[..., j, :]))
-    return J
-
-
-def _matvec(A, v):
-    """A v over the last axes; A (..., d, d) broadcasts against v (..., d)."""
-    out = np.zeros(np.broadcast_shapes(A.shape[:-1], v.shape))
-    for a, b in np.ndindex(A.shape[-2:]):
-        out[..., a] += A[..., a, b] * v[..., b]
-    return out

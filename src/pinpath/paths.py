@@ -64,7 +64,7 @@ def sample_increments(model: CurvatureModel, partition: Partition, count: int,
 
 
 # ---------------------------------------------------------------------------
-# Rolling (development) and its inverse
+# Rolling (development)
 # ---------------------------------------------------------------------------
 
 def roll_batch(model: CurvatureModel, increments):
@@ -94,19 +94,25 @@ def roll_batch(model: CurvatureModel, increments):
             np.moveaxis(frames, -1, 0).reshape(batch + (n + 1, D, d)))
 
 
-def boost_rows(model: CurvatureModel, y, iv: Intervals, j: int, sign: float):
+def boost_rows(model: CurvatureModel, y, iv: Intervals, j: int, sign: float,
+               vector: bool = False):
     """y <- B(sign xi_j) y in place for points y (D, ...) samples last, where
     B(xi) in SO+(d,1) is the boost exp_frame applies at o and iv the
     Intervals of the increments; a translation by sign xi_j in flat space.
     With p the unit increment and a = sqrt(kappa)|xi_j|, the spatial part
     moves by ((cosh a - 1) <p, y_s> + sign sinh a y_t) p and the timelike
-    part is put back on the sheet.
+    part is put back on the sheet.  With vector, y holds ambient vectors
+    and the timelike part moves linearly, by (cosh a - 1) y_t +
+    sign sinh a <p, y_s>; a translation leaves a vector unchanged.
     """
     if model.kind == "flat":
-        y += sign * iv.xi[j]
-        return y
+        return y if vector else np.add(y, sign * iv.xi[j], out=y)
     p = iv.unit(j)
-    y[:-1] += (iv.chm1[j] * np.sum(p * y[:-1], axis=0) + sign * iv.sh[j] * y[-1]) * p
+    along = np.sum(p * y[:-1], axis=0)
+    y[:-1] += (iv.chm1[j] * along + sign * iv.sh[j] * y[-1]) * p
+    if vector:
+        y[-1] += iv.chm1[j] * y[-1] + sign * iv.sh[j] * along
+        return y
     return geom._renormalize_point(model, y)
 
 
@@ -116,72 +122,49 @@ def knots_at(partition: Partition, times, points) -> np.ndarray:
     return points[..., [partition.knot_index(t) for t in times], :]
 
 
-def chart_slopes(model: CurvatureModel, increments):
-    """Right-slopes of the fields that the chart variations of increments
-    (..., n, d) induce; returns (..., n, d, n, d), entry [j, :, i, a] the
-    slope on interval j of the variation along e_a of increment i.
+def chart_slopes(model: CurvatureModel, iv: Intervals, v):
+    """Right-slopes M v (n, d, ..., B) of the field that the chart variation
+    along the directions v (n, d, ..., B) induces on the paths whose
+    increments (n, d, B) have Intervals iv; v broadcasts, and on the
+    identity stack np.eye(n d).reshape(n, d, n d, 1) this is the chart
+    matrix M, entry [j, :, (i, a)] the slope on interval j of the variation
+    along e_a of increment i.
 
-    The blocks are n I at j = i and 0 at j < i.  Past interval i the
+    M's blocks are n I at j = i and 0 at j < i.  Past interval i the
     variation moves the rest of the path by one isometry, so its field there
     is a Killing field, held at each knot as tau = sqrt(kappa) J and the
     antisymmetric omega = nabla J; its slope on interval j is n omega xi_j.
     With p the unit increment, a = sqrt(kappa)|xi|, c = cosh a - 1,
-    s = sinh a and R(u, v) = u v^T - v u^T, the field leaves interval i with
-    tau_a = sqrt(kappa) (p_a p + sinhc a (e_a - p_a p)) and
-    omega_a = -sqrt(kappa) (cosh a - 1) / a R(p, e_a), and boost j carries it
+    s = sinh a and R(u, v) = u v^T - v u^T, the field of v_i leaves interval
+    i with tau = sqrt(kappa) (<p, v_i> p + sinhc a (v_i - <p, v_i> p)) and
+    omega = -sqrt(kappa) (cosh a - 1) / a R(p, v_i), and boost j carries it
     on: w = omega p, u = c w + s tau, tau += c (tau - <p, tau> p) + s w,
-    omega += R(u, p).  Flat space has c = s = kappa = 0: the matrix is n I.
-    The recursion runs samples last over all earlier columns (i, a) at once,
-    on the Intervals of the increments, and writes the result samples first.
+    omega += R(u, p).  The recursion is linear, so one state (tau, omega)
+    per column of v carries the sum of its fields, samples last.  Flat
+    space has c = s = kappa = 0: M v = n v.
     """
-    inc = np.asarray(increments, dtype=float)
-    batch, (n, d) = inc.shape[:-2], inc.shape[-2:]
-    xi = np.ascontiguousarray(np.moveaxis(inc.reshape((-1, n, d)), 0, -1))   # (n, d, B)
-    iv, root, eye = Intervals(model, xi), np.sqrt(model.kappa), np.eye(d)[..., None]
-    out = np.zeros((xi.shape[-1], n, d, n, d))
-    cols = out.reshape(-1, n, d, n * d)
-    tau = np.zeros((d, n * d, xi.shape[-1]))             # column (i, a) flattened
-    om = np.zeros((d, d, n * d, xi.shape[-1]))
+    n, d = iv.xi.shape[:2]
+    shape = np.broadcast_shapes(v.shape[2:], iv.xi.shape[2:])
+    ex = (slice(None),) + (None,) * (len(shape) - 1)     # p (d, B) against (d, ..., B)
+    root = np.sqrt(model.kappa)
+    out = np.empty((n, d) + shape)
+    tau, om = np.zeros((d,) + shape), np.zeros((d, d) + shape)
     for j in range(n):
-        old, new = slice(0, j * d), slice(j * d, (j + 1) * d)
-        p, c, s = iv.unit(j), iv.chm1[j], iv.sh[j]
-        t, o = tau[:, old], om[:, :, old]                # views, advanced in place
-        w = np.einsum("bcxB,cB->bxB", o, p)
-        cols[:, j, :, old] = np.moveaxis(w * (n / iv.inv[j]), -1, 0)     # n |xi_j| omega p
-        u = c * w + s * t
-        t += c * (t - p[:, None] * np.sum(p[:, None] * t, axis=0)) + s * w
-        o += u[:, None] * p[:, None] - p[:, None, None] * u
-        out[:, j, :, j, :] = n * np.eye(d)
-        pp = p[:, None] * p
-        tau[:, new] = root * (pp + np.sqrt(iv.s2[j]) * (eye - pp))
-        om[:, :, new] = (-c * iv.inv[j]) * (p[:, None, None] * eye - eye[:, None] * p[:, None])
-    return out.reshape(batch + out.shape[1:])
+        p, c, s, vj = iv.unit(j)[ex], iv.chm1[j], iv.sh[j], v[j]
+        w = np.sum(om * p, axis=1)
+        np.add(w * (n / iv.inv[j]), n * vj, out=out[j])             # n |xi_j| omega p + n v_j
+        u = c * w + s * tau
+        tau += c * (tau - p * np.sum(p * tau, axis=0)) + s * w
+        om += u[:, None] * p - p[:, None] * u
+        along = np.sum(p * vj, axis=0)
+        tau += root * (along * p + np.sqrt(iv.s2[j]) * (vj - along * p))
+        om += (-c * iv.inv[j]) * (p[:, None] * vj - vj[:, None] * p)
+    return out
 
 
 def _renormalize_due(i: int, n: int) -> bool:
     """Whether the frame at knot i+1 of an n-step roll is re-orthonormalised."""
     return (i + 1) % RENORM_EVERY == 0 or i + 1 == n
-
-
-def anti_roll(model: CurvatureModel, points) -> np.ndarray:
-    """Recover increments (..., n, d) from knot points (..., n+1, D), the
-    inverse of roll_batch; the frame is rebuilt by transport from o's frame,
-    so only knot positions are needed.
-    """
-    points = np.asarray(points, dtype=float)
-    n = points.shape[-2] - 1
-    batch = points.shape[:-2]
-    D, d = model.ambient_dim, model.dim
-    u = np.broadcast_to(geom.base_frame(model), batch + (D, d)).copy()
-    out = np.empty(batch + (n, d))
-    for i in range(n):
-        x, y = points[..., i, :], points[..., i + 1, :]
-        v = geom.frame_coords(model, u, geom.log_point(model, x, y))
-        out[..., i, :] = v
-        u = geom.exp_frame(model, x, u, v)[1]
-        if _renormalize_due(i, n):
-            u = geom.renormalize_frame(model, y, u)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,18 @@ agreement between the two is meaningful:
   arithmetic (``mp_pulled_back_tip``);
 - the damped-field pairing of an observable's gradient one knot and one
   frame axis at a time (``damped_pairing_per_axis``);
-- the right-slopes of a broken Jacobi field from its knot values, by a dense
-  inverse of each sine-type solution (``slopes_from_knots``), the reference
-  for ``paths.chart_slopes``;
+- the knot values of a broken Jacobi field from its right-slopes, by the
+  interval recursion (``jacobi_from_slopes``), and the slopes from the knot
+  values, by a dense inverse of each sine-type solution
+  (``slopes_from_knots``), the reference for ``paths.chart_slopes``;
+- the increments of rolled knots, by logs and transport (``anti_roll``);
+- the lift by the roll and the suffix products (``roll_lift``,
+  ``suffix_lift``, with the dense mass matrix ``batch_mass_matrix``), the
+  endpoint coordinates of a vector by 60-digit boosts
+  (``mp_endpoint_coords``), and the divergence of the chart
+  velocity by differences of the velocity re-solved at each shifted point
+  (``resolved_velocity_divergence``): the routes of the IBP check before
+  the lift ran on the interval scalars;
 - the null space of the lift's endpoint map (``endpoint_map_matrix``,
   ``lift_orthogonality``, ``lift_competitor_deficit``) and the determinant
   identity det(S^T S) = det(I + A A^T) (``det_identity_check``);
@@ -36,7 +45,7 @@ import mpmath
 import numpy as np
 from scipy.linalg import null_space, solve_banded
 
-from pinpath import geom, paths
+from pinpath import geom, jacobi, paths
 from pinpath.geom import NumericalError, minkowski_inner
 from pinpath.measures import heat_kernel_exact
 
@@ -214,6 +223,31 @@ def broken_jacobi_rk4(kappa, velocities, slopes, steps_per_interval=400):
         J = y[:d]
         out.append(J.copy())
     return np.array(out)
+
+
+def jacobi_from_slopes(C, S, slopes):
+    """Knot values (..., n+1, d) of the field with right-slopes k_i at the knots.
+
+    C, S (..., n, d, d) in the jacobi.batch_cs layout, slopes (..., n, d);
+    identical to (1/n) sum_i f_{i+1}(s_j) k_i, by the interval recursion
+    J(s_j) = C_j J(s_{j-1}) + S_j k_{j-1} from J(0) = 0.  C, S may broadcast
+    against more leading axes (many fields along one path).
+    """
+    slopes = np.asarray(slopes, dtype=float)
+    n = slopes.shape[-2]
+    J = np.zeros(np.broadcast_shapes(slopes.shape[:-2], C.shape[:-3]) + (n + 1, slopes.shape[-1]))
+    for j in range(n):
+        J[..., j + 1, :] = (_matvec(C[..., j, :, :], J[..., j, :])
+                            + _matvec(S[..., j, :, :], slopes[..., j, :]))
+    return J
+
+
+def _matvec(A, v):
+    """A v over the last axes; A (..., d, d) broadcasts against v (..., d)."""
+    out = np.zeros(np.broadcast_shapes(A.shape[:-1], v.shape))
+    for a, b in np.ndindex(A.shape[-2:]):
+        out[..., a] += A[..., a, b] * v[..., b]
+    return out
 
 
 def slopes_from_knots(C, S, knot_values):
@@ -401,6 +435,99 @@ def pinned_fdd_oracle(model, rho, g, t_split=0.5, tol=1e-4, m0=128, m_max=4096):
         prev = cur
         m *= 2
     raise NumericalError(f"quadrature did not reach tol={tol} by m={m_max}")
+
+
+def anti_roll(model, points):
+    """Recover increments (..., n, d) from knot points (..., n+1, D), the
+    inverse of paths.roll_batch; the frame is rebuilt by transport from o's
+    frame on the roll's Gram-Schmidt schedule, so only knot positions are
+    needed.
+    """
+    points = np.asarray(points, dtype=float)
+    n = points.shape[-2] - 1
+    batch = points.shape[:-2]
+    D, d = model.ambient_dim, model.dim
+    u = np.broadcast_to(geom.base_frame(model), batch + (D, d)).copy()
+    out = np.empty(batch + (n, d))
+    for i in range(n):
+        x, y = points[..., i, :], points[..., i + 1, :]
+        v = geom.frame_coords(model, u, geom.log_point(model, x, y))
+        out[..., i, :] = v
+        u = geom.exp_frame(model, x, u, v)[1]
+        if paths._renormalize_due(i, n):
+            u = geom.renormalize_frame(model, y, u)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The lift by the roll, and the divergence of the re-solved chart velocity
+# ---------------------------------------------------------------------------
+
+def batch_mass_matrix(f_end, delta):
+    """K(end) = delta * sum_i f_i f_i^T from stacked f_i (..., m, d, d), as one
+    product of the (d, m d) block [f_1 ... f_m] with its transpose."""
+    m, d = f_end.shape[-3], f_end.shape[-1]
+    block = np.swapaxes(f_end, -3, -2).reshape(f_end.shape[:-3] + (d, m * d))
+    return delta * (block @ np.swapaxes(block, -1, -2))
+
+
+def suffix_lift(model, part, inc, coords):
+    """Slopes (N, n, d) of the lift along increments inc (N, n, d) that ends
+    at the endpoint coordinates coords (N, d): f_i(1)^T K(1)^{-1} coords,
+    with the suffix products f_i(1) (jacobi.batch_endpoint_f) and a dense
+    solve of K(1)."""
+    f_end = jacobi.batch_endpoint_f(*jacobi.batch_cs(model, inc, part.mesh), part.mesh)
+    coeff = np.linalg.solve(batch_mass_matrix(f_end, part.mesh), coords[..., None])[..., 0]
+    return np.einsum("...iab,...a->...ib", f_end, coeff)
+
+
+def roll_lift(model, part, inc, x_vector):
+    """The lift of the endpoint field with ambient vector x_vector along
+    increments inc (N, n, d): slopes (N, n, d) (suffix_lift) and the endpoint
+    coordinates (N, d), read in the rolled frame at the endpoint (its columns
+    are tangent, so the vector's normal part drops out)."""
+    frame = paths.roll_batch(model, inc)[1][:, -1]
+    coords = geom.frame_coords(model, frame, np.asarray(x_vector, dtype=float))
+    return suffix_lift(model, part, inc, coords), coords
+
+
+def mp_endpoint_coords(kappa, inc, x_vector, dps=60):
+    """Coordinates (d,) of the ambient vector x_vector in the frame at the
+    endpoint of one hyperbolic path with increments inc (n, d), in
+    dps-digit arithmetic: the spatial part of B(-xi_n) ... B(-xi_1) x_vector
+    by the full Lorentz boosts' action (increments taken as exact)."""
+    with mpmath.workdps(dps):
+        rk = mpmath.sqrt(mpmath.mpf(kappa))
+        ws, wt = [mpmath.mpf(float(v)) for v in x_vector[:-1]], mpmath.mpf(float(x_vector[-1]))
+        for step in np.asarray(inc, dtype=float):
+            xi = [mpmath.mpf(float(v)) for v in step]
+            nrm = mpmath.sqrt(sum(v * v for v in xi))
+            if nrm == 0:
+                continue
+            p = [v / nrm for v in xi]
+            ch, sh = mpmath.cosh(rk * nrm), mpmath.sinh(rk * nrm)
+            ps = sum(a * b for a, b in zip(p, ws))
+            ws, wt = ([w + ((ch - 1) * ps - sh * wt) * q for w, q in zip(ws, p)],
+                      ch * wt - sh * ps)
+        return np.array([float(v) for v in ws])
+
+
+def resolved_velocity_divergence(model, part, inc, x_vector, step):
+    """div V (N,) of the chart velocity V = M^{-1} k along increments inc
+    (N, n, d), by central differences of size step of V itself, with M
+    (paths.chart_slopes) and k (roll_lift) rebuilt and V re-solved densely at
+    every shifted point."""
+    N, n, d = inc.shape
+    eye = np.eye(n * d)
+
+    def velocity(z):
+        iv = jacobi.Intervals(model, np.ascontiguousarray(z.transpose(1, 2, 0)))
+        M = paths.chart_slopes(model, iv, eye.reshape(n, d, n * d, 1)).reshape(n * d, n * d, N)
+        k = roll_lift(model, part, z, x_vector)[0].reshape(N, n * d)
+        return np.linalg.solve(M.transpose(2, 0, 1), k[..., None])[..., 0]
+
+    return sum((velocity(inc + step * e.reshape(n, d)) - velocity(inc - step * e.reshape(n, d)))
+               [:, c] / (2 * step) for c, e in enumerate(eye))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from pinpath import cli, diagnostics, geom, jacobi, measures, paths
 from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 
-from tests.oracles import (cs_rk4, det_identity_check, lift_competitor_deficit,
-                           lift_orthogonality, pinned_fdd_oracle)
+from tests.oracles import (anti_roll, cs_rk4, det_identity_check, jacobi_from_slopes,
+                           lift_competitor_deficit, lift_orthogonality, pinned_fdd_oracle)
 
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
 HYP3 = CurvatureModel("hyperbolic", 3, 1.0)
@@ -145,11 +145,12 @@ def test_criterion_08_lift_identities():
     """Endpoint, orthogonality, and minimality of 1000 lifts (100 competitors)."""
     part = Partition(8)
     inc = paths.sample_increments(HYP2, part, 1000, seed=0)
-    field = diagnostics.projected_constant_field(HYP2)
+    field = diagnostics.field_direction(HYP2)
     C, S = jacobi.batch_cs(HYP2, inc, part.mesh)
     f_end = jacobi.batch_endpoint_f(C, S, part.mesh)
-    slopes, coords = diagnostics._batched_lift_slopes(HYP2, part, inc, field, C, S)[:2]
-    knots = jacobi.jacobi_from_slopes(C, S, slopes)
+    slopes, coords = diagnostics._lift(HYP2, diagnostics._intervals(HYP2, inc), field)[:2]
+    slopes, coords = slopes.transpose(2, 0, 1), coords.T
+    knots = jacobi_from_slopes(C, S, slopes)
     worst_res = float(np.max(np.abs(knots[:, -1] - coords)))
     worst_orth, worst_def = 0.0, np.inf
     for i in range(1000):
@@ -206,7 +207,7 @@ def test_criterion_10_determinism(tmp_path):
     part = Partition(16)
     inc = paths.sample_increments(HYP2, part, 100, seed=9)
     pts, _ = paths.roll_batch(HYP2, inc)
-    roll_gap = float(np.max(np.abs(paths.anti_roll(HYP2, pts) - inc)))
+    roll_gap = float(np.max(np.abs(anti_roll(HYP2, pts) - inc)))
 
     rng = np.random.default_rng(113)
     det_ok = True

@@ -3,6 +3,7 @@
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 
@@ -280,6 +281,63 @@ def test_ibp_limits_and_run(tmp_path):
     assert {"result", "scalar_gap", "gradient_compare"} <= set(manifest)
     assert manifest["result"]["passed"] is True
     assert manifest["result"]["n_used"] + manifest["result"]["n_aborted"] == 400
+
+
+def test_ibp_manifest_records_stages(tmp_path):
+    """The ibp manifest records the seconds of each of IBP_STAGES, outside
+    the result; together they take at most the command's wall time."""
+    out = str(tmp_path)
+    res = run_cli(["ibp", "--model", "hyperbolic", "--d", "2", "--kappa", "1", "--n", "4",
+                   "--N", "300", "--seed", "0", "--out", out])
+    assert res.exit_code in (0, 1), res.output
+    manifest = json.loads(read_text(os.path.join(out, "ibp_manifest.json")))
+    assert list(manifest["stage_s"]) == list(diagnostics.IBP_STAGES)
+    assert all(v >= 0.0 for v in manifest["stage_s"].values())
+    assert sum(manifest["stage_s"].values()) <= manifest["wall_time_s"]
+    assert "stage_s" not in manifest["result"]
+
+
+def git(cwd, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                          cwd=cwd, capture_output=True, text=True, check=True).stdout.strip()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs the git executable")
+def test_git_revision_reads_the_repository_files(tmp_path, monkeypatch):
+    """_git_revision agrees with `git rev-parse HEAD` on a branch with a
+    loose ref, from a subdirectory, with the refs packed, on a detached HEAD
+    and in a linked worktree (a .git file with gitdir: and commondir), and
+    starts no process; outside a repository, below GIT_CEILING_DIRECTORIES,
+    it is "unknown"."""
+    repo, outside = tmp_path / "repo", tmp_path / "outside"
+    (repo / "sub").mkdir(parents=True)
+    outside.mkdir()
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    git(repo, "init", "-q")
+    for message in ("one", "two"):
+        (repo / "sub" / "file").write_text(message)
+        git(repo, "add", "-A")
+        git(repo, "commit", "-q", "-m", message)
+    branch = git(repo, "symbolic-ref", "HEAD")
+    git(tmp_path, "-C", str(repo), "worktree", "add", "-q", "-b", "side", str(tmp_path / "wt"),
+        "HEAD~1")
+
+    def revision(cwd):
+        monkeypatch.chdir(cwd)
+        with monkeypatch.context() as m:
+            m.setattr(subprocess, "Popen", None)        # a spawned process would fail
+            return cli._git_revision()
+
+    assert (repo / ".git" / branch).is_file()
+    for cwd in (repo, repo / "sub", tmp_path / "wt"):
+        assert revision(cwd) == git(cwd, "rev-parse", "HEAD"), cwd
+    assert revision(tmp_path / "wt") != revision(repo)
+    git(repo, "pack-refs", "--all")
+    assert not (repo / ".git" / branch).exists()
+    assert revision(repo) == git(repo, "rev-parse", "HEAD")
+    git(repo, "checkout", "-q", "--detach", "HEAD~1")
+    assert revision(repo) == git(repo, "rev-parse", "HEAD")
+    assert revision(outside) == "unknown"
 
 
 def test_ibp_conditioning_guard_is_a_numerical_failure(tmp_path, monkeypatch):

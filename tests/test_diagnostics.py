@@ -7,17 +7,20 @@ import pytest
 
 from pinpath import damped, diagnostics, geom, jacobi, paths
 from pinpath.diagnostics import (ConvergenceReport, convergence_suite, ibp_check,
-                                 projected_constant_field, property_sweep)
+                                 field_direction, property_sweep)
 from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 from pinpath.measures import MASS_OBSERVABLE, CylinderObservable
 
-from tests.oracles import (damped_pairing_per_axis, endpoint_map_matrix, lift_competitor_deficit,
-                           lift_orthogonality)
+from tests.oracles import (batch_mass_matrix, damped_pairing_per_axis, endpoint_map_matrix,
+                           jacobi_from_slopes, lift_competitor_deficit, lift_orthogonality,
+                           mp_endpoint_coords, resolved_velocity_divergence, roll_lift,
+                           suffix_lift)
 
 FLAT1 = CurvatureModel("flat", 1)
 FLAT2 = CurvatureModel("flat", 2)
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
+HYP3 = CurvatureModel("hyperbolic", 3, 2.5)
 
 
 class LinearEnd:
@@ -37,12 +40,47 @@ def endpoint_f(model, part, inc):
     return jacobi.batch_endpoint_f(*jacobi.batch_cs(model, inc, part.mesh), part.mesh)
 
 
-def lift(model, part, inc, x_field):
+def lift(model, part, inc, x_vector):
     """The lift along paths inc (N, n, d): slopes (N, n, d), endpoint
     coordinates (N, d) and knot values (N, n+1, d) by jacobi_from_slopes."""
-    C, S = jacobi.batch_cs(model, inc, part.mesh)
-    slopes, coords = diagnostics._batched_lift_slopes(model, part, inc, x_field, C, S)[:2]
-    return slopes, coords, jacobi.jacobi_from_slopes(C, S, slopes)
+    slopes, coords, _ = diagnostics._lift(model, diagnostics._intervals(model, inc), x_vector)
+    slopes, coords = slopes.transpose(2, 0, 1), coords.T
+    return slopes, coords, jacobi_from_slopes(*jacobi.batch_cs(model, inc, part.mesh), slopes)
+
+
+def relative_gap(got, want, axes):
+    """Per-sample largest gap relative to the largest entry of want."""
+    return np.abs(got - want).max(axis=axes) / np.abs(want).max(axis=axes)
+
+
+@pytest.mark.parametrize("model", [FLAT2, HYP2, HYP3], ids=["flat2", "hyp2", "hyp3"])
+def test_lift_on_interval_scalars_matches_the_oracles(model):
+    """The lift from one Intervals (Gram pass, vector pull-back, backward
+    slope pass), for n <= 8 and per sample, within 1e-12 relative:
+    - its slopes are those of the dense K(1) of the suffix products ending
+      at the same endpoint coordinates (suffix_lift);
+    - its endpoint coordinates are the vector's 60-digit pull-back (every
+      10th sample) within 1e-13, and exactly the vector in flat space;
+    - on flat2 and hyp2 the whole lift is the roll's (roll_lift).  On hyp3,
+      kappa = 2.5 the rolled frame itself is off by up to 3e-10 relative on
+      the far draws, while the pull-back stays within 1e-14 of 60 digits."""
+    field = field_direction(model)
+    for n in (1, 2, 4, 8):
+        part = Partition(n)
+        inc = paths.sample_increments(model, part, 200, seed=n)
+        slopes, coords, _ = lift(model, part, inc, field)
+        want = suffix_lift(model, part, inc, coords)
+        assert np.all(relative_gap(slopes, want, (1, 2)) <= 1e-12), (model, n)
+        if model.kind == "flat":
+            assert np.array_equal(coords, np.broadcast_to(field, coords.shape))
+        else:
+            exact = np.array([mp_endpoint_coords(model.kappa, inc[i], field)
+                              for i in range(0, 200, 10)])
+            assert np.all(relative_gap(coords[::10], exact, 1) <= 1e-13), (model, n)
+        if model is not HYP3:
+            want_slopes, want_coords = roll_lift(model, part, inc, field)
+            assert np.all(relative_gap(coords, want_coords, 1) <= 1e-12), (model, n)
+            assert np.all(relative_gap(slopes, want_slopes, (1, 2)) <= 1e-12), (model, n)
 
 
 def test_lift_flat_grows_linearly():
@@ -63,7 +101,7 @@ def test_batched_lift_is_the_minimal_norm_solution():
     applied to the slopes = the endpoint coordinates, path by path."""
     part = Partition(5)
     inc = paths.sample_increments(HYP2, part, 6, seed=3)
-    slopes, coords, _ = lift(HYP2, part, inc, projected_constant_field(HYP2))
+    slopes, coords, _ = lift(HYP2, part, inc, field_direction(HYP2))
     f_end = endpoint_f(HYP2, part, inc)
     for i in range(6):
         want = np.linalg.lstsq(endpoint_map_matrix(f_end[i]), coords[i], rcond=None)[0]
@@ -84,7 +122,7 @@ def test_lift_endpoint_residual_random():
     """Lift hits the endpoint coordinates to 1e-10 on 200 curved paths."""
     part = Partition(8)
     inc = paths.sample_increments(HYP2, part, 200, seed=0)
-    _, coords, knots = lift(HYP2, part, inc, projected_constant_field(HYP2))
+    _, coords, knots = lift(HYP2, part, inc, field_direction(HYP2))
     assert np.max(np.abs(knots[:, -1] - coords)) < 1e-10
 
 
@@ -106,7 +144,7 @@ def test_lift_orthogonality_and_minimality_random():
     """Orthogonal to the null space (1e-8) and beats all competitors."""
     part = Partition(6)
     inc = paths.sample_increments(HYP2, part, 30, seed=1)
-    slopes = lift(HYP2, part, inc, projected_constant_field(HYP2))[0]
+    slopes = lift(HYP2, part, inc, field_direction(HYP2))[0]
     f_end = endpoint_f(HYP2, part, inc)
     for i in range(30):
         out = lift_orthogonality(f_end[i], slopes[i])
@@ -160,8 +198,8 @@ def test_knot_sups_J_is_the_lift_at_interior_knots():
         rng.uniform(0.5, 1.0, size=n + 1)
     C, S = jacobi.batch_cs(model, inc, delta)
     f_end = jacobi.batch_endpoint_f(C, S, delta)
-    coords = np.einsum("nab,nb->na", jacobi.batch_mass_matrix(f_end, delta), coeff) / p[n]
-    lift = jacobi.jacobi_from_slopes(C, S, np.einsum("niab,na->nib", f_end, coeff))
+    coords = np.einsum("nab,nb->na", batch_mass_matrix(f_end, delta), coeff) / p[n]
+    lift = jacobi_from_slopes(C, S, np.einsum("niab,na->nib", f_end, coeff))
     gaps = np.linalg.norm(lift[:, 1:] - p[1:, None] * coords[:, None], axis=-1)  # j = 1..n
     assert np.all(gaps[:, -1] < 1e-12 * gaps.max(axis=1))
     got = diagnostics._knot_sups(C, S, f_end, coeff, coords, ratio, k, p)["J"]
@@ -221,7 +259,7 @@ def test_convergence_hyperbolic_medians_fall():
 def test_adjoint_gap_vanishes_for_zero_field():
     """X = 0: both martingale pairings are exactly zero on every sample."""
     rep = convergence_suite(HYP2, [4, 8], samples=10, seed=0, statistics=("adjoint",),
-                            x_field=np.zeros(HYP2.ambient_dim))["adjoint"]
+                            x_vector=np.zeros(HYP2.ambient_dim))["adjoint"]
     assert np.all(rep.q50 == 0.0)
     assert np.all(rep.q95 == 0.0)
 
@@ -263,11 +301,12 @@ def test_ibp_curved_small():
 
 
 def test_ibp_rolls_without_finite_difference_columns(monkeypatch):
-    """ibp_check at n=4, d=2 rolls 35 batches: one lift roll, one pair for
-    both observables' derivatives, and one roll per side of each of the nd = 8
-    divergence and scalar_gap differences; gradient_gap reuses the lift roll's
-    knots and frames.  The chart matrix comes from paths.chart_slopes,
-    which rolls nothing, not from 2nd rolls per chart velocity (a
+    """ibp_check at n=4, d=2 rolls 3 batches: one base roll for the
+    observables and gradient_gap's knots and frames, and one pair for both
+    observables' derivatives.  The chart matrix comes from
+    paths.chart_slopes and the lift from the interval scalars, and neither
+    rolls: the divergence and scalar_gap differences roll nothing (they
+    rolled 32 batches when the lift read the rolled frame, and a
     finite-difference M made 309)."""
     calls = []
     roll = paths.roll_batch
@@ -275,18 +314,60 @@ def test_ibp_rolls_without_finite_difference_columns(monkeypatch):
     f = CylinderObservable("exp_r2_end", (1.0,), 1.0, "exp_radial2",
                            {"times": [1.0], "scales": [2.0]})
     ibp_check(HYP2, Partition(4), f, MASS_OBSERVABLE, n_samples=64, seed=0)
-    assert len(calls) == 35
+    assert len(calls) == 3
 
 
-def test_chart_velocity_inverts_no_matrix(monkeypatch):
-    """_chart_velocity builds M by the chart_slopes recursion and solves
-    M v = k: it calls np.linalg.inv not once."""
-    calls = []
-    inv = np.linalg.inv
+def test_ibp_check_inverts_and_solves_no_chart_matrix(monkeypatch):
+    """ibp_check takes V and M^{-1} by block forward substitution: it calls
+    np.linalg.inv not once, and np.linalg.solve only on the lift's d x d
+    systems K(1), never on an nd x nd one; each chart velocity is solved
+    once (one _chart_velocity call)."""
+    calls, sizes, velocity = [], [], []
+    inv, solve, chart_velocity = np.linalg.inv, np.linalg.solve, diagnostics._chart_velocity
     monkeypatch.setattr(np.linalg, "inv", lambda *a, **k: calls.append(1) or inv(*a, **k))
-    inc = paths.sample_increments(HYP2, Partition(4), 64, seed=0)
-    diagnostics._chart_velocity(HYP2, Partition(4), inc, projected_constant_field(HYP2))
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: sizes.append(np.shape(a)[-1]) or solve(a, b))
+    monkeypatch.setattr(diagnostics, "_chart_velocity",
+                        lambda *a: velocity.append(1) or chart_velocity(*a))
+    f = CylinderObservable("exp_r2_end", (1.0,), 1.0, "exp_radial2",
+                           {"times": [1.0], "scales": [2.0]})
+    ibp_check(HYP2, Partition(4), f, MASS_OBSERVABLE, n_samples=64, seed=0)
     assert calls == []
+    assert sizes and set(sizes) == {2}
+    assert velocity == [1]
+
+
+@pytest.mark.parametrize("model", [FLAT2, HYP2, HYP3], ids=["flat2", "hyp2", "hyp3"])
+def test_divergence_matches_the_resolved_velocity_oracle(model):
+    """div V from differences of the one lifted field F = k - M V (V frozen)
+    agrees within 1e-6 of max |div| with central differences of V re-solved
+    at every shifted point, for n <= 8."""
+    field = field_direction(model)
+    for n in (1, 2, 4, 8):
+        inc = paths.sample_increments(model, Partition(n), 64, seed=n)
+        velocity, _, _, _, M_inv = diagnostics._chart_velocity(model, inc, field)
+        got = diagnostics._divergence(model, inc, velocity, M_inv, field)
+        want = resolved_velocity_divergence(model, Partition(n), inc, field,
+                                            diagnostics.DIV_STEP)
+        assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want).max()), (model, n)
+
+
+def test_condition_screen_keeps_the_svd_mask(monkeypatch):
+    """The Frobenius screen keeps exactly the samples with
+    np.linalg.cond(M) <= CHART_COND_LIMIT, and runs the SVD only on those
+    whose bound |M|_F |M^{-1}|_F exceeds half the limit; with the limit at
+    the median condition number both branches decide samples."""
+    inc = paths.sample_increments(HYP3, Partition(8), 400, seed=0)
+    _, _, _, M, M_inv = diagnostics._chart_velocity(HYP3, inc, field_direction(HYP3))
+    cond = np.linalg.cond(M.transpose(2, 0, 1))
+    limit = float(np.median(cond))
+    monkeypatch.setattr(diagnostics, "CHART_COND_LIMIT", limit)
+    svd_sizes, cond_fn = [], np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda A: svd_sizes.append(len(A)) or cond_fn(A))
+    keep = diagnostics._well_conditioned(M, M_inv)
+    assert np.array_equal(keep, cond <= limit)
+    assert 0 < keep.sum() < keep.size
+    assert len(svd_sizes) == 1 and 0 < svd_sizes[0] < keep.size
 
 
 def test_gradient_compare_reports():
@@ -311,8 +392,7 @@ def test_gradient_gap_pairing_matches_per_axis_differences():
     for model in (FLAT2, HYP2, CurvatureModel("hyperbolic", 3, 2.5)):
         inc = paths.sample_increments(model, part, 12, seed=6)
         points, frames = paths.roll_batch(model, inc)
-        x_field = projected_constant_field(model)
-        coords = diagnostics._endpoint_coords(model, points[:, -1], frames[:, -1], x_field)
+        coords = lift(model, part, inc, field_direction(model))[1]
         k_prof = damped.k_profile(damped.ric_scalar(model), part.knots)
         field = (k_prof / k_prof[-1])[None, :, None] * coords[:, None, :]
         want = damped_pairing_per_axis(model, part, obs, points, frames, field,
@@ -321,7 +401,7 @@ def test_gradient_gap_pairing_matches_per_axis_differences():
         for i in range(want.size):
             row = slice(i, i + 1)
             gap = diagnostics._gradient_gap(model, part, obs, want[row], points[row],
-                                            frames[row], x_field)["median_abs_gap"]
+                                            frames[row], coords[row])["median_abs_gap"]
             assert gap <= 1e-7 * abs(want[i]), (model, i)
 
 

@@ -9,8 +9,9 @@ from pinpath import geom, jacobi, measures, paths
 from pinpath.geom import CurvatureModel, NumericalError
 from pinpath.jacobi import Partition
 
-from tests.oracles import (broken_jacobi_rk4, cs_rk4, curvature_matrix, dense_tip_log_factors,
-                           det_identity_check, slopes_from_knots, vx_fd_oracle_flat)
+from tests.oracles import (batch_mass_matrix, broken_jacobi_rk4, cs_rk4, curvature_matrix,
+                           dense_tip_log_factors, det_identity_check, jacobi_from_slopes,
+                           slopes_from_knots, vx_fd_oracle_flat)
 
 FLAT2 = CurvatureModel("flat", 2)
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
@@ -31,14 +32,14 @@ def response_table(model, part, inc):
     n, d = part.n, model.dim
     C, S = jacobi.batch_cs(model, inc, part.mesh)
     slopes = np.sqrt(n) * np.eye(n * d).reshape(n, d, n, d)        # h_{alpha,i} at [i-1, alpha]
-    J = jacobi.jacobi_from_slopes(C, S, slopes)                     # (n, d, n+1, d)
+    J = jacobi_from_slopes(C, S, slopes)                            # (n, d, n+1, d)
     return np.sqrt(n) * np.moveaxis(J, 1, -1)
 
 
 def normal_jacobian(model, part, inc):
     """J_P = sqrt(det K(1)) of one path, through the suffix-pass API."""
     C, S = jacobi.batch_cs(model, inc, part.mesh)
-    K = jacobi.batch_mass_matrix(jacobi.batch_endpoint_f(C, S, part.mesh), part.mesh)
+    K = batch_mass_matrix(jacobi.batch_endpoint_f(C, S, part.mesh), part.mesh)
     return float(np.sqrt(np.linalg.det(K)))
 
 
@@ -51,6 +52,27 @@ def volume_change_Vx(model, part, inc, xi_x):
     """V_x as the estimator computes it: body Gram pass, then tip_log_factors."""
     G, head = jacobi.gram_pass(model, inc[:-1])
     return float(np.exp(jacobi.tip_log_factors(model, G, head, xi_x, part.n)[1]))
+
+
+def test_intervals_sum_squares_in_one_buffer_at_every_batch_size():
+    """Intervals accumulates |xi|^2 into one buffer with the bits of the
+    plain generator sum of squares, at batch sizes 1, 7 and 4096: its 1/|xi|
+    is the reciprocal of the root of that sum (both correctly rounded), and
+    every scalar of a sample has the same bits in every batch."""
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3):
+        model = CurvatureModel("hyperbolic", d, 1.7)
+        xi = rng.normal(size=(5, d, 4096)) * 0.4
+        xi[0, :, 0] = 0.0
+        full = jacobi.Intervals(model, xi)
+        for B in (1, 7, 4096):
+            iv = jacobi.Intervals(model, np.ascontiguousarray(xi[..., :B]))
+            plain = sum(xi[:, k, :B] * xi[:, k, :B] for k in range(d))
+            want = np.ones_like(plain)
+            np.divide(1.0, np.sqrt(plain), out=want, where=plain > 0)
+            assert np.array_equal(iv.inv, want), (d, B)
+            for name in ("inv", "sh", "chm1", "s2"):
+                assert np.array_equal(getattr(iv, name), getattr(full, name)[:, :B]), (d, B, name)
 
 
 def test_partition_basics():
@@ -201,11 +223,11 @@ def test_mass_matrix_running_definition():
     C, S = jacobi.batch_cs(HYP3, inc, part.mesh)
     f_end = jacobi.batch_endpoint_f(C, S, part.mesh)
     c = rng.normal(size=3)
-    J = jacobi.jacobi_from_slopes(C, S, np.einsum("iab,a->ib", f_end, c))
+    J = jacobi_from_slopes(C, S, np.einsum("iab,a->ib", f_end, c))
     for j in range(1, 6):
         K = sum(f[i - 1, j] @ f[i - 1, 5].T for i in range(1, j + 1)) / 5
         assert np.allclose(K @ c, J[j], atol=1e-12)
-    K1 = jacobi.batch_mass_matrix(f_end, part.mesh)
+    K1 = batch_mass_matrix(f_end, part.mesh)
     assert np.allclose(K1, sum(f[i, 5] @ f[i, 5].T for i in range(5)) / 5, atol=1e-12)
     # endpoint mass-matrix eigenvalues sit at or above one
     assert np.linalg.eigvalsh(K1).min() >= 1.0 - 1e-10
@@ -217,11 +239,11 @@ def test_jacobi_from_slopes_zero_and_flat():
     part = Partition(4)
     inc = rng.normal(size=(4, 2)) * 0.5
     C, S = jacobi.batch_cs(HYP2, inc, part.mesh)
-    assert np.allclose(jacobi.jacobi_from_slopes(C, S, np.zeros((4, 2))), 0.0)
+    assert np.allclose(jacobi_from_slopes(C, S, np.zeros((4, 2))), 0.0)
 
     C, S = jacobi.batch_cs(FLAT2, inc, part.mesh)
     slopes = np.tile([1.0, 0.0], (4, 1))
-    J = jacobi.jacobi_from_slopes(C, S, slopes)
+    J = jacobi_from_slopes(C, S, slopes)
     assert np.allclose(J[:, 0], part.knots, atol=1e-12)
     assert np.allclose(J[:, 1], 0.0)
 
@@ -232,7 +254,7 @@ def test_jacobi_from_slopes_vs_ode():
     part = Partition(2)
     inc = rng.normal(size=(2, 2)) * np.sqrt(part.mesh)
     slopes = rng.normal(size=(2, 2))
-    got = jacobi.jacobi_from_slopes(*jacobi.batch_cs(HYP2, inc, part.mesh), slopes)
+    got = jacobi_from_slopes(*jacobi.batch_cs(HYP2, inc, part.mesh), slopes)
     want = broken_jacobi_rk4(1.0, inc / part.mesh, slopes)
     assert np.allclose(got, want, atol=1e-9)
 
@@ -244,7 +266,7 @@ def test_slopes_from_knots_inverts():
     inc = rng.normal(size=(8, 3)) * np.sqrt(part.mesh)
     C, S = jacobi.batch_cs(HYP3, inc, part.mesh)
     slopes = rng.normal(size=(8, 3))
-    J = jacobi.jacobi_from_slopes(C, S, slopes)
+    J = jacobi_from_slopes(C, S, slopes)
     back = slopes_from_knots(C, S, J)
     assert np.allclose(back, slopes, atol=1e-10)
 
@@ -343,7 +365,7 @@ def test_batched_endpoint_products():
     part = Partition(5)
     inc = rng.normal(size=(7, 5, 2)) * np.sqrt(part.mesh)
     f_end = jacobi.batch_endpoint_f(*jacobi.batch_cs(HYP2, inc, part.mesh), part.mesh)
-    K = jacobi.batch_mass_matrix(f_end, part.mesh)
+    K = batch_mass_matrix(f_end, part.mesh)
     G, head = jacobi.gram_pass(HYP2, inc[:, :-1])
     logj = jacobi.tip_log_factors(HYP2, G, head, inc[:, -1], part.n)[0]
     for s in range(7):
@@ -366,7 +388,7 @@ def test_body_pass_extends_to_full_pass():
             inc = rng.normal(size=(6, n, model.dim)) * np.sqrt(part.mesh)
             G, head = jacobi.gram_pass(model, inc[:, :-1])
             C, S = jacobi.batch_cs(model, inc, part.mesh)
-            K = jacobi.batch_mass_matrix(jacobi.batch_endpoint_f(C, S, part.mesh), part.mesh)
+            K = batch_mass_matrix(jacobi.batch_endpoint_f(C, S, part.mesh), part.mesh)
             log_jp = jacobi.tip_log_factors(model, G, head, inc[:, -1], n)[0]
             assert np.allclose(log_jp, 0.5 * np.linalg.slogdet(K)[1], rtol=1e-13, atol=1e-13)
             assert np.allclose(part.mesh * jacobi.gram_pass(model, inc)[0], K,
@@ -433,8 +455,8 @@ def test_batched_factors_match_batch_of_one():
         C, S = jacobi.batch_cs(model, inc, delta)
         f_end = jacobi.batch_endpoint_f(C, S, delta)
         G, head = jacobi.gram_pass(model, inc[..., :-1, :])
-        J = jacobi.jacobi_from_slopes(C, S, slopes)
-        return [f_end, jacobi.batch_mass_matrix(f_end, delta), G, head,
+        J = jacobi_from_slopes(C, S, slopes)
+        return [f_end, batch_mass_matrix(f_end, delta), G, head,
                 jacobi.gram_pass(model, inc)[0],
                 *jacobi.tip_log_factors(model, G, head, inc[..., -1, :], part.n)[:2],
                 *jacobi.tip_log_factors(model, G, head, tip, part.n)[:2],

@@ -9,7 +9,7 @@ from pinpath import geom, jacobi, paths
 from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 
-from tests.oracles import one_call_normals
+from tests.oracles import anti_roll, jacobi_from_slopes, one_call_normals
 
 FLAT2 = CurvatureModel("flat", 2)
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
@@ -123,7 +123,7 @@ def test_roll_anti_roll_roundtrip():
     part = Partition(16)
     inc = paths.sample_increments(HYP2, part, 1000, seed=5)
     pts, _ = paths.roll_batch(HYP2, inc)
-    back = paths.anti_roll(HYP2, pts)
+    back = anti_roll(HYP2, pts)
     assert np.max(np.abs(back - inc)) < 1e-9
 
 
@@ -208,7 +208,7 @@ def test_frame_field_matches_response_matrix():
         for i in range(1, 7):
             slopes = np.zeros((6, 2))           # h_{alpha,i}: sqrt(n) e_alpha on interval i
             slopes[i - 1, alpha] = np.sqrt(6)
-            J = jacobi.jacobi_from_slopes(C, S, slopes)
+            J = jacobi_from_slopes(C, S, slopes)
             for j in range(7):
                 f_ij = (jacobi.batch_endpoint_f(C[:j], S[:j], part.mesh)[i - 1]
                         if j >= i else np.zeros((2, 2)))

@@ -16,7 +16,8 @@ from pinpath import diagnostics, geom, jacobi, paths  # noqa: E402
 from pinpath.geom import CurvatureModel  # noqa: E402
 from pinpath.jacobi import Partition  # noqa: E402
 
-from tests.oracles import frame_vector, slopes_from_knots, transport  # noqa: E402
+from tests.oracles import (anti_roll, batch_mass_matrix, frame_vector,  # noqa: E402
+                           jacobi_from_slopes, slopes_from_knots, transport)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -67,7 +68,7 @@ def test_roll_anti_roll_round_trip(kind, d, kappa, n, seed, scale):
     rng = np.random.default_rng(seed)
     inc = scale * rng.normal(size=(3, n, d)) / np.sqrt(n * kappa)
     pts, frames = paths.roll_batch(model, inc)
-    back = paths.anti_roll(model, pts)
+    back = anti_roll(model, pts)
     assert np.allclose(back, inc, rtol=0.0, atol=1e-8)
     assert geom.frame_defect(model, pts[:, -1], frames[:, -1]) < geom.CONSTRAINT_DRIFT_TOL
 
@@ -89,13 +90,13 @@ def test_gram_pass_matches_suffix_products(kind, d, kappa, n, seed, scale):
     G, head = jacobi.gram_pass(model, inc)
     C, S = jacobi.batch_cs(model, inc, delta)
     f_end = jacobi.batch_endpoint_f(C, S, delta)
-    want_G = jacobi.batch_mass_matrix(f_end, delta) / delta
+    want_G = batch_mass_matrix(f_end, delta) / delta
     want_head = np.einsum("...iab,...icb->...ac", f_end[:, :-1], f_end[:, :-1])
     tol = 1e-12 * max(1.0, float(np.max(np.abs(want_G))))
     assert np.allclose(G, want_G, rtol=0.0, atol=tol)
     assert np.allclose(head, want_head, rtol=0.0, atol=tol)
     slopes = np.sqrt(n) * np.eye(n * d).reshape(n, d, n, d)        # h_{alpha,i} at [i-1, alpha]
-    J = jacobi.jacobi_from_slopes(C[:, None, None], S[:, None, None], slopes)
+    J = jacobi_from_slopes(C[:, None, None], S[:, None, None], slopes)
     got = np.sqrt(n) * np.swapaxes(J[..., -1, :], -1, -2)           # (4, n, d, d)
     assert np.allclose(got, f_end, rtol=0.0,
                        atol=1e-12 * max(1.0, float(np.max(np.abs(f_end)))))
@@ -214,7 +215,9 @@ def test_chart_slopes_match_slopes_of_central_differences(kind, d, kappa, n, see
     intervals j < i; every knot stays within sqrt(kappa)-distance
     `length` < 6 of o."""
     model, inc = path_of_length(kind, d, kappa, n, seed, length)
-    got = paths.chart_slopes(model, inc)
+    iv = jacobi.Intervals(model, np.ascontiguousarray(inc.transpose(1, 2, 0)))
+    got = paths.chart_slopes(model, iv, np.eye(n * d).reshape(n, d, n * d, 1))
+    got = np.moveaxis(got.reshape(n, d, n, d, 3), -1, 0)
     knots = central_difference_knots(model, inc, 1e-5 / np.sqrt(model.kappa or 1.0))
     C, S = jacobi.batch_cs(model, inc, 1.0 / n)
     columns = np.moveaxis(knots.reshape(3, n + 1, d, n * d), -1, 1)   # (3, nd, n+1, d)
@@ -233,9 +236,8 @@ def test_chart_matrix_closed_form_blocks(kind, d, kappa, n, seed, length):
     """The chart matrix M is block lower triangular: its diagonal blocks are
     n I, its blocks above the diagonal exactly 0, and flat M is n I."""
     model, inc = path_of_length(kind, d, kappa, n, seed, length)
-    part = Partition(n)
-    M = diagnostics._chart_velocity(model, part, inc,
-                                    diagnostics.projected_constant_field(model))[2]
+    M = diagnostics._chart_velocity(model, inc, diagnostics.field_direction(model))[3]
+    M = M.transpose(2, 0, 1)
     blocks = M.reshape(3, n, d, n, d)
     for i in range(n):
         assert np.allclose(blocks[:, i, :, i, :], n * np.eye(d), rtol=0.0, atol=1e-12)
