@@ -155,7 +155,7 @@ OPTIONS = {
     "stat": (click.Choice(STATISTICS), str, "convergence statistic"),
     "N": (int, int, "sample count"),
     "samples": (int, int, "sample paths per partition"),
-    "paths": (int, int, "random paths per model"),
+    "paths": (int, int, "random paths in all, split evenly over the models"),
     "seed": (int, int, "sampler seed"),
     "workers": (int, int, "worker processes"),
     "out": (str, str, "output directory"),

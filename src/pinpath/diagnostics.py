@@ -1,10 +1,11 @@
 """Lifts, convergence-rate reports, and integration-by-parts checks.
 
-Everything here consumes batches of increments and their rolled knots
-(paths.py) together with their interval response matrices (jacobi.py) and
-compares discrete objects against the damped closed forms (damped.py).  All
-report objects are CSV-serializable and carry explicit pass/fail gates so the
-CLI can turn them into exit codes.
+Everything here consumes batches of increments, with their interval
+solutions as the scalars and actions of jacobi.Intervals and, where an
+observable reads them, their rolled knots (paths.py), and compares discrete
+objects against the damped closed forms (damped.py).  All report objects are
+CSV-serializable and carry explicit pass/fail gates so the CLI can turn them
+into exit codes.
 """
 
 from dataclasses import dataclass, field
@@ -60,8 +61,7 @@ def _lift(model, iv, x_vector):
     g^{-1} X: X pulled back through B(-xi_1), ..., B(-xi_n) as a vector
     (paths.boost_rows).  C_i and S_i are symmetric, so
     k_i = f_i(1)^T c = (S_i / delta) C_{i+1} ... C_n c comes from one
-    backward pass y <- C_i y, with C y = y + (cosh a - 1)(y - <e, y> e) and
-    (S / delta) y = sinhc a y + (1 - sinhc a) <e, y> e (e the unit increment).
+    backward pass y <- C_i y (Intervals.cosine, Intervals.sine).
     """
     n, d, B = iv.xi.shape
     G = np.zeros((d, d, B))
@@ -73,10 +73,8 @@ def _lift(model, iv, x_vector):
     coeff = n * np.linalg.solve(G.transpose(2, 0, 1), coords.T[..., None])[..., 0].T
     slopes, y = np.empty((n, d, B)), coeff
     for j in range(n - 1, -1, -1):
-        e, sc = iv.unit(j), np.sqrt(iv.s2[j])
-        along = np.sum(e * y, axis=0) * e
-        slopes[j] = sc * y + (1.0 - sc) * along
-        y = y + iv.chm1[j] * (y - along)
+        slopes[j] = iv.sine(j, y)
+        y = iv.cosine(j, y)
     return slopes, coords, coeff
 
 
@@ -222,16 +220,14 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
         per_stat = {name: [] for name in statistics}
         for lo in range(0, samples, block):
             b_inc = inc[lo:lo + block]
-            slopes, b_coords, coeff = _lift(model, _intervals(model, b_inc), x_vector)
-            b_coords, coeff = b_coords.T, coeff.T
+            iv = _intervals(model, b_inc)
+            slopes, b_coords, coeff = _lift(model, iv, x_vector)
             found = {}
             if set(statistics) - {"adjoint"}:
-                C, S = jacobi.batch_cs(model, b_inc, part.mesh)
-                found = _knot_sups(C, S, jacobi.batch_endpoint_f(C, S, part.mesh), coeff,
-                                   b_coords, ratio, k_cmp, k_prof / k_prof[-1])
+                found = _knot_sups(iv, coeff, b_coords, ratio, k_cmp, k_prof / k_prof[-1])
             discrete = np.einsum("idn,nid->n", slopes, b_inc)
             weights = (b_inc * t_prof[:-1, None]).sum(axis=1)
-            limit = ctil * np.einsum("nd,nd->n", b_coords, weights)
+            limit = ctil * np.einsum("dn,nd->n", b_coords, weights)
             found["adjoint"] = np.abs(discrete - limit)
             for name in statistics:
                 per_stat[name].append(found[name])
@@ -243,32 +239,36 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
             for name in statistics}
 
 
-def _knot_sups(C, S, f_end, coeff, coords, ratio, k_cmp, j_prof):
-    """Per-path sups over the knots s_j of the f, K and J discrepancies.
+def _knot_sups(iv, coeff, coords, ratio, k_cmp, j_prof):
+    """Per-path sups over the knots s_j of the f, K and J discrepancies of the
+    paths with Intervals iv, lift coefficients c and endpoint coordinates
+    coords (d, B), samples last.
 
-    One forward pass carries the stack [f_1(s_j) ... f_j(s_j)] as a (d, j d)
-    block, so f <- C_j f is one product per knot and f_j(s_j) = S_j / delta
-    is the new column block; K(s_j) = delta sum_{i<=j} f_i(s_j) f_i(1)^T is
-    that block times the one of f_end (f_i(1), from the suffix pass), and
-    the lift's knot value is J(s_j) = K(s_j) c for its coefficients c.
+    One forward pass carries the stack f_i(s_j), i <= j, as (d, j, d, B):
+    f <- C_j f (Intervals.cosine), the new block f_j(s_j) = S_j / delta is
+    Intervals.sine of I, and G_j = sum_{i<=j} f_i(s_j) f_i(s_j)^T comes from
+    jacobi.gram_step.  Since f_i(1) = C_n ... C_{j+1} f_i(s_j) and each C is
+    symmetric, K(s_j) = delta sum_{i<=j} f_i(s_j) f_i(1)^T = delta G_j
+    C_{j+1} ... C_n and the lift's knot value is J(s_j) = K(s_j) c, so one
+    backward cosine pass over the stack [c | I] gives every suffix.
     """
-    B, n, d = f_end.shape[:3]
-    delta = 1.0 / n
-    stack = np.zeros((B, d, n * d))
-    ends = np.swapaxes(f_end, 1, 2).reshape(B, d, n * d)
+    n, d, B = iv.xi.shape
     eye = np.eye(d)
+    tail = np.empty((n, d, d + 1, B))           # tail[j - 1] = C_{j+1} ... C_n [c | I]
+    tail[-1, :, 0], tail[-1, :, 1:] = coeff, eye[..., None]
+    for j in range(n - 1, 0, -1):
+        tail[j - 1] = iv.cosine(j, tail[j])
+    stack, G = np.empty((d, n, d, B)), np.zeros((d, d, B))
     sups = {name: np.zeros(B) for name in ("f", "K", "J")}
-    for j in range(1, n + 1):
-        old, new = slice(0, (j - 1) * d), slice((j - 1) * d, j * d)
-        stack[:, :, old] = C[:, j - 1] @ stack[:, :, old]
-        stack[:, :, new] = S[:, j - 1] / delta
-        f_j = stack[:, :, :j * d].reshape(B, d, j, d)
-        f_gap = f_j - ratio[1:j + 1, j, None] * eye[:, None, :]
-        K = delta * (stack[:, :, :j * d] @ np.swapaxes(ends[:, :, :j * d], 1, 2))
-        lift_J = np.einsum("nab,nb->na", K, coeff)
-        gaps = {"f": np.linalg.norm(f_gap, axis=(1, 3)).max(axis=1),
-                "K": np.linalg.norm(K - k_cmp[j] * eye, axis=(-2, -1)),
-                "J": np.linalg.norm(lift_J - j_prof[j] * coords, axis=-1)}
+    for j in range(n):                          # knot s_{j+1}
+        stack[:, :j] = iv.cosine(j, stack[:, :j])
+        stack[:, j] = iv.sine(j, eye[..., None])
+        jacobi.gram_step(G, iv, j)
+        JK = np.einsum("abB,bcB->acB", G, tail[j]) / n         # [J(s_{j+1}) | K(s_{j+1})]
+        f_gap = stack[:, :j + 1] - ratio[1:j + 2, j + 1, None, None] * eye[:, None, :, None]
+        gaps = {"f": np.linalg.norm(f_gap, axis=(0, 2)).max(axis=0),
+                "K": np.linalg.norm(JK[:, 1:] - k_cmp[j + 1] * eye[..., None], axis=(0, 1)),
+                "J": np.linalg.norm(JK[:, 0] - j_prof[j + 1] * coords, axis=0)}
         for name, gap in gaps.items():
             np.maximum(sups[name], gap, out=sups[name])
     return sups
@@ -565,8 +565,10 @@ def property_sweep(model_list, n_paths, n=64, seed=0):
     and |C - I| below their envelopes), and the endpoint volume factor below
     its combinatorial envelope.  Returns a PropertyReport counting violations
     (tolerances: 1e-10 on eigenvalues, 1e-12 on determinants), with the
-    seconds of each of PROPS_STAGES: the draw, the interval solutions
-    (batch_cs), the Gram pass with the tip factors, and the margins.
+    seconds of each of PROPS_STAGES: the draw, the interval solutions (one
+    jacobi.Intervals of the whole path), the Gram pass with the tip factors,
+    and the margins.  K(1) = h G_n, one gram_step past the body's G, and
+    det(S_i / h) = sinhc^(d-1) a, so log rho_P is (d-1)/2 sum_{i<n} log s2_i.
     """
     tolerance = {"mass_eig": 1e-10, "normal_jacobian": 1e-12, "slope_det": 1e-12,
                  "response_bound": 1e-10, "volume_bound": 1e-8}
@@ -581,20 +583,19 @@ def property_sweep(model_list, n_paths, n=64, seed=0):
         inc = paths.sample_increments(model, part, per_model, seed + 101 * m_idx)
         big_n = model.curvature_bound
         clock.lap("draw")
-        C, S = jacobi.batch_cs(model, inc, h)
+        iv = _intervals(model, inc)
         clock.lap("intervals")
         # the estimator's route: Gram pass over the body, the last increment as tip
         G, head = jacobi.gram_pass(model, inc[:, :-1])
         log_jp, log_vx, _ = jacobi.tip_log_factors(model, G, head, inc[:, -1], n)
         clock.lap("gram_and_tip")
-        # K(1) = h (C_n G C_n^T + (S_n/h)(S_n/h)^T), one Gram step past the body
-        C_n, S_n = C[:, -1], S[:, -1] / h
-        K = h * (C_n @ G @ np.swapaxes(C_n, -1, -2) + S_n @ np.swapaxes(S_n, -1, -2))
+        G = np.moveaxis(G, (-2, -1), (0, 1))               # gram_pass's samples-last buffer
+        jacobi.gram_step(G, iv, n - 1)
         margins = {
-            "mass_eig": np.linalg.eigvalsh(K).min(axis=-1) - 1.0,
+            "mass_eig": np.linalg.eigvalsh(h * G.transpose(2, 0, 1)).min(axis=-1) - 1.0,
             "normal_jacobian": np.exp(log_jp) - 1.0,
-            "slope_det": np.exp(jacobi.log_rho_P(S, h)) - 1.0,
-            "response_bound": _response_bound_margin(inc, C, S, h, big_n),
+            "slope_det": np.exp(0.5 * (model.dim - 1) * np.log(iv.s2[:-1]).sum(axis=0)) - 1.0,
+            "response_bound": _response_bound_margin(inc, iv, h, big_n),
             "volume_bound": _volume_bound_margin(log_vx, inc, big_n),
         }
         for c, margin in margins.items():
@@ -604,20 +605,22 @@ def property_sweep(model_list, n_paths, n=64, seed=0):
     return PropertyReport(per_model * len(model_list), violations, worst, clock.seconds)
 
 
-def _response_bound_margin(inc, C, S, h, big_n):
+def _response_bound_margin(inc, iv, h, big_n):
     """Per path, the smallest slack in the interval response envelopes.
 
-    inc (N, n, d); C, S (N, n, d, d) from batch_cs at step h, symmetric, so
-    the spectral norms of C, C - I and S - hI are the largest |eigenvalue| of
-    C, minus 0 and 1, and of S minus h: one eigvalsh of each.
+    inc (N, n, d) at step h, with Intervals iv.  C = I + (cosh a - 1) Q and
+    S / h = I + (sinhc a - 1) Q, Q the projector orthogonal to the
+    increment, so |C| = cosh a, |C - I| = cosh a - 1 and
+    |S - hI| = h (sinhc a - 1); at d = 1, Q = 0 and C = S / h = I.
     """
     speed = np.linalg.norm(inc / h, axis=-1)                  # (N, n)
-    lam_c, lam_s = np.linalg.eigvalsh(C), np.linalg.eigvalsh(S)
+    rank = float(inc.shape[-1] > 1)                           # of Q
+    chm1, sc = rank * iv.chm1.T, np.sqrt(iv.s2).T
     grow = np.exp(big_n * speed ** 2 * h ** 2 / 2.0)
     margin = np.minimum.reduce([
-        np.cosh(np.sqrt(big_n) * speed * h) - np.abs(lam_c).max(axis=-1),
-        big_n * speed ** 2 * h ** 3 / 6.0 * grow - np.abs(lam_s - h).max(axis=-1),
-        big_n * speed ** 2 * h ** 2 / 2.0 * grow - np.abs(lam_c - 1.0).max(axis=-1),
+        np.cosh(np.sqrt(big_n) * speed * h) - (1.0 + chm1),
+        big_n * speed ** 2 * h ** 3 / 6.0 * grow - rank * h * (sc - 1.0),
+        big_n * speed ** 2 * h ** 2 / 2.0 * grow - chm1,
     ])
     return margin.min(axis=-1)
 

@@ -2,11 +2,12 @@
 
 Each interval of an equally spaced partition carries a constant frame velocity
 xi_i; the second-order matrix system Y'' = A_i Y (A_i the curvature quadratic
-of xi_i) has cosine/sine-type solutions C_i, S_i, in closed form (batch_cs).
-The family is stored as these (C_i, S_i) alone; the convergence audit reads
-the suffix products f_i(1) = C_n ... C_{i+1} S_i / delta (batch_endpoint_f),
-the pinned weight and the lift only their Gram sums.  Every function takes
-leading sample axes (one path is a batch of one).
+of xi_i) has cosine/sine-type solutions C_i = I + (cosh a - 1) Q and
+S_i / delta = I + (sinhc a - 1) Q in closed form (a = sqrt(kappa)|xi_i|, Q
+the projector orthogonal to xi_i).  The family is stored as (C_i, S_i) alone:
+the scalars of Intervals, applied as C_i y and (S_i / delta) y by its cosine
+and sine, so no dense C_i or S_i is formed.  The pinned weight and the lift
+read Gram sums, the convergence audit the fields f_i(s_j).
 
 The scalar factors of the pinned estimator come from one forward Gram pass
 over the body (gram_step, run by gram_pass or by the estimator's own body
@@ -27,8 +28,7 @@ the tip.
 
 Every determinant here is of a symmetric positive definite (SPD) matrix: G
 and head are Gram sums, positive semidefinite, and T = r^2 Q + P has
-eigenvalues r^2 > 0 and 1, so G + T and I + head + T are SPD; each S_i / delta
-= sinhc a Q + P of log rho_P has eigenvalues sinhc a >= 1 and 1.  Their
+eigenvalues r^2 > 0 and 1, so G + T and I + head + T are SPD.  Their
 log-dets come from one kernel (_positive_logdet), the sum of the logs of the
 Cholesky pivots, run samples last on (d, d, ...) arrays.
 """
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geom
 from .geom import CurvatureModel, NumericalError
 
 COND_LIMIT = 1e12   # refuse or count beyond this condition number
@@ -73,7 +72,7 @@ class Partition:
 
 
 # ---------------------------------------------------------------------------
-# One-interval cosine/sine solutions of Y'' = A_xi Y (leading sample axes)
+# One-interval cosine/sine solutions of Y'' = A_xi Y: scalars and actions
 # ---------------------------------------------------------------------------
 
 def _polar(model: CurvatureModel, xi):
@@ -85,55 +84,17 @@ def _polar(model: CurvatureModel, xi):
     return np.sqrt(model.kappa) * nrm, unit
 
 
-def batch_cs(model: CurvatureModel, increments, delta: float):
-    """(C_i(delta), S_i(delta)) for increments (..., d), e.g. (..., n, d).
-
-    An interval covers its increment xi in time delta.  With a = sqrt(kappa)|xi|
-    and P the projector onto xi,  C = cosh a I + (1 - cosh a) P  and
-    S / delta = sinhc a I + (1 - sinhc a) P; flat space (or xi = 0) gives
-    C = I, S = delta I exactly.
-    """
-    a, unit = _polar(model, increments)
-    ch, sc = np.cosh(a), geom.sinhc(a)
-    eye = np.eye(model.dim)
-    proj = unit[..., :, None] * unit[..., None, :]
-    C = ch[..., None, None] * eye + (1.0 - ch)[..., None, None] * proj
-    S = delta * (sc[..., None, None] * eye + (1.0 - sc)[..., None, None] * proj)
-    return C, S
-
-
-# ---------------------------------------------------------------------------
-# The suffix pass, the forward Gram pass and the scalar factors of the family
-# ---------------------------------------------------------------------------
-
-def batch_endpoint_f(C, S, delta: float) -> np.ndarray:
-    """f_i evaluated at the right end of the covered span, i = 1..m.
-
-    C, S (..., m, d, d) from batch_cs; returns (..., m, d, d) where entry i-1
-    is C_m ... C_{i+1} S_i / delta (suffix products).  The pinned estimator
-    and the lift need only Gram sums of these (gram_step); the convergence
-    audit's knot sups need each f_i.
-    """
-    m, d = C.shape[-3], C.shape[-1]
-    out = np.empty_like(C)
-    suffix = np.broadcast_to(np.eye(d), C.shape[:-3] + (d, d)).copy()
-    for a in range(m - 1, -1, -1):
-        out[..., a, :, :] = suffix @ (S[..., a, :, :] / delta)
-        suffix = suffix @ C[..., a, :, :]
-    return out
-
-
 class Intervals:
     """Scalars of the intervals of increments xi (m, d, ...), samples last,
-    computed once over the whole span and read by both recursions over it:
-    the Gram step (gram_step) and the point boost B(+-xi_j)
-    (paths.boost_rows).  With a = sqrt(kappa)|xi| (0 in flat space), each
-    (m, ...): inv = 1/|xi| (1 at xi = 0), so that the unit increment is
-    xi_j inv_j (unit); sh = sinh a; chm1 = cosh a - 1; and s2 = sinhc^2 a.
-    All three come from one expm1, E = e^a - 1: sinh a = E (E + 2) / 2(E + 1)
-    and cosh a - 1 = E^2 / 2(E + 1), neither of which cancels at small a.
-    flat records whether the model is flat, where every C_j and S_j / delta
-    is I.
+    computed once over the whole span and read by every recursion over it:
+    the Gram step (gram_step), the point boost B(+-xi_j) (paths.boost_rows)
+    and the actions C_j y (cosine) and (S_j / delta) y (sine).  With
+    a = sqrt(kappa)|xi| (0 in flat space), each (m, ...): inv = 1/|xi| (1 at
+    xi = 0), so that the unit increment is xi_j inv_j (unit); sh = sinh a;
+    chm1 = cosh a - 1; and s2 = sinhc^2 a.  All three come from one expm1,
+    E = e^a - 1: sinh a = E (E + 2) / 2(E + 1) and cosh a - 1 = E^2 / 2(E + 1),
+    neither of which cancels at small a.  flat records whether the model is
+    flat, where every C_j and S_j / delta is I.
     """
 
     def __init__(self, model: CurvatureModel, xi):
@@ -162,10 +123,26 @@ class Intervals:
         np.divide(self.sh, a, out=self.s2, where=a > 0)
         self.s2 *= self.s2
 
-    def unit(self, j: int):
-        """The unit increments (d, ...) of interval j (zero where xi_j = 0)."""
-        return self.xi[j] * self.inv[j]
+    def unit(self, j: int, like=None):
+        """The unit increments (d, ...) of interval j (zero where xi_j = 0),
+        shaped to broadcast against a stack like (d, ..., B) when given."""
+        e = self.xi[j] * self.inv[j]
+        return e if like is None else e[(slice(None),) + (None,) * (like.ndim - e.ndim)]
 
+    def cosine(self, j: int, y):
+        """C_j y = y + (cosh a - 1)(y - <e, y> e), e = unit(j), y (d, ..., B)."""
+        e = self.unit(j, y)
+        return y + self.chm1[j] * (y - np.sum(e * y, axis=0) * e)
+
+    def sine(self, j: int, y):
+        """(S_j / delta) y = sinhc a y + (1 - sinhc a) <e, y> e, y (d, ..., B)."""
+        e, sc = self.unit(j, y), np.sqrt(self.s2[j])
+        return sc * y + (1.0 - sc) * (np.sum(e * y, axis=0) * e)
+
+
+# ---------------------------------------------------------------------------
+# The forward Gram pass and the scalar factors of the family
+# ---------------------------------------------------------------------------
 
 def gram_pass(model: CurvatureModel, increments):
     """Gram sums G = sum_{i<=m} f_i f_i^T at the end of increments (..., m, d).
@@ -252,17 +229,6 @@ def _positive_logdet(A, what: str) -> np.ndarray:
         col = W[1:, 0]
         W = W[1:, 1:] - (col / pivot)[:, None] * col
     return logdet
-
-
-def log_rho_P(S, delta: float) -> np.ndarray:
-    """log rho_P: sum over the first n-1 of the intervals in S of log det(S_i / delta).
-
-    S (..., n, d, d) as from batch_cs; the last interval is not counted.
-    Each S_i / delta = sinhc a Q + P is SPD with eigenvalues sinhc a >= 1 and
-    1, so rho_P >= 1.
-    """
-    body = np.moveaxis(S[..., :-1, :, :], (-2, -1), (0, 1)) / delta
-    return np.sum(_positive_logdet(body, "sine-type solution"), axis=-1)
 
 
 def tip_log_factors(model: CurvatureModel, G, head, tip, n: int):

@@ -136,7 +136,7 @@ def chart_slopes(model: CurvatureModel, iv: Intervals, v):
     antisymmetric omega = nabla J; its slope on interval j is n omega xi_j.
     With p the unit increment, a = sqrt(kappa)|xi|, c = cosh a - 1,
     s = sinh a and R(u, v) = u v^T - v u^T, the field of v_i leaves interval
-    i with tau = sqrt(kappa) (<p, v_i> p + sinhc a (v_i - <p, v_i> p)) and
+    i with tau = sqrt(kappa) (S_i / delta) v_i (Intervals.sine) and
     omega = -sqrt(kappa) (cosh a - 1) / a R(p, v_i), and boost j carries it
     on: w = omega p, u = c w + s tau, tau += c (tau - <p, tau> p) + s w,
     omega += R(u, p).  The recursion is linear, so one state (tau, omega)
@@ -145,19 +145,17 @@ def chart_slopes(model: CurvatureModel, iv: Intervals, v):
     """
     n, d = iv.xi.shape[:2]
     shape = np.broadcast_shapes(v.shape[2:], iv.xi.shape[2:])
-    ex = (slice(None),) + (None,) * (len(shape) - 1)     # p (d, B) against (d, ..., B)
     root = np.sqrt(model.kappa)
     out = np.empty((n, d) + shape)
     tau, om = np.zeros((d,) + shape), np.zeros((d, d) + shape)
     for j in range(n):
-        p, c, s, vj = iv.unit(j)[ex], iv.chm1[j], iv.sh[j], v[j]
+        p, c, s, vj = iv.unit(j, tau), iv.chm1[j], iv.sh[j], v[j]
         w = np.sum(om * p, axis=1)
         np.add(w * (n / iv.inv[j]), n * vj, out=out[j])             # n |xi_j| omega p + n v_j
         u = c * w + s * tau
         tau += c * (tau - p * np.sum(p * tau, axis=0)) + s * w
         om += u[:, None] * p - p[:, None] * u
-        along = np.sum(p * vj, axis=0)
-        tau += root * (along * p + np.sqrt(iv.s2[j]) * (vj - along * p))
+        tau += root * iv.sine(j, vj)
         om += (-c * iv.inv[j]) * (p[:, None] * vj - vj[:, None] * p)
     return out
 

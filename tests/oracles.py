@@ -5,6 +5,10 @@ closed-form densities, without importing the production solvers, so that
 agreement between the two is meaningful:
 
 - RK4 integrators of the geodesic, transport and Jacobi equations;
+- the dense interval solutions C_i, S_i (``batch_cs``), their suffix
+  products f_i(1) (``batch_endpoint_f``) and the log slope determinant
+  log rho_P (``log_rho_P``): the reference for the package's one form of
+  them, the actions of ``jacobi.Intervals``;
 - the per-vector closed form of parallel transport (``transport``), the
   curvature quadratic A_xi as a matrix (``curvature_matrix``) and the ambient
   vector of given frame coordinates (``frame_vector``);
@@ -123,6 +127,54 @@ def cs_rk4(kappa, xi, h, steps=2000):
     return Z[:d, :d], Z[:d, d:], Z[d:, :d], Z[d:, d:]
 
 
+def batch_cs(model, increments, delta):
+    """(C_i(delta), S_i(delta)) (..., d, d) for increments (..., d), e.g.
+    (..., n, d).
+
+    An interval covers its increment xi in time delta.  With a = sqrt(kappa)|xi|
+    and P the projector onto xi,  C = cosh a I + (1 - cosh a) P  and
+    S / delta = sinhc a I + (1 - sinhc a) P; flat space (or xi = 0) gives
+    C = I, S = delta I exactly.
+    """
+    xi = np.asarray(increments, dtype=float)
+    nrm = np.sqrt(np.sum(xi * xi, axis=-1))
+    unit = xi / np.where(nrm > 0, nrm, 1.0)[..., None]
+    a = np.sqrt(model.kappa) * nrm
+    ch, sc = np.cosh(a), geom.sinhc(a)
+    eye = np.eye(model.dim)
+    proj = unit[..., :, None] * unit[..., None, :]
+    C = ch[..., None, None] * eye + (1.0 - ch)[..., None, None] * proj
+    S = delta * (sc[..., None, None] * eye + (1.0 - sc)[..., None, None] * proj)
+    return C, S
+
+
+def batch_endpoint_f(C, S, delta):
+    """f_i evaluated at the right end of the covered span, i = 1..m.
+
+    C, S (..., m, d, d) from batch_cs; returns (..., m, d, d) where entry i-1
+    is C_m ... C_{i+1} S_i / delta (suffix products).
+    """
+    m, d = C.shape[-3], C.shape[-1]
+    out = np.empty_like(C)
+    suffix = np.broadcast_to(np.eye(d), C.shape[:-3] + (d, d)).copy()
+    for a in range(m - 1, -1, -1):
+        out[..., a, :, :] = suffix @ (S[..., a, :, :] / delta)
+        suffix = suffix @ C[..., a, :, :]
+    return out
+
+
+def log_rho_P(S, delta):
+    """log rho_P: sum over the first n-1 of the intervals in S of log det(S_i / delta).
+
+    S (..., n, d, d) as from batch_cs; the last interval is not counted.
+    Each S_i / delta is SPD with eigenvalues sinhc a >= 1 and 1, so
+    rho_P >= 1; the determinants come from jacobi._positive_logdet, which
+    raises NumericalError on a non-finite entry.
+    """
+    body = np.moveaxis(S[..., :-1, :, :], (-2, -1), (0, 1)) / delta
+    return np.sum(jacobi._positive_logdet(body, "sine-type solution"), axis=-1)
+
+
 def dense_tip_log_factors(G, head, Cx, Sx, n):
     """(log J_P, log V_x) of paths on n intervals with dense tip matrices.
 
@@ -228,7 +280,7 @@ def broken_jacobi_rk4(kappa, velocities, slopes, steps_per_interval=400):
 def jacobi_from_slopes(C, S, slopes):
     """Knot values (..., n+1, d) of the field with right-slopes k_i at the knots.
 
-    C, S (..., n, d, d) in the jacobi.batch_cs layout, slopes (..., n, d);
+    C, S (..., n, d, d) in the batch_cs layout, slopes (..., n, d);
     identical to (1/n) sum_i f_{i+1}(s_j) k_i, by the interval recursion
     J(s_j) = C_j J(s_{j-1}) + S_j k_{j-1} from J(0) = 0.  C, S may broadcast
     against more leading axes (many fields along one path).
@@ -252,9 +304,9 @@ def _matvec(A, v):
 
 def slopes_from_knots(C, S, knot_values):
     """Right-slopes (..., n, d) of the broken Jacobi field with knot values
-    (..., n+1, d), the inverse of jacobi.jacobi_from_slopes:
+    (..., n+1, d), the inverse of jacobi_from_slopes:
     k_{j-1} = S_j^{-1} (J(s_j) - C_j J(s_{j-1})) with a dense inverse of each
-    S_j.  C, S (..., n, d, d) from jacobi.batch_cs may broadcast against more
+    S_j.  C, S (..., n, d, d) from batch_cs may broadcast against more
     leading axes (many fields along one path)."""
     knot_values = np.asarray(knot_values, dtype=float)
     rhs = knot_values[..., 1:, :] - np.einsum("...ab,...b->...a", C, knot_values[..., :-1, :])
@@ -474,9 +526,9 @@ def batch_mass_matrix(f_end, delta):
 def suffix_lift(model, part, inc, coords):
     """Slopes (N, n, d) of the lift along increments inc (N, n, d) that ends
     at the endpoint coordinates coords (N, d): f_i(1)^T K(1)^{-1} coords,
-    with the suffix products f_i(1) (jacobi.batch_endpoint_f) and a dense
+    with the suffix products f_i(1) (batch_endpoint_f) and a dense
     solve of K(1)."""
-    f_end = jacobi.batch_endpoint_f(*jacobi.batch_cs(model, inc, part.mesh), part.mesh)
+    f_end = batch_endpoint_f(*batch_cs(model, inc, part.mesh), part.mesh)
     coeff = np.linalg.solve(batch_mass_matrix(f_end, part.mesh), coords[..., None])[..., 0]
     return np.einsum("...iab,...a->...ib", f_end, coeff)
 
@@ -536,7 +588,7 @@ def resolved_velocity_divergence(model, part, inc, x_vector, step):
 
 def endpoint_map_matrix(f_end):
     """(d, n*d) matrix sending stacked slopes to the endpoint value / n;
-    f_end (n, d, d) holds f_i(1) (jacobi.batch_endpoint_f)."""
+    f_end (n, d, d) holds f_i(1) (batch_endpoint_f)."""
     n, d = f_end.shape[0], f_end.shape[-1]
     return np.transpose(f_end, (1, 0, 2)).reshape(d, n * d) / n
 

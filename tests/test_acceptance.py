@@ -15,8 +15,9 @@ from pinpath import cli, diagnostics, geom, jacobi, measures, paths
 from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 
-from tests.oracles import (anti_roll, cs_rk4, det_identity_check, jacobi_from_slopes,
-                           lift_competitor_deficit, lift_orthogonality, pinned_fdd_oracle)
+from tests.oracles import (anti_roll, batch_cs, batch_endpoint_f, cs_rk4, det_identity_check,
+                           jacobi_from_slopes, lift_competitor_deficit, lift_orthogonality,
+                           pinned_fdd_oracle)
 
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
 HYP3 = CurvatureModel("hyperbolic", 3, 1.0)
@@ -87,7 +88,8 @@ def test_criterion_03_midpoint_observable():
 
 
 def test_criterion_04_interval_solver_cross_check():
-    """Closed interval solutions vs 1000-substep RK4 on 100 random draws."""
+    """The shipped interval actions on I, C = cosine(I) and S = h sine(I),
+    vs 1000-substep RK4 on 100 random draws."""
     rng = np.random.default_rng(107)
     worst = 0.0
     for _ in range(100):
@@ -96,7 +98,9 @@ def test_criterion_04_interval_solver_cross_check():
         model = CurvatureModel("hyperbolic", d, kappa)
         xi = rng.normal(size=d)
         h = float(rng.uniform(0.05, 1.0))
-        Cc, Sc = jacobi.batch_cs(model, h * xi, h)
+        iv = jacobi.Intervals(model, h * xi[None, :, None])
+        eye = np.eye(d)[..., None]
+        Cc, Sc = iv.cosine(0, eye)[..., 0], h * iv.sine(0, eye)[..., 0]
         Cr, Sr, _, _ = cs_rk4(kappa, xi, h, steps=1000)
         worst = max(worst, float(np.max(np.abs(Cc - Cr))),
                     float(np.max(np.abs(Sc - Sr))))
@@ -146,8 +150,8 @@ def test_criterion_08_lift_identities():
     part = Partition(8)
     inc = paths.sample_increments(HYP2, part, 1000, seed=0)
     field = diagnostics.field_direction(HYP2)
-    C, S = jacobi.batch_cs(HYP2, inc, part.mesh)
-    f_end = jacobi.batch_endpoint_f(C, S, part.mesh)
+    C, S = batch_cs(HYP2, inc, part.mesh)
+    f_end = batch_endpoint_f(C, S, part.mesh)
     slopes, coords = diagnostics._lift(HYP2, diagnostics._intervals(HYP2, inc), field)[:2]
     slopes, coords = slopes.transpose(2, 0, 1), coords.T
     knots = jacobi_from_slopes(C, S, slopes)

@@ -249,6 +249,27 @@ def test_props_manifest_records_every_audited_model(tmp_path):
     assert config["model"] == ["hyperbolic", "flat"]
 
 
+def test_props_paths_is_the_total_split_over_models(tmp_path):
+    """--paths is the total: props splits it evenly over the audited models,
+    rounding down, so 25 paths over the 6 models of --d 1,2,3 audit 24."""
+    out = str(tmp_path)
+    res = run_cli(["props", "--paths", "25", "--n", "4", "--d", "1,2,3", "--out", out])
+    assert res.exit_code == 0, res.output
+    assert json.loads(read_text(os.path.join(out, "props_manifest.json")))["n_paths"] == 24
+    assert "paths=24" in res.output
+
+
+def test_props_refuses_overflowing_curvature(tmp_path):
+    """At kappa = 1e8 the interval scalars overflow; the Gram pass's guard in
+    tip_log_factors refuses the sweep before any margin is read: exit 3, a
+    numerical failure on the mass matrix."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = run_cli(["props", "--paths", "12", "--n", "8", "--kappa", "1e8",
+                       "--out", str(tmp_path)])
+    assert res.exit_code == 3, res.output
+    assert "numerical failure: mass matrix K(1) lost positivity or finiteness" in res.output
+
+
 def test_sample_dump(tmp_path):
     """sample writes schema + header + N*(n+1) knot rows, whose points are
     the rolled increments of the same seed, bit for bit."""

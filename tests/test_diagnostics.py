@@ -12,10 +12,10 @@ from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 from pinpath.measures import MASS_OBSERVABLE, CylinderObservable
 
-from tests.oracles import (batch_mass_matrix, damped_pairing_per_axis, endpoint_map_matrix,
-                           jacobi_from_slopes, lift_competitor_deficit, lift_orthogonality,
-                           mp_endpoint_coords, resolved_velocity_divergence, roll_lift,
-                           suffix_lift)
+from tests.oracles import (batch_cs, batch_endpoint_f, batch_mass_matrix, damped_pairing_per_axis,
+                           endpoint_map_matrix, jacobi_from_slopes, lift_competitor_deficit,
+                           lift_orthogonality, log_rho_P, mp_endpoint_coords,
+                           resolved_velocity_divergence, roll_lift, suffix_lift)
 
 FLAT1 = CurvatureModel("flat", 1)
 FLAT2 = CurvatureModel("flat", 2)
@@ -37,7 +37,7 @@ class LinearEnd:
 
 def endpoint_f(model, part, inc):
     """f_i(1) of paths (..., n, d), the input of the lift audits."""
-    return jacobi.batch_endpoint_f(*jacobi.batch_cs(model, inc, part.mesh), part.mesh)
+    return batch_endpoint_f(*batch_cs(model, inc, part.mesh), part.mesh)
 
 
 def lift(model, part, inc, x_vector):
@@ -45,7 +45,7 @@ def lift(model, part, inc, x_vector):
     coordinates (N, d) and knot values (N, n+1, d) by jacobi_from_slopes."""
     slopes, coords, _ = diagnostics._lift(model, diagnostics._intervals(model, inc), x_vector)
     slopes, coords = slopes.transpose(2, 0, 1), coords.T
-    return slopes, coords, jacobi_from_slopes(*jacobi.batch_cs(model, inc, part.mesh), slopes)
+    return slopes, coords, jacobi_from_slopes(*batch_cs(model, inc, part.mesh), slopes)
 
 
 def relative_gap(got, want, axes):
@@ -154,56 +154,66 @@ def test_lift_orthogonality_and_minimality_random():
         assert deficit >= -1e-10
 
 
+def knot_sups_case(rng, d, n, B):
+    """Intervals of random hyperbolic paths (kappa = 2, increments (B, n, d),
+    one of them zero) and their dense oracle solutions C, S (B, n, d, d)."""
+    model, delta = CurvatureModel("hyperbolic", d, 2.0), 1.0 / n
+    inc = rng.normal(size=(B, n, d)) * np.sqrt(delta)
+    inc[0, -1] = 0.0
+    return diagnostics._intervals(model, inc), *batch_cs(model, inc, delta)
+
+
 def test_knot_sups_match_prefix_suffix_passes():
-    """The forward stack of convergence_suite gives the sups over knots j of
+    """The samples-last forward stack and backward [c | I] pass of
+    convergence_suite give, within 1e-12 relative, the sups over knots j of
     |f_i(s_j) - ratio[i, j] I| (i <= j), |K(s_j) - k[j] I| and
-    |K(s_j) c - p[j] x|, with f_i(s_j) taken from the suffix pass over
-    [0, s_j] and K(s_j) = delta sum_{i<=j} f_i(s_j) f_i(1)^T."""
+    |K(s_j) c - p[j] x|, with f_i(s_j) taken from the dense oracle suffix
+    pass over [0, s_j] and K(s_j) = delta sum_{i<=j} f_i(s_j) f_i(1)^T; at
+    (d, n) = (3, 6), (1, 5) and (2, 1)."""
     rng = np.random.default_rng(19)
-    model, n, B = CurvatureModel("hyperbolic", 3, 2.0), 6, 5
-    delta = 1.0 / n
-    inc = rng.normal(size=(B, n, 3)) * np.sqrt(delta)
-    coeff, coords = rng.normal(size=(B, 3)), rng.normal(size=(B, 3))
-    ratio, k, p = rng.uniform(0.5, 2.0, size=(n + 1, n + 1)), rng.uniform(size=n + 1), \
-        rng.uniform(size=n + 1)
-    C, S = jacobi.batch_cs(model, inc, delta)
-    f_end = jacobi.batch_endpoint_f(C, S, delta)
-    got = diagnostics._knot_sups(C, S, f_end, coeff, coords, ratio, k, p)
-    want = {name: np.zeros(B) for name in ("f", "K", "J")}
-    for j in range(1, n + 1):
-        f_j = jacobi.batch_endpoint_f(C[:, :j], S[:, :j], delta)     # f_i(s_j), i <= j
-        K = delta * np.einsum("niab,nicb->nac", f_j, f_end[:, :j])
-        gap_f = np.max([np.linalg.norm(f_j[:, i] - ratio[i + 1, j] * np.eye(3), axis=(1, 2))
-                        for i in range(j)], axis=0)
-        gaps = {"f": gap_f, "K": np.linalg.norm(K - k[j] * np.eye(3), axis=(1, 2)),
-                "J": np.linalg.norm(np.einsum("nab,nb->na", K, coeff) - p[j] * coords, axis=1)}
+    for d, n in ((3, 6), (1, 5), (2, 1)):
+        B, delta = 5, 1.0 / n
+        iv, C, S = knot_sups_case(rng, d, n, B)
+        coeff, coords = rng.normal(size=(B, d)), rng.normal(size=(B, d))
+        ratio, k, p = rng.uniform(0.5, 2.0, size=(n + 1, n + 1)), rng.uniform(size=n + 1), \
+            rng.uniform(size=n + 1)
+        f_end = batch_endpoint_f(C, S, delta)
+        got = diagnostics._knot_sups(iv, coeff.T, coords.T, ratio, k, p)
+        want = {name: np.zeros(B) for name in ("f", "K", "J")}
+        for j in range(1, n + 1):
+            f_j = batch_endpoint_f(C[:, :j], S[:, :j], delta)     # f_i(s_j), i <= j
+            K = delta * np.einsum("niab,nicb->nac", f_j, f_end[:, :j])
+            gap_f = np.max([np.linalg.norm(f_j[:, i] - ratio[i + 1, j] * np.eye(d), axis=(1, 2))
+                            for i in range(j)], axis=0)
+            gaps = {"f": gap_f, "K": np.linalg.norm(K - k[j] * np.eye(d), axis=(1, 2)),
+                    "J": np.linalg.norm(np.einsum("nab,nb->na", K, coeff) - p[j] * coords, axis=1)}
+            for name in want:
+                want[name] = np.maximum(want[name], gaps[name])
         for name in want:
-            want[name] = np.maximum(want[name], gaps[name])
-    for name in want:
-        assert np.allclose(got[name], want[name], rtol=1e-12, atol=0.0), name
+            assert np.allclose(got[name], want[name], rtol=1e-12, atol=0.0), (name, d, n)
 
 
 def test_knot_sups_J_is_the_lift_at_interior_knots():
     """The J statistic is the sup over knots of |J(s_j) - p[j] x| for the
     lift's knot values J(s_j) = K(s_j) c, built here by jacobi_from_slopes
-    from the lift slopes f_i(1)^T c.  With x = K(1) c / p[n] the gap at
-    s_n = 1 vanishes, so the sup comes from knots j < n, where K(s_j) is not
-    symmetric."""
+    from the lift slopes f_i(1)^T c on the dense oracle solutions.  With
+    x = K(1) c / p[n] the gap at s_n = 1 vanishes, so the sup comes from
+    knots j < n, where K(s_j) is not symmetric; at (d, n) = (3, 6) and
+    (1, 5)."""
     rng = np.random.default_rng(29)
-    model, n, B = CurvatureModel("hyperbolic", 3, 2.0), 6, 5
-    delta = 1.0 / n
-    inc = rng.normal(size=(B, n, 3)) * np.sqrt(delta)
-    coeff = rng.normal(size=(B, 3))
-    ratio, k, p = rng.uniform(0.5, 2.0, size=(n + 1, n + 1)), rng.uniform(size=n + 1), \
-        rng.uniform(0.5, 1.0, size=n + 1)
-    C, S = jacobi.batch_cs(model, inc, delta)
-    f_end = jacobi.batch_endpoint_f(C, S, delta)
-    coords = np.einsum("nab,nb->na", batch_mass_matrix(f_end, delta), coeff) / p[n]
-    lift = jacobi_from_slopes(C, S, np.einsum("niab,na->nib", f_end, coeff))
-    gaps = np.linalg.norm(lift[:, 1:] - p[1:, None] * coords[:, None], axis=-1)  # j = 1..n
-    assert np.all(gaps[:, -1] < 1e-12 * gaps.max(axis=1))
-    got = diagnostics._knot_sups(C, S, f_end, coeff, coords, ratio, k, p)["J"]
-    assert np.allclose(got, gaps.max(axis=1), rtol=1e-12, atol=0.0)
+    for d, n in ((3, 6), (1, 5)):
+        B, delta = 5, 1.0 / n
+        iv, C, S = knot_sups_case(rng, d, n, B)
+        coeff = rng.normal(size=(B, d))
+        ratio, k, p = rng.uniform(0.5, 2.0, size=(n + 1, n + 1)), rng.uniform(size=n + 1), \
+            rng.uniform(0.5, 1.0, size=n + 1)
+        f_end = batch_endpoint_f(C, S, delta)
+        coords = np.einsum("nab,nb->na", batch_mass_matrix(f_end, delta), coeff) / p[n]
+        lift = jacobi_from_slopes(C, S, np.einsum("niab,na->nib", f_end, coeff))
+        gaps = np.linalg.norm(lift[:, 1:] - p[1:, None] * coords[:, None], axis=-1)  # j = 1..n
+        assert np.all(gaps[:, -1] < 1e-12 * gaps.max(axis=1))
+        got = diagnostics._knot_sups(iv, coeff.T, coords.T, ratio, k, p)["J"]
+        assert np.allclose(got, gaps.max(axis=1), rtol=1e-12, atol=0.0), (d, n)
 
 
 def test_fit_slope_recovers_exact_rate():
@@ -419,10 +429,11 @@ def test_property_sweep_clean():
 
 
 def test_response_bound_margin_matches_svd_norms(monkeypatch):
-    """The response audit's margin, from one eigvalsh of C and one of S,
-    equals the margin built from the SVD norms of C, S - hI and C - I within
-    1e-13 relative to |C| >= 1 (the margins themselves cancel down to
-    roundoff), on props-sized paths of flat and hyperbolic d = 1-3."""
+    """The response audit's margin, from the interval scalars alone (no
+    eigvalsh), equals the margin built from the SVD norms of the dense oracle
+    C, S - hI and C - I within 1e-13 relative to |C| >= 1 (the margins
+    themselves cancel down to roundoff), on props-sized paths of flat and
+    hyperbolic d = 1-3."""
     part = Partition(64)
     h = part.mesh
     calls, eigvalsh = [], np.linalg.eigvalsh
@@ -431,7 +442,7 @@ def test_response_bound_margin_matches_svd_norms(monkeypatch):
         for model in (CurvatureModel("flat", d), CurvatureModel("hyperbolic", d, 1.0),
                       CurvatureModel("hyperbolic", d, 2.5)):
             inc = paths.sample_increments(model, part, 30, seed=d)
-            C, S = jacobi.batch_cs(model, inc, h)
+            C, S = batch_cs(model, inc, h)
             big_n, eye = model.curvature_bound, np.eye(d)
             speed = np.linalg.norm(inc / h, axis=-1)
             grow = np.exp(big_n * speed ** 2 * h ** 2 / 2.0)
@@ -442,6 +453,23 @@ def test_response_bound_margin_matches_svd_norms(monkeypatch):
                 big_n * speed ** 2 * h ** 2 / 2.0 * grow - norm(C - eye),
             ]).min(axis=-1)
             calls.clear()
-            got = diagnostics._response_bound_margin(inc, C, S, h, big_n)
-            assert len(calls) == 2
+            got = diagnostics._response_bound_margin(inc, diagnostics._intervals(model, inc), h,
+                                                     big_n)
+            assert len(calls) == 0
             assert np.all(np.abs(got - want) <= 1e-13 * norm(C).max(axis=-1)), (model, d)
+
+
+def test_slope_det_matches_the_dense_log_rho_P():
+    """property_sweep's slope_det margin, rho_P - 1 with log rho_P =
+    (d-1)/2 sum_{i<n} log sinhc^2 a_i, is within 1e-13 of the dense oracle
+    log_rho_P of the same draws (the worst path of each model), for n = 1, 2
+    and 64 and kappa up to 2.5; at n = 1 there is no body and rho_P = 1."""
+    for d in (1, 2, 3):
+        for kappa in (1.0, 2.5):
+            model = CurvatureModel("hyperbolic", d, kappa)
+            for n in (1, 2, 64):
+                part = Partition(n)
+                inc = paths.sample_increments(model, part, 40, seed=0)
+                want = np.exp(log_rho_P(batch_cs(model, inc, part.mesh)[1], part.mesh)) - 1.0
+                got = property_sweep([model], 40, n=n, seed=0).worst["slope_det"]
+                assert abs(got - want.min()) <= 1e-13, (d, kappa, n)

@@ -9,9 +9,9 @@ from pinpath import geom, jacobi, measures, paths
 from pinpath.geom import CurvatureModel, NumericalError
 from pinpath.jacobi import Partition
 
-from tests.oracles import (batch_mass_matrix, broken_jacobi_rk4, cs_rk4, curvature_matrix,
-                           dense_tip_log_factors, det_identity_check, jacobi_from_slopes,
-                           slopes_from_knots, vx_fd_oracle_flat)
+from tests.oracles import (batch_cs, batch_endpoint_f, batch_mass_matrix, broken_jacobi_rk4,
+                           cs_rk4, curvature_matrix, dense_tip_log_factors, det_identity_check,
+                           jacobi_from_slopes, log_rho_P, slopes_from_knots, vx_fd_oracle_flat)
 
 FLAT2 = CurvatureModel("flat", 2)
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
@@ -21,8 +21,11 @@ SINH1 = np.sinh(1.0)
 
 
 def cs(model, xi, h):
-    """(C, S) of one interval covered at constant frame velocity xi in time h."""
-    return jacobi.batch_cs(model, h * np.asarray(xi, dtype=float), h)
+    """(C, S) of one interval covered at constant frame velocity xi in time h,
+    from the shipped actions on I: C = cosine(I) and S = h sine(I)."""
+    iv = jacobi.Intervals(model, h * np.asarray(xi, dtype=float)[None, :, None])
+    eye = np.eye(model.dim)[..., None]
+    return iv.cosine(0, eye)[..., 0], h * iv.sine(0, eye)[..., 0]
 
 
 def response_table(model, part, inc):
@@ -30,7 +33,7 @@ def response_table(model, part, inc):
     field h_{alpha,i}, whose one nonzero right-slope is sqrt(n) e_alpha on
     interval i, has knot values f_i(s_j) e_alpha / sqrt(n) (jacobi_from_slopes)."""
     n, d = part.n, model.dim
-    C, S = jacobi.batch_cs(model, inc, part.mesh)
+    C, S = batch_cs(model, inc, part.mesh)
     slopes = np.sqrt(n) * np.eye(n * d).reshape(n, d, n, d)        # h_{alpha,i} at [i-1, alpha]
     J = jacobi_from_slopes(C, S, slopes)                            # (n, d, n+1, d)
     return np.sqrt(n) * np.moveaxis(J, 1, -1)
@@ -38,14 +41,14 @@ def response_table(model, part, inc):
 
 def normal_jacobian(model, part, inc):
     """J_P = sqrt(det K(1)) of one path, through the suffix-pass API."""
-    C, S = jacobi.batch_cs(model, inc, part.mesh)
-    K = batch_mass_matrix(jacobi.batch_endpoint_f(C, S, part.mesh), part.mesh)
+    C, S = batch_cs(model, inc, part.mesh)
+    K = batch_mass_matrix(batch_endpoint_f(C, S, part.mesh), part.mesh)
     return float(np.sqrt(np.linalg.det(K)))
 
 
 def rho_P(model, part, inc):
-    _, S = jacobi.batch_cs(model, inc, part.mesh)
-    return float(np.exp(jacobi.log_rho_P(S, part.mesh)))
+    _, S = batch_cs(model, inc, part.mesh)
+    return float(np.exp(log_rho_P(S, part.mesh)))
 
 
 def volume_change_Vx(model, part, inc, xi_x):
@@ -73,6 +76,30 @@ def test_intervals_sum_squares_in_one_buffer_at_every_batch_size():
             assert np.array_equal(iv.inv, want), (d, B)
             for name in ("inv", "sh", "chm1", "s2"):
                 assert np.array_equal(getattr(iv, name), getattr(full, name)[:, :B]), (d, B, name)
+
+
+@pytest.mark.parametrize("B", [1, 7], ids=["batch1", "batch7"])
+def test_interval_actions_match_the_dense_oracle(B):
+    """Intervals.cosine and Intervals.sine give the dense oracle's C_j y and
+    (S_j / delta) y (batch_cs) within 1e-15 relative to the largest entry, on
+    vectors (d, B) and on (d, j, d, B) stacks, for d = 1-3, flat space and
+    kappa in {1, 2.5}, with one xi = 0 interval."""
+    rng = np.random.default_rng(5)
+    n, delta = 4, 0.25
+    for d in (1, 2, 3):
+        for model in (CurvatureModel("flat", d), CurvatureModel("hyperbolic", d, 1.0),
+                      CurvatureModel("hyperbolic", d, 2.5)):
+            inc = rng.normal(size=(B, n, d)) * np.sqrt(delta)
+            inc[0, 1] = 0.0
+            iv = jacobi.Intervals(model, np.ascontiguousarray(inc.transpose(1, 2, 0)))
+            C, S = batch_cs(model, inc, delta)
+            for y in (rng.normal(size=(d, B)), rng.normal(size=(d, 3, d, B))):
+                for j in range(n):
+                    for got, M in ((iv.cosine(j, y), C[:, j]), (iv.sine(j, y), S[:, j] / delta)):
+                        want = np.einsum("Bab,b...B->a...B", M, y)
+                        assert got.shape == want.shape
+                        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want).max()), \
+                            (model, y.shape, j)
 
 
 def test_partition_basics():
@@ -191,7 +218,7 @@ def test_family_index_conventions():
     part = Partition(4)
     inc = rng.normal(size=(4, 2)) * 0.5
     f = response_table(HYP2, part, inc)
-    _, S = jacobi.batch_cs(HYP2, inc, part.mesh)
+    _, S = batch_cs(HYP2, inc, part.mesh)
     for i in range(1, 5):
         for j in range(i):
             assert np.all(f[i - 1, j] == 0.0)
@@ -220,8 +247,8 @@ def test_mass_matrix_running_definition():
     part = Partition(5)
     inc = rng.normal(size=(5, 3)) * np.sqrt(part.mesh)
     f = response_table(HYP3, part, inc)
-    C, S = jacobi.batch_cs(HYP3, inc, part.mesh)
-    f_end = jacobi.batch_endpoint_f(C, S, part.mesh)
+    C, S = batch_cs(HYP3, inc, part.mesh)
+    f_end = batch_endpoint_f(C, S, part.mesh)
     c = rng.normal(size=3)
     J = jacobi_from_slopes(C, S, np.einsum("iab,a->ib", f_end, c))
     for j in range(1, 6):
@@ -238,10 +265,10 @@ def test_jacobi_from_slopes_zero_and_flat():
     rng = np.random.default_rng(43)
     part = Partition(4)
     inc = rng.normal(size=(4, 2)) * 0.5
-    C, S = jacobi.batch_cs(HYP2, inc, part.mesh)
+    C, S = batch_cs(HYP2, inc, part.mesh)
     assert np.allclose(jacobi_from_slopes(C, S, np.zeros((4, 2))), 0.0)
 
-    C, S = jacobi.batch_cs(FLAT2, inc, part.mesh)
+    C, S = batch_cs(FLAT2, inc, part.mesh)
     slopes = np.tile([1.0, 0.0], (4, 1))
     J = jacobi_from_slopes(C, S, slopes)
     assert np.allclose(J[:, 0], part.knots, atol=1e-12)
@@ -254,7 +281,7 @@ def test_jacobi_from_slopes_vs_ode():
     part = Partition(2)
     inc = rng.normal(size=(2, 2)) * np.sqrt(part.mesh)
     slopes = rng.normal(size=(2, 2))
-    got = jacobi_from_slopes(*jacobi.batch_cs(HYP2, inc, part.mesh), slopes)
+    got = jacobi_from_slopes(*batch_cs(HYP2, inc, part.mesh), slopes)
     want = broken_jacobi_rk4(1.0, inc / part.mesh, slopes)
     assert np.allclose(got, want, atol=1e-9)
 
@@ -264,7 +291,7 @@ def test_slopes_from_knots_inverts():
     rng = np.random.default_rng(59)
     part = Partition(8)
     inc = rng.normal(size=(8, 3)) * np.sqrt(part.mesh)
-    C, S = jacobi.batch_cs(HYP3, inc, part.mesh)
+    C, S = batch_cs(HYP3, inc, part.mesh)
     slopes = rng.normal(size=(8, 3))
     J = jacobi_from_slopes(C, S, slopes)
     back = slopes_from_knots(C, S, J)
@@ -287,8 +314,8 @@ def test_rho_p_closed_value():
     part = Partition(2)
     inc = np.array([[1.0, 0.0], [0.1, 0.1]])   # second interval is not counted
     assert rho_P(HYP2, part, inc) == pytest.approx(SINH1, rel=1e-12)
-    _, S = jacobi.batch_cs(HYP2, inc, part.mesh)
-    assert jacobi.log_rho_P(S, part.mesh) == pytest.approx(np.log(SINH1), rel=1e-12)
+    _, S = batch_cs(HYP2, inc, part.mesh)
+    assert log_rho_P(S, part.mesh) == pytest.approx(np.log(SINH1), rel=1e-12)
 
 
 def test_volume_change_flat_any_target():
@@ -364,7 +391,7 @@ def test_batched_endpoint_products():
     rng = np.random.default_rng(89)
     part = Partition(5)
     inc = rng.normal(size=(7, 5, 2)) * np.sqrt(part.mesh)
-    f_end = jacobi.batch_endpoint_f(*jacobi.batch_cs(HYP2, inc, part.mesh), part.mesh)
+    f_end = batch_endpoint_f(*batch_cs(HYP2, inc, part.mesh), part.mesh)
     K = batch_mass_matrix(f_end, part.mesh)
     G, head = jacobi.gram_pass(HYP2, inc[:, :-1])
     logj = jacobi.tip_log_factors(HYP2, G, head, inc[:, -1], part.n)[0]
@@ -387,8 +414,8 @@ def test_body_pass_extends_to_full_pass():
             part = Partition(n)
             inc = rng.normal(size=(6, n, model.dim)) * np.sqrt(part.mesh)
             G, head = jacobi.gram_pass(model, inc[:, :-1])
-            C, S = jacobi.batch_cs(model, inc, part.mesh)
-            K = batch_mass_matrix(jacobi.batch_endpoint_f(C, S, part.mesh), part.mesh)
+            C, S = batch_cs(model, inc, part.mesh)
+            K = batch_mass_matrix(batch_endpoint_f(C, S, part.mesh), part.mesh)
             log_jp = jacobi.tip_log_factors(model, G, head, inc[:, -1], n)[0]
             assert np.allclose(log_jp, 0.5 * np.linalg.slogdet(K)[1], rtol=1e-13, atol=1e-13)
             assert np.allclose(part.mesh * jacobi.gram_pass(model, inc)[0], K,
@@ -412,7 +439,7 @@ def test_tip_log_factors_match_dense_oracle():
             tips *= (scale * np.linspace(0.0, 6.0, 24) / np.linalg.norm(tips, axis=-1))[:, None]
             G, head = jacobi.gram_pass(model, inc[:, :-1])
             got = jacobi.tip_log_factors(model, G, head, tips, n)
-            want = dense_tip_log_factors(G, head, *jacobi.batch_cs(model, tips, part.mesh), n)
+            want = dense_tip_log_factors(G, head, *batch_cs(model, tips, part.mesh), n)
             for g, w in zip(got, want):
                 assert np.all(np.abs(g - w) <= 1e-12 * (1.0 + np.abs(w))), (model, n)
 
@@ -452,15 +479,15 @@ def test_batched_factors_match_batch_of_one():
     tips = rng.normal(size=(5, 3))
 
     def factors(inc, slopes, tip):
-        C, S = jacobi.batch_cs(model, inc, delta)
-        f_end = jacobi.batch_endpoint_f(C, S, delta)
+        C, S = batch_cs(model, inc, delta)
+        f_end = batch_endpoint_f(C, S, delta)
         G, head = jacobi.gram_pass(model, inc[..., :-1, :])
         J = jacobi_from_slopes(C, S, slopes)
         return [f_end, batch_mass_matrix(f_end, delta), G, head,
                 jacobi.gram_pass(model, inc)[0],
                 *jacobi.tip_log_factors(model, G, head, inc[..., -1, :], part.n)[:2],
                 *jacobi.tip_log_factors(model, G, head, tip, part.n)[:2],
-                jacobi.log_rho_P(S, delta), J, slopes_from_knots(C, S, J)]
+                log_rho_P(S, delta), J, slopes_from_knots(C, S, J)]
 
     batch = factors(inc, slopes, tips)
     for s in range(5):
@@ -476,7 +503,7 @@ def test_log_volume_change_counts_ill_conditioned_tips():
     part = Partition(4)
     body = np.full((3, 3, 2), 0.1)
     # cond(S_x) = sinhc(sqrt(kappa) |xi|), checked on the computed matrix
-    _, Sx = jacobi.batch_cs(model, np.array([1.5, 0.0]), part.mesh)
+    _, Sx = batch_cs(model, np.array([1.5, 0.0]), part.mesh)
     assert np.linalg.cond(Sx) == pytest.approx(float(geom.sinhc(3.0)), rel=1e-10)
     tips = np.array([[0.5, 0.0], [20.0, 0.0], [0.0, -1.0]])   # sinhc(40) ~ 3e15
     G, head = jacobi.gram_pass(model, body)
@@ -519,7 +546,8 @@ def test_tip_cond_count_is_sinhc_beyond_the_limit(monkeypatch):
 def test_volume_factors_reject_non_finite_determinants():
     """slogdet of a matrix holding inf gives sign +1 and logdet inf (NaN off
     the diagonal); both tip factors raise NumericalError on an inf in G or in
-    head, as on a non-positive determinant, and log rho_P on a NaN."""
+    head, as on a non-positive determinant, and the oracle log rho_P on a
+    NaN."""
     eye = np.stack([np.eye(2)] * 3)
     tips = np.zeros((3, 2))
     log_jp, log_vx, _ = jacobi.tip_log_factors(HYP2, 0.0 * eye, 0.0 * eye, tips, 1)
@@ -537,7 +565,7 @@ def test_volume_factors_reject_non_finite_determinants():
     S = np.stack([np.eye(2)] * 3)[None]
     S[0, 0, 0, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
-        jacobi.log_rho_P(S, 0.5)
+        log_rho_P(S, 0.5)
 
 
 def _spd_batch(rng, lead, d, cond):

@@ -9,7 +9,8 @@ from pinpath import geom, jacobi, paths
 from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 
-from tests.oracles import anti_roll, jacobi_from_slopes, one_call_normals
+from tests.oracles import (anti_roll, batch_cs, batch_endpoint_f, jacobi_from_slopes,
+                           one_call_normals)
 
 FLAT2 = CurvatureModel("flat", 2)
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
@@ -203,14 +204,14 @@ def test_frame_field_matches_response_matrix():
     rng = np.random.default_rng(39)
     part = Partition(6)
     inc = rng.normal(size=(6, 2)) * np.sqrt(part.mesh)
-    C, S = jacobi.batch_cs(HYP2, inc, part.mesh)
+    C, S = batch_cs(HYP2, inc, part.mesh)
     for alpha in range(2):
         for i in range(1, 7):
             slopes = np.zeros((6, 2))           # h_{alpha,i}: sqrt(n) e_alpha on interval i
             slopes[i - 1, alpha] = np.sqrt(6)
             J = jacobi_from_slopes(C, S, slopes)
             for j in range(7):
-                f_ij = (jacobi.batch_endpoint_f(C[:j], S[:j], part.mesh)[i - 1]
+                f_ij = (batch_endpoint_f(C[:j], S[:j], part.mesh)[i - 1]
                         if j >= i else np.zeros((2, 2)))
                 assert np.allclose(J[j], f_ij[:, alpha] / np.sqrt(6), atol=1e-10)
 

@@ -16,8 +16,9 @@ from pinpath import diagnostics, geom, jacobi, paths  # noqa: E402
 from pinpath.geom import CurvatureModel  # noqa: E402
 from pinpath.jacobi import Partition  # noqa: E402
 
-from tests.oracles import (anti_roll, batch_mass_matrix, frame_vector,  # noqa: E402
-                           jacobi_from_slopes, slopes_from_knots, transport)
+from tests.oracles import (anti_roll, batch_cs, batch_endpoint_f,  # noqa: E402
+                           batch_mass_matrix, frame_vector, jacobi_from_slopes,
+                           slopes_from_knots, transport)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -88,8 +89,8 @@ def test_gram_pass_matches_suffix_products(kind, d, kappa, n, seed, scale):
     delta = part.mesh
     inc = scale * np.sqrt(delta) * np.random.default_rng(seed).normal(size=(4, n, d))
     G, head = jacobi.gram_pass(model, inc)
-    C, S = jacobi.batch_cs(model, inc, delta)
-    f_end = jacobi.batch_endpoint_f(C, S, delta)
+    C, S = batch_cs(model, inc, delta)
+    f_end = batch_endpoint_f(C, S, delta)
     want_G = batch_mass_matrix(f_end, delta) / delta
     want_head = np.einsum("...iab,...icb->...ac", f_end[:, :-1], f_end[:, :-1])
     tol = 1e-12 * max(1.0, float(np.max(np.abs(want_G))))
@@ -219,7 +220,7 @@ def test_chart_slopes_match_slopes_of_central_differences(kind, d, kappa, n, see
     got = paths.chart_slopes(model, iv, np.eye(n * d).reshape(n, d, n * d, 1))
     got = np.moveaxis(got.reshape(n, d, n, d, 3), -1, 0)
     knots = central_difference_knots(model, inc, 1e-5 / np.sqrt(model.kappa or 1.0))
-    C, S = jacobi.batch_cs(model, inc, 1.0 / n)
+    C, S = batch_cs(model, inc, 1.0 / n)
     columns = np.moveaxis(knots.reshape(3, n + 1, d, n * d), -1, 1)   # (3, nd, n+1, d)
     want = np.moveaxis(slopes_from_knots(C[:, None], S[:, None], columns), 1, -1)
     want = want.reshape(got.shape)
