@@ -353,8 +353,9 @@ def cmd_pinned(cfg):
 def cmd_converge(cfg):
     """Convergence-rate reports against the damped closed forms."""
     stats = STATISTICS[:-1] if cfg.statistic == "all" else (cfg.statistic,)
+    clock = measures._StageClock(diagnostics.CONVERGE_STAGES)
     reports = diagnostics.convergence_suite(cfg.build_model(), cfg.n_values,
-                                            cfg.n_samples, cfg.seed, stats)
+                                            cfg.n_samples, cfg.seed, stats, clock=clock)
     summary = {}
     for name, rep in reports.items():
         with open(os.path.join(cfg.out_dir, f"converge_{name}.csv"), "w") as fh:
@@ -363,7 +364,8 @@ def cmd_converge(cfg):
         click.echo("")
         summary[name] = {"slope": rep.slope, "passed": rep.passed,
                          "medians": [float(v) for v in rep.q50]}
-    return all(rep.passed for rep in reports.values()), {"reports": summary}
+    return all(rep.passed for rep in reports.values()), {"reports": summary,
+                                                         "stage_s": clock.seconds}
 
 
 @_command("props", {"paths": 1000, "n": 64, "kappa": 1.0, "d": "1,2,3", "seed": 0,

@@ -61,7 +61,10 @@ def _lift(model, iv, x_vector):
     g^{-1} X: X pulled back through B(-xi_1), ..., B(-xi_n) as a vector
     (paths.boost_rows).  C_i and S_i are symmetric, so
     k_i = f_i(1)^T c = (S_i / delta) C_{i+1} ... C_n c comes from one
-    backward pass y <- C_i y (Intervals.cosine, Intervals.sine).
+    backward pass y <- C_i y (Intervals.cosine, Intervals.sine, sharing
+    each interval's projection Intervals.along).  K(1) is solved on its
+    square-root-free Cholesky factors (jacobi._positive_solve), which raise
+    NumericalError unless K(1) is finite and positive definite.
     """
     n, d, B = iv.xi.shape
     G = np.zeros((d, d, B))
@@ -70,11 +73,12 @@ def _lift(model, iv, x_vector):
         jacobi.gram_step(G, iv, j)
         paths.boost_rows(model, vec, iv, j, -1.0, vector=True)
     coords = vec[:d]
-    coeff = n * np.linalg.solve(G.transpose(2, 0, 1), coords.T[..., None])[..., 0].T
+    coeff = n * jacobi._positive_solve(G, coords, "mass matrix K(1)")
     slopes, y = np.empty((n, d, B)), coeff
     for j in range(n - 1, -1, -1):
-        slopes[j] = iv.sine(j, y)
-        y = iv.cosine(j, y)
+        along = iv.along(j, y)
+        slopes[j] = iv.sine(j, y, along)
+        y = iv.cosine(j, y, along)
     return slopes, coords, coeff
 
 
@@ -167,8 +171,11 @@ def _report(statistic, n_values, stats_per_n, gate):
                              slope, passed, notes={"identically_zero": zero})
 
 
+CONVERGE_STAGES = ("draw", "lift", "sups", "report")
+
+
 def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J", "adjoint"),
-                      x_vector=None):
+                      x_vector=None, clock=None):
     """Compute the requested convergence statistics over shared sample paths.
 
     Sample paths use common random drivers: one batch of increments is drawn
@@ -178,7 +185,9 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
     Brownian path.  n values that do not divide the finest one fall back to
     independent draws.  Each statistic is the per-path sup over knots of the
     named discrepancy against the damped closed form.  Returns
-    {name: ConvergenceReport}.
+    {name: ConvergenceReport}.  clock, a measures._StageClock of
+    CONVERGE_STAGES (a fresh one when None), collects the seconds of the
+    draws, the lifts, the per-path sups and the reports.
 
     Orientation note: the interval response matrices have eigenvalues >= 1 and
     their products grow, so the transported profile they approach is the
@@ -190,6 +199,7 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
     """
     if x_vector is None:
         x_vector = field_direction(model)
+    clock = measures._StageClock(CONVERGE_STAGES) if clock is None else clock
     n_values = [int(n) for n in n_values]
     ric = damped.ric_scalar(model)
     collected = {name: [] for name in statistics}
@@ -214,6 +224,7 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
             inc = inc_fine.reshape(samples, n, group, model.dim).sum(axis=2)
         else:
             inc = paths.sample_increments(model, part, samples, seed + 7 * n)
+        clock.lap("draw")
 
         # blocks of samples bound the n d^2 numbers per path of each stack
         block = max(1, TABLE_FLOATS // (n * model.dim ** 2))
@@ -222,6 +233,7 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
             b_inc = inc[lo:lo + block]
             iv = _intervals(model, b_inc)
             slopes, b_coords, coeff = _lift(model, iv, x_vector)
+            clock.lap("lift")
             found = {}
             if set(statistics) - {"adjoint"}:
                 found = _knot_sups(iv, coeff, b_coords, ratio, k_cmp, k_prof / k_prof[-1])
@@ -231,12 +243,15 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
             found["adjoint"] = np.abs(discrete - limit)
             for name in statistics:
                 per_stat[name].append(found[name])
+            clock.lap("sups")
         for name in statistics:
             collected[name].append(np.concatenate(per_stat[name]))
 
     gates = {"f": "slope", "K": "quarter", "J": "quarter", "adjoint": "decreasing"}
-    return {name: _report(name, n_values, collected[name], gates[name])
-            for name in statistics}
+    reports = {name: _report(name, n_values, collected[name], gates[name])
+               for name in statistics}
+    clock.lap("report")
+    return reports
 
 
 def _knot_sups(iv, coeff, coords, ratio, k_cmp, j_prof):
@@ -491,7 +506,7 @@ def _scalar_gap(model, inc, slopes, M_inv, mult, x_vector):
     pairing = np.einsum("idN,Nid->N", slopes, inc)
     gap = mult - (pairing - div_path)
     return {
-        "median_abs_gap": float(np.median(np.abs(gap))),
+        "median_abs_gap": _median(np.abs(gap)),
         "mean_gap": float(np.mean(gap)),
         "subsample": int(N),
     }
@@ -524,10 +539,24 @@ def _gradient_gap(model, part, observable, chart_side, points, frames, coords):
                                     FD_STEP)
     gap = chart_side - pair_side
     return {
-        "median_abs_gap": float(np.median(np.abs(gap))),
-        "median_abs_chart": float(np.median(np.abs(chart_side))),
+        "median_abs_gap": _median(np.abs(gap)),
+        "median_abs_chart": _median(np.abs(chart_side)),
         "n_samples": chart_side.shape[0],
     }
+
+
+def _median(x) -> float:
+    """The median of the values x (...) by numpy's own arithmetic: the
+    middle value, or 0.5 (a + b) of the two middle ones (the same bits as
+    numpy's mean, (a + b) / 2), and NaN when any value is.  It needs only
+    np.partition: numpy's median imports numpy.ma on its first call, 12 ms
+    in a fresh interpreter."""
+    x = np.ravel(x)
+    half = x.size // 2
+    part = np.partition(x, [half - 1, half, -1] if x.size % 2 == 0 else [half, -1])
+    if np.isnan(part[-1]):
+        return float("nan")
+    return float(part[half] if x.size % 2 else 0.5 * (part[half - 1] + part[half]))
 
 
 # ---------------------------------------------------------------------------

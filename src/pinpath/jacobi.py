@@ -29,8 +29,10 @@ the tip.
 Every determinant here is of a symmetric positive definite (SPD) matrix: G
 and head are Gram sums, positive semidefinite, and T = r^2 Q + P has
 eigenvalues r^2 > 0 and 1, so G + T and I + head + T are SPD.  Their
-log-dets come from one kernel (_positive_logdet), the sum of the logs of the
-Cholesky pivots, run samples last on (d, d, ...) arrays.
+log-dets come from one kernel, the square-root-free Cholesky factorization
+run samples last on (d, d, ...) arrays (_positive_factor): the log-det is the
+sum of the logs of its pivots (_positive_logdet), and the lift's solve with
+the mass matrix K(1) = delta G runs on the same factors (_positive_solve).
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ class Intervals:
     """Scalars of the intervals of increments xi (m, d, ...), samples last,
     computed once over the whole span and read by every recursion over it:
     the Gram step (gram_step), the point boost B(+-xi_j) (paths.boost_rows)
-    and the actions C_j y (cosine) and (S_j / delta) y (sine).  With
+    and the actions C_j y (cosine) and (S_j / delta) y (sine), which share
+    the projection <e, y> e (along) when both act on one y.  With
     a = sqrt(kappa)|xi| (0 in flat space), each (m, ...): inv = 1/|xi| (1 at
     xi = 0), so that the unit increment is xi_j inv_j (unit); sh = sinh a;
     chm1 = cosh a - 1; and s2 = sinhc^2 a.  All three come from one expm1,
@@ -129,15 +132,24 @@ class Intervals:
         e = self.xi[j] * self.inv[j]
         return e if like is None else e[(slice(None),) + (None,) * (like.ndim - e.ndim)]
 
-    def cosine(self, j: int, y):
-        """C_j y = y + (cosh a - 1)(y - <e, y> e), e = unit(j), y (d, ..., B)."""
-        e = self.unit(j, y)
-        return y + self.chm1[j] * (y - np.sum(e * y, axis=0) * e)
+    def along(self, j: int, y, e=None):
+        """<e, y> e for y (d, ..., B), e = unit(j, y) unless given: the part
+        of y along the increment, which cosine and sine of one y share."""
+        e = self.unit(j, y) if e is None else e
+        return np.sum(e * y, axis=0) * e
 
-    def sine(self, j: int, y):
-        """(S_j / delta) y = sinhc a y + (1 - sinhc a) <e, y> e, y (d, ..., B)."""
-        e, sc = self.unit(j, y), np.sqrt(self.s2[j])
-        return sc * y + (1.0 - sc) * (np.sum(e * y, axis=0) * e)
+    def cosine(self, j: int, y, along=None):
+        """C_j y = y + (cosh a - 1)(y - <e, y> e), y (d, ..., B); along is
+        <e, y> e (self.along) when the caller holds it."""
+        along = self.along(j, y) if along is None else along
+        return y + self.chm1[j] * (y - along)
+
+    def sine(self, j: int, y, along=None):
+        """(S_j / delta) y = sinhc a y + (1 - sinhc a) <e, y> e, y (d, ..., B);
+        along as in cosine."""
+        along = self.along(j, y) if along is None else along
+        sc = np.sqrt(self.s2[j])
+        return sc * y + (1.0 - sc) * along
 
 
 # ---------------------------------------------------------------------------
@@ -204,31 +216,63 @@ def _diagonal(A):
     return A.reshape((d * d,) + A.shape[2:])[::d + 1]
 
 
-def _positive_logdet(A, what: str) -> np.ndarray:
-    """log det A (...,) of symmetric positive definite A (d, d, ...), samples
-    last, as the sum of the logs of its Cholesky pivots.
+def _positive_factor(A, what: str):
+    """The square-root-free Cholesky factorization of symmetric positive
+    definite A (d, d, ...), samples last: A = L D L^T = L U, U = D L^T.
+    Returns, step by step, the pivots s_j = D_jj (d arrays (...,)), the rest
+    w_j of each pivot column, row j of U past its diagonal, and the
+    multipliers l_j = w_j / s_j, column j of L below its diagonal (d arrays
+    (d-j-1, ...) each).
 
     Step j works on contiguous rows of samples: its pivot s_j is the first
-    diagonal entry of the trailing block W, and W becomes the Schur
-    complement W[1:, 1:] - w w^T / s_j, w the rest of W's first column
-    (Cholesky without square roots: s_j = L_jj^2).  Only the lower triangle
-    feeds the pivots, so finiteness is checked on every entry first.  A
-    pivot never exceeds its diagonal entry, so finite entries and positive
-    pivots give a finite log-det.  Raises NumericalError unless every entry
-    is finite and every pivot positive.
+    diagonal entry of the trailing block W, w_j the rest of W's first column,
+    and W becomes the Schur complement W[1:, 1:] - l_j w_j^T (s_j = L_jj^2 of
+    the Cholesky factor with square roots).  Only the lower triangle is read,
+    so finiteness is checked on every entry first.  A pivot never exceeds
+    its diagonal entry, so finite entries and positive pivots give a finite
+    factorization.  Raises NumericalError unless every entry is finite and
+    every pivot positive.
     """
     if not np.all(np.isfinite(A)):
         raise NumericalError(f"{what} lost positivity or finiteness")
-    logdet = np.zeros(A.shape[2:])
-    W = A
+    pivots, cols, mults, W = [], [], [], A
     for _ in range(A.shape[0]):
         pivot = W[0, 0]
         if not np.all(pivot > 0):
             raise NumericalError(f"{what} lost positivity or finiteness")
-        logdet += np.log(pivot)
         col = W[1:, 0]
-        W = W[1:, 1:] - (col / pivot)[:, None] * col
+        mult = col / pivot
+        W = W[1:, 1:] - mult[:, None] * col
+        pivots.append(pivot)
+        cols.append(col)
+        mults.append(mult)
+    return pivots, cols, mults
+
+
+def _positive_logdet(A, what: str) -> np.ndarray:
+    """log det A (...,) of symmetric positive definite A (d, d, ...), samples
+    last, as the sum of the logs of its pivots (_positive_factor, which
+    raises NumericalError unless A is finite and its pivots positive)."""
+    logdet = np.zeros(A.shape[2:])
+    for pivot in _positive_factor(A, what)[0]:
+        logdet += np.log(pivot)
     return logdet
+
+
+def _positive_solve(A, b, what: str) -> np.ndarray:
+    """A^{-1} b (d, ...) for symmetric positive definite A (d, d, ...) and b
+    (d, ...), samples last, on the factors A = L U of _positive_factor
+    (which raises NumericalError unless A is finite and its pivots
+    positive): forward through L, y_{j+1:} -= l_j y_j, then back through U,
+    x_j = (y_j - <w_j, x_{j+1:}>) / s_j.  b is not written to."""
+    pivots, cols, mults = _positive_factor(A, what)
+    x = np.array(b, dtype=float)
+    for j, mult in enumerate(mults):
+        x[j + 1:] -= mult * x[j]
+    for j in range(len(pivots) - 1, -1, -1):
+        x[j] -= np.sum(cols[j] * x[j + 1:], axis=0)
+        x[j] /= pivots[j]
+    return x
 
 
 def tip_log_factors(model: CurvatureModel, G, head, tip, n: int):

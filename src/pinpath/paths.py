@@ -125,10 +125,10 @@ def knots_at(partition: Partition, times, points) -> np.ndarray:
 def chart_slopes(model: CurvatureModel, iv: Intervals, v):
     """Right-slopes M v (n, d, ..., B) of the field that the chart variation
     along the directions v (n, d, ..., B) induces on the paths whose
-    increments (n, d, B) have Intervals iv; v broadcasts, and on the
-    identity stack np.eye(n d).reshape(n, d, n d, 1) this is the chart
-    matrix M, entry [j, :, (i, a)] the slope on interval j of the variation
-    along e_a of increment i.
+    increments (n, d, B) have Intervals iv; v's samples axis may be 1, and
+    on the identity stack np.eye(n d).reshape(n, d, n d, 1) this is the
+    chart matrix M, entry [j, :, (i, a)] the slope on interval j of the
+    variation along e_a of increment i.
 
     M's blocks are n I at j = i and 0 at j < i.  Past interval i the
     variation moves the rest of the path by one isometry, so its field there
@@ -140,24 +140,40 @@ def chart_slopes(model: CurvatureModel, iv: Intervals, v):
     omega = -sqrt(kappa) (cosh a - 1) / a R(p, v_i), and boost j carries it
     on: w = omega p, u = c w + s tau, tau += c (tau - <p, tau> p) + s w,
     omega += R(u, p).  The recursion is linear, so one state (tau, omega)
-    per column of v carries the sum of its fields, samples last.  Flat
-    space has c = s = kappa = 0: M v = n v.
+    per column of v carries the sum of its fields, samples last.  A column
+    (an index of v's axes between d and the samples) has no field before
+    the first interval it varies, so interval j carries on only the states
+    of the columns up to the last one begun before it, and adds sources
+    only to the columns from the first to the last one that varies at j:
+    on the identity stack, the j d columns of the first j intervals and the
+    d of interval j.  Flat space has c = s = kappa = 0: M v = n v.
     """
     n, d = iv.xi.shape[:2]
     shape = np.broadcast_shapes(v.shape[2:], iv.xi.shape[2:])
+    v = v.reshape((n, d, -1, v.shape[-1]))                # columns in one axis
+    varies = np.any(v, axis=(1, 3))                       # (n, C)
+    # interval j varies columns first[j]:last[j]; begun[j] = max_{i<j} last[i]
+    first = varies.argmax(axis=1)
+    last = np.where(varies, np.arange(1, varies.shape[1] + 1), 0).max(axis=1)
+    begun = np.concatenate([[0], np.maximum.accumulate(last)])
     root = np.sqrt(model.kappa)
-    out = np.empty((n, d) + shape)
-    tau, om = np.zeros((d,) + shape), np.zeros((d, d) + shape)
+    out = np.empty((n, d) + varies.shape[1:] + shape[-1:])
+    tau, om = np.zeros(out.shape[1:]), np.zeros((d,) + out.shape[1:])
     for j in range(n):
         p, c, s, vj = iv.unit(j, tau), iv.chm1[j], iv.sh[j], v[j]
-        w = np.sum(om * p, axis=1)
-        np.add(w * (n / iv.inv[j]), n * vj, out=out[j])             # n |xi_j| omega p + n v_j
-        u = c * w + s * tau
-        tau += c * (tau - p * np.sum(p * tau, axis=0)) + s * w
-        om += u[:, None] * p - p[:, None] * u
-        tau += root * iv.sine(j, vj)
-        om += (-c * iv.inv[j]) * (p[:, None] * vj - vj[:, None] * p)
-    return out
+        np.multiply(n, vj, out=out[j])                    # n v_j + n |xi_j| omega p
+        t, o = tau[:, :begun[j]], om[:, :, :begun[j]]
+        w = np.sum(o * p, axis=1)
+        out[j, :, :begun[j]] += w * (n / iv.inv[j])
+        u = c * w + s * t
+        t += c * (t - iv.along(j, t, p)) + s * w
+        o += u[:, None] * p - p[:, None] * u
+        if last[j]:
+            src = slice(first[j], last[j])
+            vj, t, o = vj[:, src], tau[:, src], om[:, :, src]
+            t += root * iv.sine(j, vj, iv.along(j, vj, p))
+            o += (-c * iv.inv[j]) * (p[:, None] * vj - vj[:, None] * p)
+    return out.reshape((n, d) + shape)
 
 
 def _renormalize_due(i: int, n: int) -> bool:

@@ -38,6 +38,8 @@ agreement between the two is meaningful:
   velocity by differences of the velocity re-solved at each shifted point
   (``resolved_velocity_divergence``): the routes of the IBP check before
   the lift ran on the interval scalars;
+- the chart-slope recursion with every column carried from the first
+  interval (``full_chart_slopes``);
 - the null space of the lift's endpoint map (``endpoint_map_matrix``,
   ``lift_orthogonality``, ``lift_competitor_deficit``) and the determinant
   identity det(S^T S) = det(I + A A^T) (``det_identity_check``);
@@ -585,6 +587,28 @@ def resolved_velocity_divergence(model, part, inc, x_vector, step):
 # ---------------------------------------------------------------------------
 # The lift against the null space of the endpoint map
 # ---------------------------------------------------------------------------
+
+def full_chart_slopes(model, iv, v):
+    """paths.chart_slopes with the Killing-field state carried over every
+    column of v (n, d, ..., B) from the first interval on, each column's
+    state zero until its source enters: the recursion before columns
+    started at the interval they vary, the reference for that start."""
+    n, d = iv.xi.shape[:2]
+    shape = np.broadcast_shapes(v.shape[2:], iv.xi.shape[2:])
+    root = np.sqrt(model.kappa)
+    out = np.empty((n, d) + shape)
+    tau, om = np.zeros((d,) + shape), np.zeros((d, d) + shape)
+    for j in range(n):
+        p, c, s, vj = iv.unit(j, tau), iv.chm1[j], iv.sh[j], v[j]
+        w = np.sum(om * p, axis=1)
+        np.add(w * (n / iv.inv[j]), n * vj, out=out[j])
+        u = c * w + s * tau
+        tau += c * (tau - p * np.sum(p * tau, axis=0)) + s * w
+        om += u[:, None] * p - p[:, None] * u
+        tau += root * iv.sine(j, vj)
+        om += (-c * iv.inv[j]) * (p[:, None] * vj - vj[:, None] * p)
+    return out
+
 
 def endpoint_map_matrix(f_end):
     """(d, n*d) matrix sending stacked slopes to the endpoint value / n;

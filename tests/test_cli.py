@@ -39,6 +39,32 @@ def test_cli_import_loads_numpy_random_and_no_scipy():
     assert numpy_random
 
 
+def test_commands_load_no_module_after_import(tmp_path):
+    """In a fresh interpreter, after `import pinpath.cli`, small pinned, ibp
+    and props runs load no further module: nothing in their timed work
+    imports lazily (numpy's median imports numpy.ma on its first call)."""
+    runs = [["pinned", "--model", "hyperbolic", "--d", "2", "--kappa", "1", "--n", "4",
+             "--rho", "1.0", "--N", "64"],
+            ["ibp", "--model", "hyperbolic", "--d", "2", "--kappa", "1", "--n", "4",
+             "--N", "64"],
+            ["props", "--paths", "12", "--n", "8", "--kappa", "1"]]
+    code = ("import json, sys, pinpath.cli\n"
+            "new = {}\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    before = set(sys.modules)\n"
+            "    try:\n"
+            "        pinpath.cli.main.main(args=args + ['--out', sys.argv[2]],\n"
+            "                              standalone_mode=False)\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code in (0, None), (args, exc.code)\n"
+            "    new[args[0]] = sorted(set(sys.modules) - before)\n"
+            "print(json.dumps(new))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs), str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert json.loads(out.strip().splitlines()[-1]) == {"pinned": [], "ibp": [], "props": []}
+
+
 def test_pinned_flat_gates_pass(tmp_path):
     """Flat pinned run: exit 0, one CSV row, 3-sigma gate against the kernel."""
     out = str(tmp_path)
@@ -224,6 +250,34 @@ def test_converge_single_statistic(tmp_path):
     assert not os.path.exists(os.path.join(out, "converge_f.csv"))
 
 
+def test_converge_manifest_records_stages(tmp_path):
+    """The converge manifest records the seconds of each of CONVERGE_STAGES
+    (draw, lift, sups, report); together they take at most the command's
+    wall time."""
+    out = str(tmp_path)
+    res = run_cli(["converge", "--model", "hyperbolic", "--d", "2", "--n", "4,8,16,32",
+                   "--samples", "20", "--out", out])
+    assert res.exit_code in (0, 1), res.output
+    manifest = json.loads(read_text(os.path.join(out, "converge_manifest.json")))
+    assert list(manifest["stage_s"]) == list(diagnostics.CONVERGE_STAGES)
+    assert list(manifest["stage_s"]) == ["draw", "lift", "sups", "report"]
+    assert all(v >= 0.0 for v in manifest["stage_s"].values())
+    assert sum(manifest["stage_s"].values()) <= manifest["wall_time_s"]
+
+
+def test_converge_refuses_overflowing_curvature(tmp_path):
+    """At kappa = 1e8 the interval scalars overflow and the Gram sums are
+    NaN; the guard of the lift's K(1) solve refuses the run: exit 3, a
+    numerical failure on the mass matrix, not nan quantiles and a failed
+    gate.  Besides the overflow, the damped profiles underflow to 0 and
+    their ratios divide by zero before the guard fires."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        res = run_cli(["converge", "--model", "hyperbolic", "--d", "2", "--kappa", "1e8",
+                       "--n", "4,8,16,32", "--samples", "20", "--out", str(tmp_path)])
+    assert res.exit_code == 3, res.output
+    assert "numerical failure: mass matrix K(1) lost positivity or finiteness" in res.output
+
+
 def test_props_small_run(tmp_path):
     """Property sweep over a small budget: exit 0 and a clean manifest."""
     out = str(tmp_path)
@@ -380,17 +434,19 @@ def test_ibp_conditioning_guard_is_a_numerical_failure(tmp_path, monkeypatch):
     (["pinned", "--model", "hyperbolic", "--d", "2", "--kappa", "1", "--n", "4",
       "--rho", "1.0", "--N", "64"], [(jacobi, "_positive_logdet")]),
     (["converge", "--stat", "J", "--model", "hyperbolic", "--d", "2", "--n", "4,8",
-      "--samples", "4"], []),
+      "--samples", "4"], [(jacobi, "_positive_factor")]),
     (["props", "--paths", "8", "--n", "4", "--d", "2", "--kappa", "1.0"],
      [(np.linalg, "eigvalsh")]),
     (["ibp", "--model", "hyperbolic", "--d", "2", "--kappa", "1", "--n", "2",
-      "--N", "16"], []),
+      "--N", "16"], [(jacobi, "_positive_factor")]),
 ], ids=["pinned", "converge", "props", "ibp"])
 def test_linalg_error_is_a_numerical_failure(tmp_path, monkeypatch, args, also):
     """numpy's LinAlgError (a ValueError subclass) from a solve, a
     determinant or an eigensolve is reported as a numerical failure with exit
     code 3, not as a config error.  The pinned route calls no numpy.linalg
-    routine, so there the log-det kernel itself raises it."""
+    routine, so there the log-det kernel itself raises it; converge and ibp
+    solve K(1) on that kernel's factors, so there the factorization
+    (jacobi._positive_factor) raises it."""
     def singular(*a, **k):
         raise np.linalg.LinAlgError("Singular matrix")
 

@@ -13,8 +13,9 @@ from pinpath.jacobi import Partition
 from pinpath.measures import MASS_OBSERVABLE, CylinderObservable
 
 from tests.oracles import (batch_cs, batch_endpoint_f, batch_mass_matrix, damped_pairing_per_axis,
-                           endpoint_map_matrix, jacobi_from_slopes, lift_competitor_deficit,
-                           lift_orthogonality, log_rho_P, mp_endpoint_coords,
+                           endpoint_map_matrix, full_chart_slopes, jacobi_from_slopes,
+                           lift_competitor_deficit, lift_orthogonality, log_rho_P,
+                           mp_endpoint_coords,
                            resolved_velocity_divergence, roll_lift, suffix_lift)
 
 FLAT1 = CurvatureModel("flat", 1)
@@ -328,23 +329,55 @@ def test_ibp_rolls_without_finite_difference_columns(monkeypatch):
 
 
 def test_ibp_check_inverts_and_solves_no_chart_matrix(monkeypatch):
-    """ibp_check takes V and M^{-1} by block forward substitution: it calls
-    np.linalg.inv not once, and np.linalg.solve only on the lift's d x d
-    systems K(1), never on an nd x nd one; each chart velocity is solved
-    once (one _chart_velocity call)."""
-    calls, sizes, velocity = [], [], []
-    inv, solve, chart_velocity = np.linalg.inv, np.linalg.solve, diagnostics._chart_velocity
-    monkeypatch.setattr(np.linalg, "inv", lambda *a, **k: calls.append(1) or inv(*a, **k))
-    monkeypatch.setattr(np.linalg, "solve",
-                        lambda a, b: sizes.append(np.shape(a)[-1]) or solve(a, b))
+    """ibp_check takes V and M^{-1} by block forward substitution and the
+    lift's K(1) on the Cholesky factors of jacobi._positive_solve: it calls
+    neither np.linalg.inv nor np.linalg.solve, and solves each chart
+    velocity once (one _chart_velocity call)."""
+    calls, velocity = [], []
+    chart_velocity = diagnostics._chart_velocity
+    for name in ("inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **k: calls.append(name))
     monkeypatch.setattr(diagnostics, "_chart_velocity",
                         lambda *a: velocity.append(1) or chart_velocity(*a))
     f = CylinderObservable("exp_r2_end", (1.0,), 1.0, "exp_radial2",
                            {"times": [1.0], "scales": [2.0]})
     ibp_check(HYP2, Partition(4), f, MASS_OBSERVABLE, n_samples=64, seed=0)
     assert calls == []
-    assert sizes and set(sizes) == {2}
     assert velocity == [1]
+
+
+@pytest.mark.parametrize("model", [FLAT2, HYP2, HYP3], ids=["flat2", "hyp2", "hyp3"])
+def test_chart_matrix_is_the_full_recursion_bit_for_bit(model):
+    """chart_slopes starts each column at the first interval it varies; M
+    (the identity stack), M of the identity stack with its columns in
+    reverse order (the state then spans every column from the first
+    interval on) and M v of one direction field agree with the recursion
+    over every column from the first interval (full_chart_slopes) bit for
+    bit, signs of zeros included, for n in {1, 2, 4, 8}."""
+    for n in (1, 2, 4, 8):
+        d = model.dim
+        inc = paths.sample_increments(model, Partition(n), 64, seed=n)
+        iv = diagnostics._intervals(model, inc)
+        eye = np.eye(n * d).reshape(n, d, n * d, 1)
+        field = np.random.default_rng(n).normal(size=(n, d, 64))
+        for v in (eye, eye[:, :, ::-1], field):
+            got, want = paths.chart_slopes(model, iv, v), full_chart_slopes(model, iv, v)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (n, v.shape)
+
+
+def test_median_is_numpys_bit_for_bit():
+    """diagnostics._median equals np.median bit for bit at sizes 1, 2, 3 and
+    256, with ties and with a NaN."""
+    rng = np.random.default_rng(233)
+    for size in (1, 2, 3, 256):
+        x = np.abs(rng.standard_cauchy(size))
+        ties = np.round(x * 2.0) / 3.0                     # many equal values
+        for values in (x, ties, np.full(size, 0.1)):
+            got, want = diagnostics._median(values), float(np.median(values))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), size
+        x[size // 2] = np.nan
+        assert np.isnan(diagnostics._median(x)) and np.isnan(np.median(x))
 
 
 @pytest.mark.parametrize("model", [FLAT2, HYP2, HYP3], ids=["flat2", "hyp2", "hyp3"])
