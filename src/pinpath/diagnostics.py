@@ -53,32 +53,39 @@ def _lift(model, iv, x_vector):
     """The lift of the endpoint field with ambient vector x_vector (D,)
     along the paths whose increments (n, d, B) have Intervals iv.  Returns,
     samples last, the slopes k (n, d, B), the frame coordinates (d, B) of X
-    at the endpoint and the coefficients c = K(1)^{-1} coords (d, B).
-
-    K(1) = delta G, G from the Gram pass (jacobi.gram_step).  The endpoint
-    frame is the image of o's under g = B(xi_1) ... B(xi_n), which preserves
-    the Minkowski form, so X's coordinates there are the spatial part of
-    g^{-1} X: X pulled back through B(-xi_1), ..., B(-xi_n) as a vector
-    (paths.boost_rows).  C_i and S_i are symmetric, so
-    k_i = f_i(1)^T c = (S_i / delta) C_{i+1} ... C_n c comes from one
-    backward pass y <- C_i y (Intervals.cosine, Intervals.sine, sharing
-    each interval's projection Intervals.along).  K(1) is solved on its
-    square-root-free Cholesky factors (jacobi._positive_solve), which raise
-    NumericalError unless K(1) is finite and positive definite.
-    """
+    at the endpoint and the coefficients c = K(1)^{-1} coords (d, B)."""
     n, d, B = iv.xi.shape
-    G = np.zeros((d, d, B))
-    vec = np.repeat(np.asarray(x_vector, dtype=float)[:, None], B, axis=1)
-    for j in range(n):
+    rows = [(iv, j) for j in range(n)]
+    G, vec = _lift_forward(model, rows, np.zeros((d, d, B)),
+                           np.repeat(np.asarray(x_vector, dtype=float)[:, None], B, axis=1))
+    return _lift_back(rows, G, vec[:d])
+
+
+def _lift_forward(model, rows, G, vec):
+    """The lift's forward recursions, advanced in place over rows ((Intervals,
+    index) pairs): the Gram sum G (d, d, ..., B), K(1) = delta G, and X's
+    ambient vector vec (D, ..., B) pulled back through each B(-xi_j): the
+    endpoint frame is o's moved by the isometry B(xi_1) ... B(xi_n)."""
+    for iv, j in rows:
         jacobi.gram_step(G, iv, j)
         paths.boost_rows(model, vec, iv, j, -1.0, vector=True)
-    coords = vec[:d]
+    return G, vec
+
+
+def _lift_back(rows, G, coords):
+    """(slopes k (n, d, ..., B), coords, c = K(1)^{-1} coords) of the lift on
+    the n intervals rows with Gram sum G (d, d, ..., B) and endpoint
+    coordinates (d, ..., B): k_i = (S_i / delta) C_{i+1} ... C_n c from one
+    backward pass of Intervals.sine and .cosine (C_i, S_i are symmetric),
+    K(1) solved by jacobi._positive_solve (NumericalError unless SPD)."""
+    n = len(rows)
     coeff = n * jacobi._positive_solve(G, coords, "mass matrix K(1)")
-    slopes, y = np.empty((n, d, B)), coeff
+    slopes, y = np.empty((n,) + coeff.shape), coeff
     for j in range(n - 1, -1, -1):
-        along = iv.along(j, y)
-        slopes[j] = iv.sine(j, y, along)
-        y = iv.cosine(j, y, along)
+        iv, k = rows[j]
+        along = iv.along(k, y)
+        slopes[j] = iv.sine(k, y, along)
+        y = iv.cosine(k, y, along)
     return slopes, coords, coeff
 
 
@@ -154,9 +161,9 @@ def _report(statistic, n_values, stats_per_n, gate):
           "quarter" (strictly decreasing and final < initial / 4),
           "decreasing" (medians decreasing).
     """
-    q05 = np.array([np.quantile(s, 0.05) for s in stats_per_n])
-    q50 = np.array([np.quantile(s, 0.50) for s in stats_per_n])
-    q95 = np.array([np.quantile(s, 0.95) for s in stats_per_n])
+    q05 = np.array([_quantile(s, 0.05) for s in stats_per_n])
+    q50 = np.array([_quantile(s, 0.50) for s in stats_per_n])
+    q95 = np.array([_quantile(s, 0.95) for s in stats_per_n])
     mean = np.array([np.mean(s) for s in stats_per_n])
     slope = _fit_slope(n_values, mean)
     zero = bool(np.all(q50 <= FLAT_FLOOR) and np.all(mean <= FLAT_FLOOR))
@@ -415,6 +422,7 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
     velocity, slopes, coords, M, M_inv = _chart_velocity(model, inc, x_vector)
     clock.lap("velocity")
     keep = _well_conditioned(M, M_inv)
+    del M       # nd nd N floats that nothing past the mask reads
     n_aborted = int((~keep).sum())
     inc = inc[keep]
     velocity, slopes, coords, M_inv = (a[..., keep] for a in (velocity, slopes, coords, M_inv))
@@ -425,7 +433,7 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
 
     base_pts, base_frs = paths.roll_batch(model, inc)
     # gradient_gap reads only its subsample's frames; the rest are not held on
-    base_frs = base_frs[:GRADIENT_SUBSAMPLE]
+    base_frs = base_frs[:GRADIENT_SUBSAMPLE].copy()
     f_vals = f_obs.evaluate(model, paths.knots_at(part, f_obs.times, base_pts))
     g_vals = g_obs.evaluate(model, paths.knots_at(part, g_obs.times, base_pts))
     xf, xg = _directional_derivative(model, part, inc, velocity.T.reshape(N, n, d),
@@ -463,22 +471,36 @@ def _divergence(model, inc, velocity, M_inv, x_vector):
     (N, n, d), given V (nd, N) and M^{-1} (nd, nd, N) there.
 
     With V frozen at its value there, F(z) = k(z) - M(z) V has dF = M dV at
-    inc, so div V = tr(M^{-1} dF).  Column c of dF is one central difference
-    (DIV_STEP) of F along the chart axis e_c, and each F is one lift and one
-    single-field chart_slopes recursion on the shifted increments: no M is
-    rebuilt and nothing is solved.
-    """
+    inc, so div V = tr(M^{-1} dF), summed one increment i at a time: column
+    (i, a) of dF is one central difference (DIV_STEP) of one lift and one
+    single-field chart recursion along e_a of increment i.  Its 2d shifts,
+    stacked before the samples axis, leave the intervals before i alone:
+    only row i's scalars are new, rows j < i of M V are the base's, and the
+    forward recursions start from the base's state at knot i."""
     N, n, d = inc.shape
-    frozen = velocity.reshape(n, d, N)
-
-    def residual(z):
-        iv = _intervals(model, z)
-        return (_lift(model, iv, x_vector)[0]
-                - paths.chart_slopes(model, iv, frozen)).reshape(-1, N)
-
-    dF = np.stack([_central_difference(residual, inc, axis.reshape(1, n, d), DIV_STEP)
-                   for axis in np.eye(n * d)], axis=1)
-    return np.einsum("crN,rcN->N", M_inv, dF)
+    iv = _intervals(model, inc)
+    frozen, rows = velocity.reshape(n, d, 1, N), [(iv, j) for j in range(n)]
+    shifts = DIV_STEP * np.concatenate([np.eye(d), -np.eye(d)], axis=1)[..., None]
+    # the base state at knot i: Gram sum, pulled-back X, (tau, omega) of V
+    G, vec = np.zeros((d, d, N)), np.repeat(np.asarray(x_vector, dtype=float)[:, None], N, axis=1)
+    tau, om = np.zeros((d, 1, N)), np.zeros((d, d, 1, N))
+    chart, out, div = np.empty((n, d, 1, N)), np.empty((d, 2 * d, N)), np.zeros(N)
+    for i in range(n):
+        group = list(rows)
+        group[i] = (jacobi.Intervals(model, (iv.xi[i][:, None] + shifts)[None]), 0)
+        G_s, vec_s = _lift_forward(model, group[i:], np.repeat(G[:, :, None], 2 * d, axis=2),
+                                   np.repeat(vec[:, None], 2 * d, axis=1))
+        F = _lift_back(group, G_s, vec_s[:d])[0]
+        F[:i] -= chart[:i]
+        tau_s, om_s = np.repeat(tau, 2 * d, axis=1), np.repeat(om, 2 * d, axis=2)
+        for j in range(i, n):
+            paths.chart_step(model, *group[j], n, frozen[j], tau_s, om_s, out)
+            F[j] -= out
+        dF = (F[:, :, :d] - F[:, :, d:]) / (2 * DIV_STEP)
+        div += np.einsum("arN,raN->N", M_inv[i * d:(i + 1) * d], dF.reshape(n * d, d, N))
+        _lift_forward(model, rows[i:i + 1], G, vec)
+        paths.chart_step(model, iv, i, n, frozen[i], tau, om, chart[i])
+    return div
 
 
 def _scalar_gap(model, inc, slopes, M_inv, mult, x_vector):
@@ -557,6 +579,20 @@ def _median(x) -> float:
     if np.isnan(part[-1]):
         return float("nan")
     return float(part[half] if x.size % 2 else 0.5 * (part[half - 1] + part[half]))
+
+
+def _quantile(x, q: float) -> float:
+    """The q-quantile of the values x by np.quantile's default linear
+    arithmetic, NaN when any value is, from np.partition alone (numpy's
+    quantile imports numpy.ma on its first call, 18 ms in a fresh process)."""
+    x = np.ravel(x)
+    virtual = (x.size - 1) * q
+    lo, hi = (int(virtual), int(virtual) + 1) if virtual < x.size - 1 else (-1, -1)
+    part = np.partition(x, [lo, hi, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    a, b, t = part[lo], part[hi], virtual - lo
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
 # ---------------------------------------------------------------------------

@@ -183,12 +183,13 @@ def gram_step(G, iv: Intervals, j: int) -> None:
     C = c I - u e e^T and (S/delta)(S/delta)^T = s^2 I + (1 - s^2) e e^T, so
     the update is c^2 G + s^2 I + e k^T + k e^T with
     k = -c u G e + (u^2 e^T G e + 1 - s^2) e / 2.  Neither term depends on
-    delta.  Flat space has C = I and S/delta = I: the step adds I.
+    delta.  Flat space has C = I and S/delta = I: the step adds I.  G may
+    have more axes than iv's increments (Intervals.unit).
     """
     if iv.flat:
         _diagonal(G)[...] += 1.0
         return
-    e, u, s2 = iv.unit(j), iv.chm1[j], iv.s2[j]
+    e, u, s2 = iv.unit(j, G[0]), iv.chm1[j], iv.s2[j]
     c = 1.0 + u
     g = (G * e).sum(axis=1)
     k = (-c * u) * g + ((0.5 * u * u) * (g * e).sum(axis=0) + 0.5 * (1.0 - s2)) * e

@@ -103,11 +103,12 @@ def boost_rows(model: CurvatureModel, y, iv: Intervals, j: int, sign: float,
     moves by ((cosh a - 1) <p, y_s> + sign sinh a y_t) p and the timelike
     part is put back on the sheet.  With vector, y holds ambient vectors
     and the timelike part moves linearly, by (cosh a - 1) y_t +
-    sign sinh a <p, y_s>; a translation leaves a vector unchanged.
+    sign sinh a <p, y_s>; a translation leaves a vector unchanged, and a
+    vector stack may have more axes than iv's increments.
     """
     if model.kind == "flat":
         return y if vector else np.add(y, sign * iv.xi[j], out=y)
-    p = iv.unit(j)
+    p = iv.unit(j, y)
     along = np.sum(p * y[:-1], axis=0)
     y[:-1] += (iv.chm1[j] * along + sign * iv.sh[j] * y[-1]) * p
     if vector:
@@ -156,24 +157,29 @@ def chart_slopes(model: CurvatureModel, iv: Intervals, v):
     first = varies.argmax(axis=1)
     last = np.where(varies, np.arange(1, varies.shape[1] + 1), 0).max(axis=1)
     begun = np.concatenate([[0], np.maximum.accumulate(last)])
-    root = np.sqrt(model.kappa)
     out = np.empty((n, d) + varies.shape[1:] + shape[-1:])
     tau, om = np.zeros(out.shape[1:]), np.zeros((d,) + out.shape[1:])
     for j in range(n):
-        p, c, s, vj = iv.unit(j, tau), iv.chm1[j], iv.sh[j], v[j]
-        np.multiply(n, vj, out=out[j])                    # n v_j + n |xi_j| omega p
-        t, o = tau[:, :begun[j]], om[:, :, :begun[j]]
-        w = np.sum(o * p, axis=1)
-        out[j, :, :begun[j]] += w * (n / iv.inv[j])
-        u = c * w + s * t
-        t += c * (t - iv.along(j, t, p)) + s * w
-        o += u[:, None] * p - p[:, None] * u
-        if last[j]:
-            src = slice(first[j], last[j])
-            vj, t, o = vj[:, src], tau[:, src], om[:, :, src]
-            t += root * iv.sine(j, vj, iv.along(j, vj, p))
-            o += (-c * iv.inv[j]) * (p[:, None] * vj - vj[:, None] * p)
+        chart_step(model, iv, j, n, v[j], tau, om, out[j], begun[j], slice(first[j], last[j]))
     return out.reshape((n, d) + shape)
+
+
+def chart_step(model, iv: Intervals, j, n, vj, tau, om, out, carry=None, src=slice(None)):
+    """Interval j of chart_slopes on n intervals, in place: out (d, C, ..., B)
+    <- the slopes of the columns vj (d, C or 1, ..., B), the state tau, omega
+    of the first carry columns (all when None) carried through boost j, and
+    the sources of vj's columns src added; stacks may have extra axes."""
+    p, c, s = iv.unit(j, tau), iv.chm1[j], iv.sh[j]
+    np.multiply(n, vj, out=out)                           # n v_j + n |xi_j| omega p
+    t, o = tau[:, :carry], om[:, :, :carry]
+    w = np.sum(o * p, axis=1)
+    out[:, :carry] += w * (n / iv.inv[j])
+    u = c * w + s * t
+    t += c * (t - iv.along(j, t, p)) + s * w
+    o += u[:, None] * p - p[:, None] * u
+    vj, t, o = vj[:, src], tau[:, src], om[:, :, src]
+    t += np.sqrt(model.kappa) * iv.sine(j, vj, iv.along(j, vj, p))
+    o += (-c * iv.inv[j]) * (p[:, None] * vj - vj[:, None] * p)
 
 
 def _renormalize_due(i: int, n: int) -> bool:

@@ -38,6 +38,10 @@ agreement between the two is meaningful:
   velocity by differences of the velocity re-solved at each shifted point
   (``resolved_velocity_divergence``): the routes of the IBP check before
   the lift ran on the interval scalars;
+- the divergence of the chart velocity from one full rerun of the
+  interval scalars, the lift and the single-field chart recursion per
+  shifted point (``residual_divergence``), the reference for the grouped
+  pass that reuses each shift's unshifted prefix;
 - the chart-slope recursion with every column carried from the first
   interval (``full_chart_slopes``);
 - the null space of the lift's endpoint map (``endpoint_map_matrix``,
@@ -51,7 +55,7 @@ import mpmath
 import numpy as np
 from scipy.linalg import null_space, solve_banded
 
-from pinpath import geom, jacobi, paths
+from pinpath import diagnostics, geom, jacobi, paths
 from pinpath.geom import NumericalError, minkowski_inner
 from pinpath.measures import heat_kernel_exact
 
@@ -582,6 +586,26 @@ def resolved_velocity_divergence(model, part, inc, x_vector, step):
 
     return sum((velocity(inc + step * e.reshape(n, d)) - velocity(inc - step * e.reshape(n, d)))
                [:, c] / (2 * step) for c, e in enumerate(eye))
+
+
+def residual_divergence(model, inc, velocity, M_inv, x_vector, step):
+    """div V (N,) = tr(M^{-1} dF) of the chart velocity V (nd, N) at
+    increments inc (N, n, d), with M^{-1} (nd, nd, N) there and
+    F(z) = k(z) - M(z) V, V frozen: each column of dF is one central
+    difference of size step along one chart axis, and each F reruns
+    jacobi.Intervals, the lift and the single-field paths.chart_slopes over
+    all n intervals of the shifted increments."""
+    N, n, d = inc.shape
+    frozen = velocity.reshape(n, d, N)
+
+    def residual(z):
+        iv = jacobi.Intervals(model, np.ascontiguousarray(z.transpose(1, 2, 0)))
+        return (diagnostics._lift(model, iv, x_vector)[0]
+                - paths.chart_slopes(model, iv, frozen)).reshape(-1, N)
+
+    dF = np.stack([(residual(inc + step * e.reshape(n, d)) - residual(inc - step * e.reshape(n, d)))
+                   / (2 * step) for e in np.eye(n * d)], axis=1)
+    return np.einsum("crN,rcN->N", M_inv, dF)
 
 
 # ---------------------------------------------------------------------------

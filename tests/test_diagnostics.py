@@ -1,6 +1,7 @@
 """Lifts, convergence reports, integration by parts, property sweeps."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from tests.oracles import (batch_cs, batch_endpoint_f, batch_mass_matrix, damped
                            endpoint_map_matrix, full_chart_slopes, jacobi_from_slopes,
                            lift_competitor_deficit, lift_orthogonality, log_rho_P,
                            mp_endpoint_coords,
-                           resolved_velocity_divergence, roll_lift, suffix_lift)
+                           residual_divergence, resolved_velocity_divergence, roll_lift,
+                           suffix_lift)
 
 FLAT1 = CurvatureModel("flat", 1)
 FLAT2 = CurvatureModel("flat", 2)
@@ -380,6 +382,23 @@ def test_median_is_numpys_bit_for_bit():
         assert np.isnan(diagnostics._median(x)) and np.isnan(np.median(x))
 
 
+def test_quantile_is_numpys_bit_for_bit():
+    """diagnostics._quantile equals np.quantile bit for bit at q in
+    {0.05, 0.5, 0.95} and sizes 1, 2, 3, 20 and 256, with ties and with a
+    NaN."""
+    rng = np.random.default_rng(19)
+    for size in (1, 2, 3, 20, 256):
+        x = np.abs(rng.standard_cauchy(size))
+        ties = np.round(x * 2.0) / 3.0                     # many equal values
+        for q in (0.05, 0.5, 0.95):
+            for values in (x, ties, np.full(size, 0.1)):
+                got, want = diagnostics._quantile(values, q), float(np.quantile(values, q))
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (size, q)
+        x[size // 2] = np.nan
+        for q in (0.05, 0.5, 0.95):
+            assert np.isnan(diagnostics._quantile(x, q)) and np.isnan(np.quantile(x, q))
+
+
 @pytest.mark.parametrize("model", [FLAT2, HYP2, HYP3], ids=["flat2", "hyp2", "hyp3"])
 def test_divergence_matches_the_resolved_velocity_oracle(model):
     """div V from differences of the one lifted field F = k - M V (V frozen)
@@ -393,6 +412,49 @@ def test_divergence_matches_the_resolved_velocity_oracle(model):
         want = resolved_velocity_divergence(model, Partition(n), inc, field,
                                             diagnostics.DIV_STEP)
         assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want).max()), (model, n)
+
+
+@pytest.mark.parametrize("model", [FLAT1, FLAT2, CurvatureModel("hyperbolic", 1, 1.0), HYP2,
+                                   HYP3], ids=["flat1", "flat2", "hyp1", "hyp2", "hyp3"])
+def test_divergence_matches_the_per_residual_oracle(model):
+    """The grouped divergence (one pass per varied increment, its 2d shifts
+    stacked, each starting from the base's state at that knot) is within
+    1e-13 of max |div| of the per-residual reruns (residual_divergence) for
+    n in {1, 2, 4, 8}, also on a batch of 1 and with an increment exactly
+    zero (the xi = 0 branch of Intervals); on flat space both are 0."""
+    field = field_direction(model)
+    for n in (1, 2, 4, 8):
+        inc = paths.sample_increments(model, Partition(n), 64, seed=n)
+        inc[3, n // 2] = 0.0
+        for batch in (inc, inc[3:4], inc[5:6]):
+            velocity, _, _, _, M_inv = diagnostics._chart_velocity(model, batch, field)
+            got = diagnostics._divergence(model, batch, velocity, M_inv, field)
+            want = residual_divergence(model, batch, velocity, M_inv, field,
+                                       diagnostics.DIV_STEP)
+            assert got.shape == want.shape == (len(batch),)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max()), (model, n)
+
+
+def test_divergence_reuses_prefixes_and_stays_small(monkeypatch):
+    """At n=4, d=2 the divergence makes at most n(n+3)/2 = 14 gram_step
+    calls (n base steps and n - i steps for the shifts of increment i; the
+    per-residual reruns made 2 n^2 d = 64), and at N=2000 its traced
+    allocations peak under 6 MB, so the shifts of one increment at a time
+    are stacked, not all 2 n d of them."""
+    inc = paths.sample_increments(HYP2, Partition(4), 2000, seed=0)
+    field = field_direction(HYP2)
+    velocity, _, _, _, M_inv = diagnostics._chart_velocity(HYP2, inc, field)
+    calls, step = [], jacobi.gram_step
+    monkeypatch.setattr(jacobi, "gram_step", lambda *a: calls.append(1) or step(*a))
+    tracemalloc.start()
+    try:
+        div = diagnostics._divergence(HYP2, inc, velocity, M_inv, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert div.shape == (2000,) and np.all(np.isfinite(div))
+    assert len(calls) <= 14
+    assert peak < 6e6
 
 
 def test_condition_screen_keeps_the_svd_mask(monkeypatch):
