@@ -399,10 +399,12 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
 
     Compares E[(Xf) g] with E[f (-Xg + m g)] where X differentiates along the
     chart velocity V of the lift of field_direction, solved once
-    (_chart_velocity), and m = n * <z, V> - div_z V with the divergence from
-    central differences of one lifted field (_divergence).  Samples whose
-    chart matrix M has condition number above CHART_COND_LIMIT are dropped
-    (counted in n_aborted).  Pass gate: paired difference within 3 stderr.
+    (_chart_velocity), and m = n * <z, V> - div_z V with the divergence
+    tr(M^{-1} dk) from central differences of the lift alone (_divergence;
+    the chart part of k - M V adds no trace, as Omega_i is antisymmetric
+    and M^{-1}'s diagonal blocks are I / n).  Samples whose chart matrix M
+    has condition number above CHART_COND_LIMIT are dropped (counted in
+    n_aborted).  Pass gate: paired difference within 3 stderr.
 
     Two ungated reports ride along.  scalar_gap compares the chart
     multiplication scalar with the slope-pairing-minus-divergence form
@@ -441,7 +443,7 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
     clock.lap("derivatives")
 
     mult = n * np.einsum("cN,Nc->N", velocity, inc.reshape(N, n * d))
-    mult -= _divergence(model, inc, velocity, M_inv, x_vector)
+    mult -= _divergence(model, inc, M_inv, x_vector)
     lhs = xf * g_vals
     rhs = f_vals * (-xg + mult * g_vals)
     diff = lhs - rhs
@@ -466,40 +468,35 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
                      N, n_aborted, passed, scalar, gradient, clock.seconds)
 
 
-def _divergence(model, inc, velocity, M_inv, x_vector):
+def _divergence(model, inc, M_inv, x_vector):
     """div V (N,) of the chart velocity V = M^{-1} k at increments inc
-    (N, n, d), given V (nd, N) and M^{-1} (nd, nd, N) there.
-
-    With V frozen at its value there, F(z) = k(z) - M(z) V has dF = M dV at
-    inc, so div V = tr(M^{-1} dF), summed one increment i at a time: column
-    (i, a) of dF is one central difference (DIV_STEP) of one lift and one
-    single-field chart recursion along e_a of increment i.  Its 2d shifts,
-    stacked before the samples axis, leave the intervals before i alone:
-    only row i's scalars are new, rows j < i of M V are the base's, and the
-    forward recursions start from the base's state at knot i."""
+    (N, n, d), given M^{-1} (nd, nd, N) there: tr(M^{-1} dk), from
+    differences of the lift alone.  With V held, d(k - M V) = M dV, and the
+    chart part d(M V) adds no trace: a shift of increment i moves it only
+    on intervals >= i, M^{-1} is block lower triangular, so only its block
+    (i, i) = I / n meets n Omega_i e_a, and the Killing-field derivative
+    Omega_i is antisymmetric.  Column (i, a) of dk is one central
+    difference (DIV_STEP) of the lift along e_a of increment i; the 2d
+    shifts of increment i are one stack before the samples axis, only row
+    i's scalars are new, the forward part starts from the base's state at
+    knot i, and only rows j <= i meet M^{-1}'s nonzero blocks."""
     N, n, d = inc.shape
     iv = _intervals(model, inc)
-    frozen, rows = velocity.reshape(n, d, 1, N), [(iv, j) for j in range(n)]
+    rows = [(iv, j) for j in range(n)]
     shifts = DIV_STEP * np.concatenate([np.eye(d), -np.eye(d)], axis=1)[..., None]
-    # the base state at knot i: Gram sum, pulled-back X, (tau, omega) of V
+    # the base state at knot i: Gram sum and pulled-back X
     G, vec = np.zeros((d, d, N)), np.repeat(np.asarray(x_vector, dtype=float)[:, None], N, axis=1)
-    tau, om = np.zeros((d, 1, N)), np.zeros((d, d, 1, N))
-    chart, out, div = np.empty((n, d, 1, N)), np.empty((d, 2 * d, N)), np.zeros(N)
+    div = np.zeros(N)
     for i in range(n):
         group = list(rows)
         group[i] = (jacobi.Intervals(model, (iv.xi[i][:, None] + shifts)[None]), 0)
         G_s, vec_s = _lift_forward(model, group[i:], np.repeat(G[:, :, None], 2 * d, axis=2),
                                    np.repeat(vec[:, None], 2 * d, axis=1))
-        F = _lift_back(group, G_s, vec_s[:d])[0]
-        F[:i] -= chart[:i]
-        tau_s, om_s = np.repeat(tau, 2 * d, axis=1), np.repeat(om, 2 * d, axis=2)
-        for j in range(i, n):
-            paths.chart_step(model, *group[j], n, frozen[j], tau_s, om_s, out)
-            F[j] -= out
-        dF = (F[:, :, :d] - F[:, :, d:]) / (2 * DIV_STEP)
-        div += np.einsum("arN,raN->N", M_inv[i * d:(i + 1) * d], dF.reshape(n * d, d, N))
+        k = _lift_back(group, G_s, vec_s[:d])[0][:i + 1]
+        dk = (k[:, :, :d] - k[:, :, d:]) / (2 * DIV_STEP)
+        div += np.einsum("arN,raN->N", M_inv[i * d:(i + 1) * d, :(i + 1) * d],
+                         dk.reshape((i + 1) * d, d, N))
         _lift_forward(model, rows[i:i + 1], G, vec)
-        paths.chart_step(model, iv, i, n, frozen[i], tau, om, chart[i])
     return div
 
 

@@ -148,6 +148,9 @@ def chart_slopes(model: CurvatureModel, iv: Intervals, v):
     only to the columns from the first to the last one that varies at j:
     on the identity stack, the j d columns of the first j intervals and the
     d of interval j.  Flat space has c = s = kappa = 0: M v = n v.
+
+    The IBP divergence needs none of it: M^{-1}'s diagonal blocks I / n
+    meet only the (i, i) block n omega_i e_a of d(M V), whose trace is 0.
     """
     n, d = iv.xi.shape[:2]
     shape = np.broadcast_shapes(v.shape[2:], iv.xi.shape[2:])
@@ -160,26 +163,19 @@ def chart_slopes(model: CurvatureModel, iv: Intervals, v):
     out = np.empty((n, d) + varies.shape[1:] + shape[-1:])
     tau, om = np.zeros(out.shape[1:]), np.zeros((d,) + out.shape[1:])
     for j in range(n):
-        chart_step(model, iv, j, n, v[j], tau, om, out[j], begun[j], slice(first[j], last[j]))
+        p, c, s = iv.unit(j, tau), iv.chm1[j], iv.sh[j]
+        np.multiply(n, v[j], out=out[j])                  # n v_j + n |xi_j| omega p
+        t, o = tau[:, :begun[j]], om[:, :, :begun[j]]
+        w = np.sum(o * p, axis=1)
+        out[j, :, :begun[j]] += w * (n / iv.inv[j])
+        u = c * w + s * t
+        t += c * (t - iv.along(j, t, p)) + s * w
+        o += u[:, None] * p - p[:, None] * u
+        src = slice(first[j], last[j])
+        vj, t, o = v[j, :, src], tau[:, src], om[:, :, src]
+        t += np.sqrt(model.kappa) * iv.sine(j, vj, iv.along(j, vj, p))
+        o += (-c * iv.inv[j]) * (p[:, None] * vj - vj[:, None] * p)
     return out.reshape((n, d) + shape)
-
-
-def chart_step(model, iv: Intervals, j, n, vj, tau, om, out, carry=None, src=slice(None)):
-    """Interval j of chart_slopes on n intervals, in place: out (d, C, ..., B)
-    <- the slopes of the columns vj (d, C or 1, ..., B), the state tau, omega
-    of the first carry columns (all when None) carried through boost j, and
-    the sources of vj's columns src added; stacks may have extra axes."""
-    p, c, s = iv.unit(j, tau), iv.chm1[j], iv.sh[j]
-    np.multiply(n, vj, out=out)                           # n v_j + n |xi_j| omega p
-    t, o = tau[:, :carry], om[:, :, :carry]
-    w = np.sum(o * p, axis=1)
-    out[:, :carry] += w * (n / iv.inv[j])
-    u = c * w + s * t
-    t += c * (t - iv.along(j, t, p)) + s * w
-    o += u[:, None] * p - p[:, None] * u
-    vj, t, o = vj[:, src], tau[:, src], om[:, :, src]
-    t += np.sqrt(model.kappa) * iv.sine(j, vj, iv.along(j, vj, p))
-    o += (-c * iv.inv[j]) * (p[:, None] * vj - vj[:, None] * p)
 
 
 def _renormalize_due(i: int, n: int) -> bool:

@@ -38,10 +38,13 @@ agreement between the two is meaningful:
   velocity by differences of the velocity re-solved at each shifted point
   (``resolved_velocity_divergence``): the routes of the IBP check before
   the lift ran on the interval scalars;
-- the divergence of the chart velocity from one full rerun of the
-  interval scalars, the lift and the single-field chart recursion per
-  shifted point (``residual_divergence``), the reference for the grouped
-  pass that reuses each shift's unshifted prefix;
+- the divergence tr(M^{-1} dk) of the chart velocity from one full rerun
+  of the interval scalars and the lift per shifted point
+  (``residual_divergence``), the reference for the grouped pass that
+  reuses each shift's unshifted prefix, and the chart part
+  tr(M^{-1} d(M V)) of the residual k - M V from one rerun of
+  ``paths.chart_slopes`` per shifted point (``chart_residual_trace``),
+  0 in exact arithmetic;
 - the chart-slope recursion with every column carried from the first
   interval (``full_chart_slopes``);
 - the null space of the lift's endpoint map (``endpoint_map_matrix``,
@@ -588,24 +591,48 @@ def resolved_velocity_divergence(model, part, inc, x_vector, step):
                [:, c] / (2 * step) for c, e in enumerate(eye))
 
 
-def residual_divergence(model, inc, velocity, M_inv, x_vector, step):
-    """div V (N,) = tr(M^{-1} dF) of the chart velocity V (nd, N) at
-    increments inc (N, n, d), with M^{-1} (nd, nd, N) there and
-    F(z) = k(z) - M(z) V, V frozen: each column of dF is one central
-    difference of size step along one chart axis, and each F reruns
-    jacobi.Intervals, the lift and the single-field paths.chart_slopes over
-    all n intervals of the shifted increments."""
-    N, n, d = inc.shape
-    frozen = velocity.reshape(n, d, N)
+def residual_divergence(model, inc, M_inv, x_vector, step):
+    """div V (N,) = tr(M^{-1} dk) of the chart velocity V = M^{-1} k at
+    increments inc (N, n, d), with M^{-1} (nd, nd, N) there: each column of
+    dk is one central difference of size step along one chart axis, and
+    each k reruns jacobi.Intervals and the lift over all n intervals of the
+    shifted increments."""
+    N = inc.shape[0]
 
-    def residual(z):
+    def lift(z):
         iv = jacobi.Intervals(model, np.ascontiguousarray(z.transpose(1, 2, 0)))
-        return (diagnostics._lift(model, iv, x_vector)[0]
-                - paths.chart_slopes(model, iv, frozen)).reshape(-1, N)
+        return diagnostics._lift(model, iv, x_vector)[0].reshape(-1, N)
 
-    dF = np.stack([(residual(inc + step * e.reshape(n, d)) - residual(inc - step * e.reshape(n, d)))
-                   / (2 * step) for e in np.eye(n * d)], axis=1)
-    return np.einsum("crN,rcN->N", M_inv, dF)
+    return _difference_trace(lift, inc, M_inv, step)
+
+
+def chart_residual_trace(model, inc, velocity, M_inv, step):
+    """tr(M^{-1} d(M V)) (N,) with the chart velocity V (nd, N) held at its
+    value at increments inc (N, n, d), M^{-1} (nd, nd, N) there: the chart
+    part of the residual F = k - M V, whose trace tr(M^{-1} dF) is div V.
+    Each column of d(M V) is one central difference of size step along one
+    chart axis, and each M V reruns jacobi.Intervals and
+    paths.chart_slopes over all n intervals of the shifted increments.  In
+    exact arithmetic it is 0, which is why the divergence differences the
+    lift alone."""
+    N, n, d = inc.shape
+    held = velocity.reshape(n, d, N)
+
+    def chart(z):
+        iv = jacobi.Intervals(model, np.ascontiguousarray(z.transpose(1, 2, 0)))
+        return paths.chart_slopes(model, iv, held).reshape(-1, N)
+
+    return _difference_trace(chart, inc, M_inv, step)
+
+
+def _difference_trace(fn, inc, M_inv, step):
+    """tr(M^{-1} dfn) (N,) at increments inc (N, n, d) of a map fn from
+    increments to (nd, N), each column of dfn one central difference of
+    size step along one chart axis."""
+    N, n, d = inc.shape
+    dfn = np.stack([(fn(inc + step * e.reshape(n, d)) - fn(inc - step * e.reshape(n, d)))
+                    / (2 * step) for e in np.eye(n * d)], axis=1)
+    return np.einsum("crN,rcN->N", M_inv, dfn)
 
 
 # ---------------------------------------------------------------------------

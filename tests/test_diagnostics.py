@@ -13,15 +13,15 @@ from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 from pinpath.measures import MASS_OBSERVABLE, CylinderObservable
 
-from tests.oracles import (batch_cs, batch_endpoint_f, batch_mass_matrix, damped_pairing_per_axis,
-                           endpoint_map_matrix, full_chart_slopes, jacobi_from_slopes,
-                           lift_competitor_deficit, lift_orthogonality, log_rho_P,
-                           mp_endpoint_coords,
-                           residual_divergence, resolved_velocity_divergence, roll_lift,
-                           suffix_lift)
+from tests.oracles import (batch_cs, batch_endpoint_f, batch_mass_matrix, chart_residual_trace,
+                           damped_pairing_per_axis, endpoint_map_matrix, full_chart_slopes,
+                           jacobi_from_slopes, lift_competitor_deficit, lift_orthogonality,
+                           log_rho_P, mp_endpoint_coords, residual_divergence,
+                           resolved_velocity_divergence, roll_lift, suffix_lift)
 
 FLAT1 = CurvatureModel("flat", 1)
 FLAT2 = CurvatureModel("flat", 2)
+HYP1 = CurvatureModel("hyperbolic", 1, 1.0)
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
 HYP3 = CurvatureModel("hyperbolic", 3, 2.5)
 
@@ -399,62 +399,96 @@ def test_quantile_is_numpys_bit_for_bit():
             assert np.isnan(diagnostics._quantile(x, q)) and np.isnan(np.quantile(x, q))
 
 
-@pytest.mark.parametrize("model", [FLAT2, HYP2, HYP3], ids=["flat2", "hyp2", "hyp3"])
+@pytest.mark.parametrize("model", [FLAT2, HYP1, HYP2, HYP3],
+                         ids=["flat2", "hyp1", "hyp2", "hyp3"])
 def test_divergence_matches_the_resolved_velocity_oracle(model):
-    """div V from differences of the one lifted field F = k - M V (V frozen)
-    agrees within 1e-6 of max |div| with central differences of V re-solved
-    at every shifted point, for n <= 8."""
+    """div V = tr(M^{-1} dk), from differences of the lift alone, agrees
+    within 1e-6 of max |div| with central differences of V re-solved at
+    every shifted point, which never drops the chart part of k - M V, for
+    n <= 8 (hyp3 is kappa = 2.5)."""
     field = field_direction(model)
     for n in (1, 2, 4, 8):
         inc = paths.sample_increments(model, Partition(n), 64, seed=n)
-        velocity, _, _, _, M_inv = diagnostics._chart_velocity(model, inc, field)
-        got = diagnostics._divergence(model, inc, velocity, M_inv, field)
+        M_inv = diagnostics._chart_velocity(model, inc, field)[4]
+        got = diagnostics._divergence(model, inc, M_inv, field)
         want = resolved_velocity_divergence(model, Partition(n), inc, field,
                                             diagnostics.DIV_STEP)
         assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want).max()), (model, n)
 
 
-@pytest.mark.parametrize("model", [FLAT1, FLAT2, CurvatureModel("hyperbolic", 1, 1.0), HYP2,
-                                   HYP3], ids=["flat1", "flat2", "hyp1", "hyp2", "hyp3"])
+def _divergence_batches(model, n):
+    """64 draws at n intervals with one increment exactly zero (the xi = 0
+    branch of Intervals), and two batches of 1 taken from them."""
+    inc = paths.sample_increments(model, Partition(n), 64, seed=n)
+    inc[3, n // 2] = 0.0
+    return inc, inc[3:4], inc[5:6]
+
+
+@pytest.mark.parametrize("model", [FLAT1, FLAT2, HYP1, HYP2, HYP3],
+                         ids=["flat1", "flat2", "hyp1", "hyp2", "hyp3"])
 def test_divergence_matches_the_per_residual_oracle(model):
-    """The grouped divergence (one pass per varied increment, its 2d shifts
-    stacked, each starting from the base's state at that knot) is within
-    1e-13 of max |div| of the per-residual reruns (residual_divergence) for
-    n in {1, 2, 4, 8}, also on a batch of 1 and with an increment exactly
-    zero (the xi = 0 branch of Intervals); on flat space both are 0."""
+    """The grouped divergence tr(M^{-1} dk) (one pass per varied increment,
+    its 2d shifts stacked, each starting from the base's state at that
+    knot, only rows <= i of dk contracted) is within 1e-13 of max |div| of
+    the per-residual reruns of the lift (residual_divergence) for n in
+    {1, 2, 4, 8}, also on a batch of 1 and with an increment exactly zero;
+    on flat space both are 0."""
     field = field_direction(model)
     for n in (1, 2, 4, 8):
-        inc = paths.sample_increments(model, Partition(n), 64, seed=n)
-        inc[3, n // 2] = 0.0
-        for batch in (inc, inc[3:4], inc[5:6]):
-            velocity, _, _, _, M_inv = diagnostics._chart_velocity(model, batch, field)
-            got = diagnostics._divergence(model, batch, velocity, M_inv, field)
-            want = residual_divergence(model, batch, velocity, M_inv, field,
-                                       diagnostics.DIV_STEP)
+        for batch in _divergence_batches(model, n):
+            M_inv = diagnostics._chart_velocity(model, batch, field)[4]
+            got = diagnostics._divergence(model, batch, M_inv, field)
+            want = residual_divergence(model, batch, M_inv, field, diagnostics.DIV_STEP)
             assert got.shape == want.shape == (len(batch),)
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max()), (model, n)
+
+
+@pytest.mark.parametrize("model", [FLAT1, FLAT2, HYP1, HYP2, CurvatureModel("hyperbolic", 3, 1.0),
+                                   HYP3],
+                         ids=["flat1", "flat2", "hyp1", "hyp2", "hyp3-kappa1", "hyp3"])
+def test_chart_residual_adds_nothing_to_the_divergence(model):
+    """The chart part tr(M^{-1} d(M V)) of the residual k - M V, V held
+    (chart_residual_trace, from per-shift chart_slopes reruns), is what the
+    divergence drops: a shift of increment i moves M V only on intervals
+    >= i, M^{-1}'s diagonal blocks are I / n, and the (i, i) block
+    n Omega_i e_a has zero trace since Omega_i is antisymmetric.  It is
+    exactly 0 on flat space and at d = 1, and at most 1e-12 of max |div|
+    on the curved models at d >= 2, for n in {1, 2, 4, 8}."""
+    field = field_direction(model)
+    exact = model.kind == "flat" or model.dim == 1
+    for n in (1, 2, 4, 8):
+        for batch in _divergence_batches(model, n):
+            velocity, _, _, _, M_inv = diagnostics._chart_velocity(model, batch, field)
+            chart = chart_residual_trace(model, batch, velocity, M_inv, diagnostics.DIV_STEP)
+            div = diagnostics._divergence(model, batch, M_inv, field)
+            assert chart.shape == div.shape == (len(batch),)
+            bound = 0.0 if exact else 1e-12 * np.abs(div).max()
+            assert np.all(np.abs(chart) <= bound), (model, n, np.abs(chart).max())
 
 
 def test_divergence_reuses_prefixes_and_stays_small(monkeypatch):
     """At n=4, d=2 the divergence makes at most n(n+3)/2 = 14 gram_step
     calls (n base steps and n - i steps for the shifts of increment i; the
-    per-residual reruns made 2 n^2 d = 64), and at N=2000 its traced
-    allocations peak under 6 MB, so the shifts of one increment at a time
-    are stacked, not all 2 n d of them."""
+    per-residual reruns made 2 n^2 d = 64) and runs no chart recursion
+    (no paths.chart_slopes call: tr(M^{-1} dk) needs the lift alone), and
+    at N=2000 its traced allocations peak under 4 MB, so the shifts of one
+    increment at a time are stacked, not all 2 n d of them."""
     inc = paths.sample_increments(HYP2, Partition(4), 2000, seed=0)
     field = field_direction(HYP2)
-    velocity, _, _, _, M_inv = diagnostics._chart_velocity(HYP2, inc, field)
-    calls, step = [], jacobi.gram_step
+    M_inv = diagnostics._chart_velocity(HYP2, inc, field)[4]
+    calls, charts, step, slopes = [], [], jacobi.gram_step, paths.chart_slopes
     monkeypatch.setattr(jacobi, "gram_step", lambda *a: calls.append(1) or step(*a))
+    monkeypatch.setattr(paths, "chart_slopes", lambda *a: charts.append(1) or slopes(*a))
     tracemalloc.start()
     try:
-        div = diagnostics._divergence(HYP2, inc, velocity, M_inv, field)
+        div = diagnostics._divergence(HYP2, inc, M_inv, field)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert div.shape == (2000,) and np.all(np.isfinite(div))
     assert len(calls) <= 14
-    assert peak < 6e6
+    assert charts == []
+    assert peak < 4e6
 
 
 def test_condition_screen_keeps_the_svd_mask(monkeypatch):
