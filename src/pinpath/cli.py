@@ -14,6 +14,7 @@ code are handled once, by the skeleton.
 """
 
 import json
+import locale  # noqa: F401  else click's first parse imports it (gettext), in timed work
 import os
 import platform
 import sys
@@ -36,8 +37,10 @@ EXIT_NUMERICAL = 3
 # numpy's LinAlgError subclasses ValueError: catch these before ValueError
 NUMERICAL_FAILURES = (NumericalError, np.linalg.LinAlgError)
 
-# recorded with each pinned row; read from the modules, not from package metadata
-VERSIONS = {"numpy": np.__version__, "python": platform.python_version()}
+# recorded with each pinned row; from the modules and the environment, not package metadata
+VERSIONS = {"numpy": np.__version__, "python": platform.python_version(), "blas": {
+    "name": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
+    **{f"{k}_NUM_THREADS": os.getenv(f"{k}_NUM_THREADS") for k in ("OPENBLAS", "OMP", "MKL")}}}
 
 MODELS = ("flat", "hyperbolic")
 STATISTICS = ("f", "K", "J", "adjoint", "all")     # "all": every one before it

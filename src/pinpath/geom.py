@@ -112,17 +112,6 @@ def distance(model: CurvatureModel, x, y):
     return np.where(c < 2.0, 2.0 * np.arcsinh(0.5 * chord), np.arccosh(np.maximum(c, 1.0))) / rk
 
 
-def log_point(model: CurvatureModel, x, y):
-    """Inverse of the exponential map: ambient tangent v at x with exp_x(v) = y."""
-    if model.kind == "flat":
-        return y - x
-    kappa = model.kappa
-    c = np.maximum(-kappa * minkowski_inner(x, y), 1.0)
-    a = np.arccosh(c)                       # = sqrt(kappa) * distance
-    u = y - c[..., None] * x                # <u,u>_M = sinh(a)^2 / kappa
-    return u / sinhc(a)[..., None]
-
-
 def log_o_rows(model: CurvatureModel, w):
     """Coordinates (d, ...) in the base frame at o of log_o(w), for points
     w (D, ...) samples last: w itself in flat space, and on the hyperboloid
@@ -177,15 +166,6 @@ def frame_defect(model: CurvatureModel, x, frame) -> float:
     sheet = float(np.max(np.abs(model.kappa * minkowski_inner(x, x) + 1.0)))
     tang = float(np.max(np.abs(minkowski_inner(x[..., None, :], np.moveaxis(frame, -1, -2)))))
     return max(gd, sheet, tang)
-
-
-def frame_coords(model: CurvatureModel, frame, w):
-    """Coordinates of ambient tangent w in the (orthonormal) frame."""
-    if model.kind == "flat":
-        return np.einsum("...ia,...i->...a", frame, w)
-    eta = np.ones(model.ambient_dim)
-    eta[-1] = -1.0
-    return np.einsum("...ia,i,...i->...a", frame, eta, w)
 
 
 # ---------------------------------------------------------------------------

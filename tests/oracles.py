@@ -10,8 +10,10 @@ agreement between the two is meaningful:
   log rho_P (``log_rho_P``): the reference for the package's one form of
   them, the actions of ``jacobi.Intervals``;
 - the per-vector closed form of parallel transport (``transport``), the
-  curvature quadratic A_xi as a matrix (``curvature_matrix``) and the ambient
-  vector of given frame coordinates (``frame_vector``);
+  curvature quadratic A_xi as a matrix (``curvature_matrix``), the ambient
+  vector of given frame coordinates (``frame_vector``), the inverse of the
+  exponential map (``log_point``) and the frame coordinates of an ambient
+  vector (``frame_coords``);
 - the radial-PDE heat kernel on the d=3, kappa=1 hyperboloid
   (``radial_pde_kernel``, Crank-Nicolson in ``_cn_evolve``);
 - the split-time quadrature of the pinned marginal (``pinned_fdd_oracle``,
@@ -118,6 +120,26 @@ def frame_vector(frame, v):
     return np.einsum("...ia,...a->...i", frame, v)
 
 
+def log_point(model, x, y):
+    """Inverse of the exponential map: ambient tangent v at x with exp_x(v) = y."""
+    if model.kind == "flat":
+        return y - x
+    kappa = model.kappa
+    c = np.maximum(-kappa * minkowski_inner(x, y), 1.0)
+    a = np.arccosh(c)                       # = sqrt(kappa) * distance
+    u = y - c[..., None] * x                # <u,u>_M = sinh(a)^2 / kappa
+    return u / geom.sinhc(a)[..., None]
+
+
+def frame_coords(model, frame, w):
+    """Coordinates of ambient tangent w in the (orthonormal) frame."""
+    if model.kind == "flat":
+        return np.einsum("...ia,...i->...a", frame, w)
+    eta = np.ones(model.ambient_dim)
+    eta[-1] = -1.0
+    return np.einsum("...ia,i,...i->...a", frame, eta, w)
+
+
 def curvature_matrix(kappa, xi):
     """A_xi = R(xi, .)xi = kappa (|xi|^2 I - xi xi^T) on frame coordinates;
     PSD with kernel xi, and zero for kappa = 0 (flat)."""
@@ -212,8 +234,8 @@ def frame_roll_tip(model, body, x):
     the size of the ambient coordinates it cancels."""
     pts, frs = paths.roll_batch(model, body)
     end = pts[:, -1]
-    tips = geom.frame_coords(model, frs[:, -1],
-                             geom.log_point(model, end, np.broadcast_to(x, end.shape)))
+    tips = frame_coords(model, frs[:, -1],
+                        log_point(model, end, np.broadcast_to(x, end.shape)))
     reach = np.sqrt(model.kappa) * geom.distance(model, geom.base_point(model), end)
     return tips, reach
 
@@ -512,7 +534,7 @@ def anti_roll(model, points):
     out = np.empty(batch + (n, d))
     for i in range(n):
         x, y = points[..., i, :], points[..., i + 1, :]
-        v = geom.frame_coords(model, u, geom.log_point(model, x, y))
+        v = frame_coords(model, u, log_point(model, x, y))
         out[..., i, :] = v
         u = geom.exp_frame(model, x, u, v)[1]
         if paths._renormalize_due(i, n):
@@ -548,7 +570,7 @@ def roll_lift(model, part, inc, x_vector):
     coordinates (N, d), read in the rolled frame at the endpoint (its columns
     are tangent, so the vector's normal part drops out)."""
     frame = paths.roll_batch(model, inc)[1][:, -1]
-    coords = geom.frame_coords(model, frame, np.asarray(x_vector, dtype=float))
+    coords = frame_coords(model, frame, np.asarray(x_vector, dtype=float))
     return suffix_lift(model, part, inc, coords), coords
 
 

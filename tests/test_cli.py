@@ -26,16 +26,19 @@ def read_text(path):
 
 
 def test_cli_import_loads_numpy_random_and_no_scipy():
-    """`import pinpath.cli` in a fresh interpreter loads no scipy module, and
-    loads numpy.random up front rather than inside the first sampling call."""
+    """`import pinpath.cli` in a fresh interpreter loads no scipy module and
+    no process pool (concurrent.futures, multiprocessing: only a pinned run
+    at more than one worker imports them), and loads numpy.random up front
+    rather than inside the first sampling call."""
     code = ("import json, sys, pinpath.cli; print(json.dumps("
-            "[sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "[sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'concurrent', 'multiprocessing')), "
             "'numpy.random' in sys.modules]))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    scipy_modules, numpy_random = json.loads(out)
-    assert scipy_modules == []
+    unwanted, numpy_random = json.loads(out)
+    assert unwanted == []
     assert numpy_random
 
 
@@ -93,7 +96,8 @@ def test_pinned_flat_gates_pass(tmp_path):
 
 def test_pinned_manifest_records_stages_and_versions(tmp_path):
     """Each pinned manifest row carries the seconds of every estimator stage,
-    summed over chunks, and the numpy and Python versions."""
+    summed over chunks, the numpy and Python versions, and numpy's BLAS with
+    its thread settings from the environment (null when unset)."""
     out = str(tmp_path)
     res = run_cli(["pinned", "--model", "hyperbolic", "--d", "2", "--n", "4,8",
                    "--rho", "0.5", "--N", "5000", "--seed", "2", "--out", out])
@@ -105,8 +109,12 @@ def test_pinned_manifest_records_stages_and_versions(tmp_path):
                                        "reduction"}
         assert all(v >= 0.0 for v in row["stage_s"].values())
         assert row["stage_s"]["body_pass"] > 0.0
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        threads = {k: os.environ.get(k) for k in
+                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
         assert row["versions"] == {"numpy": np.__version__,
-                                   "python": platform.python_version()}
+                                   "python": platform.python_version(),
+                                   "blas": {"name": blas, **threads}}
 
 
 def test_pinned_rerun_is_byte_identical(tmp_path):

@@ -102,6 +102,35 @@ def test_interval_actions_match_the_dense_oracle(B):
                             (model, y.shape, j)
 
 
+def test_flat_intervals_are_constant_and_lazy():
+    """Flat Intervals: sh and chm1 are 0 and s2 is 1, each (m, ..., B) and
+    read-only, and 1/|xi| waits for its first use; gram_pass gives G = m I
+    and head = (m - 1) I exactly, cosine and sine return y bit for bit, and
+    paths.chart_slopes returns n v."""
+    rng = np.random.default_rng(11)
+    m, d, B = 5, 3, 7
+    model = CurvatureModel("flat", d)
+    iv = jacobi.Intervals(model, rng.normal(size=(m, d, 4, B)))
+    assert "inv" not in vars(iv)
+    for name, value in (("sh", 0.0), ("chm1", 0.0), ("s2", 1.0)):
+        arr = getattr(iv, name)
+        assert arr.shape == (m, 4, B) and np.all(arr == value)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+    G, head = jacobi.gram_pass(model, rng.normal(size=(B, m, d)))
+    assert np.array_equal(G, np.broadcast_to(m * np.eye(d), G.shape))
+    assert np.array_equal(head, np.broadcast_to((m - 1) * np.eye(d), head.shape))
+    iv = jacobi.Intervals(model, rng.normal(size=(m, d, B)))
+    for y in (rng.normal(size=(d, B)), rng.normal(size=(d, 3, d, B))):
+        for j in range(m):
+            assert np.array_equal(iv.cosine(j, y), y)
+            assert np.array_equal(iv.sine(j, y), y)
+    assert "inv" in vars(iv)
+    v = rng.normal(size=(m, d, 2, B))
+    assert np.array_equal(paths.chart_slopes(model, iv, v), m * v)
+
+
 def test_partition_basics():
     """Equally spaced knots, mesh 1/n, and validation."""
     p = Partition(4)

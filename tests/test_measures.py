@@ -13,8 +13,8 @@ from pinpath.measures import (MASS_OBSERVABLE, CylinderObservable, _pinned_chunk
                               heat_kernel_exact, pinned_estimate, radial_observable)
 
 from tests.oracles import (flat_bridge_abs_moment_1d, flat_bridge_second_moment,
-                           frame_roll_tip, mp_pulled_back_tip, pinned_fdd_oracle,
-                           radial_pde_kernel)
+                           frame_coords, frame_roll_tip, log_point, mp_pulled_back_tip,
+                           pinned_fdd_oracle, radial_pde_kernel)
 
 FLAT1 = CurvatureModel("flat", 1)
 FLAT2 = CurvatureModel("flat", 2)
@@ -268,7 +268,7 @@ def test_pinned_estimate_sums_tip_cond_hits(monkeypatch):
     # the tips: log from the one-interval body's end to x, in its rolled frame
     body = paths.sample_increments(HYP2, part, count, seed=4)[:, :1]
     pts, frs = paths.roll_batch(HYP2, body)
-    tips = geom.frame_coords(HYP2, frs[:, -1], geom.log_point(HYP2, pts[:, -1], x))
+    tips = frame_coords(HYP2, frs[:, -1], log_point(HYP2, pts[:, -1], x))
     hit = geom.sinhc(np.linalg.norm(tips, axis=1)) > limit
     for start, size in ((0, paths.CHUNK), (paths.CHUNK, 100)):
         hits = _pinned_chunk(HYP2, part, x, MASS_OBSERVABLE, 4, start, size)[2]
@@ -473,3 +473,52 @@ def test_pinned_chunk_takes_the_tip_norms_once(monkeypatch):
     x = measures._target_point(HYP3, np.array([1.0, 0.0, 0.0]))
     _pinned_chunk(HYP3, Partition(8), x, MASS_OBSERVABLE, 0, 0, 256)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("model, n", [(HYP3, 32), (CurvatureModel("hyperbolic", 2, 2.5), 8),
+                                      (FLAT2, 8)], ids=["hyp3", "hyp2_k2.5", "flat2"])
+def test_one_workspace_serves_chunks_of_any_span(model, n):
+    """One workspace serves _pinned_chunk calls at different (start, count),
+    a partial chunk among them, with the bits of fresh calls; no returned
+    log_w or f_vals is a view of it or is overwritten by the next chunk."""
+    part = Partition(n)
+    x = measures._target_point(model, np.eye(model.dim)[0])
+    obs = radial_observable(0.5, "r2")
+    spans = [(1, 2), (0, paths.CHUNK), (paths.CHUNK - 3, 3), (paths.CHUNK, 100),
+             (2 * paths.CHUNK, paths.CHUNK)]
+    ws, kept = {}, []
+    for start, count in spans:
+        got = _pinned_chunk(model, part, x, obs, 0, start, count, ws)
+        want = _pinned_chunk(model, part, x, obs, 0, start, count)
+        for a, b in zip(got[:2], want[:2]):
+            assert np.array_equal(a, b), (start, count)
+            assert not any(np.shares_memory(a, buf) for buf in ws.values())
+        kept.append((got[:2], [a.copy() for a in got[:2]]))
+    for now, then in kept:
+        assert all(np.array_equal(a, b) for a, b in zip(now, then))
+
+
+def test_pinned_estimate_worker_invariance_hyperbolic():
+    """A hyperbolic run of 2 CHUNK + 17 samples gives the same bits at one
+    and at two workers: the pool's runs of chunks, each on its own
+    workspace, merge in chunk order."""
+    x = measures._target_point(HYP3, np.array([0.8, 0.0, 0.0]))
+    N = 2 * paths.CHUNK + 17
+    a = pinned_estimate(HYP3, Partition(8), x, radial_observable(0.5), n_samples=N, seed=3)
+    b = pinned_estimate(HYP3, Partition(8), x, radial_observable(0.5), n_samples=N, seed=3,
+                        workers=2)
+    assert (a.mean, a.stderr) == (b.mean, b.stderr)
+    assert np.array_equal(a.log_weights, b.log_weights)
+    assert np.array_equal(a.f_values, b.f_values)
+    assert a.meta["tip_cond_hits"] == b.meta["tip_cond_hits"]
+    assert a.meta["weights"] == b.meta["weights"]
+
+
+def test_flat_body_pass_computes_no_interval_scalar():
+    """A flat _body_pass builds no 1/|xi| and leaves the other scalars as
+    constants; its G and head are exactly m I and (m - 1) I."""
+    inc = paths.sample_increments(FLAT2, Partition(8), 50, seed=2)
+    G, head, _, iv = measures._body_pass(FLAT2, inc.transpose(1, 2, 0)[:7], np.array([1.0, 0.0]))
+    assert "inv" not in vars(iv)
+    assert np.array_equal(G, np.broadcast_to(7.0 * np.eye(2)[..., None], G.shape))
+    assert np.array_equal(head, np.broadcast_to(6.0 * np.eye(2)[..., None], head.shape))

@@ -17,8 +17,8 @@ from pinpath.geom import CurvatureModel  # noqa: E402
 from pinpath.jacobi import Partition  # noqa: E402
 
 from tests.oracles import (anti_roll, batch_cs, batch_endpoint_f,  # noqa: E402
-                           batch_mass_matrix, frame_vector, jacobi_from_slopes,
-                           slopes_from_knots, transport)
+                           batch_mass_matrix, frame_coords, frame_vector,
+                           jacobi_from_slopes, log_point, slopes_from_knots, transport)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -127,7 +127,7 @@ def test_exp_log_round_trip(d, kappa, seed, spread, step):
     rng, x, frame = boosted_frame_point(model, seed, spread)
     v = step_of_length(rng, d, kappa, step)
     y = geom.exp_frame(model, x, frame, v)[0]
-    back = geom.frame_coords(model, frame, geom.log_point(model, x, y))
+    back = frame_coords(model, frame, log_point(model, x, y))
     tol = 1e-14 * max(100.0, np.cosh(spread) ** 2) / np.sqrt(kappa)
     assert np.allclose(back, v, rtol=0.0, atol=tol)
 
@@ -175,7 +175,7 @@ def test_long_roll_frames_stay_orthonormal(d, seed):
 def knot_coords_relative(model, base_pts, base_frs, other_pts):
     """Frame coordinates of log(base knot -> other knot) at every knot:
     knots (..., n+1, D), frames (..., n+1, D, d); zero at knot 0."""
-    return geom.frame_coords(model, base_frs, geom.log_point(model, base_pts, other_pts))
+    return frame_coords(model, base_frs, log_point(model, base_pts, other_pts))
 
 
 def central_difference_knots(model, inc, h):
