@@ -99,37 +99,39 @@ class Intervals:
     E = e^a - 1: sinh a = E (E + 2) / 2(E + 1) and cosh a - 1 = E^2 / 2(E + 1),
     neither of which cancels at small a.  flat records whether the model is
     flat, where every C_j and S_j / delta is I (sh = chm1 = 0, s2 = 1, read
-    only; inv on first use).  They are written into out (5, m, ...) if given.
+    only; inv on first use).
     """
 
-    def __init__(self, model: CurvatureModel, xi, out=None):
+    def __init__(self, model: CurvatureModel, xi):
+        # in place where possible: at a 4096-path chunk each array is 1 MB,
+        # and fresh pages cost more than the arithmetic
         self.xi, self.flat = xi, model.kind == "flat"
-        self._out = np.empty((5,) + xi.shape[:1] + xi.shape[2:]) if out is None else out
         if self.flat:
-            self.sh, self.chm1, self.s2 = (np.broadcast_to(v, self._out.shape[1:])
+            self.sh, self.chm1, self.s2 = (np.broadcast_to(v, xi.shape[:1] + xi.shape[2:])
                                            for v in (0.0, 0.0, 1.0))
             return
-        (a, self.inv), (E, half, self.sh) = self._norms(), self._out[2:]
+        a, self.inv = self._norms()
         a *= np.sqrt(model.kappa)
-        np.expm1(a, out=E)
-        np.add(E, 1.0, out=half)
+        E = np.expm1(a)
+        half = E + 1.0
         np.divide(0.5, half, out=half)
-        np.add(E, 2.0, out=self.sh)
+        self.sh = E + 2.0
         self.sh *= E
         self.sh *= half
         E *= E
         E *= half
-        self.chm1, self.s2 = E, half          # half is spent: s2 takes its storage
-        self.s2[...] = 1.0
+        self.chm1 = E
+        self.s2 = np.ones_like(a)
         np.divide(self.sh, a, out=self.s2, where=a > 0)
         self.s2 *= self.s2
 
     inv = cached_property(lambda self: self._norms()[1])   # flat space: on first use
 
     def _norms(self):
-        xi, nrm, inv = self.xi, self._out[0], self._out[1]
-        # (|xi|, 1/|xi|); |xi|^2 summed in place, squares in inv's buffer: the plain sum's bits
-        np.multiply(xi[:, 0], xi[:, 0], out=nrm)
+        """(|xi|, 1/|xi|), each (m, ...)."""
+        xi = self.xi
+        # |xi|^2 summed in place, squares in inv's buffer: the plain sum's bits
+        nrm, inv = np.multiply(xi[:, 0], xi[:, 0]), np.empty(xi.shape[:1] + xi.shape[2:])
         for k in range(1, xi.shape[1]):
             np.add(nrm, np.multiply(xi[:, k], xi[:, k], out=inv), out=nrm)
         np.sqrt(nrm, out=nrm)
@@ -187,7 +189,7 @@ def gram_pass(model: CurvatureModel, increments):
     return np.moveaxis(G, (0, 1), (-2, -1)), np.moveaxis(gram_head(G, iv), (0, 1), (-2, -1))
 
 
-def gram_step(G, iv: Intervals, j: int, scratch=None) -> None:
+def gram_step(G, iv: Intervals, j: int) -> None:
     """G <- C_j G C_j^T + (S_j/delta)(S_j/delta)^T in place, for a contiguous
     G (d, d, ...) samples last, without dense products: with
     c = cosh a, u = c - 1, s = sinhc a and e the unit increment,
@@ -195,29 +197,27 @@ def gram_step(G, iv: Intervals, j: int, scratch=None) -> None:
     the update is c^2 G + s^2 I + e k^T + k e^T with
     k = -c u G e + (u^2 e^T G e + 1 - s^2) e / 2.  Neither term depends on
     delta.  Flat space has C = I and S/delta = I: the step adds I.  G may
-    have more axes than iv's increments (Intervals.unit).  Its two (d, d, ...)
-    temporaries go to scratch, shaped like G, when given.
+    have more axes than iv's increments (Intervals.unit).
     """
     if iv.flat:
         _diagonal(G)[...] += 1.0
         return
     e, u, s2 = iv.unit(j, G[0]), iv.chm1[j], iv.s2[j]
     c = 1.0 + u
-    g = np.multiply(G, e, out=scratch).sum(axis=1)
+    g = (G * e).sum(axis=1)
     k = (-c * u) * g + ((0.5 * u * u) * (g * e).sum(axis=0) + 0.5 * (1.0 - s2)) * e
-    ek = np.multiply(e[:, None], k, out=scratch)
+    ek = e[:, None] * k
     G *= c * c
     G += ek
     G += ek.swapaxes(0, 1)
     _diagonal(G)[...] += s2
 
 
-def gram_head(G, iv: Intervals, out=None):
+def gram_head(G, iv: Intervals):
     """head (d, d, ...): the Gram sum G (d, d, ...) at the end of the span of
     iv without its last term (S_m/delta)(S_m/delta)^T (I in flat space); G
-    itself when m = 0.  head is written into out when given."""
-    head = np.empty_like(G) if out is None else out
-    head[...] = G
+    itself when m = 0."""
+    head = G.copy()
     if iv.xi.shape[0]:
         if not iv.flat:
             e = iv.unit(-1)
@@ -291,7 +291,7 @@ def _positive_solve(A, b, what: str) -> np.ndarray:
     return x
 
 
-def tip_log_factors(model: CurvatureModel, G, head, tip, n: int, out=None):
+def tip_log_factors(model: CurvatureModel, G, head, tip, n: int):
     """(log J_P, log V_x, hits) of paths on n intervals whose body (the first
     n-1) has gram_pass (G, head), each (..., d, d), and whose tip, the last
     interval, covers the vector tip (..., d) in time delta = 1/n; the tip is
@@ -300,7 +300,7 @@ def tip_log_factors(model: CurvatureModel, G, head, tip, n: int, out=None):
     sinhc a = r cosh a (exact in constant curvature) above COND_LIMIT, compared
     in logs so that no tip overflows.  The arithmetic runs samples last on
     views of the arguments, so samples-last arrays passed as transposed views
-    are not copied; the two tip matrices go to out (2, d, d, ...) if given.
+    are not copied.
 
     Raises NumericalError unless every determinant is positive and finite.
     """
@@ -312,8 +312,7 @@ def tip_log_factors(model: CurvatureModel, G, head, tip, n: int, out=None):
     r = np.where(a > 0, np.tanh(safe) / safe, 1.0)
     r2 = r * r
     # T = r^2 I + (1 - r^2) P, samples last
-    shape = (d, d) + np.broadcast_shapes(G.shape[2:], head.shape[2:], a.shape)
-    T, GT = np.empty((2,) + shape) if out is None else out
+    T = np.empty((d, d) + np.broadcast_shapes(G.shape[2:], head.shape[2:], a.shape))
     np.multiply(unit[:, None], unit, out=T)
     T *= 1.0 - r2
     _diagonal(T)[...] += r2
@@ -321,7 +320,7 @@ def tip_log_factors(model: CurvatureModel, G, head, tip, n: int, out=None):
     log_cosh = a + np.log1p(0.5 * np.expm1(-2.0 * a))     # no overflow at large a
     hits = int(np.count_nonzero(log_r + log_cosh > np.log(COND_LIMIT)))
     log_jp = (-0.5 * d * np.log(n) + (d - 1) * log_cosh
-              + 0.5 * _positive_logdet(np.add(G, T, out=GT), "mass matrix K(1)"))
+              + 0.5 * _positive_logdet(G + T, "mass matrix K(1)"))
     if n == 1:      # no body to perturb
         return log_jp, np.zeros_like(log_jp), hits
     T += head                                             # I + head + T, in place

@@ -23,22 +23,21 @@ loop over the body (_body_pass) advances this pull-back and the Gram
 recursion of jacobi.gram_step together, from one set of interval scalars
 (jacobi.Intervals); J_P and V_x follow from the Gram sums with the tip
 factored out in closed form (jacobi.tip_log_factors), so far tips cost no
-accuracy; flat space computes no interval scalar.  The chunks of paths.CHUNK
-paths of a run (of a pool task, at workers > 1) share one workspace (_take).
-An observable reads only the knots at its own times: s = 1 is x, s = 0 is o,
-and an interior knot s_j is B(xi_1)(... B(xi_j) o), j point boosts.  The
-weighted mean of an observable estimates its integral against the
-*unnormalized* pinned measure, whose total mass is the heat kernel p_1(o, x);
-in flat space that identity is exact for every n.  The closed heat kernels
-the estimator is gated against live here too; the numerical oracles that
-check them (radial PDE, split-time quadrature) are in tests/oracles.py.
+accuracy; in flat space the body builds no interval scalar.  An observable
+reads only the knots at its own times: s = 1 is x, s = 0 is o, and an
+interior knot s_j is B(xi_1)(... B(xi_j) o), j point boosts.  The weighted
+mean of an observable estimates its integral against the *unnormalized*
+pinned measure, whose total mass is the heat kernel p_1(o, x); in flat space
+that identity is exact for every n.  The closed heat kernels the estimator is
+gated against live here too; the numerical oracles that check them (radial
+PDE, split-time quadrature) are in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,31 +154,22 @@ class _StageClock:
         self._last = now
 
 
-def _take(ws, name: str, shape) -> np.ndarray:
-    """A view (shape) of buffer name of the workspace ws (a dict; grown when too
-    small, a new array when ws is None): fresh arrays fault in again per chunk."""
-    size = math.prod(shape)
-    if ws is not None and (name not in ws or ws[name].size < size):
-        ws[name] = np.empty(size)
-    return np.empty(shape) if ws is None else ws[name][:size].reshape(shape)
-
-
-def _body_pass(model: CurvatureModel, body, x_amb, ws=None):
+def _body_pass(model: CurvatureModel, body, x_amb):
     """One samples-last pass over the body increments (m, d, B).
 
     Returns the Gram sums (G, head), each (d, d, B), the tip xi_x (d, B) in
     the frame at the body's end, and the body's jacobi.Intervals.  Step j
     advances the Gram recursion and pulls the target back by B(-xi_j), from
-    w_0 = x; the tip is log_o(w_m) (module docstring).  Arrays from ws (_take).
+    w_0 = x; the tip is log_o(w_m) (module docstring).
     """
     m, d, B = body.shape
-    iv = jacobi.Intervals(model, body, _take(ws, "scalars", (5, m, B)))
-    (G, scratch), w = _take(ws, "G", (2, d, d, B)), _take(ws, "w", (model.ambient_dim, B))
-    G[...], w[...] = 0.0, np.asarray(x_amb, dtype=float)[:, None]
+    iv = jacobi.Intervals(model, body)
+    G = np.zeros((d, d, B))
+    w = np.repeat(np.asarray(x_amb, dtype=float)[:, None], B, axis=1)
     for j in range(m):
-        jacobi.gram_step(G, iv, j, scratch)
+        jacobi.gram_step(G, iv, j)
         paths.boost_rows(model, w, iv, j, -1.0)
-    return G, jacobi.gram_head(G, iv, _take(ws, "head", G.shape)), geom.log_o_rows(model, w), iv
+    return G, jacobi.gram_head(G, iv), geom.log_o_rows(model, w), iv
 
 
 def _pinned_knots(model: CurvatureModel, partition: Partition, times, iv, x_amb):
@@ -201,36 +191,28 @@ def _pinned_knots(model: CurvatureModel, partition: Partition, times, iv, x_amb)
 
 def _pinned_chunk(model: CurvatureModel, partition: Partition, x_amb,
                   observable: CylinderObservable, seed: int, start: int,
-                  count: int, ws=None):
+                  count: int):
     """Pinned samples [start, start+count): log-weights (N,), observable
     values (N,), tip_cond_hits and the seconds of each of STAGES (the
-    reduction is pinned_estimate's), none a view of the workspace ws (_take)."""
+    reduction is pinned_estimate's)."""
     clock = _StageClock()
     n, d = partition.n, model.dim
-    draw = _take(ws, "inc", (n, d, count)), _take(ws, "block", (paths.DRAW_ROWS, n, d))
-    inc = paths.sample_increments(model, partition, count, seed, start, draw)
+    inc = paths.sample_increments(model, partition, count, seed, start)
     body = inc.transpose(1, 2, 0)[:n - 1]          # (n-1, d, B), contiguous, no copy
     clock.lap("draw")
-    G, head, xi_x, iv = _body_pass(model, body, x_amb, ws)
+    G, head, xi_x, iv = _body_pass(model, body, x_amb)
     clock.lap("body_pass")
     # the tip enters both factors in closed form; the transposed views hand
     # tip_log_factors the samples-last arrays themselves, uncopied
     tip = xi_x.T
     log_jp, log_vx, hits = jacobi.tip_log_factors(model, G.transpose(2, 0, 1),
-                                                  head.transpose(2, 0, 1), tip, n,
-                                                  _take(ws, "tip", (2, d, d, count)))
+                                                  head.transpose(2, 0, 1), tip, n)
     log_w = -0.5 * d * LOG_2PI - 0.5 * n * np.sum(xi_x * xi_x, axis=0) + log_vx - log_jp
     clock.lap("tip_factors")
     knots = _pinned_knots(model, partition, observable.times, iv, x_amb)
     f_vals = np.asarray(observable.evaluate(model, knots), dtype=float)
     clock.lap("observable")
     return log_w, f_vals, hits, clock.seconds
-
-
-def _pinned_run(model, partition, x_amb, observable, seed, spans):
-    """The chunks (start, count) of spans on one workspace: a pool task."""
-    ws = {}
-    return [_pinned_chunk(model, partition, x_amb, observable, seed, s, c, ws) for s, c in spans]
 
 
 @dataclass
@@ -262,22 +244,22 @@ def pinned_estimate(model: CurvatureModel, partition: Partition, x,
 
     spans = [(s, min(paths.CHUNK, n_samples - s))
              for s in range(0, n_samples, paths.CHUNK)]
-    task, ws = (model, partition, x_amb, observable, seed), {}
-    results = (_pinned_chunk(*task, s, c, ws) for s, c in spans)   # one run, one workspace
-    if workers > 1 and len(spans) > 1:
-        from concurrent.futures import ProcessPoolExecutor   # only pool runs import it
-        per = -(-len(spans) // workers)     # contiguous runs of chunks, one per task
-        runs = [task + (spans[k:k + per],) for k in range(0, len(spans), per)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [r for run in pool.map(_pinned_run, *zip(*runs)) for r in run]
+    tasks = [(model, partition, x_amb, observable, seed, s, c) for s, c in spans]
     log_w, f_vals = np.empty(n_samples), np.empty(n_samples)
     cond_hits, stage_s = 0, dict.fromkeys(STAGES, 0.0)
-    # in chunk order; at one worker, each chunk is copied out as it arrives
-    for (s, c), (chunk_w, chunk_f, hits, seconds) in zip(spans, results):
-        log_w[s:s + c], f_vals[s:s + c] = chunk_w, chunk_f
-        cond_hits += hits
-        for k, v in seconds.items():
-            stage_s[k] += v
+    parallel = workers > 1 and len(tasks) > 1
+    if parallel:
+        from concurrent.futures import ProcessPoolExecutor   # only pool runs import it
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        # map yields in task order, whichever chunk finishes first; each
+        # chunk's arrays are copied out and dropped as it arrives
+        results = (pool.map(_pinned_chunk, *zip(*tasks), chunksize=1) if parallel
+                   else (_pinned_chunk(*t) for t in tasks))
+        for (s, c), (chunk_w, chunk_f, hits, seconds) in zip(spans, results):
+            log_w[s:s + c], f_vals[s:s + c] = chunk_w, chunk_f
+            cond_hits += hits
+            for k, v in seconds.items():
+                stage_s[k] += v
 
     t_reduce = time.perf_counter()
     if not np.all(np.isfinite(log_w)):

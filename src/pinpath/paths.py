@@ -19,7 +19,7 @@ from .jacobi import Intervals, Partition
 
 CHUNK = 4096   # fixed RNG block size; do not change (breaks reproducibility)
 RENORM_EVERY = 32   # rolled steps between Gram-Schmidt passes on the frame
-DRAW_ROWS = 256     # rows of a Philox block per standard_normal call
+_DRAW_ROWS = 256    # rows of a Philox block per standard_normal call
 
 
 # ---------------------------------------------------------------------------
@@ -27,26 +27,25 @@ DRAW_ROWS = 256     # rows of a Philox block per standard_normal call
 # ---------------------------------------------------------------------------
 
 def sample_increments(model: CurvatureModel, partition: Partition, count: int,
-                      seed: int, start: int = 0, out=None) -> np.ndarray:
+                      seed: int, start: int = 0) -> np.ndarray:
     """Draw increments for samples [start, start+count); shape (count, n, d).
 
     Each interval increment is N(0, (1/n) I_d).  Sample index i always maps to
     Philox key (seed, i // CHUNK), row i % CHUNK of that key's standard-normal
     block (CHUNK, n, d), so draws are bit-reproducible per (seed, i) and
     chunks can be generated in any order or in parallel.  A block is drawn
-    DRAW_ROWS rows at a time into one small buffer (standard_normal fills in
+    _DRAW_ROWS rows at a time into one small buffer (standard_normal fills in
     order, so the rows are those of one call) up to its last needed row, and
     each needed row is copied samples last.  The increments are stored as
     (n, d, count), and the result is a view of that buffer: its
     transpose(1, 2, 0) is contiguous, so the samples-last recursions over it
-    copy nothing.  out, when given, is that pair: (n, d, count) and a block
-    (rows, n, d) of any rows >= 1, which give the same draw.
+    copy nothing.
     """
     n, d = partition.n, model.dim
     if count < 0 or start < 0:
         raise ValueError("count and start must be non-negative")
-    out, buf = out or (np.empty((n, d, count)),
-                       np.empty((min(DRAW_ROWS, start % CHUNK + count), n, d)))
+    out = np.empty((n, d, count))
+    buf = np.empty((min(_DRAW_ROWS, start % CHUNK + count), n, d))
     scale = np.sqrt(partition.mesh)
     pos = 0
     while pos < count:

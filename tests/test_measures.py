@@ -475,33 +475,9 @@ def test_pinned_chunk_takes_the_tip_norms_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("model, n", [(HYP3, 32), (CurvatureModel("hyperbolic", 2, 2.5), 8),
-                                      (FLAT2, 8)], ids=["hyp3", "hyp2_k2.5", "flat2"])
-def test_one_workspace_serves_chunks_of_any_span(model, n):
-    """One workspace serves _pinned_chunk calls at different (start, count),
-    a partial chunk among them, with the bits of fresh calls; no returned
-    log_w or f_vals is a view of it or is overwritten by the next chunk."""
-    part = Partition(n)
-    x = measures._target_point(model, np.eye(model.dim)[0])
-    obs = radial_observable(0.5, "r2")
-    spans = [(1, 2), (0, paths.CHUNK), (paths.CHUNK - 3, 3), (paths.CHUNK, 100),
-             (2 * paths.CHUNK, paths.CHUNK)]
-    ws, kept = {}, []
-    for start, count in spans:
-        got = _pinned_chunk(model, part, x, obs, 0, start, count, ws)
-        want = _pinned_chunk(model, part, x, obs, 0, start, count)
-        for a, b in zip(got[:2], want[:2]):
-            assert np.array_equal(a, b), (start, count)
-            assert not any(np.shares_memory(a, buf) for buf in ws.values())
-        kept.append((got[:2], [a.copy() for a in got[:2]]))
-    for now, then in kept:
-        assert all(np.array_equal(a, b) for a, b in zip(now, then))
-
-
 def test_pinned_estimate_worker_invariance_hyperbolic():
     """A hyperbolic run of 2 CHUNK + 17 samples gives the same bits at one
-    and at two workers: the pool's runs of chunks, each on its own
-    workspace, merge in chunk order."""
+    and at two workers: the pool's chunks merge in chunk order."""
     x = measures._target_point(HYP3, np.array([0.8, 0.0, 0.0]))
     N = 2 * paths.CHUNK + 17
     a = pinned_estimate(HYP3, Partition(8), x, radial_observable(0.5), n_samples=N, seed=3)

@@ -64,7 +64,7 @@ def test_short_chunk_draw_is_a_prefix(rows, n, d):
 
 @pytest.mark.parametrize("n, d", [(32, 3), (8, 2), (1, 1)])
 def test_blocked_draw_matches_one_call_reference(n, d):
-    """sample_increments draws a Philox block DRAW_ROWS rows at a time; at
+    """sample_increments draws a Philox block _DRAW_ROWS rows at a time; at
     offsets 0, 5 and 4095 of a chunk, over several blocks and across a chunk
     boundary, its samples are the one-call draw's, bit for bit."""
     model, part = CurvatureModel("flat", d), Partition(n)
