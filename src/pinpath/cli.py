@@ -45,6 +45,13 @@ VERSIONS = {"numpy": np.__version__, "python": platform.python_version(), "blas"
 MODELS = ("flat", "hyperbolic")
 STATISTICS = ("f", "K", "J", "adjoint", "all")     # "all": every one before it
 
+# the flat gate's roundoff floor, relative to p_1: at n = 1 every weight is
+# equal, so the stderr is 0 and the error is roundoff alone
+FLAT_GATE_ROUNDOFF = 1e-12
+# the observables that read only the knot s = 1, which is x: each sample's
+# value is rho^k, so rho^k p_1 is their oracle, gated as the mass
+EXACT_POWERS = {"mass": 0, "radial_r": 1, "radial_r2": 2}
+
 OBSERVABLES = {
     "mass": measures.MASS_OBSERVABLE,
     "radial_r": measures.radial_observable(1.0, "r"),
@@ -303,9 +310,10 @@ def cmd_pinned(cfg):
     x_amb = measures._target_point(mdl, cfg.target())
     x_norm = float(geom.distance(mdl, geom.base_point(mdl), x_amb))
     oracle = None
-    if cfg.observable == "mass":
+    if cfg.observable in EXACT_POWERS:
         try:
-            oracle = float(measures.heat_kernel_exact(mdl, 1.0, rho=x_norm))
+            oracle = (float(measures.heat_kernel_exact(mdl, 1.0, rho=x_norm))
+                      * x_norm ** EXACT_POWERS[cfg.observable])
         except ValueError:
             oracle = None
     for n in cfg.n_values:
@@ -322,7 +330,7 @@ def cmd_pinned(cfg):
                      "versions": VERSIONS})
         if oracle is not None:
             if cfg.model == "flat":
-                gates.append(err <= 3 * res.stderr)
+                gates.append(err <= max(3 * res.stderr, FLAT_GATE_ROUNDOFF * abs(oracle)))
             else:
                 gates.append(err <= max(0.02 * abs(oracle), 3 * res.stderr))
 

@@ -628,8 +628,9 @@ def property_sweep(model_list, n_paths, n=64, seed=0):
     its combinatorial envelope.  Returns a PropertyReport counting violations
     (tolerances: 1e-10 on eigenvalues, 1e-12 on determinants), with the
     seconds of each of PROPS_STAGES: the draw, the interval solutions (one
-    jacobi.Intervals of the whole path), the Gram pass with the tip factors,
-    and the margins.  K(1) = h G_n, one gram_step past the body's G, and
+    jacobi.Intervals of the whole path), the Gram pass over the body on that
+    Intervals with the tip factors, and the margins.  The Gram sums are per
+    path in flat space too.  K(1) = h G_n, one gram_step past the body's G, and
     det(S_i / h) = sinhc^(d-1) a, so log rho_P is (d-1)/2 sum_{i<n} log s2_i.
     """
     tolerance = {"mass_eig": 1e-10, "normal_jacobian": 1e-12, "slope_det": 1e-12,
@@ -648,10 +649,13 @@ def property_sweep(model_list, n_paths, n=64, seed=0):
         iv = _intervals(model, inc)
         clock.lap("intervals")
         # the estimator's route: Gram pass over the body, the last increment as tip
-        G, head = jacobi.gram_pass(model, inc[:, :-1])
-        log_jp, log_vx, _ = jacobi.tip_log_factors(model, G, head, inc[:, -1], n)
+        G = np.zeros((model.dim, model.dim, per_model))
+        for j in range(n - 1):
+            jacobi.gram_step(G, iv, j)
+        log_jp, log_vx, _ = jacobi.tip_log_factors(
+            model, G.transpose(2, 0, 1), jacobi.gram_head(G, iv, n - 1).transpose(2, 0, 1),
+            inc[:, -1], n)
         clock.lap("gram_and_tip")
-        G = np.moveaxis(G, (-2, -1), (0, 1))               # gram_pass's samples-last buffer
         jacobi.gram_step(G, iv, n - 1)
         margins = {
             "mass_eig": np.linalg.eigvalsh(h * G.transpose(2, 0, 1)).min(axis=-1) - 1.0,

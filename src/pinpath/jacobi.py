@@ -10,9 +10,10 @@ and sine, so no dense C_i or S_i is formed (flat space: no scalar either).  The
 pinned weight and the lift read Gram sums, the convergence audit f_i(s_j).
 
 The scalar factors of the pinned estimator come from one forward Gram pass
-over the body (gram_step, run by gram_pass or by the estimator's own body
-loop: the Gram sum G of the first n-1 intervals and head, the same sum
-without its last term) and the tip, the last interval, in closed form
+over the body (gram_step, run by the estimator's own body loop or by the
+property sweep over one Intervals of the whole path: the Gram sum G of the
+first n-1 intervals and head, the same sum without its last term,
+gram_head) and the tip, the last interval, in closed form
 (tip_log_factors).  Write a = sqrt(kappa) |xi_x| for the tip vector xi_x,
 e = xi_x / |xi_x|, P = e e^T, Q = I - P, r = tanh(a) / a in (0, 1] and
 T = r^2 I + (1 - r^2) P.  Then C_x = cosh a Q + P and S_x = delta (sinhc a Q
@@ -24,7 +25,9 @@ with F = (I + head) / n^2 and L = C_x S_x^{-1} = n (Q / r + P) = n M,
 so log V_x = (1/2) log det(I + head + T) - (d-1) log r (V_x = 1 at n = 1).
 T has entries in [-1, 1], so G + T and I + head + T stay within 2 of G and
 head entrywise: no large tip matrix is formed and nothing cancels, however far
-the tip.
+the tip.  In flat space every C_i and S_i / delta is I: G = (n-1) I,
+head = (n-2) I, a = 0 and T = I for every path, so V_x / J_P = n^{d/2} is a
+per-run constant and only the Gaussian term of the weight varies.
 
 Every determinant here is of a symmetric positive definite (SPD) matrix: G
 and head are Gram sums, positive semidefinite, and T = r^2 Q + P has
@@ -169,26 +172,6 @@ class Intervals:
 # The forward Gram pass and the scalar factors of the family
 # ---------------------------------------------------------------------------
 
-def gram_pass(model: CurvatureModel, increments):
-    """Gram sums G = sum_{i<=m} f_i f_i^T at the end of increments (..., m, d).
-
-    One forward pass of G_j = C_j G_{j-1} C_j^T + (S_j/delta)(S_j/delta)^T
-    from G_0 = 0 (gram_step).  Returns (G, head), both (..., d, d) and zero
-    when m = 0: G = G_m, and head = G_m without its last term,
-    C_m G_{m-1} C_m^T = sum_{i<=m-1} f_i f_i^T.  K at the end of the span is
-    delta * G.
-    """
-    # samples last: each entry of the (d, d) recursion is a contiguous vector
-    inc = np.ascontiguousarray(np.moveaxis(np.asarray(increments, dtype=float),
-                                           (-2, -1), (0, 1)))          # (m, d, ...)
-    (m, d), batch = inc.shape[:2], inc.shape[2:]
-    iv = Intervals(model, inc)
-    G = np.zeros((d, d) + batch)
-    for j in range(m):
-        gram_step(G, iv, j)
-    return np.moveaxis(G, (0, 1), (-2, -1)), np.moveaxis(gram_head(G, iv), (0, 1), (-2, -1))
-
-
 def gram_step(G, iv: Intervals, j: int) -> None:
     """G <- C_j G C_j^T + (S_j/delta)(S_j/delta)^T in place, for a contiguous
     G (d, d, ...) samples last, without dense products: with
@@ -213,16 +196,17 @@ def gram_step(G, iv: Intervals, j: int) -> None:
     _diagonal(G)[...] += s2
 
 
-def gram_head(G, iv: Intervals):
-    """head (d, d, ...): the Gram sum G (d, d, ...) at the end of the span of
-    iv without its last term (S_m/delta)(S_m/delta)^T (I in flat space); G
-    itself when m = 0."""
+def gram_head(G, iv: Intervals, m: int | None = None):
+    """head (d, d, ...): the Gram sum G (d, d, ...) at the end of the first m
+    intervals of iv (all of them by default) without its last term
+    (S_m/delta)(S_m/delta)^T (I in flat space); G itself when m = 0."""
+    m = iv.xi.shape[0] if m is None else m
     head = G.copy()
-    if iv.xi.shape[0]:
+    if m:
         if not iv.flat:
-            e = iv.unit(-1)
-            head -= (1.0 - iv.s2[-1]) * e[:, None] * e
-        _diagonal(head)[...] -= iv.s2[-1]
+            e = iv.unit(m - 1)
+            head -= (1.0 - iv.s2[m - 1]) * e[:, None] * e
+        _diagonal(head)[...] -= 1.0 if iv.flat else iv.s2[m - 1]
     return head
 
 
@@ -293,38 +277,47 @@ def _positive_solve(A, b, what: str) -> np.ndarray:
 
 def tip_log_factors(model: CurvatureModel, G, head, tip, n: int):
     """(log J_P, log V_x, hits) of paths on n intervals whose body (the first
-    n-1) has gram_pass (G, head), each (..., d, d), and whose tip, the last
-    interval, covers the vector tip (..., d) in time delta = 1/n; the tip is
-    factored out in closed form (module docstring).  The log-factors are
-    (...,); hits counts the tips whose sine factor S_x has condition number
-    sinhc a = r cosh a (exact in constant curvature) above COND_LIMIT, compared
-    in logs so that no tip overflows.  The arithmetic runs samples last on
-    views of the arguments, so samples-last arrays passed as transposed views
-    are not copied.
+    n-1) has Gram sums (G, head), each (..., d, d) (gram_step, gram_head),
+    and whose tip, the last interval, covers the vector tip (..., d) in time
+    delta = 1/n; the tip is factored out in closed form (module docstring).
+    The log-factors have the tips' batch shape; hits counts the tips whose
+    sine factor S_x has condition number sinhc a = r cosh a (exact in
+    constant curvature) above COND_LIMIT, compared in logs so that no tip
+    overflows.  The arithmetic runs samples last on views of the arguments,
+    so samples-last arrays passed as transposed views are not copied.  In
+    flat space a = 0, r = 1 and T = I, so no tip enters: the log-dets of
+    G + I and 2I + head run on G and head as given (one (d, d, 1) each from
+    the flat body, per-run constants) and are broadcast to the tips, and
+    hits is 0.
 
     Raises NumericalError unless every determinant is positive and finite.
     """
-    d = model.dim
+    d, tips = model.dim, np.shape(tip)[:-1]
     G, head = (np.moveaxis(X, (-2, -1), (0, 1)) for X in (G, head))
-    a, unit = _polar(model, tip)
-    unit = np.moveaxis(unit, -1, 0)                        # (d, ...)
-    safe = np.where(a > 0, a, 1.0)
-    r = np.where(a > 0, np.tanh(safe) / safe, 1.0)
-    r2 = r * r
-    # T = r^2 I + (1 - r^2) P, samples last
-    T = np.empty((d, d) + np.broadcast_shapes(G.shape[2:], head.shape[2:], a.shape))
-    np.multiply(unit[:, None], unit, out=T)
-    T *= 1.0 - r2
-    _diagonal(T)[...] += r2
-    log_r = np.log(r)
-    log_cosh = a + np.log1p(0.5 * np.expm1(-2.0 * a))     # no overflow at large a
-    hits = int(np.count_nonzero(log_r + log_cosh > np.log(COND_LIMIT)))
-    log_jp = (-0.5 * d * np.log(n) + (d - 1) * log_cosh
-              + 0.5 * _positive_logdet(G + T, "mass matrix K(1)"))
+    batch = np.broadcast_shapes(G.shape[2:], head.shape[2:])
+    if model.kind == "flat":    # a = 0, r = 1, T = I: no tip enters the factors
+        T, log_r, log_cosh, hits = np.zeros((d, d) + batch), 0.0, 0.0, 0
+        _diagonal(T)[...] = 1.0
+    else:
+        a, unit = _polar(model, tip)
+        unit = np.moveaxis(unit, -1, 0)                    # (d, ...)
+        safe = np.where(a > 0, a, 1.0)
+        r = np.where(a > 0, np.tanh(safe) / safe, 1.0)
+        r2 = r * r
+        # T = r^2 I + (1 - r^2) P, samples last
+        T = np.empty((d, d) + np.broadcast_shapes(batch, a.shape))
+        np.multiply(unit[:, None], unit, out=T)
+        T *= 1.0 - r2
+        _diagonal(T)[...] += r2
+        log_r = np.log(r)
+        log_cosh = a + np.log1p(0.5 * np.expm1(-2.0 * a))  # no overflow at large a
+        hits = int(np.count_nonzero(log_r + log_cosh > np.log(COND_LIMIT)))
+    log_jp = np.broadcast_to(-0.5 * d * np.log(n) + (d - 1) * log_cosh
+                             + 0.5 * _positive_logdet(G + T, "mass matrix K(1)"), tips)
     if n == 1:      # no body to perturb
-        return log_jp, np.zeros_like(log_jp), hits
+        return log_jp, np.zeros(tips), hits
     T += head                                             # I + head + T, in place
     _diagonal(T)[...] += 1.0
     log_vx = 0.5 * _positive_logdet(T, "pinning volume factor") - (d - 1) * log_r
-    return log_jp, log_vx, hits
+    return log_jp, np.broadcast_to(log_vx, tips), hits
 

@@ -23,7 +23,9 @@ loop over the body (_body_pass) advances this pull-back and the Gram
 recursion of jacobi.gram_step together, from one set of interval scalars
 (jacobi.Intervals); J_P and V_x follow from the Gram sums with the tip
 factored out in closed form (jacobi.tip_log_factors), so far tips cost no
-accuracy; in flat space the body builds no interval scalar.  An observable
+accuracy.  In flat space the body builds no interval scalar and its Gram
+sums are one (d, d, 1) each: V_x / J_P = n^{d/2} is a per-run constant, and a
+path pays for its draw, xi_x = x - sum_{i<n} xi_i and |xi_x|^2.  An observable
 reads only the knots at its own times: s = 1 is x, s = 0 is o, and an
 interior knot s_j is B(xi_1)(... B(xi_j) o), j point boosts.  The weighted
 mean of an observable estimates its integral against the *unnormalized*
@@ -157,14 +159,15 @@ class _StageClock:
 def _body_pass(model: CurvatureModel, body, x_amb):
     """One samples-last pass over the body increments (m, d, B).
 
-    Returns the Gram sums (G, head), each (d, d, B), the tip xi_x (d, B) in
-    the frame at the body's end, and the body's jacobi.Intervals.  Step j
-    advances the Gram recursion and pulls the target back by B(-xi_j), from
-    w_0 = x; the tip is log_o(w_m) (module docstring).
+    Returns the Gram sums (G, head), each (d, d, B), or (d, d, 1) in flat
+    space, where they are m I and (m - 1) I for every path; the tip xi_x
+    (d, B) in the frame at the body's end; and the body's jacobi.Intervals.
+    Step j advances the Gram recursion and pulls the target back by
+    B(-xi_j), from w_0 = x; the tip is log_o(w_m) (module docstring).
     """
     m, d, B = body.shape
     iv = jacobi.Intervals(model, body)
-    G = np.zeros((d, d, B))
+    G = np.zeros((d, d, 1 if iv.flat else B))
     w = np.repeat(np.asarray(x_amb, dtype=float)[:, None], B, axis=1)
     for j in range(m):
         jacobi.gram_step(G, iv, j)

@@ -21,7 +21,9 @@ agreement between the two is meaningful:
   ``pinpath.measures.heat_kernel_exact``, which stays in the package because
   the ``pinned`` command gates on it;
 - the tip's dense algebra for the two volume factors of a pinned path
-  (``dense_tip_log_factors``);
+  (``dense_tip_log_factors``), and the Gram sums of whole paths
+  (``gram_pass``: the package's step kernels over one ``jacobi.Intervals``
+  of the increments, (..., m, d) in and (..., d, d) out);
 - two routes to a pinned path's tip other than the estimator's pull-back:
   rolling the body's frames (``frame_roll_tip``, the estimator's route until
   the pull-back replaced it) and the boost composition in 60-digit mpmath
@@ -224,6 +226,26 @@ def dense_tip_log_factors(G, head, Cx, Sx, n):
     L = np.swapaxes(np.linalg.solve(np.swapaxes(Sx, -1, -2), np.swapaxes(Cx, -1, -2)), -1, -2)
     gram = eye + L @ ((eye + head) / n ** 2) @ np.swapaxes(L, -1, -2)
     return log_jp, 0.5 * np.linalg.slogdet(gram)[1]
+
+
+def gram_pass(model, increments):
+    """Gram sums G = sum_{i<=m} f_i f_i^T at the end of increments (..., m, d).
+
+    One forward pass of G_j = C_j G_{j-1} C_j^T + (S_j/delta)(S_j/delta)^T
+    from G_0 = 0 (jacobi.gram_step).  Returns (G, head), both (..., d, d) and
+    zero when m = 0: G = G_m, and head = G_m without its last term,
+    C_m G_{m-1} C_m^T = sum_{i<=m-1} f_i f_i^T.  K at the end of the span is
+    delta * G.
+    """
+    inc = np.ascontiguousarray(np.moveaxis(np.asarray(increments, dtype=float),
+                                           (-2, -1), (0, 1)))          # (m, d, ...)
+    (m, d), batch = inc.shape[:2], inc.shape[2:]
+    iv = jacobi.Intervals(model, inc)
+    G = np.zeros((d, d) + batch)
+    for j in range(m):
+        jacobi.gram_step(G, iv, j)
+    return (np.moveaxis(G, (0, 1), (-2, -1)),
+            np.moveaxis(jacobi.gram_head(G, iv), (0, 1), (-2, -1)))
 
 
 def frame_roll_tip(model, body, x):

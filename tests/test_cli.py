@@ -154,6 +154,50 @@ def test_pinned_observable_without_oracle_is_ungated(tmp_path):
     assert json.loads(read_text(os.path.join(out, "pinned_manifest.json")))["gates_passed"] is None
 
 
+@pytest.mark.parametrize("target", [["--x", "0.3,0.4"], ["--rho", "2.0"]])
+def test_pinned_flat_gate_has_a_roundoff_floor(tmp_path, monkeypatch, target):
+    """At n = 1 every flat weight is equal, so the stderr is 0 and the error
+    is roundoff: the gate passes within FLAT_GATE_ROUNDOFF |p_1|.  An
+    estimate off by 1e-6 relative still fails it."""
+    args = ["pinned", "--model", "flat", "--d", "2", "--n", "1", *target,
+            "--N", "1000", "--out", str(tmp_path)]
+    res = run_cli(args)
+    assert res.exit_code == 0, res.output
+    row = json.loads(read_text(os.path.join(tmp_path, "pinned_manifest.json")))["rows"][0]
+    assert row["stderr"] == 0.0 and row["abs_err"] <= cli.FLAT_GATE_ROUNDOFF * row["oracle"]
+
+    estimate = measures.pinned_estimate
+
+    def off(*a, **k):
+        res = estimate(*a, **k)
+        res.mean *= 1.0 + 1e-6
+        return res
+    monkeypatch.setattr(measures, "pinned_estimate", off)
+    res = run_cli(args)
+    assert res.exit_code == cli.EXIT_GATE, res.output
+    assert "gates FAILED" in res.output
+
+
+@pytest.mark.parametrize("observable, power", [("radial_r", 1), ("radial_r2", 2)])
+@pytest.mark.parametrize("cell", [
+    ["--model", "flat", "--d", "2", "--rho", "2.0", "--n", "4", "--N", "20000"],
+    ["--model", "hyperbolic", "--d", "3", "--kappa", "1", "--rho", "1.5", "--n", "32",
+     "--N", "40960"]], ids=["flat2", "hyp3"])
+def test_pinned_radial_observables_are_gated(tmp_path, cell, observable, power):
+    """radial_r and radial_r2 read the knot s = 1, which is x, so each
+    sample's value is rho or rho^2: their oracle is rho^k p_1, under the
+    mass gate, and the run passes."""
+    res = run_cli(["pinned", *cell, "--observable", observable, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    manifest = json.loads(read_text(os.path.join(tmp_path, "pinned_manifest.json")))
+    row = manifest["rows"][0]
+    model = CurvatureModel(cell[1], int(cell[3]), 1.0 if cell[1] == "hyperbolic" else 0.0)
+    p1 = measures.heat_kernel_exact(model, 1.0, rho=row["x_norm"])
+    assert np.isfinite(row["oracle"])
+    assert row["oracle"] == pytest.approx(row["x_norm"] ** power * p1, rel=1e-12)
+    assert manifest["gates_passed"] is True
+
+
 def test_pinned_hyperbolic_d3_kernel_oracle(tmp_path):
     """d=3, kappa=1 picks up the closed kernel: finite abs_err, gate passes."""
     out = str(tmp_path)

@@ -11,7 +11,8 @@ from pinpath.jacobi import Partition
 
 from tests.oracles import (batch_cs, batch_endpoint_f, batch_mass_matrix, broken_jacobi_rk4,
                            cs_rk4, curvature_matrix, dense_tip_log_factors, det_identity_check,
-                           jacobi_from_slopes, log_rho_P, slopes_from_knots, vx_fd_oracle_flat)
+                           gram_pass, jacobi_from_slopes, log_rho_P, slopes_from_knots,
+                           vx_fd_oracle_flat)
 
 FLAT2 = CurvatureModel("flat", 2)
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
@@ -53,7 +54,7 @@ def rho_P(model, part, inc):
 
 def volume_change_Vx(model, part, inc, xi_x):
     """V_x as the estimator computes it: body Gram pass, then tip_log_factors."""
-    G, head = jacobi.gram_pass(model, inc[:-1])
+    G, head = gram_pass(model, inc[:-1])
     return float(np.exp(jacobi.tip_log_factors(model, G, head, xi_x, part.n)[1]))
 
 
@@ -118,7 +119,7 @@ def test_flat_intervals_are_constant_and_lazy():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 2.0
-    G, head = jacobi.gram_pass(model, rng.normal(size=(B, m, d)))
+    G, head = gram_pass(model, rng.normal(size=(B, m, d)))
     assert np.array_equal(G, np.broadcast_to(m * np.eye(d), G.shape))
     assert np.array_equal(head, np.broadcast_to((m - 1) * np.eye(d), head.shape))
     iv = jacobi.Intervals(model, rng.normal(size=(m, d, B)))
@@ -422,7 +423,7 @@ def test_batched_endpoint_products():
     inc = rng.normal(size=(7, 5, 2)) * np.sqrt(part.mesh)
     f_end = batch_endpoint_f(*batch_cs(HYP2, inc, part.mesh), part.mesh)
     K = batch_mass_matrix(f_end, part.mesh)
-    G, head = jacobi.gram_pass(HYP2, inc[:, :-1])
+    G, head = gram_pass(HYP2, inc[:, :-1])
     logj = jacobi.tip_log_factors(HYP2, G, head, inc[:, -1], part.n)[0]
     for s in range(7):
         f = response_table(HYP2, part, inc[s])
@@ -442,12 +443,12 @@ def test_body_pass_extends_to_full_pass():
         for n in (1, 2, 3, 8, 32):
             part = Partition(n)
             inc = rng.normal(size=(6, n, model.dim)) * np.sqrt(part.mesh)
-            G, head = jacobi.gram_pass(model, inc[:, :-1])
+            G, head = gram_pass(model, inc[:, :-1])
             C, S = batch_cs(model, inc, part.mesh)
             K = batch_mass_matrix(batch_endpoint_f(C, S, part.mesh), part.mesh)
             log_jp = jacobi.tip_log_factors(model, G, head, inc[:, -1], n)[0]
             assert np.allclose(log_jp, 0.5 * np.linalg.slogdet(K)[1], rtol=1e-13, atol=1e-13)
-            assert np.allclose(part.mesh * jacobi.gram_pass(model, inc)[0], K,
+            assert np.allclose(part.mesh * gram_pass(model, inc)[0], K,
                                rtol=1e-13, atol=1e-13)
 
 
@@ -466,7 +467,7 @@ def test_tip_log_factors_match_dense_oracle():
             inc = rng.normal(size=(24, n, d)) * np.sqrt(part.mesh)
             tips = rng.normal(size=(24, d))
             tips *= (scale * np.linspace(0.0, 6.0, 24) / np.linalg.norm(tips, axis=-1))[:, None]
-            G, head = jacobi.gram_pass(model, inc[:, :-1])
+            G, head = gram_pass(model, inc[:, :-1])
             got = jacobi.tip_log_factors(model, G, head, tips, n)
             want = dense_tip_log_factors(G, head, *batch_cs(model, tips, part.mesh), n)
             for g, w in zip(got, want):
@@ -489,7 +490,7 @@ def test_tip_log_factors_far_tips_on_straight_body():
             unit = rng.normal(size=(a.size, d))
             tips = unit * (a / np.sqrt(kappa) / np.linalg.norm(unit, axis=-1))[:, None]
             for n in (1, 2, 3, 8, 32):
-                G, head = jacobi.gram_pass(model, np.zeros((a.size, n - 1, d)))
+                G, head = gram_pass(model, np.zeros((a.size, n - 1, d)))
                 log_jp, log_vx, _ = jacobi.tip_log_factors(model, G, head, tips, n)
                 want_jp = 0.5 * (-d * np.log(n) + np.log(n) + (d - 1) * np.log(
                     np.cosh(a) ** 2 * (n - 1) + geom.sinhc(a) ** 2))
@@ -510,10 +511,10 @@ def test_batched_factors_match_batch_of_one():
     def factors(inc, slopes, tip):
         C, S = batch_cs(model, inc, delta)
         f_end = batch_endpoint_f(C, S, delta)
-        G, head = jacobi.gram_pass(model, inc[..., :-1, :])
+        G, head = gram_pass(model, inc[..., :-1, :])
         J = jacobi_from_slopes(C, S, slopes)
         return [f_end, batch_mass_matrix(f_end, delta), G, head,
-                jacobi.gram_pass(model, inc)[0],
+                gram_pass(model, inc)[0],
                 *jacobi.tip_log_factors(model, G, head, inc[..., -1, :], part.n)[:2],
                 *jacobi.tip_log_factors(model, G, head, tip, part.n)[:2],
                 log_rho_P(S, delta), J, slopes_from_knots(C, S, J)]
@@ -535,13 +536,13 @@ def test_log_volume_change_counts_ill_conditioned_tips():
     _, Sx = batch_cs(model, np.array([1.5, 0.0]), part.mesh)
     assert np.linalg.cond(Sx) == pytest.approx(float(geom.sinhc(3.0)), rel=1e-10)
     tips = np.array([[0.5, 0.0], [20.0, 0.0], [0.0, -1.0]])   # sinhc(40) ~ 3e15
-    G, head = jacobi.gram_pass(model, body)
+    G, head = gram_pass(model, body)
     log_jp, log_vx, hits = jacobi.tip_log_factors(model, G, head, tips, part.n)
     assert hits == 1
     assert np.all(np.isfinite(log_vx))
     assert np.all(np.isfinite(log_jp))
     assert jacobi.tip_log_factors(model, G[[0, 2]], head[[0, 2]], tips[[0, 2]], part.n)[2] == 0
-    assert jacobi.tip_log_factors(FLAT2, *jacobi.gram_pass(FLAT2, body), tips, part.n)[2] == 0
+    assert jacobi.tip_log_factors(FLAT2, *gram_pass(FLAT2, body), tips, part.n)[2] == 0
 
 
 def test_tip_cond_count_is_sinhc_beyond_the_limit(monkeypatch):
@@ -553,7 +554,7 @@ def test_tip_cond_count_is_sinhc_beyond_the_limit(monkeypatch):
     model, part = CurvatureModel("hyperbolic", 3, 2.5), Partition(4)
     unit = np.array([0.6, 0.0, -0.8])
     G, head = (np.repeat(X, 8, axis=0)
-               for X in jacobi.gram_pass(model, np.full((1, 3, 3), 0.1)))
+               for X in gram_pass(model, np.full((1, 3, 3), 0.1)))
     for limit in (jacobi.COND_LIMIT, 1e3):
         monkeypatch.setattr(jacobi, "COND_LIMIT", limit)
         lo, hi = 0.0, 40.0                 # bisect for sinhc(a) = limit
@@ -575,22 +576,23 @@ def test_tip_cond_count_is_sinhc_beyond_the_limit(monkeypatch):
 def test_volume_factors_reject_non_finite_determinants():
     """slogdet of a matrix holding inf gives sign +1 and logdet inf (NaN off
     the diagonal); both tip factors raise NumericalError on an inf in G or in
-    head, as on a non-positive determinant, and the oracle log rho_P on a
-    NaN."""
+    head, as on a non-positive determinant, in flat space too, where no tip
+    enters them (G + I and 2I + head), and the oracle log rho_P on a NaN."""
     eye = np.stack([np.eye(2)] * 3)
     tips = np.zeros((3, 2))
-    log_jp, log_vx, _ = jacobi.tip_log_factors(HYP2, 0.0 * eye, 0.0 * eye, tips, 1)
-    assert np.array_equal(log_jp, np.zeros(3)) and np.array_equal(log_vx, np.zeros(3))
-    for which in (0, 1):
-        for entry in [(1, 0, 0), (1, 0, 1)]:
+    for model in (HYP2, FLAT2):
+        log_jp, log_vx, _ = jacobi.tip_log_factors(model, 0.0 * eye, 0.0 * eye, tips, 1)
+        assert np.array_equal(log_jp, np.zeros(3)) and np.array_equal(log_vx, np.zeros(3))
+        for which in (0, 1):
+            for entry in [(1, 0, 0), (1, 0, 1)]:
+                gram = [eye.copy(), eye.copy()]
+                gram[which][entry] = np.inf
+                with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+                    jacobi.tip_log_factors(model, *gram, tips, 4)
             gram = [eye.copy(), eye.copy()]
-            gram[which][entry] = np.inf
-            with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
-                jacobi.tip_log_factors(HYP2, *gram, tips, 4)
-        gram = [eye.copy(), eye.copy()]
-        gram[which] *= np.array([-3.0, 1.0])
-        with pytest.raises(NumericalError):
-            jacobi.tip_log_factors(HYP2, *gram, tips, 4)
+            gram[which] *= np.array([-3.0, 1.0])
+            with pytest.raises(NumericalError):
+                jacobi.tip_log_factors(model, *gram, tips, 4)
     S = np.stack([np.eye(2)] * 3)[None]
     S[0, 0, 0, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError):

