@@ -325,7 +325,8 @@ def cmd_pinned(cfg):
                      "n": n, "x_norm": x_norm, "observable": cfg.observable,
                      "N": cfg.n_samples, "mean": res.mean, "stderr": res.stderr,
                      "oracle": oracle if oracle is not None else float("nan"),
-                     "abs_err": err, "tip_cond_hits": res.meta["tip_cond_hits"],
+                     "abs_err": err, "proposal": res.meta["proposal"],
+                     "tip_cond_hits": res.meta["tip_cond_hits"],
                      **res.meta["weights"], "stage_s": res.meta["stage_s"],
                      "versions": VERSIONS})
         if oracle is not None:

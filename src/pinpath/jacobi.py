@@ -233,12 +233,12 @@ def _positive_factor(A, what: str):
     factorization.  Raises NumericalError unless every entry is finite and
     every pivot positive.
     """
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise NumericalError(f"{what} lost positivity or finiteness")
     pivots, cols, mults, W = [], [], [], A
     for _ in range(A.shape[0]):
         pivot = W[0, 0]
-        if not np.all(pivot > 0):
+        if not (pivot > 0).all():
             raise NumericalError(f"{what} lost positivity or finiteness")
         col = W[1:, 0]
         mult = col / pivot

@@ -28,6 +28,11 @@ agreement between the two is meaningful:
   rolling the body's frames (``frame_roll_tip``, the estimator's route until
   the pull-back replaced it) and the boost composition in 60-digit mpmath
   arithmetic (``mp_pulled_back_tip``);
+- the free-proposal pinned estimator (``free_body_pass``,
+  ``free_pinned_chunk``, ``free_pinned_estimate``): the body drawn from the
+  free law and pinned by its weight alone, the estimator's route on the
+  hyperboloid until the diffusion bridge replaced it, and the free weight
+  of given increments by the frame roll (``free_log_weights``);
 - the damped-field pairing of an observable's gradient one knot and one
   frame axis at a time (``damped_pairing_per_axis``);
 - the knot values of a broken Jacobi field from its right-slopes, by the
@@ -64,7 +69,7 @@ from scipy.linalg import null_space, solve_banded
 
 from pinpath import diagnostics, geom, jacobi, paths
 from pinpath.geom import NumericalError, minkowski_inner
-from pinpath.measures import heat_kernel_exact
+from pinpath.measures import LOG_2PI, _pinned_knots, heat_kernel_exact
 
 
 def rk4(f, y0, t1, steps):
@@ -286,6 +291,61 @@ def mp_pulled_back_tip(kappa, body, x, dps=60):
         z = rk * mpmath.sqrt(sum(v * v for v in ws))
         scale = mpmath.asinh(z) / z if z > 0 else mpmath.mpf(1)
         return np.array([float(scale * v) for v in ws])
+
+
+def free_body_pass(model, body, x_amb):
+    """The free route's body pass over increments body (m, d, B), as drawn:
+    one jacobi.Intervals of the whole body, then per step the Gram step and
+    the pull-back of the target by B(-xi_j).  Returns (G, head, tip), the
+    Gram sums (d, d, B) and the tip (d, B) at o."""
+    m, d, B = body.shape
+    iv = jacobi.Intervals(model, body)
+    G = np.zeros((d, d, 1 if iv.flat else B))
+    w = np.repeat(np.asarray(x_amb, dtype=float)[:, None], B, axis=1)
+    for j in range(m):
+        jacobi.gram_step(G, iv, j)
+        paths.boost_rows(model, w, iv, j, -1.0)
+    return G, jacobi.gram_head(G, iv), geom.log_o_rows(model, w)
+
+
+def free_pinned_chunk(model, partition, x_amb, observable, seed, start, count):
+    """Log-weights and observable values (count,) of the free proposal: the
+    body is the free draw of paths.sample_increments, the same Philox rows
+    the estimator bridges, and the weight is (2 pi)^{-d/2}
+    exp(-(n/2)|xi_x|^2) V_x / J_P alone."""
+    n, d = partition.n, model.dim
+    inc = paths.sample_increments(model, partition, count, seed, start)
+    body = inc.transpose(1, 2, 0)[:n - 1]
+    G, head, tip = free_body_pass(model, body, x_amb)
+    log_jp, log_vx, _ = jacobi.tip_log_factors(model, G.transpose(2, 0, 1),
+                                               head.transpose(2, 0, 1), tip.T, n)
+    log_w = -0.5 * d * LOG_2PI - 0.5 * n * np.sum(tip * tip, axis=0) + log_vx - log_jp
+    knots = _pinned_knots(model, partition, observable.times, body, x_amb)
+    return log_w, np.asarray(observable.evaluate(model, knots), dtype=float)
+
+
+def free_pinned_estimate(model, partition, x_amb, observable, n_samples, seed):
+    """(mean, stderr) of the free-proposal estimate over n_samples paths,
+    chunk by chunk at paths.CHUNK as the estimator draws them."""
+    parts = [free_pinned_chunk(model, partition, x_amb, observable, seed, s,
+                               min(paths.CHUNK, n_samples - s))
+             for s in range(0, n_samples, paths.CHUNK)]
+    log_w = np.concatenate([p[0] for p in parts])
+    vals = np.exp(log_w - log_w.max()) * np.concatenate([p[1] for p in parts])
+    scale = np.exp(log_w.max())
+    return scale * vals.mean(), scale * vals.std(ddof=1) / np.sqrt(n_samples)
+
+
+def free_log_weights(model, n, inc, x_amb):
+    """The free weight log((2 pi)^{-d/2} exp(-(n/2)|xi_x|^2) V_x / J_P) (N,)
+    of the pinned paths on n intervals whose body is inc[:, :n-1] (N, >= n-1,
+    d): the tip from the frame roll (frame_roll_tip), the Gram sums from
+    gram_pass."""
+    tips = frame_roll_tip(model, inc[:, :n - 1], x_amb)[0]
+    G, head = gram_pass(model, inc[:, :n - 1])
+    log_jp, log_vx, _ = jacobi.tip_log_factors(model, G, head, tips, n)
+    return (-0.5 * model.dim * LOG_2PI - 0.5 * n * np.sum(tips * tips, axis=1)
+            + log_vx - log_jp)
 
 
 def damped_pairing_per_axis(model, part, observable, points, frames, field, step):

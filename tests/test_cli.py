@@ -117,6 +117,20 @@ def test_pinned_manifest_records_stages_and_versions(tmp_path):
                                    "blas": {"name": blas, **threads}}
 
 
+@pytest.mark.parametrize("model, want", [
+    (["--model", "hyperbolic", "--d", "2", "--rho", "0.5"], ["free", "bridge", "bridge"]),
+    (["--model", "flat", "--d", "2", "--x", "0.5,0"], ["free", "free", "free"])],
+    ids=["hyperbolic", "flat"])
+def test_pinned_manifest_records_the_proposal(tmp_path, model, want):
+    """Each pinned manifest row names the body's proposal: the bridge on the
+    hyperboloid, the free draw in flat space and wherever n = 1 leaves no
+    body."""
+    res = run_cli(["pinned", *model, "--n", "1,2,4", "--N", "64", "--out", str(tmp_path)])
+    assert res.exit_code in (0, 1), res.output
+    rows = json.loads(read_text(os.path.join(tmp_path, "pinned_manifest.json")))["rows"]
+    assert [row["proposal"] for row in rows] == want
+
+
 def test_pinned_rerun_is_byte_identical(tmp_path):
     """Identical configs produce byte-identical result CSVs."""
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -214,7 +228,8 @@ def test_pinned_hyperbolic_d3_kernel_oracle(tmp_path):
 
 def test_pinned_nan_dump_goes_under_out(tmp_path, monkeypatch):
     """A non-finite log-weight raises NumericalError after dumping the bad
-    samples; the CLI writes that dump under --out and exits with code 3."""
+    samples, with the increments the first of them used; the CLI writes that
+    dump under --out and exits with code 3."""
     chunk = measures._pinned_chunk
 
     def poisoned(*args):
@@ -234,6 +249,19 @@ def test_pinned_nan_dump_goes_under_out(tmp_path, monkeypatch):
     assert payload["x"] == [1.0, 0.0]
     want = paths.sample_increments(model, part, 1, 5, start=3)[0]
     assert payload["first_bad_increments"] == want.tolist()
+
+    # on the hyperboloid the dump holds the bridged body the chunk used (its
+    # sample 3 of 64), and the last row as drawn
+    model = CurvatureModel("hyperbolic", 3, 1.0)
+    x = measures._target_point(model, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(NumericalError):
+        measures.pinned_estimate(model, part, x, n_samples=64, seed=5, nan_dump_path=str(dump))
+    got = np.array(json.loads(read_text(dump))["first_bad_increments"])
+    inc = paths.sample_increments(model, part, 64, 5)
+    drawn = inc[3].copy()
+    measures._body_pass(model, inc.transpose(1, 2, 0)[:3], x)
+    assert np.array_equal(got, inc[3]) and np.array_equal(got[3], drawn[3])
+    assert not np.array_equal(got[:3], drawn[:3])
 
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "run"
