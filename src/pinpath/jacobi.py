@@ -29,6 +29,14 @@ the tip.  In flat space every C_i and S_i / delta is I: G = (n-1) I,
 head = (n-2) I, a = 0 and T = I for every path, so V_x / J_P = n^{d/2} is a
 per-run constant and only the Gaussian term of the weight varies.
 
+A body of a few long steps in one direction spreads the eigenvalues of G by
+cosh^2 of its length, and G's smallest one, along the steps, is then lost to
+the roundoff of its largest.  scaled_gram_pass holds such sums as
+G = P H P^T with P = C_m ... C_1, accumulating H from contractions only, and
+tip_log_factors takes them that way too (its scale argument);
+measures._tip_factors sends there the paths whose roundoff scale passes
+GROWTH_LIMIT.
+
 Every determinant here is of a symmetric positive definite (SPD) matrix: G
 and head are Gram sums, positive semidefinite, and T = r^2 Q + P has
 eigenvalues r^2 > 0 and 1, so G + T and I + head + T are SPD.  Their
@@ -48,6 +56,7 @@ import numpy as np
 from .geom import CurvatureModel, NumericalError
 
 COND_LIMIT = 1e12   # refuse or count beyond this condition number
+GROWTH_LIMIT = 1e6  # Gram sums whose roundoff grew past this are rebuilt scaled
 
 
 @dataclass(frozen=True)
@@ -105,15 +114,16 @@ class Intervals:
     only; inv on first use).
     """
 
-    def __init__(self, model: CurvatureModel, xi):
+    def __init__(self, model: CurvatureModel, xi, sq=None):
         # in place where possible: at a 4096-path chunk each array is 1 MB,
-        # and fresh pages cost more than the arithmetic
+        # and fresh pages cost more than the arithmetic.  sq, where given, is
+        # |xi|^2 (m, ...) summed over d in order, which the caller holds.
         self.xi, self.flat = xi, model.kind == "flat"
         if self.flat:
             self.sh, self.chm1, self.s2 = (np.broadcast_to(v, xi.shape[:1] + xi.shape[2:])
                                            for v in (0.0, 0.0, 1.0))
             return
-        a, self.inv = self._norms()
+        a, self.inv = self._norms(sq)
         a *= np.sqrt(model.kappa)
         E = np.expm1(a)
         half = E + 1.0
@@ -130,14 +140,18 @@ class Intervals:
 
     inv = cached_property(lambda self: self._norms()[1])   # flat space: on first use
 
-    def _norms(self):
-        """(|xi|, 1/|xi|), each (m, ...)."""
+    def _norms(self, sq=None):
+        """(|xi|, 1/|xi|), each (m, ...), from |xi|^2 when given."""
         xi = self.xi
-        # |xi|^2 summed in place, squares in inv's buffer: the plain sum's bits
-        nrm, inv = np.multiply(xi[:, 0], xi[:, 0]), np.empty(xi.shape[:1] + xi.shape[2:])
-        for k in range(1, xi.shape[1]):
-            np.add(nrm, np.multiply(xi[:, k], xi[:, k], out=inv), out=nrm)
-        np.sqrt(nrm, out=nrm)
+        inv = np.empty(xi.shape[:1] + xi.shape[2:])
+        if sq is None:
+            # |xi|^2 summed in place, squares in inv's buffer: the plain sum's bits
+            nrm = np.multiply(xi[:, 0], xi[:, 0])
+            for k in range(1, xi.shape[1]):
+                np.add(nrm, np.multiply(xi[:, k], xi[:, k], out=inv), out=nrm)
+            np.sqrt(nrm, out=nrm)
+        else:
+            nrm = np.sqrt(sq)
         inv[...] = 1.0
         np.divide(1.0, nrm, out=inv, where=nrm > 0)
         return nrm, inv
@@ -172,7 +186,7 @@ class Intervals:
 # The forward Gram pass and the scalar factors of the family
 # ---------------------------------------------------------------------------
 
-def gram_step(G, iv: Intervals, j: int) -> None:
+def gram_step(G, iv: Intervals, j: int, e=None, work=None):
     """G <- C_j G C_j^T + (S_j/delta)(S_j/delta)^T in place, for a contiguous
     G (d, d, ...) samples last, without dense products: with
     c = cosh a, u = c - 1, s = sinhc a and e the unit increment,
@@ -180,20 +194,63 @@ def gram_step(G, iv: Intervals, j: int) -> None:
     the update is c^2 G + s^2 I + e k^T + k e^T with
     k = -c u G e + (u^2 e^T G e + 1 - s^2) e / 2.  Neither term depends on
     delta.  Flat space has C = I and S/delta = I: the step adds I.  G may
-    have more axes than iv's increments (Intervals.unit).
+    have more axes than iv's increments (Intervals.unit).  e, where given,
+    is iv.unit(j, G[0]), and work an array shaped like G for the products,
+    for a caller that holds them.  Returns c^2 (1.0 in flat space).
     """
     if iv.flat:
         _diagonal(G)[...] += 1.0
-        return
-    e, u, s2 = iv.unit(j, G[0]), iv.chm1[j], iv.s2[j]
+        return 1.0
+    e = iv.unit(j, G[0]) if e is None else e
+    u, s2 = iv.chm1[j], iv.s2[j]
     c = 1.0 + u
-    g = (G * e).sum(axis=1)
+    g = np.multiply(G, e, out=work).sum(axis=1)
     k = (-c * u) * g + ((0.5 * u * u) * (g * e).sum(axis=0) + 0.5 * (1.0 - s2)) * e
-    ek = e[:, None] * k
-    G *= c * c
+    ek = np.multiply(e[:, None], k, out=work)
+    c *= c
+    G *= c
     G += ek
     G += ek.swapaxes(0, 1)
     _diagonal(G)[...] += s2
+    return c
+
+
+def scaled_gram_pass(iv: Intervals):
+    """The Gram sums of the hyperbolic paths with increments iv (m, d, B),
+    m >= 1, held scaled by P = C_m ... C_1 so that nothing cancels:
+    G = P H P^T and head = P H_head P^T.  Returns (H, H_head, R, log det P),
+    H, H_head and R = P^{-1} (d, d, B), log det P (B,).
+
+    Every C_j stretches by cosh a_j across xi_j, so a long straight body
+    spreads the eigenvalues of G by cosh^2 of its length and gram_step loses
+    the smallest to the roundoff of the largest.  Here each term enters as
+    (R_{j-1} C_j^{-1} S_j)(...)^T with C^{-1} S / delta = t Q + e e^T,
+    t = tanh(a) / a, and every C_j^{-1} = Q / cosh a + e e^T contracts, so H
+    has entries of order m and eigenvalues at least those of its first term,
+    t_1^2 and 1.  With f = R_{j-1} e_j and W = R R^T:
+    H += t^2 W + (1 - t^2) f f^T, W <- W / c^2 + (1 - 1/c^2) f f^T and
+    R <- R / c + (1 - 1/c) f e^T, c = cosh a_j; det P = prod_j c_j^{d-1}.
+    """
+    m, d, B = iv.xi.shape
+    R = np.zeros((d, d, B))
+    _diagonal(R)[...] = 1.0
+    W, H, log_det_p = R.copy(), np.zeros((d, d, B)), np.zeros(B)
+    for j in range(m):
+        e, c = iv.unit(j), iv.chm1[j] + 1.0
+        c2 = c * c
+        t2 = iv.s2[j] / c2
+        f = (R * e).sum(axis=1)
+        ff = f[:, None] * f
+        if j == m - 1:
+            head = H.copy()
+        H += t2 * W
+        H += (1.0 - t2) * ff
+        W /= c2
+        W += (1.0 - 1.0 / c2) * ff
+        R /= c
+        R += (1.0 - 1.0 / c) * f[:, None] * e
+        log_det_p += np.log(c)
+    return H, head, R, (d - 1) * log_det_p
 
 
 def gram_head(G, iv: Intervals, m: int | None = None):
@@ -214,6 +271,13 @@ def _diagonal(A):
     """Writable view (d, ...) of the diagonal of a contiguous (d, d, ...) array."""
     d = A.shape[0]
     return A.reshape((d * d,) + A.shape[2:])[::d + 1]
+
+
+def _congruence(R, A=None):
+    """R A R^T (d, d, ...), or R R^T without A, for R and A (d, d, ...),
+    samples last, with no product routine that would round by batch size."""
+    RA = R if A is None else (R[:, :, None] * A[None]).sum(axis=1)
+    return (RA[:, None] * R[None]).sum(axis=2)
 
 
 def _positive_factor(A, what: str):
@@ -275,11 +339,15 @@ def _positive_solve(A, b, what: str) -> np.ndarray:
     return x
 
 
-def tip_log_factors(model: CurvatureModel, G, head, tip, n: int):
+def tip_log_factors(model: CurvatureModel, G, head, tip, n: int, scale=None):
     """(log J_P, log V_x, hits) of paths on n intervals whose body (the first
     n-1) has Gram sums (G, head), each (..., d, d) (gram_step, gram_head),
     and whose tip, the last interval, covers the vector tip (..., d) in time
     delta = 1/n; the tip is factored out in closed form (module docstring).
+    With scale = (R (..., d, d), log det P (...,)), G and head are the scaled
+    sums H and H_head of scaled_gram_pass, R = P^{-1}, and the log-dets run
+    on P^{-1}(G + T)P^{-T} = H + R T R^T and
+    P^{-1}(I + head + T)P^{-T} = H_head + R R^T + R T R^T, plus 2 log det P.
     The log-factors have the tips' batch shape; hits counts the tips whose
     sine factor S_x has condition number sinhc a = r cosh a (exact in
     constant curvature) above COND_LIMIT, compared in logs so that no tip
@@ -312,12 +380,26 @@ def tip_log_factors(model: CurvatureModel, G, head, tip, n: int):
         log_r = np.log(r)
         log_cosh = a + np.log1p(0.5 * np.expm1(-2.0 * a))  # no overflow at large a
         hits = int(np.count_nonzero(log_r + log_cosh > np.log(COND_LIMIT)))
-    log_jp = np.broadcast_to(-0.5 * d * np.log(n) + (d - 1) * log_cosh
+    bare, log_det_p = T, 0.0
+    if scale is not None:
+        R, log_det_p = np.moveaxis(scale[0], (-2, -1), (0, 1)), scale[1]
+        T = _congruence(R, bare)
+    log_jp = np.broadcast_to(-0.5 * d * np.log(n) + (d - 1) * log_cosh + log_det_p
                              + 0.5 * _positive_logdet(G + T, "mass matrix K(1)"), tips)
     if n == 1:      # no body to perturb
         return log_jp, np.zeros(tips), hits
-    T += head                                             # I + head + T, in place
-    _diagonal(T)[...] += 1.0
-    log_vx = 0.5 * _positive_logdet(T, "pinning volume factor") - (d - 1) * log_r
+    if scale is not None:
+        # R R^T + R T R^T keeps the small eigenvalues only where H_head holds
+        # them; a one-interval body has head = 0, and I + T needs no scale
+        T += head
+        T += _congruence(R)
+        one = ~head.any(axis=(0, 1))
+        _diagonal(bare)[...] += 1.0
+        T, log_det_p = np.where(one, bare, T), np.where(one, 0.0, log_det_p)
+    else:
+        T += head                                         # I + head + T, in place
+        _diagonal(T)[...] += 1.0
+    log_vx = (0.5 * _positive_logdet(T, "pinning volume factor") + log_det_p
+              - (d - 1) * log_r)
     return log_jp, np.broadcast_to(log_vx, tips), hits
 

@@ -24,42 +24,39 @@ recursion of jacobi.gram_step together, from the interval scalars
 (jacobi.Intervals); J_P and V_x follow from the Gram sums with the tip
 factored out in closed form (jacobi.tip_log_factors).
 
-Drawn from the free law, the body lands near x with probability of order
-n^{-d/2}, so ESS/N falls as n^{-d/2} (0.0045 at hyperbolic d = 3, n = 32).  On
-the hyperboloid the body is therefore drawn from the modified diffusion
-bridge (Durham-Gallant 2002; Delyon-Hu 2006): with k = n - j + 1 intervals
-left at step j, tip included, and v_j = log_o(w_{j-1}) the target seen from
-x_{j-1} in its frame (the loop's own pull-back),
+Drawn from the free law, the body would land near x with probability of
+order n^{-d/2}.  On the hyperboloid it is therefore drawn from the modified
+diffusion bridge (Durham-Gallant 2002; Delyon-Hu 2006): with k = n - j + 1
+intervals left at step j, tip included, and v_j = log_o(w_{j-1}) the target
+seen from x_{j-1} in its frame (the loop's own pull-back),
 
     xi_j = v_j / k + sqrt((k - 1) / k) z_j,    z_j ~ N(0, I / n),
 
 the free draw z_j turned into xi_j in place; each step's Intervals is built
 once its xi_j is known.  The weight gains the ratio of the free law to the
 bridge's, sum_j (n/2)(|z_j|^2 - |xi_j|^2) - (d/2) log n, since
-prod_k (k - 1) / k = 1 / n.  Importance sampling with full support keeps the
-estimate on the same pinned measure; ESS/N stays at 0.87-0.92 for n from 4 to
-64.  The tip, the tip factors and the Gaussian term read the bridged body as
-they read a free one.  The bridge runs the body out toward x, so its Gram
-sums grow across its direction with each long step: with few long steps to
-a far target their smallest eigenvalue, along it, is lost to roundoff,
-first in the weights' accuracy (d = 3, kappa = 2.5, n = 8, rho = 10) and then
-to the weight's guard, which refuses the run (rho = 12).  In flat space the
-bridge is exact and every weight equal, so the body keeps the free draw,
-builds no interval scalar, and its Gram sums are one (d, d, 1) each:
-V_x / J_P = n^{d/2} is a per-run constant, and a path pays for its draw,
-xi_x = x - sum_{i<n} xi_i and |xi_x|^2.
+prod_k (k - 1) / k = 1 / n; importance sampling with full support keeps the
+estimate on the same pinned measure.  The tip, the tip factors and the
+Gaussian term read the bridged body as they read a free one.  The bridge
+runs the body out toward x, and two steps keep their digits there:
+paths.pull_back_rows carries a far target toward o in light-cone form, and
+where a body's Gram sums have grown past jacobi.GROWTH_LIMIT (a few long
+steps in one direction), its factors come from the sums held scaled by the
+product of the cosine solutions (jacobi.scaled_gram_pass, _tip_factors).
+In flat space the bridge is exact and every weight equal, so the body keeps
+the free draw, builds no interval scalar, and its Gram sums are one
+(d, d, 1) each: V_x / J_P = n^{d/2} is a per-run constant, and a path pays
+for its draw, xi_x = x - sum_{i<n} xi_i and |xi_x|^2.
 
 An observable reads only the knots at its own times: s = 1 is x, s = 0 is o,
 and an interior knot s_j is B(xi_1)(... B(xi_j) o), j point boosts on the
 body the paths used.  The weighted mean of an observable estimates its
 integral against the *unnormalized* pinned measure, whose total mass is the
-heat kernel p_1(o, x); in flat space that identity is exact for every n.  On
-the hyperboloid the pinned measure carries an O(mesh) bias against p_1
-(+8.7%, +5.4%, +3.1%, +1.6% at d = 3, rho = 1, n = 4, 8, 16, 32), which the
-bridge's stderr of about 0.2% at 40960 paths no longer hides.  The closed
-heat kernels the estimator is gated against live here too; the numerical
-oracles that check them (radial PDE, split-time quadrature) and the free
-proposal the bridge replaced are in tests/oracles.py.
+heat kernel p_1(o, x); in flat space that identity is exact for every n, and
+on the hyperboloid it holds in the limit of fine partitions, with an O(mesh)
+bias at each n.  The closed heat kernels the estimator is gated against live
+here too; the numerical oracles that check them (radial PDE, split-time
+quadrature) and the free-proposal estimator are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -189,38 +186,53 @@ def _body_pass(model: CurvatureModel, body, x_amb):
 
     Returns the Gram sums (G, head), each (d, d, B), or (d, d, 1) in flat
     space, where they are m I and (m - 1) I for every path; the tip xi_x
-    (d, B) in the frame at the body's end; and the log-ratio of the free law
-    to the proposal, (B,) on the hyperboloid and 0.0 in flat space.  Row j
-    (k = m + 1 - j intervals left, tip included) becomes
+    (d, B) in the frame at the body's end; the log-ratio of the free law to
+    the proposal, (B,) on the hyperboloid and 0.0 in flat space; and the
+    scale growth (B,) of the Gram sums' roundoff, sum_j tr(G_j)
+    prod_{i>j} cosh^2 a_i, since step j rounds at the size of G_j and each
+    later C_i stretches that by at most cosh a_i on each side (None in flat
+    space and at d = 1, where every C_i is I and nothing grows; _tip_factors
+    reads it).  Row j (k = m + 1 - j intervals left, tip included) becomes
     xi_j = v_j / k + sqrt((k - 1) / k) z_j with v_j = log_o of the target
     pulled back so far, w (module docstring); only then is that row's
     jacobi.Intervals built, the Gram recursion advanced and the target
-    pulled back by B(-xi_j).  The tip is log_o(w) at the end.  Flat space
-    keeps the free draw, over one Intervals of the whole body.
+    pulled back by B(-xi_j) (paths.pull_back_rows, which also returns the
+    |w_s|^2 that the next drift reads).  The tip is log_o(w) at the end.
+    Flat space keeps the free draw, over one Intervals of the whole body.
     """
     m, d, B = body.shape
-    n, flat = m + 1, model.kind == "flat"
-    iv = jacobi.Intervals(model, body if flat else body[:0])   # else one row per step
-    G = np.zeros((d, d, 1 if flat else B))
     w = np.repeat(np.asarray(x_amb, dtype=float)[:, None], B, axis=1)
-    log_q = 0.0 if flat else np.zeros(B)
+    if model.kind == "flat":
+        iv, G = jacobi.Intervals(model, body), np.zeros((d, d, 1))
+        for j in range(m):
+            jacobi.gram_step(G, iv, j)
+            paths.boost_rows(model, w, iv, j, -1.0)
+        return G, jacobi.gram_head(G, iv), w, 0.0, None
+    n, G, work = m + 1, np.zeros((d, d, B)), np.empty((d, d, B))
+    growth = None if d == 1 else np.zeros(B)
+    drawn, bridged = np.zeros((d, B)), np.zeros(B)    # sum_j z_j^2 per axis, sum_j |xi_j|^2
+    iv, sq = jacobi.Intervals(model, body[:0]), _square_norm(w[:-1])
     for j in range(m):
-        row = j
-        if not flat:
-            k, z = n - j, body[j]
-            log_q += _square_norm(z)
-            drift = geom.log_o_rows(model, w)
-            drift /= k
-            z *= np.sqrt((k - 1) / k)
-            z += drift                      # xi_j, in place
-            log_q -= _square_norm(z)
-            iv, row = jacobi.Intervals(model, body[j:j + 1]), 0
-        jacobi.gram_step(G, iv, row)
-        paths.boost_rows(model, w, iv, row, -1.0)
-    if not flat:
-        log_q *= 0.5 * n
-        log_q -= 0.5 * d * np.log(n)
-    return G, jacobi.gram_head(G, iv), geom.log_o_rows(model, w), log_q
+        k, z = n - j, body[j]
+        drawn += z * z
+        z *= np.sqrt((k - 1) / k)
+        z += geom.log_o_rows(model, w, sq, 1.0 / k)     # xi_j, in place
+        sq_xi = _square_norm(z)
+        bridged += sq_xi
+        iv = jacobi.Intervals(model, body[j:j + 1], sq_xi[None])
+        e = iv.unit(0)
+        stretch = jacobi.gram_step(G, iv, 0, e, work)
+        if growth is not None:
+            growth *= stretch
+            growth += jacobi._diagonal(G).sum(axis=0)
+        sq = paths.pull_back_rows(model, w, iv, 0, e)
+    log_q = drawn[0].copy()
+    for a in range(1, d):
+        log_q += drawn[a]
+    log_q -= bridged
+    log_q *= 0.5 * n
+    log_q -= 0.5 * d * np.log(n)
+    return G, jacobi.gram_head(G, iv), geom.log_o_rows(model, w, sq), log_q, growth
 
 
 def _square_norm(v):
@@ -253,6 +265,27 @@ def _pinned_knots(model: CurvatureModel, partition: Partition, times, body, x_am
     return out.transpose(2, 0, 1)
 
 
+def _tip_factors(model: CurvatureModel, body, G, head, tip, n: int, growth):
+    """(log J_P, log V_x, hits) of jacobi.tip_log_factors for the tips
+    (B, d) of the body (m, d, B) with Gram sums (G, head) from _body_pass.
+    Where the sums' roundoff scale growth passes jacobi.GROWTH_LIMIT (or is
+    not finite), they may have lost digits, and those paths' factors come from
+    jacobi.scaled_gram_pass of their body instead.  The transposed views
+    hand tip_log_factors the samples-last arrays themselves, uncopied."""
+    far = np.zeros(len(tip), dtype=bool) if growth is None else ~(growth <= jacobi.GROWTH_LIMIT)
+    if not far.any():
+        return jacobi.tip_log_factors(model, G.transpose(2, 0, 1), head.transpose(2, 0, 1),
+                                      tip, n)
+    near, log_jp, log_vx = ~far, np.empty(len(tip)), np.empty(len(tip))
+    log_jp[near], log_vx[near], hits = jacobi.tip_log_factors(
+        model, G[..., near].transpose(2, 0, 1), head[..., near].transpose(2, 0, 1), tip[near], n)
+    H, H_head, R, log_det_p = jacobi.scaled_gram_pass(jacobi.Intervals(model, body[..., far]))
+    log_jp[far], log_vx[far], more = jacobi.tip_log_factors(
+        model, H.transpose(2, 0, 1), H_head.transpose(2, 0, 1), tip[far], n,
+        (R.transpose(2, 0, 1), log_det_p))
+    return log_jp, log_vx, hits + more
+
+
 def _pinned_chunk(model: CurvatureModel, partition: Partition, x_amb,
                   observable: CylinderObservable, seed: int, start: int,
                   count: int):
@@ -264,13 +297,9 @@ def _pinned_chunk(model: CurvatureModel, partition: Partition, x_amb,
     inc = paths.sample_increments(model, partition, count, seed, start)
     body = inc.transpose(1, 2, 0)[:n - 1]          # (n-1, d, B), contiguous, no copy
     clock.lap("draw")
-    G, head, xi_x, log_q = _body_pass(model, body, x_amb)   # body now as the paths use it
+    G, head, xi_x, log_q, growth = _body_pass(model, body, x_amb)   # body as the paths use it
     clock.lap("body_pass")
-    # the tip enters both factors in closed form; the transposed views hand
-    # tip_log_factors the samples-last arrays themselves, uncopied
-    tip = xi_x.T
-    log_jp, log_vx, hits = jacobi.tip_log_factors(model, G.transpose(2, 0, 1),
-                                                  head.transpose(2, 0, 1), tip, n)
+    log_jp, log_vx, hits = _tip_factors(model, body, G, head, xi_x.T, n, growth)
     log_w = (-0.5 * d * LOG_2PI - 0.5 * n * np.sum(xi_x * xi_x, axis=0) + log_vx - log_jp
              + log_q)
     clock.lap("tip_factors")

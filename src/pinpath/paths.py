@@ -19,6 +19,7 @@ from .jacobi import Intervals, Partition
 
 CHUNK = 4096   # fixed RNG block size; do not change (breaks reproducibility)
 RENORM_EVERY = 32   # rolled steps between Gram-Schmidt passes on the frame
+FAR_POINT = 10.0    # sqrt(kappa) e^a y_t past which pull_back_rows goes light-cone
 _DRAW_ROWS = 256    # rows of a Philox block per standard_normal call
 
 
@@ -115,6 +116,63 @@ def boost_rows(model: CurvatureModel, y, iv: Intervals, j: int, sign: float,
         y[-1] += iv.chm1[j] * y[-1] + sign * iv.sh[j] * along
         return y
     return geom._renormalize_point(model, y)
+
+
+def pull_back_rows(model: CurvatureModel, y, iv: Intervals, j: int, p=None):
+    """y <- B(-xi_j) y in place for hyperbolic points y (D, B) samples last,
+    as boost_rows with sign -1; returns |y_s|^2 (B,) of the result.  p,
+    where given, is iv.unit(j, y), for a caller that holds it.
+
+    boost_rows moves the part along p by (cosh a - 1) y_p - sinh a y_t,
+    which cancels terms of size e^a y_t: an absolute error of eps e^a y_t,
+    harmless near o and for short steps, but where a long step carries a
+    far y toward o the new part is smaller by up to e^{-2a}.  So where
+    sqrt(kappa) e^a y_t passes FAR_POINT the point is carried in light-cone
+    form instead (_light_cone_pull_back), and y_t of the rest comes back on
+    the sheet from |y_s|^2.
+    """
+    p = iv.unit(j, y) if p is None else p
+    grow = iv.chm1[j] + iv.sh[j]
+    grow += 1.0                                       # e^a
+    far = np.flatnonzero(grow * y[-1] > FAR_POINT / np.sqrt(model.kappa))
+    if far.size:
+        y_far = y[:, far]
+        sq_far = _light_cone_pull_back(model, y_far, p[:, far], grow[far])
+    ys = y[:-1]
+    along = np.sum(p * ys, axis=0)
+    along *= iv.chm1[j]
+    along -= iv.sh[j] * y[-1]
+    ys += along * p
+    sq = np.sum(ys * ys, axis=0)
+    np.sqrt(sq + 1.0 / model.kappa, out=y[-1])
+    if far.size:
+        y[:, far], sq[far] = y_far, sq_far
+    return sq
+
+
+def _light_cone_pull_back(model: CurvatureModel, y, p, grow):
+    """pull_back_rows' light-cone form for points y (D, B), grow = e^a: with
+    y_p = <p, y_s>, y_perp = y_s - y_p p and a the step, the coordinates
+    y_t +- y_p scale by e^{-+a} and y_perp stays.  The larger of the two is
+    y_t + |y_p|, a sum of non-negative terms, and the smaller is
+    (1/kappa + |y_perp|^2) over it, since their product is y_t^2 - y_p^2;
+    so both new ones come to full relative precision, and
+    y'_p = ((y'_t + y'_p) - (y'_t - y'_p)) / 2 cancels only as far as y'
+    itself lies near o.  y'_t is the half sum, on the sheet to rounding.
+    Returns |y'_s|^2."""
+    ys = y[:-1]
+    along = np.sum(p * ys, axis=0)
+    ys -= along * p                                   # y_perp
+    perp2 = np.sum(ys * ys, axis=0)
+    big = np.abs(along) + y[-1]
+    small = (perp2 + 1.0 / model.kappa) / big
+    ahead = along >= 0.0
+    plus = np.where(ahead, big, small) / grow         # y'_t + y'_p
+    minus = np.where(ahead, small, big) * grow        # y'_t - y'_p
+    new_p = 0.5 * (plus - minus)
+    ys += new_p * p
+    y[-1] = 0.5 * (plus + minus)
+    return perp2 + new_p * new_p
 
 
 def knots_at(partition: Partition, times, points) -> np.ndarray:

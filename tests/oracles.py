@@ -21,13 +21,16 @@ agreement between the two is meaningful:
   ``pinpath.measures.heat_kernel_exact``, which stays in the package because
   the ``pinned`` command gates on it;
 - the tip's dense algebra for the two volume factors of a pinned path
-  (``dense_tip_log_factors``), and the Gram sums of whole paths
+  (``dense_tip_log_factors``), the same factors from dense Gram sums held
+  scaled by the product of the cosine solutions
+  (``scaled_tip_log_factors``), and the Gram sums of whole paths
   (``gram_pass``: the package's step kernels over one ``jacobi.Intervals``
   of the increments, (..., m, d) in and (..., d, d) out);
 - two routes to a pinned path's tip other than the estimator's pull-back:
   rolling the body's frames (``frame_roll_tip``, the estimator's route until
-  the pull-back replaced it) and the boost composition in 60-digit mpmath
-  arithmetic (``mp_pulled_back_tip``);
+  the pull-back replaced it) and the bridge and boost composition in
+  60-digit mpmath arithmetic (``mp_bridged_tip``); the two log-dets of a
+  path's weight in 50-digit arithmetic (``mp_gram_log_dets``);
 - the free-proposal pinned estimator (``free_body_pass``,
   ``free_pinned_chunk``, ``free_pinned_estimate``): the body drawn from the
   free law and pinned by its weight alone, the estimator's route on the
@@ -213,6 +216,44 @@ def log_rho_P(S, delta):
     return np.sum(jacobi._positive_logdet(body, "sine-type solution"), axis=-1)
 
 
+def scaled_tip_log_factors(model, body, tips, n):
+    """(log J_P, log V_x) (B,) of hyperbolic pinned paths on n intervals with
+    body (B, m, d), m >= 1, and tips (B, d), from their Gram sums held
+    scaled by P = C_m ... C_1 in dense matrices (batch_cs), so that no
+    entry grows: R = P^{-1} = C_1^{-1} ... C_m^{-1} by np.linalg.inv of each
+    C_j, H = sum_j (R_j S_j/delta)(R_j S_j/delta)^T with R_j the product of
+    the first j inverses, and log det P from slogdet.  With T = r^2 I +
+    (1 - r^2) e e^T of the tip (r = tanh(a) / a, e its direction),
+    log det(G + T) = 2 log det P + log det(H + R T R^T) and
+    log det(I + head + T) = 2 log det P + log det(H_{m-1} + R (I + T) R^T),
+    except at m = 1, where head = 0 and I + T is taken as it is; then
+    log J_P = -(d/2) log n + (d-1) log cosh a + log det(G + T) / 2 and
+    log V_x = log det(I + head + T) / 2 - (d-1) log r (jacobi's module
+    docstring)."""
+    B, m, d = np.shape(body)
+    C, S = batch_cs(model, body, 1.0 / n)
+    eye = np.eye(d)
+    R, H, log_det_p = np.broadcast_to(eye, (B, d, d)), np.zeros((B, d, d)), np.zeros(B)
+    for j in range(m):
+        inv = np.linalg.inv(C[:, j])
+        M = R @ inv @ (S[:, j] * n)
+        head, H = H, H + M @ M.transpose(0, 2, 1)
+        R = R @ inv
+        log_det_p += np.linalg.slogdet(C[:, j])[1]
+    nrm = np.linalg.norm(tips, axis=1)
+    a, e = np.sqrt(model.kappa) * nrm, tips / nrm[:, None]
+    r2 = (np.tanh(a) / a) ** 2
+    T = r2[:, None, None] * eye + (1.0 - r2)[:, None, None] * e[:, :, None] * e[:, None, :]
+    Rt = R.transpose(0, 2, 1)
+    log_k = 2.0 * log_det_p + np.linalg.slogdet(H + R @ T @ Rt)[1]
+    if m == 1:
+        log_v = np.linalg.slogdet(eye + T)[1]
+    else:
+        log_v = 2.0 * log_det_p + np.linalg.slogdet(head + R @ (eye + T) @ Rt)[1]
+    log_jp = -0.5 * d * np.log(n) + (d - 1) * np.log(np.cosh(a)) + 0.5 * log_k
+    return log_jp, 0.5 * log_v - 0.5 * (d - 1) * np.log(r2)
+
+
 def dense_tip_log_factors(G, head, Cx, Sx, n):
     """(log J_P, log V_x) of paths on n intervals with dense tip matrices.
 
@@ -257,29 +298,48 @@ def frame_roll_tip(model, body, x):
     """Tips (N, d) of pinned paths with body increments (N, m, d) and target
     x (D,): roll the body's knots and frames, then take log_{x_m}(x) in the
     frame at the body's end.  Returns (tips, the sqrt(kappa)-distance of each
-    body end from o).  Its roundoff grows like eps cosh^2 of that distance,
-    the size of the ambient coordinates it cancels."""
+    body end from o, the largest such distance of any knot).  Its roundoff
+    grows like eps cosh^2 of that distance, the size of the ambient
+    coordinates it cancels, at the end of a body that heads outward, and at
+    the farthest knot of one that turns back."""
     pts, frs = paths.roll_batch(model, body)
     end = pts[:, -1]
     tips = frame_coords(model, frs[:, -1],
                         log_point(model, end, np.broadcast_to(x, end.shape)))
-    reach = np.sqrt(model.kappa) * geom.distance(model, geom.base_point(model), end)
-    return tips, reach
+    reach = np.sqrt(model.kappa) * geom.distance(model, geom.base_point(model), pts)
+    return tips, reach[:, -1], reach.max(axis=1)
 
 
-def mp_pulled_back_tip(kappa, body, x, dps=60):
-    """The tip (d,) of one hyperbolic pinned path in dps-digit arithmetic:
-    w = B(-xi_m) ... B(-xi_1) x by the full Lorentz boost matrices' action,
-    then log_o(w) = asinh(sqrt(kappa)|w_s|) w_s / (sqrt(kappa)|w_s|).  body
-    (m, d) and the spatial part of x are taken as exact; x's timelike part is
-    recomputed on the sheet."""
+def mp_bridged_tip(kappa, draw, x, n, dps=60):
+    """The tip (d,) of one hyperbolic pinned path on n intervals in
+    dps-digit arithmetic, and its body (m, d) rounded: each drawn row z_j of
+    draw (m, d) is bridged as measures._body_pass bridges it,
+    xi_j = v_j / k + sqrt((k - 1) / k) z_j with k = n - j intervals left
+    and v_j = log_o(w), then w <- B(-xi_j) w by the full Lorentz boost's
+    action, from w = x; the tip is log_o(w) at the end, with
+    log_o(w) = asinh(sqrt(kappa)|w_s|) w_s / (sqrt(kappa)|w_s|).  draw and
+    the spatial part of x are taken as exact; x's timelike part is
+    recomputed on the sheet.  The bridge steers each step by the target it
+    sees, so the tip is a well-conditioned function of the draw even where
+    the pull-back along given increments is not (the far point w carries
+    cosh(sqrt(kappa) |w|) times any perturbation of them)."""
     with mpmath.workdps(dps):
         k = mpmath.mpf(kappa)
         rk = mpmath.sqrt(k)
+
+        def log_o(ws):
+            z = rk * mpmath.sqrt(sum(v * v for v in ws))
+            scale = mpmath.asinh(z) / z if z > 0 else mpmath.mpf(1)
+            return [scale * v for v in ws]
+
         ws = [mpmath.mpf(float(v)) for v in x[:-1]]
         wt = mpmath.sqrt(1 / k + sum(v * v for v in ws))
-        for step in np.asarray(body, dtype=float):
-            xi = [mpmath.mpf(float(v)) for v in step]
+        body = []
+        for j, row in enumerate(np.asarray(draw, dtype=float)):
+            left = n - j
+            root = mpmath.sqrt(mpmath.mpf(left - 1) / left)
+            xi = [v / left + root * mpmath.mpf(float(z)) for v, z in zip(log_o(ws), row)]
+            body.append([float(v) for v in xi])
             nrm = mpmath.sqrt(sum(v * v for v in xi))
             if nrm == 0:
                 continue
@@ -288,9 +348,39 @@ def mp_pulled_back_tip(kappa, body, x, dps=60):
             ps = sum(a * b for a, b in zip(p, ws))
             ws, wt = ([w + ((ch - 1) * ps - sh * wt) * q for w, q in zip(ws, p)],
                       ch * wt - sh * ps)
-        z = rk * mpmath.sqrt(sum(v * v for v in ws))
-        scale = mpmath.asinh(z) / z if z > 0 else mpmath.mpf(1)
-        return np.array([float(scale * v) for v in ws])
+        return np.array([float(v) for v in log_o(ws)]), np.array(body).reshape(np.shape(draw))
+
+
+def mp_gram_log_dets(kappa, body, tip, dps=50):
+    """(log det(G + T), log det(I + head + T)) of one hyperbolic pinned path
+    in dps-digit arithmetic: G and head from the dense recursion
+    G_j = C_j G_{j-1} C_j^T + (S_j/delta)(S_j/delta)^T over the body (m, d),
+    with C = I + (cosh a - 1) Q and S/delta = I + (sinhc a - 1) Q, and
+    T = r^2 I + (1 - r^2) e e^T of the tip (d,), r = tanh(a) / a (the
+    factors of jacobi.tip_log_factors).  body and tip are taken as exact."""
+    d = np.shape(body)[1]
+    with mpmath.workdps(dps):
+        rk = mpmath.sqrt(mpmath.mpf(kappa))
+        eye = mpmath.eye(d)
+
+        def polar(v):
+            v = [mpmath.mpf(float(c)) for c in v]
+            nrm = mpmath.sqrt(sum(c * c for c in v))
+            e = mpmath.matrix(v) / nrm
+            return rk * nrm, e * e.T
+
+        G = head = mpmath.zeros(d)
+        for row in body:
+            a, P = polar(row)
+            C = eye + (mpmath.cosh(a) - 1) * (eye - P)
+            S = eye + (mpmath.sinh(a) / a - 1) * (eye - P)
+            head = C * G * C.T
+            G = head + S * S.T
+        a, P = polar(tip)
+        r2 = (mpmath.tanh(a) / a) ** 2
+        T = r2 * eye + (1 - r2) * P
+        return (float(mpmath.log(mpmath.det(G + T))),
+                float(mpmath.log(mpmath.det(eye + head + T))))
 
 
 def free_body_pass(model, body, x_amb):

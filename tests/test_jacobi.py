@@ -732,3 +732,34 @@ def test_det_identity_random_sweep():
         A = rng.normal(size=(d, (n - 1) * d))
         lhs, rhs, ok = det_identity_check(A, rtol=1e-10)
         assert ok, (lhs, rhs)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_scaled_gram_sums_match_the_plain_ones_on_short_bodies(m):
+    """On bodies of m steps near o, where the plain Gram sums keep their
+    digits, scaled_gram_pass gives G = P H P^T and head = P H_head P^T with
+    P^{-1} = R and log det P = sum_j (d - 1) log cosh a_j, within 1e-13
+    of G's largest entry; tip_log_factors on the scaled sums gives the plain factors
+    within 1e-13, at d = 2 and 3 and kappa in {0.5, 2.5}."""
+    rng = np.random.default_rng(17)
+    for d in (2, 3):
+        for kappa in (0.5, 2.5):
+            model = CurvatureModel("hyperbolic", d, kappa)
+            n = m + 1
+            inc = rng.normal(size=(9, n, d)) / np.sqrt(n)
+            iv = jacobi.Intervals(model, np.ascontiguousarray(inc[:, :m].transpose(1, 2, 0)))
+            H, H_head, R, log_det_p = jacobi.scaled_gram_pass(iv)
+            G, head = gram_pass(model, inc[:, :m])
+            P = np.linalg.inv(R.transpose(2, 0, 1))
+            for got, want in ((P @ H.transpose(2, 0, 1) @ P.transpose(0, 2, 1), G),
+                              (P @ H_head.transpose(2, 0, 1) @ P.transpose(0, 2, 1), head)):
+                assert np.all(np.abs(got - want) <= 1e-13 * np.abs(G).max())
+            a = np.sqrt(kappa) * np.linalg.norm(inc[:, :m], axis=-1)
+            assert np.allclose(log_det_p, (d - 1) * np.log(np.cosh(a)).sum(axis=1),
+                               rtol=1e-13, atol=0)
+            plain = jacobi.tip_log_factors(model, G, head, inc[:, -1], n)
+            scaled = jacobi.tip_log_factors(model, H.transpose(2, 0, 1), H_head.transpose(2, 0, 1),
+                                            inc[:, -1], n, (R.transpose(2, 0, 1), log_det_p))
+            for got, want in zip(scaled[:2], plain[:2]):
+                assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+            assert scaled[2] == plain[2]

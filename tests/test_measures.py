@@ -14,8 +14,9 @@ from pinpath.measures import (MASS_OBSERVABLE, CylinderObservable, _pinned_chunk
 
 from tests.oracles import (flat_bridge_abs_moment_1d, flat_bridge_second_moment,
                            frame_coords, frame_roll_tip, free_log_weights,
-                           free_pinned_estimate, gram_pass, log_point, mp_pulled_back_tip,
-                           pinned_fdd_oracle, radial_pde_kernel)
+                           free_pinned_estimate, gram_pass, log_point, mp_bridged_tip,
+                           mp_gram_log_dets, pinned_fdd_oracle, radial_pde_kernel,
+                           scaled_tip_log_factors)
 
 FLAT1 = CurvatureModel("flat", 1)
 FLAT2 = CurvatureModel("flat", 2)
@@ -405,12 +406,15 @@ def test_pulled_back_tip_matches_the_frame_roll(kind, d, kappa):
     relative to 1 + |xi_x| (or the reference's own roundoff,
     _tip_tolerance), and the log-weights within (n + 4d) (1 + |xi_x|)^2
     times that, the tip's leverage on -n |xi_x|^2 / 2 and the two tip
-    factors.  The bridge carries the body's end out to the target, so at
-    sqrt(kappa) rho = 25 the roll's roundoff bound passes 1 and its frames
-    overflow: paths are compared only where the bound is below 1 (the
-    60-digit test checks every tip).  At kappa = 2.5, rho = 16, n = 8 and
-    d > 1 the chunk refuses
-    (test_bridged_gram_sums_lose_positivity_far_out_at_coarse_n).
+    factors.  The roll's roundoff grows with the body's farthest knot, and
+    the bridge carries bodies out toward the target and at times back: a
+    tip that misses the roll by more than that bound, or whose body reaches
+    where the bound passes 1 (the roll's ambient coordinates, of size
+    cosh(reach), cancel to nothing), must instead equal the 60-digit bridge
+    of the same draw (tests/oracles.mp_bridged_tip) within 1e-12.  The
+    reference factors come from the body's Gram sums as gram_pass forms
+    them, or held scaled (tests/oracles.scaled_tip_log_factors) where the
+    pass's roundoff scale passes jacobi.GROWTH_LIMIT.
     """
     model = CurvatureModel(kind, d, kappa)
     direction = np.ones(d) / np.sqrt(d)
@@ -418,27 +422,32 @@ def test_pulled_back_tip_matches_the_frame_roll(kind, d, kappa):
         part = Partition(n)
         for rho in (0.0, 1.0, 4.0, 16.0):
             x = measures._target_point(model, rho * direction)
-            if d > 1 and (kappa, rho, n) == (2.5, 16.0, 8):    # the bridge's known limit
-                with pytest.raises(geom.NumericalError):
-                    _pinned_chunk(model, part, x, MASS_OBSERVABLE, 3, 0, 64)
-                continue
-            body = paths.sample_increments(model, part, 64, seed=3).transpose(1, 2, 0)[:n - 1]
-            _, _, tip, log_q = measures._body_pass(model, body, x)   # body: bridged in place
+            draw = paths.sample_increments(model, part, 64, seed=3).transpose(1, 2, 0)[:n - 1]
+            body = draw.copy()
+            tip, log_q, growth = measures._body_pass(model, body, x)[2:]   # body: bridged
             with np.errstate(over="ignore", invalid="ignore"):
-                want, reach = frame_roll_tip(model, body.transpose(2, 0, 1), x)
-                tol = _tip_tolerance(reach) * (1.0 + np.linalg.norm(want, axis=1))
-            ok = _tip_tolerance(reach) < 1.0
-            assert ok.all() or np.sqrt(kappa) * rho > 20.0
-            if not ok.any():
-                continue
-            want, tol = want[ok], tol[ok]
-            assert np.all(np.linalg.norm(tip.T[ok] - want, axis=1) <= tol)
+                want, reach, farthest = frame_roll_tip(model, body.transpose(2, 0, 1), x)
+                bound = _tip_tolerance(reach)
+                missed = ~(np.linalg.norm(tip.T - want, axis=1)
+                           <= bound * (1.0 + np.linalg.norm(want, axis=1)))
+            exact = missed | (_tip_tolerance(farthest) >= 1.0)
+            for i in np.flatnonzero(exact):
+                want[i] = mp_bridged_tip(kappa, draw[..., i], x, n)[0]
+            bound[exact] = 1e-12
+            tol = bound * (1.0 + np.linalg.norm(want, axis=1))
+            assert np.all(np.linalg.norm(tip.T - want, axis=1) <= tol)
 
-            G, head = gram_pass(model, body.transpose(2, 0, 1)[ok])
-            log_jp, log_vx, _ = jacobi.tip_log_factors(model, G, head, want, n)
+            inc, log_jp, log_vx = body.transpose(2, 0, 1), np.empty(64), np.empty(64)
+            scaled = np.zeros(64, dtype=bool) if growth is None else growth > jacobi.GROWTH_LIMIT
+            G, head = gram_pass(model, inc[~scaled])
+            log_jp[~scaled], log_vx[~scaled] = jacobi.tip_log_factors(model, G, head,
+                                                                      want[~scaled], n)[:2]
+            if scaled.any():
+                log_jp[scaled], log_vx[scaled] = scaled_tip_log_factors(model, inc[scaled],
+                                                                        want[scaled], n)
             ref = (-0.5 * d * measures.LOG_2PI - 0.5 * n * np.sum(want * want, axis=1)
-                   + log_vx - log_jp + np.broadcast_to(log_q, ok.shape)[ok])
-            log_w = _pinned_chunk(model, part, x, MASS_OBSERVABLE, 3, 0, 64)[0][ok]
+                   + log_vx - log_jp + log_q)
+            log_w = _pinned_chunk(model, part, x, MASS_OBSERVABLE, 3, 0, 64)[0]
             lever = (n + 4 * d) * (1.0 + np.linalg.norm(want, axis=1))
             assert np.all(np.abs(log_w - ref) <= lever * tol)
 
@@ -482,43 +491,53 @@ def test_bridge_ess_stays_high_at_hyp3_n32():
     assert res.meta["weights"]["ess_frac"] >= 0.85
 
 
-def test_bridged_gram_sums_lose_positivity_far_out_at_coarse_n():
-    """The known limit of the bridge: its body runs out to the target, and
-    the Gram sums of a body of few long steps grow across its direction
-    with each step, so their smallest eigenvalue, along it, is lost to
-    roundoff.  At d = 3, kappa = 2.5, rho = 16 the chunk refuses at n = 8
-    (K(1) lost positivity) and is finite at n = 32; the free route was
-    finite at both, with ESS/N near 1/N."""
-    model = CurvatureModel("hyperbolic", 3, 2.5)
-    x = measures._target_point(model, 16.0 * np.ones(3) / np.sqrt(3))
-    with pytest.raises(geom.NumericalError, match="mass matrix K"):
-        _pinned_chunk(model, Partition(8), x, MASS_OBSERVABLE, 3, 0, 64)
-    log_w = _pinned_chunk(model, Partition(32), x, MASS_OBSERVABLE, 3, 0, 64)[0]
-    assert np.all(np.isfinite(log_w))
+@pytest.mark.parametrize("d, kappa, n, rho", [(3, 2.5, 8, r) for r in (4.0, 8.0, 10.0, 12.0, 16.0)]
+                         + [(3, 1.0, 8, 16.0), (2, 1.0, 2, 40.0)],
+                         ids=lambda v: str(v))
+def test_far_bridged_weights_match_50_digit_log_dets(d, kappa, n, rho):
+    """The bridge runs the body out toward the target, and the Gram sums of
+    a body of few long steps grow across its direction with each step, so
+    in plain form the roundoff of their large entries swamps their smallest
+    eigenvalue, along it (at d = 3, kappa = 2.5, n = 8: log-dets off by 1e-5
+    at rho = 8 and by O(1) at rho = 10, positivity lost from rho = 12).
+    Those paths take their factors from the scaled sums
+    (jacobi.scaled_gram_pass), and every log-weight of a 64-path chunk is
+    the one assembled from the 50-digit log-dets of its own body and tip
+    (tests/oracles.mp_gram_log_dets) within 1e-10 (1 + |log w|)."""
+    model = CurvatureModel("hyperbolic", d, kappa)
+    part = Partition(n)
+    x = measures._target_point(model, rho * np.ones(d) / np.sqrt(d))
+    log_w = _pinned_chunk(model, part, x, MASS_OBSERVABLE, 3, 0, 64)[0]
+    body = paths.sample_increments(model, part, 64, seed=3).transpose(1, 2, 0)[:n - 1]
+    tip, log_q, growth = measures._body_pass(model, body, x)[2:]
+    assert np.any(growth > jacobi.GROWTH_LIMIT)
+    for i in range(64):
+        log_k, log_v = mp_gram_log_dets(kappa, body[..., i], tip[:, i])
+        a = np.sqrt(kappa) * np.linalg.norm(tip[:, i])
+        log_r = np.log(np.tanh(a) / a)
+        log_jp = -0.5 * d * np.log(n) + (d - 1) * np.log(np.cosh(a)) + 0.5 * log_k
+        log_vx = 0.5 * log_v - (d - 1) * log_r
+        want = (-0.5 * d * measures.LOG_2PI - 0.5 * n * tip[:, i] @ tip[:, i]
+                + log_vx - log_jp + log_q[i])
+        assert abs(log_w[i] - want) <= 1e-10 * (1.0 + abs(want)), i
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_pulled_back_tip_matches_a_60_digit_boost_composition(d):
     """On 36 paths over kappa in {0.5, 1, 2.5} and rho in {1, 16} at n = 32,
-    the tip of the body pass is the 60-digit mpmath boost composition of the
-    body it bridged, rounded, within 1e-14 relative, plus the target's own
-    conditioning 1e-15 sinh(sqrt(kappa) rho) / sqrt(kappa): the bridge ends
-    the body near x, so the tip is a short vector between two far points,
-    and the doubles of x (and of each far knot) fix a far point only to
-    about eps sinh(sqrt(kappa) rho) / sqrt(kappa) across its direction.
-    The reference takes the doubles as exact; the free tip, seen from near
-    o, met 1e-14 alone."""
+    the tip of the body pass is the 60-digit mpmath bridge and boost
+    composition of the same draw (tests/oracles.mp_bridged_tip), rounded,
+    within 1e-14 relative."""
     part = Partition(32)
     for kappa in (0.5, 1.0, 2.5):
         model = CurvatureModel("hyperbolic", d, kappa)
         for rho in (1.0, 16.0):
             x = measures._target_point(model, rho * np.eye(d)[0])
-            body = paths.sample_increments(model, part, 6, seed=21).transpose(1, 2, 0)[:-1]
-            tip = measures._body_pass(model, body, x)[2].T      # body: bridged in place
-            floor = 1e-15 * np.sinh(np.sqrt(kappa) * rho) / np.sqrt(kappa)
-            for path, got in zip(body.transpose(2, 0, 1), tip):
-                want = mp_pulled_back_tip(kappa, path, x)
-                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want) + floor
+            draw = paths.sample_increments(model, part, 6, seed=21).transpose(1, 2, 0)[:-1]
+            tip = measures._body_pass(model, draw.copy(), x)[2].T
+            for i, got in enumerate(tip):
+                want = mp_bridged_tip(kappa, draw[..., i], x, part.n)[0]
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("kind, d, kappa", [("flat", 2, 0.0), ("hyperbolic", 2, 1.0),
@@ -579,6 +598,24 @@ def test_pinned_rows_are_independent_of_the_chunk(model, n):
             assert np.array_equal(f_vals, full_f[start:start + count]), (start, count)
 
 
+def test_scaled_pinned_rows_are_independent_of_the_chunk():
+    """At d = 3, kappa = 2.5, n = 8, rho = 5 about half of the paths take
+    their factors from the scaled Gram sums (growth past
+    jacobi.GROWTH_LIMIT) and the rest from the plain ones; the rows of a
+    chunk of 1, 2 or 3 samples still equal those of a full chunk bit for
+    bit, whichever route each takes."""
+    model, part = CurvatureModel("hyperbolic", 3, 2.5), Partition(8)
+    x = measures._target_point(model, np.array([5.0, 0.0, 0.0]))
+    body = paths.sample_increments(model, part, paths.CHUNK, seed=0).transpose(1, 2, 0)[:7]
+    scaled = measures._body_pass(model, body, x)[4] > jacobi.GROWTH_LIMIT
+    assert 0.25 < scaled.mean() < 0.75
+    full = _pinned_chunk(model, part, x, MASS_OBSERVABLE, 0, 0, paths.CHUNK)[0]
+    for start in (0, 1, paths.CHUNK - 3):
+        for count in (1, 2, 3):
+            log_w = _pinned_chunk(model, part, x, MASS_OBSERVABLE, 0, start, count)[0]
+            assert np.array_equal(log_w, full[start:start + count]), (start, count)
+
+
 def test_pinned_chunk_takes_the_tip_norms_once(monkeypatch):
     """One pinned chunk calls jacobi._polar once: the tip count comes from
     tip_log_factors' own norms, not from a second pass over the tips."""
@@ -607,16 +644,16 @@ def test_pinned_estimate_worker_invariance_hyperbolic():
 def test_flat_body_pass_computes_no_interval_scalar(monkeypatch):
     """A flat _body_pass keeps the free draw and builds one Intervals with
     no 1/|xi|, leaving the other scalars as constants; its G and head are
-    one (d, d, 1) each, exactly m I and (m - 1) I, and its log proposal
-    ratio is 0."""
+    one (d, d, 1) each, exactly m I and (m - 1) I, its log proposal
+    ratio is 0, and it has no roundoff scale to check (exact sums)."""
     made, intervals = [], jacobi.Intervals
     monkeypatch.setattr(jacobi, "Intervals", lambda *a: made.append(intervals(*a)) or made[-1])
     inc = paths.sample_increments(FLAT2, Partition(8), 50, seed=2)
     drawn = inc.copy()
-    G, head, _, log_q = measures._body_pass(FLAT2, inc.transpose(1, 2, 0)[:7],
-                                            np.array([1.0, 0.0]))
+    G, head, _, log_q, growth = measures._body_pass(FLAT2, inc.transpose(1, 2, 0)[:7],
+                                                    np.array([1.0, 0.0]))
     assert len(made) == 1 and "inv" not in vars(made[0])
-    assert np.array_equal(inc, drawn) and log_q == 0.0
+    assert np.array_equal(inc, drawn) and log_q == 0.0 and growth is None
     assert G.shape == head.shape == (2, 2, 1)
     assert np.array_equal(G, np.broadcast_to(7.0 * np.eye(2)[..., None], G.shape))
     assert np.array_equal(head, np.broadcast_to(6.0 * np.eye(2)[..., None], head.shape))
