@@ -17,7 +17,7 @@ from . import damped, geom, jacobi, measures, paths
 from .geom import CurvatureModel, NumericalError
 from .jacobi import COND_LIMIT, Partition
 
-FD_STEP = 1e-5    # central-difference step for chart perturbations
+FD_STEP = 1e-5    # central-difference step of scalar_gap's lift slopes
 DIV_STEP = 1e-3   # larger outer step for divergence-of-velocity differences
 FLAT_FLOOR = 1e-13  # below this a statistic counts as identically zero
 TABLE_FLOATS = 2 ** 16  # convergence_suite carries n d^2 numbers per path in blocks of this many
@@ -72,20 +72,25 @@ def _lift_forward(model, rows, G, vec):
     return G, vec
 
 
-def _lift_back(rows, G, coords):
-    """(slopes k (n, d, ..., B), coords, c = K(1)^{-1} coords) of the lift on
-    the n intervals rows with Gram sum G (d, d, ..., B) and endpoint
+def _lift_back(rows, G, coords, last=None):
+    """(slopes k (last + 1, d, ..., B), coords, c = K(1)^{-1} coords) of the
+    lift on the n intervals rows with Gram sum G (d, d, ..., B) and endpoint
     coordinates (d, ..., B): k_i = (S_i / delta) C_{i+1} ... C_n c from one
     backward pass of Intervals.sine and .cosine (C_i, S_i are symmetric),
-    K(1) solved by jacobi._positive_solve (NumericalError unless SPD)."""
+    K(1) solved by jacobi._positive_solve (NumericalError unless SPD).  The
+    slopes are those of rows 0 to last (every row when None), the rows a
+    caller reads; the rows past last run only cosine."""
     n = len(rows)
+    last = n - 1 if last is None else last
     coeff = n * jacobi._positive_solve(G, coords, "mass matrix K(1)")
-    slopes, y = np.empty((n,) + coeff.shape), coeff
+    slopes, y = np.empty((last + 1,) + coeff.shape), coeff
     for j in range(n - 1, -1, -1):
         iv, k = rows[j]
         along = iv.along(k, y)
-        slopes[j] = iv.sine(k, y, along)
-        y = iv.cosine(k, y, along)
+        if j <= last:
+            slopes[j] = iv.sine(k, y, along)
+        if j:
+            y = iv.cosine(k, y, along)
     return slopes, coords, coeff
 
 
@@ -354,17 +359,38 @@ def _central_difference(fn, inc, direction, step):
     return norms * (fn(inc + shift) - fn(inc - shift)) / (2 * step)
 
 
-def _directional_derivative(model, part, inc, direction, observables):
-    """Central differences of cylinder observables along a chart direction
-    (N, n, d); one pair of rolls serves every observable.  Returns
-    (len(observables), N).
-    """
-    def observe(z):
-        pts = paths.roll_batch(model, z)[0]
-        return np.stack([obs.evaluate(model, paths.knots_at(part, obs.times, pts))
-                         for obs in observables])
+def _knot_field(iv, slopes):
+    """The values J(s_j) (n+1, d, B) at the knots, in the frame coordinates
+    there, of the field with slopes k (n, d, B) and J(0) = 0 along the
+    paths with Intervals iv: J(s_{j+1}) = C_j J(s_j) + delta (S_j / delta) k_j,
+    one forward pass of Intervals.cosine and .sine.  The chart variation
+    V = M^{-1} k has slopes M V = k, so on the lift's slopes these are the
+    knots' velocities along V."""
+    n = len(slopes)
+    field = np.zeros((n + 1,) + slopes.shape[1:])
+    for j in range(n):
+        field[j + 1] = iv.sine(j, slopes[j]) / n
+        if j:
+            field[j + 1] += iv.cosine(j, field[j])
+    return field
 
-    return _central_difference(observe, inc, direction, FD_STEP)
+
+def _at_knots(model, iv, part, observables, field):
+    """For each observable, its knots (B, len(times), D) on the paths with
+    Intervals iv and there the ambient vectors of field (n+1, d, B), frame
+    coordinates at every knot.  Each knot any of them reads is carried from
+    o once, points and vectors by paths.boost_to_knots, so no frame is
+    rolled."""
+    index = sorted({part.knot_index(t) for obs in observables for t in obs.times}, reverse=True)
+    points = np.empty((model.ambient_dim, len(index), field.shape[-1]))
+    points[:] = geom.base_point(model)[:, None, None]
+    vectors = np.zeros_like(points)
+    vectors[:model.dim] = field[index].transpose(1, 0, 2)
+    paths.boost_to_knots(model, points, iv, index)
+    paths.boost_to_knots(model, vectors, iv, index, vector=True)
+    points, vectors = points.transpose(2, 1, 0), vectors.transpose(2, 1, 0)
+    cols = [[index.index(part.knot_index(t)) for t in obs.times] for obs in observables]
+    return [(points[:, c], vectors[:, c]) for c in cols]
 
 
 IBP_STAGES = ("draw", "velocity", "condition", "derivatives", "divergence",
@@ -399,19 +425,23 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
 
     Compares E[(Xf) g] with E[f (-Xg + m g)] where X differentiates along the
     chart velocity V of the lift of field_direction, solved once
-    (_chart_velocity), and m = n * <z, V> - div_z V with the divergence
-    tr(M^{-1} dk) from central differences of the lift alone (_divergence;
-    the chart part of k - M V adds no trace, as Omega_i is antisymmetric
-    and M^{-1}'s diagonal blocks are I / n).  Samples whose chart matrix M
-    has condition number above CHART_COND_LIMIT are dropped (counted in
-    n_aborted).  Pass gate: paired difference within 3 stderr.
+    (_chart_velocity).  Xf and Xg are exact: the knots move along V with
+    the field of the lift's slopes (_knot_field), carried to the
+    observables' knots by point and vector boosts (_at_knots) and read by
+    each observable's derivative, so the check rolls no path and moves no
+    frame.  m = n * <z, V> - div_z V with the divergence tr(M^{-1} dk) from
+    central differences of the lift alone (_divergence; the chart part of
+    k - M V adds no trace, as Omega_i is antisymmetric and M^{-1}'s
+    diagonal blocks are I / n).  Samples whose chart matrix M has condition
+    number above CHART_COND_LIMIT are dropped (counted in n_aborted).  Pass
+    gate: paired difference within 3 stderr.
 
     Two ungated reports ride along.  scalar_gap compares the chart
     multiplication scalar with the slope-pairing-minus-divergence form
     computed directly on path space (on the first SCALAR_SUBSAMPLE samples);
-    gradient_gap compares Xg with the damped-field pairing, the lift's
-    continuum limit (on the first GRADIENT_SUBSAMPLE samples).  stage_s holds
-    the seconds of each of IBP_STAGES.
+    gradient_gap compares Xg with g's derivative along the damped field,
+    the lift's continuum limit (on the first GRADIENT_SUBSAMPLE samples).
+    stage_s holds the seconds of each of IBP_STAGES.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
@@ -426,20 +456,19 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
     keep = _well_conditioned(M, M_inv)
     del M       # nd nd N floats that nothing past the mask reads
     n_aborted = int((~keep).sum())
-    inc = inc[keep]
-    velocity, slopes, coords, M_inv = (a[..., keep] for a in (velocity, slopes, coords, M_inv))
+    if n_aborted:       # copies of the kept samples only when some are dropped
+        inc = inc[keep]
+        velocity, slopes, coords, M_inv = (a[..., keep] for a in (velocity, slopes, coords, M_inv))
     N = inc.shape[0]
     if N < 2:
         raise NumericalError("all but %d samples aborted on conditioning" % N)
     clock.lap("condition")
 
-    base_pts, base_frs = paths.roll_batch(model, inc)
-    # gradient_gap reads only its subsample's frames; the rest are not held on
-    base_frs = base_frs[:GRADIENT_SUBSAMPLE].copy()
-    f_vals = f_obs.evaluate(model, paths.knots_at(part, f_obs.times, base_pts))
-    g_vals = g_obs.evaluate(model, paths.knots_at(part, g_obs.times, base_pts))
-    xf, xg = _directional_derivative(model, part, inc, velocity.T.reshape(N, n, d),
-                                     (f_obs, g_obs))
+    iv = _intervals(model, inc)
+    knots = _at_knots(model, iv, part, (f_obs, g_obs), _knot_field(iv, slopes))
+    (f_vals, xf), (g_vals, xg) = [(obs.evaluate(model, p), obs.derivative(model, p, v))
+                                  for obs, (p, v) in zip((f_obs, g_obs), knots)]
+    del iv, knots       # not held through the divergence, the check's peak
     clock.lap("derivatives")
 
     mult = n * np.einsum("cN,Nc->N", velocity, inc.reshape(N, n * d))
@@ -461,8 +490,7 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
     scalar = _scalar_gap(model, inc[sub], slopes[..., sub], M_inv[..., sub], mult[sub], x_vector)
     clock.lap("scalar_gap")
     sub = slice(GRADIENT_SUBSAMPLE)
-    gradient = _gradient_gap(model, part, g_obs, xg[sub], base_pts[sub], base_frs,
-                             coords[:, sub].T)
+    gradient = _gradient_gap(model, part, g_obs, xg[sub], inc[sub], coords[:, sub].T)
     clock.lap("gradient_gap")
     return IbpResult(lhs_mean, lhs_err, rhs_mean, rhs_err, diff_mean, diff_err,
                      N, n_aborted, passed, scalar, gradient, clock.seconds)
@@ -492,7 +520,7 @@ def _divergence(model, inc, M_inv, x_vector):
         group[i] = (jacobi.Intervals(model, (iv.xi[i][:, None] + shifts)[None]), 0)
         G_s, vec_s = _lift_forward(model, group[i:], np.repeat(G[:, :, None], 2 * d, axis=2),
                                    np.repeat(vec[:, None], 2 * d, axis=1))
-        k = _lift_back(group, G_s, vec_s[:d])[0][:i + 1]
+        k = _lift_back(group, G_s, vec_s[:d], last=i)[0]
         dk = (k[:, :, :d] - k[:, :, d:]) / (2 * DIV_STEP)
         div += np.einsum("arN,raN->N", M_inv[i * d:(i + 1) * d, :(i + 1) * d],
                          dk.reshape((i + 1) * d, d, N))
@@ -531,32 +559,25 @@ def _scalar_gap(model, inc, slopes, M_inv, mult, x_vector):
     }
 
 
-def _gradient_gap(model, part, observable, chart_side, points, frames, coords):
+def _gradient_gap(model, part, observable, chart_side, inc, coords):
     """Ungated comparison of a chart derivative with the damped-gradient pairing.
 
     chart_side (N,) is Xf for the observable f along the chart velocity of the
-    lift (as in ibp_check); the pairing takes the damped closed-form field
-    k(s_j) / k(1) X at each knot time s_j of f, X with frame coordinates
-    coords (N, d) at the endpoint (_lift's), with the frame-coordinate
-    gradient of f at that knot.  It is linear in the field, so it is one
-    central difference along it: every knot of f moves at once by exp_frame
-    (the knot at s = 0, where the field is 0, stays).  points (N, n+1, D) and
-    frames (N, n+1, D, d) are the knots and frames of the paths' roll: a
-    geodesic step split into sub-steps is the same geodesic with the same
-    transport, so they are also those of the continuum development.  The gap
-    mixes discretization effects and is reported, not gated.
+    lift (as in ibp_check) on the paths with increments inc (N, n, d); the
+    pairing is f's derivative along the damped closed-form field
+    k(s_j) / k(1) X at each knot time s_j of f, in the frame there, X with
+    frame coordinates coords (N, d) at the endpoint (_lift's), its knots and
+    ambient vectors from _at_knots (the field is 0 at s = 0).  A geodesic
+    step split into sub-steps is the same geodesic with the same transport,
+    so the knots and frames of the broken geodesic are also those of the
+    continuum development.  The gap mixes discretization effects and is
+    reported, not gated.
     """
     k_prof = damped.k_profile(damped.ric_scalar(model), part.knots)
-    knots = [part.knot_index(t) for t in observable.times]
-    damped_field = (k_prof[knots] / k_prof[-1])[None, :, None] * coords[:, None, :]
-
-    def observe(v):
-        return observable.evaluate(
-            model, geom.exp_frame(model, points[:, knots], frames[:, knots], v)[0])
-
-    pair_side = _central_difference(observe, np.zeros_like(damped_field), damped_field,
-                                    FD_STEP)
-    gap = chart_side - pair_side
+    damped_field = (k_prof / k_prof[-1])[:, None, None] * coords.T
+    [(points, vectors)] = _at_knots(model, _intervals(model, inc), part, (observable,),
+                                    damped_field)
+    gap = chart_side - observable.derivative(model, points, vectors)
     return {
         "median_abs_gap": _median(np.abs(gap)),
         "median_abs_chart": _median(np.abs(chart_side)),

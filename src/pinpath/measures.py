@@ -101,7 +101,7 @@ class CylinderObservable:
 
     def evaluate(self, model: CurvatureModel, points) -> np.ndarray:
         """Values (...,) from the knots points (..., len(times), D) at this
-        observable's own times (paths.knots_at picks them from whole paths)."""
+        observable's own times."""
         o = geom.base_point(model)
         if self.kind == "const_one":
             vals = np.ones(points.shape[:-2])
@@ -120,6 +120,44 @@ class CylinderObservable:
         if np.isfinite(self.bound) and np.any(np.abs(vals) > self.bound * (1 + 1e-12)):
             raise ValueError(f"observable {self.name} exceeded its declared bound")
         return vals
+
+    def derivative(self, model: CurvatureModel, points, vectors) -> np.ndarray:
+        """Derivatives (...,) of evaluate's value at the knots points
+        (..., len(times), D) along ambient tangent vectors there, vectors
+        (..., len(times), D), exactly: through r dr of each radius
+        (_radius_rate), so exp_radial2 stays smooth at o; radial "r" reads
+        dr = r dr / r, taken as 0 at o itself."""
+        if self.kind == "const_one":
+            return np.zeros(points.shape[:-2])
+        if self.kind == "radial":
+            k = self.times.index(self.params["time"])
+            r, r_dr = _radius_rate(model, points[..., k, :], vectors[..., k, :])
+            if self.params["g"] == "r2":
+                return 2.0 * r_dr
+            return np.divide(r_dr, r, out=np.zeros_like(r), where=r > 0)
+        if self.kind == "exp_radial2":
+            expo, rate = 0.0, 0.0
+            for t, a in zip(self.params["times"], self.params["scales"]):
+                k = self.times.index(t)
+                r, r_dr = _radius_rate(model, points[..., k, :], vectors[..., k, :])
+                expo = expo - r * r / a
+                rate = rate - 2.0 * r_dr / a
+            return np.exp(expo) * rate
+        raise ValueError(f"unknown observable kind {self.kind!r}")
+
+
+def _radius_rate(model: CurvatureModel, x, v):
+    """(r, r dr) for r = dist(o, x) at points x (..., D) along tangent
+    vectors v (..., D): r dr = <x, v> in flat space; on the hyperboloid
+    dr = <x_s, v_s> / (sqrt(kappa) |x_s| x_t), since <x, v>_M = 0 and
+    sqrt(kappa) |x_s| = sinh(sqrt(kappa) r), so
+    r dr = <x_s, v_s> / (sqrt(kappa) x_t sinhc(sqrt(kappa) r)), which reads
+    no direction and is 0 at o."""
+    r = geom.distance(model, geom.base_point(model), x)
+    if model.kind == "flat":
+        return r, np.sum(x * v, axis=-1)
+    rk = np.sqrt(model.kappa)
+    return r, np.sum(x[..., :-1] * v[..., :-1], axis=-1) / (rk * x[..., -1] * geom.sinhc(rk * r))
 
 
 MASS_OBSERVABLE = CylinderObservable("mass", (1.0,), 1.0, "const_one")
@@ -260,8 +298,7 @@ def _pinned_knots(model: CurvatureModel, partition: Partition, times, body, x_am
             out[k] = x_amb[:, None]
             continue
         out[k] = geom.base_point(model)[:, None]
-        for i in range(j - 1, -1, -1):
-            paths.boost_rows(model, out[k], iv, i, 1.0)
+        paths.boost_to_knots(model, out[k][:, None], iv, [j])
     return out.transpose(2, 0, 1)
 
 

@@ -104,11 +104,14 @@ def boost_rows(model: CurvatureModel, y, iv: Intervals, j: int, sign: float,
     moves by ((cosh a - 1) <p, y_s> + sign sinh a y_t) p and the timelike
     part is put back on the sheet.  With vector, y holds ambient vectors
     and the timelike part moves linearly, by (cosh a - 1) y_t +
-    sign sinh a <p, y_s>; a translation leaves a vector unchanged, and a
-    vector stack may have more axes than iv's increments.
+    sign sinh a <p, y_s>; a translation leaves a vector unchanged.  The
+    stack may have more axes than iv's increments.
     """
     if model.kind == "flat":
-        return y if vector else np.add(y, sign * iv.xi[j], out=y)
+        if vector:
+            return y
+        xi = iv.xi[j]
+        return np.add(y, sign * xi[(slice(None),) + (None,) * (y.ndim - xi.ndim)], out=y)
     p = iv.unit(j, y)
     along = np.sum(p * y[:-1], axis=0)
     y[:-1] += (iv.chm1[j] * along + sign * iv.sh[j] * y[-1]) * p
@@ -116,6 +119,20 @@ def boost_rows(model: CurvatureModel, y, iv: Intervals, j: int, sign: float,
         y[-1] += iv.chm1[j] * y[-1] + sign * iv.sh[j] * along
         return y
     return geom._renormalize_point(model, y)
+
+
+def boost_to_knots(model: CurvatureModel, y, iv: Intervals, index, vector: bool = False):
+    """y[:, k] <- B(xi_1) ... B(xi_{index[k]}) y[:, k] in place for points
+    y (D, K, ...) at o and knot indices index (K,), non-increasing: each
+    column carried to its knot s_j of the paths whose increments have
+    Intervals iv by j calls of boost_rows, innermost first, one call per
+    interval on the columns that reach past it.  With vector, y holds
+    ambient vectors at o, and frame coordinates there become frame
+    coordinates at s_j (the boosts carry o's frame to the knot's).  No
+    frame is held."""
+    for i in range(max(index, default=0) - 1, -1, -1):
+        boost_rows(model, y[:, :sum(j > i for j in index)], iv, i, 1.0, vector)
+    return y
 
 
 def pull_back_rows(model: CurvatureModel, y, iv: Intervals, j: int, p=None):
@@ -173,12 +190,6 @@ def _light_cone_pull_back(model: CurvatureModel, y, p, grow):
     ys += new_p * p
     y[-1] = 0.5 * (plus + minus)
     return perp2 + new_p * new_p
-
-
-def knots_at(partition: Partition, times, points) -> np.ndarray:
-    """The knots (..., len(times), D) at the given times of paths with knots
-    (..., n+1, D); raises ValueError for a time that is not a knot."""
-    return points[..., [partition.knot_index(t) for t in times], :]
 
 
 def chart_slopes(model: CurvatureModel, iv: Intervals, v):

@@ -36,8 +36,12 @@ agreement between the two is meaningful:
   free law and pinned by its weight alone, the estimator's route on the
   hyperboloid until the diffusion bridge replaced it, and the free weight
   of given increments by the frame roll (``free_log_weights``);
-- the damped-field pairing of an observable's gradient one knot and one
-  frame axis at a time (``damped_pairing_per_axis``);
+- the knots of rolled paths at an observable's times (``knots_at``), the
+  central differences of observables along a chart direction, one pair of
+  rolls for all of them (``_directional_derivative``): the IBP check's
+  route to Xf and Xg before the lift's knot field, and the damped-field
+  pairing of an observable's gradient one knot and one frame axis at a
+  time (``damped_pairing_per_axis``);
 - the knot values of a broken Jacobi field from its right-slopes, by the
   interval recursion (``jacobi_from_slopes``), and the slopes from the knot
   values, by a dense inverse of each sine-type solution
@@ -438,6 +442,26 @@ def free_log_weights(model, n, inc, x_amb):
             + log_vx - log_jp)
 
 
+def knots_at(partition, times, points):
+    """The knots (..., len(times), D) at the given times of paths with knots
+    (..., n+1, D); raises ValueError for a time that is not a knot."""
+    return points[..., [partition.knot_index(t) for t in times], :]
+
+
+def _directional_derivative(model, part, inc, direction, observables):
+    """Central differences (diagnostics.FD_STEP) of cylinder observables
+    along a chart direction (N, n, d): the increments move by the step
+    along the unit direction, each side's paths are rolled once for every
+    observable, and the difference is rescaled by the direction's norm.
+    Returns (len(observables), N)."""
+    def observe(z):
+        pts = paths.roll_batch(model, z)[0]
+        return np.stack([obs.evaluate(model, knots_at(part, obs.times, pts))
+                         for obs in observables])
+
+    return diagnostics._central_difference(observe, inc, direction, diagnostics.FD_STEP)
+
+
 def damped_pairing_per_axis(model, part, observable, points, frames, field, step):
     """Sum over the knot times s_j of the observable and the frame axes a of
     field[:, j, a] times the central difference of size step of f, moving
@@ -445,7 +469,7 @@ def damped_pairing_per_axis(model, part, observable, points, frames, field, step
     frames (N, n+1, D, d) and field (N, n+1, d); knot 0 is skipped (the
     field vanishes there).  Returns (N,)."""
     N, d = points.shape[0], model.dim
-    knots = paths.knots_at(part, observable.times, points)
+    knots = knots_at(part, observable.times, points)
     pairing = np.zeros(N)
     for k, j in enumerate(part.knot_index(t) for t in observable.times):
         if j == 0:

@@ -13,7 +13,8 @@ from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 from pinpath.measures import MASS_OBSERVABLE, CylinderObservable
 
-from tests.oracles import (batch_cs, batch_endpoint_f, batch_mass_matrix, chart_residual_trace,
+from tests.oracles import (_directional_derivative, batch_cs, batch_endpoint_f,
+                           batch_mass_matrix, chart_residual_trace,
                            damped_pairing_per_axis, endpoint_map_matrix, full_chart_slopes,
                            jacobi_from_slopes, lift_competitor_deficit, lift_orthogonality,
                            log_rho_P, mp_endpoint_coords, residual_divergence,
@@ -36,6 +37,23 @@ class LinearEnd:
 
     def evaluate(self, model, points):
         return self.a0 + self.a1 * points[..., 0, 0]
+
+    def derivative(self, model, points, vectors):
+        return self.a1 * vectors[..., 0, 0]
+
+
+class Recorded:
+    """An observable that records the derivatives asked of it."""
+
+    def __init__(self, obs):
+        self.obs, self.name, self.times, self.rates = obs, obs.name, obs.times, []
+
+    def evaluate(self, model, points):
+        return self.obs.evaluate(model, points)
+
+    def derivative(self, model, points, vectors):
+        self.rates.append(self.obs.derivative(model, points, vectors))
+        return self.rates[-1]
 
 
 def endpoint_f(model, part, inc):
@@ -219,6 +237,55 @@ def test_knot_sups_J_is_the_lift_at_interior_knots():
         assert np.allclose(got, gaps.max(axis=1), rtol=1e-12, atol=0.0), (d, n)
 
 
+@pytest.mark.parametrize("model", [FLAT2, HYP2, HYP3], ids=["flat2", "hyp2", "hyp3"])
+def test_knot_field_is_the_interval_recursion(model):
+    """_knot_field, one forward pass of Intervals.cosine and .sine over the
+    lift's slopes, agrees within 1e-13 of each path's largest knot value
+    with jacobi_from_slopes on the dense oracle solutions, for n in
+    {1, 4, 8}: 0 at s = 0, and at s = 1 the endpoint coordinates of X,
+    which the lift's field reaches."""
+    for n in (1, 4, 8):
+        part = Partition(n)
+        inc = paths.sample_increments(model, part, 32, seed=n)
+        iv = diagnostics._intervals(model, inc)
+        slopes, coords, _ = diagnostics._lift(model, iv, field_direction(model))
+        got = diagnostics._knot_field(iv, slopes).transpose(2, 0, 1)
+        want = jacobi_from_slopes(*batch_cs(model, inc, part.mesh), slopes.transpose(2, 0, 1))
+        assert got.shape == want.shape == (32, n + 1, model.dim)
+        assert np.all(got[:, 0] == 0.0)
+        assert np.all(relative_gap(got, want, (1, 2)) <= 1e-13), (model, n)
+        assert np.all(relative_gap(got[:, -1], coords.T, 1) <= 1e-12), (model, n)
+
+
+def test_lift_back_runs_sine_only_on_the_rows_read(monkeypatch):
+    """_lift_back with last = i returns rows 0 to i of the full back pass's
+    slopes bit for bit, with the same coordinates and coefficients, and runs
+    Intervals.sine on those i + 1 rows only; so at n=4, d=2 the divergence,
+    which reads rows <= i of the shifts of increment i, runs 10 sine
+    actions, not 16."""
+    n, d, N = 4, HYP2.dim, 64
+    inc = paths.sample_increments(HYP2, Partition(n), N, seed=4)
+    field = field_direction(HYP2)
+    iv = diagnostics._intervals(HYP2, inc)
+    rows = [(iv, j) for j in range(n)]
+    G, vec = diagnostics._lift_forward(HYP2, rows, np.zeros((d, d, N)),
+                                       np.repeat(field[:, None], N, axis=1))
+    full = diagnostics._lift_back(rows, G, vec[:d])
+    sines, sine = [], jacobi.Intervals.sine
+    monkeypatch.setattr(jacobi.Intervals, "sine", lambda *a: sines.append(1) or sine(*a))
+    for last in range(n):
+        sines.clear()
+        got = diagnostics._lift_back(rows, G, vec[:d], last=last)
+        assert got[0].shape == (last + 1, d, N)
+        assert got[0].tobytes() == full[0][:last + 1].tobytes()
+        assert got[1].tobytes() == full[1].tobytes() and got[2].tobytes() == full[2].tobytes()
+        assert len(sines) == last + 1
+    M_inv = diagnostics._chart_velocity(HYP2, inc, field)[4]
+    sines.clear()
+    diagnostics._divergence(HYP2, inc, M_inv, field)
+    assert len(sines) == n * (n + 1) // 2
+
+
 def test_fit_slope_recovers_exact_rate():
     """Least-squares slope on an exact n^{-1/2} curve is 0.5."""
     ns = [8, 16, 32, 64, 128]
@@ -314,20 +381,47 @@ def test_ibp_curved_small():
 
 
 def test_ibp_rolls_without_finite_difference_columns(monkeypatch):
-    """ibp_check at n=4, d=2 rolls 3 batches: one base roll for the
-    observables and gradient_gap's knots and frames, and one pair for both
-    observables' derivatives.  The chart matrix comes from
-    paths.chart_slopes and the lift from the interval scalars, and neither
-    rolls: the divergence and scalar_gap differences roll nothing (they
-    rolled 32 batches when the lift read the rolled frame, and a
-    finite-difference M made 309)."""
-    calls = []
-    roll = paths.roll_batch
+    """ibp_check at n=4, d=2 rolls nothing and moves no frame: the knots
+    and the fields at them come from point and vector boosts, Xf and Xg
+    from the lift's knot field and gradient_gap's pairing from the damped
+    field, all exact, so there is no paths.roll_batch and no geom.exp_frame
+    call.  The chart matrix comes from paths.chart_slopes and the lift from
+    the interval scalars, and neither rolls (the check rolled 3 batches when
+    Xf, Xg and the pairing were central differences, 32 when the lift read
+    the rolled frame, and a finite-difference M made 309)."""
+    calls, moves = [], []
+    roll, move = paths.roll_batch, geom.exp_frame
     monkeypatch.setattr(paths, "roll_batch", lambda *a, **k: calls.append(1) or roll(*a, **k))
+    monkeypatch.setattr(geom, "exp_frame", lambda *a, **k: moves.append(1) or move(*a, **k))
     f = CylinderObservable("exp_r2_end", (1.0,), 1.0, "exp_radial2",
                            {"times": [1.0], "scales": [2.0]})
     ibp_check(HYP2, Partition(4), f, MASS_OBSERVABLE, n_samples=64, seed=0)
-    assert len(calls) == 3
+    assert len(calls) == 0
+    assert len(moves) == 0
+
+
+@pytest.mark.parametrize("model", [HYP2, FLAT2, HYP3], ids=["hyp2", "flat2", "hyp3"])
+def test_ibp_derivatives_match_the_finite_difference_oracle(model):
+    """ibp_check's Xf and Xg, exact derivatives along the chart velocity V
+    from the lift's knot field, agree within 1e-8 of max |Xf| (and of
+    max |Xg|) with central differences of rolled paths along V
+    (_directional_derivative, step FD_STEP), at n=4 and 200 samples, for
+    the `ibp` command's observables (hyp3 is kappa = 2.5)."""
+    part, N = Partition(4), 200
+    f = Recorded(CylinderObservable("exp_r2_end", (1.0,), 1.0, "exp_radial2",
+                                    {"times": [1.0], "scales": [2.0]}))
+    g = Recorded(CylinderObservable("exp_r2_mid_end", (0.5, 1.0), 1.0, "exp_radial2",
+                                    {"times": [0.5, 1.0], "scales": [4.0, 4.0]}))
+    res = ibp_check(model, part, f, g, n_samples=N, seed=0)
+    assert res.n_aborted == 0
+    inc = paths.sample_increments(model, part, N, seed=0)
+    velocity = diagnostics._chart_velocity(model, inc, field_direction(model))[0]
+    want = _directional_derivative(model, part, inc, velocity.T.reshape(N, part.n, model.dim),
+                                   (f.obs, g.obs))
+    for got, ref in zip((f.rates[0], g.rates[0]), want):
+        assert got.shape == ref.shape == (N,)
+        assert np.abs(ref).max() > 0.1
+        assert np.all(np.abs(got - ref) <= 1e-8 * np.abs(ref).max())
 
 
 def test_ibp_check_inverts_and_solves_no_chart_matrix(monkeypatch):
@@ -539,8 +633,8 @@ def test_gradient_gap_pairing_matches_per_axis_differences():
         assert np.all(np.abs(want) > 0)
         for i in range(want.size):
             row = slice(i, i + 1)
-            gap = diagnostics._gradient_gap(model, part, obs, want[row], points[row],
-                                            frames[row], coords[row])["median_abs_gap"]
+            gap = diagnostics._gradient_gap(model, part, obs, want[row], inc[row],
+                                            coords[row])["median_abs_gap"]
             assert gap <= 1e-7 * abs(want[i]), (model, i)
 
 

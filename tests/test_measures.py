@@ -14,7 +14,8 @@ from pinpath.measures import (MASS_OBSERVABLE, CylinderObservable, _pinned_chunk
 
 from tests.oracles import (flat_bridge_abs_moment_1d, flat_bridge_second_moment,
                            frame_coords, frame_roll_tip, free_log_weights,
-                           free_pinned_estimate, gram_pass, log_point, mp_bridged_tip,
+                           free_pinned_estimate, gram_pass, knots_at, log_point,
+                           mp_bridged_tip,
                            mp_gram_log_dets, pinned_fdd_oracle, radial_pde_kernel,
                            scaled_tip_log_factors)
 
@@ -124,7 +125,7 @@ def test_observable_evaluation_and_bounds():
     points = free_knots(FLAT2, part, 50, seed=2)
 
     def at(obs):
-        return paths.knots_at(part, obs.times, points)
+        return knots_at(part, obs.times, points)
 
     assert np.all(MASS_OBSERVABLE.evaluate(FLAT2, at(MASS_OBSERVABLE)) == 1.0)
 
@@ -151,6 +152,38 @@ def test_observable_evaluation_and_bounds():
     want = np.exp(-np.sum(points[:, 4] ** 2, axis=-1) / 2.0
                   - np.sum(points[:, 2] ** 2, axis=-1) / 4.0)
     assert np.allclose(two.evaluate(FLAT2, at(two)), want, rtol=1e-14)
+
+
+@pytest.mark.parametrize("model", [FLAT1, FLAT2, HYP2, CurvatureModel("hyperbolic", 3, 2.5)],
+                         ids=["flat1", "flat2", "hyp2", "hyp3-kappa2.5"])
+def test_observable_derivative_matches_central_differences(model):
+    """CylinderObservable.derivative along ambient tangent vectors at its
+    knots agrees per sample, within 1e-7 of 1 + |difference|, with central
+    differences (step 1e-5) of evaluate along the geodesics exp_x(+-h v)
+    of all its knots at once, for every kind: const_one (exactly 0), radial
+    r and r2 at s = 1/2, and exp_radial2 with a knot at s = 0, which sits
+    at o (where r is not differentiable but r^2 is).  The vectors are
+    random frame coordinates at the knots of rolled paths."""
+    part, N, step = Partition(4), 64, 1e-5
+    inc = paths.sample_increments(model, part, N, seed=3)
+    points, frames = paths.roll_batch(model, inc)
+    coords = np.random.default_rng(7).normal(size=(N, part.n + 1, model.dim))
+    observables = [MASS_OBSERVABLE, radial_observable(0.5, "r"), radial_observable(0.5, "r2"),
+                   CylinderObservable("exp_three", (0.0, 0.5, 1.0), 1.0, "exp_radial2",
+                                      {"times": [0.0, 0.5, 1.0], "scales": [1.0, 2.0, 3.0]})]
+    for obs in observables:
+        index = [part.knot_index(t) for t in obs.times]
+        x, u, v = points[:, index], frames[:, index], coords[:, index]
+        got = obs.derivative(model, x, np.einsum("NkDa,Nka->NkD", u, v))
+        moved = [obs.evaluate(model, geom.exp_frame(model, x, u, sign * step * v)[0])
+                 for sign in (1.0, -1.0)]
+        want = (moved[0] - moved[1]) / (2 * step)
+        assert got.shape == want.shape == (N,)
+        if obs.kind == "const_one":
+            assert np.all(got == 0.0)
+            continue
+        assert np.abs(want).max() > 0.1
+        assert np.all(np.abs(got - want) <= 1e-7 * (1 + np.abs(want))), (obs.name, model)
 
 
 def test_nu1p_flat_marginals():
