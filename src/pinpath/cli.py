@@ -401,7 +401,7 @@ def cmd_sample(cfg):
     inc = paths.sample_increments(mdl, Partition(cfg.n_values[0]), cfg.n_samples, cfg.seed)
     csv_path = os.path.join(cfg.out_dir, "paths.csv")
     with open(csv_path, "w") as fh:
-        paths.dump_paths_csv(inc, *paths.roll_batch(mdl, inc), fh)
+        paths.dump_paths_csv(inc, *paths.develop(mdl, inc), fh)
     click.echo(f"wrote {cfg.n_samples} paths to {csv_path}")
     return True, {"csv": csv_path}
 

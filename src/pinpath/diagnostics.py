@@ -2,10 +2,10 @@
 
 Everything here consumes batches of increments, with their interval
 solutions as the scalars and actions of jacobi.Intervals and, where an
-observable reads them, their rolled knots (paths.py), and compares discrete
-objects against the damped closed forms (damped.py).  All report objects are
-CSV-serializable and carry explicit pass/fail gates so the CLI can turn them
-into exit codes.
+observable reads them, their knots as the boosts carry o there (paths.py),
+and compares discrete objects against the damped closed forms (damped.py).
+All report objects are CSV-serializable and carry explicit pass/fail gates
+so the CLI can turn them into exit codes.
 """
 
 from dataclasses import dataclass, field
@@ -468,11 +468,12 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
     knots = _at_knots(model, iv, part, (f_obs, g_obs), _knot_field(iv, slopes))
     (f_vals, xf), (g_vals, xg) = [(obs.evaluate(model, p), obs.derivative(model, p, v))
                                   for obs, (p, v) in zip((f_obs, g_obs), knots)]
-    del iv, knots       # not held through the divergence, the check's peak
+    del knots       # not held through the divergence, the check's peak
     clock.lap("derivatives")
 
     mult = n * np.einsum("cN,Nc->N", velocity, inc.reshape(N, n * d))
-    mult -= _divergence(model, inc, M_inv, x_vector)
+    mult -= _divergence(model, iv, M_inv, x_vector)
+    del iv
     lhs = xf * g_vals
     rhs = f_vals * (-xg + mult * g_vals)
     diff = lhs - rhs
@@ -496,20 +497,20 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
                      N, n_aborted, passed, scalar, gradient, clock.seconds)
 
 
-def _divergence(model, inc, M_inv, x_vector):
-    """div V (N,) of the chart velocity V = M^{-1} k at increments inc
-    (N, n, d), given M^{-1} (nd, nd, N) there: tr(M^{-1} dk), from
-    differences of the lift alone.  With V held, d(k - M V) = M dV, and the
-    chart part d(M V) adds no trace: a shift of increment i moves it only
-    on intervals >= i, M^{-1} is block lower triangular, so only its block
-    (i, i) = I / n meets n Omega_i e_a, and the Killing-field derivative
-    Omega_i is antisymmetric.  Column (i, a) of dk is one central
-    difference (DIV_STEP) of the lift along e_a of increment i; the 2d
-    shifts of increment i are one stack before the samples axis, only row
-    i's scalars are new, the forward part starts from the base's state at
-    knot i, and only rows j <= i meet M^{-1}'s nonzero blocks."""
-    N, n, d = inc.shape
-    iv = _intervals(model, inc)
+def _divergence(model, iv, M_inv, x_vector):
+    """div V (N,) of the chart velocity V = M^{-1} k at the increments
+    (n, d, N) with Intervals iv, given M^{-1} (nd, nd, N) there:
+    tr(M^{-1} dk), from differences of the lift alone.  With V held,
+    d(k - M V) = M dV, and the chart part d(M V) adds no trace: a shift of
+    increment i moves it only on intervals >= i, M^{-1} is block lower
+    triangular, so only its block (i, i) = I / n meets n Omega_i e_a, and
+    the Killing-field derivative Omega_i is antisymmetric.  Column (i, a)
+    of dk is one central difference (DIV_STEP) of the lift along e_a of
+    increment i; the 2d shifts of increment i are one stack before the
+    samples axis, only row i's scalars are new, the forward part starts
+    from the base's state at knot i, and only rows j <= i meet M^{-1}'s
+    nonzero blocks."""
+    n, d, N = iv.xi.shape
     rows = [(iv, j) for j in range(n)]
     shifts = DIV_STEP * np.concatenate([np.eye(d), -np.eye(d)], axis=1)[..., None]
     # the base state at knot i: Gram sum and pulled-back X

@@ -185,8 +185,9 @@ def _target_point(model: CurvatureModel, x) -> np.ndarray:
         if x.shape != (model.dim,):
             raise ValueError("x must be a length-d vector")
         point = x
-    elif x.shape == (model.dim,):          # frame coordinates at o
-        point = geom.exp_frame(model, geom.base_point(model), geom.base_frame(model), x)[0]
+    elif x.shape == (model.dim,):          # frame coordinates at o, exp_o in closed form
+        a = np.sqrt(model.kappa * np.sum(x * x))
+        point = geom._renormalize_point(model, np.append(geom.sinhc(a) * x, 0.0))
     elif ambient:
         point = x
     else:

@@ -1,11 +1,14 @@
-"""Broken geodesics: Gaussian increments rolled through the frame bundle.
+"""Broken geodesics: Gaussian increments developed by boosts.
 
 A path is determined by its anti-developed increments (Delta_1 b, ...,
 Delta_n b) in frame coordinates: each interval is a geodesic segment of
-initial velocity frame * increment / Delta, and the frame rides along by
-parallel transport.  Sampling is counter-based (Philox keyed by master seed
-and a fixed-size chunk index) so that sample i's increments are a function of
-(seed, i) alone -- independent of batch size, ordering, or worker count.
+initial velocity frame * increment / Delta.  Its development is the product
+of transvections g_j = B(xi_1) ... B(xi_j), the boosts along the
+increments (translations in flat space): knot j is g_j o, and g_j carries
+o's frame to the knot's by parallel transport.  Sampling is counter-based
+(Philox keyed by master seed and a fixed-size chunk index) so that sample
+i's increments are a function of (seed, i) alone -- independent of batch
+size, ordering, or worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .geom import CurvatureModel
 from .jacobi import Intervals, Partition
 
 CHUNK = 4096   # fixed RNG block size; do not change (breaks reproducibility)
-RENORM_EVERY = 32   # rolled steps between Gram-Schmidt passes on the frame
 FAR_POINT = 10.0    # sqrt(kappa) e^a y_t past which pull_back_rows goes light-cone
 _DRAW_ROWS = 256    # rows of a Philox block per standard_normal call
 
@@ -65,32 +67,40 @@ def sample_increments(model: CurvatureModel, partition: Partition, count: int,
 
 
 # ---------------------------------------------------------------------------
-# Rolling (development)
+# Development
 # ---------------------------------------------------------------------------
 
-def roll_batch(model: CurvatureModel, increments):
-    """Roll batched increments (..., n, d) into knots from o and its frame.
+def develop(model: CurvatureModel, increments):
+    """Knots from o and their frames of the broken geodesics with batched
+    increments (..., n, d): points (..., n+1, D), frames (..., n+1, D, d).
 
-    Returns (points (..., n+1, D), frames (..., n+1, D, d)).  Each step moves
-    the frame by the exact closed-form transport; Gram-Schmidt runs every
-    RENORM_EVERY steps and at the last knot, which keeps every stored frame
-    within CONSTRAINT_DRIFT_TOL of orthonormal.  The roll runs samples last,
-    on knots (n+1, D, B) and frames (n+1, D, d, B); the results are views of
-    those buffers.
+    Knot j is g_j o and its frame is g_j's first d columns, where
+    g_j = g_{j-1} B(xi_j) is the product of the boosts (boost_rows), one
+    forward pass on one Intervals.  B(xi) is symmetric, so the rows of g
+    advance by the vector boost, held as the columns of a (D, D, B) stack;
+    the knot is put back on the sheet.  In flat space g_j is a translation:
+    the knot advances by the point boost and the frame stays I.  The pass
+    runs samples last; the results are views of its buffers.
     """
     increments = np.asarray(increments, dtype=float)
     batch, (n, d) = increments.shape[:-2], increments.shape[-2:]
     B, D = int(np.prod(batch)), model.ambient_dim
-    xi = np.ascontiguousarray(np.moveaxis(increments.reshape((B, n, d)), 0, -1))
+    iv = Intervals(model, np.ascontiguousarray(np.moveaxis(increments.reshape((B, n, d)), 0, -1)))
     points = np.empty((n + 1, D, B))
     frames = np.empty((n + 1, D, d, B))
     points[0] = geom.base_point(model)[:, None]
-    frames[0] = geom.base_frame(model)[..., None]
-    for i in range(n):
-        x, u = geom._exp_frame_rows(model, points[i], frames[i], xi[i])
-        if _renormalize_due(i, n):
-            u = geom.renormalize_frame(model, x.T, u.transpose(2, 0, 1)).transpose(1, 2, 0)
-        points[i + 1], frames[i + 1] = x, u
+    frames[:] = geom.base_frame(model)[..., None]
+    if model.kind == "flat":
+        for j in range(n):
+            points[j + 1] = points[j]
+            boost_rows(model, points[j + 1], iv, j, 1.0)
+    else:
+        rows = np.repeat(np.eye(D)[..., None], B, axis=2)   # rows[:, k] is row k of g_j
+        for j in range(n):
+            boost_rows(model, rows, iv, j, 1.0, vector=True)
+            points[j + 1] = rows[-1] / np.sqrt(model.kappa)
+            frames[j + 1] = rows[:d].transpose(1, 0, 2)
+        geom._renormalize_point(model, points[1:].transpose(1, 0, 2))
     return (np.moveaxis(points, -1, 0).reshape(batch + (n + 1, D)),
             np.moveaxis(frames, -1, 0).reshape(batch + (n + 1, D, d)))
 
@@ -98,7 +108,7 @@ def roll_batch(model: CurvatureModel, increments):
 def boost_rows(model: CurvatureModel, y, iv: Intervals, j: int, sign: float,
                vector: bool = False):
     """y <- B(sign xi_j) y in place for points y (D, ...) samples last, where
-    B(xi) in SO+(d,1) is the boost exp_frame applies at o and iv the
+    B(xi) in SO+(d,1) is the boost that moves o along xi and iv the
     Intervals of the increments; a translation by sign xi_j in flat space.
     With p the unit increment and a = sqrt(kappa)|xi_j|, the spatial part
     moves by ((cosh a - 1) <p, y_s> + sign sinh a y_t) p and the timelike
@@ -247,19 +257,14 @@ def chart_slopes(model: CurvatureModel, iv: Intervals, v):
     return out.reshape((n, d) + shape)
 
 
-def _renormalize_due(i: int, n: int) -> bool:
-    """Whether the frame at knot i+1 of an n-step roll is re-orthonormalised."""
-    return (i + 1) % RENORM_EVERY == 0 or i + 1 == n
-
-
 # ---------------------------------------------------------------------------
 # CSV dump
 # ---------------------------------------------------------------------------
 
 def dump_paths_csv(increments, points, frames, fh) -> None:
-    """Write knot-level rows of rolled paths to an open file: increments
+    """Write knot-level rows of developed paths to an open file: increments
     (N, n, d) and the knots (N, n+1, D) and frames (N, n+1, D, d) of
-    roll_batch."""
+    develop."""
     N, n, d = increments.shape
     D = points.shape[-1]
     cols = (["sample_id", "i", "s_i"]

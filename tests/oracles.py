@@ -9,6 +9,14 @@ agreement between the two is meaningful:
   products f_i(1) (``batch_endpoint_f``) and the log slope determinant
   log rho_P (``log_rho_P``): the reference for the package's one form of
   them, the actions of ``jacobi.Intervals``;
+- the frame roll (``roll_batch``), the package's development of free
+  paths until the boosts of ``paths.develop`` replaced it: a rank-one exp
+  step that carries the frame by parallel transport (``exp_frame``,
+  ``_exp_frame_rows``), Minkowski Gram-Schmidt every ``RENORM_EVERY``
+  steps (``renormalize_frame``, ``project_tangent``) and the frame's
+  orthonormality defect (``frame_defect``, bounded by
+  ``CONSTRAINT_DRIFT_TOL``); and the forward boost chain of a path's knots
+  and frames in 60-digit mpmath arithmetic (``mp_development``);
 - the per-vector closed form of parallel transport (``transport``), the
   curvature quadratic A_xi as a matrix (``curvature_matrix``), the ambient
   vector of given frame coordinates (``frame_vector``), the inverse of the
@@ -152,6 +160,125 @@ def frame_coords(model, frame, w):
     eta = np.ones(model.ambient_dim)
     eta[-1] = -1.0
     return np.einsum("...ia,i,...i->...a", frame, eta, w)
+
+
+# ---------------------------------------------------------------------------
+# The frame roll: the development by exp steps and Gram-Schmidt
+# ---------------------------------------------------------------------------
+
+# points return to the sheet every step, frames on a schedule (roll_batch);
+# drift beyond this is a bug
+CONSTRAINT_DRIFT_TOL = 1e-10
+RENORM_EVERY = 32   # rolled steps between Gram-Schmidt passes on the frame
+
+
+def project_tangent(model, x, w):
+    """Project an ambient vector onto the tangent space at x."""
+    if model.kind == "flat":
+        return w
+    return w + (model.kappa * minkowski_inner(x, w))[..., None] * x
+
+
+def renormalize_frame(model, x, frame):
+    """Tangent-project + Minkowski Gram-Schmidt the frame columns at x."""
+    if model.kind == "flat":
+        return frame
+    cols = []
+    for j in range(frame.shape[-1]):
+        v = project_tangent(model, x, frame[..., j])
+        for u in cols:
+            v = v - minkowski_inner(u, v)[..., None] * u
+        v = v / np.sqrt(np.maximum(minkowski_inner(v, v), 1e-300))[..., None]
+        cols.append(v)
+    return np.stack(cols, axis=-1)
+
+
+def frame_defect(model, x, frame) -> float:
+    """Max deviation of the frame Gram matrix from identity (plus sheet drift)."""
+    if model.kind == "flat":
+        g = np.einsum("...ia,...ib->...ab", frame, frame)
+        return float(np.max(np.abs(g - np.eye(frame.shape[-1]))))
+    eta = np.ones(model.ambient_dim)
+    eta[-1] = -1.0
+    g = np.einsum("...ia,i,...ib->...ab", frame, eta, frame)
+    gd = float(np.max(np.abs(g - np.eye(frame.shape[-1]))))
+    sheet = float(np.max(np.abs(model.kappa * minkowski_inner(x, x) + 1.0)))
+    tang = float(np.max(np.abs(minkowski_inner(x[..., None, :], np.moveaxis(frame, -1, -2)))))
+    return max(gd, sheet, tang)
+
+
+def exp_frame(model, x, frame, v_frame):
+    """One rolled step: move along exp and carry the frame by parallel transport.
+
+    x        : (..., D) points
+    frame    : (..., D, d), orthonormal and tangent at x
+    v_frame  : (..., d) step in frame coordinates
+    returns  : (y, new_frame)
+
+    The batch-first face of _exp_frame_rows, which holds the step itself.
+    """
+    x, frame, v_frame = (np.asarray(a, dtype=float) for a in (x, frame, v_frame))
+    batch = np.broadcast_shapes(x.shape[:-1], frame.shape[:-2], v_frame.shape[:-1])
+    y, u = _exp_frame_rows(
+        model, np.moveaxis(np.broadcast_to(x, batch + x.shape[-1:]), -1, 0),
+        np.moveaxis(np.broadcast_to(frame, batch + frame.shape[-2:]), (-2, -1), (0, 1)),
+        np.moveaxis(np.broadcast_to(v_frame, batch + v_frame.shape[-1:]), -1, 0))
+    return np.moveaxis(y, 0, -1), np.moveaxis(u, (0, 1), (-2, -1))
+
+
+def _exp_frame_rows(model, x, frame, v_frame):
+    """exp_frame on coordinates-first arrays: x (D, ...), frame (D, d, ...),
+    v_frame (d, ...), so that with samples last every operation is on
+    contiguous rows.
+
+    For an orthonormal frame <y, u_alpha>_M = sinhc(a) v_alpha with
+    a = sqrt(kappa)|v_frame|, so the per-vector transport
+    w + kappa <y, w>_M / (1 + cosh a) (x + y) becomes the rank-one boost
+    u' = u + kappa sinhc(a)/(1 + cosh a) (x + y) v_frame^T, exact for an
+    orthonormal frame.  It is not re-orthonormalised here, so roundoff drift
+    accumulates over many steps until the caller applies renormalize_frame
+    (roll_batch does so on a fixed schedule).
+    """
+    v_amb = np.sum(frame * v_frame, axis=1)
+    if model.kind == "flat":
+        return x + v_amb, frame
+    # |v_amb|_M = |v_frame| for an orthonormal frame
+    a = np.sqrt(model.kappa * np.sum(v_frame * v_frame, axis=0))
+    ch, sc = np.cosh(a), geom.sinhc(a)
+    y = geom._renormalize_point(model, ch * x + sc * v_amb)
+    return y, frame + (model.kappa * sc / (1.0 + ch) * (x + y))[:, None] * v_frame
+
+
+def roll_batch(model, increments):
+    """Roll batched increments (..., n, d) into knots from o and its frame.
+
+    Returns (points (..., n+1, D), frames (..., n+1, D, d)).  Each step moves
+    the frame by the exact closed-form transport; Gram-Schmidt runs every
+    RENORM_EVERY steps and at the last knot, which keeps every stored frame
+    within CONSTRAINT_DRIFT_TOL of orthonormal.  The roll runs samples last,
+    on knots (n+1, D, B) and frames (n+1, D, d, B); the results are views of
+    those buffers.
+    """
+    increments = np.asarray(increments, dtype=float)
+    batch, (n, d) = increments.shape[:-2], increments.shape[-2:]
+    B, D = int(np.prod(batch)), model.ambient_dim
+    xi = np.ascontiguousarray(np.moveaxis(increments.reshape((B, n, d)), 0, -1))
+    points = np.empty((n + 1, D, B))
+    frames = np.empty((n + 1, D, d, B))
+    points[0] = geom.base_point(model)[:, None]
+    frames[0] = geom.base_frame(model)[..., None]
+    for i in range(n):
+        x, u = _exp_frame_rows(model, points[i], frames[i], xi[i])
+        if _renormalize_due(i, n):
+            u = renormalize_frame(model, x.T, u.transpose(2, 0, 1)).transpose(1, 2, 0)
+        points[i + 1], frames[i + 1] = x, u
+    return (np.moveaxis(points, -1, 0).reshape(batch + (n + 1, D)),
+            np.moveaxis(frames, -1, 0).reshape(batch + (n + 1, D, d)))
+
+
+def _renormalize_due(i: int, n: int) -> bool:
+    """Whether the frame at knot i+1 of an n-step roll is re-orthonormalised."""
+    return (i + 1) % RENORM_EVERY == 0 or i + 1 == n
 
 
 def curvature_matrix(kappa, xi):
@@ -306,7 +433,7 @@ def frame_roll_tip(model, body, x):
     grows like eps cosh^2 of that distance, the size of the ambient
     coordinates it cancels, at the end of a body that heads outward, and at
     the farthest knot of one that turns back."""
-    pts, frs = paths.roll_batch(model, body)
+    pts, frs = roll_batch(model, body)
     end = pts[:, -1]
     tips = frame_coords(model, frs[:, -1],
                         log_point(model, end, np.broadcast_to(x, end.shape)))
@@ -455,7 +582,7 @@ def _directional_derivative(model, part, inc, direction, observables):
     observable, and the difference is rescaled by the direction's norm.
     Returns (len(observables), N)."""
     def observe(z):
-        pts = paths.roll_batch(model, z)[0]
+        pts = roll_batch(model, z)[0]
         return np.stack([obs.evaluate(model, knots_at(part, obs.times, pts))
                          for obs in observables])
 
@@ -477,8 +604,8 @@ def damped_pairing_per_axis(model, part, observable, points, frames, field, step
         for a in range(d):
             moved = [knots.copy(), knots.copy()]
             for sign, copy in zip((1.0, -1.0), moved):
-                copy[:, k] = geom.exp_frame(model, points[:, j], frames[:, j],
-                                            sign * step * np.eye(d)[a])[0]
+                copy[:, k] = exp_frame(model, points[:, j], frames[:, j],
+                                       sign * step * np.eye(d)[a])[0]
             grad = (observable.evaluate(model, moved[0])
                     - observable.evaluate(model, moved[1])) / (2 * step)
             pairing += field[:, j, a] * grad
@@ -718,7 +845,7 @@ def pinned_fdd_oracle(model, rho, g, t_split=0.5, tol=1e-4, m0=128, m_max=4096):
 
 def anti_roll(model, points):
     """Recover increments (..., n, d) from knot points (..., n+1, D), the
-    inverse of paths.roll_batch; the frame is rebuilt by transport from o's
+    inverse of roll_batch; the frame is rebuilt by transport from o's
     frame on the roll's Gram-Schmidt schedule, so only knot positions are
     needed.
     """
@@ -732,9 +859,9 @@ def anti_roll(model, points):
         x, y = points[..., i, :], points[..., i + 1, :]
         v = frame_coords(model, u, log_point(model, x, y))
         out[..., i, :] = v
-        u = geom.exp_frame(model, x, u, v)[1]
-        if paths._renormalize_due(i, n):
-            u = geom.renormalize_frame(model, y, u)
+        u = exp_frame(model, x, u, v)[1]
+        if _renormalize_due(i, n):
+            u = renormalize_frame(model, y, u)
     return out
 
 
@@ -765,7 +892,7 @@ def roll_lift(model, part, inc, x_vector):
     increments inc (N, n, d): slopes (N, n, d) (suffix_lift) and the endpoint
     coordinates (N, d), read in the rolled frame at the endpoint (its columns
     are tangent, so the vector's normal part drops out)."""
-    frame = paths.roll_batch(model, inc)[1][:, -1]
+    frame = roll_batch(model, inc)[1][:, -1]
     coords = frame_coords(model, frame, np.asarray(x_vector, dtype=float))
     return suffix_lift(model, part, inc, coords), coords
 
@@ -789,6 +916,37 @@ def mp_endpoint_coords(kappa, inc, x_vector, dps=60):
             ws, wt = ([w + ((ch - 1) * ps - sh * wt) * q for w, q in zip(ws, p)],
                       ch * wt - sh * ps)
         return np.array([float(v) for v in ws])
+
+
+def mp_development(kappa, inc, dps=60):
+    """Knots (n+1, D) and frames (n+1, D, d) from o of one hyperbolic path
+    with increments inc (n, d), in dps-digit arithmetic: the forward chain
+    g_j = g_{j-1} B(xi_j) of full Lorentz boost matrices
+    B(xi) = [[I + (cosh a - 1) p p^T, sinh a p], [sinh a p^T, cosh a]],
+    with p the unit increment and a = sqrt(kappa)|xi| (increments taken as
+    exact); knot j is g_j o and its frame is g_j's first d columns."""
+    n, d = np.shape(inc)
+    with mpmath.workdps(dps):
+        rk = mpmath.sqrt(mpmath.mpf(kappa))
+        g = mpmath.eye(d + 1)
+        knots, frames = [], []
+        for j in range(n + 1):
+            if j:
+                xi = [mpmath.mpf(float(v)) for v in inc[j - 1]]
+                nrm = mpmath.sqrt(sum(v * v for v in xi))
+                boost = mpmath.eye(d + 1)
+                if nrm != 0:
+                    p = [v / nrm for v in xi]
+                    ch, sh = mpmath.cosh(rk * nrm), mpmath.sinh(rk * nrm)
+                    for a in range(d):
+                        boost[a, d] = boost[d, a] = sh * p[a]
+                        for b in range(d):
+                            boost[a, b] += (ch - 1) * p[a] * p[b]
+                    boost[d, d] = ch
+                g = g * boost
+            knots.append([float(g[k, d] / rk) for k in range(d + 1)])
+            frames.append([[float(g[k, a]) for a in range(d)] for k in range(d + 1)])
+        return np.array(knots), np.array(frames)
 
 
 def resolved_velocity_divergence(model, part, inc, x_vector, step):

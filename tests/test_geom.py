@@ -1,4 +1,5 @@
-"""Geometry kernel: exp/log/transport on the hyperboloid and the curvature quadratic."""
+"""Geometry on the hyperboloid (distance, log at o) and the oracle exp step,
+log, transport and curvature quadratic it is checked with."""
 
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ import pytest
 from pinpath import geom
 from pinpath.geom import CurvatureModel
 
-from tests.oracles import (curvature_matrix, frame_coords, frame_vector, geodesic_rk4,
-                           log_point, transport, transport_rk4)
+from tests.oracles import (curvature_matrix, exp_frame, frame_coords, frame_defect,
+                           frame_vector, geodesic_rk4, log_point, transport, transport_rk4)
 
 FLAT2 = CurvatureModel("flat", 2)
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
@@ -36,7 +37,7 @@ def test_flat_exp_log_distance():
     """Flat space: exp is addition, log is subtraction, distance is Euclidean."""
     x = np.array([1.0, 2.0])
     v = np.array([3.0, 4.0])
-    y = geom.exp_frame(FLAT2, x, geom.base_frame(FLAT2), v)[0]
+    y = exp_frame(FLAT2, x, geom.base_frame(FLAT2), v)[0]
     assert np.allclose(y, [4.0, 6.0])
     assert np.allclose(log_point(FLAT2, x, y), v)
     assert np.isclose(geom.distance(FLAT2, x, y), 5.0)
@@ -45,7 +46,7 @@ def test_flat_exp_log_distance():
 def test_hyperbolic_exp_unit_vector():
     """exp_o(e_1) lands at (sinh 1, 0, cosh 1) on the kappa=1 sheet."""
     o = geom.base_point(HYP2)
-    y = geom.exp_frame(HYP2, o, geom.base_frame(HYP2), np.array([1.0, 0.0]))[0]
+    y = exp_frame(HYP2, o, geom.base_frame(HYP2), np.array([1.0, 0.0]))[0]
     assert np.allclose(y, [np.sinh(1.0), 0.0, np.cosh(1.0)], atol=1e-12)
     # distance via the Minkowski cosh formula
     assert np.isclose(geom.distance(HYP2, o, y), 1.0, atol=1e-12)
@@ -59,7 +60,7 @@ def test_hyperbolic_exp_against_geodesic_ode():
         o = geom.base_point(model)
         frame = geom.base_frame(model)
         v = rng.normal(size=model.dim)
-        y = geom.exp_frame(model, o, frame, v)[0]
+        y = exp_frame(model, o, frame, v)[0]
         y_ode, _ = geodesic_rk4(kappa, o, frame_vector(frame, v), 1.0)
         assert np.allclose(y, y_ode, atol=1e-8)
 
@@ -67,10 +68,10 @@ def test_hyperbolic_exp_against_geodesic_ode():
 def test_exp_zero_vector_is_identity():
     """exp_x(0) = x on both models, and the frame stays put."""
     o, base = geom.base_point(HYP2), geom.base_frame(HYP2)
-    y, frame = geom.exp_frame(HYP2, o, base, np.zeros(2))
+    y, frame = exp_frame(HYP2, o, base, np.zeros(2))
     assert np.allclose(y, o) and np.allclose(frame, base)
     x = np.array([0.3, -0.7])
-    assert np.allclose(geom.exp_frame(FLAT2, x, geom.base_frame(FLAT2), np.zeros(2))[0], x)
+    assert np.allclose(exp_frame(FLAT2, x, geom.base_frame(FLAT2), np.zeros(2))[0], x)
 
 
 def test_log_roundtrip_batched():
@@ -81,7 +82,7 @@ def test_log_roundtrip_batched():
         v = rng.normal(size=(1000, model.dim))
         v_amb = frame_vector(frame, v)
         pts = np.broadcast_to(o, (1000, model.ambient_dim))
-        y = geom.exp_frame(model, o, frame, v)[0]
+        y = exp_frame(model, o, frame, v)[0]
         back = log_point(model, pts, y)
         assert np.max(np.abs(back - v_amb)) < 1e-8
         # distance equals the norm of the log vector
@@ -94,7 +95,7 @@ def test_log_map_frame_coordinates():
     rng = np.random.default_rng(11)
     o, frame = geom.base_point(HYP2), geom.base_frame(HYP2)
     v = rng.normal(size=2)
-    y = geom.exp_frame(HYP2, o, frame, v)[0]
+    y = exp_frame(HYP2, o, frame, v)[0]
 
     def log_coords(p):
         return frame_coords(HYP2, frame, log_point(HYP2, o, p))
@@ -119,11 +120,11 @@ def test_distance_of_near_pairs():
         r = rng.uniform(0.0, 6.0, 200)
         sep = 10.0 ** rng.uniform(-9.0, np.log10(0.5), 200)
         far = rng.normal(size=(200, d))
-        x, u = geom.exp_frame(model, geom.base_point(model), geom.base_frame(model),
-                              r[:, None] * far / np.linalg.norm(far, axis=1)[:, None])
+        x, u = exp_frame(model, geom.base_point(model), geom.base_frame(model),
+                         r[:, None] * far / np.linalg.norm(far, axis=1)[:, None])
         step = rng.normal(size=(200, d))
-        y = geom.exp_frame(model, x, u, sep[:, None] * step
-                           / np.linalg.norm(step, axis=1)[:, None])[0]
+        y = exp_frame(model, x, u, sep[:, None] * step
+                      / np.linalg.norm(step, axis=1)[:, None])[0]
         got = geom.distance(model, x, y)
         for i in range(200):
             q = [(Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x[i], y[i])]
@@ -136,10 +137,10 @@ def test_distance_of_far_pairs_is_arccosh():
     """Beyond the chord's range (12 to 30 apart) distance is the arccosh form."""
     rng = np.random.default_rng(19)
     o, frame = geom.base_point(HYP3K2), geom.base_frame(HYP3K2)
-    x, u = geom.exp_frame(HYP3K2, o, frame, rng.normal(size=(50, 3)))
+    x, u = exp_frame(HYP3K2, o, frame, rng.normal(size=(50, 3)))
     step = rng.normal(size=(50, 3))
     step *= rng.uniform(12.0, 30.0, 50)[:, None] / np.linalg.norm(step, axis=1)[:, None]
-    y = geom.exp_frame(HYP3K2, x, u, step)[0]
+    y = exp_frame(HYP3K2, x, u, step)[0]
     c = -HYP3K2.kappa * geom.minkowski_inner(x, y)
     assert np.array_equal(geom.distance(HYP3K2, x, y), np.arccosh(c) / np.sqrt(HYP3K2.kappa))
     assert np.all(np.abs(geom.distance(HYP3K2, x, y) - np.linalg.norm(step, axis=1))
@@ -155,7 +156,7 @@ def test_transport_against_ode():
         v = rng.normal(size=model.dim)
         v_amb = frame_vector(frame, v)
         w_amb = frame_vector(frame, rng.normal(size=model.dim))
-        y = geom.exp_frame(model, o, frame, v)[0]
+        y = exp_frame(model, o, frame, v)[0]
         got = transport(kappa, o, y, w_amb)
         want = transport_rk4(kappa, o, v_amb, w_amb, 1.0)
         assert np.allclose(got, want, atol=1e-8)
@@ -169,7 +170,7 @@ def test_transport_preserves_inner_product():
     v = rng.normal(size=3)
     w1 = frame_vector(frame, rng.normal(size=3))
     w2 = frame_vector(frame, rng.normal(size=3))
-    y = geom.exp_frame(HYP3K2, o, frame, v)[0]
+    y = exp_frame(HYP3K2, o, frame, v)[0]
     t1 = transport(HYP3K2.kappa, o, y, w1)
     t2 = transport(HYP3K2.kappa, o, y, w2)
     assert np.isclose(geom.minkowski_inner(t1, t2), geom.minkowski_inner(w1, w2),
@@ -182,8 +183,8 @@ def test_frame_orthonormal_after_many_steps():
     rng = np.random.default_rng(9)
     x, frame = geom.base_point(HYP3K2), geom.base_frame(HYP3K2)
     for _ in range(64):
-        x, frame = geom.exp_frame(HYP3K2, x, frame, 0.125 * rng.normal(size=3))
-    assert geom.frame_defect(HYP3K2, x, frame) < 1e-9
+        x, frame = exp_frame(HYP3K2, x, frame, 0.125 * rng.normal(size=3))
+    assert frame_defect(HYP3K2, x, frame) < 1e-9
 
 
 def test_curvature_quadratic_examples():

@@ -15,9 +15,8 @@ from pinpath.measures import (MASS_OBSERVABLE, CylinderObservable, _pinned_chunk
 from tests.oracles import (flat_bridge_abs_moment_1d, flat_bridge_second_moment,
                            frame_coords, frame_roll_tip, free_log_weights,
                            free_pinned_estimate, gram_pass, knots_at, log_point,
-                           mp_bridged_tip,
-                           mp_gram_log_dets, pinned_fdd_oracle, radial_pde_kernel,
-                           scaled_tip_log_factors)
+                           exp_frame, mp_bridged_tip, mp_gram_log_dets, pinned_fdd_oracle,
+                           radial_pde_kernel, roll_batch, scaled_tip_log_factors)
 
 FLAT1 = CurvatureModel("flat", 1)
 FLAT2 = CurvatureModel("flat", 2)
@@ -104,7 +103,7 @@ def test_fdd_oracle_midpoint_r_frozen():
 
 def free_knots(model, part, count, seed):
     """Knots (count, n+1, D) of free paths: N(0, 1/n) increments rolled from o."""
-    return paths.roll_batch(model, paths.sample_increments(model, part, count, seed))[0]
+    return roll_batch(model, paths.sample_increments(model, part, count, seed))[0]
 
 
 def pinned_draw(model, part, count, seed, x_amb):
@@ -166,7 +165,7 @@ def test_observable_derivative_matches_central_differences(model):
     random frame coordinates at the knots of rolled paths."""
     part, N, step = Partition(4), 64, 1e-5
     inc = paths.sample_increments(model, part, N, seed=3)
-    points, frames = paths.roll_batch(model, inc)
+    points, frames = roll_batch(model, inc)
     coords = np.random.default_rng(7).normal(size=(N, part.n + 1, model.dim))
     observables = [MASS_OBSERVABLE, radial_observable(0.5, "r"), radial_observable(0.5, "r2"),
                    CylinderObservable("exp_three", (0.0, 0.5, 1.0), 1.0, "exp_radial2",
@@ -175,7 +174,7 @@ def test_observable_derivative_matches_central_differences(model):
         index = [part.knot_index(t) for t in obs.times]
         x, u, v = points[:, index], frames[:, index], coords[:, index]
         got = obs.derivative(model, x, np.einsum("NkDa,Nka->NkD", u, v))
-        moved = [obs.evaluate(model, geom.exp_frame(model, x, u, sign * step * v)[0])
+        moved = [obs.evaluate(model, exp_frame(model, x, u, sign * step * v)[0])
                  for sign in (1.0, -1.0)]
         want = (moved[0] - moved[1]) / (2 * step)
         assert got.shape == want.shape == (N,)
@@ -201,10 +200,10 @@ def test_nu1p_single_interval():
     """n=1 free paths land at exp_o of one increment."""
     part = Partition(1)
     inc = paths.sample_increments(HYP2, part, 8, seed=4)
-    points = paths.roll_batch(HYP2, inc)[0]
+    points = roll_batch(HYP2, inc)[0]
     o, frame = geom.base_point(HYP2), geom.base_frame(HYP2)
     for i in range(8):
-        want = geom.exp_frame(HYP2, o, frame, inc[i, 0])[0]
+        want = exp_frame(HYP2, o, frame, inc[i, 0])[0]
         assert np.allclose(points[i, 1], want, atol=1e-12)
 
 
@@ -231,6 +230,27 @@ def test_target_point_forms():
         measures._target_point(HYP2, np.array([1.0, 0.0, 0.0]))  # off the sheet
     with pytest.raises(ValueError):
         measures._target_point(FLAT2, np.zeros(3))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tangent_target_is_the_oracle_exp_at_o(d):
+    """Tangent coordinates at o land on exp_o in closed form, bit for bit
+    the point that the oracle exp_frame reaches from o and its frame, for
+    kappa from 0.25 to 100, at o and at rho from 1e-7 to 40 along an axis,
+    the diagonal and a random direction, wherever the point is a double.
+    (A coordinate -0.0 keeps its sign, which exp_frame's frame sum drops.)"""
+    rng = np.random.default_rng(d)
+    directions = [np.eye(d)[0], np.ones(d) / np.sqrt(d), rng.normal(size=d)]
+    for kappa in (0.25, 1.0, 2.5, 16.0, 100.0):
+        model = CurvatureModel("hyperbolic", d, kappa)
+        o, frame = geom.base_point(model), geom.base_frame(model)
+        targets = [np.zeros(d)] + [rho * u / np.linalg.norm(u)
+                                   for rho in (1e-7, 0.3, 1.0, 5.0, 19.0, 20.0, 40.0)
+                                   for u in directions
+                                   if np.sqrt(kappa) * rho <= 350.0]   # cosh^2 a double
+        for x in targets:
+            got = measures._target_point(model, x)
+            assert got.tobytes() == exp_frame(model, o, frame, x)[0].tobytes(), (kappa, x)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -335,7 +355,7 @@ def test_pinned_estimate_sums_tip_cond_hits(monkeypatch):
     # the tips: log from the one-interval body's end to x, in its rolled
     # frame, for the body the chunks bridged
     body = pinned_draw(HYP2, part, count, 4, x)[0][:, :1]
-    pts, frs = paths.roll_batch(HYP2, body)
+    pts, frs = roll_batch(HYP2, body)
     tips = frame_coords(HYP2, frs[:, -1], log_point(HYP2, pts[:, -1], x))
     hit = geom.sinhc(np.linalg.norm(tips, axis=1)) > limit
     for start, size in ((0, paths.CHUNK), (paths.CHUNK, 100)):
@@ -405,20 +425,16 @@ def test_pinned_samples_container():
     assert set(stage_s) == set(measures.STAGES)
 
 
-def test_pinned_samples_match_the_estimator(monkeypatch):
-    """A pinned chunk at any (start, count) rolls nothing and returns the
-    estimator's own log-weights and observable values at the same seed."""
+def test_pinned_samples_match_the_estimator():
+    """A pinned chunk at any (start, count) returns the estimator's own
+    log-weights and observable values at the same seed."""
     x = measures._target_point(HYP2, E1)
     obs = radial_observable(0.5, "r")
     res = pinned_estimate(HYP2, Partition(6), x, obs, n_samples=300, seed=12)
-    calls = []
-    roll = paths.roll_batch
-    monkeypatch.setattr(paths, "roll_batch", lambda *a, **k: calls.append(1) or roll(*a, **k))
     for start, count in ((0, 300), (170, 40)):
         log_w, f_vals, _, _ = _pinned_chunk(HYP2, Partition(6), x, obs, 12, start, count)
         assert log_w.tolist() == res.log_weights[start:start + count].tolist()
         assert f_vals.tolist() == res.f_values[start:start + count].tolist()
-    assert len(calls) == 0
 
 
 def _tip_tolerance(reach):
@@ -587,20 +603,17 @@ def test_pinned_knots_match_the_roll(kind, d, kappa):
         body = paths.sample_increments(model, part, 256, seed=5).transpose(1, 2, 0)[:-1]
         measures._body_pass(model, body, x)
         knots = measures._pinned_knots(model, part, tuple(part.knots), body, x)
-        want = paths.roll_batch(model, body.transpose(2, 0, 1))[0]
+        want = roll_batch(model, body.transpose(2, 0, 1))[0]
         scale = np.max(np.abs(want), axis=-1)
         assert np.all(np.max(np.abs(knots[:, :-1] - want), axis=-1) <= 1e-12 * scale)
         assert np.array_equal(knots[:, 0], np.broadcast_to(want[0, 0], knots[:, 0].shape))
         assert np.array_equal(knots[:, -1], np.broadcast_to(x, knots[:, -1].shape))
 
 
-def test_hyp3_chunk_rolls_nothing_and_stays_small(monkeypatch):
-    """One hyperbolic d=3, n=32 chunk of 4096 paths makes no roll_batch
-    call and its traced allocations peak under 30 MB (a frame roll of the
-    body peaks at about 36 MB)."""
-    calls = []
-    roll = paths.roll_batch
-    monkeypatch.setattr(paths, "roll_batch", lambda *a, **k: calls.append(1) or roll(*a, **k))
+def test_hyp3_chunk_rolls_nothing_and_stays_small():
+    """One hyperbolic d=3, n=32 chunk of 4096 paths has finite log-weights
+    and its traced allocations peak under 30 MB (a frame roll of the body
+    peaks at about 36 MB)."""
     x = measures._target_point(HYP3, np.array([1.0, 0.0, 0.0]))
     tracemalloc.start()
     try:
@@ -609,7 +622,6 @@ def test_hyp3_chunk_rolls_nothing_and_stays_small(monkeypatch):
     finally:
         tracemalloc.stop()
     assert log_w.shape == (paths.CHUNK,) and np.all(np.isfinite(log_w))
-    assert calls == []
     assert peak < 30e6
 
 

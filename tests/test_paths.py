@@ -1,6 +1,8 @@
-"""Path sampling, rolling/anti-rolling, the basis fields and the CSV dump."""
+"""Path sampling, the development (and the oracle roll and anti-roll), the
+basis fields and the CSV dump."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from pinpath import geom, jacobi, paths
 from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 
-from tests.oracles import (anti_roll, batch_cs, batch_endpoint_f, jacobi_from_slopes,
-                           one_call_normals)
+from tests import oracles
+from tests.oracles import (RENORM_EVERY, anti_roll, batch_cs, batch_endpoint_f, exp_frame,
+                           jacobi_from_slopes, one_call_normals, renormalize_frame, roll_batch)
 
 FLAT2 = CurvatureModel("flat", 2)
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
@@ -89,23 +92,27 @@ def test_exponential_moment_identity():
 
 
 def test_roll_flat_is_cumsum():
-    """Flat rolling is a cumulative sum of increments from the origin."""
+    """Flat rolling and the development are a cumulative sum of increments
+    from the origin, the development's bit for bit."""
     rng = np.random.default_rng(21)
     part = Partition(6)
     inc = rng.normal(size=(6, 2)) * np.sqrt(part.mesh)
-    points, frames = paths.roll_batch(FLAT2, inc)
-    assert np.allclose(points[1:], np.cumsum(inc, axis=0), atol=1e-14)
-    assert np.allclose(points[0], 0.0)
-    assert np.allclose(frames, np.broadcast_to(np.eye(2), (7, 2, 2)))
+    for develop in (roll_batch, paths.develop):
+        points, frames = develop(FLAT2, inc)
+        assert np.allclose(points[1:], np.cumsum(inc, axis=0), atol=1e-14)
+        assert np.allclose(points[0], 0.0)
+        assert np.allclose(frames, np.broadcast_to(np.eye(2), (7, 2, 2)))
+    assert np.array_equal(paths.develop(FLAT2, inc)[0][1:], np.cumsum(inc, axis=0))
 
 
 def test_roll_zero_increments():
     """Zero increments stay at the base point with the base frame."""
-    points, frames = paths.roll_batch(HYP3, np.zeros((3, 3)))
     o = geom.base_point(HYP3)
-    for i in range(4):
-        assert np.allclose(points[i], o, atol=1e-14)
-        assert np.allclose(frames[i], geom.base_frame(HYP3), atol=1e-14)
+    for develop in (roll_batch, paths.develop):
+        points, frames = develop(HYP3, np.zeros((3, 3)))
+        for i in range(4):
+            assert np.allclose(points[i], o, atol=1e-14)
+            assert np.allclose(frames[i], geom.base_frame(HYP3), atol=1e-14)
 
 
 def test_roll_segment_lengths():
@@ -113,7 +120,7 @@ def test_roll_segment_lengths():
     rng = np.random.default_rng(25)
     part = Partition(8)
     inc = rng.normal(size=(8, 3)) * np.sqrt(part.mesh)
-    points, _ = paths.roll_batch(HYP3, inc)
+    points, _ = roll_batch(HYP3, inc)
     for i in range(8):
         dist = geom.distance(HYP3, points[i], points[i + 1])
         assert np.isclose(dist, np.linalg.norm(inc[i]), atol=1e-9)
@@ -123,17 +130,18 @@ def test_roll_anti_roll_roundtrip():
     """anti_roll recovers the increments of 1000 rolled paths to 1e-9."""
     part = Partition(16)
     inc = paths.sample_increments(HYP2, part, 1000, seed=5)
-    pts, _ = paths.roll_batch(HYP2, inc)
+    pts, _ = roll_batch(HYP2, inc)
     back = anti_roll(HYP2, pts)
     assert np.max(np.abs(back - inc)) < 1e-9
 
 
 def test_roll_of_no_steps_is_the_start():
-    """Increments (..., 0, d), an empty body, roll to o and its frame alone."""
-    for model in (HYP3, FLAT2):
+    """Increments (..., 0, d), an empty body, roll and develop to o and its
+    frame alone."""
+    for model, develop in itertools.product((HYP3, FLAT2), (roll_batch, paths.develop)):
         D, d = model.ambient_dim, model.dim
         for batch in ((), (5,), (2, 3)):
-            points, frames = paths.roll_batch(model, np.zeros(batch + (0, d)))
+            points, frames = develop(model, np.zeros(batch + (0, d)))
             assert points.shape == batch + (1, D) and frames.shape == batch + (1, D, d)
             assert np.array_equal(points[..., 0, :],
                                   np.broadcast_to(geom.base_point(model), batch + (D,)))
@@ -142,33 +150,34 @@ def test_roll_of_no_steps_is_the_start():
 
 
 def test_roll_rows_are_independent_of_the_batch():
-    """Row i of a 4096-path roll is bit-identical to rolling that row alone or
-    inside a (64, 64) batch, so estimates cannot depend on how samples are
-    grouped."""
+    """Row i of a 4096-path roll or development is bit-identical to that
+    row alone or inside a (64, 64) batch, so estimates cannot depend on how
+    samples are grouped."""
     inc = paths.sample_increments(HYP3, Partition(40), 4096, seed=4)
-    points, frames = paths.roll_batch(HYP3, inc)
-    grid_points, grid_frames = paths.roll_batch(HYP3, inc.reshape((64, 64, 40, 3)))
-    assert np.array_equal(grid_points.reshape(points.shape), points)
-    assert np.array_equal(grid_frames.reshape(frames.shape), frames)
-    for i in (0, 1, 2047, 4095):
-        row_points, row_frames = paths.roll_batch(HYP3, inc[i])
-        assert np.array_equal(row_points, points[i])
-        assert np.array_equal(row_frames, frames[i])
+    for develop in (roll_batch, paths.develop):
+        points, frames = develop(HYP3, inc)
+        grid_points, grid_frames = develop(HYP3, inc.reshape((64, 64, 40, 3)))
+        assert np.array_equal(grid_points.reshape(points.shape), points)
+        assert np.array_equal(grid_frames.reshape(frames.shape), frames)
+        for i in (0, 1, 2047, 4095):
+            row_points, row_frames = develop(HYP3, inc[i])
+            assert np.array_equal(row_points, points[i])
+            assert np.array_equal(row_frames, frames[i])
 
 
 def test_roll_matches_a_chain_of_exp_frame_steps():
     """From o, the roll is exp_frame step by step with renormalize_frame on
     the roll's schedule: every RENORM_EVERY steps and at the last knot."""
     rng = np.random.default_rng(45)
-    n = paths.RENORM_EVERY + 8
+    n = RENORM_EVERY + 8
     inc = rng.normal(size=(64, n, 3)) / np.sqrt(n)
-    points, frames = paths.roll_batch(HYP3, inc)
+    points, frames = roll_batch(HYP3, inc)
     x = np.broadcast_to(geom.base_point(HYP3), (64, 4))
     frame = np.broadcast_to(geom.base_frame(HYP3), (64, 4, 3))
     for i in range(n):
-        x, frame = geom.exp_frame(HYP3, x, frame, inc[:, i])
-        if (i + 1) % paths.RENORM_EVERY == 0 or i + 1 == n:
-            frame = geom.renormalize_frame(HYP3, x, frame)
+        x, frame = exp_frame(HYP3, x, frame, inc[:, i])
+        if (i + 1) % RENORM_EVERY == 0 or i + 1 == n:
+            frame = renormalize_frame(HYP3, x, frame)
         assert np.max(np.abs(points[:, i + 1] - x)) <= 1e-12 * np.max(np.abs(x))
         assert np.max(np.abs(frames[:, i + 1] - frame)) <= 1e-10 * np.max(np.abs(frame))
 
@@ -182,18 +191,24 @@ def test_roll_of_equal_sub_steps_is_the_same_path(monkeypatch, model, n):
     it, so the coarse knots match within 1e-12 relative, and so do the frames
     as transported.  Gram-Schmidt, which runs at the last knot (and mid-path
     in the fine roll at n = 6), rounds Minkowski products of entries of size
-    R at R^2 eps, so the renormalised frames match within 1e-12 R relative."""
+    R at R^2 eps, so the renormalised frames match within 1e-12 R relative.
+    The development transports its frames, with no Gram-Schmidt: its coarse
+    knots and frames match within 1e-12 relative."""
     k = 8
     inc = paths.sample_increments(model, Partition(n), 32, seed=7)
     fine = np.repeat(inc / k, k, axis=1)
-    points, frames = paths.roll_batch(model, inc)
-    fine_points, fine_frames = paths.roll_batch(model, fine)
+    points, frames = paths.develop(model, inc)
+    fine_points, fine_frames = paths.develop(model, fine)
+    assert np.max(np.abs(fine_points[:, ::k] - points)) <= 1e-12 * np.max(np.abs(points))
+    assert np.max(np.abs(fine_frames[:, ::k] - frames)) <= 1e-12 * np.max(np.abs(frames))
+    points, frames = roll_batch(model, inc)
+    fine_points, fine_frames = roll_batch(model, fine)
     scale = np.max(np.abs(frames))
     assert np.max(np.abs(fine_points[:, ::k] - points)) <= 1e-12 * np.max(np.abs(points))
     assert np.max(np.abs(fine_frames[:, ::k] - frames)) <= 1e-12 * scale * scale
-    monkeypatch.setattr(paths, "_renormalize_due", lambda i, n: False)
-    transported = paths.roll_batch(model, inc)[1]
-    assert np.max(np.abs(paths.roll_batch(model, fine)[1][:, ::k] - transported)) \
+    monkeypatch.setattr(oracles, "_renormalize_due", lambda i, n: False)
+    transported = roll_batch(model, inc)[1]
+    assert np.max(np.abs(roll_batch(model, fine)[1][:, ::k] - transported)) \
         <= 1e-12 * np.max(np.abs(transported))
 
 
@@ -220,7 +235,7 @@ def test_csv_dump_layout():
     """dump_paths_csv: schema line, header, row count, repr round-trip."""
     part = Partition(3)
     inc = paths.sample_increments(HYP2, part, 2, seed=1)
-    points, frames = paths.roll_batch(HYP2, inc)
+    points, frames = paths.develop(HYP2, inc)
     buf = io.StringIO()
     paths.dump_paths_csv(inc, points, frames, buf)
     lines = buf.getvalue().strip().split("\n")

@@ -16,9 +16,10 @@ from pinpath import diagnostics, geom, jacobi, paths  # noqa: E402
 from pinpath.geom import CurvatureModel  # noqa: E402
 from pinpath.jacobi import Partition  # noqa: E402
 
-from tests.oracles import (anti_roll, batch_cs, batch_endpoint_f,  # noqa: E402
-                           batch_mass_matrix, frame_coords, frame_vector, gram_pass,
-                           jacobi_from_slopes, log_point, slopes_from_knots, transport)
+from tests.oracles import (CONSTRAINT_DRIFT_TOL, anti_roll, batch_cs,  # noqa: E402
+                           batch_endpoint_f, batch_mass_matrix, exp_frame, frame_coords,
+                           frame_defect, frame_vector, gram_pass, jacobi_from_slopes,
+                           log_point, roll_batch, slopes_from_knots, transport)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -37,8 +38,8 @@ def boosted_frame_point(model, seed, spread):
     """The rng, then a point and its frame at sqrt(kappa)-distance `spread`
     from o, reached by exp_frame."""
     rng = np.random.default_rng(seed)
-    return (rng, *geom.exp_frame(model, geom.base_point(model), geom.base_frame(model),
-                                 step_of_length(rng, model.dim, model.kappa, spread)))
+    return (rng, *exp_frame(model, geom.base_point(model), geom.base_frame(model),
+                            step_of_length(rng, model.dim, model.kappa, spread)))
 
 
 @PROPERTY
@@ -50,7 +51,7 @@ def test_frame_update_matches_columnwise_transport(d, kappa, seed, spread, step)
     sqrt(kappa)-length `step`."""
     model = CurvatureModel("hyperbolic", d, kappa)
     rng, x, frame = boosted_frame_point(model, seed, spread)
-    y, got = geom.exp_frame(model, x, frame, step_of_length(rng, d, kappa, step))
+    y, got = exp_frame(model, x, frame, step_of_length(rng, d, kappa, step))
     want = np.stack([transport(kappa, x, y, frame[:, a]) for a in range(d)], axis=-1)
     # roundoff of a boost grows like the square of its entries
     tol = 1e-13 * max(1.0, float(np.max(np.abs(want)))) ** 2
@@ -63,15 +64,15 @@ def test_frame_update_matches_columnwise_transport(d, kappa, seed, spread, step)
        scale=st.floats(0.05, 1.5))
 def test_roll_anti_roll_round_trip(kind, d, kappa, n, seed, scale):
     """anti_roll recovers the increments of a roll, across the Gram-Schmidt
-    schedule (n beyond paths.RENORM_EVERY); paths reach sqrt(kappa)-distance
+    schedule (n beyond RENORM_EVERY); paths reach sqrt(kappa)-distance
     of order scale * sqrt(d)."""
     model = CurvatureModel(kind, d, kappa)
     rng = np.random.default_rng(seed)
     inc = scale * rng.normal(size=(3, n, d)) / np.sqrt(n * kappa)
-    pts, frames = paths.roll_batch(model, inc)
+    pts, frames = roll_batch(model, inc)
     back = anti_roll(model, pts)
     assert np.allclose(back, inc, rtol=0.0, atol=1e-8)
-    assert geom.frame_defect(model, pts[:, -1], frames[:, -1]) < geom.CONSTRAINT_DRIFT_TOL
+    assert frame_defect(model, pts[:, -1], frames[:, -1]) < CONSTRAINT_DRIFT_TOL
 
 
 @PROPERTY
@@ -126,7 +127,7 @@ def test_exp_log_round_trip(d, kappa, seed, spread, step):
     model = CurvatureModel("hyperbolic", d, kappa)
     rng, x, frame = boosted_frame_point(model, seed, spread)
     v = step_of_length(rng, d, kappa, step)
-    y = geom.exp_frame(model, x, frame, v)[0]
+    y = exp_frame(model, x, frame, v)[0]
     back = frame_coords(model, frame, log_point(model, x, y))
     tol = 1e-14 * max(100.0, np.cosh(spread) ** 2) / np.sqrt(kappa)
     assert np.allclose(back, v, rtol=0.0, atol=tol)
@@ -149,7 +150,7 @@ def test_transport_is_an_isometry(d, kappa, seed, spread, step):
     """
     model = CurvatureModel("hyperbolic", d, kappa)
     rng, x, frame = boosted_frame_point(model, seed, spread)
-    y = geom.exp_frame(model, x, frame, step_of_length(rng, d, kappa, step))[0]
+    y = exp_frame(model, x, frame, step_of_length(rng, d, kappa, step))[0]
     w = frame_vector(frame, rng.normal(size=(3, d)))
     t = transport(kappa, x, y, w)
     gram = geom.minkowski_inner(w[:, None], w[None])
@@ -168,8 +169,8 @@ def test_long_roll_frames_stay_orthonormal(d, seed):
     CONSTRAINT_DRIFT_TOL of orthonormal and tangent."""
     model, part = CurvatureModel("hyperbolic", d, 1.0), Partition(1024)
     inc = paths.sample_increments(model, part, 32, seed % 2 ** 31)
-    pts, frames = paths.roll_batch(model, inc)
-    assert geom.frame_defect(model, pts, frames) < geom.CONSTRAINT_DRIFT_TOL
+    pts, frames = roll_batch(model, inc)
+    assert frame_defect(model, pts, frames) < CONSTRAINT_DRIFT_TOL
 
 
 def knot_coords_relative(model, base_pts, base_frs, other_pts):
@@ -183,14 +184,14 @@ def central_difference_knots(model, inc, h):
     inc +/- h e_(i, a), compared with the base roll knot by knot in its
     rolled frames; the reference for paths.chart_slopes."""
     n, d = inc.shape[-2:]
-    pts, frs = paths.roll_batch(model, inc)
+    pts, frs = roll_batch(model, inc)
     out = np.zeros(inc.shape[:-2] + (n + 1, d, n, d))
     for i in range(n):
         for a in range(d):
             shift = np.zeros((n, d))
             shift[i, a] = h
-            plus = paths.roll_batch(model, inc + shift)[0]
-            minus = paths.roll_batch(model, inc - shift)[0]
+            plus = roll_batch(model, inc + shift)[0]
+            minus = roll_batch(model, inc - shift)[0]
             out[..., i, a] = (knot_coords_relative(model, pts, frs, plus)
                               - knot_coords_relative(model, pts, frs, minus)) / (2 * h)
     return out
