@@ -229,7 +229,7 @@ def _write_manifest(path, config, extra):
     payload = {"schema": 1, "config": asdict(config), "git_revision": _git_revision()}
     payload.update(extra)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=str)
+        json.dump(payload, fh, indent=2)
 
 
 def _bail_config(errors):

@@ -180,7 +180,7 @@ def _report(statistic, n_values, stats_per_n, gate):
     else:
         passed = zero or _decreasing(q50)
     return ConvergenceReport(statistic, list(n_values), q05, q50, q95, mean,
-                             slope, passed, notes={"identically_zero": zero})
+                             slope, bool(passed), notes={"identically_zero": zero})
 
 
 CONVERGE_STAGES = ("draw", "lift", "sups", "report")
@@ -305,23 +305,6 @@ def _knot_sups(iv, coeff, coords, ratio, k_cmp, j_prof):
 # chart-level integration by parts
 # ---------------------------------------------------------------------------
 
-def _chart_velocity(model, inc, x_vector):
-    """Solve M V = k for the increment-chart velocity V of the lift along
-    increments inc (N, n, d).
-
-    M's columns are the slopes of the fields of unit chart perturbations
-    (paths.chart_slopes on the identity stack) and k the lift's slopes, both
-    on one jacobi.Intervals.  Returns, samples last, V (nd, N), k (n, d, N),
-    the endpoint coordinates (d, N) of X, and M and M^{-1} (nd, nd, N).
-    """
-    N, n, d = inc.shape
-    eye, iv = np.eye(n * d), _intervals(model, inc)
-    M = paths.chart_slopes(model, iv, eye.reshape(n, d, n * d, 1)).reshape(n * d, n * d, N)
-    slopes, coords, _ = _lift(model, iv, x_vector)
-    velocity = _block_solve(M, slopes.reshape(n * d, N), n)
-    return velocity, slopes, coords, M, _block_solve(M, eye[..., None], n)
-
-
 def _block_solve(M, rhs, n):
     """M^{-1} rhs for chart matrices M (nd, nd, B) and rhs (nd, ..., B or 1),
     by block forward substitution: M is block lower triangular with diagonal
@@ -393,7 +376,7 @@ def _at_knots(model, iv, part, observables, field):
     return [(points[:, c], vectors[:, c]) for c in cols]
 
 
-IBP_STAGES = ("draw", "velocity", "condition", "derivatives", "divergence",
+IBP_STAGES = ("draw", "chart", "condition", "derivatives", "divergence",
               "scalar_gap", "gradient_gap")
 
 
@@ -424,24 +407,27 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
     """Gaussian integration by parts in the increment chart.
 
     Compares E[(Xf) g] with E[f (-Xg + m g)] where X differentiates along the
-    chart velocity V of the lift of field_direction, solved once
-    (_chart_velocity).  Xf and Xg are exact: the knots move along V with
-    the field of the lift's slopes (_knot_field), carried to the
-    observables' knots by point and vector boosts (_at_knots) and read by
-    each observable's derivative, so the check rolls no path and moves no
-    frame.  m = n * <z, V> - div_z V with the divergence tr(M^{-1} dk) from
-    central differences of the lift alone (_divergence; the chart part of
-    k - M V adds no trace, as Omega_i is antisymmetric and M^{-1}'s
-    diagonal blocks are I / n).  Samples whose chart matrix M has condition
-    number above CHART_COND_LIMIT are dropped (counted in n_aborted).  Pass
-    gate: paired difference within 3 stderr.
+    chart velocity V = M^{-1} k of the lift of field_direction, k its slopes
+    and M the chart matrix (paths.chart_matrix); V is never formed.  Xf and
+    Xg are exact: the knots move along V with the field of the lift's slopes
+    (_knot_field), carried to the observables' knots by point and vector
+    boosts (_at_knots) and read by each observable's derivative, so the
+    check rolls no path and moves no frame.  m = n <z, V> - div_z V.  The
+    pairing is the lift's own sum_i <k_i, z_i>: (M V)_j - n V_j is
+    n |z_j| Omega_j p_j, and <Omega_j p_j, p_j> = 0 as Omega_j is
+    antisymmetric.  The divergence is tr(M^{-1} dk), central differences of
+    the lift alone (_divergence; the chart part of k - M V adds no trace for
+    the same reason, M^{-1}'s diagonal blocks being I / n).  So M serves
+    only M^{-1} and the screen that drops samples whose M has condition
+    number above CHART_COND_LIMIT (counted in n_aborted).  Pass gate:
+    paired difference within 3 stderr.
 
-    Two ungated reports ride along.  scalar_gap compares the chart
-    multiplication scalar with the slope-pairing-minus-divergence form
-    computed directly on path space (on the first SCALAR_SUBSAMPLE samples);
-    gradient_gap compares Xg with g's derivative along the damped field,
-    the lift's continuum limit (on the first GRADIENT_SUBSAMPLE samples).
-    stage_s holds the seconds of each of IBP_STAGES.
+    Two ungated reports ride along.  scalar_gap is the gap between that
+    divergence, at DIV_STEP, and the path-space divergence at FD_STEP (on
+    the first SCALAR_SUBSAMPLE samples); gradient_gap compares Xg with g's
+    derivative along the damped field, the lift's continuum limit (on the
+    first GRADIENT_SUBSAMPLE samples).  stage_s holds the seconds of each
+    of IBP_STAGES.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
@@ -451,29 +437,32 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
     n, d = part.n, model.dim
     inc = paths.sample_increments(model, part, n_samples, seed)
     clock.lap("draw")
-    velocity, slopes, coords, M, M_inv = _chart_velocity(model, inc, x_vector)
-    clock.lap("velocity")
+    iv = _intervals(model, inc)
+    M = paths.chart_matrix(model, iv)
+    M_inv = _block_solve(M, np.eye(n * d)[..., None], n)
+    slopes, coords, _ = _lift(model, iv, x_vector)
+    clock.lap("chart")
     keep = _well_conditioned(M, M_inv)
     del M       # nd nd N floats that nothing past the mask reads
     n_aborted = int((~keep).sum())
     if n_aborted:       # copies of the kept samples only when some are dropped
         inc = inc[keep]
-        velocity, slopes, coords, M_inv = (a[..., keep] for a in (velocity, slopes, coords, M_inv))
+        slopes, coords, M_inv = (a[..., keep] for a in (slopes, coords, M_inv))
+        iv = _intervals(model, inc)
     N = inc.shape[0]
     if N < 2:
         raise NumericalError("all but %d samples aborted on conditioning" % N)
     clock.lap("condition")
 
-    iv = _intervals(model, inc)
     knots = _at_knots(model, iv, part, (f_obs, g_obs), _knot_field(iv, slopes))
     (f_vals, xf), (g_vals, xg) = [(obs.evaluate(model, p), obs.derivative(model, p, v))
                                   for obs, (p, v) in zip((f_obs, g_obs), knots)]
     del knots       # not held through the divergence, the check's peak
     clock.lap("derivatives")
 
-    mult = n * np.einsum("cN,Nc->N", velocity, inc.reshape(N, n * d))
-    mult -= _divergence(model, iv, M_inv, x_vector)
+    div = _divergence(model, iv, M_inv, x_vector)
     del iv
+    mult = np.einsum("idN,Nid->N", slopes, inc) - div
     lhs = xf * g_vals
     rhs = f_vals * (-xg + mult * g_vals)
     diff = lhs - rhs
@@ -488,7 +477,7 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
     clock.lap("divergence")
 
     sub = slice(SCALAR_SUBSAMPLE)
-    scalar = _scalar_gap(model, inc[sub], slopes[..., sub], M_inv[..., sub], mult[sub], x_vector)
+    scalar = _scalar_gap(model, inc[sub], M_inv[..., sub], div[sub], x_vector)
     clock.lap("scalar_gap")
     sub = slice(GRADIENT_SUBSAMPLE)
     gradient = _gradient_gap(model, part, g_obs, xg[sub], inc[sub], coords[:, sub].T)
@@ -529,19 +518,15 @@ def _divergence(model, iv, M_inv, x_vector):
     return div
 
 
-def _scalar_gap(model, inc, slopes, M_inv, mult, x_vector):
-    """Ungated comparison of the two multiplication scalars on a subsample
-    with increments inc (N, n, d), lift slopes (n, d, N) and inverse chart
-    matrices M^{-1} (nd, nd, N).
-
-    Chart form: n <z, V> - div_z V (already in `mult`).  Path-space form:
-    sum_i <slope_i, increment_i> minus the divergence over the
-    slope-orthonormal directions, the latter by central differences of the
-    lift slopes along the chart velocities sqrt(n) M^{-1} e_c that realize
-    those directions, all nd of them in one stacked pair of lifts.  The
-    pairing needs no extra scale factor: the chart velocity is the increment
-    representation of the slope list, so n <z, V> is already the
-    slope/increment pairing.
+def _scalar_gap(model, inc, M_inv, div, x_vector):
+    """Ungated gap (the path-space divergence minus div) on a subsample with
+    increments inc (N, n, d), inverse chart matrices M^{-1} (nd, nd, N) and
+    ibp_check's divergence div (N,) there.  The path-space divergence runs
+    over the slope-orthonormal directions, by central differences (FD_STEP)
+    of the lift slopes along the chart velocities sqrt(n) M^{-1} e_c that
+    realize them, all nd of them in one stacked pair of lifts.  It is also
+    the gap of the two multiplication scalars, the slope pairing
+    sum_i <k_i, z_i> minus either divergence.
     """
     N, n, d = inc.shape
     nd = n * d
@@ -550,9 +535,7 @@ def _scalar_gap(model, inc, slopes, M_inv, mult, x_vector):
     dslope = _central_difference(
         lambda z: _lift(model, _intervals(model, z), x_vector)[0].reshape(nd, -1),
         np.tile(inc, (nd, 1, 1)), basis_vel, FD_STEP)
-    div_path = np.einsum("ccN->N", dslope.reshape(nd, nd, N)) / np.sqrt(n)
-    pairing = np.einsum("idN,Nid->N", slopes, inc)
-    gap = mult - (pairing - div_path)
+    gap = np.einsum("ccN->N", dslope.reshape(nd, nd, N)) / np.sqrt(n) - div
     return {
         "median_abs_gap": _median(np.abs(gap)),
         "mean_gap": float(np.mean(gap)),

@@ -202,59 +202,45 @@ def _light_cone_pull_back(model: CurvatureModel, y, p, grow):
     return perp2 + new_p * new_p
 
 
-def chart_slopes(model: CurvatureModel, iv: Intervals, v):
-    """Right-slopes M v (n, d, ..., B) of the field that the chart variation
-    along the directions v (n, d, ..., B) induces on the paths whose
-    increments (n, d, B) have Intervals iv; v's samples axis may be 1, and
-    on the identity stack np.eye(n d).reshape(n, d, n d, 1) this is the
-    chart matrix M, entry [j, :, (i, a)] the slope on interval j of the
-    variation along e_a of increment i.
+def chart_matrix(model: CurvatureModel, iv: Intervals):
+    """The chart matrix M (n d, n d, B) of the paths whose increments
+    (n, d, B) have Intervals iv: entry [(j, b), (i, a)] is the slope, along
+    e_b on interval j, of the field that the chart variation along e_a of
+    increment i induces.
 
     M's blocks are n I at j = i and 0 at j < i.  Past interval i the
     variation moves the rest of the path by one isometry, so its field there
     is a Killing field, held at each knot as tau = sqrt(kappa) J and the
     antisymmetric omega = nabla J; its slope on interval j is n omega xi_j.
     With p the unit increment, a = sqrt(kappa)|xi|, c = cosh a - 1,
-    s = sinh a and R(u, v) = u v^T - v u^T, the field of v_i leaves interval
-    i with tau = sqrt(kappa) (S_i / delta) v_i (Intervals.sine) and
-    omega = -sqrt(kappa) (cosh a - 1) / a R(p, v_i), and boost j carries it
+    s = sinh a and R(u, v) = u v^T - v u^T, the field of e_a leaves interval
+    i with tau = sqrt(kappa) (S_i / delta) e_a (Intervals.sine) and
+    omega = -sqrt(kappa) (cosh a - 1) / a R(p, e_a), and boost j carries it
     on: w = omega p, u = c w + s tau, tau += c (tau - <p, tau> p) + s w,
-    omega += R(u, p).  The recursion is linear, so one state (tau, omega)
-    per column of v carries the sum of its fields, samples last.  A column
-    (an index of v's axes between d and the samples) has no field before
-    the first interval it varies, so interval j carries on only the states
-    of the columns up to the last one begun before it, and adds sources
-    only to the columns from the first to the last one that varies at j:
-    on the identity stack, the j d columns of the first j intervals and the
-    d of interval j.  Flat space has c = s = kappa = 0: M v = n v.
+    omega += R(u, p).  One state (tau, omega) per column, samples last:
+    interval j carries on the j d columns of the earlier increments and
+    starts the d of its own.  Flat space has c = s = kappa = 0: M = n I.
 
-    The IBP divergence needs none of it: M^{-1}'s diagonal blocks I / n
-    meet only the (i, i) block n omega_i e_a of d(M V), whose trace is 0.
+    The IBP check reads it only for M^{-1} and its condition screen
+    (ibp_check says why its pairing and divergence need no M).
     """
-    n, d = iv.xi.shape[:2]
-    shape = np.broadcast_shapes(v.shape[2:], iv.xi.shape[2:])
-    v = v.reshape((n, d, -1, v.shape[-1]))                # columns in one axis
-    varies = np.any(v, axis=(1, 3))                       # (n, C)
-    # interval j varies columns first[j]:last[j]; begun[j] = max_{i<j} last[i]
-    first = varies.argmax(axis=1)
-    last = np.where(varies, np.arange(1, varies.shape[1] + 1), 0).max(axis=1)
-    begun = np.concatenate([[0], np.maximum.accumulate(last)])
-    out = np.empty((n, d) + varies.shape[1:] + shape[-1:])
-    tau, om = np.zeros(out.shape[1:]), np.zeros((d,) + out.shape[1:])
+    n, d, B = iv.xi.shape
+    eye = np.eye(d)[..., None]
+    out = np.zeros((n, d, n * d, B))
+    tau, om = np.zeros((d, n * d, B)), np.zeros((d, d, n * d, B))
     for j in range(n):
         p, c, s = iv.unit(j, tau), iv.chm1[j], iv.sh[j]
-        np.multiply(n, v[j], out=out[j])                  # n v_j + n |xi_j| omega p
-        t, o = tau[:, :begun[j]], om[:, :, :begun[j]]
+        t, o = tau[:, :j * d], om[:, :, :j * d]
         w = np.sum(o * p, axis=1)
-        out[j, :, :begun[j]] += w * (n / iv.inv[j])
+        out[j, :, :j * d] += w * (n / iv.inv[j])   # n |xi_j| omega p; += keeps 0 as +0.0
+        out[j, :, j * d:(j + 1) * d] = n * eye
         u = c * w + s * t
         t += c * (t - iv.along(j, t, p)) + s * w
         o += u[:, None] * p - p[:, None] * u
-        src = slice(first[j], last[j])
-        vj, t, o = v[j, :, src], tau[:, src], om[:, :, src]
-        t += np.sqrt(model.kappa) * iv.sine(j, vj, iv.along(j, vj, p))
-        o += (-c * iv.inv[j]) * (p[:, None] * vj - vj[:, None] * p)
-    return out.reshape((n, d) + shape)
+        t, o = tau[:, j * d:(j + 1) * d], om[:, :, j * d:(j + 1) * d]
+        t += np.sqrt(model.kappa) * iv.sine(j, eye, iv.along(j, eye, p))
+        o += (-c * iv.inv[j]) * (p[:, None] * eye - eye[:, None] * p)
+    return out.reshape(n * d, n * d, B)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ agreement between the two is meaningful:
 - the knot values of a broken Jacobi field from its right-slopes, by the
   interval recursion (``jacobi_from_slopes``), and the slopes from the knot
   values, by a dense inverse of each sine-type solution
-  (``slopes_from_knots``), the reference for ``paths.chart_slopes``;
+  (``slopes_from_knots``), the reference for ``paths.chart_matrix``;
 - the increments of rolled knots, by logs and transport (``anti_roll``);
 - the lift by the roll and the suffix products (``roll_lift``,
   ``suffix_lift``, with the dense mass matrix ``batch_mass_matrix``), the
@@ -67,10 +67,11 @@ agreement between the two is meaningful:
   (``residual_divergence``), the reference for the grouped pass that
   reuses each shift's unshifted prefix, and the chart part
   tr(M^{-1} d(M V)) of the residual k - M V from one rerun of
-  ``paths.chart_slopes`` per shifted point (``chart_residual_trace``),
+  ``full_chart_slopes`` per shifted point (``chart_residual_trace``),
   0 in exact arithmetic;
-- the chart-slope recursion with every column carried from the first
-  interval (``full_chart_slopes``);
+- the chart-slope recursion M v for any chart directions v, with every
+  column carried from the first interval (``full_chart_slopes``), the
+  reference for ``paths.chart_matrix`` on the identity stack;
 - the null space of the lift's endpoint map (``endpoint_map_matrix``,
   ``lift_orthogonality``, ``lift_competitor_deficit``) and the determinant
   identity det(S^T S) = det(I + A A^T) (``det_identity_check``);
@@ -952,14 +953,14 @@ def mp_development(kappa, inc, dps=60):
 def resolved_velocity_divergence(model, part, inc, x_vector, step):
     """div V (N,) of the chart velocity V = M^{-1} k along increments inc
     (N, n, d), by central differences of size step of V itself, with M
-    (paths.chart_slopes) and k (roll_lift) rebuilt and V re-solved densely at
+    (full_chart_slopes) and k (roll_lift) rebuilt and V re-solved densely at
     every shifted point."""
     N, n, d = inc.shape
     eye = np.eye(n * d)
 
     def velocity(z):
         iv = jacobi.Intervals(model, np.ascontiguousarray(z.transpose(1, 2, 0)))
-        M = paths.chart_slopes(model, iv, eye.reshape(n, d, n * d, 1)).reshape(n * d, n * d, N)
+        M = full_chart_slopes(model, iv, eye.reshape(n, d, n * d, 1)).reshape(n * d, n * d, N)
         k = roll_lift(model, part, z, x_vector)[0].reshape(N, n * d)
         return np.linalg.solve(M.transpose(2, 0, 1), k[..., None])[..., 0]
 
@@ -988,7 +989,7 @@ def chart_residual_trace(model, inc, velocity, M_inv, step):
     part of the residual F = k - M V, whose trace tr(M^{-1} dF) is div V.
     Each column of d(M V) is one central difference of size step along one
     chart axis, and each M V reruns jacobi.Intervals and
-    paths.chart_slopes over all n intervals of the shifted increments.  In
+    full_chart_slopes over all n intervals of the shifted increments.  In
     exact arithmetic it is 0, which is why the divergence differences the
     lift alone."""
     N, n, d = inc.shape
@@ -996,7 +997,7 @@ def chart_residual_trace(model, inc, velocity, M_inv, step):
 
     def chart(z):
         iv = jacobi.Intervals(model, np.ascontiguousarray(z.transpose(1, 2, 0)))
-        return paths.chart_slopes(model, iv, held).reshape(-1, N)
+        return full_chart_slopes(model, iv, held).reshape(-1, N)
 
     return _difference_trace(chart, inc, M_inv, step)
 
@@ -1016,10 +1017,13 @@ def _difference_trace(fn, inc, M_inv, step):
 # ---------------------------------------------------------------------------
 
 def full_chart_slopes(model, iv, v):
-    """paths.chart_slopes with the Killing-field state carried over every
-    column of v (n, d, ..., B) from the first interval on, each column's
-    state zero until its source enters: the recursion before columns
-    started at the interval they vary, the reference for that start."""
+    """The right-slopes M v (n, d, ..., B) of the field that the chart
+    variation along the directions v (n, d, ..., B) induces on the paths
+    with Intervals iv (paths.chart_matrix's recursion), the Killing-field
+    state carried over every column of v from the first interval on, each
+    column's state zero until its source enters: on the identity stack
+    np.eye(n d).reshape(n, d, n d, 1) it is M, the reference for
+    chart_matrix's start of column (i, a) at interval i."""
     n, d = iv.xi.shape[:2]
     shape = np.broadcast_shapes(v.shape[2:], iv.xi.shape[2:])
     root = np.sqrt(model.kappa)

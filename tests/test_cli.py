@@ -489,6 +489,50 @@ def test_ibp_manifest_records_stages(tmp_path):
     assert "stage_s" not in manifest["result"]
 
 
+def test_manifest_gates_are_json_booleans(tmp_path):
+    """Every command writes its manifest as plain JSON: the gate fields
+    (gates_passed, each reports.*.passed, result.passed) are JSON booleans,
+    or null for an ungated pinned run, and no value anywhere is the string
+    "True" or "False".  The converge run has K and J decreasing, so their
+    quarter rule compares numpy values."""
+    runs = {"pinned": ["pinned", "--model", "flat", "--d", "2", "--n", "2,4", "--rho", "1.0",
+                       "--N", "256"],
+            "ungated": ["pinned", "--model", "hyperbolic", "--d", "2", "--n", "4",
+                        "--rho", "1.0", "--N", "256"],
+            "converge": ["converge", "--model", "hyperbolic", "--d", "2", "--n", "4,8,16,32",
+                         "--samples", "20"],
+            "props": ["props", "--paths", "12", "--n", "8"],
+            "sample": ["sample", "--N", "4"],
+            "ibp": ["ibp", "--n", "2", "--N", "64"]}
+
+    def values(node):
+        if isinstance(node, dict):
+            for v in node.values():
+                yield from values(v)
+        elif isinstance(node, list):
+            for v in node:
+                yield from values(v)
+        else:
+            yield node
+
+    gates = {}
+    for label, args in runs.items():
+        out = str(tmp_path / label)
+        res = run_cli(args + ["--out", out])
+        assert res.exit_code in ((0, 1) if label == "converge" else (0,)), (label, res.output)
+        manifest = json.loads(read_text(os.path.join(out, f"{args[0]}_manifest.json")))
+        assert not {"True", "False"} & {v for v in values(manifest) if isinstance(v, str)}, label
+        found = [manifest[k] for k in ("gates_passed",) if k in manifest]
+        found += [rep["passed"] for rep in manifest.get("reports", {}).values()]
+        found += [manifest["result"]["passed"]] if "result" in manifest else []
+        gates[label] = found
+    assert gates["ungated"] == [None]
+    assert len(gates["converge"]) == 4 and gates["sample"] == gates["props"] == []
+    assert all(type(v) is bool for label, found in gates.items() if label != "ungated"
+               for v in found), gates
+    assert all(len(gates[label]) == 1 for label in ("pinned", "ibp"))
+
+
 def git(cwd, *args):
     return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
                           cwd=cwd, capture_output=True, text=True, check=True).stdout.strip()

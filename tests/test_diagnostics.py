@@ -28,6 +28,20 @@ HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
 HYP3 = CurvatureModel("hyperbolic", 3, 2.5)
 
 
+def chart_and_inverse(model, inc):
+    """The chart matrix M and M^{-1} (nd, nd, N) at increments inc (N, n, d):
+    paths.chart_matrix and block forward substitution on the identity."""
+    M = paths.chart_matrix(model, diagnostics._intervals(model, inc))
+    return M, diagnostics._block_solve(M, np.eye(len(M))[..., None], inc.shape[1])
+
+
+def chart_velocity(model, inc, x_vector, M_inv):
+    """The chart velocity V = M^{-1} k (nd, N) of the lift of x_vector along
+    increments inc (N, n, d), M^{-1} (nd, nd, N) there."""
+    slopes = diagnostics._lift(model, diagnostics._intervals(model, inc), x_vector)[0]
+    return np.einsum("rcN,cN->rN", M_inv, slopes.reshape(len(M_inv), -1))
+
+
 class LinearEnd:
     """a0 + a1 * sigma(1), flat d=1 only (duck-typed observable)."""
 
@@ -281,7 +295,7 @@ def test_lift_back_runs_sine_only_on_the_rows_read(monkeypatch):
         assert got[0].tobytes() == full[0][:last + 1].tobytes()
         assert got[1].tobytes() == full[1].tobytes() and got[2].tobytes() == full[2].tobytes()
         assert len(sines) == last + 1
-    M_inv = diagnostics._chart_velocity(HYP2, inc, field)[4]
+    M_inv = chart_and_inverse(HYP2, inc)[1]
     sines.clear()
     diagnostics._divergence(HYP2, diagnostics._intervals(HYP2, inc), M_inv, field)
     assert len(sines) == n * (n + 1) // 2
@@ -396,7 +410,8 @@ def test_ibp_derivatives_match_the_finite_difference_oracle(model):
     res = ibp_check(model, part, f, g, n_samples=N, seed=0)
     assert res.n_aborted == 0
     inc = paths.sample_increments(model, part, N, seed=0)
-    velocity = diagnostics._chart_velocity(model, inc, field_direction(model))[0]
+    field = field_direction(model)
+    velocity = chart_velocity(model, inc, field, chart_and_inverse(model, inc)[1])
     want = _directional_derivative(model, part, inc, velocity.T.reshape(N, part.n, model.dim),
                                    (f.obs, g.obs))
     for got, ref in zip((f.rates[0], g.rates[0]), want):
@@ -406,41 +421,56 @@ def test_ibp_derivatives_match_the_finite_difference_oracle(model):
 
 
 def test_ibp_check_inverts_and_solves_no_chart_matrix(monkeypatch):
-    """ibp_check takes V and M^{-1} by block forward substitution and the
-    lift's K(1) on the Cholesky factors of jacobi._positive_solve: it calls
-    neither np.linalg.inv nor np.linalg.solve, and solves each chart
-    velocity once (one _chart_velocity call)."""
-    calls, velocity = [], []
-    chart_velocity = diagnostics._chart_velocity
+    """ibp_check takes M^{-1} by block forward substitution and the lift's
+    K(1) on the Cholesky factors of jacobi._positive_solve: it calls
+    neither np.linalg.inv nor np.linalg.solve, and builds the chart matrix
+    once (one paths.chart_matrix call)."""
+    calls, charts = [], []
+    chart_matrix = paths.chart_matrix
     for name in ("inv", "solve"):
         monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **k: calls.append(name))
-    monkeypatch.setattr(diagnostics, "_chart_velocity",
-                        lambda *a: velocity.append(1) or chart_velocity(*a))
+    monkeypatch.setattr(paths, "chart_matrix", lambda *a: charts.append(1) or chart_matrix(*a))
     f = CylinderObservable("exp_r2_end", (1.0,), 1.0, "exp_radial2",
                            {"times": [1.0], "scales": [2.0]})
     ibp_check(HYP2, Partition(4), f, MASS_OBSERVABLE, n_samples=64, seed=0)
     assert calls == []
-    assert velocity == [1]
+    assert charts == [1]
 
 
 @pytest.mark.parametrize("model", [FLAT2, HYP2, HYP3], ids=["flat2", "hyp2", "hyp3"])
 def test_chart_matrix_is_the_full_recursion_bit_for_bit(model):
-    """chart_slopes starts each column at the first interval it varies; M
-    (the identity stack), M of the identity stack with its columns in
-    reverse order (the state then spans every column from the first
-    interval on) and M v of one direction field agree with the recursion
-    over every column from the first interval (full_chart_slopes) bit for
-    bit, signs of zeros included, for n in {1, 2, 4, 8}."""
+    """chart_matrix starts column (i, a) at interval i; it agrees with the
+    recursion over every column from the first interval on the identity
+    stack (full_chart_slopes) bit for bit, signs of zeros included, for n
+    in {1, 2, 4, 8}."""
     for n in (1, 2, 4, 8):
         d = model.dim
         inc = paths.sample_increments(model, Partition(n), 64, seed=n)
         iv = diagnostics._intervals(model, inc)
-        eye = np.eye(n * d).reshape(n, d, n * d, 1)
-        field = np.random.default_rng(n).normal(size=(n, d, 64))
-        for v in (eye, eye[:, :, ::-1], field):
-            got, want = paths.chart_slopes(model, iv, v), full_chart_slopes(model, iv, v)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (n, v.shape)
+        got = paths.chart_matrix(model, iv)
+        want = full_chart_slopes(model, iv, np.eye(n * d).reshape(n, d, n * d, 1))
+        assert got.shape == (n * d, n * d, 64)
+        assert got.tobytes() == want.reshape(got.shape).tobytes(), n
+
+
+@pytest.mark.parametrize("model", [FLAT1, FLAT2, HYP1, HYP2, HYP3,
+                                   CurvatureModel("hyperbolic", 2, 10.0)],
+                         ids=["flat1", "flat2", "hyp1", "hyp2", "hyp3", "hyp2-kappa10"])
+def test_slope_pairing_is_the_chart_pairing(model):
+    """ibp_check's Gaussian term, the lift's slope pairing sum_i <k_i, xi_i>,
+    equals n <M^{-1} k, xi> within 1e-12 of the largest |pairing| for n in
+    {1, 2, 4, 8}, M^{-1} k by block substitution on chart_matrix: (M V)_j
+    - n V_j is n |xi_j| Omega_j p_j, and <Omega_j p_j, p_j> = 0 (hyp3 is
+    kappa = 2.5)."""
+    field = field_direction(model)
+    for n in (1, 2, 4, 8):
+        inc = paths.sample_increments(model, Partition(n), 256, seed=n)
+        iv = diagnostics._intervals(model, inc)
+        M, slopes = paths.chart_matrix(model, iv), diagnostics._lift(model, iv, field)[0]
+        velocity = diagnostics._block_solve(M, slopes.reshape(len(M), -1), n)
+        got = np.einsum("idN,Nid->N", slopes, inc)
+        want = n * np.einsum("cN,Nc->N", velocity, inc.reshape(len(inc), -1))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max()), n
 
 
 def test_median_is_numpys_bit_for_bit():
@@ -484,7 +514,7 @@ def test_divergence_matches_the_resolved_velocity_oracle(model):
     field = field_direction(model)
     for n in (1, 2, 4, 8):
         inc = paths.sample_increments(model, Partition(n), 64, seed=n)
-        M_inv = diagnostics._chart_velocity(model, inc, field)[4]
+        M_inv = chart_and_inverse(model, inc)[1]
         got = diagnostics._divergence(model, diagnostics._intervals(model, inc), M_inv, field)
         want = resolved_velocity_divergence(model, Partition(n), inc, field,
                                             diagnostics.DIV_STEP)
@@ -511,7 +541,7 @@ def test_divergence_matches_the_per_residual_oracle(model):
     field = field_direction(model)
     for n in (1, 2, 4, 8):
         for batch in _divergence_batches(model, n):
-            M_inv = diagnostics._chart_velocity(model, batch, field)[4]
+            M_inv = chart_and_inverse(model, batch)[1]
             got = diagnostics._divergence(model, diagnostics._intervals(model, batch), M_inv, field)
             want = residual_divergence(model, batch, M_inv, field, diagnostics.DIV_STEP)
             assert got.shape == want.shape == (len(batch),)
@@ -523,7 +553,7 @@ def test_divergence_matches_the_per_residual_oracle(model):
                          ids=["flat1", "flat2", "hyp1", "hyp2", "hyp3-kappa1", "hyp3"])
 def test_chart_residual_adds_nothing_to_the_divergence(model):
     """The chart part tr(M^{-1} d(M V)) of the residual k - M V, V held
-    (chart_residual_trace, from per-shift chart_slopes reruns), is what the
+    (chart_residual_trace, from per-shift full_chart_slopes reruns), is what the
     divergence drops: a shift of increment i moves M V only on intervals
     >= i, M^{-1}'s diagonal blocks are I / n, and the (i, i) block
     n Omega_i e_a has zero trace since Omega_i is antisymmetric.  It is
@@ -533,7 +563,8 @@ def test_chart_residual_adds_nothing_to_the_divergence(model):
     exact = model.kind == "flat" or model.dim == 1
     for n in (1, 2, 4, 8):
         for batch in _divergence_batches(model, n):
-            velocity, _, _, _, M_inv = diagnostics._chart_velocity(model, batch, field)
+            M_inv = chart_and_inverse(model, batch)[1]
+            velocity = chart_velocity(model, batch, field, M_inv)
             chart = chart_residual_trace(model, batch, velocity, M_inv, diagnostics.DIV_STEP)
             div = diagnostics._divergence(model, diagnostics._intervals(model, batch), M_inv, field)
             assert chart.shape == div.shape == (len(batch),)
@@ -545,15 +576,15 @@ def test_divergence_reuses_prefixes_and_stays_small(monkeypatch):
     """At n=4, d=2 the divergence makes at most n(n+3)/2 = 14 gram_step
     calls (n base steps and n - i steps for the shifts of increment i; the
     per-residual reruns made 2 n^2 d = 64) and runs no chart recursion
-    (no paths.chart_slopes call: tr(M^{-1} dk) needs the lift alone), and
+    (no paths.chart_matrix call: tr(M^{-1} dk) needs the lift alone), and
     at N=2000 its traced allocations peak under 4 MB, so the shifts of one
     increment at a time are stacked, not all 2 n d of them."""
     inc = paths.sample_increments(HYP2, Partition(4), 2000, seed=0)
     field = field_direction(HYP2)
-    M_inv = diagnostics._chart_velocity(HYP2, inc, field)[4]
-    calls, charts, step, slopes = [], [], jacobi.gram_step, paths.chart_slopes
+    M_inv = chart_and_inverse(HYP2, inc)[1]
+    calls, charts, step, chart = [], [], jacobi.gram_step, paths.chart_matrix
     monkeypatch.setattr(jacobi, "gram_step", lambda *a: calls.append(1) or step(*a))
-    monkeypatch.setattr(paths, "chart_slopes", lambda *a: charts.append(1) or slopes(*a))
+    monkeypatch.setattr(paths, "chart_matrix", lambda *a: charts.append(1) or chart(*a))
     tracemalloc.start()
     try:
         div = diagnostics._divergence(HYP2, diagnostics._intervals(HYP2, inc), M_inv, field)
@@ -572,7 +603,7 @@ def test_condition_screen_keeps_the_svd_mask(monkeypatch):
     whose bound |M|_F |M^{-1}|_F exceeds half the limit; with the limit at
     the median condition number both branches decide samples."""
     inc = paths.sample_increments(HYP3, Partition(8), 400, seed=0)
-    _, _, _, M, M_inv = diagnostics._chart_velocity(HYP3, inc, field_direction(HYP3))
+    M, M_inv = chart_and_inverse(HYP3, inc)
     cond = np.linalg.cond(M.transpose(2, 0, 1))
     limit = float(np.median(cond))
     monkeypatch.setattr(diagnostics, "CHART_COND_LIMIT", limit)

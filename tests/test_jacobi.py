@@ -107,7 +107,7 @@ def test_flat_intervals_are_constant_and_lazy():
     """Flat Intervals: sh and chm1 are 0 and s2 is 1, each (m, ..., B) and
     read-only, and 1/|xi| waits for its first use; gram_pass gives G = m I
     and head = (m - 1) I exactly, cosine and sine return y bit for bit, and
-    paths.chart_slopes returns n v."""
+    paths.chart_matrix is M = m I."""
     rng = np.random.default_rng(11)
     m, d, B = 5, 3, 7
     model = CurvatureModel("flat", d)
@@ -128,8 +128,8 @@ def test_flat_intervals_are_constant_and_lazy():
             assert np.array_equal(iv.cosine(j, y), y)
             assert np.array_equal(iv.sine(j, y), y)
     assert "inv" in vars(iv)
-    v = rng.normal(size=(m, d, 2, B))
-    assert np.array_equal(paths.chart_slopes(model, iv, v), m * v)
+    M = paths.chart_matrix(model, iv)
+    assert np.array_equal(M, np.broadcast_to(m * np.eye(m * d)[..., None], (m * d, m * d, B)))
 
 
 def test_partition_basics():

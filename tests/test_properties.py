@@ -12,7 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from pinpath import diagnostics, geom, jacobi, paths  # noqa: E402
+from pinpath import geom, jacobi, paths  # noqa: E402
 from pinpath.geom import CurvatureModel  # noqa: E402
 from pinpath.jacobi import Partition  # noqa: E402
 
@@ -182,7 +182,7 @@ def knot_coords_relative(model, base_pts, base_frs, other_pts):
 def central_difference_knots(model, inc, h):
     """Knot variations (..., n+1, d, n, d) by central differences of rolls at
     inc +/- h e_(i, a), compared with the base roll knot by knot in its
-    rolled frames; the reference for paths.chart_slopes."""
+    rolled frames; the reference for paths.chart_matrix."""
     n, d = inc.shape[-2:]
     pts, frs = roll_batch(model, inc)
     out = np.zeros(inc.shape[:-2] + (n + 1, d, n, d))
@@ -218,8 +218,7 @@ def test_chart_slopes_match_slopes_of_central_differences(kind, d, kappa, n, see
     `length` < 6 of o."""
     model, inc = path_of_length(kind, d, kappa, n, seed, length)
     iv = jacobi.Intervals(model, np.ascontiguousarray(inc.transpose(1, 2, 0)))
-    got = paths.chart_slopes(model, iv, np.eye(n * d).reshape(n, d, n * d, 1))
-    got = np.moveaxis(got.reshape(n, d, n, d, 3), -1, 0)
+    got = np.moveaxis(paths.chart_matrix(model, iv).reshape(n, d, n, d, 3), -1, 0)
     knots = central_difference_knots(model, inc, 1e-5 / np.sqrt(model.kappa or 1.0))
     C, S = batch_cs(model, inc, 1.0 / n)
     columns = np.moveaxis(knots.reshape(3, n + 1, d, n * d), -1, 1)   # (3, nd, n+1, d)
@@ -238,8 +237,8 @@ def test_chart_matrix_closed_form_blocks(kind, d, kappa, n, seed, length):
     """The chart matrix M is block lower triangular: its diagonal blocks are
     n I, its blocks above the diagonal exactly 0, and flat M is n I."""
     model, inc = path_of_length(kind, d, kappa, n, seed, length)
-    M = diagnostics._chart_velocity(model, inc, diagnostics.field_direction(model))[3]
-    M = M.transpose(2, 0, 1)
+    iv = jacobi.Intervals(model, np.ascontiguousarray(inc.transpose(1, 2, 0)))
+    M = paths.chart_matrix(model, iv).transpose(2, 0, 1)
     blocks = M.reshape(3, n, d, n, d)
     for i in range(n):
         assert np.allclose(blocks[:, i, :, i, :], n * np.eye(d), rtol=0.0, atol=1e-12)
