@@ -27,7 +27,7 @@ from click.core import ParameterSource
 
 from . import diagnostics, geom, measures, paths
 from .geom import CurvatureModel, NumericalError
-from .jacobi import Partition
+from .jacobi import Intervals, Partition
 
 EXIT_OK = 0
 EXIT_GATE = 1
@@ -397,11 +397,16 @@ def cmd_props(cfg):
                      "seed": 0, "out": "."})
 def cmd_sample(cfg):
     """Dump free broken-geodesic paths to CSV."""
-    mdl = cfg.build_model()
-    inc = paths.sample_increments(mdl, Partition(cfg.n_values[0]), cfg.n_samples, cfg.seed)
+    mdl, n = cfg.build_model(), cfg.n_values[0]
+    d = mdl.dim
+    inc = paths.sample_increments(mdl, Partition(n), cfg.n_samples, cfg.seed)
+    at_o = np.broadcast_to(np.eye(d)[:, None, :, None], (d, n + 1, d, cfg.n_samples))
+    points, frames = paths.boost_to_knots(mdl, Intervals(mdl, inc.transpose(1, 2, 0)),
+                                          range(n, -1, -1), at_o)
     csv_path = os.path.join(cfg.out_dir, "paths.csv")
     with open(csv_path, "w") as fh:
-        paths.dump_paths_csv(inc, *paths.develop(mdl, inc), fh)
+        paths.dump_paths_csv(inc, points.transpose(2, 1, 0)[:, ::-1],
+                             frames.transpose(3, 1, 0, 2)[:, ::-1], fh)
     click.echo(f"wrote {cfg.n_samples} paths to {csv_path}")
     return True, {"csv": csv_path}
 

@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from . import damped, geom, jacobi, measures, paths
+from . import damped, jacobi, measures, paths
 from .geom import CurvatureModel, NumericalError
 from .jacobi import COND_LIMIT, Partition
 
@@ -365,12 +365,7 @@ def _at_knots(model, iv, part, observables, field):
     o once, points and vectors by paths.boost_to_knots, so no frame is
     rolled."""
     index = sorted({part.knot_index(t) for obs in observables for t in obs.times}, reverse=True)
-    points = np.empty((model.ambient_dim, len(index), field.shape[-1]))
-    points[:] = geom.base_point(model)[:, None, None]
-    vectors = np.zeros_like(points)
-    vectors[:model.dim] = field[index].transpose(1, 0, 2)
-    paths.boost_to_knots(model, points, iv, index)
-    paths.boost_to_knots(model, vectors, iv, index, vector=True)
+    points, vectors = paths.boost_to_knots(model, iv, index, field[index].transpose(1, 0, 2))
     points, vectors = points.transpose(2, 1, 0), vectors.transpose(2, 1, 0)
     cols = [[index.index(part.knot_index(t)) for t in obs.times] for obs in observables]
     return [(points[:, c], vectors[:, c]) for c in cols]
@@ -537,7 +532,7 @@ def _scalar_gap(model, inc, M_inv, div, x_vector):
         np.tile(inc, (nd, 1, 1)), basis_vel, FD_STEP)
     gap = np.einsum("ccN->N", dslope.reshape(nd, nd, N)) / np.sqrt(n) - div
     return {
-        "median_abs_gap": _median(np.abs(gap)),
+        "median_abs_gap": _quantile(np.abs(gap), 0.5),
         "mean_gap": float(np.mean(gap)),
         "subsample": int(N),
     }
@@ -563,24 +558,10 @@ def _gradient_gap(model, part, observable, chart_side, inc, coords):
                                     damped_field)
     gap = chart_side - observable.derivative(model, points, vectors)
     return {
-        "median_abs_gap": _median(np.abs(gap)),
-        "median_abs_chart": _median(np.abs(chart_side)),
+        "median_abs_gap": _quantile(np.abs(gap), 0.5),
+        "median_abs_chart": _quantile(np.abs(chart_side), 0.5),
         "n_samples": chart_side.shape[0],
     }
-
-
-def _median(x) -> float:
-    """The median of the values x (...) by numpy's own arithmetic: the
-    middle value, or 0.5 (a + b) of the two middle ones (the same bits as
-    numpy's mean, (a + b) / 2), and NaN when any value is.  It needs only
-    np.partition: numpy's median imports numpy.ma on its first call, 12 ms
-    in a fresh interpreter."""
-    x = np.ravel(x)
-    half = x.size // 2
-    part = np.partition(x, [half - 1, half, -1] if x.size % 2 == 0 else [half, -1])
-    if np.isnan(part[-1]):
-        return float("nan")
-    return float(part[half] if x.size % 2 else 0.5 * (part[half - 1] + part[half]))
 
 
 def _quantile(x, q: float) -> float:

@@ -99,6 +99,16 @@ def _polar(model: CurvatureModel, xi):
     return np.sqrt(model.kappa) * nrm, unit
 
 
+def _square_norm(v, out=None):
+    """|v|^2 (...) of v (d, ...), summed over d in order, so that a sample's
+    bits do not depend on how many samples share its chunk; out, where
+    given, is a buffer like v[0] that takes the squares."""
+    total = v[0] * v[0]
+    for a in range(1, len(v)):
+        total += np.multiply(v[a], v[a], out=out)
+    return total
+
+
 class Intervals:
     """Scalars of the intervals of increments xi (m, d, ...), samples last,
     computed once over the whole span and read by every recursion over it:
@@ -145,10 +155,7 @@ class Intervals:
         xi = self.xi
         inv = np.empty(xi.shape[:1] + xi.shape[2:])
         if sq is None:
-            # |xi|^2 summed in place, squares in inv's buffer: the plain sum's bits
-            nrm = np.multiply(xi[:, 0], xi[:, 0])
-            for k in range(1, xi.shape[1]):
-                np.add(nrm, np.multiply(xi[:, k], xi[:, k], out=inv), out=nrm)
+            nrm = _square_norm(xi.swapaxes(0, 1), inv)    # squares in inv's buffer
             np.sqrt(nrm, out=nrm)
         else:
             nrm = np.sqrt(sq)

@@ -250,13 +250,13 @@ def _body_pass(model: CurvatureModel, body, x_amb):
     n, G, work = m + 1, np.zeros((d, d, B)), np.empty((d, d, B))
     growth = None if d == 1 else np.zeros(B)
     drawn, bridged = np.zeros((d, B)), np.zeros(B)    # sum_j z_j^2 per axis, sum_j |xi_j|^2
-    iv, sq = jacobi.Intervals(model, body[:0]), _square_norm(w[:-1])
+    iv, sq = jacobi.Intervals(model, body[:0]), jacobi._square_norm(w[:-1])
     for j in range(m):
         k, z = n - j, body[j]
         drawn += z * z
         z *= np.sqrt((k - 1) / k)
         z += geom.log_o_rows(model, w, sq, 1.0 / k)     # xi_j, in place
-        sq_xi = _square_norm(z)
+        sq_xi = jacobi._square_norm(z)
         bridged += sq_xi
         iv = jacobi.Intervals(model, body[j:j + 1], sq_xi[None])
         e = iv.unit(0)
@@ -274,32 +274,19 @@ def _body_pass(model: CurvatureModel, body, x_amb):
     return G, jacobi.gram_head(G, iv), geom.log_o_rows(model, w, sq), log_q, growth
 
 
-def _square_norm(v):
-    """|v|^2 (B,) of v (d, B), summed over d in order, so that a sample's
-    bits do not depend on how many samples share its chunk."""
-    out = v[0] * v[0]
-    for a in range(1, len(v)):
-        out += v[a] * v[a]
-    return out
-
-
 def _pinned_knots(model: CurvatureModel, partition: Partition, times, body, x_amb):
     """Knots (B, len(times), D) of pinned paths at the given times, for the
-    body increments (m, d, B): x at s = 1, o at s = 0, and the interior knot
-    s_j as B(xi_1)(... B(xi_j) o), j point boosts and no frame.  The
-    jacobi.Intervals of the body's first rows are built only when some time
-    is an interior knot, and only as far as the latest one."""
-    B = body.shape[-1]
+    body increments (m, d, B): x at s = 1, and the knots s_j before it
+    carried from o by paths.boost_to_knots, j point boosts and no frame.
+    The jacobi.Intervals of the body's first rows are built only when some
+    time is an interior knot, and only as far as the latest one."""
     index = [partition.knot_index(t) for t in times]
-    interior = [j for j in index if j < partition.n]
-    iv = jacobi.Intervals(model, body[:max(interior)]) if interior else None
-    out = np.empty((len(times), model.ambient_dim, B))
+    interior = sorted({j for j in index if j < partition.n}, reverse=True)
+    if interior:
+        knots = paths.boost_to_knots(model, jacobi.Intervals(model, body[:interior[0]]), interior)
+    out = np.empty((len(times), model.ambient_dim, body.shape[-1]))
     for k, j in enumerate(index):
-        if j == partition.n:
-            out[k] = x_amb[:, None]
-            continue
-        out[k] = geom.base_point(model)[:, None]
-        paths.boost_to_knots(model, out[k][:, None], iv, [j])
+        out[k] = x_amb[:, None] if j == partition.n else knots[:, interior.index(j)]
     return out.transpose(2, 0, 1)
 
 

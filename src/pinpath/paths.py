@@ -70,41 +70,6 @@ def sample_increments(model: CurvatureModel, partition: Partition, count: int,
 # Development
 # ---------------------------------------------------------------------------
 
-def develop(model: CurvatureModel, increments):
-    """Knots from o and their frames of the broken geodesics with batched
-    increments (..., n, d): points (..., n+1, D), frames (..., n+1, D, d).
-
-    Knot j is g_j o and its frame is g_j's first d columns, where
-    g_j = g_{j-1} B(xi_j) is the product of the boosts (boost_rows), one
-    forward pass on one Intervals.  B(xi) is symmetric, so the rows of g
-    advance by the vector boost, held as the columns of a (D, D, B) stack;
-    the knot is put back on the sheet.  In flat space g_j is a translation:
-    the knot advances by the point boost and the frame stays I.  The pass
-    runs samples last; the results are views of its buffers.
-    """
-    increments = np.asarray(increments, dtype=float)
-    batch, (n, d) = increments.shape[:-2], increments.shape[-2:]
-    B, D = int(np.prod(batch)), model.ambient_dim
-    iv = Intervals(model, np.ascontiguousarray(np.moveaxis(increments.reshape((B, n, d)), 0, -1)))
-    points = np.empty((n + 1, D, B))
-    frames = np.empty((n + 1, D, d, B))
-    points[0] = geom.base_point(model)[:, None]
-    frames[:] = geom.base_frame(model)[..., None]
-    if model.kind == "flat":
-        for j in range(n):
-            points[j + 1] = points[j]
-            boost_rows(model, points[j + 1], iv, j, 1.0)
-    else:
-        rows = np.repeat(np.eye(D)[..., None], B, axis=2)   # rows[:, k] is row k of g_j
-        for j in range(n):
-            boost_rows(model, rows, iv, j, 1.0, vector=True)
-            points[j + 1] = rows[-1] / np.sqrt(model.kappa)
-            frames[j + 1] = rows[:d].transpose(1, 0, 2)
-        geom._renormalize_point(model, points[1:].transpose(1, 0, 2))
-    return (np.moveaxis(points, -1, 0).reshape(batch + (n + 1, D)),
-            np.moveaxis(frames, -1, 0).reshape(batch + (n + 1, D, d)))
-
-
 def boost_rows(model: CurvatureModel, y, iv: Intervals, j: int, sign: float,
                vector: bool = False):
     """y <- B(sign xi_j) y in place for points y (D, ...) samples last, where
@@ -131,18 +96,25 @@ def boost_rows(model: CurvatureModel, y, iv: Intervals, j: int, sign: float,
     return geom._renormalize_point(model, y)
 
 
-def boost_to_knots(model: CurvatureModel, y, iv: Intervals, index, vector: bool = False):
-    """y[:, k] <- B(xi_1) ... B(xi_{index[k]}) y[:, k] in place for points
-    y (D, K, ...) at o and knot indices index (K,), non-increasing: each
-    column carried to its knot s_j of the paths whose increments have
-    Intervals iv by j calls of boost_rows, innermost first, one call per
-    interval on the columns that reach past it.  With vector, y holds
-    ambient vectors at o, and frame coordinates there become frame
-    coordinates at s_j (the boosts carry o's frame to the knot's).  No
-    frame is held."""
+def boost_to_knots(model: CurvatureModel, iv: Intervals, index, vectors=None):
+    """The points (D, K, B) at the knots index (K,), non-increasing, of the
+    paths whose increments have Intervals iv: knot j is
+    B(xi_1) ... B(xi_j) o, carried from o by j calls of boost_rows,
+    innermost first, one call per interval on the columns that reach past
+    it.  With vectors (d, K, ..., B), frame coordinates at o, also returns
+    them as ambient vectors at their knots (the boosts carry o's frame to
+    the knot's), advanced in the same loop.  No frame is held."""
+    points = np.empty((model.ambient_dim, len(index), iv.xi.shape[-1]))
+    points[:] = geom.base_point(model)[:, None, None]
+    if vectors is not None:
+        ambient = np.zeros((model.ambient_dim,) + vectors.shape[1:])
+        ambient[:model.dim] = vectors
     for i in range(max(index, default=0) - 1, -1, -1):
-        boost_rows(model, y[:, :sum(j > i for j in index)], iv, i, 1.0, vector)
-    return y
+        reach = sum(j > i for j in index)
+        boost_rows(model, points[:, :reach], iv, i, 1.0)
+        if vectors is not None:
+            boost_rows(model, ambient[:, :reach], iv, i, 1.0, vector=True)
+    return points if vectors is None else (points, ambient)
 
 
 def pull_back_rows(model: CurvatureModel, y, iv: Intervals, j: int, p=None):
@@ -249,8 +221,8 @@ def chart_matrix(model: CurvatureModel, iv: Intervals):
 
 def dump_paths_csv(increments, points, frames, fh) -> None:
     """Write knot-level rows of developed paths to an open file: increments
-    (N, n, d) and the knots (N, n+1, D) and frames (N, n+1, D, d) of
-    develop."""
+    (N, n, d) and the knots (N, n+1, D) and frames (N, n+1, D, d) that
+    boost_to_knots carries from o."""
     N, n, d = increments.shape
     D = points.shape[-1]
     cols = (["sample_id", "i", "s_i"]

@@ -10,11 +10,11 @@ agreement between the two is meaningful:
   log rho_P (``log_rho_P``): the reference for the package's one form of
   them, the actions of ``jacobi.Intervals``;
 - the frame roll (``roll_batch``), the package's development of free
-  paths until the boosts of ``paths.develop`` replaced it: a rank-one exp
-  step that carries the frame by parallel transport (``exp_frame``,
-  ``_exp_frame_rows``), Minkowski Gram-Schmidt every ``RENORM_EVERY``
-  steps (``renormalize_frame``, ``project_tangent``) and the frame's
-  orthonormality defect (``frame_defect``, bounded by
+  paths until boosts out of o (``paths.boost_to_knots``) replaced it: a
+  rank-one exp step that carries the frame by parallel transport
+  (``exp_frame``, ``_exp_frame_rows``), Minkowski Gram-Schmidt every
+  ``RENORM_EVERY`` steps (``renormalize_frame``, ``project_tangent``) and
+  the frame's orthonormality defect (``frame_defect``, bounded by
   ``CONSTRAINT_DRIFT_TOL``); and the forward boost chain of a path's knots
   and frames in 60-digit mpmath arithmetic (``mp_development``);
 - the per-vector closed form of parallel transport (``transport``), the

@@ -411,10 +411,11 @@ def test_props_refuses_overflowing_curvature(tmp_path):
     assert "numerical failure: mass matrix K(1) lost positivity or finiteness" in res.output
 
 
-def _check_sample_csv(path, model, n, N, seed):
+def _check_sample_csv(path, model, n, N, seed, frames_too=True):
     """The knot rows of a sample run's CSV hold the increments of the same
     seed, and finite knots and frames within 1e-12 of the 60-digit forward
-    boost chain (mp_development), relative to each knot's largest entry."""
+    boost chain (mp_development), relative to each knot's largest entry;
+    the knots alone without frames_too."""
     D, d = model.ambient_dim, model.dim
     with open(path) as fh:
         assert fh.readline() == "schema=1\n"
@@ -429,8 +430,9 @@ def _check_sample_csv(path, model, n, N, seed):
         want_points, want_frames = mp_development(model.kappa, inc[sid])
         assert np.all(np.max(np.abs(points[sid] - want_points), axis=-1)
                       <= 1e-12 * np.max(np.abs(want_points), axis=-1)), sid
-        assert np.all(np.max(np.abs(frames[sid] - want_frames), axis=(-2, -1))
-                      <= 1e-12 * np.max(np.abs(want_frames), axis=(-2, -1))), sid
+        assert not frames_too or np.all(
+            np.max(np.abs(frames[sid] - want_frames), axis=(-2, -1))
+            <= 1e-12 * np.max(np.abs(want_frames), axis=(-2, -1))), sid
 
 
 def test_sample_dump(tmp_path):
@@ -457,6 +459,20 @@ def test_sample_is_finite_and_exact_at_high_curvature(tmp_path):
     assert res.exit_code == 0, res.output
     _check_sample_csv(os.path.join(out, "paths.csv"), CurvatureModel("hyperbolic", 3, 100.0),
                       8, 64, 0)
+
+
+def test_sample_knots_keep_their_digits_at_high_curvature(tmp_path):
+    """At kappa = 100 (hyperbolic d=3, n=8, N=512, seed 1) every knot that
+    sample writes is within 1e-12 of the 60-digit boost chain, relative to
+    its largest entry: carried out of o, innermost boost first, its worst
+    is 5.6e-13, where the forward row product of the boosts reached
+    1.46e-12.  The frames (1.5e-12 either way) are not held here."""
+    out = str(tmp_path)
+    res = run_cli(["sample", "--model", "hyperbolic", "--d", "3", "--kappa", "100",
+                   "--n", "8", "--N", "512", "--seed", "1", "--out", out])
+    assert res.exit_code == 0, res.output
+    _check_sample_csv(os.path.join(out, "paths.csv"), CurvatureModel("hyperbolic", 3, 100.0),
+                      8, 512, 1, frames_too=False)
 
 
 def test_ibp_limits_and_run(tmp_path):

@@ -473,20 +473,6 @@ def test_slope_pairing_is_the_chart_pairing(model):
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max()), n
 
 
-def test_median_is_numpys_bit_for_bit():
-    """diagnostics._median equals np.median bit for bit at sizes 1, 2, 3 and
-    256, with ties and with a NaN."""
-    rng = np.random.default_rng(233)
-    for size in (1, 2, 3, 256):
-        x = np.abs(rng.standard_cauchy(size))
-        ties = np.round(x * 2.0) / 3.0                     # many equal values
-        for values in (x, ties, np.full(size, 0.1)):
-            got, want = diagnostics._median(values), float(np.median(values))
-            assert np.float64(got).tobytes() == np.float64(want).tobytes(), size
-        x[size // 2] = np.nan
-        assert np.isnan(diagnostics._median(x)) and np.isnan(np.median(x))
-
-
 def test_quantile_is_numpys_bit_for_bit():
     """diagnostics._quantile equals np.quantile bit for bit at q in
     {0.05, 0.5, 0.95} and sizes 1, 2, 3, 20 and 256, with ties and with a

@@ -1,5 +1,5 @@
-"""Path sampling, the development (and the oracle roll and anti-roll), the
-basis fields and the CSV dump."""
+"""Path sampling, the knots and frames carried from o by boosts (and the
+oracle roll and anti-roll), the basis fields and the CSV dump."""
 
 import io
 import itertools
@@ -18,6 +18,21 @@ from tests.oracles import (RENORM_EVERY, anti_roll, batch_cs, batch_endpoint_f, 
 FLAT2 = CurvatureModel("flat", 2)
 HYP2 = CurvatureModel("hyperbolic", 2, 1.0)
 HYP3 = CurvatureModel("hyperbolic", 3, 1.0)
+
+
+def carried(model, inc):
+    """Knots (..., n+1, D) and frames (..., n+1, D, d) of the paths with
+    increments (..., n, d), as sample takes them: paths.boost_to_knots
+    carries o and the base frame's columns to the knots n, ..., 0 over one
+    jacobi.Intervals of the increments."""
+    inc = np.asarray(inc, dtype=float)
+    batch, (n, d) = inc.shape[:-2], inc.shape[-2:]
+    B, D = int(np.prod(batch)), model.ambient_dim
+    iv = jacobi.Intervals(model, np.moveaxis(inc.reshape((B, n, d)), 0, -1))
+    frames = np.broadcast_to(np.eye(d)[:, None, :, None], (d, n + 1, d, B))
+    points, frames = paths.boost_to_knots(model, iv, range(n, -1, -1), frames)
+    return (points.transpose(2, 1, 0)[:, ::-1].reshape(batch + (n + 1, D)),
+            frames.transpose(3, 1, 0, 2)[:, ::-1].reshape(batch + (n + 1, D, d)))
 
 
 def test_increments_scale_and_moments():
@@ -92,23 +107,23 @@ def test_exponential_moment_identity():
 
 
 def test_roll_flat_is_cumsum():
-    """Flat rolling and the development are a cumulative sum of increments
-    from the origin, the development's bit for bit."""
+    """Flat rolling and the boosts out of o are a cumulative sum of
+    increments from the origin (the boosts sum xi_j + ... + xi_1, innermost
+    first, so not bit for bit)."""
     rng = np.random.default_rng(21)
     part = Partition(6)
     inc = rng.normal(size=(6, 2)) * np.sqrt(part.mesh)
-    for develop in (roll_batch, paths.develop):
+    for develop in (roll_batch, carried):
         points, frames = develop(FLAT2, inc)
         assert np.allclose(points[1:], np.cumsum(inc, axis=0), atol=1e-14)
         assert np.allclose(points[0], 0.0)
         assert np.allclose(frames, np.broadcast_to(np.eye(2), (7, 2, 2)))
-    assert np.array_equal(paths.develop(FLAT2, inc)[0][1:], np.cumsum(inc, axis=0))
 
 
 def test_roll_zero_increments():
     """Zero increments stay at the base point with the base frame."""
     o = geom.base_point(HYP3)
-    for develop in (roll_batch, paths.develop):
+    for develop in (roll_batch, carried):
         points, frames = develop(HYP3, np.zeros((3, 3)))
         for i in range(4):
             assert np.allclose(points[i], o, atol=1e-14)
@@ -136,9 +151,9 @@ def test_roll_anti_roll_roundtrip():
 
 
 def test_roll_of_no_steps_is_the_start():
-    """Increments (..., 0, d), an empty body, roll and develop to o and its
+    """Increments (..., 0, d), an empty body, roll and carry to o and its
     frame alone."""
-    for model, develop in itertools.product((HYP3, FLAT2), (roll_batch, paths.develop)):
+    for model, develop in itertools.product((HYP3, FLAT2), (roll_batch, carried)):
         D, d = model.ambient_dim, model.dim
         for batch in ((), (5,), (2, 3)):
             points, frames = develop(model, np.zeros(batch + (0, d)))
@@ -150,11 +165,11 @@ def test_roll_of_no_steps_is_the_start():
 
 
 def test_roll_rows_are_independent_of_the_batch():
-    """Row i of a 4096-path roll or development is bit-identical to that
-    row alone or inside a (64, 64) batch, so estimates cannot depend on how
-    samples are grouped."""
+    """Row i of a 4096-path roll or of its knots and frames carried from o
+    is bit-identical to that row alone or inside a (64, 64) batch, so
+    estimates cannot depend on how samples are grouped."""
     inc = paths.sample_increments(HYP3, Partition(40), 4096, seed=4)
-    for develop in (roll_batch, paths.develop):
+    for develop in (roll_batch, carried):
         points, frames = develop(HYP3, inc)
         grid_points, grid_frames = develop(HYP3, inc.reshape((64, 64, 40, 3)))
         assert np.array_equal(grid_points.reshape(points.shape), points)
@@ -192,13 +207,13 @@ def test_roll_of_equal_sub_steps_is_the_same_path(monkeypatch, model, n):
     as transported.  Gram-Schmidt, which runs at the last knot (and mid-path
     in the fine roll at n = 6), rounds Minkowski products of entries of size
     R at R^2 eps, so the renormalised frames match within 1e-12 R relative.
-    The development transports its frames, with no Gram-Schmidt: its coarse
-    knots and frames match within 1e-12 relative."""
+    The boosts out of o transport the frames, with no Gram-Schmidt: their
+    coarse knots and frames match within 1e-12 relative."""
     k = 8
     inc = paths.sample_increments(model, Partition(n), 32, seed=7)
     fine = np.repeat(inc / k, k, axis=1)
-    points, frames = paths.develop(model, inc)
-    fine_points, fine_frames = paths.develop(model, fine)
+    points, frames = carried(model, inc)
+    fine_points, fine_frames = carried(model, fine)
     assert np.max(np.abs(fine_points[:, ::k] - points)) <= 1e-12 * np.max(np.abs(points))
     assert np.max(np.abs(fine_frames[:, ::k] - frames)) <= 1e-12 * np.max(np.abs(frames))
     points, frames = roll_batch(model, inc)
@@ -235,7 +250,7 @@ def test_csv_dump_layout():
     """dump_paths_csv: schema line, header, row count, repr round-trip."""
     part = Partition(3)
     inc = paths.sample_increments(HYP2, part, 2, seed=1)
-    points, frames = paths.develop(HYP2, inc)
+    points, frames = carried(HYP2, inc)
     buf = io.StringIO()
     paths.dump_paths_csv(inc, points, frames, buf)
     lines = buf.getvalue().strip().split("\n")
