@@ -52,13 +52,13 @@ def _intervals(model, inc):
 def _lift(model, iv, x_vector):
     """The lift of the endpoint field with ambient vector x_vector (D,)
     along the paths whose increments (n, d, B) have Intervals iv.  Returns,
-    samples last, the slopes k (n, d, B), the frame coordinates (d, B) of X
-    at the endpoint and the coefficients c = K(1)^{-1} coords (d, B)."""
+    samples last, the slopes k (n, d, B) and the frame coordinates (d, B)
+    of X at the endpoint."""
     n, d, B = iv.xi.shape
     rows = [(iv, j) for j in range(n)]
     G, vec = _lift_forward(model, rows, np.zeros((d, d, B)),
                            np.repeat(np.asarray(x_vector, dtype=float)[:, None], B, axis=1))
-    return _lift_back(rows, G, vec[:d])
+    return _lift_back(rows, G, vec[:d]), vec[:d]
 
 
 def _lift_forward(model, rows, G, vec):
@@ -73,13 +73,13 @@ def _lift_forward(model, rows, G, vec):
 
 
 def _lift_back(rows, G, coords, last=None):
-    """(slopes k (last + 1, d, ..., B), coords, c = K(1)^{-1} coords) of the
-    lift on the n intervals rows with Gram sum G (d, d, ..., B) and endpoint
-    coordinates (d, ..., B): k_i = (S_i / delta) C_{i+1} ... C_n c from one
-    backward pass of Intervals.sine and .cosine (C_i, S_i are symmetric),
-    K(1) solved by jacobi._positive_solve (NumericalError unless SPD).  The
-    slopes are those of rows 0 to last (every row when None), the rows a
-    caller reads; the rows past last run only cosine."""
+    """The slopes k (last + 1, d, ..., B) of the lift on the n intervals
+    rows with Gram sum G (d, d, ..., B) and endpoint coordinates
+    (d, ..., B): k_i = (S_i / delta) C_{i+1} ... C_n c, c = K(1)^{-1} coords,
+    from one backward pass of Intervals.sine and .cosine (C_i, S_i are
+    symmetric), K(1) solved by jacobi._positive_solve (NumericalError unless
+    SPD).  The slopes are those of rows 0 to last (every row when None), the
+    rows a caller reads; the rows past last run only cosine."""
     n = len(rows)
     last = n - 1 if last is None else last
     coeff = n * jacobi._positive_solve(G, coords, "mass matrix K(1)")
@@ -91,7 +91,7 @@ def _lift_back(rows, G, coords, last=None):
             slopes[j] = iv.sine(k, y, along)
         if j:
             y = iv.cosine(k, y, along)
-    return slopes, coords, coeff
+    return slopes
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +244,12 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
         for lo in range(0, samples, block):
             b_inc = inc[lo:lo + block]
             iv = _intervals(model, b_inc)
-            slopes, b_coords, coeff = _lift(model, iv, x_vector)
+            slopes, b_coords = _lift(model, iv, x_vector)
             clock.lap("lift")
             found = {}
             if set(statistics) - {"adjoint"}:
-                found = _knot_sups(iv, coeff, b_coords, ratio, k_cmp, k_prof / k_prof[-1])
+                found = _knot_sups(iv, _knot_field(iv, slopes), b_coords, ratio, k_cmp,
+                                   k_prof / k_prof[-1])
             discrete = np.einsum("idn,nid->n", slopes, b_inc)
             weights = (b_inc * t_prof[:-1, None]).sum(axis=1)
             limit = ctil * np.einsum("dn,nd->n", b_coords, weights)
@@ -266,23 +267,22 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
     return reports
 
 
-def _knot_sups(iv, coeff, coords, ratio, k_cmp, j_prof):
+def _knot_sups(iv, field, coords, ratio, k_cmp, j_prof):
     """Per-path sups over the knots s_j of the f, K and J discrepancies of the
-    paths with Intervals iv, lift coefficients c and endpoint coordinates
-    coords (d, B), samples last.
+    paths with Intervals iv, the lift's knot values J(s_j) (n+1, d, B)
+    (_knot_field) and endpoint coordinates coords (d, B), samples last.
 
     One forward pass carries the stack f_i(s_j), i <= j, as (d, j, d, B):
     f <- C_j f (Intervals.cosine), the new block f_j(s_j) = S_j / delta is
     Intervals.sine of I, and G_j = sum_{i<=j} f_i(s_j) f_i(s_j)^T comes from
     jacobi.gram_step.  Since f_i(1) = C_n ... C_{j+1} f_i(s_j) and each C is
     symmetric, K(s_j) = delta sum_{i<=j} f_i(s_j) f_i(1)^T = delta G_j
-    C_{j+1} ... C_n and the lift's knot value is J(s_j) = K(s_j) c, so one
-    backward cosine pass over the stack [c | I] gives every suffix.
+    C_{j+1} ... C_n, so one backward cosine pass over I gives every suffix.
     """
     n, d, B = iv.xi.shape
     eye = np.eye(d)
-    tail = np.empty((n, d, d + 1, B))           # tail[j - 1] = C_{j+1} ... C_n [c | I]
-    tail[-1, :, 0], tail[-1, :, 1:] = coeff, eye[..., None]
+    tail = np.empty((n, d, d, B))               # tail[j - 1] = C_{j+1} ... C_n
+    tail[-1] = eye[..., None]
     for j in range(n - 1, 0, -1):
         tail[j - 1] = iv.cosine(j, tail[j])
     stack, G = np.empty((d, n, d, B)), np.zeros((d, d, B))
@@ -291,11 +291,11 @@ def _knot_sups(iv, coeff, coords, ratio, k_cmp, j_prof):
         stack[:, :j] = iv.cosine(j, stack[:, :j])
         stack[:, j] = iv.sine(j, eye[..., None])
         jacobi.gram_step(G, iv, j)
-        JK = np.einsum("abB,bcB->acB", G, tail[j]) / n         # [J(s_{j+1}) | K(s_{j+1})]
+        K = np.einsum("abB,bcB->acB", G, tail[j]) / n           # K(s_{j+1})
         f_gap = stack[:, :j + 1] - ratio[1:j + 2, j + 1, None, None] * eye[:, None, :, None]
         gaps = {"f": np.linalg.norm(f_gap, axis=(0, 2)).max(axis=0),
-                "K": np.linalg.norm(JK[:, 1:] - k_cmp[j + 1] * eye[..., None], axis=(0, 1)),
-                "J": np.linalg.norm(JK[:, 0] - j_prof[j + 1] * coords, axis=0)}
+                "K": np.linalg.norm(K - k_cmp[j + 1] * eye[..., None], axis=(0, 1)),
+                "J": np.linalg.norm(field[j + 1] - j_prof[j + 1] * coords, axis=0)}
         for name, gap in gaps.items():
             np.maximum(sups[name], gap, out=sups[name])
     return sups
@@ -435,7 +435,7 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
     iv = _intervals(model, inc)
     M = paths.chart_matrix(model, iv)
     M_inv = _block_solve(M, np.eye(n * d)[..., None], n)
-    slopes, coords, _ = _lift(model, iv, x_vector)
+    slopes, coords = _lift(model, iv, x_vector)
     clock.lap("chart")
     keep = _well_conditioned(M, M_inv)
     del M       # nd nd N floats that nothing past the mask reads
@@ -505,7 +505,7 @@ def _divergence(model, iv, M_inv, x_vector):
         group[i] = (jacobi.Intervals(model, (iv.xi[i][:, None] + shifts)[None]), 0)
         G_s, vec_s = _lift_forward(model, group[i:], np.repeat(G[:, :, None], 2 * d, axis=2),
                                    np.repeat(vec[:, None], 2 * d, axis=1))
-        k = _lift_back(group, G_s, vec_s[:d], last=i)[0]
+        k = _lift_back(group, G_s, vec_s[:d], last=i)
         dk = (k[:, :, :d] - k[:, :, d:]) / (2 * DIV_STEP)
         div += np.einsum("arN,raN->N", M_inv[i * d:(i + 1) * d, :(i + 1) * d],
                          dk.reshape((i + 1) * d, d, N))

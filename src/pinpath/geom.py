@@ -11,7 +11,7 @@ points satisfy <x,x>_M = -1/kappa with x_d > 0.  All point arrays are
 ambient, D = d coordinates for flat and d+1 for hyperbolic.  distance and
 minkowski_inner broadcast over leading batch axes (points ``(..., D)``);
 log_o_rows and _renormalize_point take coordinates first, samples last, as
-do the boosts that move paths (paths.boost_rows).
+does the one point boost that moves paths (paths.boost_rows).
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ T has entries in [-1, 1], so G + T and I + head + T stay within 2 of G and
 head entrywise: no large tip matrix is formed and nothing cancels, however far
 the tip.  In flat space every C_i and S_i / delta is I: G = (n-1) I,
 head = (n-2) I, a = 0 and T = I for every path, so V_x / J_P = n^{d/2} is a
-per-run constant and only the Gaussian term of the weight varies.
+per-run constant (measures._tip_factors) and only the Gaussian term varies.
 
 A body of a few long steps in one direction spreads the eigenvalues of G by
 cosh^2 of its length, and G's smallest one, along the steps, is then lost to
@@ -360,41 +360,35 @@ def tip_log_factors(model: CurvatureModel, G, head, tip, n: int, scale=None):
     constant curvature) above COND_LIMIT, compared in logs so that no tip
     overflows.  The arithmetic runs samples last on views of the arguments,
     so samples-last arrays passed as transposed views are not copied.  In
-    flat space a = 0, r = 1 and T = I, so no tip enters: the log-dets of
-    G + I and 2I + head run on G and head as given (one (d, d, 1) each from
-    the flat body, per-run constants) and are broadcast to the tips, and
-    hits is 0.
+    flat space the same arithmetic gives a = 0, r = 1 and T = I, so the
+    log-dets are of G + I and 2I + head and hits is 0 (the pinned estimator
+    needs no call there: measures._tip_factors).
 
     Raises NumericalError unless every determinant is positive and finite.
     """
-    d, tips = model.dim, np.shape(tip)[:-1]
+    d = model.dim
     G, head = (np.moveaxis(X, (-2, -1), (0, 1)) for X in (G, head))
-    batch = np.broadcast_shapes(G.shape[2:], head.shape[2:])
-    if model.kind == "flat":    # a = 0, r = 1, T = I: no tip enters the factors
-        T, log_r, log_cosh, hits = np.zeros((d, d) + batch), 0.0, 0.0, 0
-        _diagonal(T)[...] = 1.0
-    else:
-        a, unit = _polar(model, tip)
-        unit = np.moveaxis(unit, -1, 0)                    # (d, ...)
-        safe = np.where(a > 0, a, 1.0)
-        r = np.where(a > 0, np.tanh(safe) / safe, 1.0)
-        r2 = r * r
-        # T = r^2 I + (1 - r^2) P, samples last
-        T = np.empty((d, d) + np.broadcast_shapes(batch, a.shape))
-        np.multiply(unit[:, None], unit, out=T)
-        T *= 1.0 - r2
-        _diagonal(T)[...] += r2
-        log_r = np.log(r)
-        log_cosh = a + np.log1p(0.5 * np.expm1(-2.0 * a))  # no overflow at large a
-        hits = int(np.count_nonzero(log_r + log_cosh > np.log(COND_LIMIT)))
+    a, unit = _polar(model, tip)
+    unit = np.moveaxis(unit, -1, 0)                        # (d, ...)
+    safe = np.where(a > 0, a, 1.0)
+    r = np.where(a > 0, np.tanh(safe) / safe, 1.0)
+    r2 = r * r
+    # T = r^2 I + (1 - r^2) P, samples last
+    T = np.empty((d, d) + a.shape)
+    np.multiply(unit[:, None], unit, out=T)
+    T *= 1.0 - r2
+    _diagonal(T)[...] += r2
+    log_r = np.log(r)
+    log_cosh = a + np.log1p(0.5 * np.expm1(-2.0 * a))      # no overflow at large a
+    hits = int(np.count_nonzero(log_r + log_cosh > np.log(COND_LIMIT)))
     bare, log_det_p = T, 0.0
     if scale is not None:
         R, log_det_p = np.moveaxis(scale[0], (-2, -1), (0, 1)), scale[1]
         T = _congruence(R, bare)
-    log_jp = np.broadcast_to(-0.5 * d * np.log(n) + (d - 1) * log_cosh + log_det_p
-                             + 0.5 * _positive_logdet(G + T, "mass matrix K(1)"), tips)
+    log_jp = (-0.5 * d * np.log(n) + (d - 1) * log_cosh + log_det_p
+              + 0.5 * _positive_logdet(G + T, "mass matrix K(1)"))
     if n == 1:      # no body to perturb
-        return log_jp, np.zeros(tips), hits
+        return log_jp, np.zeros(a.shape), hits
     if scale is not None:
         # R R^T + R T R^T keeps the small eigenvalues only where H_head holds
         # them; a one-interval body has head = 0, and I + T needs no scale
@@ -408,5 +402,5 @@ def tip_log_factors(model: CurvatureModel, G, head, tip, n: int, scale=None):
         _diagonal(T)[...] += 1.0
     log_vx = (0.5 * _positive_logdet(T, "pinning volume factor") + log_det_p
               - (d - 1) * log_r)
-    return log_jp, np.broadcast_to(log_vx, tips), hits
+    return log_jp, log_vx, hits
 

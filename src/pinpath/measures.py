@@ -39,14 +39,14 @@ prod_k (k - 1) / k = 1 / n; importance sampling with full support keeps the
 estimate on the same pinned measure.  The tip, the tip factors and the
 Gaussian term read the bridged body as they read a free one.  The bridge
 runs the body out toward x, and two steps keep their digits there:
-paths.pull_back_rows carries a far target toward o in light-cone form, and
+paths.boost_rows carries a far target toward o in light-cone form, and
 where a body's Gram sums have grown past jacobi.GROWTH_LIMIT (a few long
 steps in one direction), its factors come from the sums held scaled by the
 product of the cosine solutions (jacobi.scaled_gram_pass, _tip_factors).
 In flat space the bridge is exact and every weight equal, so the body keeps
-the free draw, builds no interval scalar, and its Gram sums are one
-(d, d, 1) each: V_x / J_P = n^{d/2} is a per-run constant, and a path pays
-for its draw, xi_x = x - sum_{i<n} xi_i and |xi_x|^2.
+the free draw and builds no Intervals and no Gram sum: V_x / J_P = n^{d/2}
+is a per-run constant, and a path pays for its draw,
+xi_x = x - sum_{i<n} xi_i and |xi_x|^2.
 
 An observable reads only the knots at its own times: s = 1 is x, s = 0 is o,
 and an interior knot s_j is B(xi_1)(... B(xi_j) o), j point boosts on the
@@ -223,8 +223,8 @@ def _body_pass(model: CurvatureModel, body, x_amb):
     """One samples-last pass over the body increments (m, d, B), the free
     draw z, which on the hyperboloid it turns into the bridge's xi in place.
 
-    Returns the Gram sums (G, head), each (d, d, B), or (d, d, 1) in flat
-    space, where they are m I and (m - 1) I for every path; the tip xi_x
+    Returns the Gram sums (G, head), each (d, d, B), None in flat space,
+    where they are m I and (m - 1) I for every path; the tip xi_x
     (d, B) in the frame at the body's end; the log-ratio of the free law to
     the proposal, (B,) on the hyperboloid and 0.0 in flat space; and the
     scale growth (B,) of the Gram sums' roundoff, sum_j tr(G_j)
@@ -235,18 +235,16 @@ def _body_pass(model: CurvatureModel, body, x_amb):
     xi_j = v_j / k + sqrt((k - 1) / k) z_j with v_j = log_o of the target
     pulled back so far, w (module docstring); only then is that row's
     jacobi.Intervals built, the Gram recursion advanced and the target
-    pulled back by B(-xi_j) (paths.pull_back_rows, which also returns the
+    pulled back by B(-xi_j) (paths.boost_rows, which also returns the
     |w_s|^2 that the next drift reads).  The tip is log_o(w) at the end.
-    Flat space keeps the free draw, over one Intervals of the whole body.
+    Flat space keeps the free draw: the tip is x - xi_1 - ... - xi_m.
     """
     m, d, B = body.shape
     w = np.repeat(np.asarray(x_amb, dtype=float)[:, None], B, axis=1)
     if model.kind == "flat":
-        iv, G = jacobi.Intervals(model, body), np.zeros((d, d, 1))
         for j in range(m):
-            jacobi.gram_step(G, iv, j)
-            paths.boost_rows(model, w, iv, j, -1.0)
-        return G, jacobi.gram_head(G, iv), w, 0.0, None
+            w -= body[j]
+        return None, None, w, 0.0, None
     n, G, work = m + 1, np.zeros((d, d, B)), np.empty((d, d, B))
     growth = None if d == 1 else np.zeros(B)
     drawn, bridged = np.zeros((d, B)), np.zeros(B)    # sum_j z_j^2 per axis, sum_j |xi_j|^2
@@ -264,7 +262,7 @@ def _body_pass(model: CurvatureModel, body, x_amb):
         if growth is not None:
             growth *= stretch
             growth += jacobi._diagonal(G).sum(axis=0)
-        sq = paths.pull_back_rows(model, w, iv, 0, e)
+        sq = paths.boost_rows(model, w, iv, 0, -1.0, p=e)
     log_q = drawn[0].copy()
     for a in range(1, d):
         log_q += drawn[a]
@@ -292,11 +290,14 @@ def _pinned_knots(model: CurvatureModel, partition: Partition, times, body, x_am
 
 def _tip_factors(model: CurvatureModel, body, G, head, tip, n: int, growth):
     """(log J_P, log V_x, hits) of jacobi.tip_log_factors for the tips
-    (B, d) of the body (m, d, B) with Gram sums (G, head) from _body_pass.
-    Where the sums' roundoff scale growth passes jacobi.GROWTH_LIMIT (or is
-    not finite), they may have lost digits, and those paths' factors come from
+    (B, d) of the body (m, d, B) with Gram sums (G, head) from _body_pass,
+    in flat space the per-run constants (0, (d/2) log n, 0).  Where the
+    sums' roundoff scale growth passes jacobi.GROWTH_LIMIT (or is not
+    finite), they may have lost digits, and those paths' factors come from
     jacobi.scaled_gram_pass of their body instead.  The transposed views
     hand tip_log_factors the samples-last arrays themselves, uncopied."""
+    if model.kind == "flat":
+        return 0.0, 0.5 * model.dim * np.log(n), 0
     far = np.zeros(len(tip), dtype=bool) if growth is None else ~(growth <= jacobi.GROWTH_LIMIT)
     if not far.any():
         return jacobi.tip_log_factors(model, G.transpose(2, 0, 1), head.transpose(2, 0, 1),

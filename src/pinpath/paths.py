@@ -21,7 +21,7 @@ from .geom import CurvatureModel
 from .jacobi import Intervals, Partition
 
 CHUNK = 4096   # fixed RNG block size; do not change (breaks reproducibility)
-FAR_POINT = 10.0    # sqrt(kappa) e^a y_t past which pull_back_rows goes light-cone
+FAR_POINT = 10.0    # sqrt(kappa) e^a y_t past which boost_rows goes light-cone
 _DRAW_ROWS = 256    # rows of a Philox block per standard_normal call
 
 
@@ -71,29 +71,76 @@ def sample_increments(model: CurvatureModel, partition: Partition, count: int,
 # ---------------------------------------------------------------------------
 
 def boost_rows(model: CurvatureModel, y, iv: Intervals, j: int, sign: float,
-               vector: bool = False):
-    """y <- B(sign xi_j) y in place for points y (D, ...) samples last, where
-    B(xi) in SO+(d,1) is the boost that moves o along xi and iv the
-    Intervals of the increments; a translation by sign xi_j in flat space.
-    With p the unit increment and a = sqrt(kappa)|xi_j|, the spatial part
-    moves by ((cosh a - 1) <p, y_s> + sign sinh a y_t) p and the timelike
-    part is put back on the sheet.  With vector, y holds ambient vectors
-    and the timelike part moves linearly, by (cosh a - 1) y_t +
+               vector: bool = False, p=None):
+    """y <- B(sign xi_j) y in place for points y (D, ...) samples last, the
+    boost B(xi) in SO+(d,1) that moves o along xi (iv the Intervals of the
+    increments; a translation in flat space).  Returns |y_s|^2 (...) of
+    hyperbolic points, else None; p, where given, is iv.unit(j, y).  With
+    a = sqrt(kappa)|xi_j| and q = -sign p, y_s moves by
+    ((cosh a - 1) <q, y_s> - sinh a y_t) q and y_t comes back on the sheet
+    from |y_s|^2.  That cancels terms of size e^a y_t down to a result up
+    to e^{-2a} smaller where a long step carries a far y toward o; so wherever
+    sqrt(kappa) e^a y_t passes FAR_POINT, sample by sample, the point moves
+    in light-cone form instead (_light_cone_boost).  With vector, y holds
+    ambient vectors and y_t moves linearly, by (cosh a - 1) y_t +
     sign sinh a <p, y_s>; a translation leaves a vector unchanged.  The
     stack may have more axes than iv's increments.
     """
     if model.kind == "flat":
-        if vector:
-            return y
-        xi = iv.xi[j]
-        return np.add(y, sign * xi[(slice(None),) + (None,) * (y.ndim - xi.ndim)], out=y)
-    p = iv.unit(j, y)
-    along = np.sum(p * y[:-1], axis=0)
-    y[:-1] += (iv.chm1[j] * along + sign * iv.sh[j] * y[-1]) * p
+        if not vector:
+            xi = iv.xi[j]
+            np.add(y, sign * xi[(slice(None),) + (None,) * (y.ndim - xi.ndim)], out=y)
+        return
+    p = iv.unit(j, y) if p is None else p
+    ys = y[:-1]
     if vector:
+        along = np.sum(p * ys, axis=0)
+        ys += (iv.chm1[j] * along + sign * iv.sh[j] * y[-1]) * p
         y[-1] += iv.chm1[j] * y[-1] + sign * iv.sh[j] * along
-        return y
-    return geom._renormalize_point(model, y)
+        return
+    q = p if sign < 0 else -p
+    grow = iv.chm1[j] + iv.sh[j]
+    grow += 1.0                                       # e^a
+    far = np.nonzero(grow * y[-1] > FAR_POINT / np.sqrt(model.kappa))
+    at = (slice(None),) + far
+    if far[0].size:
+        y_far = y[at]
+        sq_far = _light_cone_boost(model, y_far, np.broadcast_to(q, ys.shape)[at],
+                                   np.broadcast_to(grow, y[-1].shape)[far])
+    along = np.sum(q * ys, axis=0)
+    along *= iv.chm1[j]
+    along -= iv.sh[j] * y[-1]
+    ys += along * q
+    sq = np.sum(ys * ys, axis=0)
+    np.sqrt(sq + 1.0 / model.kappa, out=y[-1])
+    if far[0].size:
+        y[at], sq[far] = y_far, sq_far
+    return sq
+
+
+def _light_cone_boost(model: CurvatureModel, y, q, grow):
+    """boost_rows' light-cone form for points y (D, B), grow = e^a: with
+    y_q = <q, y_s>, y_perp = y_s - y_q q and a the step, the coordinates
+    y_t +- y_q scale by e^{-+a} and y_perp stays.  The larger of the two is
+    y_t + |y_q|, a sum of non-negative terms, and the smaller is
+    (1/kappa + |y_perp|^2) over it, since their product is y_t^2 - y_q^2;
+    so both new ones come to full relative precision, and
+    y'_q = ((y'_t + y'_q) - (y'_t - y'_q)) / 2 cancels only as far as y'
+    itself lies near o.  y'_t is the half sum, on the sheet to rounding.
+    Returns |y'_s|^2."""
+    ys = y[:-1]
+    along = np.sum(q * ys, axis=0)
+    ys -= along * q                                   # y_perp
+    perp2 = np.sum(ys * ys, axis=0)
+    big = np.abs(along) + y[-1]
+    small = (perp2 + 1.0 / model.kappa) / big
+    ahead = along >= 0.0
+    plus = np.where(ahead, big, small) / grow         # y'_t + y'_q
+    minus = np.where(ahead, small, big) * grow        # y'_t - y'_q
+    new_q = 0.5 * (plus - minus)
+    ys += new_q * q
+    y[-1] = 0.5 * (plus + minus)
+    return perp2 + new_q * new_q
 
 
 def boost_to_knots(model: CurvatureModel, iv: Intervals, index, vectors=None):
@@ -115,63 +162,6 @@ def boost_to_knots(model: CurvatureModel, iv: Intervals, index, vectors=None):
         if vectors is not None:
             boost_rows(model, ambient[:, :reach], iv, i, 1.0, vector=True)
     return points if vectors is None else (points, ambient)
-
-
-def pull_back_rows(model: CurvatureModel, y, iv: Intervals, j: int, p=None):
-    """y <- B(-xi_j) y in place for hyperbolic points y (D, B) samples last,
-    as boost_rows with sign -1; returns |y_s|^2 (B,) of the result.  p,
-    where given, is iv.unit(j, y), for a caller that holds it.
-
-    boost_rows moves the part along p by (cosh a - 1) y_p - sinh a y_t,
-    which cancels terms of size e^a y_t: an absolute error of eps e^a y_t,
-    harmless near o and for short steps, but where a long step carries a
-    far y toward o the new part is smaller by up to e^{-2a}.  So where
-    sqrt(kappa) e^a y_t passes FAR_POINT the point is carried in light-cone
-    form instead (_light_cone_pull_back), and y_t of the rest comes back on
-    the sheet from |y_s|^2.
-    """
-    p = iv.unit(j, y) if p is None else p
-    grow = iv.chm1[j] + iv.sh[j]
-    grow += 1.0                                       # e^a
-    far = np.flatnonzero(grow * y[-1] > FAR_POINT / np.sqrt(model.kappa))
-    if far.size:
-        y_far = y[:, far]
-        sq_far = _light_cone_pull_back(model, y_far, p[:, far], grow[far])
-    ys = y[:-1]
-    along = np.sum(p * ys, axis=0)
-    along *= iv.chm1[j]
-    along -= iv.sh[j] * y[-1]
-    ys += along * p
-    sq = np.sum(ys * ys, axis=0)
-    np.sqrt(sq + 1.0 / model.kappa, out=y[-1])
-    if far.size:
-        y[:, far], sq[far] = y_far, sq_far
-    return sq
-
-
-def _light_cone_pull_back(model: CurvatureModel, y, p, grow):
-    """pull_back_rows' light-cone form for points y (D, B), grow = e^a: with
-    y_p = <p, y_s>, y_perp = y_s - y_p p and a the step, the coordinates
-    y_t +- y_p scale by e^{-+a} and y_perp stays.  The larger of the two is
-    y_t + |y_p|, a sum of non-negative terms, and the smaller is
-    (1/kappa + |y_perp|^2) over it, since their product is y_t^2 - y_p^2;
-    so both new ones come to full relative precision, and
-    y'_p = ((y'_t + y'_p) - (y'_t - y'_p)) / 2 cancels only as far as y'
-    itself lies near o.  y'_t is the half sum, on the sheet to rounding.
-    Returns |y'_s|^2."""
-    ys = y[:-1]
-    along = np.sum(p * ys, axis=0)
-    ys -= along * p                                   # y_perp
-    perp2 = np.sum(ys * ys, axis=0)
-    big = np.abs(along) + y[-1]
-    small = (perp2 + 1.0 / model.kappa) / big
-    ahead = along >= 0.0
-    plus = np.where(ahead, big, small) / grow         # y'_t + y'_p
-    minus = np.where(ahead, small, big) * grow        # y'_t - y'_p
-    new_p = 0.5 * (plus - minus)
-    ys += new_p * p
-    y[-1] = 0.5 * (plus + minus)
-    return perp2 + new_p * new_p
 
 
 def chart_matrix(model: CurvatureModel, iv: Intervals):

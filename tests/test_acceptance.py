@@ -152,7 +152,7 @@ def test_criterion_08_lift_identities():
     field = diagnostics.field_direction(HYP2)
     C, S = batch_cs(HYP2, inc, part.mesh)
     f_end = batch_endpoint_f(C, S, part.mesh)
-    slopes, coords = diagnostics._lift(HYP2, diagnostics._intervals(HYP2, inc), field)[:2]
+    slopes, coords = diagnostics._lift(HYP2, diagnostics._intervals(HYP2, inc), field)
     slopes, coords = slopes.transpose(2, 0, 1), coords.T
     knots = jacobi_from_slopes(C, S, slopes)
     worst_res = float(np.max(np.abs(knots[:, -1] - coords)))

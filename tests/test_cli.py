@@ -461,17 +461,23 @@ def test_sample_is_finite_and_exact_at_high_curvature(tmp_path):
                       8, 64, 0)
 
 
-def test_sample_knots_keep_their_digits_at_high_curvature(tmp_path):
-    """At kappa = 100 (hyperbolic d=3, n=8, N=512, seed 1) every knot that
+@pytest.mark.parametrize("d, kappa", [(3, 100.0), (2, 400.0)], ids=["d3-kappa100", "d2-kappa400"])
+def test_sample_knots_keep_their_digits_at_high_curvature(tmp_path, monkeypatch, d, kappa):
+    """At high curvature (hyperbolic n=8, N=512, seed 1) every knot that
     sample writes is within 1e-12 of the 60-digit boost chain, relative to
-    its largest entry: carried out of o, innermost boost first, its worst
-    is 5.6e-13, where the forward row product of the boosts reached
-    1.46e-12.  The frames (1.5e-12 either way) are not held here."""
+    its largest entry: carried out of o, innermost boost first, with far
+    points boosted away from o in light-cone form (paths._light_cone_boost,
+    which sample, boosting only by +xi, reaches), its worst is 1.6e-14 at
+    d=3, kappa=100 and 5.1e-13 at d=2, kappa=400, where the plain boost
+    reached 5.6e-13 and 2.24e-10.  The frames are not held here."""
+    calls, light_cone = [], paths._light_cone_boost
+    monkeypatch.setattr(paths, "_light_cone_boost", lambda *a: calls.append(1) or light_cone(*a))
     out = str(tmp_path)
-    res = run_cli(["sample", "--model", "hyperbolic", "--d", "3", "--kappa", "100",
+    res = run_cli(["sample", "--model", "hyperbolic", "--d", str(d), "--kappa", str(kappa),
                    "--n", "8", "--N", "512", "--seed", "1", "--out", out])
     assert res.exit_code == 0, res.output
-    _check_sample_csv(os.path.join(out, "paths.csv"), CurvatureModel("hyperbolic", 3, 100.0),
+    assert calls
+    _check_sample_csv(os.path.join(out, "paths.csv"), CurvatureModel("hyperbolic", d, kappa),
                       8, 512, 1, frames_too=False)
 
 

@@ -79,7 +79,7 @@ def endpoint_f(model, part, inc):
 def lift(model, part, inc, x_vector):
     """The lift along paths inc (N, n, d): slopes (N, n, d), endpoint
     coordinates (N, d) and knot values (N, n+1, d) by jacobi_from_slopes."""
-    slopes, coords, _ = diagnostics._lift(model, diagnostics._intervals(model, inc), x_vector)
+    slopes, coords = diagnostics._lift(model, diagnostics._intervals(model, inc), x_vector)
     slopes, coords = slopes.transpose(2, 0, 1), coords.T
     return slopes, coords, jacobi_from_slopes(*batch_cs(model, inc, part.mesh), slopes)
 
@@ -200,12 +200,13 @@ def knot_sups_case(rng, d, n, B):
 
 
 def test_knot_sups_match_prefix_suffix_passes():
-    """The samples-last forward stack and backward [c | I] pass of
+    """The samples-last forward stack and backward pass over I of
     convergence_suite give, within 1e-12 relative, the sups over knots j of
     |f_i(s_j) - ratio[i, j] I| (i <= j), |K(s_j) - k[j] I| and
-    |K(s_j) c - p[j] x|, with f_i(s_j) taken from the dense oracle suffix
-    pass over [0, s_j] and K(s_j) = delta sum_{i<=j} f_i(s_j) f_i(1)^T; at
-    (d, n) = (3, 6), (1, 5) and (2, 1)."""
+    |J(s_j) - p[j] x|, with f_i(s_j) taken from the dense oracle suffix
+    pass over [0, s_j], K(s_j) = delta sum_{i<=j} f_i(s_j) f_i(1)^T and the
+    knot values J(s_j) = K(s_j) c handed in; at (d, n) = (3, 6), (1, 5) and
+    (2, 1)."""
     rng = np.random.default_rng(19)
     for d, n in ((3, 6), (1, 5), (2, 1)):
         B, delta = 5, 1.0 / n
@@ -214,25 +215,28 @@ def test_knot_sups_match_prefix_suffix_passes():
         ratio, k, p = rng.uniform(0.5, 2.0, size=(n + 1, n + 1)), rng.uniform(size=n + 1), \
             rng.uniform(size=n + 1)
         f_end = batch_endpoint_f(C, S, delta)
-        got = diagnostics._knot_sups(iv, coeff.T, coords.T, ratio, k, p)
+        field = np.zeros((n + 1, d, B))
         want = {name: np.zeros(B) for name in ("f", "K", "J")}
         for j in range(1, n + 1):
             f_j = batch_endpoint_f(C[:, :j], S[:, :j], delta)     # f_i(s_j), i <= j
             K = delta * np.einsum("niab,nicb->nac", f_j, f_end[:, :j])
+            field[j] = np.einsum("nab,nb->an", K, coeff)
             gap_f = np.max([np.linalg.norm(f_j[:, i] - ratio[i + 1, j] * np.eye(d), axis=(1, 2))
                             for i in range(j)], axis=0)
             gaps = {"f": gap_f, "K": np.linalg.norm(K - k[j] * np.eye(d), axis=(1, 2)),
-                    "J": np.linalg.norm(np.einsum("nab,nb->na", K, coeff) - p[j] * coords, axis=1)}
+                    "J": np.linalg.norm(field[j].T - p[j] * coords, axis=1)}
             for name in want:
                 want[name] = np.maximum(want[name], gaps[name])
+        got = diagnostics._knot_sups(iv, field, coords.T, ratio, k, p)
         for name in want:
             assert np.allclose(got[name], want[name], rtol=1e-12, atol=0.0), (name, d, n)
 
 
 def test_knot_sups_J_is_the_lift_at_interior_knots():
-    """The J statistic is the sup over knots of |J(s_j) - p[j] x| for the
-    lift's knot values J(s_j) = K(s_j) c, built here by jacobi_from_slopes
-    from the lift slopes f_i(1)^T c on the dense oracle solutions.  With
+    """The J statistic on the lift's own knot field (_knot_field of the
+    lift slopes f_i(1)^T c) is the sup over knots of |J(s_j) - p[j] x|
+    for the knot values J(s_j) = K(s_j) c, built here by jacobi_from_slopes
+    from the same slopes on the dense oracle solutions.  With
     x = K(1) c / p[n] the gap at s_n = 1 vanishes, so the sup comes from
     knots j < n, where K(s_j) is not symmetric; at (d, n) = (3, 6) and
     (1, 5)."""
@@ -245,10 +249,12 @@ def test_knot_sups_J_is_the_lift_at_interior_knots():
             rng.uniform(0.5, 1.0, size=n + 1)
         f_end = batch_endpoint_f(C, S, delta)
         coords = np.einsum("nab,nb->na", batch_mass_matrix(f_end, delta), coeff) / p[n]
-        lift = jacobi_from_slopes(C, S, np.einsum("niab,na->nib", f_end, coeff))
+        slopes = np.einsum("niab,na->nib", f_end, coeff)
+        lift = jacobi_from_slopes(C, S, slopes)
         gaps = np.linalg.norm(lift[:, 1:] - p[1:, None] * coords[:, None], axis=-1)  # j = 1..n
         assert np.all(gaps[:, -1] < 1e-12 * gaps.max(axis=1))
-        got = diagnostics._knot_sups(iv, coeff.T, coords.T, ratio, k, p)["J"]
+        field = diagnostics._knot_field(iv, np.ascontiguousarray(slopes.transpose(1, 2, 0)))
+        got = diagnostics._knot_sups(iv, field, coords.T, ratio, k, p)["J"]
         assert np.allclose(got, gaps.max(axis=1), rtol=1e-12, atol=0.0), (d, n)
 
 
@@ -263,7 +269,7 @@ def test_knot_field_is_the_interval_recursion(model):
         part = Partition(n)
         inc = paths.sample_increments(model, part, 32, seed=n)
         iv = diagnostics._intervals(model, inc)
-        slopes, coords, _ = diagnostics._lift(model, iv, field_direction(model))
+        slopes, coords = diagnostics._lift(model, iv, field_direction(model))
         got = diagnostics._knot_field(iv, slopes).transpose(2, 0, 1)
         want = jacobi_from_slopes(*batch_cs(model, inc, part.mesh), slopes.transpose(2, 0, 1))
         assert got.shape == want.shape == (32, n + 1, model.dim)
@@ -274,10 +280,9 @@ def test_knot_field_is_the_interval_recursion(model):
 
 def test_lift_back_runs_sine_only_on_the_rows_read(monkeypatch):
     """_lift_back with last = i returns rows 0 to i of the full back pass's
-    slopes bit for bit, with the same coordinates and coefficients, and runs
-    Intervals.sine on those i + 1 rows only; so at n=4, d=2 the divergence,
-    which reads rows <= i of the shifts of increment i, runs 10 sine
-    actions, not 16."""
+    slopes bit for bit and runs Intervals.sine on those i + 1 rows only;
+    so at n=4, d=2 the divergence, which reads rows <= i of the shifts of
+    increment i, runs 10 sine actions, not 16."""
     n, d, N = 4, HYP2.dim, 64
     inc = paths.sample_increments(HYP2, Partition(n), N, seed=4)
     field = field_direction(HYP2)
@@ -291,9 +296,8 @@ def test_lift_back_runs_sine_only_on_the_rows_read(monkeypatch):
     for last in range(n):
         sines.clear()
         got = diagnostics._lift_back(rows, G, vec[:d], last=last)
-        assert got[0].shape == (last + 1, d, N)
-        assert got[0].tobytes() == full[0][:last + 1].tobytes()
-        assert got[1].tobytes() == full[1].tobytes() and got[2].tobytes() == full[2].tobytes()
+        assert got.shape == (last + 1, d, N)
+        assert got.tobytes() == full[:last + 1].tobytes()
         assert len(sines) == last + 1
     M_inv = chart_and_inverse(HYP2, inc)[1]
     sines.clear()

@@ -687,36 +687,34 @@ def test_pinned_estimate_worker_invariance_hyperbolic():
 
 
 def test_flat_body_pass_computes_no_interval_scalar(monkeypatch):
-    """A flat _body_pass keeps the free draw and builds one Intervals with
-    no 1/|xi|, leaving the other scalars as constants; its G and head are
-    one (d, d, 1) each, exactly m I and (m - 1) I, its log proposal
-    ratio is 0, and it has no roundoff scale to check (exact sums)."""
+    """A flat _body_pass keeps the free draw, builds no Intervals and no Gram
+    sum (G and head are None), and returns the tip x - xi_1 - ... - xi_m
+    subtracted in order, bit for bit; its log proposal ratio is 0, and it
+    has no roundoff scale to check."""
     made, intervals = [], jacobi.Intervals
     monkeypatch.setattr(jacobi, "Intervals", lambda *a: made.append(intervals(*a)) or made[-1])
     inc = paths.sample_increments(FLAT2, Partition(8), 50, seed=2)
-    drawn = inc.copy()
-    G, head, _, log_q, growth = measures._body_pass(FLAT2, inc.transpose(1, 2, 0)[:7],
-                                                    np.array([1.0, 0.0]))
-    assert len(made) == 1 and "inv" not in vars(made[0])
+    drawn, x = inc.copy(), np.array([1.0, 0.0])
+    G, head, tip, log_q, growth = measures._body_pass(FLAT2, inc.transpose(1, 2, 0)[:7], x)
+    assert made == [] and G is None and head is None
     assert np.array_equal(inc, drawn) and log_q == 0.0 and growth is None
-    assert G.shape == head.shape == (2, 2, 1)
-    assert np.array_equal(G, np.broadcast_to(7.0 * np.eye(2)[..., None], G.shape))
-    assert np.array_equal(head, np.broadcast_to(6.0 * np.eye(2)[..., None], head.shape))
+    want = np.repeat(x[:, None], 50, axis=1)
+    for j in range(7):
+        want = want - inc[:, j].T
+    assert tip.tobytes() == want.tobytes()
 
 
 def test_flat_pinned_chunk_takes_no_tip_norm(monkeypatch):
-    """A flat pinned chunk calls jacobi._polar not at all, and its two
-    log-dets each factor one (d, d, 1) matrix: the volume factors are
-    per-run constants, not per-path arithmetic."""
-    calls, shapes, polar, factor = [], [], jacobi._polar, jacobi._positive_factor
-    monkeypatch.setattr(jacobi, "_polar", lambda *a: calls.append(1) or polar(*a))
-    monkeypatch.setattr(jacobi, "_positive_factor",
-                        lambda A, what: shapes.append(A.shape) or factor(A, what))
+    """A flat pinned chunk builds no Intervals and calls neither
+    jacobi._polar nor jacobi._positive_factor: V_x / J_P = n^{d/2} is a
+    per-run constant, not per-path arithmetic."""
+    calls = []
+    for name in ("Intervals", "_polar", "_positive_factor"):
+        monkeypatch.setattr(jacobi, name, lambda *a, name=name: calls.append(name))
     log_w = _pinned_chunk(FLAT2, Partition(8), np.array([1.0, 0.0]), MASS_OBSERVABLE,
                           0, 0, 256)[0]
     assert log_w.shape == (256,) and np.all(np.isfinite(log_w))
     assert calls == []
-    assert shapes == [(2, 2, 1)] * 2
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
