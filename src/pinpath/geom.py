@@ -107,19 +107,19 @@ def distance(model: CurvatureModel, x, y):
     return np.where(c < 2.0, 2.0 * np.arcsinh(0.5 * chord), np.arccosh(np.maximum(c, 1.0))) / rk
 
 
-def log_o_rows(model: CurvatureModel, w, sq=None, scale=1.0):
-    """Coordinates (d, ...) in the base frame at o of log_o(w), times scale,
-    for points w (D, ...) samples last: w itself in flat space, and on the
-    hyperboloid (asinh(z) / z) w_s with w_s the spatial part of w and
+def log_o_rows(model: CurvatureModel, w, sq=None):
+    """Coordinates (d, ...) in the base frame at o of log_o(w) for points
+    w (D, ...) samples last: w itself in flat space, and on the hyperboloid
+    (asinh(z) / z) w_s with w_s the spatial part of w and
     z = sqrt(kappa)|w_s|, which reads only w_s and so keeps full relative
     precision near o and far from it.  sq (...), where given, is |w_s|^2,
     which the caller holds."""
     if model.kind == "flat":
-        return w if scale == 1.0 else scale * w
+        return w
     ws = w[:-1]
     z = np.sqrt(model.kappa * (np.sum(ws * ws, axis=0) if sq is None else sq))
-    ratio = np.full_like(z, scale)
-    np.divide(scale * np.arcsinh(z), z, out=ratio, where=z > 0)
+    ratio = np.ones_like(z)
+    np.divide(np.arcsinh(z), z, out=ratio, where=z > 0)
     return ws * ratio
 
 

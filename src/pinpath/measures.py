@@ -25,24 +25,37 @@ recursion of jacobi.gram_step together, from the interval scalars
 factored out in closed form (jacobi.tip_log_factors).
 
 Drawn from the free law, the body would land near x with probability of
-order n^{-d/2}.  On the hyperboloid it is therefore drawn from the modified
-diffusion bridge (Durham-Gallant 2002; Delyon-Hu 2006): with k = n - j + 1
-intervals left at step j, tip included, and v_j = log_o(w_{j-1}) the target
-seen from x_{j-1} in its frame (the loop's own pull-back),
+order n^{-d/2}.  On the hyperboloid it is therefore drawn from a guided
+bridge: the modified diffusion bridge (Durham-Gallant 2002; Delyon-Hu 2006)
+with its drift tilted by the curvature factor of the heat kernel it steers
+toward, (sqrt(kappa) rho / sinh(sqrt(kappa) rho))^{(d-1)/2} = exp(-psi(rho)),
+as guided proposals take their drift from the gradient of the log of a
+tractable transition density (Schauer, van der Meulen and van Zanten,
+Bernoulli 2017).  With k = n - j + 1 intervals left at step j, tip
+included, delta = 1/n, v_j = log_o(w_{j-1}) the target seen from x_{j-1}
+in its frame (the loop's own pull-back), rho_j = |v_j| and
+psi'(r) = ((d - 1) / 2)(sqrt(kappa) coth(sqrt(kappa) r) - 1 / r),
 
-    xi_j = v_j / k + sqrt((k - 1) / k) z_j,    z_j ~ N(0, I / n),
+    xi_j = v_j / k + ((k - 1) / k) delta psi'(rho_j (k - 1) / k) v_j / rho_j
+           + sqrt((k - 1) / k) z_j,    z_j ~ N(0, I / n),
 
-the free draw z_j turned into xi_j in place; each step's Intervals is built
-once its xi_j is known.  The weight gains the ratio of the free law to the
-bridge's, sum_j (n/2)(|z_j|^2 - |xi_j|^2) - (d/2) log n, since
-prod_k (k - 1) / k = 1 / n; importance sampling with full support keeps the
-estimate on the same pinned measure.  The tip, the tip factors and the
-Gaussian term read the bridged body as they read a free one.  The bridge
-runs the body out toward x, and two steps keep their digits there:
-paths.boost_rows carries a far target toward o in light-cone form, and
-where a body's Gram sums have grown past jacobi.GROWTH_LIMIT (a few long
-steps in one direction), its factors come from the sums held scaled by the
-product of the cosine solutions (jacobi.scaled_gram_pass, _tip_factors).
+the Gaussian step of the flat bridge tilted by that factor, linearised at
+the step's mean, and the free draw z_j turned into xi_j in place (_guide
+gives the drift as one coefficient on the spatial part of w_{j-1}); each
+step's Intervals is built once its xi_j is known.  The drift reads only the
+past, and xi_j less it is sqrt((k - 1) / k) z_j, so the weight gains the
+ratio of the free law to the proposal's, sum_j (n/2)(|z_j|^2 - |xi_j|^2)
+- (d/2) log n, since prod_k (k - 1) / k = 1 / n; importance sampling with
+full support keeps the estimate on the same pinned measure.  At d = 1 the
+curvature term is 0 and the step is the modified diffusion bridge's.  The
+tip, the tip factors and the Gaussian term read the bridged body as they
+read a free one.  The bridge runs the body out toward x, and two steps
+keep their digits there: paths.boost_rows carries a far target toward o in
+light-cone form (and returns the |w_s|^2 of w as stored, which the drift
+divides by), and where a body's Gram sums have grown past
+jacobi.GROWTH_LIMIT (a few long steps in one direction), its factors come
+from the sums held scaled by the product of the cosine solutions
+(jacobi.scaled_gram_pass, _tip_factors).
 In flat space the bridge is exact and every weight equal, so the body keeps
 the free draw and builds no Intervals and no Gram sum: V_x / J_P = n^{d/2}
 is a per-run constant, and a path pays for its draw,
@@ -219,6 +232,43 @@ class _StageClock:
         self._last = now
 
 
+def _langevin(y):
+    """L(y) = coth(y) - 1/y for y >= 0 (B,), 0 at 0: below y = 0.03, where
+    the difference has cancelled more digits than its Taylor series
+    y (1/3 - y^2/45 + 2 y^4/945) drops, from that series."""
+    safe = np.maximum(y, 0.03)
+    out = 1.0 / np.tanh(safe) - 1.0 / safe
+    small = np.flatnonzero(y < 0.03)
+    if small.size:
+        ys = y[small]
+        out[small] = ys * (1.0 / 3.0 - ys * ys * (1.0 / 45.0 - ys * ys * (2.0 / 945.0)))
+    return out
+
+
+def _guide(model: CurvatureModel, sq, k: int, n: int):
+    """The coefficient (B,) on w_s of the guided drift of a step with k
+    intervals left (tip included) on n, for the target w pulled back so far
+    with sq = |w_s|^2 (module docstring).  With zeta = sqrt(kappa)|w_s| and
+    A = asinh(zeta) = sqrt(kappa) rho, it is
+
+        [A / k + ((k - 1) / (k n)) ((d - 1) / 2) kappa L(A (k - 1) / k)] / zeta,
+
+    v / k plus the step-averaged curvature term of the module docstring,
+    with v = (A / zeta) w_s and v / rho = sqrt(kappa) w_s / zeta.  The
+    divisor is zeta floored at the smallest normal double: zeta = 0 only
+    where w_s = 0, where the coefficient comes out 0 and the drift is 0, and
+    below the floor w_s and the drift are below 1e-308 whatever the
+    coefficient.  At d = 1 the curvature term is 0 and the coefficient is
+    the plain bridge's A / (k zeta)."""
+    zeta = np.sqrt(model.kappa * sq)
+    a = np.arcsinh(zeta)
+    pull = (0.5 * (model.dim - 1) * (k - 1) / (k * n)) * model.kappa
+    coef = a * (1.0 / k)
+    coef += pull * _langevin(a * ((k - 1) / k))
+    coef /= np.maximum(zeta, np.finfo(float).tiny)
+    return coef
+
+
 def _body_pass(model: CurvatureModel, body, x_amb):
     """One samples-last pass over the body increments (m, d, B), the free
     draw z, which on the hyperboloid it turns into the bridge's xi in place.
@@ -232,12 +282,13 @@ def _body_pass(model: CurvatureModel, body, x_amb):
     later C_i stretches that by at most cosh a_i on each side (None in flat
     space and at d = 1, where every C_i is I and nothing grows; _tip_factors
     reads it).  Row j (k = m + 1 - j intervals left, tip included) becomes
-    xi_j = v_j / k + sqrt((k - 1) / k) z_j with v_j = log_o of the target
-    pulled back so far, w (module docstring); only then is that row's
-    jacobi.Intervals built, the Gram recursion advanced and the target
-    pulled back by B(-xi_j) (paths.boost_rows, which also returns the
-    |w_s|^2 that the next drift reads).  The tip is log_o(w) at the end.
-    Flat space keeps the free draw: the tip is x - xi_1 - ... - xi_m.
+    xi_j = _guide(...) w_s + sqrt((k - 1) / k) z_j, the guided drift toward
+    the target pulled back so far, w (module docstring); only then is that
+    row's jacobi.Intervals built, the Gram recursion advanced and the
+    target pulled back by B(-xi_j) (paths.boost_rows, which also returns the
+    |w_s|^2 of the moved w that the next drift reads).  The tip is log_o(w)
+    at the end.  Flat space keeps the free draw: the tip is
+    x - xi_1 - ... - xi_m.
     """
     m, d, B = body.shape
     w = np.repeat(np.asarray(x_amb, dtype=float)[:, None], B, axis=1)
@@ -253,7 +304,7 @@ def _body_pass(model: CurvatureModel, body, x_amb):
         k, z = n - j, body[j]
         drawn += z * z
         z *= np.sqrt((k - 1) / k)
-        z += geom.log_o_rows(model, w, sq, 1.0 / k)     # xi_j, in place
+        z += w[:-1] * _guide(model, sq, k, n)           # xi_j, in place
         sq_xi = jacobi._square_norm(z)
         bridged += sq_xi
         iv = jacobi.Intervals(model, body[j:j + 1], sq_xi[None])

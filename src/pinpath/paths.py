@@ -75,8 +75,8 @@ def boost_rows(model: CurvatureModel, y, iv: Intervals, j: int, sign: float,
     """y <- B(sign xi_j) y in place for points y (D, ...) samples last, the
     boost B(xi) in SO+(d,1) that moves o along xi (iv the Intervals of the
     increments; a translation in flat space).  Returns |y_s|^2 (...) of
-    hyperbolic points, else None; p, where given, is iv.unit(j, y).  With
-    a = sqrt(kappa)|xi_j| and q = -sign p, y_s moves by
+    the moved hyperbolic points as stored, else None; p, where given, is
+    iv.unit(j, y).  With a = sqrt(kappa)|xi_j| and q = -sign p, y_s moves by
     ((cosh a - 1) <q, y_s> - sinh a y_t) q and y_t comes back on the sheet
     from |y_s|^2.  That cancels terms of size e^a y_t down to a result up
     to e^{-2a} smaller where a long step carries a far y toward o; so wherever
@@ -127,7 +127,10 @@ def _light_cone_boost(model: CurvatureModel, y, q, grow):
     so both new ones come to full relative precision, and
     y'_q = ((y'_t + y'_q) - (y'_t - y'_q)) / 2 cancels only as far as y'
     itself lies near o.  y'_t is the half sum, on the sheet to rounding.
-    Returns |y'_s|^2."""
+    Returns |y'_s|^2 of y'_s as stored: y_perp keeps a part along q of the
+    size of y_q's roundoff, so |y_perp|^2 + y'_q^2 can miss it by more than
+    the stored point's own rounding, and the pinned bridge's drift scales
+    the stored y'_s by a function of its norm."""
     ys = y[:-1]
     along = np.sum(q * ys, axis=0)
     ys -= along * q                                   # y_perp
@@ -140,7 +143,7 @@ def _light_cone_boost(model: CurvatureModel, y, q, grow):
     new_q = 0.5 * (plus - minus)
     ys += new_q * q
     y[-1] = 0.5 * (plus + minus)
-    return perp2 + new_q * new_q
+    return np.sum(ys * ys, axis=0)
 
 
 def boost_to_knots(model: CurvatureModel, iv: Intervals, index, vectors=None):

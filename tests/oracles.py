@@ -36,8 +36,9 @@ agreement between the two is meaningful:
   of the increments, (..., m, d) in and (..., d, d) out);
 - two routes to a pinned path's tip other than the estimator's pull-back:
   rolling the body's frames (``frame_roll_tip``, the estimator's route until
-  the pull-back replaced it) and the bridge and boost composition in
-  60-digit mpmath arithmetic (``mp_bridged_tip``); the two log-dets of a
+  the pull-back replaced it) and the guided bridge (its step mean
+  ``mp_guided_drift``) and boost composition in 60-digit mpmath
+  arithmetic (``mp_bridged_tip``); the two log-dets of a
   path's weight in 50-digit arithmetic (``mp_gram_log_dets``);
 - the free-proposal pinned estimator (``free_body_pass``,
   ``free_pinned_chunk``, ``free_pinned_estimate``): the body drawn from the
@@ -442,13 +443,31 @@ def frame_roll_tip(model, body, x):
     return tips, reach[:, -1], reach.max(axis=1)
 
 
+def mp_guided_drift(kappa, v, left, n):
+    """The guided bridge's step mean, at mpmath's working precision, for the
+    target's coordinates v (d mpmath numbers) at the current knot with left
+    intervals of n to go: v / left + ((left - 1) / left) (1 / n)
+    psi'(rho (left - 1) / left) v / rho with rho = |v| and
+    psi'(r) = ((d - 1) / 2)(sqrt(kappa) coth(sqrt(kappa) r) - 1 / r), the
+    derivative of minus the log of the heat kernel's curvature factor
+    (sqrt(kappa) r / sinh(sqrt(kappa) r))^((d - 1) / 2); v / left at rho = 0."""
+    rk, rho = mpmath.sqrt(kappa), mpmath.sqrt(sum(c * c for c in v))
+    if rho == 0:
+        return [c / left for c in v]
+    r = rho * (left - 1) / left
+    dpsi = mpmath.mpf(len(v) - 1) / 2 * (rk * mpmath.coth(rk * r) - 1 / r)
+    guide = mpmath.mpf(left - 1) / left / n * dpsi / rho
+    return [c / left + guide * c for c in v]
+
+
 def mp_bridged_tip(kappa, draw, x, n, dps=60):
     """The tip (d,) of one hyperbolic pinned path on n intervals in
     dps-digit arithmetic, and its body (m, d) rounded: each drawn row z_j of
     draw (m, d) is bridged as measures._body_pass bridges it,
-    xi_j = v_j / k + sqrt((k - 1) / k) z_j with k = n - j intervals left
-    and v_j = log_o(w), then w <- B(-xi_j) w by the full Lorentz boost's
-    action, from w = x; the tip is log_o(w) at the end, with
+    xi_j = mu_j + sqrt((k - 1) / k) z_j with k = n - j intervals left and
+    mu_j the guided mean (mp_guided_drift) of v_j = log_o(w), then
+    w <- B(-xi_j) w by the full Lorentz boost's action, from w = x; the tip
+    is log_o(w) at the end, with
     log_o(w) = asinh(sqrt(kappa)|w_s|) w_s / (sqrt(kappa)|w_s|).  draw and
     the spatial part of x are taken as exact; x's timelike part is
     recomputed on the sheet.  The bridge steers each step by the target it
@@ -470,7 +489,8 @@ def mp_bridged_tip(kappa, draw, x, n, dps=60):
         for j, row in enumerate(np.asarray(draw, dtype=float)):
             left = n - j
             root = mpmath.sqrt(mpmath.mpf(left - 1) / left)
-            xi = [v / left + root * mpmath.mpf(float(z)) for v, z in zip(log_o(ws), row)]
+            mu = mp_guided_drift(k, log_o(ws), left, n)
+            xi = [v + root * mpmath.mpf(float(z)) for v, z in zip(mu, row)]
             body.append([float(v) for v in xi])
             nrm = mpmath.sqrt(sum(v * v for v in xi))
             if nrm == 0:

@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,8 +16,9 @@ from pinpath.measures import (MASS_OBSERVABLE, CylinderObservable, _pinned_chunk
 from tests.oracles import (flat_bridge_abs_moment_1d, flat_bridge_second_moment,
                            frame_coords, frame_roll_tip, free_log_weights,
                            free_pinned_estimate, gram_pass, knots_at, log_point,
-                           exp_frame, mp_bridged_tip, mp_gram_log_dets, pinned_fdd_oracle,
-                           radial_pde_kernel, roll_batch, scaled_tip_log_factors)
+                           exp_frame, mp_bridged_tip, mp_gram_log_dets, mp_guided_drift,
+                           pinned_fdd_oracle, radial_pde_kernel, roll_batch,
+                           scaled_tip_log_factors)
 
 FLAT1 = CurvatureModel("flat", 1)
 FLAT2 = CurvatureModel("flat", 2)
@@ -297,7 +299,7 @@ def test_pinned_estimate_flat_unbiased():
 def test_pinned_estimate_hyperbolic_bounded_and_converges():
     """f == 1: one constant bounds every (x, n); d=3, n=32 hits the kernel
     within the CLI's gate, max(2% p_0, 3 stderr): the bridge's stderr
-    (0.1%) is below the O(mesh) bias (+1.8% at n = 32), which the gate's
+    (0.07%) is below the O(mesh) bias (+1.9% at n = 32), which the gate's
     floor takes."""
     for rho in (0.0, 1.0, 2.0):
         for n in (4, 16):
@@ -319,7 +321,7 @@ def test_bridge_estimate_agrees_with_the_free_proposal(model, n, rho):
     """The bridge is importance sampling of the same pinned measure nu^1_P as
     the free proposal (tests/oracles.py): the two mass estimates at one n
     agree within 3 combined stderr, O(mesh) bias and all, at seeds that
-    share no Philox key.  The free route's stderr per path is 4-8x the
+    share no Philox key.  The free route's stderr per path is 3.8-8.2x the
     bridge's, so it runs 10x the paths; the bridge's stderr stays lower."""
     x = measures._target_point(model, rho * np.eye(model.dim)[0])
     res = pinned_estimate(model, Partition(n), x, n_samples=4 * paths.CHUNK, seed=11)
@@ -501,17 +503,27 @@ def test_pulled_back_tip_matches_the_frame_roll(kind, d, kappa):
             assert np.all(np.abs(log_w - ref) <= lever * tol)
 
 
+def guided_mean(kappa, v, k, n):
+    """The guided bridge's step means (N, d) for the target's coordinates
+    v (N, d) at the current knot, k intervals left of n: each row through
+    tests/oracles.mp_guided_drift in 30 digits, rounded."""
+    with mpmath.workdps(30):
+        return np.array([[float(c) for c in mp_guided_drift(kappa, [mpmath.mpf(c) for c in row],
+                                                              k, n)] for row in v])
+
+
 @pytest.mark.parametrize("model", [HYP3, CurvatureModel("hyperbolic", 2, 2.5),
                                    CurvatureModel("hyperbolic", 1, 0.5)],
                          ids=["hyp3", "hyp2_k2.5", "hyp1_k0.5"])
 def test_log_weight_is_the_free_weight_plus_the_proposal_ratio(model):
     """A chunk's log-weight is the free weight of the increments it used
     (tests/oracles.free_log_weights, by the frame roll) plus log p / q of
-    the bridge, summed over the body: p = N(0, I / n) and q = N(v_j / k,
-    (k - 1) / (k n) I) with k = n - j intervals left and v_j = log_{x_j}(x)
-    in the rolled frame at knot j.  Each bridged increment is v_j / k +
-    sqrt((k - 1) / k) z_j for the drawn z_j.  n in {2, 8, 32}, targets at
-    rho in {0, 1.5}; within 1e-12 (1 + |log w|) (6.4e-14 measured)."""
+    the bridge, summed over the body: p = N(0, I / n) and q = N(mu_j,
+    (k - 1) / (k n) I) with k = n - j intervals left and mu_j the guided
+    mean (guided_mean) of v_j = log_{x_j}(x) in the rolled frame at knot j.
+    Each bridged increment is mu_j + sqrt((k - 1) / k) z_j for the drawn
+    z_j.  n in {2, 8, 32}, targets at rho in {0, 1.5}; within
+    1e-12 (1 + |log w|) (5.8e-14 measured)."""
     d = model.dim
     for n in (2, 8, 32):
         part = Partition(n)
@@ -521,23 +533,72 @@ def test_log_weight_is_the_free_weight_plus_the_proposal_ratio(model):
             ratio = np.zeros(64)
             for j in range(n - 1):
                 k = n - j
-                v = frame_roll_tip(model, xi[:, :j], x)[0]
+                mu = guided_mean(model.kappa, frame_roll_tip(model, xi[:, :j], x)[0], k, n)
                 scale = np.sqrt((k - 1) / k)
-                assert np.allclose((xi[:, j] - v / k) / scale, z[:, j], rtol=0, atol=1e-12)
+                assert np.allclose((xi[:, j] - mu) / scale, z[:, j], rtol=0, atol=1e-12)
                 ratio += (stats.norm.logpdf(xi[:, j], 0.0, np.sqrt(1.0 / n)).sum(axis=1)
-                          - stats.norm.logpdf(xi[:, j], v / k, scale / np.sqrt(n)).sum(axis=1))
+                          - stats.norm.logpdf(xi[:, j], mu, scale / np.sqrt(n)).sum(axis=1))
             want = free_log_weights(model, n, xi, x) + ratio
             got = _pinned_chunk(model, part, x, MASS_OBSERVABLE, 5, 0, 64)[0]
             assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (n, rho)
 
 
 def test_bridge_ess_stays_high_at_hyp3_n32():
-    """The bridge keeps the pinned weights even: ESS/N >= 0.85 at hyperbolic
-    d = 3, n = 32, rho = 1 over 40960 paths at seed 0 (0.91 measured; the
-    free proposal read 0.0045)."""
+    """The guided bridge keeps the pinned weights even: ESS/N >= 0.95 at
+    hyperbolic d = 3, n = 32, rho = 1 over 40960 paths at seed 0 (0.965
+    measured; the bridge with the flat drift v_j / k read 0.91 and the free
+    proposal 0.0045)."""
     res = pinned_estimate(HYP3, Partition(32), np.array([1.0, 0.0, 0.0]),
                           n_samples=40960, seed=0)
-    assert res.meta["weights"]["ess_frac"] >= 0.85
+    assert res.meta["weights"]["ess_frac"] >= 0.95
+
+
+def test_guided_bridge_ess_at_hyp3_kappa2_5_rho3_n32():
+    """Where the heat kernel's curvature factor is large, the guide term
+    carries most of the gain: ESS/N >= 0.45 at hyperbolic d = 3,
+    kappa = 2.5, n = 32, rho = 3 over 40960 paths at seed 0 (0.519
+    measured; the bridge with the flat drift v_j / k read 0.315)."""
+    model = CurvatureModel("hyperbolic", 3, 2.5)
+    res = pinned_estimate(model, Partition(32), np.array([3.0, 0.0, 0.0]),
+                          n_samples=40960, seed=0)
+    assert res.meta["weights"]["ess_frac"] >= 0.45
+
+
+def test_langevin_matches_mpmath():
+    """measures._langevin, L(y) = coth(y) - 1/y, within 1e-14 of 30-digit
+    mpmath from 0 through y = 40, across its series branch below 0.03
+    (4.6e-15 worst measured, at the direct difference at 0.03), and 0 at
+    0."""
+    y = np.concatenate([[0.0], np.geomspace(1e-12, 40.0, 2000), [0.03 * (1 - 1e-16), 0.03]])
+    with mpmath.workdps(30):
+        want = np.array([0.0] + [float(mpmath.coth(v) - 1 / mpmath.mpf(v)) for v in y[1:]])
+    got = measures._langevin(y)
+    assert got[0] == 0.0
+    assert np.all(np.abs(got - want) <= 1e-14)
+
+
+@pytest.mark.parametrize("model", [HYP3, CurvatureModel("hyperbolic", 2, 2.5),
+                                   CurvatureModel("hyperbolic", 1, 0.5)],
+                         ids=["hyp3", "hyp2_k2.5", "hyp1_k0.5"])
+def test_guided_drift_is_finite_with_the_target_at_o(model):
+    """With the target at o, the pulled-back target's spatial part is 0 at
+    the first step (rho = 0): the body pass raises no warning there (the
+    suite turns warnings into errors), its first bridged row is the scaled
+    draw sqrt((n - 1) / n) z bit for bit (a zero drift), and every output
+    is finite.  Just off o the drift's coefficient on w_s tends to its
+    limit 1/k + ((d - 1) / 2) kappa (k - 1)^2 / (3 k^2 n), within 1e-15
+    relative at |w_s| = 1e-20 and 1e-100."""
+    n, B = 8, 64
+    draw = paths.sample_increments(model, Partition(n), B, seed=4).transpose(1, 2, 0)[:n - 1]
+    body = draw.copy()
+    G, head, tip, log_q, _ = measures._body_pass(model, body, geom.base_point(model))
+    np.testing.assert_array_equal(body[0], draw[0] * np.sqrt((n - 1) / n))
+    assert all(np.all(np.isfinite(a)) for a in (G, head, tip, log_q, body))
+    for k in (n, 2):
+        limit = 1 / k + 0.5 * (model.dim - 1) * model.kappa * (k - 1) ** 2 / (3 * k * k * n)
+        coef = measures._guide(model, np.array([0.0, 1e-40, 1e-200]), k, n)
+        assert coef[0] == 0.0
+        assert coef[1:] == pytest.approx([limit, limit], rel=1e-15)
 
 
 @pytest.mark.parametrize("d, kappa, n, rho", [(3, 2.5, 8, r) for r in (4.0, 8.0, 10.0, 12.0, 16.0)]
