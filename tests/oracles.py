@@ -37,9 +37,9 @@ agreement between the two is meaningful:
 - two routes to a pinned path's tip other than the estimator's pull-back:
   rolling the body's frames (``frame_roll_tip``, the estimator's route until
   the pull-back replaced it) and the guided bridge (its step mean
-  ``mp_guided_drift``) and boost composition in 60-digit mpmath
-  arithmetic (``mp_bridged_tip``); the two log-dets of a
-  path's weight in 50-digit arithmetic (``mp_gram_log_dets``);
+  ``mp_guided_drift`` and scales ``mp_guided_scales``) and boost
+  composition in 60-digit mpmath arithmetic (``mp_bridged_tip``); the two
+  log-dets of a path's weight in 50-digit arithmetic (``mp_gram_log_dets``);
 - the free-proposal pinned estimator (``free_body_pass``,
   ``free_pinned_chunk``, ``free_pinned_estimate``): the body drawn from the
   free law and pinned by its weight alone, the estimator's route on the
@@ -460,12 +460,45 @@ def mp_guided_drift(kappa, v, left, n):
     return [c / left + guide * c for c in v]
 
 
+def mp_guided_scales(kappa, v, left, n):
+    """The guided bridge's step scales (a_perp, a_par) across and along v,
+    at mpmath's working precision, for the target's coordinates v (d mpmath
+    numbers) at the current knot with left intervals of n to go: with
+    c = sqrt(kappa), tau = (left - 1) / n, r = |v| tau n / left and
+    psi(r) = -((d - 1) / 2) log(c r / sinh(c r)), the step's precisions are
+    n plus the Hessian of r^2 / (2 tau) + psi(r) at r, whose radial part is
+    the second derivative and whose transverse part the first times
+    Hess r = c coth(c r):
+
+        p_perp = n + c coth(c r) (r / tau + psi'(r)),
+        p_par = n + 1 / tau + psi''(r),
+        psi'(r) = ((d - 1) / 2)(c coth(c r) - 1 / r),
+        psi''(r) = ((d - 1) / 2)(1 / r^2 - c^2 / sinh(c r)^2),
+
+    and a = sqrt(phi / p) with phi = n + 1 / tau, the flat bridge's
+    precision.  At r = 0 both precisions are their limit
+    phi + ((d - 1) / 2) kappa / 3."""
+    c, rho = mpmath.sqrt(kappa), mpmath.sqrt(sum(x * x for x in v))
+    tau = mpmath.mpf(left - 1) / n
+    phi, half = n + 1 / tau, mpmath.mpf(len(v) - 1) / 2
+    if rho == 0:
+        p_perp = p_par = phi + half * kappa / 3
+    else:
+        r = rho * (left - 1) / left
+        coth = mpmath.coth(c * r)
+        p_perp = n + c * coth * (r / tau + half * (c * coth - 1 / r))
+        p_par = phi + half * (1 / (r * r) - kappa / mpmath.sinh(c * r) ** 2)
+    return mpmath.sqrt(phi / p_perp), mpmath.sqrt(phi / p_par)
+
+
 def mp_bridged_tip(kappa, draw, x, n, dps=60):
     """The tip (d,) of one hyperbolic pinned path on n intervals in
     dps-digit arithmetic, and its body (m, d) rounded: each drawn row z_j of
     draw (m, d) is bridged as measures._body_pass bridges it,
-    xi_j = mu_j + sqrt((k - 1) / k) z_j with k = n - j intervals left and
-    mu_j the guided mean (mp_guided_drift) of v_j = log_o(w), then
+    xi_j = mu_j + sqrt((k - 1) / k) (a_perp z_j + (a_par - a_perp)
+    <z_j, u> u) with k = n - j intervals left, mu_j the guided mean
+    (mp_guided_drift) of v_j = log_o(w), u = v_j / |v_j| (0 at v_j = 0,
+    where the two scales agree) and the scales from mp_guided_scales, then
     w <- B(-xi_j) w by the full Lorentz boost's action, from w = x; the tip
     is log_o(w) at the end, with
     log_o(w) = asinh(sqrt(kappa)|w_s|) w_s / (sqrt(kappa)|w_s|).  draw and
@@ -489,8 +522,14 @@ def mp_bridged_tip(kappa, draw, x, n, dps=60):
         for j, row in enumerate(np.asarray(draw, dtype=float)):
             left = n - j
             root = mpmath.sqrt(mpmath.mpf(left - 1) / left)
-            mu = mp_guided_drift(k, log_o(ws), left, n)
-            xi = [v + root * mpmath.mpf(float(z)) for v, z in zip(mu, row)]
+            v = log_o(ws)
+            mu = mp_guided_drift(k, v, left, n)
+            a_perp, a_par = mp_guided_scales(k, v, left, n)
+            rho = mpmath.sqrt(sum(c * c for c in v))
+            u = [c / rho if rho > 0 else mpmath.mpf(0) for c in v]
+            zs = [mpmath.mpf(float(z)) for z in row]
+            along = (a_par - a_perp) * sum(a * b for a, b in zip(zs, u))
+            xi = [m + root * (a_perp * z + along * e) for m, z, e in zip(mu, zs, u)]
             body.append([float(v) for v in xi])
             nrm = mpmath.sqrt(sum(v * v for v in xi))
             if nrm == 0:

@@ -17,8 +17,8 @@ from tests.oracles import (flat_bridge_abs_moment_1d, flat_bridge_second_moment,
                            frame_coords, frame_roll_tip, free_log_weights,
                            free_pinned_estimate, gram_pass, knots_at, log_point,
                            exp_frame, mp_bridged_tip, mp_gram_log_dets, mp_guided_drift,
-                           pinned_fdd_oracle, radial_pde_kernel, roll_batch,
-                           scaled_tip_log_factors)
+                           mp_guided_scales, pinned_fdd_oracle, radial_pde_kernel,
+                           roll_batch, scaled_tip_log_factors)
 
 FLAT1 = CurvatureModel("flat", 1)
 FLAT2 = CurvatureModel("flat", 2)
@@ -299,7 +299,7 @@ def test_pinned_estimate_flat_unbiased():
 def test_pinned_estimate_hyperbolic_bounded_and_converges():
     """f == 1: one constant bounds every (x, n); d=3, n=32 hits the kernel
     within the CLI's gate, max(2% p_0, 3 stderr): the bridge's stderr
-    (0.07%) is below the O(mesh) bias (+1.9% at n = 32), which the gate's
+    (0.02%) is below the O(mesh) bias (+2.0% at n = 32), which the gate's
     floor takes."""
     for rho in (0.0, 1.0, 2.0):
         for n in (4, 16):
@@ -321,7 +321,7 @@ def test_bridge_estimate_agrees_with_the_free_proposal(model, n, rho):
     """The bridge is importance sampling of the same pinned measure nu^1_P as
     the free proposal (tests/oracles.py): the two mass estimates at one n
     agree within 3 combined stderr, O(mesh) bias and all, at seeds that
-    share no Philox key.  The free route's stderr per path is 3.8-8.2x the
+    share no Philox key.  The free route's stderr per path is 5.4-14.5x the
     bridge's, so it runs 10x the paths; the bridge's stderr stays lower."""
     x = measures._target_point(model, rho * np.eye(model.dim)[0])
     res = pinned_estimate(model, Partition(n), x, n_samples=4 * paths.CHUNK, seed=11)
@@ -503,13 +503,24 @@ def test_pulled_back_tip_matches_the_frame_roll(kind, d, kappa):
             assert np.all(np.abs(log_w - ref) <= lever * tol)
 
 
-def guided_mean(kappa, v, k, n):
-    """The guided bridge's step means (N, d) for the target's coordinates
-    v (N, d) at the current knot, k intervals left of n: each row through
-    tests/oracles.mp_guided_drift in 30 digits, rounded."""
+def guided_law(kappa, v, k, n):
+    """The guided bridge's step laws for the target's coordinates v (N, d)
+    at the current knot, k intervals left of n: the means (N, d) through
+    tests/oracles.mp_guided_drift and the covariances (N, d, d)
+    ((k - 1) / (k n)) (a_par^2 u u^T + a_perp^2 (I - u u^T)), u = v / |v|,
+    through tests/oracles.mp_guided_scales, each row in 30 digits, rounded."""
+    d = v.shape[1]
+    mean, cov = np.empty_like(v), np.empty((len(v), d, d))
     with mpmath.workdps(30):
-        return np.array([[float(c) for c in mp_guided_drift(kappa, [mpmath.mpf(c) for c in row],
-                                                              k, n)] for row in v])
+        for i, row in enumerate(v):
+            row = [mpmath.mpf(c) for c in row]
+            mean[i] = [float(c) for c in mp_guided_drift(kappa, row, k, n)]
+            a_perp, a_par = (float(a) for a in mp_guided_scales(kappa, row, k, n))
+            rho = np.linalg.norm(v[i])
+            u = v[i] / rho if rho > 0 else np.zeros(d)
+            cov[i] = (a_par ** 2 * np.outer(u, u)
+                      + a_perp ** 2 * (np.eye(d) - np.outer(u, u))) * (k - 1) / (k * n)
+    return mean, cov
 
 
 @pytest.mark.parametrize("model", [HYP3, CurvatureModel("hyperbolic", 2, 2.5),
@@ -519,11 +530,12 @@ def test_log_weight_is_the_free_weight_plus_the_proposal_ratio(model):
     """A chunk's log-weight is the free weight of the increments it used
     (tests/oracles.free_log_weights, by the frame roll) plus log p / q of
     the bridge, summed over the body: p = N(0, I / n) and q = N(mu_j,
-    (k - 1) / (k n) I) with k = n - j intervals left and mu_j the guided
-    mean (guided_mean) of v_j = log_{x_j}(x) in the rolled frame at knot j.
-    Each bridged increment is mu_j + sqrt((k - 1) / k) z_j for the drawn
-    z_j.  n in {2, 8, 32}, targets at rho in {0, 1.5}; within
-    1e-12 (1 + |log w|) (5.8e-14 measured)."""
+    Sigma_j) with k = n - j intervals left and mu_j and Sigma_j the guided
+    law (guided_law) of v_j = log_{x_j}(x) in the rolled frame at knot j,
+    Sigma_j scaled along v_j and across it.  Each bridged increment maps
+    back to the drawn z_j as Sigma_j^{-1/2} (xi_j - mu_j) / sqrt(n), within
+    1e-12 (9.5e-14 measured).  n in {2, 8, 32}, targets at rho in {0, 1.5};
+    within 1e-12 (1 + |log w|) (6.1e-14 measured)."""
     d = model.dim
     for n in (2, 8, 32):
         part = Partition(n)
@@ -532,49 +544,80 @@ def test_log_weight_is_the_free_weight_plus_the_proposal_ratio(model):
             xi, z = pinned_draw(model, part, 64, 5, x)
             ratio = np.zeros(64)
             for j in range(n - 1):
-                k = n - j
-                mu = guided_mean(model.kappa, frame_roll_tip(model, xi[:, :j], x)[0], k, n)
-                scale = np.sqrt((k - 1) / k)
-                assert np.allclose((xi[:, j] - mu) / scale, z[:, j], rtol=0, atol=1e-12)
-                ratio += (stats.norm.logpdf(xi[:, j], 0.0, np.sqrt(1.0 / n)).sum(axis=1)
-                          - stats.norm.logpdf(xi[:, j], mu, scale / np.sqrt(n)).sum(axis=1))
+                mu, cov = guided_law(model.kappa, frame_roll_tip(model, xi[:, :j], x)[0],
+                                     n - j, n)
+                vals, vecs = np.linalg.eigh(cov)
+                white = np.einsum("nab,nb,ncb,nc->na", vecs, vals ** -0.5, vecs, xi[:, j] - mu)
+                assert np.allclose(white / np.sqrt(n), z[:, j], rtol=0, atol=1e-12)
+                ratio += stats.norm.logpdf(xi[:, j], 0.0, np.sqrt(1.0 / n)).sum(axis=1)
+                ratio -= [stats.multivariate_normal.logpdf(a, b, c)
+                          for a, b, c in zip(xi[:, j], mu, cov)]
             want = free_log_weights(model, n, xi, x) + ratio
             got = _pinned_chunk(model, part, x, MASS_OBSERVABLE, 5, 0, 64)[0]
             assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (n, rho)
 
 
 def test_bridge_ess_stays_high_at_hyp3_n32():
-    """The guided bridge keeps the pinned weights even: ESS/N >= 0.95 at
-    hyperbolic d = 3, n = 32, rho = 1 over 40960 paths at seed 0 (0.965
-    measured; the bridge with the flat drift v_j / k read 0.91 and the free
-    proposal 0.0045)."""
+    """The guided bridge keeps the pinned weights even: ESS/N >= 0.99 at
+    hyperbolic d = 3, n = 32, rho = 1 over 40960 paths at seed 0 (0.997
+    measured; 0.965 with the guided drift and the flat bridge's isotropic
+    step, 0.91 with the flat drift v_j / k as well and 0.0045 for the free
+    proposal)."""
     res = pinned_estimate(HYP3, Partition(32), np.array([1.0, 0.0, 0.0]),
                           n_samples=40960, seed=0)
-    assert res.meta["weights"]["ess_frac"] >= 0.95
+    assert res.meta["weights"]["ess_frac"] >= 0.99
 
 
 def test_guided_bridge_ess_at_hyp3_kappa2_5_rho3_n32():
-    """Where the heat kernel's curvature factor is large, the guide term
-    carries most of the gain: ESS/N >= 0.45 at hyperbolic d = 3,
-    kappa = 2.5, n = 32, rho = 3 over 40960 paths at seed 0 (0.519
-    measured; the bridge with the flat drift v_j / k read 0.315)."""
+    """Where the heat kernel's curvature factor is large, the step's
+    covariance from its Hessian carries most of the gain: ESS/N >= 0.9 at
+    hyperbolic d = 3, kappa = 2.5, n = 32, rho = 3 over 40960 paths at
+    seed 0 (0.955 measured; 0.519 with the isotropic step and 0.315 with
+    the flat drift v_j / k as well)."""
     model = CurvatureModel("hyperbolic", 3, 2.5)
     res = pinned_estimate(model, Partition(32), np.array([3.0, 0.0, 0.0]),
                           n_samples=40960, seed=0)
-    assert res.meta["weights"]["ess_frac"] >= 0.45
+    assert res.meta["weights"]["ess_frac"] >= 0.9
+
+
+def test_guided_bridge_ess_at_hyp3_kappa6_rho1_n32():
+    """ESS/N >= 0.85 at hyperbolic d = 3, kappa = 6, n = 32, rho = 1 over
+    40960 paths at seed 0 (0.894 measured; 0.397 with the isotropic step
+    and 0.205 with the flat drift v_j / k as well)."""
+    model = CurvatureModel("hyperbolic", 3, 6.0)
+    res = pinned_estimate(model, Partition(32), np.array([1.0, 0.0, 0.0]),
+                          n_samples=40960, seed=0)
+    assert res.meta["weights"]["ess_frac"] >= 0.85
+
+
+@pytest.mark.parametrize("kappa, rho", [(2.5, 3.0), (6.0, 1.0)],
+                         ids=["kappa2_5_rho3", "kappa6_rho1"])
+def test_guided_bridge_largest_weight_share_at_hyp3_n8(kappa, rho):
+    """At the coarse n = 8 no path carries much of the estimate: the
+    largest weight's share is <= 1.5e-3 at hyperbolic d = 3 over 40960
+    paths at seed 0 (2.8e-4 at kappa = 2.5, rho = 3 and 8.0e-4 at
+    kappa = 6, rho = 1 measured; 2.4e-3 and 2.6e-3 with the isotropic step,
+    whose guided drift over-steered a few paths)."""
+    model = CurvatureModel("hyperbolic", 3, kappa)
+    res = pinned_estimate(model, Partition(8), np.array([rho, 0.0, 0.0]),
+                          n_samples=40960, seed=0)
+    assert res.meta["weights"]["max_weight_share"] <= 1.5e-3
 
 
 def test_langevin_matches_mpmath():
-    """measures._langevin, L(y) = coth(y) - 1/y, within 1e-14 of 30-digit
-    mpmath from 0 through y = 40, across its series branch below 0.03
-    (4.6e-15 worst measured, at the direct difference at 0.03), and 0 at
-    0."""
-    y = np.concatenate([[0.0], np.geomspace(1e-12, 40.0, 2000), [0.03 * (1 - 1e-16), 0.03]])
-    with mpmath.workdps(30):
-        want = np.array([0.0] + [float(mpmath.coth(v) - 1 / mpmath.mpf(v)) for v in y[1:]])
-    got = measures._langevin(y)
-    assert got[0] == 0.0
-    assert np.all(np.abs(got - want) <= 1e-14)
+    """measures._langevin's L(y) = coth(y) - 1/y and M(y) = L(y) / y, each
+    within 1e-14 of 60-digit mpmath (the difference cancels 24 digits at
+    1e-12) from 0 through y = 40, on both sides of its series branch below
+    0.15, and exactly 0 and 1/3 at 0."""
+    y = np.concatenate([[0.0], np.geomspace(1e-12, 40.0, 2000), [0.15 * (1 - 1e-16), 0.15]])
+    with mpmath.workdps(60):
+        want_l = [mpmath.coth(v) - 1 / mpmath.mpf(v) for v in y[1:]]
+        want_m = np.array([1 / 3] + [float(a / mpmath.mpf(v)) for a, v in zip(want_l, y[1:])])
+        want_l = np.array([0.0] + [float(a) for a in want_l])
+    got_l, got_m = measures._langevin(y)
+    assert got_l[0] == 0.0 and got_m[0] == 1 / 3
+    assert np.all(np.abs(got_l - want_l) <= 1e-14)
+    assert np.all(np.abs(got_m - want_m) <= 1e-14)
 
 
 @pytest.mark.parametrize("model", [HYP3, CurvatureModel("hyperbolic", 2, 2.5),
@@ -583,20 +626,26 @@ def test_langevin_matches_mpmath():
 def test_guided_drift_is_finite_with_the_target_at_o(model):
     """With the target at o, the pulled-back target's spatial part is 0 at
     the first step (rho = 0): the body pass raises no warning there (the
-    suite turns warnings into errors), its first bridged row is the scaled
-    draw sqrt((n - 1) / n) z bit for bit (a zero drift), and every output
-    is finite.  Just off o the drift's coefficient on w_s tends to its
-    limit 1/k + ((d - 1) / 2) kappa (k - 1)^2 / (3 k^2 n), within 1e-15
-    relative at |w_s| = 1e-20 and 1e-100."""
+    suite turns warnings into errors), its first bridged row is the draw
+    times one scale, sqrt((n - 1) / n) a_perp, bit for bit (a zero drift and
+    an isotropic step, with no direction u), and every output is finite.
+    There both scales of _guide are sqrt(phi / (phi + h / 3)), phi = n^2 /
+    (n - 1) and h = ((d - 1) / 2) kappa, within 1e-15.  Just off o the
+    drift's coefficient on w_s tends to its limit 1/k + ((d - 1) / 2) kappa
+    (k - 1)^2 / (3 k^2 n), within 1e-15 relative at |w_s| = 1e-20 and
+    1e-100."""
     n, B = 8, 64
     draw = paths.sample_increments(model, Partition(n), B, seed=4).transpose(1, 2, 0)[:n - 1]
     body = draw.copy()
     G, head, tip, log_q, _ = measures._body_pass(model, body, geom.base_point(model))
-    np.testing.assert_array_equal(body[0], draw[0] * np.sqrt((n - 1) / n))
+    _, a_par, a_perp = measures._guide(model, np.zeros(1), n, n)
+    np.testing.assert_array_equal(body[0], draw[0] * (np.sqrt((n - 1) / n) * a_perp[0]))
+    phi, h = n * n / (n - 1), 0.5 * (model.dim - 1) * model.kappa
+    assert [a_par[0], a_perp[0]] == pytest.approx([np.sqrt(phi / (phi + h / 3))] * 2, rel=1e-15)
     assert all(np.all(np.isfinite(a)) for a in (G, head, tip, log_q, body))
     for k in (n, 2):
         limit = 1 / k + 0.5 * (model.dim - 1) * model.kappa * (k - 1) ** 2 / (3 * k * k * n)
-        coef = measures._guide(model, np.array([0.0, 1e-40, 1e-200]), k, n)
+        coef = measures._guide(model, np.array([0.0, 1e-40, 1e-200]), k, n)[0]
         assert coef[0] == 0.0
         assert coef[1:] == pytest.approx([limit, limit], rel=1e-15)
 
@@ -705,13 +754,13 @@ def test_pinned_rows_are_independent_of_the_chunk(model, n):
 
 
 def test_scaled_pinned_rows_are_independent_of_the_chunk():
-    """At d = 3, kappa = 2.5, n = 8, rho = 5 about half of the paths take
+    """At d = 3, kappa = 2.5, n = 8, rho = 6 about half of the paths take
     their factors from the scaled Gram sums (growth past
     jacobi.GROWTH_LIMIT) and the rest from the plain ones; the rows of a
     chunk of 1, 2 or 3 samples still equal those of a full chunk bit for
     bit, whichever route each takes."""
     model, part = CurvatureModel("hyperbolic", 3, 2.5), Partition(8)
-    x = measures._target_point(model, np.array([5.0, 0.0, 0.0]))
+    x = measures._target_point(model, np.array([6.0, 0.0, 0.0]))
     body = paths.sample_increments(model, part, paths.CHUNK, seed=0).transpose(1, 2, 0)[:7]
     scaled = measures._body_pass(model, body, x)[4] > jacobi.GROWTH_LIMIT
     assert 0.25 < scaled.mean() < 0.75
