@@ -41,31 +41,28 @@ psi'(r) = ((d - 1) / 2)(sqrt(kappa) coth(sqrt(kappa) r) - 1 / r),
     xi_j = v_j / k + ((k - 1) / k) delta psi'(r) u
            + sqrt((k - 1) / k) (a_perp z_j + (a_par - a_perp) <z_j, u> u),
 
-z_j ~ N(0, I / n): the flat bridge's Gaussian step, its mean tilted by the
-curvature factor linearised at the step's mean and its precision
-(n + 1 / tau) I replaced by n I + Hess f there, f(r) = r^2 / (2 tau) + psi(r)
-being minus the log of p_tau.  Hess f is f'' along the geodesic and
-f' sqrt(kappa) coth(sqrt(kappa) r) across it (Hess r on H^d(-kappa)), so
-a = sqrt((n + 1 / tau) / p) with p_par = n + 1 / tau + psi''(r) and
-p_perp = n + sqrt(kappa) coth(sqrt(kappa) r)(r / tau + psi'(r)): the true
-bridge spreads less across the geodesic where sinh grows.  The free draw z_j
-is turned into xi_j in place (_guide); each step's Intervals is built once
-its xi_j is known.  The drift and scales read only the past, and xi_j less
-the drift is sqrt((k - 1) / k) A_j z_j, det A_j = a_par a_perp^{d-1}, so the
-weight gains the ratio of the free law to the proposal's,
-sum_j [(n/2)(|z_j|^2 - |xi_j|^2) + log det A_j] - (d/2) log n, since
-prod_k (k - 1) / k = 1 / n; importance sampling with full support keeps the
-estimate on the same pinned measure.  At rho_j = 0 both precisions are
-n + 1 / tau + ((d - 1) / 2) kappa / 3 and the step needs no u; at d = 1 the
-curvature term is 0, a_par = 1 and there is no transverse plane, so the step
-is the modified diffusion bridge's.  The tip, the tip factors and the
-Gaussian term read the bridged body as they read a free one.  The bridge
-runs the body out toward x, and two steps keep their digits there:
-paths.boost_rows carries a far target toward o in light-cone form (and
-returns the |w_s|^2 of w as stored, which the drift divides by), and where
-a body's Gram sums have grown past jacobi.GROWTH_LIMIT (a few long steps in
-one direction), its factors come from the sums held scaled by the product
-of the cosine solutions (jacobi.scaled_gram_pass, _tip_factors).
+z_j ~ N(0, I / n): the flat bridge's step, its mean tilted by the curvature
+factor linearised at the step's mean, and its precision (n + 1 / tau) I
+there replaced by n I + Hess f, f = r^2 / (2 tau) + psi(r) = -log p_tau:
+f'' along the geodesic and f' sqrt(kappa) coth(sqrt(kappa) r) across it
+(Hess r on H^d(-kappa)).  So a = sqrt((n + 1 / tau) / p), p_par =
+n + 1 / tau + psi''(r) and p_perp = n + sqrt(kappa) coth(sqrt(kappa) r)
+(r / tau + psi'(r)): the true bridge spreads less across the geodesic where
+sinh grows.  Drift and scales read only the past, so the weight gains the
+ratio of the free law to the proposal's,
+sum_j [(n/2)(|z_j|^2 - |xi_j|^2) + log(a_par a_perp^{d-1})] - (d/2) log n,
+since prod_k (k - 1) / k = 1 / n; importance sampling with full support
+keeps the estimate on the same pinned measure.  At rho_j = 0
+both precisions are n + 1 / tau + ((d - 1) / 2) kappa / 3 and the step needs
+no u; at d = 1 a_par = 1 and the step is the modified diffusion bridge's.
+The tip, the tip factors and the Gaussian term read the bridged body as they
+read a free one.  The bridge runs the body out toward x, and two steps keep
+their digits there: paths.boost_rows carries a far target toward o in
+light-cone form (and returns the |w_s|^2 of w as stored, which the drift
+divides by), and where a body's Gram sums have grown past
+jacobi.GROWTH_LIMIT (a few long steps in one direction), its factors come
+from the sums held scaled by the product of the cosine solutions
+(jacobi.scaled_gram_pass, _tip_factors).
 In flat space the bridge is exact and every weight equal, so the body keeps
 the free draw and builds no Intervals and no Gram sum: V_x / J_P = n^{d/2}
 is a per-run constant, and a path pays for its draw,
@@ -243,57 +240,60 @@ class _StageClock:
 
 
 def _langevin(y):
-    """(L, M) (B,) for y >= 0 (B,): L(y) = coth(y) - 1/y and M = L(y) / y, 0
-    and 1/3 at 0.  Below y = 0.15, where the difference has cancelled more
+    """(L, M) (2, B) for y >= 0 (B,): L(y) = coth(y) - 1/y and M = L(y) / y,
+    0 and 1/3 at 0.  Below y = 0.15, where the difference has cancelled more
     digits than six terms of the Taylor series of M, sum_{i>=1} 2^{2i} B_{2i}
     y^{2i-2} / (2i)!, drop, M is that series and L = y M."""
+    L, M = out = np.empty((2,) + y.shape)
     safe = np.maximum(y, 0.15)
-    inv = 1.0 / safe
-    L = 1.0 / np.tanh(safe) - inv
-    M = L * inv
-    small = np.flatnonzero(y < 0.15)
+    np.divide(1.0, np.tanh(safe, out=L), out=L)
+    L -= np.divide(1.0, safe, out=M)
+    M *= L
+    small = np.nonzero(y < 0.15)[0]
     if small.size:
         ys = y[small]
         y2 = ys * ys
         M[small] = ms = 1 / 3 - y2 * (1 / 45 - y2 * (2 / 945 - y2 * (
             1 / 4725 - y2 * (2 / 93555 - y2 * (1382 / 638512875)))))
         L[small] = ys * ms
-    return L, M
+    return out
 
 
 def _guide(model: CurvatureModel, sq, k: int, n: int):
     """The guided step with k intervals left (tip included) on n, for the
-    target w pulled back so far with sq = |w_s|^2 (module docstring):
-    (coef, a_par, a_perp), each (B,), the drift's coefficient on w_s and the
-    step's scales along w_s and across it.  With zeta = sqrt(kappa)|w_s|,
-    A = asinh(zeta) = sqrt(kappa) rho, x = A (k - 1) / k = sqrt(kappa) r,
-    tau = (k - 1) / n, phi = n + 1 / tau, h = ((d - 1) / 2) kappa and
-    _langevin's L and M at x, they are
+    target w pulled back so far with sq = |w_s|^2 (module docstring): coef
+    (B,), the drift's coefficient on w_s, and the scales (2, B) across w_s
+    and along it, times sqrt((k - 1) / k).  With zeta = sqrt(kappa)|w_s|,
+    A = asinh(zeta), x = A (k - 1) / k = sqrt(kappa) r, tau = (k - 1) / n,
+    phi = n + 1 / tau, h = ((d - 1) / 2) kappa and L, M = _langevin(x),
 
         coef = [A / k + (tau / k) h L] / zeta,     a = sqrt(phi / p),
-        p_par = phi + h (1 - L^2 - 2 M),  p_perp = phi + x L / tau + h (L^2 + M):
+        p_par = phi + h (1 - L^2 - 2 M),  p_perp = phi + x L / tau + h (L^2 + M),
 
-    v / k plus the step-averaged curvature term (v = (A / zeta) w_s) and the
-    module docstring's precisions, as x coth x = 1 + x L, coth x = L + 1 / x,
-    psi' = h L / sqrt(kappa) and psi'' = h (1 / x^2 - 1 / sinh^2 x).  The
-    divisor is zeta floored at the smallest normal double: zeta = 0 only
-    where w_s = 0, where the coefficient comes out 0 and the drift is 0, and
-    below the floor w_s and the drift are below 1e-308 whatever the
-    coefficient.  At d = 1 the curvature term is 0, the coefficient is the
-    plain bridge's A / (k zeta), and both scales are 1."""
+    as x coth x = 1 + x L, psi' = h L / sqrt(kappa) and psi'' = h (1 / x^2 -
+    1 / sinh^2 x); over h, as rows of L and M, the scales are
+    sqrt((n / h) / (p / h)).  zeta is floored at the smallest normal double:
+    it is 0 only where w_s = 0 and coef comes out 0, and below the floor w_s
+    and the drift are below 1e-308.  At d = 1 the curvature term is 0 and the
+    step is the plain bridge's: coef = A / (k zeta), scales sqrt((k - 1) / k)."""
     zeta = np.sqrt(model.kappa * sq)
     a = np.arcsinh(zeta)
     x = a * ((k - 1) / k)
-    L, M = _langevin(x)
-    h, phi = 0.5 * (model.dim - 1) * model.kappa, n + n / (k - 1)
+    L, M = scales = _langevin(x)
+    h = 0.5 * (model.dim - 1) * model.kappa
     coef = a * (1.0 / k)
     coef += (h * (k - 1) / (k * n)) * L
     coef /= np.maximum(zeta, np.finfo(float).tiny)
-    t = L * L + M                                     # L^2 + M
-    a_par = np.sqrt(phi / (phi + h * (1.0 - t - M)))
     if model.dim == 1:
-        return coef, a_par, a_par
-    return coef, a_par, np.sqrt(phi / (phi + x * L * (n / (k - 1)) + h * t))
+        scales[...] = np.sqrt((k - 1) / k)
+        return coef, scales
+    c = k * n / ((k - 1) * h)                         # phi / h
+    x *= (c / k) * L                                  # x L / (tau h)
+    t = L * L + M                                     # L^2 + M
+    np.subtract(c + 1.0, t + M, M)                    # p_par / h
+    np.add(t + c, x, L)                               # p_perp / h
+    np.divide(n / h, scales, scales)                  # (k - 1) / k a^2
+    return coef, np.sqrt(scales, scales)
 
 
 def _body_pass(model: CurvatureModel, body, x_amb):
@@ -312,11 +312,11 @@ def _body_pass(model: CurvatureModel, body, x_amb):
     xi_j = mu_j + sqrt((k - 1) / k) (a_perp z_j + (a_par - a_perp) <z_j, u> u),
     u = w_s / |w_s|, from _guide(...) of the target pulled back so far, w
     (module docstring; the projection is folded into the drift's coefficient
-    on w_s, its divisor |w_s|^2 floored as _guide floors its own); only then
-    is that row's jacobi.Intervals built, the Gram recursion advanced and the
-    target pulled back by B(-xi_j) (paths.boost_rows, which also returns the
-    |w_s|^2 of the moved w that the next step reads).  The tip is log_o(w) at
-    the end.  Flat space keeps the free draw: the tip is x - xi_1 - ... - xi_m.
+    on w_s, over |w_s|^2 floored as _guide floors zeta); only then is that
+    row's jacobi.Intervals built, the Gram recursion advanced and the target
+    pulled back by B(-xi_j) (paths.boost_rows, which also returns the |w_s|^2
+    of the moved w that the next step reads).  The tip is log_o(w) at the
+    end.  Flat space keeps the free draw: the tip is x - xi_1 - ... - xi_m.
     """
     m, d, B = body.shape
     w = np.repeat(np.asarray(x_amb, dtype=float)[:, None], B, axis=1)
@@ -326,34 +326,40 @@ def _body_pass(model: CurvatureModel, body, x_amb):
         return None, None, w, 0.0, None
     n, G, work = m + 1, np.zeros((d, d, B)), np.empty((d, d, B))
     growth = None if d == 1 else np.zeros(B)
-    drawn, bridged, scales = np.zeros((d, B)), np.zeros(B), np.zeros(B)  # z^2, |xi|^2, log det A
-    tiny = np.finfo(float).tiny
-    iv, sq = jacobi.Intervals(model, body[:0]), jacobi._square_norm(w[:-1])
+    drawn, bridged = np.zeros((d, B)), np.zeros(B)   # sum_j z_j^2 per axis, sum_j |xi_j|^2
+    det, log_det, tiny = np.ones((2, B)), np.zeros(B), np.finfo(float).tiny   # prod_j scales
+    buf, iv, sq = work[0], jacobi.Intervals(model, body[:0]), jacobi._square_norm(w[:-1])
     for j in range(m):
         k, z, ws = n - j, body[j], w[:-1]
-        drawn += z * z
-        coef, a_par, a_perp = _guide(model, sq, k, n)
-        root = np.sqrt((k - 1) / k)
-        scales += np.log(a_perp ** (d - 1) * a_par)
-        coef += (a_par - a_perp) * (root / np.maximum(sq, tiny)) * np.sum(z * ws, axis=0)
-        z *= root * a_perp
-        z += ws * coef                                # xi_j, in place
-        sq_xi = jacobi._square_norm(z)
+        drawn += np.square(z, buf)
+        coef, scales = _guide(model, sq, k, n)
+        across, along = scales
+        det *= scales
+        if j % 8 == 7 or j == m - 1:                  # 8 d factors in (0, 1] at most per log
+            log_det += np.log(det[1] * det[0] ** (d - 1))
+            det[...] = 1.0
+        along -= across                               # the fold: along - across times <z, u> u
+        along *= np.add.reduce(np.multiply(z, ws, buf), 0)   # <z, w_s>, summed in order
+        along /= np.maximum(sq, tiny)
+        coef += along
+        z *= across
+        z += np.multiply(ws, coef, buf)               # xi_j, in place
+        sq_xi = jacobi._square_norm(z, buf[0])
         bridged += sq_xi
         iv = jacobi.Intervals(model, body[j:j + 1], sq_xi[None])
         e = iv.unit(0)
         stretch = jacobi.gram_step(G, iv, 0, e, work)
         if growth is not None:
             growth *= stretch
-            growth += jacobi._diagonal(G).sum(axis=0)
+            for g in jacobi._diagonal(G):
+                growth += g
         sq = paths.boost_rows(model, w, iv, 0, -1.0, p=e)
     log_q = drawn[0].copy()
     for a in range(1, d):
         log_q += drawn[a]
     log_q -= bridged
     log_q *= 0.5 * n
-    log_q -= 0.5 * d * np.log(n)
-    log_q += scales
+    log_q += log_det if d > 1 else -0.5 * np.log(n)   # prod_j (k - 1) / k = 1 / n
     return G, jacobi.gram_head(G, iv), geom.log_o_rows(model, w, sq), log_q, growth
 
 

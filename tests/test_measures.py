@@ -627,9 +627,9 @@ def test_guided_drift_is_finite_with_the_target_at_o(model):
     """With the target at o, the pulled-back target's spatial part is 0 at
     the first step (rho = 0): the body pass raises no warning there (the
     suite turns warnings into errors), its first bridged row is the draw
-    times one scale, sqrt((n - 1) / n) a_perp, bit for bit (a zero drift and
-    an isotropic step, with no direction u), and every output is finite.
-    There both scales of _guide are sqrt(phi / (phi + h / 3)), phi = n^2 /
+    times one scale of _guide, bit for bit (a zero drift and an isotropic
+    step, with no direction u), and every output is finite.  There both
+    scales are sqrt((n - 1) / n) sqrt(phi / (phi + h / 3)), phi = n^2 /
     (n - 1) and h = ((d - 1) / 2) kappa, within 1e-15.  Just off o the
     drift's coefficient on w_s tends to its limit 1/k + ((d - 1) / 2) kappa
     (k - 1)^2 / (3 k^2 n), within 1e-15 relative at |w_s| = 1e-20 and
@@ -638,10 +638,11 @@ def test_guided_drift_is_finite_with_the_target_at_o(model):
     draw = paths.sample_increments(model, Partition(n), B, seed=4).transpose(1, 2, 0)[:n - 1]
     body = draw.copy()
     G, head, tip, log_q, _ = measures._body_pass(model, body, geom.base_point(model))
-    _, a_par, a_perp = measures._guide(model, np.zeros(1), n, n)
-    np.testing.assert_array_equal(body[0], draw[0] * (np.sqrt((n - 1) / n) * a_perp[0]))
+    across, along = measures._guide(model, np.zeros(1), n, n)[1]
+    np.testing.assert_array_equal(body[0], draw[0] * across[0])
     phi, h = n * n / (n - 1), 0.5 * (model.dim - 1) * model.kappa
-    assert [a_par[0], a_perp[0]] == pytest.approx([np.sqrt(phi / (phi + h / 3))] * 2, rel=1e-15)
+    want = np.sqrt((n - 1) / n * phi / (phi + h / 3))
+    assert [along[0], across[0]] == pytest.approx([want, want], rel=1e-15)
     assert all(np.all(np.isfinite(a)) for a in (G, head, tip, log_q, body))
     for k in (n, 2):
         limit = 1 / k + 0.5 * (model.dim - 1) * model.kappa * (k - 1) ** 2 / (3 * k * k * n)
