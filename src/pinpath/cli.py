@@ -2,10 +2,10 @@
 
 Exit codes: 0 all gates passed (or none applied: a pinned run with no oracle
 is reported ungated), 1 a statistical gate failed, 2 configuration error, 3
-numerical failure.  Every command writes a results CSV (schema=1
-first line, repr() floats so reruns are byte-identical at a fixed worker
-count) plus a JSON manifest carrying the verbatim config, seed, git revision,
-and wall time.
+numerical failure.  Only this module writes files: every command a JSON
+manifest carrying the verbatim config, seed, git revision and wall time, and
+pinned, converge and sample a results CSV (_write_csv: schema=1 first line,
+repr() floats so reruns are byte-identical at a fixed worker count).
 
 Each command is a body registered with ``_command``: the body takes the
 validated RunConfig and returns (passed, manifest extra).  The options, the
@@ -232,6 +232,18 @@ def _write_manifest(path, config, extra):
         json.dump(payload, fh, indent=2)
 
 
+def _write_csv(path, columns, rows):
+    """The one results-file format: the schema=1 line, the header, one line
+    per row; strings as they are, ints (numpy's too) and bools by str, every
+    other number by repr(float(v)), which round-trips (reruns byte-identical)."""
+    exact = (str, int, np.integer, np.bool_)
+    with open(path, "w") as fh:
+        fh.write("schema=1\n" + ",".join(columns) + "\n")
+        for row in rows:
+            cells = (str(v) if isinstance(v, exact) else repr(float(v)) for v in row)
+            fh.write(",".join(cells) + "\n")
+
+
 def _bail_config(errors):
     for e in errors:
         click.echo(f"config error: {e}", err=True)
@@ -256,7 +268,8 @@ def _command(name, defaults, **fixed):
     A flag beats the --config file, which beats the default (a null in the
     file is the default).  The body takes
     the validated RunConfig and returns (passed, manifest extra); the
-    manifest goes to <out>/<name>_manifest.json.
+    manifest goes to <out>/<name>_manifest.json.  A numerical failure that
+    carries a dump has it written to <out>/<name>_nan_dump.json.
     """
     def register(body):
         def run(config, **flags):
@@ -280,6 +293,11 @@ def _command(name, defaults, **fixed):
                 t0 = time.perf_counter()
                 passed, extra = body(cfg)
             except NUMERICAL_FAILURES as exc:
+                if getattr(exc, "dump", None) is not None:
+                    path = os.path.join(cfg.out_dir, f"{name}_nan_dump.json")
+                    with open(path, "w") as fh:
+                        json.dump(exc.dump, fh, indent=2)
+                    exc = f"{exc}; diagnostics in {path}"
                 click.echo(f"numerical failure: {exc}", err=True)
                 sys.exit(EXIT_NUMERICAL)
             except ValueError as exc:
@@ -317,9 +335,8 @@ def cmd_pinned(cfg):
         except ValueError:
             oracle = None
     for n in cfg.n_values:
-        res = measures.pinned_estimate(
-            mdl, Partition(n), x_amb, obs, cfg.n_samples, cfg.seed, cfg.workers,
-            nan_dump_path=os.path.join(cfg.out_dir, "pinned_nan_dump.json"))
+        res = measures.pinned_estimate(mdl, Partition(n), x_amb, obs, cfg.n_samples,
+                                       cfg.seed, cfg.workers)
         err = abs(res.mean - oracle) if oracle is not None else float("nan")
         rows.append({"model": cfg.model, "d": cfg.d, "kappa": cfg.kappa,
                      "n": n, "x_norm": x_norm, "observable": cfg.observable,
@@ -342,14 +359,8 @@ def cmd_pinned(cfg):
             gates.append(b["abs_err"] <= a["abs_err"] + slack)
 
     csv_path = os.path.join(cfg.out_dir, "pinned_results.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("schema=1\n")
-        fh.write("model,d,kappa,n,x_norm,observable,N,mean,stderr,oracle,abs_err\n")
-        for r in rows:
-            fh.write(",".join([r["model"], repr(r["d"]), repr(float(r["kappa"])),
-                               repr(r["n"]), repr(r["x_norm"]), r["observable"],
-                               repr(r["N"]), repr(r["mean"]), repr(r["stderr"]),
-                               repr(r["oracle"]), repr(r["abs_err"])]) + "\n")
+    columns = "model,d,kappa,n,x_norm,observable,N,mean,stderr,oracle,abs_err".split(",")
+    _write_csv(csv_path, columns, ([r[c] for c in columns] for r in rows))
     passed = all(gates) if gates else None     # None: no oracle, nothing gated
     for r in rows:
         click.echo("n=%-4d mean=%.6g stderr=%.3g oracle=%s abs_err=%.3g"
@@ -370,8 +381,10 @@ def cmd_converge(cfg):
                                             cfg.n_samples, cfg.seed, stats, clock=clock)
     summary = {}
     for name, rep in reports.items():
-        with open(os.path.join(cfg.out_dir, f"converge_{name}.csv"), "w") as fh:
-            rep.to_csv(fh)
+        _write_csv(os.path.join(cfg.out_dir, f"converge_{name}.csv"),
+                   ["n", "q05", "q50", "q95", "mean", "slope", "pass"],
+                   (row + (rep.slope, rep.passed) for row in
+                    zip(rep.n_values, rep.q05, rep.q50, rep.q95, rep.mean)))
         click.echo(rep.table())
         click.echo("")
         summary[name] = {"slope": rep.slope, "passed": rep.passed,
@@ -397,17 +410,21 @@ def cmd_props(cfg):
                      "seed": 0, "out": "."})
 def cmd_sample(cfg):
     """Dump free broken-geodesic paths to CSV."""
-    mdl, n = cfg.build_model(), cfg.n_values[0]
-    d = mdl.dim
-    inc = paths.sample_increments(mdl, Partition(n), cfg.n_samples, cfg.seed)
-    at_o = np.broadcast_to(np.eye(d)[:, None, :, None], (d, n + 1, d, cfg.n_samples))
+    mdl, n, N = cfg.build_model(), cfg.n_values[0], cfg.n_samples
+    d, D = mdl.dim, mdl.ambient_dim
+    inc = paths.sample_increments(mdl, Partition(n), N, cfg.seed)
+    at_o = np.broadcast_to(np.eye(d)[:, None, :, None], (d, n + 1, d, N))
     points, frames = paths.boost_to_knots(mdl, Intervals(mdl, inc.transpose(1, 2, 0)),
                                           range(n, -1, -1), at_o)
+    # knot i of sample s: its point, o's frame carried there, the increment ending there
+    points, frames = points.transpose(2, 1, 0)[:, ::-1], frames.transpose(3, 1, 0, 2)[:, ::-1]
+    steps = np.concatenate([np.zeros((N, 1, d)), inc], axis=1)
+    columns = (["sample_id", "i", "s_i"] + [f"p{a}" for a in range(D)]
+               + [f"f{a}{b}" for a in range(D) for b in range(d)] + [f"inc{a}" for a in range(d)])
     csv_path = os.path.join(cfg.out_dir, "paths.csv")
-    with open(csv_path, "w") as fh:
-        paths.dump_paths_csv(inc, points.transpose(2, 1, 0)[:, ::-1],
-                             frames.transpose(3, 1, 0, 2)[:, ::-1], fh)
-    click.echo(f"wrote {cfg.n_samples} paths to {csv_path}")
+    _write_csv(csv_path, columns, ([s, i, i / n, *points[s, i], *frames[s, i].ravel(),
+                                    *steps[s, i]] for s in range(N) for i in range(n + 1)))
+    click.echo(f"wrote {N} paths to {csv_path}")
     return True, {"csv": csv_path}
 
 

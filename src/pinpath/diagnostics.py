@@ -4,8 +4,8 @@ Everything here consumes batches of increments, with their interval
 solutions as the scalars and actions of jacobi.Intervals and, where an
 observable reads them, their knots as the boosts carry o there (paths.py),
 and compares discrete objects against the damped closed forms (damped.py).
-All report objects are CSV-serializable and carry explicit pass/fail gates
-so the CLI can turn them into exit codes.
+All report objects carry explicit pass/fail gates so the CLI can turn them
+into CSV rows and exit codes.
 """
 
 from dataclasses import dataclass, field
@@ -110,16 +110,6 @@ class ConvergenceReport:
     passed: bool
     notes: dict = field(default_factory=dict)
 
-    def to_csv(self, fh):
-        fh.write("schema=1\n")
-        fh.write("n,q05,q50,q95,mean,slope,pass\n")
-        for k, n in enumerate(self.n_values):
-            fh.write(",".join([
-                repr(n), repr(float(self.q05[k])), repr(float(self.q50[k])),
-                repr(float(self.q95[k])), repr(float(self.mean[k])),
-                repr(float(self.slope)), str(self.passed),
-            ]) + "\n")
-
     def table(self):
         lines = ["statistic: %s   slope=%.3f   pass=%s"
                  % (self.statistic, self.slope, self.passed)]
@@ -194,8 +184,8 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
     at the finest n and coarse-grained (consecutive sums) for every coarser n
     that divides it, so the per-n statistics are positively coupled and the
     monotone-in-n comparisons are made on refinements of the same underlying
-    Brownian path.  n values that do not divide the finest one fall back to
-    independent draws.  Each statistic is the per-path sup over knots of the
+    Brownian path; an n that does not divide the finest one is a ValueError,
+    raised before any draw.  Each statistic is the per-path sup over knots of the
     named discrepancy against the damped closed form.  Returns
     {name: ConvergenceReport}.  clock, a measures._StageClock of
     CONVERGE_STAGES (a fresh one when None), collects the seconds of the
@@ -217,11 +207,12 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
     collected = {name: [] for name in statistics}
 
     n_fine = max(n_values)
+    if any(n_fine % n for n in n_values):
+        raise ValueError(f"every n must divide the largest, {n_fine}")
     inc_fine = paths.sample_increments(model, Partition(n_fine), samples, seed)
 
     for n in n_values:
-        part = Partition(n)
-        knots = part.knots
+        knots = Partition(n).knots
         t_prof = damped.t_profile(ric, knots)             # (n+1,) decaying
         k_prof = damped.k_profile(ric, knots)             # (n+1,)
         k_cmp = np.exp(ric) * k_prof                      # undressed profile
@@ -231,11 +222,7 @@ def convergence_suite(model, n_values, samples, seed=0, statistics=("f", "K", "J
         # t(s_i) / t(s_j) = e^{+c (s_j - s_i)/2}
         ratio = t_prof[:, None] / t_prof[None, :]
 
-        if n_fine % n == 0:
-            group = n_fine // n
-            inc = inc_fine.reshape(samples, n, group, model.dim).sum(axis=2)
-        else:
-            inc = paths.sample_increments(model, part, samples, seed + 7 * n)
+        inc = inc_fine.reshape(samples, n, n_fine // n, model.dim).sum(axis=2)
         clock.lap("draw")
 
         # blocks of samples bound the n d^2 numbers per path of each stack
@@ -360,15 +347,15 @@ def _knot_field(iv, slopes):
 
 def _at_knots(model, iv, part, observables, field):
     """For each observable, its knots (B, len(times), D) on the paths with
-    Intervals iv and there the ambient vectors of field (n+1, d, B), frame
-    coordinates at every knot.  Each knot any of them reads is carried from
-    o once, points and vectors by paths.boost_to_knots, so no frame is
-    rolled."""
+    Intervals iv and there the ambient vectors (..., B, len(times), D) of
+    field (n+1, d, ..., B), frame coordinates at every knot.  Each knot any
+    of them reads is carried from o once, points and vectors by
+    paths.boost_to_knots, so no frame is rolled."""
     index = sorted({part.knot_index(t) for obs in observables for t in obs.times}, reverse=True)
-    points, vectors = paths.boost_to_knots(model, iv, index, field[index].transpose(1, 0, 2))
-    points, vectors = points.transpose(2, 1, 0), vectors.transpose(2, 1, 0)
+    points, vectors = paths.boost_to_knots(model, iv, index, field[index].swapaxes(0, 1))
+    points, vectors = points.transpose(2, 1, 0), vectors.transpose(*range(2, vectors.ndim), 1, 0)
     cols = [[index.index(part.knot_index(t)) for t in obs.times] for obs in observables]
-    return [(points[:, c], vectors[:, c]) for c in cols]
+    return [(points[:, c], vectors[..., c, :]) for c in cols]
 
 
 IBP_STAGES = ("draw", "chart", "condition", "derivatives", "divergence",
@@ -420,9 +407,11 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
     Two ungated reports ride along.  scalar_gap is the gap between that
     divergence, at DIV_STEP, and the path-space divergence at FD_STEP (on
     the first SCALAR_SUBSAMPLE samples); gradient_gap compares Xg with g's
-    derivative along the damped field, the lift's continuum limit (on the
-    first GRADIENT_SUBSAMPLE samples).  stage_s holds the seconds of each
-    of IBP_STAGES.
+    derivative along the damped field k(s_j) / k(1) X, the lift's continuum
+    limit, X with the lift's endpoint coordinates (on the first
+    GRADIENT_SUBSAMPLE samples), carried by the lift's own boosts: a broken
+    geodesic's knots and frames are the continuum development's.  stage_s
+    holds the seconds of each of IBP_STAGES.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
@@ -449,9 +438,12 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
         raise NumericalError("all but %d samples aborted on conditioning" % N)
     clock.lap("condition")
 
-    knots = _at_knots(model, iv, part, (f_obs, g_obs), _knot_field(iv, slopes))
-    (f_vals, xf), (g_vals, xg) = [(obs.evaluate(model, p), obs.derivative(model, p, v))
-                                  for obs, (p, v) in zip((f_obs, g_obs), knots)]
+    k_prof = damped.k_profile(damped.ric_scalar(model), part.knots)
+    knots = _at_knots(model, iv, part, (f_obs, g_obs), np.stack(
+        [_knot_field(iv, slopes), (k_prof / k_prof[-1])[:, None, None] * coords], axis=2))
+    (f_vals, xf, _), (g_vals, xg, xg_damped) = [
+        (obs.evaluate(model, p), *(obs.derivative(model, p, v) for v in vs))
+        for obs, (p, vs) in zip((f_obs, g_obs), knots)]
     del knots       # not held through the divergence, the check's peak
     clock.lap("derivatives")
 
@@ -475,7 +467,9 @@ def ibp_check(model, partition, f_obs, g_obs, n_samples, seed=0):
     scalar = _scalar_gap(model, inc[sub], M_inv[..., sub], div[sub], x_vector)
     clock.lap("scalar_gap")
     sub = slice(GRADIENT_SUBSAMPLE)
-    gradient = _gradient_gap(model, part, g_obs, xg[sub], inc[sub], coords[:, sub].T)
+    gradient = {"median_abs_gap": _quantile(np.abs(xg[sub] - xg_damped[sub]), 0.5),
+                "median_abs_chart": _quantile(np.abs(xg[sub]), 0.5),
+                "n_samples": len(xg[sub])}
     clock.lap("gradient_gap")
     return IbpResult(lhs_mean, lhs_err, rhs_mean, rhs_err, diff_mean, diff_err,
                      N, n_aborted, passed, scalar, gradient, clock.seconds)
@@ -535,32 +529,6 @@ def _scalar_gap(model, inc, M_inv, div, x_vector):
         "median_abs_gap": _quantile(np.abs(gap), 0.5),
         "mean_gap": float(np.mean(gap)),
         "subsample": int(N),
-    }
-
-
-def _gradient_gap(model, part, observable, chart_side, inc, coords):
-    """Ungated comparison of a chart derivative with the damped-gradient pairing.
-
-    chart_side (N,) is Xf for the observable f along the chart velocity of the
-    lift (as in ibp_check) on the paths with increments inc (N, n, d); the
-    pairing is f's derivative along the damped closed-form field
-    k(s_j) / k(1) X at each knot time s_j of f, in the frame there, X with
-    frame coordinates coords (N, d) at the endpoint (_lift's), its knots and
-    ambient vectors from _at_knots (the field is 0 at s = 0).  A geodesic
-    step split into sub-steps is the same geodesic with the same transport,
-    so the knots and frames of the broken geodesic are also those of the
-    continuum development.  The gap mixes discretization effects and is
-    reported, not gated.
-    """
-    k_prof = damped.k_profile(damped.ric_scalar(model), part.knots)
-    damped_field = (k_prof / k_prof[-1])[:, None, None] * coords.T
-    [(points, vectors)] = _at_knots(model, _intervals(model, inc), part, (observable,),
-                                    damped_field)
-    gap = chart_side - observable.derivative(model, points, vectors)
-    return {
-        "median_abs_gap": _quantile(np.abs(gap), 0.5),
-        "median_abs_chart": _quantile(np.abs(chart_side), 0.5),
-        "n_samples": chart_side.shape[0],
     }
 
 

@@ -21,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 class NumericalError(RuntimeError):
-    """Raised when a guarded numerical operation leaves its trust region."""
+    """Raised when a guarded numerical operation leaves its trust region;
+    dump, where given, is a JSON-ready record of the failing samples."""
+
+    def __init__(self, message, dump=None):
+        super().__init__(message)
+        self.dump = dump
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,6 @@ quadrature) and the free-proposal estimator are in tests/oracles.py.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -438,15 +437,16 @@ class EstimateResult:
 
 def pinned_estimate(model: CurvatureModel, partition: Partition, x,
                     observable: CylinderObservable = MASS_OBSERVABLE,
-                    n_samples: int = 10000, seed: int = 0, workers: int = 1,
-                    nan_dump_path: str = "pinned_nan_dump.json") -> EstimateResult:
+                    n_samples: int = 10000, seed: int = 0, workers: int = 1) -> EstimateResult:
     """Importance-weighted estimate of the pinned integral of the observable.
 
     Deterministic for fixed (seed, n_samples) at any worker count: samples are
     generated per fixed-size chunk keyed by index, and chunks are merged in
-    index order with pairwise summation.  meta["weights"] summarises the
-    weights w: the spread of log w, the effective sample size over N,
-    ESS/N = (sum w)^2 / (N sum w^2), and the largest weight's share;
+    index order with pairwise summation.  Non-finite log-weights raise
+    NumericalError with the bad samples as its dump; no file is written.
+    meta["weights"] summarises the weights w: the spread of log w, the
+    effective sample size over N, ESS/N = (sum w)^2 / (N sum w^2), and the
+    largest weight's share;
     meta["proposal"] names the body's law, "bridge" on the hyperboloid
     (n > 1) and "free" in flat space or with no body (n = 1).
     """
@@ -481,12 +481,9 @@ def pinned_estimate(model: CurvatureModel, partition: Partition, x,
         # chunk, so its one-sample body pass bridges it as its chunk did
         inc = paths.sample_increments(model, partition, 1, seed, int(bad[0]))
         _body_pass(model, inc.transpose(1, 2, 0)[:partition.n - 1], x_amb)
-        with open(nan_dump_path, "w") as fh:
-            json.dump({"bad_indices": bad.tolist(), "seed": seed,
-                       "x": np.asarray(x_amb).tolist(),
-                       "first_bad_increments": inc[0].tolist()}, fh, indent=2)
-        raise NumericalError(
-            f"{bad.size}+ non-finite log-weights; diagnostics in {nan_dump_path}")
+        raise NumericalError(f"{bad.size}+ non-finite log-weights", dump={
+            "bad_indices": bad.tolist(), "seed": seed, "x": np.asarray(x_amb).tolist(),
+            "first_bad_increments": inc[0].tolist()})
 
     m, mean_lw = float(np.max(log_w)), log_w.mean()
     scaled = log_w - mean_lw    # then in place: the one temporary of N floats

@@ -206,29 +206,3 @@ def chart_matrix(model: CurvatureModel, iv: Intervals):
         t += np.sqrt(model.kappa) * iv.sine(j, eye, iv.along(j, eye, p))
         o += (-c * iv.inv[j]) * (p[:, None] * eye - eye[:, None] * p)
     return out.reshape(n * d, n * d, B)
-
-
-# ---------------------------------------------------------------------------
-# CSV dump
-# ---------------------------------------------------------------------------
-
-def dump_paths_csv(increments, points, frames, fh) -> None:
-    """Write knot-level rows of developed paths to an open file: increments
-    (N, n, d) and the knots (N, n+1, D) and frames (N, n+1, D, d) that
-    boost_to_knots carries from o."""
-    N, n, d = increments.shape
-    D = points.shape[-1]
-    cols = (["sample_id", "i", "s_i"]
-            + [f"p{a}" for a in range(D)]
-            + [f"f{a}{b}" for a in range(D) for b in range(d)]
-            + [f"inc{a}" for a in range(d)])
-    fh.write("schema=1\n")
-    fh.write(",".join(cols) + "\n")
-    for sid in range(N):
-        for i in range(n + 1):
-            inc = np.zeros(d) if i == 0 else increments[sid, i - 1]
-            row = ([str(sid), str(i), repr(i / n)]
-                   + [repr(float(v)) for v in points[sid, i]]
-                   + [repr(float(v)) for v in frames[sid, i].ravel()]
-                   + [repr(float(v)) for v in inc])
-            fh.write(",".join(row) + "\n")

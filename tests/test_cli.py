@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, CSV/manifest artifacts, reproducibility."""
 
+import ast
 import json
 import os
 import platform
@@ -42,6 +43,42 @@ def test_cli_import_loads_numpy_random_and_no_scipy():
     unwanted, numpy_random = json.loads(out)
     assert unwanted == []
     assert numpy_random
+
+
+def _file_writes(path):
+    """Line numbers in the module at path of calls that write a file: open()
+    with a mode that is not read-only text or bytes, json.dump and any
+    .write, .writelines, .write_text, .write_bytes, np.save, np.savez,
+    np.savetxt or .tofile."""
+    writers = {"write", "writelines", "write_text", "write_bytes", "save", "savez",
+               "savetxt", "tofile"}
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        owner = getattr(getattr(func, "value", None), "id", None)
+        if name == "open":
+            mode = node.args[1:2] or [k.value for k in node.keywords if k.arg == "mode"]
+            if mode and not (isinstance(mode[0], ast.Constant)
+                             and set(mode[0].value) <= set("rbt")):
+                yield node.lineno
+        elif name in writers or (owner, name) == ("json", "dump"):
+            yield node.lineno
+
+
+def test_only_the_cli_writes_files():
+    """No module of the package but cli.py opens a file for writing or calls
+    json.dump: a run's files (results CSVs, manifests, a numerical failure's
+    dump) are the CLI's alone, and a Python caller of the library gets
+    no file."""
+    package = os.path.dirname(cli.__file__)
+    writes = {name: list(_file_writes(os.path.join(package, name)))
+              for name in sorted(os.listdir(package)) if name.endswith(".py")}
+    assert writes.pop("cli.py")         # the detector sees the CLI's own writes
+    assert {name: lines for name, lines in writes.items() if lines} == {}
 
 
 def test_commands_load_no_module_after_import(tmp_path):
@@ -229,9 +266,9 @@ def test_pinned_hyperbolic_d3_kernel_oracle(tmp_path):
 
 
 def test_pinned_nan_dump_goes_under_out(tmp_path, monkeypatch):
-    """A non-finite log-weight raises NumericalError after dumping the bad
-    samples, with the increments the first of them used; the CLI writes that
-    dump under --out and exits with code 3."""
+    """A non-finite log-weight raises NumericalError whose dump names the bad
+    samples, with the increments the first of them used, and writes no file;
+    the CLI writes that dump under --out and exits with code 3."""
     chunk = measures._pinned_chunk
 
     def poisoned(*args):
@@ -240,12 +277,11 @@ def test_pinned_nan_dump_goes_under_out(tmp_path, monkeypatch):
         return (log_w, *rest)
 
     monkeypatch.setattr(measures, "_pinned_chunk", poisoned)
+    monkeypatch.chdir(tmp_path)
     model, part = CurvatureModel("flat", 2), Partition(4)
-    dump = tmp_path / "dump.json"
-    with pytest.raises(NumericalError):
-        measures.pinned_estimate(model, part, np.array([1.0, 0.0]), n_samples=64,
-                                 seed=5, nan_dump_path=str(dump))
-    payload = json.loads(read_text(dump))
+    with pytest.raises(NumericalError) as exc:
+        measures.pinned_estimate(model, part, np.array([1.0, 0.0]), n_samples=64, seed=5)
+    payload = exc.value.dump
     assert payload["bad_indices"] == [3]
     assert payload["seed"] == 5
     assert payload["x"] == [1.0, 0.0]
@@ -256,14 +292,15 @@ def test_pinned_nan_dump_goes_under_out(tmp_path, monkeypatch):
     # sample 3 of 64), and the last row as drawn
     model = CurvatureModel("hyperbolic", 3, 1.0)
     x = measures._target_point(model, np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(NumericalError):
-        measures.pinned_estimate(model, part, x, n_samples=64, seed=5, nan_dump_path=str(dump))
-    got = np.array(json.loads(read_text(dump))["first_bad_increments"])
+    with pytest.raises(NumericalError) as exc:
+        measures.pinned_estimate(model, part, x, n_samples=64, seed=5)
+    got = np.array(exc.value.dump["first_bad_increments"])
     inc = paths.sample_increments(model, part, 64, 5)
     drawn = inc[3].copy()
     measures._body_pass(model, inc.transpose(1, 2, 0)[:3], x)
     assert np.array_equal(got, inc[3]) and np.array_equal(got[3], drawn[3])
     assert not np.array_equal(got[:3], drawn[:3])
+    assert os.listdir(tmp_path) == []
 
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "run"
@@ -363,6 +400,18 @@ def test_converge_refuses_overflowing_curvature(tmp_path):
                        "--n", "4,8,16,32", "--samples", "20", "--out", str(tmp_path)])
     assert res.exit_code == 3, res.output
     assert "numerical failure: mass matrix K(1) lost positivity or finiteness" in res.output
+
+
+def test_converge_refuses_levels_that_do_not_nest(tmp_path, monkeypatch):
+    """Every n of a converge run must divide the largest, so each level
+    coarse-grains the same drawn paths: --n 4,6,8 is a config error, exit 2,
+    raised before any increment is drawn, and nothing is written."""
+    monkeypatch.setattr(paths, "sample_increments", lambda *a, **k: pytest.fail("drew"))
+    res = run_cli(["converge", "--model", "hyperbolic", "--d", "2", "--n", "4,6,8",
+                   "--samples", "10", "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "config error: every n must divide the largest, 8" in res.output
+    assert os.listdir(tmp_path) == []
 
 
 def test_props_small_run(tmp_path):

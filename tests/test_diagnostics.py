@@ -1,12 +1,13 @@
 """Lifts, convergence reports, integration by parts, property sweeps."""
 
-import io
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from pinpath import damped, diagnostics, jacobi, paths
+from pinpath import cli, damped, diagnostics, jacobi, paths
 from pinpath.diagnostics import (ConvergenceReport, convergence_suite, ibp_check,
                                  field_direction, property_sweep)
 from pinpath.geom import CurvatureModel
@@ -314,20 +315,28 @@ def test_fit_slope_recovers_exact_rate():
     assert np.isnan(diagnostics._fit_slope([8, 16, 32], [1, 2, 3]))
 
 
-def test_report_csv_layout():
-    """Report CSV: schema line, header, one row per n, repr round-trip."""
+def test_report_csv_layout(tmp_path):
+    """The converge CSV the CLI writes: schema line, header, one row per n,
+    repr round-trip of the medians and slope in the manifest; and the
+    report's table."""
+    res = CliRunner().invoke(cli.main, ["converge", "--stat", "f", "--model", "hyperbolic",
+                                        "--d", "2", "--n", "4,8,16,32", "--samples", "20",
+                                        "--out", str(tmp_path)], catch_exceptions=False)
+    assert res.exit_code in (0, 1), res.output
+    report = json.loads((tmp_path / "converge_manifest.json").read_text())["reports"]["f"]
+    lines = (tmp_path / "converge_f.csv").read_text().strip().split("\n")
+    assert lines[0] == "schema=1"
+    assert lines[1] == "n,q05,q50,q95,mean,slope,pass"
+    assert len(lines) == 6
+    rows = [line.split(",") for line in lines[2:]]
+    assert [int(row[0]) for row in rows] == [4, 8, 16, 32]
+    assert [float(row[2]) for row in rows] == report["medians"]
+    assert all(float(row[5]) == report["slope"] for row in rows)
+    assert all(row[6] == str(report["passed"]) for row in rows)
     rep = ConvergenceReport("f", [8, 16, 32, 64], np.array([1, 2, 3, 4.0]) / 100,
                             np.array([2, 3, 4, 5.0]) / 100,
                             np.array([3, 4, 5, 6.0]) / 100,
                             np.array([2, 3, 4, 5.0]) / 100, 0.5, True)
-    buf = io.StringIO()
-    rep.to_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "schema=1"
-    assert lines[1] == "n,q05,q50,q95,mean,slope,pass"
-    assert len(lines) == 6
-    row = lines[2].split(",")
-    assert int(row[0]) == 8 and float(row[1]) == 0.01 and row[6] == "True"
     assert "slope=0.500" in rep.table()
 
 
@@ -617,10 +626,11 @@ def test_gradient_compare_reports():
 
 
 def test_gradient_gap_pairing_matches_per_axis_differences():
-    """_gradient_gap's pairing, one central difference along the damped field
-    with every knot of f moved at once, agrees per sample within 1e-7
-    relative with the per-axis differences of one knot at a time
-    (tests/oracles.py), for an observable at s = 0, 1/2 and 1."""
+    """The gradient report's pairing, f's derivative along the damped field
+    at the knots that _at_knots carries it to with every knot of f moved at
+    once, agrees per sample within 1e-7 relative with the per-axis
+    differences of one knot at a time (tests/oracles.py), for an observable
+    at s = 0, 1/2 and 1."""
     part = Partition(4)
     obs = CylinderObservable("exp_three", (0.0, 0.5, 1.0), 1.0, "exp_radial2",
                              {"times": [0.0, 0.5, 1.0], "scales": [1.0, 2.0, 3.0]})
@@ -633,11 +643,10 @@ def test_gradient_gap_pairing_matches_per_axis_differences():
         want = damped_pairing_per_axis(model, part, obs, points, frames, field,
                                        diagnostics.FD_STEP)
         assert np.all(np.abs(want) > 0)
-        for i in range(want.size):
-            row = slice(i, i + 1)
-            gap = diagnostics._gradient_gap(model, part, obs, want[row], inc[row],
-                                            coords[row])["median_abs_gap"]
-            assert gap <= 1e-7 * abs(want[i]), (model, i)
+        [(knots, vectors)] = diagnostics._at_knots(model, diagnostics._intervals(model, inc),
+                                                   part, (obs,), field.transpose(1, 2, 0))
+        got = obs.derivative(model, knots, vectors)
+        assert np.all(np.abs(got - want) <= 1e-7 * np.abs(want)), model
 
 
 def test_property_sweep_clean():

@@ -1,13 +1,13 @@
 """Path sampling, the knots and frames carried from o by boosts (and the
-oracle roll and anti-roll), the basis fields and the CSV dump."""
+oracle roll and anti-roll), the basis fields and sample's paths.csv."""
 
-import io
 import itertools
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from pinpath import geom, jacobi, paths
+from pinpath import cli, geom, jacobi, paths
 from pinpath.geom import CurvatureModel
 from pinpath.jacobi import Partition
 
@@ -268,20 +268,23 @@ def test_frame_field_matches_response_matrix():
                 assert np.allclose(J[j], f_ij[:, alpha] / np.sqrt(6), atol=1e-10)
 
 
-def test_csv_dump_layout():
-    """dump_paths_csv: schema line, header, row count, repr round-trip."""
-    part = Partition(3)
-    inc = paths.sample_increments(HYP2, part, 2, seed=1)
+def test_csv_dump_layout(tmp_path):
+    """sample's paths.csv, written by the CLI: schema line, header, row count,
+    repr round-trip."""
+    res = CliRunner().invoke(cli.main, ["sample", "--model", "hyperbolic", "--d", "2",
+                                        "--kappa", "1", "--n", "3", "--N", "2", "--seed", "1",
+                                        "--out", str(tmp_path)], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    inc = paths.sample_increments(HYP2, Partition(3), 2, seed=1)
     points, frames = carried(HYP2, inc)
-    buf = io.StringIO()
-    paths.dump_paths_csv(inc, points, frames, buf)
-    lines = buf.getvalue().strip().split("\n")
+    lines = (tmp_path / "paths.csv").read_text().strip().split("\n")
     assert lines[0] == "schema=1"
     header = lines[1].split(",")
     assert header[:3] == ["sample_id", "i", "s_i"]
     assert len(lines) == 2 + 2 * 4          # two paths, four knots each
     first = lines[2].split(",")
     assert float(first[3 + 2]) == pytest.approx(1.0)   # apex timelike coord
-    # repr round-trips the endpoint coordinate bit-exactly
+    # repr round-trips the endpoint coordinate and frame bit-exactly
     last = lines[-1].split(",")
     assert float(last[3]) == points[1, 3, 0]
+    assert [float(v) for v in last[6:12]] == frames[1, 3].ravel().tolist()
